@@ -1,13 +1,12 @@
 """Runtime-harness hooks consulted by the production modules.
 
-:class:`~repro.graph.storage.PartitionPipeline` and
-:class:`~repro.distributed.partition_server.PartitionServerStorage`
-report partition ownership transitions through this module so the
-opt-in race-detection harness (:mod:`repro.analysis.lockdep`) can check
-them. The module is deliberately dependency-free and the default state
-is "no tracker": when the harness is not installed, every hook call is
-a single attribute load and a ``None`` check — effectively free, so
-production code paths can call them unconditionally.
+:class:`~repro.graph.storage.PartitionPipeline` reports partition
+ownership transitions through this module so the opt-in race-detection
+harness (:mod:`repro.analysis.lockdep`) can check them. The module is
+deliberately dependency-free and the default state is "no tracker":
+when the harness is not installed, every hook call is a single
+attribute load and a ``None`` check — effectively free, so production
+code paths can call them unconditionally.
 
 Thread-safety: `install`/`uninstall` happen on the test main thread
 before/after worker threads exist; readers only ever see ``None`` or a
@@ -28,7 +27,7 @@ def ownership_tracker():
 
 
 def install_ownership_tracker(tracker) -> None:
-    """Activate ``tracker`` for subsequently created pipelines/adapters."""
+    """Activate ``tracker`` for subsequently created pipelines."""
     global _TRACKER
     _TRACKER = tracker
 

@@ -31,14 +31,14 @@ Legal transitions are exactly the pipeline's lifecycle::
         └──────evict/stale────┘ └───────────push landed────────────┘
 
 plus ``on-server → resident`` (synchronous fetch or first-touch
-initialisation) and ``resident → on-server`` (the serial paths'
-blocking save). Anything else — a double-resident partition, a prefetch
+initialisation) and ``resident → on-server`` (a blocking save outside
+any pipeline). Anything else — a double-resident partition, a prefetch
 stomping a resident table, a park of bytes that were never resident —
 is recorded as a violation. Hooks are wired into
 :class:`~repro.graph.storage.PartitionPipeline` /
-:class:`~repro.graph.storage.PartitionCache` and
-:class:`~repro.distributed.partition_server.PartitionServerStorage`
-through :mod:`repro.analysis.hooks`.
+:class:`~repro.graph.storage.PartitionCache` — every trainer's
+partition I/O goes through one, in serial mode too — through
+:mod:`repro.analysis.hooks`.
 
 The pytest fixture in ``tests/conftest.py`` activates both under
 ``REPRO_LOCKDEP=1`` and asserts zero cycles / zero illegal transitions
@@ -363,8 +363,8 @@ WRITEBACK = "writeback"
 #: Residency can begin invisibly — the model initialises a partition
 #: in place on first touch, which no hook observes — so the first
 #: tracked event for such a partition is its write-back (``on-server
-#: -> writeback`` on park, ``on-server -> on-server`` on a serial
-#: blocking save). A staged copy, by contrast, must be adopted
+#: -> writeback`` on park, ``on-server -> on-server`` on a blocking
+#: save outside any pipeline). A staged copy, by contrast, must be adopted
 #: (``resident``) before it may be parked.
 _LEGAL_FROM = {
     STAGED: {ON_SERVER, WRITEBACK},
@@ -377,8 +377,8 @@ _LEGAL_FROM = {
 class PartitionOwnershipTracker:
     """Per-owner partition state machine with legal-transition checks.
 
-    One tracker serves a whole test run; each pipeline / storage
-    adapter registers an :class:`OwnerView` (one per machine), because
+    One tracker serves a whole test run; each pipeline registers an
+    :class:`OwnerView` (one per machine), because
     "exactly one state" is a per-machine property — machine A holding a
     partition resident while machine B still has a stale staged copy is
     legal (the version check handles it), but a single machine holding
@@ -502,6 +502,7 @@ class OwnerView:
         )
 
     def saved(self, entity_type: str, part: int) -> None:
-        """A blocking save returned the bytes to the backend (serial
-        eviction path)."""
+        """A blocking save returned the bytes to the backend without
+        passing through a pipeline (no trainer does this any more; the
+        pipeline's synchronous mode reports park/landed/dropped)."""
         self.tracker.transition(self.owner, entity_type, part, ON_SERVER)

@@ -1,4 +1,4 @@
-"""Single-machine trainer: epochs × buckets × hogwild workers.
+"""The bucket loop, and the single-machine trainer that drives it.
 
 Implements the paper's Section 4.1 training loop. Each epoch iterates
 the edge buckets in the configured order; for bucket ``(i, j)`` the
@@ -9,35 +9,44 @@ bucket's edges with lock-free worker threads (HOGWILD, Recht et al.
 partitions back to disk before moving on.
 
 With one partition this degenerates to plain minibatch training with
-everything resident. Peak-memory accounting and swap/I/O counters feed
-the memory columns of Tables 3 and 4.
+everything resident (no pipeline is built). Peak-memory accounting and
+swap/I/O counters feed the memory columns of Tables 3 and 4.
 
-Pipelined mode (``config.pipeline``)
-------------------------------------
+One loop, two pipeline modes
+----------------------------
 
-The serial loop alternates I/O and compute, so partition swap latency
-is additive with training time. With ``pipeline=True`` the loop becomes
-a three-stage pipeline that overlaps them (the latency-hiding the paper
-relies on to keep edges/sec flat as partition count grows):
+:class:`BucketExecutor` is the only implementation of that per-bucket
+algorithm; this trainer and every machine of
+:mod:`repro.distributed.cluster` drive it, and decide only what really
+differs: where the next bucket and the prefetch hint come from (the
+``bucket_order`` list / the lock server), what a landed write-back
+triggers (nothing / ``commit_partition``), whether the epoch-end flush
+keeps tables resident, and the per-batch parameter-server sync. All
+partition I/O goes through one
+:class:`~repro.graph.storage.PartitionPipeline`; ``config.pipeline``
+selects its mode:
 
-- **Prefetch** — a single background thread loads the *next* visit's
-  partitions (taken from the configured ``bucket_order``, so
-  inside-out's locality directly turns into prefetch hits) from disk
-  into a :class:`~repro.graph.storage.PartitionCache` while workers
-  train the current bucket.
-- **Train** — unchanged HOGWILD workers over the resident tables.
-- **Writeback** — evicted partitions are parked dirty in the cache and
-  flushed by a :class:`~repro.graph.storage.WritebackQueue` thread off
-  the critical path.
+- **Synchronous** (``pipeline=False``, the reference the bit-identity
+  oracles compare against): no thread is started, nothing is retained,
+  and every load, save and first-touch initialisation runs inline on
+  the calling thread — swap latency is additive with training time.
+- **Pipelined** (``pipeline=True``): I/O overlaps compute (the
+  latency-hiding the paper relies on to keep edges/sec flat as
+  partition count grows). A *prefetch* thread loads the next visit's
+  partitions (from the configured ``bucket_order``, so inside-out's
+  locality directly turns into prefetch hits) into a
+  :class:`~repro.graph.storage.PartitionCache` while workers *train*
+  the current bucket; evicted partitions are parked dirty in the cache
+  and flushed by a *writeback* thread off the critical path.
 
 Ownership rules (who may touch which buffers):
 
 1. The **main thread** owns the model's resident tables: only it
-   inserts, drops, or initialises partitions, and only it consumes
-   ``self.rng``. First-touch initialisation never happens on the
-   prefetch thread, so RNG consumption order — and therefore the
-   trained embeddings — are bit-identical to the serial path under a
-   fixed seed.
+   inserts, drops, or initialises partitions, and only it consumes the
+   executor's ``rng``. First-touch initialisation never happens on the
+   prefetch thread, and both modes swap in the same sorted order, so
+   RNG consumption order — and therefore the trained embeddings — are
+   bit-identical across modes under a fixed seed.
 2. The **prefetch thread** only reads partition files and inserts
    *clean* entries into the cache; it never sees the model and treats
    a missing file as "not my problem" (the main thread initialises).
@@ -45,8 +54,12 @@ Ownership rules (who may touch which buffers):
    lands. Arrays handed to it must not be mutated meanwhile; the cache
    enforces this by blocking :meth:`PartitionCache.take` until a
    pending write of that partition completes (flush-before-reuse), and
-   checkpoints drain the whole queue first (see
-   :func:`repro.core.checkpointing.save_model`'s ``barrier``).
+   the epoch-end flush and checkpoints drain the whole queue first
+   (see :func:`repro.core.checkpointing.save_model`'s ``barrier``).
+4. Whoever counts landed write-backs per partition *index* hears of
+   **every** partition of an eviction pass before the first is parked:
+   entity types share indices, and the count must not drain between
+   the first type's write and the second's.
 
 Residual I/O that cannot be hidden (first-touch initialisation,
 prefetch misses, barrier drains) still lands in ``io_time``;
@@ -59,6 +72,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -67,17 +81,17 @@ from repro import telemetry
 from repro.config import ConfigSchema
 from repro.core.batching import iterate_batches, iterate_chunks
 from repro.core.model import ChunkStats, EmbeddingModel
+from repro.core.tables import DenseEmbeddingTable
 from repro.graph.buckets import Bucket, bucket_order
 from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import BucketedEdges, bucket_edges
-from repro.graph.storage import (
-    PartitionPipeline,
-    PartitionedEmbeddingStorage,
-    StorageError,
-)
+from repro.graph.storage import PartitionPipeline, PartitionedEmbeddingStorage
 
-__all__ = ["Trainer", "TrainingStats", "EpochStats", "PipelineStats"]
+__all__ = [
+    "BucketExecutor", "Trainer", "TrainingStats", "EpochStats",
+    "PipelineStats",
+]
 
 
 @dataclass
@@ -183,6 +197,239 @@ class TrainingStats:
         return total
 
 
+class BucketExecutor:
+    """One machine's per-bucket algorithm: swap, prefetch, train, flush.
+
+    The caller owns the bucket schedule; see the module docstring for
+    the ownership rules every method below relies on.
+
+    Parameters
+    ----------
+    rng:
+        Consumed on the calling thread only: first-touch
+        initialisation, batch shuffling, negative sampling, worker
+        seeds.
+    pipeline:
+        Carries all partition I/O. ``None`` when no entity type is
+        partitioned: every table was materialised up front and nothing
+        ever moves.
+    committer:
+        Optional ``expect(parts)`` / ``landed(part)`` pair: ``expect``
+        gets the partition indices of an eviction pass before the first
+        write starts, ``landed`` runs (possibly on the writeback
+        thread) as each write lands.
+    sync:
+        Called on the calling thread after every batch with one worker
+        and after the bucket's workers join otherwise (the distributed
+        trainer's throttled parameter-server sync).
+    """
+
+    def __init__(
+        self,
+        config: ConfigSchema,
+        model: EmbeddingModel,
+        entities: EntityStorage,
+        rng: np.random.Generator,
+        pipeline: "PartitionPipeline | None",
+        committer=None,
+        sync: Callable[[], object] = lambda: None,
+    ) -> None:
+        self.config = config
+        self.model = model
+        self.entities = entities
+        self.rng = rng
+        self.pipeline = pipeline
+        self.committer = committer
+        self.sync = sync
+        #: entity types always resident (single partition / featurized)
+        self.global_types = [
+            t
+            for t in entities.types
+            if t in config.entities and entities.num_partitions(t) == 1
+        ]
+
+    # -- partition movement --------------------------------------------
+
+    def required_partitions(self, bucket: Bucket) -> "set[tuple[str, int]]":
+        """(entity_type, part) pairs that must be resident for a bucket."""
+        needed = {(entity_type, 0) for entity_type in self.global_types}
+        for rel in self.config.relations:
+            if self.entities.num_partitions(rel.lhs) > 1:
+                needed.add((rel.lhs, bucket.lhs))
+            if self.entities.num_partitions(rel.rhs) > 1:
+                needed.add((rel.rhs, bucket.rhs))
+        return needed
+
+    def swap(self, bucket: Bucket) -> int:
+        """Make ``bucket``'s partitions the resident ones; returns how
+        many partitions moved (evictions plus swap-ins)."""
+        pipe = self.pipeline
+        if pipe is None:
+            return 0
+        needed = self.required_partitions(bucket)
+        # In-flight prefetch loads settle first, so cache state is
+        # final and the prefetch thread quiescent while tables move.
+        pipe.settle()
+        moved = self.evict(keep=needed)
+        # take() enforces flush-before-reuse and discards staged copies
+        # the backend has superseded; a partition that exists nowhere
+        # is initialised here, on the calling thread (rule 1).
+        for entity_type, part in sorted(needed):
+            if self.model.has_table(entity_type, part):
+                continue
+            got, _ = pipe.take(entity_type, part)
+            if got is None:
+                self.model.init_partition(entity_type, part, self.rng)
+            else:
+                self.model.set_table(
+                    entity_type, part, DenseEmbeddingTable(*got)
+                )
+            moved += 1
+        return moved
+
+    def evict(self, keep: "set[tuple[str, int]]" = frozenset()) -> int:
+        """Park every partitioned resident table not in ``keep``: the
+        swap's evictions, the giving-up half of the epoch-end flush,
+        and what a machine starved by the lock server does so that the
+        partitions it still holds cannot wedge the grid. Returns the
+        number parked."""
+        keys = [
+            key
+            for key in self.model.resident_tables()
+            if key not in keep and key[0] not in self.global_types
+        ]
+        committer, delta = self.committer, self.config.writeback_delta
+        if committer is not None:
+            committer.expect([part for _, part in keys])  # rule 4
+        for entity_type, part in keys:
+            table = self.model.drop_table(entity_type, part)
+            self.pipeline.park(
+                entity_type, part, table.weights, table.optimizer.state,
+                on_flushed=(
+                    None if committer is None
+                    else partial(committer.landed, part)
+                ),
+                # Rows touched since the fetch: a delta-capable backend
+                # pushes only those.
+                dirty_rows=table.dirty_row_indices() if delta else None,
+            )
+        return len(keys)
+
+    def prefetch(self, bucket: Bucket) -> None:
+        """Schedule background loads for the bucket expected next, to
+        overlap with training the current one. Resident partitions need
+        no I/O; ones the backend does not have are skipped by the
+        prefetch thread and initialised at swap time (rule 2)."""
+        if self.pipeline is not None:
+            self.pipeline.schedule(
+                key
+                for key in sorted(self.required_partitions(bucket))
+                if not self.model.has_table(*key)
+            )
+
+    def flush(self, keep_resident: bool) -> None:
+        """Epoch-end barrier: returns once every partitioned resident
+        table has durably landed in the backend, so a model assembled
+        or checkpointed from it is complete. ``keep_resident`` leaves
+        the tables in the model (callbacks and the checkpoint read
+        them); otherwise they are evicted."""
+        pipe = self.pipeline
+        if pipe is None:
+            return
+        pipe.settle()
+        if keep_resident:
+            for entity_type, part in self.model.resident_tables():
+                if entity_type not in self.global_types:
+                    table = self.model.get_table(entity_type, part)
+                    pipe.persist(
+                        entity_type, part,
+                        table.weights, table.optimizer.state,
+                    )
+        else:
+            self.evict()
+        pipe.drain()
+
+    # -- accounting ----------------------------------------------------
+
+    def resident_nbytes(self) -> int:
+        """Bytes held by the model plus the pipeline's staging cache."""
+        nbytes = self.model.resident_nbytes()
+        if self.pipeline is not None:
+            nbytes += self.pipeline.cache.nbytes()
+        return nbytes
+
+    def pipeline_stats(self) -> PipelineStats:
+        """Point-in-time snapshot of the pipeline's metrics registry
+        (all zero without the pipelined mode's threads)."""
+        pipe = self.pipeline
+        if pipe is None or pipe.writeback is None:
+            return PipelineStats()
+        return PipelineStats(
+            prefetch_hits=pipe.prefetch_hits,
+            prefetch_misses=pipe.prefetch_misses,
+            prefetch_wait_time=pipe.prefetch_wait_seconds,
+            writeback_stall_time=pipe.writeback.stall_seconds,
+            cache_evictions=pipe.cache.evictions,
+        )
+
+    # -- in-bucket training (HOGWILD) ----------------------------------
+
+    def train(self, bucket: Bucket, edges: EdgeList) -> ChunkStats:
+        """Train one bucket's edges over its resident partitions."""
+        cfg = self.config
+        total = ChunkStats()
+        if cfg.num_workers == 1:
+            for batch in iterate_batches(edges, cfg.batch_size, self.rng):
+                total.merge(self._train_batch(bucket, batch, self.rng))
+                self.sync()
+            return total
+        # Lock-free parallel workers over disjoint batch streams.
+        batches = list(iterate_batches(edges, cfg.batch_size, self.rng))
+        seeds = np.random.SeedSequence(
+            int(self.rng.integers(2**63))
+        ).spawn(cfg.num_workers)
+        worker_rngs = [np.random.default_rng(s) for s in seeds]
+
+        def work(worker_id: int) -> ChunkStats:
+            wstats = ChunkStats()
+            for b in range(worker_id, len(batches), cfg.num_workers):
+                wstats.merge(
+                    self._train_batch(
+                        bucket, batches[b], worker_rngs[worker_id]
+                    )
+                )
+            return wstats
+
+        with ThreadPoolExecutor(cfg.num_workers) as pool:
+            for wstats in pool.map(work, range(cfg.num_workers)):
+                total.merge(wstats)
+        self.sync()
+        return total
+
+    def _train_batch(
+        self, bucket: Bucket, batch: EdgeList, rng: np.random.Generator
+    ) -> ChunkStats:
+        stats = ChunkStats()
+        for rel_id, chunk in iterate_chunks(batch, self.config.chunk_size):
+            rel = self.config.relations[rel_id]
+            lhs_part = bucket.lhs if self.entities.num_partitions(rel.lhs) > 1 else 0
+            rhs_part = bucket.rhs if self.entities.num_partitions(rel.rhs) > 1 else 0
+            lhs_table = self.model.get_table(rel.lhs, lhs_part)
+            rhs_table = self.model.get_table(rel.rhs, rhs_part)
+            stats.merge(
+                self.model.forward_backward_chunk(
+                    rel_id,
+                    chunk.src,
+                    chunk.dst,
+                    lhs_table,
+                    rhs_table,
+                    rng,
+                    edge_weights=chunk.weights,
+                )
+            )
+        return stats
+
+
 class Trainer:
     """Partition-aware single-machine trainer.
 
@@ -223,17 +470,6 @@ class Trainer:
                 "partitioned training needs PartitionedEmbeddingStorage to "
                 "swap evicted partitions"
             )
-        #: entity types always resident (single partition / featurized)
-        self._global_types = [
-            t
-            for t in entities.types
-            if t in config.entities and entities.num_partitions(t) == 1
-        ]
-        # Pipelined-mode machinery; built per training run. The same
-        # PartitionPipeline subsystem backs the distributed trainer
-        # (with a partition-server backend instead of disk).
-        self._pipeline_active = False  # owned-by: main
-        self._pipeline: PartitionPipeline | None = None  # owned-by: main
 
     # ------------------------------------------------------------------
     # Public API
@@ -268,35 +504,42 @@ class Trainer:
         if self.config.trace_path and telemetry.active() is None:
             owned_tracer = telemetry.enable()
         telemetry.set_lane("trainer.main")
-        self._ensure_global_types()
-        if self.config.pipeline and self._partitioned:
-            self._start_pipeline()
+        # The pipeline lives for one training run; the distributed
+        # trainer builds the same subsystem over a partition-server
+        # backend instead of disk.
+        pipeline = None
+        if self._partitioned:
+            pipeline = PartitionPipeline(
+                self.storage,
+                budget_bytes=self.config.partition_cache_budget,
+                synchronous=not self.config.pipeline,
+            )
+        executor = BucketExecutor(
+            self.config, self.model, self.entities, self.rng, pipeline
+        )
+        self._ensure_global_types(executor.global_types)
         try:
             for epoch in range(self.config.num_epochs):
+                pipe_base = executor.pipeline_stats()
                 with telemetry.span("epoch", cat="phase", epoch=epoch):
-                    epoch_stats = self._run_epoch(epoch, bucketed, stats)
+                    epoch_stats = self._run_epoch(
+                        epoch, bucketed, stats, executor
+                    )
                 stats.epochs.append(epoch_stats)
                 if self.config.checkpoint_dir is not None:
-                    stall0 = (
-                        self._pipeline.writeback.stall_seconds
-                        if self._pipeline_active
-                        else 0.0
-                    )
-                    self._write_checkpoint(epoch)
-                    if self._pipeline_active:
-                        # The checkpoint barrier's drain happens outside
-                        # _run_epoch's measurement window; attribute it
-                        # to the epoch just checkpointed.
-                        epoch_stats.pipeline.writeback_stall_time += (
-                            self._pipeline.writeback.stall_seconds - stall0
-                        )
+                    self._write_checkpoint(epoch, pipeline)
+                # Snapshot after the checkpoint: its barrier's drain
+                # belongs to the epoch just checkpointed.
+                epoch_stats.pipeline = executor.pipeline_stats().since(
+                    pipe_base
+                )
                 if after_epoch is not None:
                     after_epoch(epoch, stats)
         finally:
-            if self._pipeline_active:
+            if pipeline is not None:
                 failing = sys.exc_info()[0] is not None
                 try:
-                    self._stop_pipeline()
+                    pipeline.close()
                 except Exception:
                     # Teardown after a training failure must not mask
                     # the original exception with a writeback error.
@@ -312,61 +555,19 @@ class Trainer:
             stats.partition_store_bytes = self.storage.nbytes()
         return stats
 
-    # ------------------------------------------------------------------
-    # Pipeline lifecycle
-    # ------------------------------------------------------------------
-
-    def _start_pipeline(self) -> None:
-        self._pipeline = PartitionPipeline(
-            self.storage,
-            budget_bytes=self.config.partition_cache_budget,
-        )
-        self._pipeline_active = True
-
-    def _stop_pipeline(self) -> None:
-        self._pipeline_active = False
-        try:
-            if self._pipeline is not None:
-                self._pipeline.close()
-        finally:
-            self._pipeline = None
-
-    def _pipeline_snapshot(self) -> PipelineStats:
-        """Point-in-time PipelineStats derived from the pipeline's
-        metrics registry (requires an active pipeline)."""
-        pipe = self._pipeline
-        return PipelineStats(
-            prefetch_hits=pipe.prefetch_hits,
-            prefetch_misses=pipe.prefetch_misses,
-            prefetch_wait_time=pipe.prefetch_wait_seconds,
-            writeback_stall_time=pipe.writeback.stall_seconds,
-            cache_evictions=pipe.cache.evictions,
-        )
-
-    def _pipeline_barrier(self) -> None:
-        """Make the partition store consistent with training state:
-        persist resident multi-partition tables, flush dirty cache
-        entries, and drain the writeback queue. Returns only once every
-        write has durably landed (checkpoint / epoch-end barrier)."""
-        for entity_type, part in self.model.resident_tables():
-            if self.entities.num_partitions(entity_type) > 1:
-                table = self.model.get_table(entity_type, part)
-                self._pipeline.writeback.submit(
-                    entity_type, part, table.weights, table.optimizer.state
-                )
-        self._pipeline.drain()
-
-    def _write_checkpoint(self, epoch: int) -> None:
+    def _write_checkpoint(
+        self, epoch: int, pipeline: "PartitionPipeline | None"
+    ) -> None:
         """Persist the model after an epoch (paper Figure 2: trainers
         intermittently write checkpoints to the shared filesystem).
 
         With partitioned training only resident partitions are saved
         here; the evicted ones were already flushed to the partition
         store, which shares the checkpoint's directory layout when
-        ``checkpoint_dir`` is used for both. In pipelined mode a
-        barrier first drains the async writeback queue so the partition
-        store is consistent with training state before the checkpoint
-        claims to be.
+        ``checkpoint_dir`` is used for both. The barrier drains the
+        pipeline's writeback queue so the partition store is consistent
+        with training state before the checkpoint claims to be (the
+        epoch-end flush just did; this holds whatever ran since).
         """
         from repro.core.checkpointing import save_model
 
@@ -375,17 +576,17 @@ class Trainer:
             self.model,
             self.entities,
             metadata={"epoch": epoch},
-            barrier=self._pipeline_barrier if self._pipeline_active else None,
+            barrier=pipeline.drain if pipeline is not None else None,
             codec=self.config.partition_compression,
         )
 
     # ------------------------------------------------------------------
-    # Epoch / bucket machinery
+    # Epoch machinery
     # ------------------------------------------------------------------
 
-    def _ensure_global_types(self) -> None:
+    def _ensure_global_types(self, global_types: "list[str]") -> None:
         """Materialise single-partition entity types (always resident)."""
-        for entity_type in self._global_types:
+        for entity_type in global_types:
             if self.config.entities[entity_type].featurized:
                 if not self.model.has_table(entity_type, 0):
                     raise ValueError(
@@ -397,7 +598,11 @@ class Trainer:
                 self.model.init_partition(entity_type, 0, self.rng)
 
     def _run_epoch(
-        self, epoch: int, bucketed: BucketedEdges, run_stats: TrainingStats
+        self,
+        epoch: int,
+        bucketed: BucketedEdges,
+        run_stats: TrainingStats,
+        executor: BucketExecutor,
     ) -> EpochStats:
         estats = EpochStats(epoch=epoch)
         order = bucket_order(
@@ -417,32 +622,18 @@ class Trainer:
             for stratum in range(passes)
             for bucket in order
         ]
-        pipe_base = (
-            self._pipeline_snapshot() if self._pipeline_active else None
-        )
         for visit, (stratum, bucket) in enumerate(visits):
             t0 = time.perf_counter()
             with telemetry.span(
                 "swap.bucket", cat="stall",
                 bucket=f"{bucket.lhs},{bucket.rhs}", epoch=epoch,
             ):
-                if self._pipeline_active:
-                    next_bucket = (
-                        visits[visit + 1][1]
-                        if visit + 1 < len(visits)
-                        else None
-                    )
-                    self._swap_to_bucket_pipelined(
-                        bucket, next_bucket, estats
-                    )
-                else:
-                    self._swap_to_bucket(bucket, estats)
+                estats.swaps += executor.swap(bucket)
+                if visit + 1 < len(visits):
+                    executor.prefetch(visits[visit + 1][1])
             estats.io_time += time.perf_counter() - t0
-            resident = self.model.resident_nbytes()
-            if self._pipeline_active:
-                resident += self._pipeline.cache.nbytes()
             run_stats.peak_resident_bytes = max(
-                run_stats.peak_resident_bytes, resident
+                run_stats.peak_resident_bytes, executor.resident_nbytes()
             )
             edges = bucketed.edges_for(bucket)
             if len(edges) == 0:
@@ -470,7 +661,7 @@ class Trainer:
                 bucket=f"{bucket.lhs},{bucket.rhs}", epoch=epoch,
                 stratum=stratum,
             ):
-                bucket_stats = self._train_bucket(bucket, edges)
+                bucket_stats = executor.train(bucket, edges)
             estats.train_time += time.perf_counter() - t1
             if len(holdout):
                 after = self._bucket_eval(bucket, holdout)
@@ -484,17 +675,11 @@ class Trainer:
             estats.eval_mrr_before /= estats.num_eval_edges
             estats.eval_mrr_after /= estats.num_eval_edges
         # Persist the trailing resident partitions so evaluation can
-        # reload a complete model. In pipelined mode this is a full
-        # barrier (resident tables + dirty cache entries + queue drain).
-        if self._partitioned:
-            t0 = time.perf_counter()
-            if self._pipeline_active:
-                self._pipeline_barrier()
-            else:
-                self._flush_resident()
-            estats.io_time += time.perf_counter() - t0
-        if self._pipeline_active:
-            estats.pipeline = self._pipeline_snapshot().since(pipe_base)
+        # reload a complete model; they stay resident for after_epoch
+        # callbacks and the checkpoint.
+        t0 = time.perf_counter()
+        executor.flush(keep_resident=True)
+        estats.io_time += time.perf_counter() - t0
         return estats
 
     _EVAL_CANDIDATES = 100
@@ -531,174 +716,3 @@ class Trainer:
             ranks.append(1 + (scores > pos[:, None]).sum(axis=1))
         all_ranks = np.concatenate(ranks)
         return float((1.0 / all_ranks).mean())
-
-    def _required_partitions(self, bucket: Bucket) -> "set[tuple[str, int]]":
-        """(entity_type, part) pairs that must be resident for a bucket."""
-        needed: set[tuple[str, int]] = set()
-        for entity_type in self._global_types:
-            needed.add((entity_type, 0))
-        for rel in self.config.relations:
-            if self.entities.num_partitions(rel.lhs) > 1:
-                needed.add((rel.lhs, bucket.lhs))
-            if self.entities.num_partitions(rel.rhs) > 1:
-                needed.add((rel.rhs, bucket.rhs))
-        return needed
-
-    def _swap_to_bucket(self, bucket: Bucket, estats: EpochStats) -> None:
-        """Evict partitions not needed by ``bucket``; load/init the rest."""
-        if not self._partitioned:
-            # Everything stays resident; just make sure it exists.
-            for entity_type, part in self._required_partitions(bucket):
-                if not self.model.has_table(entity_type, part):
-                    self.model.init_partition(entity_type, part, self.rng)
-            return
-        needed = self._required_partitions(bucket)
-        for key in list(self.model.resident_tables()):
-            if key not in needed and key[0] not in self._global_types:
-                self._evict(*key)
-                estats.swaps += 1
-        for entity_type, part in sorted(needed):
-            if not self.model.has_table(entity_type, part):
-                self._load_or_init(entity_type, part)
-                estats.swaps += 1
-
-    def _swap_to_bucket_pipelined(
-        self, bucket: Bucket, next_bucket: "Bucket | None", estats: EpochStats
-    ) -> None:
-        """Pipelined swap: consume prefetched partitions, evict through
-        the cache + writeback queue, then schedule the next visit's
-        prefetch to overlap with this bucket's training."""
-        from repro.core.tables import DenseEmbeddingTable
-
-        pipe = self._pipeline
-        needed = self._required_partitions(bucket)
-        # 1. Settle in-flight prefetch loads so cache state is final
-        #    and the prefetch thread is quiescent during 2–4. (The
-        #    pipeline's registry counts the wait; epoch stats are
-        #    snapshot deltas.)
-        pipe.settle()
-        # 2. Evict residents this bucket doesn't need. Instead of a
-        #    blocking save, they are parked dirty in the cache and
-        #    persisted by the writeback thread off the critical path.
-        for key in list(self.model.resident_tables()):
-            if key not in needed and key[0] not in self._global_types:
-                table = self.model.drop_table(*key)
-                pipe.park(
-                    key[0], key[1], table.weights, table.optimizer.state
-                )
-                estats.swaps += 1
-        # 3. Load or initialise what the bucket needs — same sorted
-        #    order and the same ``self.rng`` draws as the serial path;
-        #    first-touch initialisation stays on this thread so RNG
-        #    consumption order (and the embeddings) are bit-identical.
-        for entity_type, part in sorted(needed):
-            if self.model.has_table(entity_type, part):
-                continue
-            got, from_cache = pipe.take(entity_type, part)
-            if got is not None:
-                self.model.set_table(
-                    entity_type, part, DenseEmbeddingTable(*got)
-                )
-            else:
-                self.model.init_partition(entity_type, part, self.rng)
-            estats.swaps += 1
-        # 4. Schedule the next visit's loads to overlap with training.
-        #    Only partitions that already exist on disk are eligible —
-        #    resident and cached ones need no I/O, and absent ones must
-        #    be initialised on the main thread (rule 2 of the module
-        #    docstring's ownership rules); the pipeline itself skips
-        #    cached/in-flight keys and disables prefetch at budget 0
-        #    (a staged entry would be dropped before take() could use
-        #    it, so prefetching would only double the reads).
-        if next_bucket is not None:
-            pipe.schedule(
-                key
-                for key in sorted(self._required_partitions(next_bucket))
-                if not self.model.has_table(*key)
-            )
-
-    def _evict(self, entity_type: str, part: int) -> None:
-        table = self.model.drop_table(entity_type, part)
-        self.storage.save(
-            entity_type, part, table.weights, table.optimizer.state
-        )
-
-    def _load_or_init(self, entity_type: str, part: int) -> None:
-        from repro.core.tables import DenseEmbeddingTable
-
-        try:
-            weights, state = self.storage.load(entity_type, part)
-        except StorageError:
-            self.model.init_partition(entity_type, part, self.rng)
-            return
-        self.model.set_table(
-            entity_type, part, DenseEmbeddingTable(weights, state)
-        )
-
-    def _flush_resident(self) -> None:
-        """Persist all resident multi-partition tables (keep them resident)."""
-        for entity_type, part in self.model.resident_tables():
-            if self.entities.num_partitions(entity_type) > 1:
-                table = self.model.get_table(entity_type, part)
-                self.storage.save(
-                    entity_type, part, table.weights, table.optimizer.state
-                )
-
-    # ------------------------------------------------------------------
-    # In-bucket training (HOGWILD)
-    # ------------------------------------------------------------------
-
-    def _train_bucket(self, bucket: Bucket, edges: EdgeList) -> ChunkStats:
-        total = ChunkStats()
-        if self.config.num_workers == 1:
-            for batch in iterate_batches(
-                edges, self.config.batch_size, self.rng
-            ):
-                total.merge(self._train_batch(bucket, batch, self.rng))
-            return total
-        # Lock-free parallel workers over disjoint batch streams.
-        batches = list(
-            iterate_batches(edges, self.config.batch_size, self.rng)
-        )
-        seeds = np.random.SeedSequence(
-            int(self.rng.integers(2**63))
-        ).spawn(self.config.num_workers)
-        worker_rngs = [np.random.default_rng(s) for s in seeds]
-
-        def work(worker_id: int) -> ChunkStats:
-            wstats = ChunkStats()
-            for b in range(worker_id, len(batches), self.config.num_workers):
-                wstats.merge(
-                    self._train_batch(
-                        bucket, batches[b], worker_rngs[worker_id]
-                    )
-                )
-            return wstats
-
-        with ThreadPoolExecutor(self.config.num_workers) as pool:
-            for wstats in pool.map(work, range(self.config.num_workers)):
-                total.merge(wstats)
-        return total
-
-    def _train_batch(
-        self, bucket: Bucket, batch: EdgeList, rng: np.random.Generator
-    ) -> ChunkStats:
-        stats = ChunkStats()
-        for rel_id, chunk in iterate_chunks(batch, self.config.chunk_size):
-            rel = self.config.relations[rel_id]
-            lhs_part = bucket.lhs if self.entities.num_partitions(rel.lhs) > 1 else 0
-            rhs_part = bucket.rhs if self.entities.num_partitions(rel.rhs) > 1 else 0
-            lhs_table = self.model.get_table(rel.lhs, lhs_part)
-            rhs_table = self.model.get_table(rel.rhs, rhs_part)
-            stats.merge(
-                self.model.forward_backward_chunk(
-                    rel_id,
-                    chunk.src,
-                    chunk.dst,
-                    lhs_table,
-                    rhs_table,
-                    rng,
-                    edge_weights=chunk.weights,
-                )
-            )
-        return stats

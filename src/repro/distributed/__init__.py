@@ -20,18 +20,21 @@ copies — transfers are real array copies, so staleness, locking and
 occupancy effects are faithfully exercised; only the transport is
 in-process.
 
-With ``config.pipeline`` the cluster runs the same prefetch / staging
-cache / asynchronous writeback subsystem as the single-machine trainer
-(:class:`~repro.graph.storage.PartitionPipeline`), backed by the
-partition server instead of disk: the lock server's two-phase
-``reserve``/``acquire`` protocol predicts each machine's next bucket so
-its partitions transfer during compute, and deferred releases keep a
-partition invisible to other machines until its asynchronous push-back
-lands. The PR-1 pipelining invariants govern this network path too:
-*flush-before-reuse* (no machine — local via ``take``, or remote via
-the lock server's deferral — may consume a partition whose latest
-write is still in flight) and the *drain barrier* (every push-back
-lands before the coordinator assembles a model or checkpoints).
+Each machine drives the single-machine trainer's bucket loop
+(:class:`~repro.core.trainer.BucketExecutor`) over the same
+:class:`~repro.graph.storage.PartitionPipeline`, backed by the
+partition server instead of disk; ``config.pipeline`` selects whether
+that pipeline works inline or with prefetch / staging cache /
+asynchronous writeback threads, in which case the lock server's
+two-phase ``reserve``/``acquire`` protocol predicts each machine's next
+bucket so its partitions transfer during compute. In both modes
+deferred releases keep a partition invisible to other machines until
+its push-back lands, and the pipelining invariants govern this network
+path too: *flush-before-reuse* (no machine — local via ``take``, or
+remote via the lock server's deferral — may consume a partition whose
+latest write is still in flight) and the *drain barrier* (every
+push-back lands before the coordinator assembles a model or
+checkpoints).
 """
 
 from repro.distributed.lock_server import LockServer, LockServerStats

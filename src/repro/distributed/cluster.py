@@ -26,61 +26,58 @@ In both modes the caller is the coordinator: workers meet a barrier at
 each epoch end; the coordinator flushes learning-curve evaluations,
 resets the lock server, and releases the next epoch.
 
-Pipelined mode (``config.pipeline``)
-------------------------------------
+The bucket loop and its two pipeline modes
+------------------------------------------
 
-The serial protocol pays a full partition-server round-trip between
-buckets: push back the partitions the new bucket doesn't need, then
-fetch its partitions, all before training resumes. With
-``pipeline=True`` each machine runs the same
-:class:`~repro.graph.storage.PartitionPipeline` subsystem the
-single-machine trainer uses, backed by a
+Steps 2–3 and the epoch-end flush are not implemented here: each
+machine drives the single-machine trainer's
+:class:`~repro.core.trainer.BucketExecutor` (that module's docstring
+has the loop, the synchronous / pipelined modes ``config.pipeline``
+selects, and the thread-ownership rules) over a
+:class:`~repro.graph.storage.PartitionPipeline` backed by a
 :class:`~repro.distributed.partition_server.PartitionServerStorage`
-adapter instead of disk:
+adapter instead of disk. This module adds the protocol around it. Its
+rules hold in **both** modes — a push lands, and commits, before the
+evicting call returns (synchronous) or on the writeback thread, off
+the critical path (pipelined):
 
-- after swapping a bucket in, the machine asks the lock server to
+- **Deferred release (network flush-before-reuse).** A bucket is
+  released with ``defer=True``: the lock server keeps its partitions
+  unavailable to other machines until their push-backs land and the
+  :class:`_PartitionCommitter` calls ``commit_partition``. Releasing
+  without deferral is the historical release/fetch race — the push
+  happened lazily, at the next swap, so another machine could acquire
+  the bucket and fetch the previous, stale version from the server.
+- **An index commits after *all* its pushes.** Deferral is keyed by
+  partition index and entity types share indices; the committer hears
+  of a whole eviction pass before its first push starts (rule 4 of the
+  executor's module), so the last type's landing is what commits.
+- **A starved machine evicts.** Holding deferred partitions while the
+  lock server has no bucket for it, a machine pushes and commits them
+  — two starved machines cross-holding each other's next partitions
+  must not wedge the grid.
+- **Reservation prefetch (pipelined mode only).** After a swap the
+  machine asks the lock server to
   :meth:`~repro.distributed.lock_server.LockServer.reserve` its likely
-  *next* bucket and prefetches that bucket's partitions from the
-  partition server while the current bucket trains (a wrong prediction
-  — the reservation lost to another machine's acquire — just costs a
-  prefetch miss; staged copies are version-checked against the server
-  so a stale prefetch is never consumed);
-- evicted partitions are parked dirty in the staging cache and pushed
-  back by the writeback thread off the critical path. The machine
-  releases its bucket with ``defer=True``: the lock server keeps those
-  partitions unavailable to other machines until the push-back lands
-  (the on-flush callback calls ``commit_partition``), which is the
-  PR-1 flush-before-reuse invariant applied to the network path;
-- the epoch-end flush becomes park-everything + a drain barrier, so
-  the partition server is complete and consistent before the
-  coordinator assembles a model or checkpoints (PR-1's drain-barrier
-  invariant).
-
-First-touch initialisation always happens on the owning machine's main
-thread (never on the prefetch thread), so with one machine the
-pipelined run is bit-identical to the serial run under a fixed seed.
-
-Deferred release on the serial path
------------------------------------
-
-The serial protocol historically released a bucket *before* pushing
-its partitions back (the push happened lazily, at the next swap), so
-another machine could acquire a bucket and fetch a partition whose
-push-back had not landed — fetching the previous, stale version from
-the partition server. Both paths now release with ``defer=True``: the
-serial swap pushes each evicted partition and immediately commits its
-deferral inline (push-then-commit), so a partition is never fetchable
-before its bytes land. A machine starved by the lock server flushes
-and commits its deferred residents for the same reason the pipelined
-path parks them — two starved machines cross-holding each other's next
-partitions must not wedge the grid.
+  *next* bucket and prefetches its partitions while the current one
+  trains. A reservation lost to another machine's acquire just costs a
+  prefetch miss; staged copies are version-checked against the server,
+  so a stale prefetch is never consumed.
+- **Drain barrier.** The epoch-end flush evicts everything and drains,
+  so the partition server is complete and consistent before the
+  coordinator assembles a model or checkpoints.
+- **First touch stays home**, on the owning machine's main thread
+  (never the prefetch thread), so with one machine the pipelined run
+  is bit-identical to the synchronous one under a fixed seed.
+- **HOGWILD workers are per machine** (``config.num_workers``);
+  parameter-server syncs stay on the machine's main thread.
 
 Compressed transport
 --------------------
 
 All partition-server traffic goes through
-:class:`~repro.distributed.partition_server.PartitionServerStorage`
-(both paths), which speaks the server's configured partition codec
+:class:`~repro.distributed.partition_server.PartitionServerStorage`,
+which speaks the server's configured partition codec
 (``config.partition_compression``) and, with ``config.writeback_delta``,
 pushes dirty-row deltas instead of whole partitions — applied
 server-side under the per-key version check, with stale deltas
@@ -103,9 +100,12 @@ import numpy as np
 
 from repro import telemetry
 from repro.config import ConfigSchema
-from repro.core.batching import iterate_batches, iterate_chunks
-from repro.core.model import ChunkStats, EmbeddingModel
+# Unused here: outside-in instrumentation (benchmarks/perf) rebinds
+# these two names on this module as well as on core.trainer.
+from repro.core.batching import iterate_batches, iterate_chunks  # noqa: F401
+from repro.core.model import EmbeddingModel
 from repro.core.tables import DenseEmbeddingTable
+from repro.core.trainer import BucketExecutor
 from repro.distributed.lock_server import LockServer
 from repro.distributed.parameter_server import (
     ParameterServer,
@@ -119,7 +119,7 @@ from repro.graph.buckets import Bucket
 from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import BucketedEdges, bucket_edges
-from repro.graph.storage import PartitionPipeline, StorageError
+from repro.graph.storage import PartitionPipeline
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["DistributedTrainer", "MachineStats", "DistributedStats"]
@@ -168,7 +168,7 @@ class MachineStats:
     transfer_overlap_time: float = 0.0
     reservations: int = 0
     reservation_hits: int = 0
-    # Compressed transport (both paths).
+    # Compressed transport (both pipeline modes).
     wire_bytes_sent: int = 0
     wire_bytes_received: int = 0
     wire_bytes_saved: int = 0
@@ -260,10 +260,12 @@ class _PartitionCommitter:
 
     A partition index may be parked once per partitioned entity type;
     its lock-server deferral must lift only after *all* of those pushes
-    land. ``expect`` registers a pending push (main thread, at park
-    time); ``landed`` (writeback thread, possibly a sync-eviction path)
-    commits once the count drains. Over-delivery is harmless:
-    ``commit_partition`` is a no-op for non-deferred partitions.
+    land. ``expect`` registers the pending pushes of one eviction pass
+    (main thread, before the first starts — registered one by one, the
+    first type's landing would drain the count); ``landed`` (writeback
+    thread, or main thread in synchronous mode) commits once the count
+    drains. Over-delivery is harmless: ``commit_partition`` is a no-op
+    for non-deferred partitions.
     """
 
     def __init__(self, lock_server, machine: int) -> None:
@@ -272,9 +274,10 @@ class _PartitionCommitter:
         self._lock = threading.Lock()
         self._pending: "dict[int, int]" = {}  # guarded-by: _lock
 
-    def expect(self, part: int) -> None:
+    def expect(self, parts: "list[int]") -> None:
         with self._lock:
-            self._pending[part] = self._pending.get(part, 0) + 1
+            for part in parts:
+                self._pending[part] = self._pending.get(part, 0) + 1
 
     def landed(self, part: int) -> None:
         with self._lock:
@@ -310,11 +313,10 @@ def _machine_main(
     c_reservations = registry.counter("machine.reservations")
     c_res_hits = registry.counter("machine.reservation_hits")
     g_resident = registry.gauge("machine.resident_bytes")
-    pipe = None
-    backend = None
     #: wall seconds of partition-server I/O paid on the critical path
     #: (swap-in waits, epoch flush barriers) — the overlap baseline.
     inline_io = 0.0
+    pipe = None
     try:
         rng = np.random.default_rng(
             np.random.SeedSequence([ctx.seed, ctx.machine])
@@ -323,34 +325,33 @@ def _machine_main(
         # Unpartitioned entity types are shared parameters: same init
         # seed on every machine, then the parameter server's canonical
         # copy takes over.
-        for t in ctx.unpartitioned_types:
+        shared = ctx.unpartitioned_types
+        for t in shared:
             model.init_partition(t, 0, np.random.default_rng(ctx.seed))
         client = SharedParameterClient(
             parameter_server,
-            get_params=lambda: _shared_snapshot(
-                model, ctx.unpartitioned_types
-            ),
-            set_params=lambda p: _shared_restore(
-                model, p, ctx.unpartitioned_types
-            ),
+            get_params=lambda: _shared_snapshot(model, shared),
+            set_params=lambda p: _shared_restore(model, p, shared),
             sync_interval=cfg.parameter_sync_interval,
         )
         client.initial_sync()
-        committer = None
-        # Both paths speak to the partition server through the adapter:
-        # it applies the server's codec accounting, tracks baseline
-        # versions for delta writeback, and guards decoded dtypes.
+        # The adapter applies the server's codec accounting, tracks
+        # baseline versions for delta writeback, and guards decoded dtypes.
         backend = PartitionServerStorage(
             partition_server, use_delta=cfg.writeback_delta
         )
-        if cfg.pipeline:
-            pipe = PartitionPipeline(
-                backend,
-                budget_bytes=cfg.partition_cache_budget,
-                validate=backend.is_current,
-                name=f"machine-{ctx.machine}",
-            )
-            committer = _PartitionCommitter(lock_server, ctx.machine)
+        pipe = PartitionPipeline(
+            backend,
+            budget_bytes=cfg.partition_cache_budget,
+            validate=backend.is_current,
+            name=f"machine-{ctx.machine}",
+            synchronous=not cfg.pipeline,
+        )
+        executor = BucketExecutor(
+            cfg, model, ctx.entities, rng, pipe,
+            committer=_PartitionCommitter(lock_server, ctx.machine),
+            sync=client.maybe_sync,
+        )
 
         for _epoch in range(cfg.num_epochs):
             reserved: Bucket | None = None
@@ -359,14 +360,7 @@ def _machine_main(
                 if bucket is None:
                     if lock_server.epoch_done():
                         break
-                    # Starved: give up deferred-resident partitions so
-                    # other machines can schedule around us (two
-                    # starved machines cross-holding each other's next
-                    # partitions would otherwise never make progress).
-                    if pipe is not None:
-                        _park_residents(ctx, model, pipe, committer)
-                    else:
-                        _flush_partitions(ctx, model, backend, lock_server)
+                    executor.evict()  # starved: see module docstring
                     t0 = time.perf_counter()
                     with telemetry.span(
                         "lock.starved", cat="stall", machine=ctx.machine
@@ -384,23 +378,13 @@ def _machine_main(
                     "swap.bucket", cat="stall", machine=ctx.machine,
                     bucket=f"{bucket.lhs},{bucket.rhs}",
                 ):
-                    if pipe is not None:
-                        _swap_to_bucket_pipelined(
-                            ctx, model, bucket, pipe, committer, rng
-                        )
-                    else:
-                        _swap_to_bucket(
-                            ctx, model, bucket, backend, lock_server, rng
-                        )
+                    executor.swap(bucket)
                 elapsed = time.perf_counter() - t0
                 c_transfer.inc(elapsed)
                 inline_io += elapsed
                 hosted = partition_server.shard_nbytes()[ctx.machine]
-                resident = model.resident_nbytes() + hosted
-                if pipe is not None:
-                    resident += pipe.cache.nbytes()
-                g_resident.set(resident)
-                if pipe is not None:
+                g_resident.set(executor.resident_nbytes() + hosted)
+                if cfg.pipeline:
                     # Two-phase protocol: learn the likely next bucket
                     # and pull its partitions from the partition server
                     # while this bucket trains.
@@ -408,32 +392,18 @@ def _machine_main(
                     if nxt is not None:
                         reserved = Bucket(*nxt)
                         c_reservations.inc()
-                        pipe.schedule(
-                            key
-                            for key in sorted(
-                                _needed_partitions(ctx, reserved)
-                            )
-                            if not model.has_table(*key)
-                        )
+                        executor.prefetch(reserved)
                 edges = ctx.bucketed.edges_for(bucket)
                 t1 = time.perf_counter()
                 with telemetry.span(
                     "train.bucket", cat="compute", machine=ctx.machine,
                     bucket=f"{bucket.lhs},{bucket.rhs}",
                 ):
-                    bstats = _train_bucket(
-                        ctx, model, client, bucket, edges, rng
-                    )
+                    bstats = executor.train(bucket, edges)
                 c_train.inc(time.perf_counter() - t1)
                 c_loss.inc(bstats.loss)
                 c_edges.inc(bstats.num_edges)
                 c_buckets.inc()
-                # Both paths defer: the bucket's partitions stay
-                # invisible to other machines until their push-backs
-                # land (asynchronously via the writeback thread in
-                # pipelined mode; push-then-commit inline at the next
-                # swap in serial mode). Releasing without deferral is
-                # the historical fetch-before-push race.
                 lock_server.release(ctx.machine, bucket, defer=True)
 
             # Flush resident partitions so the epoch-end model is complete.
@@ -441,21 +411,13 @@ def _machine_main(
             with telemetry.span(
                 "epoch.flush", cat="stall", machine=ctx.machine
             ):
-                if pipe is not None:
-                    # Drain barrier (PR-1 invariant, network path):
-                    # every push-back must land before the coordinator
-                    # assembles a model or checkpoints from the
-                    # partition server.
-                    pipe.settle()
-                    _park_residents(ctx, model, pipe, committer)
-                    pipe.drain()
-                else:
-                    _flush_partitions(ctx, model, backend, lock_server)
+                executor.flush(keep_resident=False)
                 inline_io += time.perf_counter() - t0
                 client.maybe_sync(force=True)
             c_transfer.inc(time.perf_counter() - t0)
             barrier.wait(_BARRIER_TIMEOUT)  # epoch end
             barrier.wait(_BARRIER_TIMEOUT)  # coordinator go-ahead
+        pstats = executor.pipeline_stats()
         mstats = MachineStats(
             machine=ctx.machine,
             buckets_trained=int(c_buckets.value),
@@ -472,19 +434,17 @@ def _machine_main(
             wire_bytes_saved=backend.bytes_saved,
             delta_pushes=backend.delta_pushes,
             delta_fallbacks=backend.delta_fallbacks,
-        )
-        if pipe is not None:
-            mstats.prefetch_hits = pipe.prefetch_hits
-            mstats.prefetch_misses = pipe.prefetch_misses
-            mstats.prefetch_wait_time = pipe.prefetch_wait_seconds
-            mstats.stale_prefetches = pipe.stale_hits
-            mstats.writeback_stall_time = pipe.writeback.stall_seconds
+            prefetch_hits=pstats.prefetch_hits,
+            prefetch_misses=pstats.prefetch_misses,
+            prefetch_wait_time=pstats.prefetch_wait_time,
+            stale_prefetches=pipe.stale_hits,
+            writeback_stall_time=pstats.writeback_stall_time,
             # Partition-server I/O hidden behind compute: total adapter
             # I/O seconds minus what was still paid inline (swap waits,
-            # flush barriers) — parameter-server sync is excluded.
-            mstats.transfer_overlap_time = max(
-                0.0, backend.io_seconds - inline_io
-            )
+            # flush barriers) — parameter-server sync is excluded. In
+            # synchronous mode all of it is inline.
+            transfer_overlap_time=max(0.0, backend.io_seconds - inline_io),
+        )
         result_queue.put(("ok", mstats))
     except BaseException as exc:
         # Abort first so peers (and the coordinator) fall out of their
@@ -506,149 +466,6 @@ def _machine_main(
                 pass  # teardown must not mask the run's outcome
 
 
-def _needed_partitions(
-    ctx: _WorkerContext, bucket: Bucket
-) -> "set[tuple[str, int]]":
-    needed: set[tuple[str, int]] = set()
-    for t in ctx.unpartitioned_types:
-        needed.add((t, 0))
-    for rel in ctx.config.relations:
-        if ctx.entities.num_partitions(rel.lhs) > 1:
-            needed.add((rel.lhs, bucket.lhs))
-        if ctx.entities.num_partitions(rel.rhs) > 1:
-            needed.add((rel.rhs, bucket.rhs))
-    return needed
-
-
-def _dirty_rows(ctx: _WorkerContext, table: DenseEmbeddingTable):
-    """Dirty-row hint for a push-back: the rows this machine touched
-    since fetching the table, or None when delta writeback is off."""
-    return table.dirty_row_indices() if ctx.config.writeback_delta else None
-
-
-def _swap_to_bucket(
-    ctx: _WorkerContext,
-    model: EmbeddingModel,
-    bucket: Bucket,
-    backend: PartitionServerStorage,
-    lock_server,
-    rng: np.random.Generator,
-) -> None:
-    """Serial swap: push-then-commit evictions, then fetch the bucket.
-
-    Each evicted partition's lock-server deferral is committed inline,
-    *after* its push lands — the partition is never fetchable by
-    another machine while its bytes are still only local (the
-    historical release/fetch race). Partitions retained across buckets
-    had their deferral cleared when this machine re-acquired them.
-    """
-    needed = _needed_partitions(ctx, bucket)
-    for key in list(model.resident_tables()):
-        if key not in needed and key[0] not in ctx.unpartitioned_types:
-            table = model.drop_table(*key)
-            backend.save(
-                key[0], key[1], table.weights, table.optimizer.state,
-                dirty_rows=_dirty_rows(ctx, table),
-            )
-            lock_server.commit_partition(ctx.machine, key[1])
-    for entity_type, part in sorted(needed):
-        if model.has_table(entity_type, part):
-            continue
-        try:
-            entry = backend.load(entity_type, part)
-        except StorageError:
-            entry = None
-        if entry is None:
-            model.init_partition(entity_type, part, rng)
-        else:
-            model.set_table(entity_type, part, DenseEmbeddingTable(*entry))
-
-
-def _flush_partitions(
-    ctx: _WorkerContext,
-    model: EmbeddingModel,
-    backend: PartitionServerStorage,
-    lock_server,
-) -> None:
-    """Push every partitioned resident table and commit its deferral
-    (push-then-commit, like the serial swap). Used at epoch end and
-    when the serial path is starved while holding deferred partitions."""
-    for entity_type, part in list(model.resident_tables()):
-        if entity_type in ctx.unpartitioned_types:
-            continue
-        table = model.drop_table(entity_type, part)
-        backend.save(
-            entity_type, part, table.weights, table.optimizer.state,
-            dirty_rows=_dirty_rows(ctx, table),
-        )
-        lock_server.commit_partition(ctx.machine, part)
-
-
-def _swap_to_bucket_pipelined(
-    ctx: _WorkerContext,
-    model: EmbeddingModel,
-    bucket: Bucket,
-    pipe: PartitionPipeline,
-    committer: _PartitionCommitter,
-    rng: np.random.Generator,
-) -> None:
-    """Pipelined swap: consume prefetched partitions, push evictions
-    back asynchronously, commit their lock-server deferrals on land.
-
-    Mirrors the single-machine trainer's pipelined swap; the ownership
-    rules are identical — first-touch initialisation happens here, on
-    the owning machine's main thread, never on the prefetch thread, so
-    RNG consumption order matches the serial path.
-    """
-    needed = _needed_partitions(ctx, bucket)
-    # 1. Settle in-flight prefetch loads so cache state is final (the
-    #    pipeline's registry counts hits/misses/waits; MachineStats is
-    #    snapshotted from it at the end of the run).
-    pipe.settle()
-    # 2. Park residents this bucket doesn't need: the writeback thread
-    #    pushes them to the partition server off the critical path, and
-    #    the lock server's deferral lifts when each push lands.
-    _park_residents(ctx, model, pipe, committer, keep=needed)
-    # 3. Load or initialise what the bucket needs. take() enforces
-    #    flush-before-reuse (blocks on an in-flight push of the same
-    #    arrays) and discards staged copies another machine has
-    #    superseded on the server (version check).
-    for entity_type, part in sorted(needed):
-        if model.has_table(entity_type, part):
-            continue
-        got, from_cache = pipe.take(entity_type, part)
-        if got is None:
-            # First touch stays on the owning machine.
-            model.init_partition(entity_type, part, rng)
-        else:
-            model.set_table(entity_type, part, DenseEmbeddingTable(*got))
-
-
-def _park_residents(
-    ctx: _WorkerContext,
-    model: EmbeddingModel,
-    pipe: PartitionPipeline,
-    committer: _PartitionCommitter,
-    keep: "set[tuple[str, int]]" = frozenset(),
-) -> None:
-    """Drop partitioned resident tables (except ``keep``) into the
-    staging cache dirty, committing each partition's lock-server
-    deferral when its push lands. Used by the pipelined swap (keep =
-    the new bucket's partitions), at epoch end before the drain
-    barrier, and when starved by the lock server (so deferred
-    partitions cannot wedge the grid)."""
-    for key in list(model.resident_tables()):
-        if key in keep or key[0] in ctx.unpartitioned_types:
-            continue
-        table = model.drop_table(*key)
-        committer.expect(key[1])
-        pipe.park(
-            key[0], key[1], table.weights, table.optimizer.state,
-            on_flushed=lambda part=key[1]: committer.landed(part),
-            dirty_rows=_dirty_rows(ctx, table),
-        )
-
-
 def _shared_snapshot(
     model: EmbeddingModel, unpartitioned_types: "list[str]"
 ) -> "dict[str, np.ndarray]":
@@ -668,40 +485,6 @@ def _shared_restore(
         key = f"table_{t}"
         if key in params:
             np.copyto(model.get_table(t, 0).weights, params[key])
-
-
-def _train_bucket(
-    ctx: _WorkerContext,
-    model: EmbeddingModel,
-    client: SharedParameterClient,
-    bucket: Bucket,
-    edges: EdgeList,
-    rng: np.random.Generator,
-) -> ChunkStats:
-    cfg = ctx.config
-    total = ChunkStats()
-    for batch in iterate_batches(edges, cfg.batch_size, rng):
-        for rel_id, chunk in iterate_chunks(batch, cfg.chunk_size):
-            rel = cfg.relations[rel_id]
-            lhs_part = (
-                bucket.lhs if ctx.entities.num_partitions(rel.lhs) > 1 else 0
-            )
-            rhs_part = (
-                bucket.rhs if ctx.entities.num_partitions(rel.rhs) > 1 else 0
-            )
-            total.merge(
-                model.forward_backward_chunk(
-                    rel_id,
-                    chunk.src,
-                    chunk.dst,
-                    model.get_table(rel.lhs, lhs_part),
-                    model.get_table(rel.rhs, rhs_part),
-                    rng,
-                    edge_weights=chunk.weights,
-                )
-            )
-        client.maybe_sync()
-    return total
 
 
 class DistributedTrainer:

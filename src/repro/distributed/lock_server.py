@@ -36,18 +36,17 @@ still be in flight when the next machine wants the partition. A
 *deferred*: unavailable to other machines (who would fetch stale bytes
 from the partition server) but immediately re-acquirable by the owner
 (whose resident copy is the freshest). :meth:`commit_partition` — called
-from the owner's writeback thread once the push lands — lifts the
-deferral. This is the PR-1 flush-before-reuse rule applied to the
+by the owner once the push lands — lifts the deferral. This is the PR-1 flush-before-reuse rule applied to the
 network path: no consumer may observe a partition whose latest write
 has not landed.
 
-*Both* distributed paths now defer. The serial path historically
-released without deferral and pushed lazily at its next swap, so
-another machine could fetch a partition whose push-back had not landed
-(the release/fetch race); it now releases with ``defer=True`` and
-commits each partition inline immediately after pushing it
-(push-then-commit), while the pipelined path commits from its
-writeback thread as pushes land asynchronously.
+Every machine defers, in both pipeline modes (releasing without
+deferral and pushing lazily at the next swap was the historical
+release/fetch race). With ``pipeline=False`` the push is synchronous
+and the commit follows it on the machine's own thread; with
+``pipeline=True`` the writeback thread commits as pushes land. Either
+way a partition *index* is committed once, after the pushes of every
+entity type that has a partition with that index.
 """
 
 from __future__ import annotations

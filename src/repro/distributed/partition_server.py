@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
-from repro.analysis import hooks
 from repro.graph import compression
 from repro.graph.storage import StorageError
 from repro.telemetry.metrics import MetricsRegistry
@@ -414,11 +413,6 @@ class PartitionServerStorage:  # public-guard: _lock
         self._c_bytes_received = self.metrics.counter("backend.bytes_received")
         self._c_bytes_saved = self.metrics.counter("backend.bytes_saved")
         self._c_io_seconds = self.metrics.counter("backend.io_seconds")
-        tracker = hooks.ownership_tracker()
-        if tracker is None:
-            self._owner = None
-        else:
-            self._owner = tracker.register_owner(f"backend-{id(self):x}")
 
     @property
     def loads(self) -> int:  # lint: no-lock (counter-backed)
@@ -456,13 +450,6 @@ class PartitionServerStorage:  # public-guard: _lock
     def io_seconds(self) -> float:  # lint: no-lock (counter-backed)
         """Total wall seconds inside server transfers, all threads."""
         return self._c_io_seconds.value
-
-    def _set_pipeline_managed(self) -> None:
-        """A :class:`~repro.graph.storage.PartitionPipeline` in front of
-        this adapter reports ownership transitions itself; stand down so
-        each partition has exactly one reporter
-        (see :mod:`repro.analysis.lockdep`)."""
-        self._owner = None
 
     def codec_name(self) -> str:  # lint: no-lock (benign once-race on a cache)
         """The server's codec name (fetched once, cached — one manager
@@ -529,8 +516,6 @@ class PartitionServerStorage:  # public-guard: _lock
                 len(embeddings), embeddings.shape[1], outbound=False
             )
         )
-        if self._owner is not None:
-            self._owner.resident(entity_type, part, from_cache=False)
         return embeddings, optim_state
 
     def save(  # lint: no-lock (locks in _save)
@@ -569,8 +554,6 @@ class PartitionServerStorage:  # public-guard: _lock
                 self._c_saves.inc()
                 self._c_delta_skips.inc()
                 sp.note(skipped=True, wire_bytes=0)
-                if self._owner is not None:
-                    self._owner.saved(entity_type, part)
                 return
         elif (
             base is not None
@@ -604,8 +587,6 @@ class PartitionServerStorage:  # public-guard: _lock
         self._c_saves.inc()
         with self._lock:
             self._versions[key] = version
-        if self._owner is not None:
-            self._owner.saved(entity_type, part)
 
     def is_current(self, entity_type: str, part: int) -> bool:
         """Whether the last version this adapter observed for the

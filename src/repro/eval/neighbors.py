@@ -7,33 +7,11 @@ embedding space. The implementation now lives in the serving layer:
 one of the :class:`~repro.serving.index.KnnIndex` implementations the
 online server, the evaluators and the benchmarks all share.
 
-This module re-exports it under its eval-facing name and keeps the
-historical ``NearestNeighbors`` name as a deprecation alias.
+This module re-exports it under its eval-facing name.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from repro.serving.index import ExactIndex, KnnIndex
 
-__all__ = ["ExactIndex", "KnnIndex", "NearestNeighbors"]
-
-
-class NearestNeighbors(ExactIndex):
-    """Deprecated alias of :class:`~repro.serving.index.ExactIndex`.
-
-    The behaviour is identical (same chunked scan, same results,
-    bit for bit); only the name moved when the serving layer unified
-    exact and approximate search behind ``KnnIndex``.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "NearestNeighbors is deprecated; use "
-            "repro.serving.ExactIndex (same behaviour, KnnIndex "
-            "protocol)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
+__all__ = ["ExactIndex", "KnnIndex"]

@@ -19,12 +19,14 @@ latency-hiding trick of Section 4.1) this module also provides:
   with dirty/clean tracking. Partitions shared by consecutive buckets
   are served from memory instead of being re-read from disk.
 - :class:`PartitionPipeline` — the bundle of the two plus a prefetch
-  thread, behind one small API (``settle`` / ``park`` / ``take`` /
-  ``schedule`` / ``drain``). The single-machine trainer backs it with
-  disk storage; the distributed trainer backs it with a partition-server
-  adapter (:class:`~repro.distributed.partition_server.PartitionServerStorage`),
+  thread, behind one small API (``settle`` / ``park`` / ``persist`` /
+  ``take`` / ``schedule`` / ``drain``). The single-machine trainer backs
+  it with disk storage; the distributed trainer backs it with a
+  partition-server adapter
+  (:class:`~repro.distributed.partition_server.PartitionServerStorage`),
   so the same flush-before-reuse and drain-barrier invariants govern
-  both the disk and the network path.
+  both the disk and the network path. Serial training is its
+  synchronous mode: the same calls with no thread behind them.
 """
 
 from __future__ import annotations
@@ -218,6 +220,24 @@ class PartitionedEmbeddingStorage:
         return shards, dim
 
 
+def _save_partition(
+    storage,
+    key: "tuple[str, int]",
+    embeddings: np.ndarray,
+    optim_state: np.ndarray,
+    dirty_rows: "np.ndarray | None",
+) -> None:
+    """``storage.save`` with the dirty-row hint forwarded when there is
+    one, letting a delta-capable backend push only those rows; backends
+    without the parameter never see it."""
+    if dirty_rows is None:
+        storage.save(key[0], key[1], embeddings, optim_state)
+    else:
+        storage.save(
+            key[0], key[1], embeddings, optim_state, dirty_rows=dirty_rows
+        )
+
+
 class WritebackQueue:  # public-guard: _cv
     """Asynchronous writer for evicted partitions.
 
@@ -288,10 +308,8 @@ class WritebackQueue:  # public-guard: _cv
         ``on_done()`` runs on the writer thread after a successful
         write (the cache uses it to flip dirty → clean). ``dirty_rows``
         (row indices modified since the partition was fetched) is
-        forwarded to the backend's ``save`` when given, letting a
-        delta-capable backend push only those rows; backends without
-        the parameter never see it. Blocks only when ``max_pending``
-        is set and the backlog is full.
+        forwarded to the backend's ``save`` when given. Blocks only
+        when ``max_pending`` is set and the backlog is full.
         """
         key = (entity_type, part)
         with self._cv:
@@ -382,15 +400,10 @@ class WritebackQueue:  # public-guard: _cv
                     "writeback.write", cat="transfer",
                     entity=key[0], part=key[1],
                 ):
-                    if dirty_rows is None:
-                        self.storage.save(
-                            key[0], key[1], embeddings, optim_state
-                        )
-                    else:
-                        self.storage.save(
-                            key[0], key[1], embeddings, optim_state,
-                            dirty_rows=dirty_rows,
-                        )
+                    _save_partition(
+                        self.storage, key, embeddings, optim_state,
+                        dirty_rows,
+                    )
                 if on_done is not None:
                     on_done()
             except BaseException as exc:  # surfaced on the caller side
@@ -637,8 +650,9 @@ class PartitionCache:  # public-guard: _lock
                         continue
                 self._submit_writeback(key, entry)
             else:
-                self.storage.save(
-                    key[0], key[1], entry.embeddings, entry.optim_state
+                _save_partition(
+                    self.storage, key, entry.embeddings, entry.optim_state,
+                    entry.dirty_rows,
                 )
                 self._landed(key, entry)
 
@@ -666,9 +680,9 @@ class PartitionCache:  # public-guard: _lock
                         # This save must hold the lock: releasing it
                         # mid-eviction would let take() hand out arrays
                         # whose persist is still racing.
-                        self.storage.save(  # lint: allow-blocking
-                            key[0], key[1],
-                            entry.embeddings, entry.optim_state,
+                        _save_partition(  # lint: allow-blocking
+                            self.storage, key, entry.embeddings,
+                            entry.optim_state, entry.dirty_rows,
                         )
                         saved = (key, entry)
                 else:
@@ -690,10 +704,10 @@ class PartitionCache:  # public-guard: _lock
 class PartitionPipeline:
     """Prefetch + LRU cache + background writeback, as one subsystem.
 
-    This bundles the three pieces of pipelined partition handling — a
+    This bundles the three pieces of partition handling — a
     :class:`WritebackQueue`, a :class:`PartitionCache` in front of it,
-    and a single-threaded prefetch pool — behind the small API both
-    trainers share:
+    and a single-threaded prefetch pool — behind the small API every
+    bucket loop drives (see :class:`repro.core.trainer.BucketExecutor`):
 
     - :meth:`settle` — wait for in-flight prefetch loads so cache state
       is final before the caller mutates resident tables;
@@ -701,12 +715,21 @@ class PartitionPipeline:
       its write starts immediately in the background (``on_flushed``
       fires once the bytes land — the distributed trainer commits the
       partition's lock-server deferral from it);
+    - :meth:`persist` — write a partition the caller keeps resident;
     - :meth:`take` — pop a partition for training (flush-before-reuse:
       blocks while a write of those arrays is in flight), falling back
       to a synchronous backend read;
     - :meth:`schedule` — queue background loads of upcoming partitions;
     - :meth:`drain` — flush dirty entries and drain the queue (the
       checkpoint / epoch-end barrier).
+
+    ``synchronous=True`` is the serial mode of the same API: no
+    writeback thread, no prefetch pool, nothing retained (the cache's
+    "dirty, no queue" state at budget 0). :meth:`park` then saves
+    inline and fires ``on_flushed`` before returning, :meth:`persist`
+    saves inline, :meth:`take` is an inline load, and :meth:`settle` /
+    :meth:`schedule` / :meth:`drain` find nothing to do — every backend
+    call happens on the calling thread, in call order.
 
     ``storage`` is any object with the
     :class:`PartitionedEmbeddingStorage` ``load``/``save`` interface:
@@ -725,21 +748,23 @@ class PartitionPipeline:
         budget_bytes: int | None = None,
         validate: "Callable[[str, int], bool] | None" = None,
         name: str = "partition",
+        synchronous: bool = False,
     ) -> None:
         self.storage = storage
-        self.budget_bytes = budget_bytes
+        self.budget_bytes = 0 if synchronous else budget_bytes
         self.validate = validate
         #: shared registry the pipeline's counters (and its queue's and
         #: cache's) live in; ``*Stats`` objects snapshot it
         self.metrics = MetricsRegistry()
-        self.writeback = WritebackQueue(
+        #: None in synchronous mode (as is the prefetch pool)
+        self.writeback = None if synchronous else WritebackQueue(
             storage, metrics=self.metrics, name=f"{name}-writeback"
         )
         self.cache = PartitionCache(
-            storage, budget_bytes=budget_bytes, writeback=self.writeback,
-            metrics=self.metrics,
+            storage, budget_bytes=self.budget_bytes,
+            writeback=self.writeback, metrics=self.metrics,
         )
-        self._pool = ThreadPoolExecutor(
+        self._pool = None if synchronous else ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"{name}-prefetch"
         )
         self._m_take_hits = self.metrics.counter("pipeline.take_hits")
@@ -747,18 +772,13 @@ class PartitionPipeline:
         self._m_stale = self.metrics.counter("pipeline.stale_hits")
         self._m_wait = self.metrics.counter("pipeline.wait_seconds")
         self._futures: "dict[tuple[str, int], object]" = {}  # owned-by: main
+        # The pipeline is the one reporter of ownership transitions:
+        # every trainer's partition I/O goes through one.
         tracker = hooks.ownership_tracker()
-        if tracker is None:
-            self._owner = None
-        else:
-            # The pipeline reports ownership transitions at the
-            # cache/pipeline level; tell a transition-reporting backend
-            # (PartitionServerStorage) to stand down so each partition
-            # has exactly one reporter.
-            self._owner = tracker.register_owner(f"pipeline-{id(self):x}")
-            stand_down = getattr(storage, "_set_pipeline_managed", None)
-            if stand_down is not None:
-                stand_down()
+        self._owner = (
+            None if tracker is None
+            else tracker.register_owner(f"pipeline-{id(self):x}")
+        )
         self.cache._owner = self._owner
 
     # -- derived counters ----------------------------------------------
@@ -818,6 +838,22 @@ class PartitionPipeline:
             entity_type, part, embeddings, optim_state,
             dirty=True, on_flushed=on_flushed, dirty_rows=dirty_rows,
         )
+
+    def persist(
+        self,
+        entity_type: str,
+        part: int,
+        embeddings: np.ndarray,
+        optim_state: np.ndarray,
+    ) -> None:
+        """Write a partition the caller keeps resident (the epoch-end
+        flush of a single machine). The write is queued like a parked
+        one, so the caller must :meth:`drain` before mutating the
+        arrays again; in synchronous mode it lands before returning."""
+        if self.writeback is None:
+            self.storage.save(entity_type, part, embeddings, optim_state)
+        else:
+            self.writeback.submit(entity_type, part, embeddings, optim_state)
 
     def take(
         self, entity_type: str, part: int
@@ -896,11 +932,15 @@ class PartitionPipeline:
         t0 = time.perf_counter()
         with telemetry.span("pipeline.drain", cat="stall"):
             self.cache.flush_dirty()
-            self.writeback.drain()
+            if self.writeback is not None:
+                self.writeback.drain()
         return time.perf_counter() - t0
 
     def close(self) -> None:
-        """Drain outstanding writes and stop both worker threads."""
+        """Drain outstanding writes and stop both worker threads
+        (synchronous mode has neither)."""
+        if self._pool is None:
+            return
         for fut in self._futures.values():
             fut.cancel()
         self._futures = {}

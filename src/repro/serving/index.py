@@ -11,10 +11,9 @@ interface — a k-NN index over an embedding matrix:
 - :meth:`KnnIndex.nbytes` — resident bytes of the index structure, the
   number a capacity planner compares against the raw table.
 
-:class:`ExactIndex` is the chunked exact scan (previously
-``repro.eval.neighbors.NearestNeighbors``); it is both the correctness
-oracle for approximate indexes and a perfectly good serving index for
-small tables. :class:`~repro.serving.ivfpq.IVFPQIndex` is the
+:class:`ExactIndex` is the chunked exact scan; it is both the
+correctness oracle for approximate indexes and a perfectly good serving
+index for small tables. :class:`~repro.serving.ivfpq.IVFPQIndex` is the
 approximate implementation.
 
 Exactness note: BLAS matmuls are *not* per-element bit-identical across

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["numerical_gradient", "assert_grads_close", "tiny_chain_edges"]
+__all__ = [
+    "numerical_gradient", "assert_grads_close", "tiny_chain_edges",
+    "record_thread_starts",
+]
 
 
 def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -39,3 +42,19 @@ def tiny_chain_edges(n: int):
 
     src = np.arange(n, dtype=np.int64)
     return EdgeList(src, np.zeros(n, dtype=np.int64), (src + 1) % n)
+
+
+def record_thread_starts(monkeypatch) -> "list[str]":
+    """Patch ``threading.Thread.start`` for the test; returns the list
+    the name of every thread started from now on is appended to."""
+    import threading
+
+    started: "list[str]" = []
+    real_start = threading.Thread.start
+
+    def recording_start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started

@@ -9,6 +9,7 @@ from repro.eval.ranking import LinkPredictionEvaluator
 from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import partition_entities
+from tests.helpers import record_thread_starts
 
 
 def _graph(n=300, extra=2500, seed=0):
@@ -369,6 +370,99 @@ class TestSerialReleaseFetchRace:
         assert sum(m.buckets_trained for m in stats.machines) == 3 * 16
         assert np.isfinite(model.global_embeddings("node")).all()
 
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_index_commits_only_after_every_types_push(
+        self, monkeypatch, pipelined
+    ):
+        """Two partitioned entity types share each partition index
+        (relations in both directions keep both types' partitions
+        resident), and lock-server deferral is keyed by index: the
+        index may only be handed to another machine once *every*
+        type's push for it has landed. Committing after the first
+        type's push leaves the second type's bytes local while another
+        machine fetches the stale server copy."""
+        import threading
+        import time as time_mod
+
+        from repro.distributed import cluster as cluster_mod
+        from repro.distributed.lock_server import LockServer
+        from repro.distributed.partition_server import PartitionServer
+
+        types = ("item", "user")
+        seq_lock = threading.Lock()
+        seq = [0]
+        last_put_seq: dict = {}
+        release_seq: dict = {}
+        last_holder: dict = {}
+        violations = []
+
+        class SlowPutServer(PartitionServer):
+            def put(self, entity_type, part, embeddings, optim_state):
+                time_mod.sleep(0.003)  # widen the race window
+                version = super().put(
+                    entity_type, part, embeddings, optim_state
+                )
+                with seq_lock:
+                    seq[0] += 1
+                    last_put_seq[(entity_type, part)] = seq[0]
+                return version
+
+        class CheckingLockServer(LockServer):
+            def acquire(self, machine):
+                bucket = super().acquire(machine)
+                if bucket is not None:
+                    with seq_lock:
+                        for p in (bucket.lhs, bucket.rhs):
+                            prev = last_holder.get(p)
+                            if prev is None or prev == machine:
+                                continue
+                            for t in types:
+                                if last_put_seq.get(
+                                    (t, p), -1
+                                ) <= release_seq.get(p, -1):
+                                    violations.append((machine, t, p))
+                return bucket
+
+            def release(self, machine, bucket, defer=False):
+                super().release(machine, bucket, defer=defer)
+                with seq_lock:
+                    seq[0] += 1
+                    for p in (bucket.lhs, bucket.rhs):
+                        release_seq[p] = seq[0]
+                        last_holder[p] = machine
+
+        monkeypatch.setattr(cluster_mod, "PartitionServer", SlowPutServer)
+        monkeypatch.setattr(cluster_mod, "LockServer", CheckingLockServer)
+
+        n, nparts = 200, 4
+        config = ConfigSchema(
+            entities={t: EntitySchema(num_partitions=nparts) for t in types},
+            relations=[
+                RelationSchema(name="likes", lhs="user", rhs="item"),
+                RelationSchema(name="liked_by", lhs="item", rhs="user"),
+            ],
+            dimension=8, num_epochs=3, num_machines=2, batch_size=200,
+            chunk_size=50, num_batch_negs=5, num_uniform_negs=5,
+            pipeline=pipelined,
+        )
+        entities = EntityStorage({t: n for t in types})
+        for i, t in enumerate(types):
+            entities.set_partitioning(
+                t, partition_entities(n, nparts, np.random.default_rng(i))
+            )
+        rng = np.random.default_rng(0)
+        edges = EdgeList(
+            rng.integers(0, n, 2000), rng.integers(0, 2, 2000),
+            rng.integers(0, n, 2000),
+        )
+        trainer = DistributedTrainer(config, entities)
+        model, stats = trainer.train(edges)
+        assert violations == []
+        assert stats.total_edges == 3 * len(edges)
+        assert trainer.partition_server.keys() == [
+            (t, p) for t in types for p in range(nparts)
+        ]
+
     def test_serial_two_machine_quality_survives_contention(self):
         """With the race closed, contended serial training must stay
         aligned with the single-machine space (this was the observable
@@ -425,6 +519,14 @@ class TestCompressedTransport:
             models[True].global_embeddings("node"),
         )
 
+    def test_serial_delta_writeback_pushes_deltas(self):
+        """The synchronous pipeline persists inline; the dirty-row hint
+        must survive that path or ``writeback_delta`` silently degrades
+        to full pushes on the serial distributed trainer."""
+        config, entities = _setup(1, 4, writeback_delta=True)
+        _, stats = DistributedTrainer(config, entities).train(_graph())
+        assert stats.machines[0].delta_pushes > 0
+
     def test_wire_stats_populated(self):
         config, entities = _setup(
             2, 4, partition_compression="int8", writeback_delta=True
@@ -478,4 +580,138 @@ class TestCompressedTransport:
         t_plain.train(edges)
         assert sum(t_int8.partition_server.shard_nbytes()) < 0.5 * sum(
             t_plain.partition_server.shard_nbytes()
+        )
+
+
+
+class TestSharedBucketLoop:
+    """Every machine drives the single-machine trainer's
+    ``BucketExecutor``; these pin what the collapse promised."""
+
+    def test_hogwild_workers_run_per_machine(self, monkeypatch):
+        import threading
+
+        from repro.core.model import EmbeddingModel
+
+        seen: dict = {}
+        seen_lock = threading.Lock()
+        original = EmbeddingModel.forward_backward_chunk
+
+        def recording(self, *args, **kwargs):
+            with seen_lock:
+                seen.setdefault(id(self), set()).add(
+                    threading.current_thread().name
+                )
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            EmbeddingModel, "forward_backward_chunk", recording
+        )
+        edges = _graph()
+        config, entities = _setup(
+            2, 4, num_workers=2, batch_size=40, chunk_size=20
+        )
+        model, stats = DistributedTrainer(config, entities).train(edges)
+        assert stats.total_edges == 3 * len(edges)
+        assert np.isfinite(sum(m.loss for m in stats.machines))
+        assert np.isfinite(model.global_embeddings("node")).all()
+        assert len(seen) == 2  # one model per machine
+        for names in seen.values():
+            # A pool's second worker ran chunks: two threads were
+            # inside one machine's bucket at once.
+            assert any(name.endswith("_1") for name in names), names
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_serial_mode_starts_no_pipeline_thread(
+        self, monkeypatch, pipelined
+    ):
+        """``pipeline=False`` is the synchronous mode of the shared
+        pipeline: no writeback or prefetch thread exists, and every
+        partition-server transfer of a machine happens on that
+        machine's own thread."""
+        import threading
+
+        from repro.distributed import cluster as cluster_mod
+        from repro.distributed.partition_server import (
+            PartitionServerStorage,
+        )
+
+        started = record_thread_starts(monkeypatch)
+        callers: dict = {}
+
+        class RecordingAdapter(PartitionServerStorage):
+            def load(self, entity_type, part):
+                callers.setdefault(id(self), set()).add(
+                    threading.current_thread().name
+                )
+                return super().load(entity_type, part)
+
+            def save(self, *args, **kwargs):
+                callers.setdefault(id(self), set()).add(
+                    threading.current_thread().name
+                )
+                return super().save(*args, **kwargs)
+
+        monkeypatch.setattr(
+            cluster_mod, "PartitionServerStorage", RecordingAdapter
+        )
+        config, entities = _setup(2, 4, num_epochs=2, pipeline=pipelined)
+        DistributedTrainer(config, entities).train(_graph())
+        background = [
+            name for name in started
+            if "-writeback" in name or "-prefetch" in name
+        ]
+        assert len(callers) == 2
+        if pipelined:
+            assert background  # the detector sees what it looks for
+        else:
+            assert background == []
+            for names in callers.values():
+                (name,) = names  # one thread per adapter: its machine's
+                assert "_machine_main" in name
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_starved_machine_evicts_and_commits(
+        self, monkeypatch, pipelined
+    ):
+        """A machine that holds deferred partitions while the lock
+        server has nothing for it must push them back and commit them
+        (or two such machines wedge the grid). The lock server here
+        starves the machine until its deferrals are gone; since an
+        eviction only moves bytes, the run stays bit-identical to an
+        unstarved one."""
+        import time as time_mod
+
+        from repro.distributed import cluster as cluster_mod
+        from repro.distributed.lock_server import LockServer
+
+        starved = []
+
+        class StarvingLockServer(LockServer):
+            def acquire(self, machine):
+                with self._lock:
+                    holding = machine in self._state.deferred.values()
+                    remaining = bool(self._state.remaining)
+                if holding and remaining and len(starved) < 50:
+                    starved.append(time_mod.monotonic())
+                    return None
+                return super().acquire(machine)
+
+        edges = _graph()
+        config, entities = _setup(1, 4, pipeline=pipelined)
+        reference, _ = DistributedTrainer(config, entities).train(edges)
+
+        monkeypatch.setattr(cluster_mod, "LockServer", StarvingLockServer)
+        config, entities = _setup(1, 4, pipeline=pipelined)
+        trainer = DistributedTrainer(config, entities)
+        model, stats = trainer.train(edges)
+        # Starved after (nearly) every bucket, and never for long: the
+        # first idle pass already gave the partitions up.
+        assert 3 * 15 <= len(starved) < 50
+        # ... so the real scheduler only ever said no at an epoch's end.
+        assert trainer.lock_server.stats.failed_acquires == 3
+        assert stats.machines[0].buckets_trained == 3 * 16
+        np.testing.assert_array_equal(
+            reference.global_embeddings("node"),
+            model.global_embeddings("node"),
         )

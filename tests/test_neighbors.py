@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.neighbors import ExactIndex, KnnIndex, NearestNeighbors
+from repro.eval.neighbors import ExactIndex, KnnIndex
 
 
 def _clustered(n_per=20, c=4, d=8, seed=0):
@@ -112,18 +112,3 @@ class TestExactIndex:
         nn = ExactIndex(emb, "cos")
         idx, scores = nn.query(emb[0], k=3)
         assert idx.shape == (1, 3)
-
-
-class TestDeprecatedAlias:
-    def test_warns_and_matches_exact(self):
-        emb, _ = _clustered()
-        with pytest.warns(DeprecationWarning, match="ExactIndex"):
-            old = NearestNeighbors(emb, "cos", chunk_size=7)
-        new = ExactIndex(emb, "cos", chunk_size=7)
-        oi, osc = old.query(emb[:5], k=6)
-        ni, nsc = new.query(emb[:5], k=6)
-        np.testing.assert_array_equal(oi, ni)
-        np.testing.assert_array_equal(osc, nsc)  # bit-identical
-
-    def test_alias_is_subclass(self):
-        assert issubclass(NearestNeighbors, ExactIndex)

@@ -28,6 +28,7 @@ from repro.graph.storage import (
     WritebackQueue,
 )
 from repro.stats.memory import MemoryModel
+from tests.helpers import record_thread_starts
 
 
 def make_edges(num_nodes=200, num_edges=3000, seed=42) -> EdgeList:
@@ -153,6 +154,31 @@ class TestEquivalence:
         assert stats.pipeline.prefetch_hits == 0
         assert stats.pipeline.prefetch_misses == 0
         assert model.global_embeddings("node").shape == (200, 8)
+
+
+    def test_serial_run_is_inline_and_threadless(self, tmp_path, monkeypatch):
+        """The serial reference run is the pipeline's synchronous mode:
+        every partition load and save happens on the thread that called
+        ``train``, and no writeback or prefetch thread is started."""
+        started = record_thread_starts(monkeypatch)
+        io_threads = []
+
+        class Recording(PartitionedEmbeddingStorage):
+            def load(self, entity_type, part):
+                io_threads.append(threading.current_thread())
+                return super().load(entity_type, part)
+
+            def save(self, entity_type, part, embeddings, optim_state):
+                io_threads.append(threading.current_thread())
+                super().save(entity_type, part, embeddings, optim_state)
+
+        train_run(
+            tmp_path, pipeline=False, num_partitions=4,
+            storage_cls=Recording,
+        )
+        assert io_threads
+        assert set(io_threads) == {threading.current_thread()}
+        assert started == []
 
 
 class TestCacheAccounting:
@@ -372,6 +398,73 @@ class TestPartitionPipeline:
         )
         assert events == [0]
         assert storage.exists("node", 0)
+
+
+    @pytest.mark.parametrize("budget", [0, None])
+    def test_synchronous_persists_forward_dirty_rows(self, budget):
+        """Both inline persist paths of a queue-less cache — the budget
+        eviction and ``flush_dirty`` — must hand the backend the
+        dirty-row hint the entry carries, or a delta-capable backend
+        gets a full push; a hint-less entry must not grow one."""
+
+        class RecordingBackend:
+            def __init__(self):
+                self.saves = []
+
+            def save(self, entity_type, part, embeddings, optim_state,
+                     **kwargs):
+                self.saves.append((part, kwargs))
+
+        backend = RecordingBackend()
+        cache = PartitionCache(backend, budget_bytes=budget)
+        rows = np.array([1, 3])
+        cache.put("node", 0, *_part(), dirty=True, dirty_rows=rows)
+        cache.put("node", 1, *_part(), dirty=True)
+        cache.flush_dirty()  # budget None: nothing was persisted yet
+        assert [part for part, _ in backend.saves] == [0, 1]
+        assert backend.saves[0][1]["dirty_rows"] is rows
+        assert backend.saves[1][1] == {}
+
+    def test_synchronous_mode_is_inline_and_threadless(self, tmp_path):
+        """``synchronous=True``: park lands (and reports) before it
+        returns, persist writes inline, take reads the backend,
+        schedule/settle/drain find nothing to do — all on the calling
+        thread, with no worker thread behind it."""
+        calls = []
+
+        class Recording(PartitionedEmbeddingStorage):
+            def load(self, entity_type, part):
+                calls.append(("load", part, threading.current_thread()))
+                return super().load(entity_type, part)
+
+            def save(self, entity_type, part, embeddings, optim_state):
+                calls.append(("save", part, threading.current_thread()))
+                super().save(entity_type, part, embeddings, optim_state)
+
+        before = set(threading.enumerate())
+        pipe = PartitionPipeline(
+            Recording(tmp_path), budget_bytes=None, synchronous=True
+        )
+        events = []
+        w, s = _part()
+        pipe.park("node", 0, w, s, on_flushed=lambda: events.append(0))
+        assert events == [0] and pipe.storage.exists("node", 0)
+        assert pipe.cache.nbytes() == 0  # nothing retained
+        pipe.persist("node", 1, w, s)
+        assert pipe.storage.exists("node", 1)
+        assert pipe.schedule([("node", 0)]) == 0
+        assert pipe.settle() == 0.0
+        got, from_cache = pipe.take("node", 0)
+        assert not from_cache
+        np.testing.assert_array_equal(got[0], w)
+        pipe.drain()
+        me = threading.current_thread()
+        assert [(op, part) for op, part, _ in calls] == [
+            ("save", 0), ("save", 1), ("load", 0),
+        ]
+        assert all(thread is me for _, _, thread in calls)
+        assert set(threading.enumerate()) == before
+        pipe.close()
 
 
 class TestMemoryModel:

@@ -1,0 +1,210 @@
+"""Chunk step micro-benchmark: µs per call against the matmul-only floor.
+
+First file of the per-layer ledger (ROADMAP item 1). At the shapes of
+the benchmark of record (chunk 100, 50 + 50 negatives per side, d = 64,
+20 000 rows, float32, one BLAS thread) it times
+
+- ``EmbeddingModel.forward_backward_chunk`` for ``cos``/``identity``
+  (``dense_social``) and ``dot``/``translation`` (``distributed_kg``),
+  with both sides in one table and in two;
+- the six chunk-sized matmuls on their own — the arithmetic floor of
+  the paper's Figure 3, below which no assembly change can go;
+- ``RowAdagrad.step`` on one chunk's 400 stacked rows (~25 % repeats);
+- ``accumulate_duplicate_rows`` on the same rows, beside the three
+  alternatives its docstring quotes (COO -> ``csr_matrix``, the
+  ``(data, indices, indptr)`` constructor, ``np.add.reduceat``).
+
+Inputs are seeded and every timing is the median over 7 batches of 400
+calls (``--quick``: 3 of 50), so two runs on one machine agree to a few
+percent. The report is appended to ``BENCH_history.jsonl``.
+
+Usage::
+
+    PYTHONPATH=src python benchmarks/micro/bench_chunk_step.py [--quick]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+# One BLAS thread, like every child of benchmarks/perf/run.py; must be
+# set before numpy loads the library.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np
+import scipy.sparse as sp
+
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(_ROOT), str(_ROOT.parent / "src")]
+
+from common import append_history, provenance, social_config
+
+from repro.config import RelationSchema
+from repro.core.model import EmbeddingModel
+from repro.core.negatives import sample_pool
+from repro.core.optimizers import RowAdagrad, accumulate_duplicate_rows
+from repro.core.tables import DenseEmbeddingTable
+from repro.graph.entity_storage import EntityStorage
+
+CHUNK, NEGS, DIM, NUM_ROWS = 100, 50, 64, 20_000
+
+
+def time_us(fn, calls: int, repeats: int) -> float:
+    """Median over ``repeats`` of the mean µs of ``calls`` calls."""
+    fn()
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        samples.append((time.perf_counter() - start) / calls * 1e6)
+    return statistics.median(samples)
+
+
+def chunk_step(comparator: str, operator: str, two_tables: bool):
+    """A closure running one training chunk on seeded inputs."""
+    config = social_config(comparator=comparator, relations=[
+        RelationSchema(name="r", lhs="node", rhs="node", operator=operator)
+    ])
+    rng = np.random.default_rng(0)
+    model = EmbeddingModel(config, EntityStorage({"node": NUM_ROWS}), rng)
+    lhs = DenseEmbeddingTable.create(NUM_ROWS, DIM, rng)
+    rhs = DenseEmbeddingTable.create(NUM_ROWS, DIM, rng) if two_tables else lhs
+    src = rng.integers(0, NUM_ROWS, CHUNK)
+    dst = rng.integers(0, NUM_ROWS, CHUNK)
+    return lambda: model.forward_backward_chunk(0, src, dst, lhs, rhs, rng)
+
+
+def matmul_floor():
+    """The two score matrices and their four backward products."""
+    rng = np.random.default_rng(1)
+    a, b = (rng.standard_normal((CHUNK, DIM), dtype=np.float32)
+            for _ in range(2))
+    pa, pb = (rng.standard_normal((2 * NEGS, DIM), dtype=np.float32)
+              for _ in range(2))
+    g = rng.standard_normal((CHUNK, 2 * NEGS), dtype=np.float32)
+
+    def run():
+        return (a @ pb.T, b @ pa.T, g @ pb, g.T @ a, g @ pa, g.T @ b)
+
+    return run
+
+
+def stacked_rows(rng):
+    """One same-table chunk's row stack and a gradient for each row."""
+    src = rng.integers(0, NUM_ROWS, CHUNK)
+    dst = rng.integers(0, NUM_ROWS, CHUNK)
+    pools = [
+        sample_pool(side, side, NUM_ROWS, NEGS, NEGS, rng).entities
+        for side in (src, dst)
+    ]
+    rows = np.concatenate((src, pools[0], dst, pools[1]))
+    grads = rng.standard_normal((len(rows), DIM), dtype=np.float32)
+    return rows, grads
+
+
+def accumulate_alternatives(rows, grads):
+    """The variants ``accumulate_duplicate_rows`` is measured against."""
+    m = len(rows)
+    ones = np.ones(m, dtype=grads.dtype)
+
+    def coo_constructor():
+        unique, inverse = np.unique(rows, return_inverse=True)
+        selector = sp.csr_matrix(
+            (ones, (inverse, np.arange(m))), shape=(len(unique), m)
+        )
+        return unique, selector @ grads
+
+    def segments():
+        order = np.argsort(rows, kind="stable")
+        sorted_rows = rows[order]
+        starts = np.flatnonzero(sorted_rows[1:] != sorted_rows[:-1]) + 1
+        return order, sorted_rows, np.concatenate(([0], starts))
+
+    def csr_constructor():
+        order, sorted_rows, starts = segments()
+        indptr = np.append(starts, m)
+        selector = sp.csr_matrix(
+            (ones, order, indptr), shape=(len(starts), m)
+        )
+        return sorted_rows[starts], selector @ grads
+
+    def reduceat():
+        order, sorted_rows, starts = segments()
+        return sorted_rows[starts], np.add.reduceat(grads[order], starts)
+
+    return {
+        "coo_constructor": coo_constructor,
+        "csr_constructor": csr_constructor,
+        "reduceat": reduceat,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="fewer calls (CI smoke run)")
+    parser.add_argument("--history", default="BENCH_history.jsonl",
+                        help="append the report here ('' to skip)")
+    args = parser.parse_args(argv)
+    calls, repeats = (50, 3) if args.quick else (400, 7)
+
+    us: "dict[str, float]" = {}
+    for comparator, operator in (("cos", "identity"), ("dot", "translation")):
+        for two_tables in (False, True):
+            name = (f"forward_backward_chunk[{comparator},{operator},"
+                    f"{'two_tables' if two_tables else 'same_table'}]")
+            us[name] = time_us(
+                chunk_step(comparator, operator, two_tables), calls, repeats
+            )
+    us["matmul_floor"] = time_us(matmul_floor(), calls, repeats)
+
+    rows, grads = stacked_rows(np.random.default_rng(2))
+    params = np.zeros((NUM_ROWS, DIM), dtype=np.float32)
+    optimizer = RowAdagrad(NUM_ROWS)
+    us["row_adagrad_step"] = time_us(
+        lambda: optimizer.step(params, rows, grads, 0.1), calls, repeats
+    )
+    us["accumulate_duplicate_rows"] = time_us(
+        lambda: accumulate_duplicate_rows(rows, grads), calls, repeats
+    )
+    expected = accumulate_duplicate_rows(rows, grads)
+    for name, fn in accumulate_alternatives(rows, grads).items():
+        got = fn()
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_allclose(got[1], expected[1], atol=1e-5)
+        us[f"accumulate[{name}]"] = time_us(fn, calls, repeats)
+
+    unique_ratio = len(expected[0]) / len(rows)
+    print(f"chunk {CHUNK}, {NEGS}+{NEGS} negatives, d={DIM}, "
+          f"{NUM_ROWS} rows, float32; {repeats} x {calls} calls; "
+          f"unique rows / stacked rows = {unique_ratio:.2f}")
+    floor = us["matmul_floor"]
+    for name, value in us.items():
+        ratio = (f"  {value / floor:5.1f} x floor"
+                 if name.startswith("forward_backward_chunk") else "")
+        print(f"  {name:58s} {value:8.1f} us{ratio}")
+
+    report = {
+        "benchmark": "micro_chunk_step",
+        "params": {
+            "chunk": CHUNK, "negs_per_source": NEGS, "dim": DIM,
+            "num_rows": NUM_ROWS, "calls": calls, "repeats": repeats,
+        },
+        "us_per_call": us,
+        "unique_row_ratio": unique_ratio,
+    }
+    report["provenance"] = provenance(report["params"])
+    if args.history:
+        append_history(report, args.history)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,7 +17,10 @@ The API is split in two stages to make batched negatives cheap:
    negative sampling (Figure 3).
 
 Each stage has a matching backward that maps upstream gradients to
-gradients with respect to its inputs.
+gradients with respect to its inputs. Training uses the
+:meth:`Comparator.prepare_saved` / :meth:`Comparator.prepare_backward_saved`
+pair, which hands the forward's by-products (cosine: the row norms) to
+the backward instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -52,6 +55,17 @@ class Comparator(abc.ABC):
     ) -> np.ndarray:
         """Gradient of :meth:`prepare` (identity by default)."""
         del x
+        return grad_prepared
+
+    def prepare_saved(self, x: np.ndarray) -> tuple[np.ndarray, object]:
+        """``prepare(x)`` plus what :meth:`prepare_backward_saved` needs."""
+        return x, None
+
+    def prepare_backward_saved(
+        self, y: np.ndarray, saved: object, grad_prepared: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`prepare_backward` from the outputs of :meth:`prepare_saved`."""
+        del y, saved
         return grad_prepared
 
     # -- scoring ---------------------------------------------------------
@@ -98,17 +112,19 @@ class CosComparator(Comparator):
     """Cosine similarity: dot product of L2-normalised vectors."""
 
     def prepare(self, x: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        return x / np.maximum(norms, _NORM_EPS)
+        return self.prepare_saved(x)[0]
 
     def prepare_backward(self, x, grad_prepared):
-        norms = np.maximum(
-            np.linalg.norm(x, axis=1, keepdims=True), _NORM_EPS
-        )
-        y = x / norms
+        return self.prepare_backward_saved(*self.prepare_saved(x), grad_prepared)
+
+    def prepare_saved(self, x):
+        norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), _NORM_EPS)
+        return x / norms, norms
+
+    def prepare_backward_saved(self, y, saved, grad_prepared):
         # d(x/||x||)/dx applied to g:  (g - y (g . y)) / ||x||
         proj = np.einsum("nd,nd->n", grad_prepared, y)[:, None]
-        return (grad_prepared - y * proj) / norms
+        return (grad_prepared - y * proj) / saved
 
     # After prepare, cosine is a dot product.
     score_pairs = DotComparator.score_pairs

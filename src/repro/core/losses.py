@@ -11,7 +11,8 @@ Every loss takes the positive scores ``pos`` (n,), the negative score
 matrix ``neg`` (n, k) and a boolean ``mask`` (n, k) marking *valid*
 negatives (False entries are induced positives from batched sampling,
 Figure 3, and are ignored). Per-edge weights implement the per-relation
-edge weight configuration. Returns the scalar loss and the gradients
+edge weight configuration; ``weights=None`` means all ones and skips
+the multiplies. Returns the scalar loss and the gradients
 ``(dL/dpos, dL/dneg)`` — masked entries receive zero gradient.
 """
 
@@ -48,6 +49,13 @@ def _check_inputs(
     return mask
 
 
+def _weighted(x: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """``x`` scaled per edge (row); ``x`` itself for ``weights=None``."""
+    if weights is None:
+        return x
+    return x * (weights if x.ndim == 1 else weights[:, None])
+
+
 def _softplus(x: np.ndarray) -> np.ndarray:
     """Numerically stable log(1 + exp(x))."""
     return np.logaddexp(0.0, x)
@@ -81,11 +89,10 @@ class RankingLoss(Loss):
 
     def forward_backward(self, pos, neg, mask=None, weights=None):
         mask = _check_inputs(pos, neg, mask)
-        w = np.ones_like(pos) if weights is None else weights
         violation = self.margin - pos[:, None] + neg
         active = (violation > 0) & mask
-        loss = float((violation * active * w[:, None]).sum())
-        grad_neg = active * w[:, None]
+        grad_neg = _weighted(active.astype(pos.dtype), weights)
+        loss = float((violation * grad_neg).sum())
         grad_pos = -grad_neg.sum(axis=1)
         return loss, grad_pos, grad_neg
 
@@ -100,11 +107,10 @@ class LogisticLoss(Loss):
 
     def forward_backward(self, pos, neg, mask=None, weights=None):
         mask = _check_inputs(pos, neg, mask)
-        w = np.ones_like(pos) if weights is None else weights
-        pos_loss = (_softplus(-pos) * w).sum()
-        neg_loss = (_softplus(neg) * mask * w[:, None]).sum()
-        grad_pos = -_sigmoid(-pos) * w
-        grad_neg = _sigmoid(neg) * mask * w[:, None]
+        pos_loss = _weighted(_softplus(-pos), weights).sum()
+        neg_loss = _weighted(_softplus(neg) * mask, weights).sum()
+        grad_pos = _weighted(-_sigmoid(-pos), weights)
+        grad_neg = _weighted(_sigmoid(neg) * mask, weights)
         return float(pos_loss + neg_loss), grad_pos, grad_neg
 
 
@@ -119,7 +125,6 @@ class SoftmaxLoss(Loss):
 
     def forward_backward(self, pos, neg, mask=None, weights=None):
         mask = _check_inputs(pos, neg, mask)
-        w = np.ones_like(pos) if weights is None else weights
         neg_masked = np.where(mask, neg, -np.inf)
         # Stable log-sum-exp over [pos, negs] per row.
         m = np.maximum(pos, neg_masked.max(axis=1, initial=-np.inf))
@@ -127,11 +132,9 @@ class SoftmaxLoss(Loss):
         exp_neg = np.exp(neg_masked - m[:, None])
         z = exp_pos + exp_neg.sum(axis=1)
         log_z = np.log(z) + m
-        loss = float(((log_z - pos) * w).sum())
-        p_pos = exp_pos / z
-        p_neg = exp_neg / z[:, None]
-        grad_pos = (p_pos - 1.0) * w
-        grad_neg = p_neg * w[:, None]
+        loss = float(_weighted(log_z - pos, weights).sum())
+        grad_pos = _weighted(exp_pos / z - 1.0, weights)
+        grad_neg = _weighted(exp_neg / z[:, None], weights)
         return loss, grad_pos, grad_neg
 
 

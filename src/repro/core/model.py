@@ -14,11 +14,25 @@ one chunk of same-relation edges against batched negative pools on both
 sides, evaluate the loss, and backpropagate in closed form through
 comparator → operator → embedding rows, applying Adagrad updates in
 place. This is the computation of the paper's Figure 3.
+
+The chunk is processed as one **stack** of rows,
+``[src | src negatives | dst | dst negatives]``: the first two pieces
+index the left-hand table, the last two the right-hand one. The stack is
+gathered once (once per table when the sides differ), the relation
+operator maps its contiguous right-hand half, and the comparator
+prepares it in one call that keeps what its backward needs. The score
+gradients are written into one buffer with the same layout, which then
+goes back through the comparator and the operator in one call each and
+reaches each table as a single ``apply_gradients`` — so a row repeated
+across pieces gets one summed Adagrad step. At the benchmark's shapes
+the six 100 x 64 x 100 matmuls are ~80 µs of a ~570 µs chunk (it was
+~960 µs piece by piece; ``benchmarks/micro/bench_chunk_step.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,25 +66,6 @@ class ChunkStats:
     @property
     def mean_loss(self) -> float:
         return self.loss / max(self.num_edges, 1)
-
-
-@dataclass
-class _Backprop:
-    """Accumulated row gradients per (table, rows) during backward."""
-
-    rows: "list[np.ndarray]" = field(default_factory=list)
-    grads: "list[np.ndarray]" = field(default_factory=list)
-
-    def add(self, rows: np.ndarray, grads: np.ndarray) -> None:
-        self.rows.append(rows)
-        self.grads.append(grads)
-
-    def flush(self, table: EmbeddingTable, lr: float) -> None:
-        if not self.rows:
-            return
-        table.apply_gradients(
-            np.concatenate(self.rows), np.concatenate(self.grads), lr
-        )
 
 
 class EmbeddingModel:
@@ -292,6 +287,9 @@ class EmbeddingModel:
         ``rhs_table`` (partition-local offsets). Negative pools are
         sampled within those tables, honouring the paper's
         same-partition and same-entity-type constraints by construction.
+        With ``disable_batch_negs`` every edge draws its own negatives
+        (the Figure 4 baseline: O(c * k * d) fetches, no matmul reuse)
+        and only the sampling and the negative scoring differ.
         """
         cfg = self.config
         op = self.operators[rel_id]
@@ -301,200 +299,117 @@ class EmbeddingModel:
         if c == 0:
             return ChunkStats()
 
-        # ---- forward: positives -------------------------------------
-        s_raw = lhs_table.gather(src_rows)
-        d_raw = rhs_table.gather(dst_rows)
-        t_dst = op.forward(d_raw, params)
-        a = comp.prepare(s_raw)
-        b = comp.prepare(t_dst)
-        pos = comp.score_pairs(a, b)
-
-        weights = np.ones(c, dtype=s_raw.dtype)
-        if edge_weights is not None:
-            weights = weights * edge_weights.astype(s_raw.dtype)
-        rel_weight = cfg.relations[rel_id].weight
-        if rel_weight != 1.0:
-            weights = weights * rel_weight
-
+        # ---- negatives (dst side first: the RNG draw order is fixed) ----
         if cfg.disable_batch_negs:
-            return self._unbatched_step(
-                rel_id, src_rows, dst_rows, s_raw, d_raw, t_dst, a, b, pos,
-                lhs_table, rhs_table, weights, rng, update,
+            k = cfg.num_batch_negs + cfg.num_uniform_negs
+            dst_negs = sample_unbatched(dst_rows, rhs_table.num_rows, k, rng)
+            src_negs = sample_unbatched(src_rows, lhs_table.num_rows, k, rng)
+            l2 = cfg.comparator == "l2"
+            score = partial(_rowwise_scores, l2=l2)
+            score_backward = partial(_rowwise_scores_backward, l2=l2)
+        else:
+            dst_negs = sample_pool(
+                dst_rows, dst_rows, rhs_table.num_rows,
+                cfg.num_batch_negs, cfg.num_uniform_negs, rng,
             )
+            src_negs = sample_pool(
+                src_rows, src_rows, lhs_table.num_rows,
+                cfg.num_batch_negs, cfg.num_uniform_negs, rng,
+            )
+            score, score_backward = comp.score_matrix, comp.score_matrix_backward
 
-        # ---- forward: batched negative pools (Figure 3) ---------------
-        dst_pool = sample_pool(
-            dst_rows, dst_rows, rhs_table.num_rows,
-            cfg.num_batch_negs, cfg.num_uniform_negs, rng,
-        )
-        src_pool = sample_pool(
-            src_rows, src_rows, lhs_table.num_rows,
-            cfg.num_batch_negs, cfg.num_uniform_negs, rng,
-        )
-        pool_d_raw = rhs_table.gather(dst_pool.entities)
-        t_pool_d = op.forward(pool_d_raw, params)
-        pb = comp.prepare(t_pool_d)
-        neg_dst = comp.score_matrix(a, pb)
-
-        pool_s_raw = lhs_table.gather(src_pool.entities)
-        pa = comp.prepare(pool_s_raw)
-        neg_src = comp.score_matrix(b, pa)
-
-        neg = np.concatenate([neg_dst, neg_src], axis=1)
-        mask = np.concatenate([dst_pool.mask, src_pool.mask], axis=1)
+        # ---- forward over the stack [src | src negs | dst | dst negs] ----
+        rows = np.concatenate((
+            src_rows, src_negs.entities.ravel(),
+            dst_rows, dst_negs.entities.ravel(),
+        ))
+        n_lhs = c + src_negs.entities.size
+        if lhs_table is rhs_table:
+            raw = lhs_table.gather(rows)
+        else:
+            raw = np.concatenate((
+                lhs_table.gather(rows[:n_lhs]), rhs_table.gather(rows[n_lhs:])
+            ))
+        rhs_raw = raw[n_lhs:]
+        t_rhs = op.forward(rhs_raw, params)
+        # The identity operator returns its input: the stack is ``raw``.
+        x = raw if t_rhs is rhs_raw else np.concatenate((raw[:n_lhs], t_rhs))
+        y, saved = comp.prepare_saved(x)
+        a, pa, b, pb = y[:c], y[c:n_lhs], y[n_lhs:n_lhs + c], y[n_lhs + c:]
+        pos = comp.score_pairs(a, b)
+        neg_dst = score(a, pb)
+        neg_src = score(b, pa)
+        neg = np.concatenate((neg_dst, neg_src), axis=1)
+        mask = np.concatenate((dst_negs.mask, src_negs.mask), axis=1)
 
         # ---- loss ------------------------------------------------------
+        weights = (
+            None if edge_weights is None else edge_weights.astype(raw.dtype)
+        )
+        rel_weight = cfg.relations[rel_id].weight
+        if rel_weight != 1.0:
+            weights = (
+                np.full(c, rel_weight, dtype=raw.dtype) if weights is None
+                else weights * rel_weight
+            )
         loss, dpos, dneg = self.loss_fn.forward_backward(
             pos, neg, mask, weights
         )
         stats = ChunkStats(
             loss=loss,
             num_edges=c,
-            num_negatives=int(mask.sum()),
+            num_negatives=int(np.count_nonzero(mask)),
             violations=int(np.count_nonzero(dneg)),
         )
         if not update:
             return stats
 
+        # ---- backward: one gradient buffer laid out like the stack ------
         kd = neg_dst.shape[1]
-        dneg_dst, dneg_src = dneg[:, :kd], dneg[:, kd:]
-
-        # ---- backward ---------------------------------------------------
         ga_pos, gb_pos = comp.score_pairs_backward(a, b, dpos)
-        ga_neg, g_pb = comp.score_matrix_backward(a, pb, dneg_dst)
-        gb_neg, g_pa = comp.score_matrix_backward(b, pa, dneg_src)
+        ga_neg, g_pb = score_backward(a, pb, dneg[:, :kd])
+        gb_neg, g_pa = score_backward(b, pa, dneg[:, kd:])
+        g = np.empty_like(y)
+        np.add(ga_pos, ga_neg, out=g[:c])
+        g[c:n_lhs] = g_pa
+        np.add(gb_pos, gb_neg, out=g[n_lhs:n_lhs + c])
+        g[n_lhs + c:] = g_pb
+        g = comp.prepare_backward_saved(y, saved, g)
+        g_rhs, g_params = op.backward(rhs_raw, params, g[n_lhs:])
 
-        g_s_raw = comp.prepare_backward(s_raw, ga_pos + ga_neg)
-        g_t_dst = comp.prepare_backward(t_dst, gb_pos + gb_neg)
-        g_d_raw, g_params_pos = op.backward(d_raw, params, g_t_dst)
-        g_pool_d_prep = comp.prepare_backward(t_pool_d, g_pb)
-        g_pool_d_raw, g_params_pool = op.backward(
-            pool_d_raw, params, g_pool_d_prep
-        )
-        g_pool_s_raw = comp.prepare_backward(pool_s_raw, g_pa)
-
-        # ---- updates -----------------------------------------------------
-        self._apply_row_updates(
-            lhs_table, rhs_table,
-            [(True, src_rows, g_s_raw), (True, src_pool.entities, g_pool_s_raw),
-             (False, dst_rows, g_d_raw),
-             (False, dst_pool.entities, g_pool_d_raw)],
-        )
-        self.rel_optimizers[rel_id].step(
-            params, g_params_pos + g_params_pool, cfg.relation_lr_effective
-        )
-        return stats
-
-    def _unbatched_step(
-        self, rel_id, src_rows, dst_rows, s_raw, d_raw, t_dst, a, b, pos,
-        lhs_table, rhs_table, weights, rng, update,
-    ) -> ChunkStats:
-        """Independent negatives per edge — the Figure 4 baseline.
-
-        Each edge gets its own ``k`` uniform negatives on each side, so
-        embedding fetches and scores scale as O(c * k * d) with no
-        matmul reuse.
-        """
-        cfg = self.config
-        op = self.operators[rel_id]
-        params = self.rel_params[rel_id]
-        comp = self.comparator
-        c = len(src_rows)
-        k = cfg.num_batch_negs + cfg.num_uniform_negs
-
-        dst_negs = sample_unbatched(dst_rows, rhs_table.num_rows, k, rng)
-        src_negs = sample_unbatched(src_rows, lhs_table.num_rows, k, rng)
-
-        # Gather (c, k, d) tensors — deliberately the memory-heavy path.
-        nd_raw = rhs_table.gather(dst_negs.entities.ravel()).reshape(c, k, -1)
-        ns_raw = lhs_table.gather(src_negs.entities.ravel()).reshape(c, k, -1)
-        t_nd = op.forward(nd_raw.reshape(c * k, -1), params).reshape(c, k, -1)
-        p_nd = comp.prepare(t_nd.reshape(c * k, -1)).reshape(c, k, -1)
-        p_ns = comp.prepare(ns_raw.reshape(c * k, -1)).reshape(c, k, -1)
-
-        # Prepared dot covers dot/cos; l2 needs the expanded square below.
-        neg_dst = np.einsum("cd,ckd->ck", a, p_nd)
-        neg_src = np.einsum("cd,ckd->ck", b, p_ns)
-        if cfg.comparator == "l2":
-            # -||a - n||^2 = 2 a.n - ||a||^2 - ||n||^2
-            sq_a = np.einsum("cd,cd->c", a, a)[:, None]
-            sq_b = np.einsum("cd,cd->c", b, b)[:, None]
-            sq_nd = np.einsum("ckd,ckd->ck", p_nd, p_nd)
-            sq_ns = np.einsum("ckd,ckd->ck", p_ns, p_ns)
-            neg_dst = 2.0 * neg_dst - sq_a - sq_nd
-            neg_src = 2.0 * neg_src - sq_b - sq_ns
-
-        neg = np.concatenate([neg_dst, neg_src], axis=1)
-        mask = np.concatenate([dst_negs.mask, src_negs.mask], axis=1)
-        loss, dpos, dneg = self.loss_fn.forward_backward(
-            pos, neg, mask, weights
-        )
-        stats = ChunkStats(
-            loss=loss,
-            num_edges=c,
-            num_negatives=int(mask.sum()),
-            violations=int(np.count_nonzero(dneg)),
-        )
-        if not update:
-            return stats
-
-        dneg_dst, dneg_src = dneg[:, :k], dneg[:, k:]
-        ga_pos, gb_pos = comp.score_pairs_backward(a, b, dpos)
-        if cfg.comparator == "l2":
-            ga_neg = 2.0 * np.einsum("ck,ckd->cd", dneg_dst, p_nd) \
-                - 2.0 * dneg_dst.sum(axis=1)[:, None] * a
-            g_pnd = 2.0 * dneg_dst[:, :, None] * (a[:, None, :] - p_nd)
-            gb_neg = 2.0 * np.einsum("ck,ckd->cd", dneg_src, p_ns) \
-                - 2.0 * dneg_src.sum(axis=1)[:, None] * b
-            g_pns = 2.0 * dneg_src[:, :, None] * (b[:, None, :] - p_ns)
-        else:
-            ga_neg = np.einsum("ck,ckd->cd", dneg_dst, p_nd)
-            g_pnd = dneg_dst[:, :, None] * a[:, None, :]
-            gb_neg = np.einsum("ck,ckd->cd", dneg_src, p_ns)
-            g_pns = dneg_src[:, :, None] * b[:, None, :]
-
-        g_s_raw = comp.prepare_backward(s_raw, ga_pos + ga_neg)
-        g_t_dst = comp.prepare_backward(t_dst, gb_pos + gb_neg)
-        g_d_raw, g_params_pos = op.backward(d_raw, params, g_t_dst)
-
-        g_tnd = comp.prepare_backward(
-            t_nd.reshape(c * k, -1), g_pnd.reshape(c * k, -1)
-        )
-        g_nd_raw, g_params_neg = op.backward(
-            nd_raw.reshape(c * k, -1), params, g_tnd
-        )
-        g_ns_raw = comp.prepare_backward(
-            ns_raw.reshape(c * k, -1), g_pns.reshape(c * k, -1)
-        )
-
-        self._apply_row_updates(
-            lhs_table, rhs_table,
-            [(True, src_rows, g_s_raw),
-             (True, src_negs.entities.ravel(), g_ns_raw),
-             (False, dst_rows, g_d_raw),
-             (False, dst_negs.entities.ravel(), g_nd_raw)],
-        )
-        self.rel_optimizers[rel_id].step(
-            params, g_params_pos + g_params_neg, cfg.relation_lr_effective
-        )
-        return stats
-
-    def _apply_row_updates(self, lhs_table, rhs_table, updates) -> None:
-        """Route (side, rows, grads) triples to their tables.
-
-        When both sides share one table (homogeneous graphs within one
-        partition) the gradients are combined into a single Adagrad
-        step so duplicate rows across sides are accumulated correctly.
-        """
-        lr = self.config.lr
+        # ---- updates: one Adagrad step per table, so rows duplicated
+        # across pieces (and sides, for one table) accumulate first ------
         if lhs_table is rhs_table:
-            bp = _Backprop()
-            for _, rows, grads in updates:
-                bp.add(rows, grads)
-            bp.flush(lhs_table, lr)
-            return
-        lhs_bp, rhs_bp = _Backprop(), _Backprop()
-        for is_lhs, rows, grads in updates:
-            (lhs_bp if is_lhs else rhs_bp).add(rows, grads)
-        lhs_bp.flush(lhs_table, lr)
-        rhs_bp.flush(rhs_table, lr)
+            g[n_lhs:] = g_rhs
+            lhs_table.apply_gradients(rows, g, cfg.lr)
+        else:
+            lhs_table.apply_gradients(rows[:n_lhs], g[:n_lhs], cfg.lr)
+            rhs_table.apply_gradients(rows[n_lhs:], g_rhs, cfg.lr)
+        self.rel_optimizers[rel_id].step(
+            params, g_params, cfg.relation_lr_effective
+        )
+        return stats
+
+
+def _rowwise_scores(a: np.ndarray, negs: np.ndarray, l2: bool) -> np.ndarray:
+    """Unbatched ``score_matrix``: ``a[i]`` against its own ``k`` prepared
+    negatives, rows ``i*k .. (i+1)*k`` of ``negs`` — shape ``(c, k)``."""
+    negs = negs.reshape(len(a), -1, a.shape[1])
+    scores = np.einsum("cd,ckd->ck", a, negs)
+    if l2:
+        # -||a - n||^2 = 2 a.n - ||a||^2 - ||n||^2
+        sq_a = np.einsum("cd,cd->c", a, a)[:, None]
+        scores = 2.0 * scores - sq_a - np.einsum("ckd,ckd->ck", negs, negs)
+    return scores
+
+
+def _rowwise_scores_backward(a, negs, grad, l2: bool):
+    """Gradients of :func:`_rowwise_scores` w.r.t. ``a`` and ``negs``."""
+    negs = negs.reshape(len(a), -1, a.shape[1])
+    g_a = np.einsum("ck,ckd->cd", grad, negs)
+    if l2:
+        g_a = 2.0 * g_a - 2.0 * grad.sum(axis=1)[:, None] * a
+        g_negs = 2.0 * grad[:, :, None] * (a[:, None, :] - negs)
+    else:
+        g_negs = grad[:, :, None] * a[:, None, :]
+    return g_a, g_negs.reshape(-1, a.shape[1])

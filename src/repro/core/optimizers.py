@@ -11,16 +11,22 @@ Embedding updates are *sparse*: a training chunk touches a small set of
 rows, possibly with duplicates (an entity can appear in several edges
 and in the negative pool). Duplicate rows must have their gradients
 summed before the Adagrad state update, otherwise the accumulator would
-double-count; :func:`accumulate_duplicate_rows` does that with a
-sort (``np.unique``) followed by a sparse selection-matrix multiply —
-measured ~8x faster than ``np.add.reduceat`` on the large random
-segment patterns SGNS-style workloads produce.
+double-count. :func:`accumulate_duplicate_rows` does that with one
+stable argsort: neighbouring sorted rows that differ start a segment,
+and the segment starts and the sort permutation *are* the ``indptr`` /
+``indices`` of the CSR selection matrix that sums each segment, so they
+go straight to scipy's ``csr_matvecs`` kernel without a ``csr_matrix``
+being constructed. ``benchmarks/micro/bench_chunk_step.py`` times it
+against the alternatives on one chunk's 400 x 64 float32 gradients with
+26 % repeated rows: 21 us, against 97 us for ``np.unique`` + a COO-built
+``csr_matrix``, 52 us for ``csr_matrix((data, indices, indptr))`` and
+126 us for ``np.add.reduceat``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 
 __all__ = ["RowAdagrad", "DenseAdagrad", "accumulate_duplicate_rows"]
 
@@ -51,19 +57,22 @@ def accumulate_duplicate_rows(
         )
     if len(rows) == 0:
         return rows, grads
-    unique_rows, inverse = np.unique(rows, return_inverse=True)
-    if len(unique_rows) == len(rows):
+    m = len(rows)
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    starts = np.flatnonzero(sorted_rows[1:] != sorted_rows[:-1]) + 1
+    if len(starts) == m - 1:
         # No duplicates: a permutation is all that's needed.
-        order = np.argsort(rows, kind="stable")
-        return rows[order], grads[order]
-    selector = sp.csr_matrix(
-        (
-            np.ones(len(rows), dtype=grads.dtype),
-            (inverse, np.arange(len(rows))),
-        ),
-        shape=(len(unique_rows), len(rows)),
+        return sorted_rows, grads[order]
+    # Segment i sums grads[order[indptr[i]:indptr[i + 1]]], in input order.
+    indptr = np.empty(len(starts) + 2, dtype=order.dtype)
+    indptr[0], indptr[1:-1], indptr[-1] = 0, starts, m
+    summed = np.zeros((len(indptr) - 1, grads.shape[1]), dtype=grads.dtype)
+    csr_matvecs(
+        len(summed), m, grads.shape[1], indptr, order,
+        np.ones(m, dtype=grads.dtype), grads.ravel(), summed.ravel(),
     )
-    return unique_rows, selector @ grads
+    return sorted_rows[indptr[:-1]], summed
 
 
 class RowAdagrad:
@@ -98,14 +107,24 @@ class RowAdagrad:
         ``rows`` may contain duplicates; they are accumulated first.
         ``params`` is the full ``(n, d)`` embedding matrix.
         """
+        self.step_unique(params, *accumulate_duplicate_rows(rows, grads), lr)
+
+    def step_unique(
+        self,
+        params: np.ndarray,
+        rows: np.ndarray,
+        grads: np.ndarray,
+        lr: float,
+    ) -> None:
+        """:meth:`step` for ``rows`` the caller knows to be distinct."""
         if lr <= 0:
             raise ValueError(f"lr must be > 0, got {lr}")
-        rows, grads = accumulate_duplicate_rows(rows, grads)
         if len(rows) == 0:
             return
         sq = np.einsum("nd,nd->n", grads, grads) / grads.shape[1]
-        self.state[rows] += sq.astype(np.float32)
-        scale = lr / (np.sqrt(self.state[rows]) + self.eps)
+        state = self.state[rows] + sq.astype(np.float32)
+        self.state[rows] = state
+        scale = lr / (np.sqrt(state) + self.eps)
         params[rows] -= scale[:, None] * grads
 
     def nbytes(self) -> int:

@@ -205,7 +205,7 @@ class FeaturizedEmbeddingTable(EmbeddingTable):
         sub = self.incidence[rows]
         feat_grads = np.asarray(sub.T @ grads)
         touched = np.unique(sub.indices)
-        self.optimizer.step(
+        self.optimizer.step_unique(
             self.feature_weights, touched, feat_grads[touched], lr
         )
 

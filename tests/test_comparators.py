@@ -149,6 +149,48 @@ def test_cos_prepare_backward_matches_numerical(n, d, seed):
     assert_grads_close(gx, numerical_gradient(loss, x.copy()))
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    d=st.integers(1, 5),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_cos_saved_backward_matches_numerical_and_recomputing(n, d, seed):
+    """The backward fed by ``prepare_saved``'s outputs (what training
+    runs) against central differences and against the formula that
+    recomputes the norm and ``x/||x||`` from ``x``."""
+    comp = CosComparator()
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) + 0.5  # keep away from the origin
+    g = rng.standard_normal((n, d))
+
+    y, saved = comp.prepare_saved(x)
+    np.testing.assert_array_equal(y, comp.prepare(x))
+    g_before = g.copy()
+    gx = comp.prepare_backward_saved(y, saved, g)
+    np.testing.assert_array_equal(g, g_before)
+
+    def loss(x_):
+        return float((comp.prepare(x_) * g).sum())
+
+    assert_grads_close(gx, numerical_gradient(loss, x.copy()))
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    unit = x / norms
+    recomputed = (g - unit * np.einsum("nd,nd->n", g, unit)[:, None]) / norms
+    np.testing.assert_allclose(gx, recomputed, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(gx, comp.prepare_backward(x, g))
+
+
+@pytest.mark.parametrize("name", ["dot", "l2"])
+def test_saved_prepare_is_identity_without_normalisation(name):
+    comp = make_comparator(name)
+    x = np.arange(6.0).reshape(2, 3)
+    g = np.ones((2, 3))
+    y, saved = comp.prepare_saved(x)
+    assert y is x and saved is None
+    assert comp.prepare_backward_saved(y, saved, g) is g
+
+
 def test_cos_prepare_zero_vector_is_safe():
     comp = CosComparator()
     x = np.zeros((1, 4))

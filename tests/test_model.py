@@ -262,6 +262,224 @@ def test_relation_param_gradient_matches_numerical():
     assert_grads_close(analytic, numeric, atol=1e-4, rtol=1e-3)
 
 
+# ----------------------------------------------------------------------
+# Stacked chunk step ≡ a plain per-piece reference
+# ----------------------------------------------------------------------
+
+
+def _reference_chunk_step(model, rel_id, src, dst, lhs, rhs, rng,
+                          edge_weights):
+    """One training chunk the long way round, as the oracle.
+
+    Four gathers, every piece prepared and back-propagated on its own
+    through ``prepare_backward(x, g)``, explicit all-ones weights, one
+    relation-gradient term per piece, and a per-row Python loop for the
+    duplicate-summing Adagrad update. Shares only the leaf kernels
+    (operator, comparator scores, loss, ``sample_pool``) with
+    ``forward_backward_chunk``; draws from ``rng`` in the same order.
+    """
+    from repro.core.negatives import sample_pool
+
+    cfg = model.config
+    op, comp = model.operators[rel_id], model.comparator
+    params = model.rel_params[rel_id]
+    c = len(src)
+
+    s_raw, d_raw = lhs.weights[src], rhs.weights[dst]
+    t_dst = op.forward(d_raw, params)
+    a, b = comp.prepare(s_raw), comp.prepare(t_dst)
+    pos = comp.score_pairs(a, b)
+    weights = np.ones(c) * cfg.relations[rel_id].weight
+    if edge_weights is not None:
+        weights = weights * edge_weights
+
+    dst_pool = sample_pool(dst, dst, rhs.num_rows, cfg.num_batch_negs,
+                           cfg.num_uniform_negs, rng)
+    src_pool = sample_pool(src, src, lhs.num_rows, cfg.num_batch_negs,
+                           cfg.num_uniform_negs, rng)
+    pool_d_raw = rhs.weights[dst_pool.entities]
+    t_pool_d = op.forward(pool_d_raw, params)
+    pb = comp.prepare(t_pool_d)
+    pool_s_raw = lhs.weights[src_pool.entities]
+    pa = comp.prepare(pool_s_raw)
+    neg_dst, neg_src = comp.score_matrix(a, pb), comp.score_matrix(b, pa)
+    mask = np.hstack([dst_pool.mask, src_pool.mask])
+    loss, dpos, dneg = model.loss_fn.forward_backward(
+        pos, np.hstack([neg_dst, neg_src]), mask, weights
+    )
+
+    kd = neg_dst.shape[1]
+    ga_pos, gb_pos = comp.score_pairs_backward(a, b, dpos)
+    ga_neg, g_pb = comp.score_matrix_backward(a, pb, dneg[:, :kd])
+    gb_neg, g_pa = comp.score_matrix_backward(b, pa, dneg[:, kd:])
+    g_s = comp.prepare_backward(s_raw, ga_pos + ga_neg)
+    g_d, g_params_pos = op.backward(
+        d_raw, params, comp.prepare_backward(t_dst, gb_pos + gb_neg)
+    )
+    g_pool_d, g_params_pool = op.backward(
+        pool_d_raw, params, comp.prepare_backward(t_pool_d, g_pb)
+    )
+    g_pool_s = comp.prepare_backward(pool_s_raw, g_pa)
+
+    # Row gradients summed per (table, row), then one Adagrad step each.
+    summed: "dict[tuple[int, int], np.ndarray]" = {}
+    tables = {id(lhs): lhs, id(rhs): rhs}
+    for table, rows, grads in (
+        (lhs, src, g_s), (lhs, src_pool.entities, g_pool_s),
+        (rhs, dst, g_d), (rhs, dst_pool.entities, g_pool_d),
+    ):
+        for row, grad in zip(rows.tolist(), grads):
+            key = (id(table), row)
+            summed[key] = summed[key] + grad if key in summed else grad
+    # (The optimizer keeps its accumulator and step scale in float32.)
+    for (table_id, row), grad in summed.items():
+        table = tables[table_id]
+        state = table.optimizer.state
+        state[row] += np.float32(np.mean(grad * grad))
+        scale = np.float32(cfg.lr) / (np.sqrt(state[row]) + np.float32(1e-10))
+        table.weights[row] -= scale * grad
+
+    g_params = g_params_pos + g_params_pool
+    rel_state = model.rel_optimizers[rel_id].state
+    rel_state += (g_params * g_params).astype(np.float32)
+    params -= cfg.relation_lr_effective * g_params / (
+        np.sqrt(rel_state) + 1e-10
+    )
+    return loss, int(mask.sum())
+
+
+def _oracle_models(operator, comparator, loss, two_tables, rel_weight=1.5):
+    """Two identical float64 models; ``num_batch_negs`` is 5, the size
+    of the oracle tests' full chunk."""
+    config = ConfigSchema(
+        entities={"a": EntitySchema(), "b": EntitySchema()},
+        relations=[RelationSchema(
+            name="r", lhs="a", rhs="b" if two_tables else "a",
+            operator=operator, weight=rel_weight,
+        )],
+        dimension=6, comparator=comparator, loss=loss, margin=0.2,
+        num_batch_negs=5, num_uniform_negs=4, lr=0.05,
+    )
+    models = []
+    for _ in range(2):
+        model = EmbeddingModel(
+            config, EntityStorage({"a": 9, "b": 11}),
+            np.random.default_rng(3), np.float64,
+        )
+        model.init_all_partitions(np.random.default_rng(4))
+        # Off the near-identity initialisation, so every operator's
+        # parameter gradient path matters.
+        model.rel_params[0] += np.random.default_rng(5).standard_normal(
+            model.rel_params[0].shape
+        ) * 0.3
+        models.append(model)
+    return models
+
+
+def _table_weights(model):
+    return {
+        key: model.get_table(*key).weights.copy()
+        for key in model.resident_tables()
+    }
+
+
+def _assert_same_training_state(stacked, reference, initial):
+    num_moved = 0
+    for key, start in initial.items():
+        got, want = stacked.get_table(*key), reference.get_table(*key)
+        np.testing.assert_allclose(
+            got.weights, want.weights, rtol=0, atol=1e-10
+        )
+        np.testing.assert_allclose(
+            got.optimizer.state, want.optimizer.state, rtol=0, atol=1e-10
+        )
+        # Every row the reference moved is marked for delta writeback.
+        moved = np.flatnonzero((want.weights != start).any(axis=1))
+        assert set(moved) <= set(got.dirty_row_indices())
+        num_moved += len(moved)
+    assert num_moved > 0
+    np.testing.assert_allclose(
+        stacked.rel_params[0], reference.rel_params[0], rtol=0, atol=1e-10
+    )
+    np.testing.assert_allclose(
+        stacked.rel_optimizers[0].state, reference.rel_optimizers[0].state,
+        rtol=0, atol=1e-10,
+    )
+
+
+@pytest.mark.parametrize("two_tables", [False, True], ids=["same", "two"])
+@pytest.mark.parametrize("loss", ["ranking", "logistic", "softmax"])
+@pytest.mark.parametrize("comparator", ["dot", "cos", "l2"])
+@pytest.mark.parametrize("operator", [
+    "identity", "translation", "diagonal", "linear", "complex_diagonal",
+    "affine",
+])
+def test_stacked_step_matches_per_piece_reference(
+    operator, comparator, loss, two_tables
+):
+    """Updated rows, Adagrad state and relation parameters to 1e-10.
+
+    Two consecutive chunks with edge weights and relation weight 1.5: a
+    full one (``num_batch_negs == chunk``: the chunk is its own pool)
+    with repeated endpoints, then a short last one (pool drawn from the
+    chunk with replacement) that meets non-zero Adagrad state.
+    """
+    stacked, reference = _oracle_models(operator, comparator, loss, two_tables)
+    initial = _table_weights(stacked)
+    rhs_type = "b" if two_tables else "a"
+    chunks = [
+        (np.asarray([0, 1, 2, 1, 8]), np.asarray([3, 4, 3, 0, 1])),
+        (np.asarray([5, 0]), np.asarray([0, 7])),
+    ]
+    rng_s, rng_r = np.random.default_rng(11), np.random.default_rng(11)
+    for i, (src, dst) in enumerate(chunks):
+        edge_weights = np.linspace(0.5, 2.0, len(src)) + i
+        stats = stacked.forward_backward_chunk(
+            0, src, dst, stacked.get_table("a", 0),
+            stacked.get_table(rhs_type, 0), rng_s, edge_weights=edge_weights,
+        )
+        ref_loss, ref_negatives = _reference_chunk_step(
+            reference, 0, src, dst, reference.get_table("a", 0),
+            reference.get_table(rhs_type, 0), rng_r, edge_weights,
+        )
+        assert stats.loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+        assert (stats.num_edges, stats.num_negatives) == (
+            len(src), ref_negatives
+        )
+    assert rng_s.random() == rng_r.random()  # same number of draws
+    _assert_same_training_state(stacked, reference, initial)
+
+
+@pytest.mark.parametrize("loss", ["ranking", "logistic", "softmax"])
+def test_unit_weights_take_the_unweighted_loss_path(loss):
+    """No edge weights and relation weight 1.0 hand the loss
+    ``weights=None``; the reference multiplies by explicit ones."""
+    stacked, reference = _oracle_models(
+        "translation", "cos", loss, two_tables=False, rel_weight=1.0
+    )
+    initial = _table_weights(stacked)
+    src, dst = np.asarray([0, 1, 2, 1, 8]), np.asarray([3, 4, 3, 0, 1])
+    table_s, table_r = stacked.get_table("a", 0), reference.get_table("a", 0)
+    seen = []
+    original = stacked.loss_fn.forward_backward
+
+    def spy(pos, neg, mask=None, weights=None):
+        seen.append(weights)
+        return original(pos, neg, mask, weights)
+
+    stacked.loss_fn.forward_backward = spy
+    stats = stacked.forward_backward_chunk(
+        0, src, dst, table_s, table_s, np.random.default_rng(2)
+    )
+    ref_loss, ref_negatives = _reference_chunk_step(
+        reference, 0, src, dst, table_r, table_r, np.random.default_rng(2),
+        None,
+    )
+    assert seen == [None]
+    assert (stats.loss, stats.num_negatives) == (ref_loss, ref_negatives)
+    _assert_same_training_state(stacked, reference, initial)
+
+
 class TestChunkBehaviour:
     def test_empty_chunk(self):
         config = _config()

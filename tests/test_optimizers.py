@@ -57,6 +57,45 @@ class TestAccumulateDuplicateRows:
         np.testing.assert_allclose(dense_in, dense_out, atol=1e-12)
         assert len(np.unique(urows)) == len(urows)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pattern=st.sampled_from(
+            ["random", "all_duplicate", "no_duplicate", "single"]
+        ),
+        m=st.integers(1, 40),
+        d=st.integers(1, 6),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        as_view=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_dict_loop(self, pattern, m, d, dtype, as_view, seed):
+        """Sorted distinct rows, each the in-order sum of its gradients."""
+        rng = np.random.default_rng(seed)
+        if pattern == "single":
+            m = 1
+        rows = {
+            "random": rng.integers(0, max(m // 2, 1), size=m),
+            "all_duplicate": np.full(m, 7),
+            "no_duplicate": rng.permutation(3 * m)[:m],
+            "single": np.asarray([4]),
+        }[pattern]
+        grads = rng.standard_normal((2 * m, d)).astype(dtype)
+        # The chunk step hands over the lhs half of its gradient buffer.
+        grads = grads[m:] if as_view else grads[m:].copy()
+        before = grads.copy()
+
+        expected: "dict[int, np.ndarray]" = {}
+        for row, grad in zip(rows.tolist(), grads):
+            expected[row] = expected[row] + grad if row in expected else grad
+
+        urows, ugrads = accumulate_duplicate_rows(rows, grads)
+        np.testing.assert_array_equal(urows, sorted(expected))
+        assert ugrads.dtype == dtype and ugrads.shape == (len(expected), d)
+        np.testing.assert_array_equal(
+            ugrads, np.stack([expected[r] for r in sorted(expected)])
+        )
+        np.testing.assert_array_equal(grads, before)
+
 
 class TestRowAdagrad:
     def test_first_step_is_normalised_gradient(self):
@@ -112,6 +151,25 @@ class TestRowAdagrad:
         opt = RowAdagrad(1)
         with pytest.raises(ValueError):
             opt.step(np.zeros((1, 2)), np.asarray([0]), np.ones((1, 2)), lr=0)
+        with pytest.raises(ValueError):
+            opt.step_unique(
+                np.zeros((1, 2)), np.asarray([0]), np.ones((1, 2)), lr=0
+            )
+
+    def test_step_unique_is_step_on_distinct_rows(self):
+        """What the featurized table calls once its rows are distinct."""
+        rng = np.random.default_rng(0)
+        rows = np.asarray([4, 0, 2])
+        grads = rng.standard_normal((3, 5))
+        start = rng.standard_normal((6, 5))
+        results = []
+        for method in ("step", "step_unique"):
+            opt = RowAdagrad.from_state(np.arange(6.0))
+            params = start.copy()
+            getattr(opt, method)(params, rows, grads, lr=0.3)
+            results.append((params, opt.state))
+        np.testing.assert_array_equal(results[0][0], results[1][0])
+        np.testing.assert_array_equal(results[0][1], results[1][1])
 
     def test_state_one_float_per_row(self):
         """The paper's memory trick: state is (n,), not (n, d)."""

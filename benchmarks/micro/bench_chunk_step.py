@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
-import time
 from pathlib import Path
 
 # One BLAS thread, like every child of benchmarks/perf/run.py; must be
@@ -43,7 +41,7 @@ import scipy.sparse as sp
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(_ROOT), str(_ROOT.parent / "src")]
 
-from common import append_history, provenance, social_config
+from common import append_history, provenance, social_config, time_us
 
 from repro.config import RelationSchema
 from repro.core.model import EmbeddingModel
@@ -53,18 +51,6 @@ from repro.core.tables import DenseEmbeddingTable
 from repro.graph.entity_storage import EntityStorage
 
 CHUNK, NEGS, DIM, NUM_ROWS = 100, 50, 64, 20_000
-
-
-def time_us(fn, calls: int, repeats: int) -> float:
-    """Median over ``repeats`` of the mean µs of ``calls`` calls."""
-    fn()
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        samples.append((time.perf_counter() - start) / calls * 1e6)
-    return statistics.median(samples)
 
 
 def chunk_step(comparator: str, operator: str, two_tables: bool):

@@ -63,8 +63,7 @@ _MUTATING_METHODS = {
 #: method names that block regardless of receiver (I/O, drains, joins)
 _ALWAYS_BLOCKING_METHODS = {
     "load", "save", "put_delta", "get_versioned", "drain",
-    "flush_dirty", "join", "result", "sleep", "settle", "close",
-    "shutdown",
+    "join", "result", "sleep", "settle", "close", "shutdown",
 }
 
 #: method names that block when called on a transfer-ish receiver

@@ -7,7 +7,7 @@ lock created through :func:`threading.Lock` / :func:`threading.RLock` /
 :class:`threading.Condition` is wrapped so each acquisition records a
 directed edge ``A -> B`` for every lock ``A`` the acquiring thread
 already holds. Locks are classified by *creation site* (file:line), so
-all instances of e.g. ``PartitionCache._lock`` collapse into one node —
+all instances of e.g. ``PartitionPipeline._lock`` collapse into one node —
 the same aggregation kernel lockdep uses. A cycle in the edge graph
 means two threads can acquire the same locks in opposite orders, i.e.
 a potential deadlock, even if the unlucky interleaving never happened
@@ -35,8 +35,7 @@ initialisation) and ``resident → on-server`` (a blocking save outside
 any pipeline). Anything else — a double-resident partition, a prefetch
 stomping a resident table, a park of bytes that were never resident —
 is recorded as a violation. Hooks are wired into
-:class:`~repro.graph.storage.PartitionPipeline` /
-:class:`~repro.graph.storage.PartitionCache` — every trainer's
+:class:`~repro.graph.storage.PartitionPipeline` — every trainer's
 partition I/O goes through one, in serial mode too — through
 :mod:`repro.analysis.hooks`.
 
@@ -489,16 +488,12 @@ class OwnerView:
         )
 
     def dropped(self, entity_type: str, part: int) -> None:
-        """A staged copy left the cache (budget eviction or a stale
+        """A staged copy left the pipeline (budget eviction or a stale
         copy discarded); the backend again holds the only bytes.
-
-        ``on-server`` is also accepted: a cache entry seeded outside
-        the pipeline (tests poking ``cache.put`` directly) was never
-        observed being staged, and its discard is harmless. Dropping a
-        ``resident`` or ``writeback`` partition stays illegal — those
-        bytes are live."""
+        Dropping a ``resident`` or ``writeback`` partition is illegal —
+        those bytes are live."""
         self.tracker.transition(
-            self.owner, entity_type, part, ON_SERVER, (STAGED, ON_SERVER)
+            self.owner, entity_type, part, ON_SERVER, (STAGED,)
         )
 
     def saved(self, entity_type: str, part: int) -> None:

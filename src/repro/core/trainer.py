@@ -34,10 +34,10 @@ selects its mode:
   latency-hiding the paper relies on to keep edges/sec flat as
   partition count grows). A *prefetch* thread loads the next visit's
   partitions (from the configured ``bucket_order``, so inside-out's
-  locality directly turns into prefetch hits) into a
-  :class:`~repro.graph.storage.PartitionCache` while workers *train*
-  the current bucket; evicted partitions are parked dirty in the cache
-  and flushed by a *writeback* thread off the critical path.
+  locality directly turns into prefetch hits) into the pipeline's
+  staging area while workers *train* the current bucket; evicted
+  partitions are parked there and persisted by a *writeback* thread
+  off the critical path.
 
 Ownership rules (who may touch which buffers):
 
@@ -47,13 +47,14 @@ Ownership rules (who may touch which buffers):
    prefetch thread, and both modes swap in the same sorted order, so
    RNG consumption order — and therefore the trained embeddings — are
    bit-identical across modes under a fixed seed.
-2. The **prefetch thread** only reads partition files and inserts
-   *clean* entries into the cache; it never sees the model and treats
+2. The **prefetch thread** only reads partition files and stages
+   *clean* copies in the pipeline; it never sees the model and treats
    a missing file as "not my problem" (the main thread initialises).
 3. The **writeback thread** owns a submitted snapshot until the write
-   lands. Arrays handed to it must not be mutated meanwhile; the cache
-   enforces this by blocking :meth:`PartitionCache.take` until a
-   pending write of that partition completes (flush-before-reuse), and
+   lands. Arrays handed to it must not be mutated meanwhile; the
+   pipeline enforces this by blocking :meth:`PartitionPipeline.take`
+   until a pending write of that partition completes
+   (flush-before-reuse), and
    the epoch-end flush and checkpoints drain the whole queue first
    (see :func:`repro.core.checkpointing.save_model`'s ``barrier``).
 4. Whoever counts landed write-backs per partition *index* hears of
@@ -352,24 +353,24 @@ class BucketExecutor:
     # -- accounting ----------------------------------------------------
 
     def resident_nbytes(self) -> int:
-        """Bytes held by the model plus the pipeline's staging cache."""
+        """Bytes held by the model plus the pipeline's staged entries."""
         nbytes = self.model.resident_nbytes()
         if self.pipeline is not None:
-            nbytes += self.pipeline.cache.nbytes()
+            nbytes += self.pipeline.nbytes()
         return nbytes
 
     def pipeline_stats(self) -> PipelineStats:
         """Point-in-time snapshot of the pipeline's metrics registry
         (all zero without the pipelined mode's threads)."""
         pipe = self.pipeline
-        if pipe is None or pipe.writeback is None:
+        if pipe is None or pipe.synchronous:
             return PipelineStats()
         return PipelineStats(
             prefetch_hits=pipe.prefetch_hits,
             prefetch_misses=pipe.prefetch_misses,
             prefetch_wait_time=pipe.prefetch_wait_seconds,
-            writeback_stall_time=pipe.writeback.stall_seconds,
-            cache_evictions=pipe.cache.evictions,
+            writeback_stall_time=pipe.writeback_stall_seconds,
+            cache_evictions=pipe.evictions,
         )
 
     # -- in-bucket training (HOGWILD) ----------------------------------

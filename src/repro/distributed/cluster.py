@@ -92,6 +92,7 @@ import queue as queue_mod
 import threading
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing.managers import BaseManager
 from typing import Callable
@@ -556,129 +557,132 @@ class DistributedTrainer:
                 "distributed training expects a square partition grid"
             )
 
+        with self._launch(bucketed) as (barrier, result_queue, workers):
+            stats = DistributedStats()
+            #: live view of the running stats (epoch_times grows as
+            #: epochs complete) — learning-curve callbacks read this.
+            self.current_stats = stats
+            start = time.perf_counter()
+            epoch_start = start
+            for w in workers:
+                w.start()
+            barrier_broken = False
+            try:
+                for epoch in range(self.config.num_epochs):
+                    barrier.wait(_BARRIER_TIMEOUT)  # workers hit epoch end
+                    stats.epoch_times.append(
+                        time.perf_counter() - epoch_start
+                    )
+                    if after_epoch is not None:
+                        after_epoch(epoch, self.assemble_model())
+                    self.lock_server.new_epoch()
+                    epoch_start = time.perf_counter()
+                    barrier.wait(_BARRIER_TIMEOUT)  # release next epoch
+            except threading.BrokenBarrierError:
+                barrier_broken = True  # a worker failed; surface below
+            except Exception:
+                barrier.abort()
+                raise
+            finally:
+                results: list = []
+                deadline = time.monotonic() + 120
+                while len(results) < self.num_machines:
+                    try:
+                        results.append(
+                            result_queue.get(
+                                timeout=max(0.1, deadline - time.monotonic())
+                            )
+                        )
+                    except queue_mod.Empty:
+                        break
+                for w in workers:
+                    w.join(timeout=30)
+            errors = [r[1] for r in results if r[0] == "error"]
+            if errors:
+                raise RuntimeError(f"machine failure(s): {errors}")
+            if barrier_broken or len(results) < self.num_machines:
+                # The barrier broke (timeout / abort) or a worker never
+                # reported, yet no error result arrived — never pretend
+                # the partial state on the servers is a trained model.
+                stuck = [w.name for w in workers if w.is_alive()]
+                raise RuntimeError(
+                    f"cluster run incomplete: {len(results)}/"
+                    f"{self.num_machines} machine results"
+                    + (f", still running: {stuck}" if stuck else "")
+                )
+            stats.machines = sorted(
+                (r[1] for r in results), key=lambda m: m.machine
+            )
+            stats.total_time = time.perf_counter() - start
+            return self.assemble_model(), stats
+
+    @contextmanager
+    def _launch(self, bucketed: BucketedEdges):
+        """Bring up the three servers and one unstarted worker per
+        machine — in this process as threads, or as forked processes
+        beside a manager process that hosts the servers; nothing
+        outside this method knows which. Yields ``(barrier,
+        result_queue, workers)`` and, however the run ends, takes the
+        manager down with it."""
         manager = None
-        if self.mode == "process":
-            manager = _ServerManager()
-            manager.start()
-            lock_server = manager.LockServer(
+        try:
+            if self.mode == "process":
+                manager = _ServerManager()
+                manager.start()
+                fork = mp.get_context("fork")
+                lock_cls, partition_cls, parameter_cls = (
+                    manager.LockServer, manager.PartitionServer,
+                    manager.ParameterServer,
+                )
+                barrier_cls, queue_cls, worker_cls = (
+                    fork.Barrier, fork.Queue, fork.Process
+                )
+                bandwidth = None  # real IPC costs instead of modelled ones
+            else:
+                lock_cls, partition_cls, parameter_cls = (
+                    LockServer, PartitionServer, ParameterServer
+                )
+                barrier_cls, queue_cls, worker_cls = (
+                    threading.Barrier, queue_mod.Queue, threading.Thread
+                )
+                bandwidth = self.bandwidth
+            self.lock_server = lock_cls(
                 bucketed.nparts_lhs, bucketed.nparts_rhs
             )
-            partition_server = manager.PartitionServer(
-                self.num_machines, None, self.config.partition_compression
+            self.partition_server = partition_cls(
+                self.num_machines, bandwidth,
+                self.config.partition_compression,
             )
-            parameter_server = manager.ParameterServer(self.num_machines)
-            mp_ctx = mp.get_context("fork")
-            barrier = mp_ctx.Barrier(self.num_machines + 1)
-            result_queue = mp_ctx.Queue()
-        else:
-            lock_server = LockServer(bucketed.nparts_lhs, bucketed.nparts_rhs)
-            partition_server = PartitionServer(
-                self.num_machines,
-                self.bandwidth,
-                codec=self.config.partition_compression,
-            )
-            parameter_server = ParameterServer(self.num_machines)
-            barrier = threading.Barrier(self.num_machines + 1)
-            result_queue = queue_mod.Queue()
-        self.lock_server = lock_server
-        self.partition_server = partition_server
-        self.parameter_server = parameter_server
-
-        contexts = [
-            _WorkerContext(
-                machine=m,
-                config=self.config,
-                entities=self.entities,
-                bucketed=bucketed,
-                seed=self.seed,
-                unpartitioned_types=self._unpartitioned_types,
-            )
-            for m in range(self.num_machines)
-        ]
-        args = lambda ctx: (  # noqa: E731
-            ctx, lock_server, partition_server, parameter_server,
-            barrier, result_queue,
-        )
-        if self.mode == "process":
+            self.parameter_server = parameter_cls(self.num_machines)
+            barrier = barrier_cls(self.num_machines + 1)
+            result_queue = queue_cls()
             workers = [
-                mp.get_context("fork").Process(
-                    target=_machine_main, args=args(ctx), daemon=True
+                worker_cls(
+                    target=_machine_main,
+                    args=(
+                        _WorkerContext(
+                            machine=m,
+                            config=self.config,
+                            entities=self.entities,
+                            bucketed=bucketed,
+                            seed=self.seed,
+                            unpartitioned_types=self._unpartitioned_types,
+                        ),
+                        self.lock_server, self.partition_server,
+                        self.parameter_server, barrier, result_queue,
+                    ),
+                    daemon=True,
                 )
-                for ctx in contexts
+                for m in range(self.num_machines)
             ]
-        else:
-            workers = [
-                threading.Thread(
-                    target=_machine_main, args=args(ctx), daemon=True
-                )
-                for ctx in contexts
-            ]
-        stats = DistributedStats()
-        #: live view of the running stats (epoch_times grows as epochs
-        #: complete) — learning-curve callbacks read this.
-        self.current_stats = stats
-        start = time.perf_counter()
-        epoch_start = start
-        for w in workers:
-            w.start()
-        barrier_broken = False
-        try:
-            for epoch in range(self.config.num_epochs):
-                barrier.wait(_BARRIER_TIMEOUT)  # workers hit epoch end
-                stats.epoch_times.append(time.perf_counter() - epoch_start)
-                if after_epoch is not None:
-                    after_epoch(epoch, self.assemble_model())
-                lock_server.new_epoch()
-                epoch_start = time.perf_counter()
-                barrier.wait(_BARRIER_TIMEOUT)  # release next epoch
-        except threading.BrokenBarrierError:
-            barrier_broken = True  # a worker failed; surface below
-        except Exception:
-            barrier.abort()
-            raise
+            yield barrier, result_queue, workers
         finally:
-            results: list = []
-            deadline = time.monotonic() + 120
-            while len(results) < self.num_machines:
-                try:
-                    results.append(
-                        result_queue.get(
-                            timeout=max(0.1, deadline - time.monotonic())
-                        )
-                    )
-                except queue_mod.Empty:
-                    break
-            for w in workers:
-                w.join(timeout=30)
-        errors = [r[1] for r in results if r[0] == "error"]
-        if errors:
             if manager is not None:
                 manager.shutdown()
-            raise RuntimeError(f"machine failure(s): {errors}")
-        if barrier_broken or len(results) < self.num_machines:
-            # The barrier broke (timeout / abort) or a worker never
-            # reported, yet no error result arrived — never pretend the
-            # partial state on the servers is a trained model.
-            if manager is not None:
-                manager.shutdown()
-            stuck = [w.name for w in workers if w.is_alive()]
-            raise RuntimeError(
-                f"cluster run incomplete: {len(results)}/"
-                f"{self.num_machines} machine results"
-                + (f", still running: {stuck}" if stuck else "")
-            )
-        stats.machines = sorted(
-            (r[1] for r in results), key=lambda m: m.machine
-        )
-        stats.total_time = time.perf_counter() - start
-        model = self.assemble_model()
-        if manager is not None:
-            manager.shutdown()
-            # Proxies die with the manager; drop the references.
-            self.lock_server = None
-            self.partition_server = None
-            self.parameter_server = None
-        return model, stats
+                # Proxies die with the manager; drop the references.
+                self.lock_server = None
+                self.partition_server = None
+                self.parameter_server = None
 
     # ------------------------------------------------------------------
 

@@ -35,7 +35,7 @@ Encoded partitions travel as a flat ``dict[str, np.ndarray]`` payload
 across the multiprocessing manager boundary, and byte-countable with
 :func:`payload_nbytes`. Payloads are self-describing via the codec name
 stored under :data:`CODEC_KEY`, so readers never need out-of-band codec
-configuration (old fp32 files without the marker decode as ``none``).
+configuration.
 """
 
 from __future__ import annotations
@@ -245,10 +245,10 @@ def payload_nbytes(payload: "Mapping[str, np.ndarray]") -> int:
 
 
 def payload_codec_name(payload: "Mapping[str, np.ndarray]") -> str:
-    """Codec name of a payload; legacy payloads without a marker are
-    fp32 (``none``)."""
+    """Codec name of a payload; every codec writes it under
+    :data:`CODEC_KEY`, so a payload without one is not ours."""
     if CODEC_KEY not in payload:
-        return "none"
+        raise ValueError(f"payload has no {CODEC_KEY!r} marker")
     return str(np.asarray(payload[CODEC_KEY])[()])
 
 

@@ -39,6 +39,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.graph.storage import (
+    CheckpointStorage,
+    PartitionedEmbeddingStorage,
+    atomic_write,
+)
 from repro.serving.index import ServingError
 
 __all__ = [
@@ -85,18 +90,6 @@ def current_version(root: "str | Path") -> "int | None":
         raise ServingError(
             f"corrupt CURRENT pointer at {path}: {name!r}"
         ) from exc
-
-
-def _atomic_save_npy(path: Path, array: np.ndarray) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.save(fh, array)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _set_current(root: Path, version: int) -> None:
@@ -177,15 +170,16 @@ def publish_embeddings(
     n, d = embeddings.shape
     pub = _Publisher(root)
     try:
-        _atomic_save_npy(
-            pub.staging / "shard-00000.npy",
+        atomic_write(
+            pub.staging / "shard-00000.npy", np.save,
             np.ascontiguousarray(embeddings, dtype=np.float32),
         )
-        _atomic_save_npy(
-            pub.staging / "layout_part.npy", np.zeros(n, dtype=np.int64)
+        atomic_write(
+            pub.staging / "layout_part.npy", np.save,
+            np.zeros(n, dtype=np.int64),
         )
-        _atomic_save_npy(
-            pub.staging / "layout_offset.npy",
+        atomic_write(
+            pub.staging / "layout_offset.npy", np.save,
             np.arange(n, dtype=np.int64),
         )
         _write_manifest(
@@ -213,7 +207,6 @@ def publish_checkpoint(
     means what the model optimised. Returns the new version number.
     """
     from repro.core.checkpointing import load_manifest
-    from repro.graph.storage import CheckpointStorage, PartitionedEmbeddingStorage
 
     config, metadata = load_manifest(checkpoint_dir)
     if entity_type not in config.entities:
@@ -261,12 +254,12 @@ def publish_checkpoint(
         shards, dim = store.export_mmap(
             entity_type, pub.staging
         )
-        _atomic_save_npy(
-            pub.staging / "layout_part.npy",
+        atomic_write(
+            pub.staging / "layout_part.npy", np.save,
             shared[part_key].astype(np.int64),
         )
-        _atomic_save_npy(
-            pub.staging / "layout_offset.npy",
+        atomic_write(
+            pub.staging / "layout_offset.npy", np.save,
             shared[offset_key].astype(np.int64),
         )
         count = int(metadata["counts"][entity_type])

@@ -292,6 +292,22 @@ class TestProcessMode:
             m.prefetch_hits + m.prefetch_misses for m in stats.machines
         ) > 0
 
+    def test_failed_run_leaves_no_child_process(self):
+        """Whatever ends the run — here the coordinator's callback —
+        the server manager and the workers go down with it, and the
+        trainer stops handing out proxies to a half-trained cluster."""
+        import multiprocessing
+
+        def boom(epoch, model):
+            raise RuntimeError("after_epoch failed")
+
+        config, entities = _setup(2, 4, num_epochs=2)
+        trainer = DistributedTrainer(config, entities, mode="process")
+        with pytest.raises(RuntimeError, match="after_epoch failed"):
+            trainer.train(_graph(), after_epoch=boom)
+        assert multiprocessing.active_children() == []
+        assert trainer.partition_server is None
+
 
 class TestSerialReleaseFetchRace:
     """Regression for the serial-path release/fetch race: historically

@@ -111,14 +111,12 @@ class TestPayloads:
         payload = get_codec(name).encode(emb, state)
         assert payload_codec_name(payload) == name
 
-    def test_legacy_payload_without_marker_is_fp32(self):
-        """Old files store bare embeddings/optim_state — they must
-        decode as the none codec."""
+    def test_payload_without_marker_is_rejected(self):
+        """Every codec marks its payloads; bare embeddings/optim_state
+        arrays are foreign bytes, not an implicit fp32 payload."""
         emb, state = _partition()
-        legacy = {"embeddings": emb, "optim_state": state}
-        assert payload_codec_name(legacy) == "none"
-        out_emb, _ = get_codec(payload_codec_name(legacy)).decode(legacy)
-        np.testing.assert_array_equal(out_emb, emb)
+        with pytest.raises(ValueError, match="marker"):
+            payload_codec_name({"embeddings": emb, "optim_state": state})
 
     @pytest.mark.parametrize("name", CODEC_NAMES)
     def test_payload_nbytes_matches_analytic_wire_size(self, name):
@@ -212,7 +210,7 @@ class TestCompressedDiskStorage:
 
     def test_reads_are_codec_agnostic(self, tmp_path):
         """Files are self-describing: a store configured with one codec
-        reads files written with another (including legacy fp32)."""
+        reads files written with another."""
         emb, state = _partition()
         writer = PartitionedEmbeddingStorage(tmp_path, codec="fp16")
         writer.save("node", 0, emb, state)
@@ -220,17 +218,16 @@ class TestCompressedDiskStorage:
         got_emb, _ = reader.load("node", 0)
         np.testing.assert_allclose(got_emb, emb, rtol=1e-3, atol=1e-6)
 
-    def test_legacy_fp32_file_loads(self, tmp_path):
-        """Pre-codec files (bare embeddings/optim_state arrays, no
-        marker) keep loading bit-exactly."""
+    def test_unmarked_file_is_corrupt(self, tmp_path):
+        """A partition file without the codec marker is reported as
+        corrupt, not decoded on the guess that it is fp32."""
         emb, state = _partition()
         path = tmp_path / "node" / "part-00000.npz"
         path.parent.mkdir(parents=True)
         np.savez(path, embeddings=emb, optim_state=state)
         store = PartitionedEmbeddingStorage(tmp_path, codec="int8")
-        got_emb, got_state = store.load("node", 0)
-        np.testing.assert_array_equal(got_emb, emb)
-        np.testing.assert_array_equal(got_state, state)
+        with pytest.raises(StorageError, match="corrupt partition file"):
+            store.load("node", 0)
 
     def test_unknown_codec_rejected_at_construction(self, tmp_path):
         with pytest.raises(ValueError, match="unknown partition codec"):

@@ -1,4 +1,4 @@
-"""Tests for nearest-neighbour search (exact index + legacy alias)."""
+"""Tests for nearest-neighbour search (the exact index)."""
 
 import numpy as np
 import pytest

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis import hooks
 from repro.config import single_entity_config
 from repro.core.checkpointing import save_model
 from repro.core.model import EmbeddingModel
@@ -21,11 +22,9 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import partition_entities
 from repro.graph.storage import (
-    PartitionCache,
     PartitionPipeline,
     PartitionedEmbeddingStorage,
     StorageError,
-    WritebackQueue,
 )
 from repro.stats.memory import MemoryModel
 from tests.helpers import record_thread_starts
@@ -238,6 +237,27 @@ class SlowSaveStorage(PartitionedEmbeddingStorage):
             self.completed_saves += 1
 
 
+class GatedStorage(PartitionedEmbeddingStorage):
+    """Saves block until ``gate`` is set (at most 5 s)."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.gate = threading.Event()
+        self.saved_parts = []
+
+    def save(self, entity_type, part, *arrays, **kw):
+        self.gate.wait(5.0)
+        super().save(entity_type, part, *arrays, **kw)
+        self.saved_parts.append(part)
+
+
+def _live_threads(name):
+    """Names of the live worker threads of the pipeline called ``name``."""
+    return sorted(
+        t.name for t in threading.enumerate() if t.name.startswith(name)
+    )
+
+
 class TestWritebackDurability:
     def test_checkpoint_drains_inflight_writebacks(self, tmp_path):
         """Training with slow async saves + per-epoch checkpoints: the
@@ -260,11 +280,11 @@ class TestWritebackDurability:
         persisting anything — simulating the crash-consistency
         contract: a checkpoint is only declared after the drain."""
         store = SlowSaveStorage(tmp_path / "swap", delay=0.2)
-        wb = WritebackQueue(store)
+        pipe = PartitionPipeline(store)
         rng = np.random.default_rng(0)
         w = rng.standard_normal((6, 4)).astype(np.float32)
         s = rng.random(6).astype(np.float32)
-        wb.submit("node", 0, w, s)
+        pipe.persist("node", 0, w, s)
         # The write is still in flight: nothing on disk yet.
         assert not store.exists("node", 0)
 
@@ -275,40 +295,102 @@ class TestWritebackDurability:
         events = []
         save_model(
             tmp_path / "ckpt", model, entities,
-            barrier=lambda: events.append(wb.drain()),
+            barrier=lambda: events.append(pipe.drain()),
         )
         assert len(events) == 1  # barrier ran
         assert store.exists("node", 0)  # ...and drained the queue
         np.testing.assert_array_equal(store.load("node", 0)[0], w)
-        wb.close()
+        pipe.close()
 
-    def test_writeback_error_surfaces_on_drain(self, tmp_path):
-        class BrokenStorage(PartitionedEmbeddingStorage):
-            def save(self, *a, **kw):
+    def test_failed_write_is_sticky(self, tmp_path):
+        """The first failed background write surfaces, typed, on the
+        drain and on every later call; the writes queued behind it are
+        abandoned, and close() still stops both threads."""
+        attempts = []
+
+        class BrokenStorage(GatedStorage):
+            def save(self, entity_type, part, *arrays, **kw):
+                self.gate.wait(5.0)
+                attempts.append(part)
                 raise OSError("disk on fire")
 
-        wb = WritebackQueue(BrokenStorage(tmp_path / "swap"))
-        wb.submit(
-            "node", 0,
-            np.zeros((2, 2), np.float32), np.zeros(2, np.float32),
+        pipe = PartitionPipeline(
+            BrokenStorage(tmp_path / "swap"), name="sticky"
         )
-        with pytest.raises(StorageError, match="background partition write"):
-            wb.drain()
+        w, s = np.zeros((2, 2), np.float32), np.zeros(2, np.float32)
+        pipe.park("node", 0, w, s)
+        pipe.persist("node", 1, w, s)  # queued behind the failing write
+        pipe.storage.gate.set()
+        failed = pytest.raises(
+            StorageError, match="background partition write"
+        )
+        with failed:
+            pipe.drain()
+        with failed:
+            pipe.park("node", 2, w, s)
+        with failed:
+            pipe.persist("node", 3, w, s)
+        with failed:
+            pipe.take("node", 0)
+        with failed:
+            pipe.drain()
+        with failed:
+            pipe.close()
+        assert attempts == [0]
+        assert _live_threads("sticky") == []
 
     def test_flush_before_reuse_blocks_on_pending_write(self, tmp_path):
-        """take() of a dirty entry with an in-flight write must not
-        return until the write lands (the caller will mutate the
+        """take() of a parked partition with an in-flight write must
+        not return until the write lands (the caller will mutate the
         arrays)."""
         store = SlowSaveStorage(tmp_path / "swap", delay=0.15)
-        wb = WritebackQueue(store)
-        cache = PartitionCache(store, writeback=wb)
+        pipe = PartitionPipeline(store)
         w = np.ones((4, 2), np.float32)
         s = np.ones(4, np.float32)
-        cache.put("node", 0, w, s, dirty=True)
-        got = cache.take("node", 0)  # must block until the save lands
-        assert got is not None
+        pipe.park("node", 0, w, s)
+        got, from_staged = pipe.take("node", 0)  # blocks on the save
+        assert from_staged and got[0] is w
         assert store.completed_saves == 1
-        wb.close()
+        assert pipe.writeback_stall_seconds > 0.0
+        pipe.close()
+
+    def test_take_returns_after_on_flushed(self, tmp_path):
+        """The land is reported before the write counts as done: when
+        take() hands a parked partition back, its ``on_flushed`` (the
+        lock-server commit, in a cluster) has already run."""
+        store = GatedStorage(tmp_path / "swap")
+        pipe = PartitionPipeline(store)
+        events = []
+        pipe.park(
+            "node", 0, *_part(),
+            on_flushed=lambda: (time.sleep(0.05), events.append("flushed")),
+        )
+        threading.Timer(0.05, store.gate.set).start()
+        pipe.take("node", 0)
+        events.append("taken")
+        assert events == ["flushed", "taken"]
+        pipe.close()
+
+    def test_second_park_of_a_key_lands_last(self, tmp_path):
+        """Writes of one key land in park order, so a partition parked
+        again before its first write landed ends up in the backend with
+        the second bytes (and is handed back out with them)."""
+        # A double park is what the ownership tracker (armed suite-wide
+        # under REPRO_LOCKDEP=1) exists to flag; no trainer does it,
+        # and this test is about the bytes.
+        hooks.uninstall_ownership_tracker()
+        store = GatedStorage(tmp_path / "swap")
+        pipe = PartitionPipeline(store)
+        first, second = _part(seed=1), _part(seed=2)
+        pipe.park("node", 0, *first)
+        pipe.park("node", 0, *second)
+        store.gate.set()
+        pipe.drain()
+        assert store.saved_parts == [0, 0]
+        np.testing.assert_array_equal(store.load("node", 0)[0], second[0])
+        got, from_staged = pipe.take("node", 0)
+        assert from_staged and got[0] is second[0]
+        pipe.close()
 
 
 def _part(seed=0, n=8, d=4):
@@ -344,11 +426,36 @@ class TestPartitionPipeline:
         pipe = PartitionPipeline(storage)
         assert pipe.schedule([("node", 0), ("node", 1)]) == 2
         pipe.settle()
-        assert pipe.cache.contains("node", 0)
-        assert not pipe.cache.contains("node", 1)  # nothing stored
+        assert pipe.schedule([("node", 0)]) == 0  # already staged
         _, from_cache = pipe.take("node", 0)
         assert from_cache
+        got, from_cache = pipe.take("node", 1)  # nothing stored
+        assert got is None and not from_cache
         pipe.close()
+
+    def test_one_thread_per_pool_and_none_when_synchronous(
+        self, tmp_path, monkeypatch
+    ):
+        started = record_thread_starts(monkeypatch)
+        storage = PartitionedEmbeddingStorage(tmp_path)
+        storage.save("node", 9, *_part())
+        for synchronous in (True, False):
+            pipe = PartitionPipeline(
+                storage, name="counted", synchronous=synchronous
+            )
+            for part in range(3):
+                pipe.park("node", part, *_part())
+            pipe.drain()
+            for part in range(3):
+                pipe.take("node", part)
+            pipe.schedule([("node", 9)])
+            pipe.settle()
+            pipe.close()
+            if synchronous:
+                assert started == []
+        assert sorted(started) == [
+            "counted-prefetch_0", "counted-writeback_0",
+        ]
 
     def test_schedule_noop_at_zero_budget(self, tmp_path):
         storage = PartitionedEmbeddingStorage(tmp_path)
@@ -362,12 +469,14 @@ class TestPartitionPipeline:
         re-read from the backend (the distributed staleness path)."""
         storage = PartitionedEmbeddingStorage(tmp_path)
         fresh_w, fresh_s = _part(seed=9)
-        storage.save("node", 0, fresh_w, fresh_s)
+        stale_w, stale_s = _part(seed=1)
+        storage.save("node", 0, stale_w, stale_s)
         pipe = PartitionPipeline(
             storage, validate=lambda et, p: False
         )
-        stale_w, stale_s = _part(seed=1)
-        pipe.cache.put("node", 0, stale_w, stale_s, dirty=False)
+        pipe.schedule([("node", 0)])
+        pipe.settle()  # the stale copy is staged ...
+        storage.save("node", 0, fresh_w, fresh_s)  # ... then superseded
         got, from_cache = pipe.take("node", 0)
         assert not from_cache
         assert pipe.stale_hits == 1
@@ -380,32 +489,30 @@ class TestPartitionPipeline:
         w, s = _part()
         pipe.park("node", 0, w, s, on_flushed=lambda: events.append(0))
         pipe.drain()
-        pipe.cache.flush_dirty()  # entry already clean; must not re-fire
-        pipe.drain()
+        pipe.drain()  # nothing outstanding; must not re-fire
         assert events == [0]
         pipe.close()
 
     def test_on_flushed_fires_on_budget_eviction(self, tmp_path):
-        """Synchronous budget evictions must also report the land —
-        the distributed lock deferral relies on it."""
+        """A park evicted by the byte budget reports its land before
+        the entry is dropped — the distributed lock deferral relies on
+        it — and exactly once."""
         storage = PartitionedEmbeddingStorage(tmp_path)
         events = []
-        cache = PartitionCache(storage, budget_bytes=0)
+        pipe = PartitionPipeline(storage, budget_bytes=0)
         w, s = _part()
-        cache.put(
-            "node", 0, w, s, dirty=True,
-            on_flushed=lambda: events.append(0),
-        )
+        pipe.park("node", 0, w, s, on_flushed=lambda: events.append(0))
         assert events == [0]
         assert storage.exists("node", 0)
+        assert pipe.nbytes() == 0 and pipe.evictions == 1
+        pipe.drain()
+        assert events == [0]
+        pipe.close()
 
-
-    @pytest.mark.parametrize("budget", [0, None])
-    def test_synchronous_persists_forward_dirty_rows(self, budget):
-        """Both inline persist paths of a queue-less cache — the budget
-        eviction and ``flush_dirty`` — must hand the backend the
-        dirty-row hint the entry carries, or a delta-capable backend
-        gets a full push; a hint-less entry must not grow one."""
+    def test_synchronous_park_forwards_dirty_rows(self):
+        """The inline save of synchronous mode must hand the backend
+        the dirty-row hint the park carries, or a delta-capable backend
+        gets a full push; a hint-less park must not grow one."""
 
         class RecordingBackend:
             def __init__(self):
@@ -416,11 +523,10 @@ class TestPartitionPipeline:
                 self.saves.append((part, kwargs))
 
         backend = RecordingBackend()
-        cache = PartitionCache(backend, budget_bytes=budget)
+        pipe = PartitionPipeline(backend, synchronous=True)
         rows = np.array([1, 3])
-        cache.put("node", 0, *_part(), dirty=True, dirty_rows=rows)
-        cache.put("node", 1, *_part(), dirty=True)
-        cache.flush_dirty()  # budget None: nothing was persisted yet
+        pipe.park("node", 0, *_part(), dirty_rows=rows)
+        pipe.park("node", 1, *_part())
         assert [part for part, _ in backend.saves] == [0, 1]
         assert backend.saves[0][1]["dirty_rows"] is rows
         assert backend.saves[1][1] == {}
@@ -449,7 +555,7 @@ class TestPartitionPipeline:
         w, s = _part()
         pipe.park("node", 0, w, s, on_flushed=lambda: events.append(0))
         assert events == [0] and pipe.storage.exists("node", 0)
-        assert pipe.cache.nbytes() == 0  # nothing retained
+        assert pipe.nbytes() == 0  # nothing retained
         pipe.persist("node", 1, w, s)
         assert pipe.storage.exists("node", 1)
         assert pipe.schedule([("node", 0)]) == 0
@@ -511,75 +617,12 @@ class TestMemoryModel:
         )
 
 
-class TestFlushDirtyRace:
-    """flush_dirty vs the concurrent land of an already-submitted write:
-    the flusher must never re-push a partition whose dirty bit was (or
-    is about to be) cleared by the write landing — on a versioned
-    backend a double push re-versions bytes that already landed,
-    invalidating every other machine's delta baseline."""
-
-    def test_flush_skips_entry_with_write_in_flight(self, tmp_path):
-        """Snapshot sees the entry dirty while its insert-time write is
-        still queued: flush must not submit a second write."""
-
-        class GatedStorage(PartitionedEmbeddingStorage):
-            def __init__(self, root):
-                super().__init__(root)
-                self.gate = threading.Event()
-                self.completed = 0
-
-            def save(self, *args, **kwargs):
-                self.gate.wait(5.0)
-                super().save(*args, **kwargs)
-                self.completed += 1
-
-        store = GatedStorage(tmp_path / "swap")
-        wb = WritebackQueue(store)
-        cache = PartitionCache(store, writeback=wb)
-        w = np.ones((4, 2), np.float32)
-        s = np.ones(4, np.float32)
-        cache.put("node", 0, w, s, dirty=True)  # write queued, gated
-        cache.flush_dirty()  # dirty + pending → must skip, not re-push
-        cache.flush_dirty()  # and again, from a second flusher
-        store.gate.set()
-        wb.drain()
-        assert store.completed == 1
-        wb.close()
-
-    def test_flush_skips_entry_cleaned_between_snapshot_and_submit(
-        self, tmp_path
-    ):
-        """The lock-scoped interleaving: flush's snapshot sees dirty,
-        is_pending already reads False, but the landing write flips the
-        bit before flush reaches its re-check — the re-check under the
-        cache lock must catch it and skip."""
-        store = PartitionedEmbeddingStorage(tmp_path / "swap")
-        wb = WritebackQueue(store)
-        cache = PartitionCache(store, writeback=wb)
-        w = np.ones((4, 2), np.float32)
-        s = np.ones(4, np.float32)
-        cache.put("node", 0, w, s, dirty=True)
-        wb.drain()
-        entry = cache._entries[("node", 0)]
-        entry.dirty = True  # re-arm so flush's snapshot includes it
-
-        def is_pending_then_land(entity_type, part):
-            # Simulate the concurrent commit landing exactly in the
-            # window between the snapshot and the re-check.
-            cache._landed((entity_type, part), entry)
-            return False
-
-        wb.is_pending = is_pending_then_land
-        submitted = []
-        wb.submit = lambda *a, **kw: submitted.append(a)
-        cache.flush_dirty()
-        assert submitted == []  # guard caught the cleared bit
-        wb.submit = WritebackQueue.submit.__get__(wb)
-        wb.is_pending = WritebackQueue.is_pending.__get__(wb)
-        wb.close()
+class TestNoDoublePush:
+    """Nothing re-submits a write: the one submitted at park time is
+    the only one a partition gets, however often the barrier runs."""
 
     def test_no_double_version_on_server_backend(self, tmp_path):
-        """End-to-end on the versioned backend: insert + flush + drain
+        """End-to-end on the versioned backend: park + drain + drain
         must land exactly one server version, or every other machine's
         delta baseline is spuriously invalidated."""
         from repro.distributed.partition_server import (
@@ -588,15 +631,11 @@ class TestFlushDirtyRace:
         )
 
         server = PartitionServer(1)
-        backend = PartitionServerStorage(server)
-        wb = WritebackQueue(backend)
-        cache = PartitionCache(backend, writeback=wb)
+        pipe = PartitionPipeline(PartitionServerStorage(server))
         w = np.ones((4, 2), np.float32)
         s = np.ones(4, np.float32)
-        cache.put("node", 0, w, s, dirty=True)
-        cache.flush_dirty()
-        wb.drain()
-        cache.flush_dirty()  # entry is clean now; nothing to do
-        wb.drain()
+        pipe.park("node", 0, w, s)
+        pipe.drain()
+        pipe.drain()  # the entry is clean now; nothing to do
         assert server.version("node", 0) == 1
-        wb.close()
+        pipe.close()

@@ -6,7 +6,9 @@ the benchmark of record (chunk 100, 50 + 50 negatives per side, d = 64,
 
 - ``EmbeddingModel.forward_backward_chunk`` for ``cos``/``identity``
   (``dense_social``) and ``dot``/``translation`` (``distributed_kg``),
-  with both sides in one table and in two;
+  with both sides in one table and in two: one chunk, then a
+  1000-edge batch as ten one-chunk calls (ten updates) against one
+  batch call (ten chunks sharing one gather, backward and update);
 - the six chunk-sized matmuls on their own — the arithmetic floor of
   the paper's Figure 3, below which no assembly change can go;
 - ``RowAdagrad.step`` on one chunk's 400 stacked rows (~25 % repeats);
@@ -50,11 +52,12 @@ from repro.core.optimizers import RowAdagrad, accumulate_duplicate_rows
 from repro.core.tables import DenseEmbeddingTable
 from repro.graph.entity_storage import EntityStorage
 
-CHUNK, NEGS, DIM, NUM_ROWS = 100, 50, 64, 20_000
+CHUNK, BATCH, NEGS, DIM, NUM_ROWS = 100, 1000, 50, 64, 20_000
 
 
-def chunk_step(comparator: str, operator: str, two_tables: bool):
-    """A closure running one training chunk on seeded inputs."""
+def chunk_steps(comparator: str, operator: str, two_tables: bool):
+    """Closures over one model and seeded inputs: one training chunk,
+    a batch as one-chunk calls, the same batch as one call."""
     config = social_config(comparator=comparator, relations=[
         RelationSchema(name="r", lhs="node", rhs="node", operator=operator)
     ])
@@ -62,9 +65,21 @@ def chunk_step(comparator: str, operator: str, two_tables: bool):
     model = EmbeddingModel(config, EntityStorage({"node": NUM_ROWS}), rng)
     lhs = DenseEmbeddingTable.create(NUM_ROWS, DIM, rng)
     rhs = DenseEmbeddingTable.create(NUM_ROWS, DIM, rng) if two_tables else lhs
-    src = rng.integers(0, NUM_ROWS, CHUNK)
-    dst = rng.integers(0, NUM_ROWS, CHUNK)
-    return lambda: model.forward_backward_chunk(0, src, dst, lhs, rhs, rng)
+    src = rng.integers(0, NUM_ROWS, BATCH)
+    dst = rng.integers(0, NUM_ROWS, BATCH)
+
+    def step(lo, hi, **kwargs):
+        return model.forward_backward_chunk(
+            0, src[lo:hi], dst[lo:hi], lhs, rhs, rng, **kwargs
+        )
+
+    return {
+        "forward_backward_chunk": lambda: step(0, CHUNK),
+        "batch_as_chunk_calls": lambda: [
+            step(lo, lo + CHUNK) for lo in range(0, BATCH, CHUNK)
+        ],
+        "batch_as_one_call": lambda: step(0, BATCH, chunk_size=CHUNK),
+    }
 
 
 def matmul_floor():
@@ -142,13 +157,17 @@ def main(argv=None) -> int:
     calls, repeats = (50, 3) if args.quick else (400, 7)
 
     us: "dict[str, float]" = {}
+    chunks: "dict[str, int]" = {}  # chunk steps one call of a row stands for
     for comparator, operator in (("cos", "identity"), ("dot", "translation")):
         for two_tables in (False, True):
-            name = (f"forward_backward_chunk[{comparator},{operator},"
-                    f"{'two_tables' if two_tables else 'same_table'}]")
-            us[name] = time_us(
-                chunk_step(comparator, operator, two_tables), calls, repeats
-            )
+            layout = "two_tables" if two_tables else "same_table"
+            steps = chunk_steps(comparator, operator, two_tables)
+            for name, fn in steps.items():
+                row = f"{name}[{comparator},{operator},{layout}]"
+                chunks[row] = (
+                    1 if name == "forward_backward_chunk" else BATCH // CHUNK
+                )
+                us[row] = time_us(fn, calls // chunks[row], repeats)
     us["matmul_floor"] = time_us(matmul_floor(), calls, repeats)
 
     rows, grads = stacked_rows(np.random.default_rng(2))
@@ -173,8 +192,8 @@ def main(argv=None) -> int:
           f"unique rows / stacked rows = {unique_ratio:.2f}")
     floor = us["matmul_floor"]
     for name, value in us.items():
-        ratio = (f"  {value / floor:5.1f} x floor"
-                 if name.startswith("forward_backward_chunk") else "")
+        ratio = (f"  {value / (chunks[name] * floor):5.1f} x floor"
+                 if name in chunks else "")
         print(f"  {name:58s} {value:8.1f} us{ratio}")
 
     report = {

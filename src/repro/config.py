@@ -277,6 +277,8 @@ class ConfigSchema:
     lr: float = 0.1
     relation_lr: float | None = None
     num_epochs: int = 5
+    # A batch is one gradient update; its chunks are only the groups of
+    # edges that share a negative pool per side (paper Figure 3).
     batch_size: int = 1000
     chunk_size: int = 50
     num_workers: int = 1

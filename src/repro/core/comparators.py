@@ -14,7 +14,8 @@ The API is split in two stages to make batched negatives cheap:
    row-wise scores for aligned pairs, or the full ``(n, k)`` score matrix
    between ``n`` prepared positives and ``k`` prepared candidates. The
    matrix form is one BLAS matmul, the heart of the paper's batched
-   negative sampling (Figure 3).
+   negative sampling (Figure 3); it and its backward broadcast over
+   leading axes, so all chunks of a batch are scored in one call.
 
 Each stage has a matching backward that maps upstream gradients to
 gradients with respect to its inputs. Training uses the
@@ -102,10 +103,10 @@ class DotComparator(Comparator):
         return g * b, g * a
 
     def score_matrix(self, a: np.ndarray, pool: np.ndarray) -> np.ndarray:
-        return a @ pool.T
+        return a @ pool.swapaxes(-1, -2)
 
     def score_matrix_backward(self, a, pool, grad):
-        return grad @ pool, grad.T @ a
+        return grad @ pool, grad.swapaxes(-1, -2) @ a
 
 
 class CosComparator(Comparator):
@@ -122,9 +123,11 @@ class CosComparator(Comparator):
         return x / norms, norms
 
     def prepare_backward_saved(self, y, saved, grad_prepared):
-        # d(x/||x||)/dx applied to g:  (g - y (g . y)) / ||x||
-        proj = np.einsum("nd,nd->n", grad_prepared, y)[:, None]
-        return (grad_prepared - y * proj) / saved
+        # d(x/||x||)/dx applied to g:  (g - y (g . y)) / ||x||, in place
+        out = y * np.einsum("nd,nd->n", grad_prepared, y)[:, None]
+        np.subtract(grad_prepared, out, out=out)
+        out /= saved
+        return out
 
     # After prepare, cosine is a dot product.
     score_pairs = DotComparator.score_pairs
@@ -151,14 +154,15 @@ class L2Comparator(Comparator):
         return g, -g
 
     def score_matrix(self, a: np.ndarray, pool: np.ndarray) -> np.ndarray:
-        sq_a = np.einsum("nd,nd->n", a, a)[:, None]
-        sq_p = np.einsum("kd,kd->k", pool, pool)[None, :]
-        return 2.0 * (a @ pool.T) - sq_a - sq_p
+        sq_a = np.einsum("...nd,...nd->...n", a, a)[..., :, None]
+        sq_p = np.einsum("...kd,...kd->...k", pool, pool)[..., None, :]
+        return 2.0 * (a @ pool.swapaxes(-1, -2)) - sq_a - sq_p
 
     def score_matrix_backward(self, a, pool, grad):
         # score = 2 a.pool - ||a||^2 - ||pool||^2
-        grad_a = 2.0 * (grad @ pool) - 2.0 * grad.sum(axis=1)[:, None] * a
-        grad_pool = 2.0 * (grad.T @ a) - 2.0 * grad.sum(axis=0)[:, None] * pool
+        grad_a = 2.0 * (grad @ pool) - 2.0 * grad.sum(axis=-1)[..., None] * a
+        grad_t = grad.swapaxes(-1, -2)
+        grad_pool = 2.0 * (grad_t @ a) - 2.0 * grad.sum(axis=-2)[..., None] * pool
         return grad_a, grad_pool
 
 

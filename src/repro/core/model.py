@@ -10,23 +10,26 @@ An :class:`EmbeddingModel` owns
 - a comparator and a loss.
 
 Its centrepiece is :meth:`EmbeddingModel.forward_backward_chunk`: score
-one chunk of same-relation edges against batched negative pools on both
+a batch of same-relation edges against batched negative pools on both
 sides, evaluate the loss, and backpropagate in closed form through
-comparator → operator → embedding rows, applying Adagrad updates in
-place. This is the computation of the paper's Figure 3.
+comparator → operator → embedding rows, applying **one** Adagrad update
+per table. This is the computation of the paper's Figure 3; a *chunk* is
+the group of edges that shares a negative pool, not an update.
 
-The chunk is processed as one **stack** of rows,
-``[src | src negatives | dst | dst negatives]``: the first two pieces
-index the left-hand table, the last two the right-hand one. The stack is
-gathered once (once per table when the sides differ), the relation
-operator maps its contiguous right-hand half, and the comparator
-prepares it in one call that keeps what its backward needs. The score
-gradients are written into one buffer with the same layout, which then
-goes back through the comparator and the operator in one call each and
-reaches each table as a single ``apply_gradients`` — so a row repeated
-across pieces gets one summed Adagrad step. At the benchmark's shapes
-the six 100 x 64 x 100 matmuls are ~80 µs of a ~570 µs chunk (it was
-~960 µs piece by piece; ``benchmarks/micro/bench_chunk_step.py``).
+The batch is one **stack** of rows, ``[src | src negatives | dst | dst
+negatives]``, each piece chunk-major; the first two index the left-hand
+table, the last two the right-hand one. It is gathered once (once per
+table when the sides differ), the relation operator maps its contiguous
+right-hand half, and the comparator prepares it in one call that keeps
+what its backward needs. Viewed as ``(n_chunks, c or k, d)`` the pieces
+meet in six ``np.matmul`` products over the chunk axis: chunk ``i`` is
+scored against, and masked by, pool ``i`` only. The score gradients fill
+one buffer laid out like the stack, which goes back through comparator
+and operator in one call each and reaches each table as a single
+``apply_gradients`` — a row repeated across pieces or chunks gets one
+summed Adagrad step. A ragged last chunk is a second stack appended
+before that update. A 1000-edge batch of ten chunks costs ~5.1 ms, ~7.4
+as ten one-chunk calls (``benchmarks/micro/bench_chunk_step.py``).
 """
 
 from __future__ import annotations
@@ -267,7 +270,7 @@ class EmbeddingModel:
         return self.comparator.score_matrix(b, pa)
 
     # ------------------------------------------------------------------
-    # Training: forward + backward + update for one chunk
+    # Training: forward + backward over a batch's chunks, one update
     # ------------------------------------------------------------------
 
     def forward_backward_chunk(
@@ -280,50 +283,97 @@ class EmbeddingModel:
         rng: np.random.Generator,
         edge_weights: np.ndarray | None = None,
         update: bool = True,
+        chunk_size: int | None = None,
     ) -> ChunkStats:
-        """Train on one chunk of edges sharing relation ``rel_id``.
+        """Train on a batch of edges sharing relation ``rel_id``, with
+        one update of each table and of the relation's parameters.
 
         ``src_rows`` / ``dst_rows`` index into ``lhs_table`` /
-        ``rhs_table`` (partition-local offsets). Negative pools are
-        sampled within those tables, honouring the paper's
-        same-partition and same-entity-type constraints by construction.
-        With ``disable_batch_negs`` every edge draws its own negatives
-        (the Figure 4 baseline: O(c * k * d) fetches, no matmul reuse)
-        and only the sampling and the negative scoring differ.
+        ``rhs_table`` (partition-local offsets). Each ``chunk_size``
+        edges (default: all) share a negative pool per side, sampled
+        within those tables, honouring the paper's same-partition and
+        same-entity-type constraints by construction. With
+        ``disable_batch_negs`` every edge draws its own negatives (the
+        Figure 4 baseline: O(c * k * d) fetches, no matmul reuse) and
+        only the sampling and the negative scoring differ.
         """
+        cfg = self.config
+        m = len(src_rows)
+        if m == 0:
+            return ChunkStats()
+        c = min(chunk_size or m, m)
+        full = m - m % c
+        # The whole chunks are one block and a ragged last chunk another;
+        # per-edge negatives gather k times the rows, a chunk at a time.
+        bounds = [*range(0, full, c if cfg.disable_batch_negs else full), full, m]
+        stats, steps = ChunkStats(), []
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo < hi:
+                width = min(c, hi - lo)
+                steps.append(self._block_step(
+                    rel_id, src_rows[lo:hi].reshape(-1, width),
+                    dst_rows[lo:hi].reshape(-1, width), lhs_table, rhs_table,
+                    rng, None if edge_weights is None else edge_weights[lo:hi],
+                    update, stats,
+                ))
+        if not update:
+            return stats
+        # One Adagrad step per table, so a row repeated across pieces,
+        # chunks, blocks (and sides, for one table) accumulates first.
+        tables = [lhs_table] if lhs_table is rhs_table else [lhs_table, rhs_table]
+        for table, parts in zip(tables, zip(*(step[0] for step in steps))):
+            rows, grads = (
+                parts[0] if len(parts) == 1
+                else map(np.concatenate, zip(*parts))
+            )
+            table.apply_gradients(rows, grads, cfg.lr)
+        self.rel_optimizers[rel_id].step(
+            self.rel_params[rel_id], np.sum([step[1] for step in steps], axis=0),
+            cfg.relation_lr_effective,
+        )
+        return stats
+
+    def _block_step(
+        self, rel_id, src, dst, lhs_table, rhs_table, rng, edge_weights,
+        update, stats,
+    ):
+        """Forward and backward of ``(n, c)`` row blocks — ``n`` chunks of
+        ``c`` edges, stacked chunk-major. Adds to ``stats``; returns each
+        table's ``(rows, gradients)`` and the relation-parameter gradient."""
         cfg = self.config
         op = self.operators[rel_id]
         params = self.rel_params[rel_id]
         comp = self.comparator
-        c = len(src_rows)
-        if c == 0:
-            return ChunkStats()
+        n, n_pos = len(src), src.size
+
+        def chunked(z):  # (n * w, d) -> (n, w, d)
+            return z.reshape(n, -1, z.shape[-1])
 
         # ---- negatives (dst side first: the RNG draw order is fixed) ----
         if cfg.disable_batch_negs:
             k = cfg.num_batch_negs + cfg.num_uniform_negs
-            dst_negs = sample_unbatched(dst_rows, rhs_table.num_rows, k, rng)
-            src_negs = sample_unbatched(src_rows, lhs_table.num_rows, k, rng)
+            dst_negs = sample_unbatched(dst.ravel(), rhs_table.num_rows, k, rng)
+            src_negs = sample_unbatched(src.ravel(), lhs_table.num_rows, k, rng)
             l2 = cfg.comparator == "l2"
             score = partial(_rowwise_scores, l2=l2)
             score_backward = partial(_rowwise_scores_backward, l2=l2)
         else:
             dst_negs = sample_pool(
-                dst_rows, dst_rows, rhs_table.num_rows,
+                dst, dst, rhs_table.num_rows,
                 cfg.num_batch_negs, cfg.num_uniform_negs, rng,
             )
             src_negs = sample_pool(
-                src_rows, src_rows, lhs_table.num_rows,
+                src, src, lhs_table.num_rows,
                 cfg.num_batch_negs, cfg.num_uniform_negs, rng,
             )
             score, score_backward = comp.score_matrix, comp.score_matrix_backward
 
         # ---- forward over the stack [src | src negs | dst | dst negs] ----
         rows = np.concatenate((
-            src_rows, src_negs.entities.ravel(),
-            dst_rows, dst_negs.entities.ravel(),
+            src.ravel(), src_negs.entities.ravel(),
+            dst.ravel(), dst_negs.entities.ravel(),
         ))
-        n_lhs = c + src_negs.entities.size
+        n_lhs = n_pos + src_negs.entities.size
         if lhs_table is rhs_table:
             raw = lhs_table.gather(rows)
         else:
@@ -335,12 +385,12 @@ class EmbeddingModel:
         # The identity operator returns its input: the stack is ``raw``.
         x = raw if t_rhs is rhs_raw else np.concatenate((raw[:n_lhs], t_rhs))
         y, saved = comp.prepare_saved(x)
-        a, pa, b, pb = y[:c], y[c:n_lhs], y[n_lhs:n_lhs + c], y[n_lhs + c:]
+        a, pa, b, pb = np.split(y, (n_pos, n_lhs, n_lhs + n_pos))
         pos = comp.score_pairs(a, b)
-        neg_dst = score(a, pb)
-        neg_src = score(b, pa)
-        neg = np.concatenate((neg_dst, neg_src), axis=1)
-        mask = np.concatenate((dst_negs.mask, src_negs.mask), axis=1)
+        neg_dst = score(chunked(a), chunked(pb))
+        neg_src = score(chunked(b), chunked(pa))
+        neg = np.concatenate((neg_dst, neg_src), axis=-1).reshape(n_pos, -1)
+        mask = np.concatenate((dst_negs.mask, src_negs.mask), axis=-1)
 
         # ---- loss ------------------------------------------------------
         weights = (
@@ -349,51 +399,42 @@ class EmbeddingModel:
         rel_weight = cfg.relations[rel_id].weight
         if rel_weight != 1.0:
             weights = (
-                np.full(c, rel_weight, dtype=raw.dtype) if weights is None
+                np.full(n_pos, rel_weight, dtype=raw.dtype) if weights is None
                 else weights * rel_weight
             )
         loss, dpos, dneg = self.loss_fn.forward_backward(
-            pos, neg, mask, weights
+            pos, neg, mask.reshape(neg.shape), weights
         )
-        stats = ChunkStats(
-            loss=loss,
-            num_edges=c,
-            num_negatives=int(np.count_nonzero(mask)),
-            violations=int(np.count_nonzero(dneg)),
-        )
+        stats.loss += loss
+        stats.num_edges += n_pos
+        stats.num_negatives += int(np.count_nonzero(mask))
+        stats.violations += int(np.count_nonzero(dneg))
         if not update:
-            return stats
+            return None
 
         # ---- backward: one gradient buffer laid out like the stack ------
-        kd = neg_dst.shape[1]
+        kd = neg_dst.shape[-1]
+        dneg = dneg.reshape(neg_dst.shape[:-1] + (-1,))
         ga_pos, gb_pos = comp.score_pairs_backward(a, b, dpos)
-        ga_neg, g_pb = score_backward(a, pb, dneg[:, :kd])
-        gb_neg, g_pa = score_backward(b, pa, dneg[:, kd:])
+        ga_neg, g_pb = score_backward(chunked(a), chunked(pb), dneg[..., :kd])
+        gb_neg, g_pa = score_backward(chunked(b), chunked(pa), dneg[..., kd:])
         g = np.empty_like(y)
-        np.add(ga_pos, ga_neg, out=g[:c])
-        g[c:n_lhs] = g_pa
-        np.add(gb_pos, gb_neg, out=g[n_lhs:n_lhs + c])
-        g[n_lhs + c:] = g_pb
+        np.add(ga_pos, ga_neg.reshape(a.shape), out=g[:n_pos])
+        g[n_pos:n_lhs] = g_pa.reshape(pa.shape)
+        np.add(gb_pos, gb_neg.reshape(b.shape), out=g[n_lhs:n_lhs + n_pos])
+        g[n_lhs + n_pos:] = g_pb.reshape(pb.shape)
         g = comp.prepare_backward_saved(y, saved, g)
         g_rhs, g_params = op.backward(rhs_raw, params, g[n_lhs:])
-
-        # ---- updates: one Adagrad step per table, so rows duplicated
-        # across pieces (and sides, for one table) accumulate first ------
         if lhs_table is rhs_table:
             g[n_lhs:] = g_rhs
-            lhs_table.apply_gradients(rows, g, cfg.lr)
-        else:
-            lhs_table.apply_gradients(rows[:n_lhs], g[:n_lhs], cfg.lr)
-            rhs_table.apply_gradients(rows[n_lhs:], g_rhs, cfg.lr)
-        self.rel_optimizers[rel_id].step(
-            params, g_params, cfg.relation_lr_effective
-        )
-        return stats
+            return [(rows, g)], g_params
+        return [(rows[:n_lhs], g[:n_lhs]), (rows[n_lhs:], g_rhs)], g_params
 
 
 def _rowwise_scores(a: np.ndarray, negs: np.ndarray, l2: bool) -> np.ndarray:
     """Unbatched ``score_matrix``: ``a[i]`` against its own ``k`` prepared
     negatives, rows ``i*k .. (i+1)*k`` of ``negs`` — shape ``(c, k)``."""
+    a = a.reshape(-1, a.shape[-1])
     negs = negs.reshape(len(a), -1, a.shape[1])
     scores = np.einsum("cd,ckd->ck", a, negs)
     if l2:
@@ -405,6 +446,7 @@ def _rowwise_scores(a: np.ndarray, negs: np.ndarray, l2: bool) -> np.ndarray:
 
 def _rowwise_scores_backward(a, negs, grad, l2: bool):
     """Gradients of :func:`_rowwise_scores` w.r.t. ``a`` and ``negs``."""
+    a = a.reshape(-1, a.shape[-1])
     negs = negs.reshape(len(a), -1, a.shape[1])
     g_a = np.einsum("ck,ckd->cd", grad, negs)
     if l2:

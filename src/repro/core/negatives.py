@@ -12,14 +12,17 @@ per chunk and side:
 - ``U`` entities sampled uniformly from the correct entity type and the
   active partition.
 
-Scoring a chunk against its pool is one matmul (Figure 3). The mix of
-the two sources realises the paper's α-blend of data-prevalence and
-uniform negatives (α = 0.5 by default via equal counts). Entries of the
-pool that coincide with an edge's true endpoint are *induced positives*
-and are masked out of the loss.
+A chunk is a *negative-sharing group*, nothing more: the gradient step
+belongs to the batch. :func:`sample_pool` draws the pools of all ``n``
+chunks of a batch in one call, ``(n, c)`` entities in and ``(n, k)``
+candidates out, and scoring a chunk against its pool is one matmul
+(Figure 3). The mix of the two sources realises the paper's α-blend of
+data-prevalence and uniform negatives (α = 0.5 by default via equal
+counts). Entries of a pool that coincide with the true endpoint of an
+edge *of its own chunk* are *induced positives*, masked out of the loss.
 
-The unbatched path (independent negatives per edge) is kept for the
-Figure 4 comparison.
+The unbatched path (one pool per edge) is kept for the Figure 4
+comparison.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "NegativePool",
-    "UnbatchedNegatives",
     "sample_pool",
     "sample_unbatched",
     "PrevalenceSampler",
@@ -39,15 +41,17 @@ __all__ = [
 
 @dataclass
 class NegativePool:
-    """A shared candidate pool for one chunk and one corruption side.
+    """Candidate pools for one corruption side.
 
     Attributes
     ----------
     entities:
-        ``(k,)`` candidate entity ids (partition-local offsets).
+        ``(k,)`` candidate entity ids (partition-local offsets) of one
+        chunk; ``(n, k)`` for ``n`` chunks, or per edge when unbatched.
     mask:
-        ``(c, k)`` boolean; ``mask[i, j]`` is False when candidate ``j``
-        equals edge ``i``'s true endpoint (induced positive).
+        ``(c, k)`` boolean, ``(n, c, k)`` for ``n`` chunks;
+        ``mask[..., i, j]`` is False when candidate ``j`` equals edge
+        ``i``'s true endpoint (induced positive) in the same chunk.
     """
 
     entities: np.ndarray
@@ -55,23 +59,7 @@ class NegativePool:
 
     @property
     def num_candidates(self) -> int:
-        return len(self.entities)
-
-
-@dataclass
-class UnbatchedNegatives:
-    """Independent negatives per edge (the expensive baseline).
-
-    Attributes
-    ----------
-    entities:
-        ``(c, k)`` candidate entity ids, one row per edge.
-    mask:
-        ``(c, k)`` boolean validity mask.
-    """
-
-    entities: np.ndarray
-    mask: np.ndarray
+        return self.entities.shape[-1]
 
 
 def sample_pool(
@@ -82,13 +70,14 @@ def sample_pool(
     num_uniform_negs: int,
     rng: np.random.Generator,
 ) -> NegativePool:
-    """Build the shared negative pool for one chunk side.
+    """Build the shared negative pool of each chunk for one side.
 
     Parameters
     ----------
     chunk_entities:
         The chunk's own entities on the corrupted side — the
-        data-distribution reuse pool.
+        data-distribution reuse pool: ``(c,)``, or ``(n, c)`` for a
+        batch of ``n`` chunks (each row its own pool).
     true_entities:
         Each edge's true endpoint on the corrupted side (used for
         masking). For standard corruption this equals
@@ -107,22 +96,21 @@ def sample_pool(
     if num_entities < 1:
         raise ValueError("num_entities must be >= 1")
     parts = []
-    c = len(chunk_entities)
+    *lead, c = chunk_entities.shape
     if num_batch_negs > 0 and c > 0:
         if num_batch_negs == c:
             parts.append(chunk_entities)
         else:
-            parts.append(
-                chunk_entities[rng.integers(0, c, size=num_batch_negs)]
-            )
+            picks = rng.integers(0, c, size=(*lead, num_batch_negs))
+            parts.append(np.take_along_axis(chunk_entities, picks, axis=-1))
     if num_uniform_negs > 0:
-        parts.append(
-            rng.integers(0, num_entities, size=num_uniform_negs, dtype=np.int64)
-        )
+        parts.append(rng.integers(
+            0, num_entities, size=(*lead, num_uniform_negs), dtype=np.int64
+        ))
     if not parts:
         raise ValueError("pool would be empty; need some negatives")
-    entities = np.concatenate(parts)
-    mask = entities[None, :] != true_entities[:, None]
+    entities = np.concatenate(parts, axis=-1)
+    mask = entities[..., None, :] != true_entities[..., :, None]
     return NegativePool(entities=entities, mask=mask)
 
 
@@ -131,8 +119,9 @@ def sample_unbatched(
     num_entities: int,
     num_negs: int,
     rng: np.random.Generator,
-) -> UnbatchedNegatives:
-    """Sample ``num_negs`` independent uniform negatives per edge.
+) -> NegativePool:
+    """Sample ``num_negs`` independent uniform negatives per edge:
+    ``(c, num_negs)`` entities and a mask of the same shape.
 
     This is the memory-bound baseline of Figure 4: every (edge,
     negative) pair costs its own embedding fetch downstream.
@@ -144,7 +133,7 @@ def sample_unbatched(
     c = len(true_entities)
     entities = rng.integers(0, num_entities, size=(c, num_negs), dtype=np.int64)
     mask = entities != true_entities[:, None]
-    return UnbatchedNegatives(entities=entities, mask=mask)
+    return NegativePool(entities=entities, mask=mask)
 
 
 class PrevalenceSampler:

@@ -158,6 +158,8 @@ class DenseAdagrad:
                 f"shape mismatch: params {params.shape}, grads "
                 f"{grads.shape}, state {self.state.shape}"
             )
+        if params.size == 0:  # e.g. the identity operator: nothing to move
+            return
         self.state += (grads * grads).astype(np.float32)
         params -= lr * grads / (np.sqrt(self.state) + self.eps)
 

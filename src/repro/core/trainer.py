@@ -411,21 +411,22 @@ class BucketExecutor:
         self, bucket: Bucket, batch: EdgeList, rng: np.random.Generator
     ) -> ChunkStats:
         stats = ChunkStats()
-        for rel_id, chunk in iterate_chunks(batch, self.config.chunk_size):
+        # One update per same-relation run of the batch; the model splits
+        # the run into chunks, which only share negatives.
+        for rel_id, run in iterate_chunks(batch, self.config.batch_size):
             rel = self.config.relations[rel_id]
             lhs_part = bucket.lhs if self.entities.num_partitions(rel.lhs) > 1 else 0
             rhs_part = bucket.rhs if self.entities.num_partitions(rel.rhs) > 1 else 0
-            lhs_table = self.model.get_table(rel.lhs, lhs_part)
-            rhs_table = self.model.get_table(rel.rhs, rhs_part)
             stats.merge(
                 self.model.forward_backward_chunk(
                     rel_id,
-                    chunk.src,
-                    chunk.dst,
-                    lhs_table,
-                    rhs_table,
+                    run.src,
+                    run.dst,
+                    self.model.get_table(rel.lhs, lhs_part),
+                    self.model.get_table(rel.rhs, rhs_part),
                     rng,
-                    edge_weights=chunk.weights,
+                    edge_weights=run.weights,
+                    chunk_size=self.config.chunk_size,
                 )
             )
         return stats

@@ -104,10 +104,21 @@ class EdgeList:
     def __len__(self) -> int:
         return len(self.src)
 
+    @classmethod
+    def _from_valid(cls, src, rel, dst, weights) -> "EdgeList":
+        """Wrap columns taken from an already validated list: a subset
+        of valid ids and weights needs no second scan."""
+        out = object.__new__(cls)
+        out.src, out.rel, out.dst = map(np.ascontiguousarray, (src, rel, dst))
+        out.weights = None if weights is None else np.ascontiguousarray(weights)
+        return out
+
     def __getitem__(self, index) -> "EdgeList":
         """Slice / fancy-index into a new EdgeList view."""
         weights = self.weights[index] if self.weights is not None else None
-        return EdgeList(self.src[index], self.rel[index], self.dst[index], weights)
+        return EdgeList._from_valid(
+            self.src[index], self.rel[index], self.dst[index], weights
+        )
 
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
         for s, r, d in zip(self.src, self.rel, self.dst):

@@ -60,6 +60,29 @@ class TestOperations:
         e = EdgeList(src, src, src, np.asarray([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(e[1:].weights, [2.0, 3.0])
 
+    def test_getitem_skips_the_validation_scans(self, monkeypatch):
+        """Every batch slices its bucket: a subset of a validated list
+        is valid, so ``[]`` must not go through the constructor — and
+        still hands out contiguous 1-D columns for every index form."""
+        src = np.asarray([0, 1, 2, 3])
+        e = EdgeList(src, src % 2, src[::-1], src + 1.0)
+        indices = [
+            slice(1, 3), slice(None, None, 2), np.asarray([3, 0, 0]), 2,
+        ]
+        public = [
+            EdgeList(e.src[i], e.rel[i], e.dst[i], e.weights[i])
+            for i in indices
+        ]
+        monkeypatch.setattr(
+            EdgeList, "__init__",
+            lambda *a, **k: pytest.fail("slice re-validated its columns"),
+        )
+        for index, want in zip(indices, public):
+            got = e[index]
+            assert got == want
+            for column in (got.src, got.rel, got.dst, got.weights):
+                assert column.ndim == 1 and column.flags.c_contiguous
+
     def test_equality(self):
         assert _edges() == _edges()
         assert _edges() != _edges()[::-1]

@@ -165,7 +165,29 @@ def test_unbatched_backward_matches_numerical(operator, comparator):
     _chunk_gradcheck(operator, comparator, "logistic", disable_batch_negs=True)
 
 
-def _chunk_gradcheck(operator, comparator, loss, disable_batch_negs):
+@pytest.mark.parametrize("num_edges", [6, 7], ids=["whole", "ragged"])
+@pytest.mark.parametrize("operator, comparator, loss, disable_batch_negs", [
+    ("translation", "cos", "logistic", False),
+    ("identity", "dot", "softmax", False),
+    ("complex_diagonal", "l2", "logistic", False),
+    ("diagonal", "cos", "logistic", True),
+])
+def test_batch_backward_matches_numerical(
+    operator, comparator, loss, disable_batch_negs, num_edges
+):
+    """The one update of a three-chunk batch (plus a one-edge ragged
+    tail) is the gradient of the batch's summed loss: entities repeat
+    across chunks, and chunk ``i`` only meets pool ``i``."""
+    src = np.asarray([0, 1, 2, 1, 5, 0, 6])[:num_edges]
+    dst = np.asarray([3, 4, 3, 0, 2, 7, 1])[:num_edges]
+    _chunk_gradcheck(
+        operator, comparator, loss, disable_batch_negs, src, dst, chunk_size=2
+    )
+
+
+def _chunk_gradcheck(operator, comparator, loss, disable_batch_negs,
+                     src=np.asarray([0, 1, 2]), dst=np.asarray([3, 4, 3]),
+                     chunk_size=None):
     config = _config(
         operator=operator, comparator=comparator, loss=loss,
         disable_batch_negs=disable_batch_negs,
@@ -174,8 +196,6 @@ def _chunk_gradcheck(operator, comparator, loss, disable_batch_negs):
     base = _model(config, n=n, seed=5)
     weights0 = base.get_table("node", 0).weights.copy()
     params0 = [p.copy() for p in base.rel_params]
-    src = np.asarray([0, 1, 2])
-    dst = np.asarray([3, 4, 3])
 
     def run(weights, rel_params, update=False, table_cls=DenseEmbeddingTable):
         model = _model(config, n=n, seed=5)
@@ -185,7 +205,7 @@ def _chunk_gradcheck(operator, comparator, loss, disable_batch_negs):
             model.rel_params[i][:] = p
         stats = model.forward_backward_chunk(
             0, src, dst, table, table,
-            np.random.default_rng(99), update=update,
+            np.random.default_rng(99), update=update, chunk_size=chunk_size,
         )
         return stats.loss, model, table
 
@@ -348,7 +368,8 @@ def _reference_chunk_step(model, rel_id, src, dst, lhs, rhs, rng,
     return loss, int(mask.sum())
 
 
-def _oracle_models(operator, comparator, loss, two_tables, rel_weight=1.5):
+def _oracle_models(operator, comparator, loss, two_tables, rel_weight=1.5,
+                   dtype=np.float64, **config_kw):
     """Two identical float64 models; ``num_batch_negs`` is 5, the size
     of the oracle tests' full chunk."""
     config = ConfigSchema(
@@ -358,13 +379,13 @@ def _oracle_models(operator, comparator, loss, two_tables, rel_weight=1.5):
             operator=operator, weight=rel_weight,
         )],
         dimension=6, comparator=comparator, loss=loss, margin=0.2,
-        num_batch_negs=5, num_uniform_negs=4, lr=0.05,
+        **{**dict(num_batch_negs=5, num_uniform_negs=4, lr=0.05), **config_kw},
     )
     models = []
     for _ in range(2):
         model = EmbeddingModel(
             config, EntityStorage({"a": 9, "b": 11}),
-            np.random.default_rng(3), np.float64,
+            np.random.default_rng(3), dtype,
         )
         model.init_all_partitions(np.random.default_rng(4))
         # Off the near-identity initialisation, so every operator's
@@ -478,6 +499,404 @@ def test_unit_weights_take_the_unweighted_loss_path(loss):
     assert seen == [None]
     assert (stats.loss, stats.num_negatives) == (ref_loss, ref_negatives)
     _assert_same_training_state(stacked, reference, initial)
+
+
+# ----------------------------------------------------------------------
+# The batch step: one chunk ≡ the parent's chunk step, n chunks ≡ its
+# per-chunk gradients accumulated and applied once
+# ----------------------------------------------------------------------
+
+
+def _parent_rowwise_scores(a, negs, l2):
+    negs = negs.reshape(len(a), -1, a.shape[1])
+    scores = np.einsum("cd,ckd->ck", a, negs)
+    if l2:
+        sq_a = np.einsum("cd,cd->c", a, a)[:, None]
+        scores = 2.0 * scores - sq_a - np.einsum("ckd,ckd->ck", negs, negs)
+    return scores
+
+
+def _parent_rowwise_scores_backward(a, negs, grad, l2):
+    negs = negs.reshape(len(a), -1, a.shape[1])
+    g_a = np.einsum("ck,ckd->cd", grad, negs)
+    if l2:
+        g_a = 2.0 * g_a - 2.0 * grad.sum(axis=1)[:, None] * a
+        g_negs = 2.0 * grad[:, :, None] * (a[:, None, :] - negs)
+    else:
+        g_negs = grad[:, :, None] * a[:, None, :]
+    return g_a, g_negs.reshape(-1, a.shape[1])
+
+
+def _parent_chunk_grads(model, rel_id, src_rows, dst_rows, lhs_table,
+                        rhs_table, rng, edge_weights=None, pools=None):
+    """The chunk step as it stood before the batch became the unit of
+    the update (one chunk, one stack, 2-D matmuls), frozen here up to
+    its updates: returns ``(stats, [(table, rows, grads), ...],
+    g_params)``. ``pools`` replaces the sampling with given
+    ``(dst_negs, src_negs)``."""
+    from functools import partial
+
+    from repro.core.model import ChunkStats
+    from repro.core.negatives import sample_pool, sample_unbatched
+
+    cfg = model.config
+    op = model.operators[rel_id]
+    params = model.rel_params[rel_id]
+    comp = model.comparator
+    c = len(src_rows)
+    score, score_backward = comp.score_matrix, comp.score_matrix_backward
+    if cfg.disable_batch_negs:
+        k = cfg.num_batch_negs + cfg.num_uniform_negs
+        dst_negs = sample_unbatched(dst_rows, rhs_table.num_rows, k, rng)
+        src_negs = sample_unbatched(src_rows, lhs_table.num_rows, k, rng)
+        l2 = cfg.comparator == "l2"
+        score = partial(_parent_rowwise_scores, l2=l2)
+        score_backward = partial(_parent_rowwise_scores_backward, l2=l2)
+    elif pools is not None:
+        dst_negs, src_negs = pools
+    else:
+        dst_negs = sample_pool(
+            dst_rows, dst_rows, rhs_table.num_rows,
+            cfg.num_batch_negs, cfg.num_uniform_negs, rng,
+        )
+        src_negs = sample_pool(
+            src_rows, src_rows, lhs_table.num_rows,
+            cfg.num_batch_negs, cfg.num_uniform_negs, rng,
+        )
+
+    rows = np.concatenate((
+        src_rows, src_negs.entities.ravel(),
+        dst_rows, dst_negs.entities.ravel(),
+    ))
+    n_lhs = c + src_negs.entities.size
+    if lhs_table is rhs_table:
+        raw = lhs_table.gather(rows)
+    else:
+        raw = np.concatenate((
+            lhs_table.gather(rows[:n_lhs]), rhs_table.gather(rows[n_lhs:])
+        ))
+    rhs_raw = raw[n_lhs:]
+    t_rhs = op.forward(rhs_raw, params)
+    x = raw if t_rhs is rhs_raw else np.concatenate((raw[:n_lhs], t_rhs))
+    y, saved = comp.prepare_saved(x)
+    a, pa, b, pb = y[:c], y[c:n_lhs], y[n_lhs:n_lhs + c], y[n_lhs + c:]
+    pos = comp.score_pairs(a, b)
+    neg_dst = score(a, pb)
+    neg_src = score(b, pa)
+    neg = np.concatenate((neg_dst, neg_src), axis=1)
+    mask = np.concatenate((dst_negs.mask, src_negs.mask), axis=1)
+
+    weights = (
+        None if edge_weights is None else edge_weights.astype(raw.dtype)
+    )
+    rel_weight = cfg.relations[rel_id].weight
+    if rel_weight != 1.0:
+        weights = (
+            np.full(c, rel_weight, dtype=raw.dtype) if weights is None
+            else weights * rel_weight
+        )
+    loss, dpos, dneg = model.loss_fn.forward_backward(pos, neg, mask, weights)
+    stats = ChunkStats(
+        loss=loss,
+        num_edges=c,
+        num_negatives=int(np.count_nonzero(mask)),
+        violations=int(np.count_nonzero(dneg)),
+    )
+
+    kd = neg_dst.shape[1]
+    ga_pos, gb_pos = comp.score_pairs_backward(a, b, dpos)
+    ga_neg, g_pb = score_backward(a, pb, dneg[:, :kd])
+    gb_neg, g_pa = score_backward(b, pa, dneg[:, kd:])
+    g = np.empty_like(y)
+    np.add(ga_pos, ga_neg, out=g[:c])
+    g[c:n_lhs] = g_pa
+    np.add(gb_pos, gb_neg, out=g[n_lhs:n_lhs + c])
+    g[n_lhs + c:] = g_pb
+    g = comp.prepare_backward_saved(y, saved, g)
+    g_rhs, g_params = op.backward(rhs_raw, params, g[n_lhs:])
+    if lhs_table is rhs_table:
+        g[n_lhs:] = g_rhs
+        return stats, [(lhs_table, rows, g)], g_params
+    return stats, [
+        (lhs_table, rows[:n_lhs], g[:n_lhs]), (rhs_table, rows[n_lhs:], g_rhs)
+    ], g_params
+
+
+def _apply_once(model, rel_id, updates, g_params):
+    """One Adagrad step per table over everything in ``updates``, and
+    one step of the relation's parameters."""
+    tables = {id(table): table for table, _, _ in updates}
+    for key, table in tables.items():
+        mine = [(r, g) for t, r, g in updates if id(t) == key]
+        table.apply_gradients(
+            np.concatenate([r for r, _ in mine]),
+            np.concatenate([g for _, g in mine]), model.config.lr,
+        )
+    model.rel_optimizers[rel_id].step(
+        model.rel_params[rel_id], g_params,
+        model.config.relation_lr_effective,
+    )
+
+
+def _parent_chunk_step(model, rel_id, src, dst, lhs, rhs, rng,
+                       edge_weights=None):
+    """The parent's whole chunk step: gradients, then its updates."""
+    stats, updates, g_params = _parent_chunk_grads(
+        model, rel_id, src, dst, lhs, rhs, rng, edge_weights
+    )
+    _apply_once(model, rel_id, updates, g_params)
+    return stats
+
+
+def _reference_batch_step(model, rel_id, src, dst, lhs, rhs, rng,
+                          edge_weights, chunk_size):
+    """Per-chunk gradients at frozen weights, accumulated, applied once.
+
+    Draws the pools as the batch step does — all whole chunks of a side
+    in one ``sample_pool`` call, the ragged last chunk after them — and
+    hands chunk ``i`` its own pool and its own mask rows; everything
+    else is the parent's one-chunk arithmetic, chunk after chunk.
+    """
+    from repro.core.model import ChunkStats
+    from repro.core.negatives import NegativePool, sample_pool
+
+    cfg = model.config
+    m = len(src)
+    full = m - m % chunk_size
+    total, updates, g_params = ChunkStats(), [], 0.0
+    for lo, hi, width in ((0, full, chunk_size), (full, m, m - full)):
+        if lo == hi:
+            continue
+        src_block = src[lo:hi].reshape(-1, width)
+        dst_block = dst[lo:hi].reshape(-1, width)
+        pools = [None] * len(src_block)
+        if not cfg.disable_batch_negs:
+            sides = [
+                sample_pool(block, block, table.num_rows, cfg.num_batch_negs,
+                            cfg.num_uniform_negs, rng)
+                for block, table in ((dst_block, rhs), (src_block, lhs))
+            ]
+            pools = [
+                tuple(NegativePool(s.entities[i], s.mask[i]) for s in sides)
+                for i in range(len(src_block))
+            ]
+        for i, pool in enumerate(pools):
+            at = slice(lo + i * width, lo + (i + 1) * width)
+            stats, chunk_updates, chunk_g_params = _parent_chunk_grads(
+                model, rel_id, src[at], dst[at], lhs, rhs, rng,
+                None if edge_weights is None else edge_weights[at], pool,
+            )
+            total.merge(stats)
+            updates += chunk_updates
+            g_params = g_params + chunk_g_params
+    _apply_once(model, rel_id, updates, g_params)
+    return total
+
+
+def _training_arrays(model):
+    arrays = [model.rel_params[0], model.rel_optimizers[0].state]
+    for key in model.resident_tables():
+        table = model.get_table(*key)
+        arrays += [table.weights, table.optimizer.state,
+                   table.dirty_row_indices()]
+    return arrays
+
+
+@pytest.mark.parametrize("disable_batch_negs", [False, True],
+                         ids=["batched", "unbatched"])
+@pytest.mark.parametrize("two_tables", [False, True], ids=["same", "two"])
+@pytest.mark.parametrize("operator", ["identity", "translation"])
+@pytest.mark.parametrize("comparator", ["cos", "dot"])
+def test_one_chunk_call_is_the_parent_chunk_step_bit_for_bit(
+    comparator, operator, two_tables, disable_batch_negs
+):
+    """float32, five steps, alternating a full chunk (its own pool)
+    with a short one (pool drawn with replacement) and weighted with
+    unweighted edges: weights, Adagrad state, relation parameters,
+    dirty rows, statistics and RNG position equal to the last bit —
+    whether the call names no ``chunk_size`` or one it does not reach."""
+    batch, parent = _oracle_models(
+        operator, comparator, "ranking", two_tables, rel_weight=1.0,
+        dtype=np.float32, disable_batch_negs=disable_batch_negs,
+    )
+    rhs_type = "b" if two_tables else "a"
+    rng_b, rng_p = np.random.default_rng(11), np.random.default_rng(11)
+    draw = np.random.default_rng(12)
+    for step in range(5):
+        c = 5 if step % 2 == 0 else 3
+        src, dst = draw.integers(0, 9, c), draw.integers(0, 9, c)
+        edge_weights = draw.random(c) + 0.5 if step % 2 else None
+        got = batch.forward_backward_chunk(
+            0, src, dst, batch.get_table("a", 0), batch.get_table(rhs_type, 0),
+            rng_b, edge_weights=edge_weights,
+            chunk_size=None if step < 3 else 5,
+        )
+        want = _parent_chunk_step(
+            parent, 0, src, dst, parent.get_table("a", 0),
+            parent.get_table(rhs_type, 0), rng_p, edge_weights,
+        )
+        assert got == want
+        assert got.loss > 0
+    assert rng_b.random() == rng_p.random()
+    for got, want in zip(_training_arrays(batch), _training_arrays(parent)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("num_edges", [15, 17], ids=["whole", "ragged"])
+@pytest.mark.parametrize("two_tables", [False, True], ids=["same", "two"])
+@pytest.mark.parametrize("operator, comparator, loss, config_kw", [
+    ("identity", "cos", "ranking", {}),
+    ("translation", "dot", "ranking", {}),
+    ("complex_diagonal", "dot", "softmax", {"num_batch_negs": 3}),
+    ("linear", "l2", "logistic", {"num_batch_negs": 3}),
+    ("affine", "cos", "logistic", {"disable_batch_negs": True}),
+])
+def test_batch_step_is_accumulated_chunk_gradients_applied_once(
+    operator, comparator, loss, config_kw, two_tables, num_edges
+):
+    """Chunks of 5 over 9 source rows: every row repeats across chunks.
+    Two consecutive batches, so the second meets non-zero state."""
+    batch, reference = _oracle_models(
+        operator, comparator, loss, two_tables, **config_kw
+    )
+    initial = _table_weights(batch)
+    rhs_type = "b" if two_tables else "a"
+    rng_b, rng_r = np.random.default_rng(11), np.random.default_rng(11)
+    draw = np.random.default_rng(12)
+    for step in range(2):
+        src = draw.integers(0, 9, num_edges)
+        dst = draw.integers(0, 9, num_edges)
+        edge_weights = draw.random(num_edges) + 0.5 if step else None
+        got = batch.forward_backward_chunk(
+            0, src, dst, batch.get_table("a", 0), batch.get_table(rhs_type, 0),
+            rng_b, edge_weights=edge_weights, chunk_size=5,
+        )
+        want = _reference_batch_step(
+            reference, 0, src, dst, reference.get_table("a", 0),
+            reference.get_table(rhs_type, 0), rng_r, edge_weights, 5,
+        )
+        assert got.loss == pytest.approx(want.loss, rel=1e-12, abs=1e-12)
+        assert (got.num_edges, got.num_negatives, got.violations) == (
+            num_edges, want.num_negatives, want.violations
+        )
+    assert rng_b.random() == rng_r.random()  # same number of draws
+    _assert_same_training_state(batch, reference, initial)
+
+
+class TestBatchIsTheUnitOfTheUpdate:
+    SRC = np.asarray([0, 1, 2, 0, 3, 4, 0])  # row 0: chunks 0, 1 and the tail
+    DST = np.asarray([5, 6, 7, 8, 5, 6, 7])
+
+    def _spied(self, monkeypatch, model):
+        calls = {"tables": [], "relation": 0}
+        original = DenseEmbeddingTable.apply_gradients
+
+        def apply_gradients(table, rows, grads, lr):
+            calls["tables"].append((table, rows.copy(), grads.copy()))
+            original(table, rows, grads, lr)
+
+        monkeypatch.setattr(
+            DenseEmbeddingTable, "apply_gradients", apply_gradients
+        )
+        step = model.rel_optimizers[0].step
+
+        def relation_step(*args):
+            calls["relation"] += 1
+            step(*args)
+
+        model.rel_optimizers[0].step = relation_step
+        return calls
+
+    @pytest.mark.parametrize("disable_batch_negs", [False, True])
+    @pytest.mark.parametrize("two_tables", [False, True])
+    def test_one_update_per_table_and_one_state_increment_per_row(
+        self, monkeypatch, two_tables, disable_batch_negs
+    ):
+        model, _ = _oracle_models(
+            "translation", "cos", "logistic", two_tables,
+            num_batch_negs=3, disable_batch_negs=disable_batch_negs,
+        )
+        lhs = model.get_table("a", 0)
+        rhs = model.get_table("b" if two_tables else "a", 0)
+        calls = self._spied(monkeypatch, model)
+        model.forward_backward_chunk(
+            0, self.SRC, self.DST, lhs, rhs, np.random.default_rng(0),
+            chunk_size=3,
+        )
+        assert [t for t, _, _ in calls["tables"]] == (
+            [lhs, rhs] if two_tables else [lhs]
+        )
+        assert calls["relation"] == 1
+        # Row 0's accumulator holds the square of its *summed* gradient:
+        # one increment, not one per chunk it appeared in.
+        _, rows, grads = calls["tables"][0]
+        assert (rows == 0).sum() >= 3
+        summed = grads[rows == 0].sum(axis=0)
+        assert lhs.optimizer.state[0] == np.float32(np.mean(summed * summed))
+        per_chunk = sum(np.mean(g * g) for g in grads[rows == 0])
+        assert lhs.optimizer.state[0] != pytest.approx(per_chunk, rel=1e-3)
+
+    @pytest.mark.parametrize("disable_batch_negs", [False, True])
+    def test_update_false_touches_nothing(
+        self, monkeypatch, disable_batch_negs
+    ):
+        model, twin = _oracle_models(
+            "translation", "cos", "logistic", True,
+            disable_batch_negs=disable_batch_negs,
+        )
+        calls = self._spied(monkeypatch, model)
+        stats = model.forward_backward_chunk(
+            0, self.SRC, self.DST, model.get_table("a", 0),
+            model.get_table("b", 0), np.random.default_rng(0),
+            update=False, chunk_size=3,
+        )
+        assert stats.num_edges == 7 and stats.loss > 0
+        assert calls == {"tables": [], "relation": 0}
+        for got, want in zip(_training_arrays(model), _training_arrays(twin)):
+            np.testing.assert_array_equal(got, want)
+        # ... and reports the loss the updating call starts from.
+        assert stats == twin.forward_backward_chunk(
+            0, self.SRC, self.DST, twin.get_table("a", 0),
+            twin.get_table("b", 0), np.random.default_rng(0), chunk_size=3,
+        )
+
+    def test_mixed_relation_batch_is_one_update_per_relation(
+        self, monkeypatch
+    ):
+        """The trainer hands each same-relation run of a batch to the
+        model whole, with the configured chunk size."""
+        from repro.core.trainer import BucketExecutor
+        from repro.graph.buckets import Bucket
+        from repro.graph.edgelist import EdgeList
+
+        config = _config(
+            operator="translation", loss="logistic", batch_size=40,
+            chunk_size=4,
+        )
+        model = _model(config, n=12, dtype=np.float32)
+        calls = self._spied(monkeypatch, model)
+        seen = []
+        original = EmbeddingModel.forward_backward_chunk
+
+        def recording(self_, rel_id, src, dst, *args, **kwargs):
+            seen.append((rel_id, len(src), kwargs["chunk_size"]))
+            return original(self_, rel_id, src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(
+            EmbeddingModel, "forward_backward_chunk", recording
+        )
+        rng = np.random.default_rng(0)
+        batch = EdgeList(
+            rng.integers(0, 12, 30), np.arange(30) % 2, rng.integers(0, 12, 30)
+        )
+        executor = BucketExecutor(
+            config, model, model.entities, rng, pipeline=None
+        )
+        stats = executor._train_batch(Bucket(0, 0), batch, rng)
+        assert seen == [(0, 15, 4), (1, 15, 4)]
+        assert stats.num_edges == 30
+        assert len(calls["tables"]) == 2  # one table, one update per run
 
 
 class TestChunkBehaviour:

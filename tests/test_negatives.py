@@ -89,6 +89,87 @@ class TestSamplePool:
         np.testing.assert_array_equal(pool.mask, expect)
 
 
+class TestSamplePoolPerChunkOfABatch:
+    """``(n, c)`` entities in: one pool per row, drawn in one call."""
+
+    def test_shapes(self):
+        chunks = np.arange(12).reshape(3, 4)
+        pool = sample_pool(chunks, chunks, 50, 2, 5, np.random.default_rng(0))
+        assert pool.entities.shape == (3, 7)
+        assert pool.mask.shape == (3, 4, 7)
+        assert pool.num_candidates == 7
+
+    @pytest.mark.parametrize("num_batch_negs", [4, 6], ids=["reuse", "draw"])
+    def test_one_chunk_is_the_flat_call(self, num_batch_negs):
+        """Same values from the same stream: what keeps a one-chunk
+        batch step bit-identical to a chunk step."""
+        chunk = np.asarray([3, 1, 4, 1])
+        rng_flat, rng_batch = np.random.default_rng(5), np.random.default_rng(5)
+        flat = sample_pool(chunk, chunk, 9, num_batch_negs, 5, rng_flat)
+        batch = sample_pool(
+            chunk[None], chunk[None], 9, num_batch_negs, 5, rng_batch
+        )
+        np.testing.assert_array_equal(batch.entities, flat.entities[None])
+        np.testing.assert_array_equal(batch.mask, flat.mask[None])
+        assert rng_flat.random() == rng_batch.random()
+
+    def test_reused_chunks_are_the_stacked_flat_calls(self):
+        """With the chunk as its own pool only the uniform draws use the
+        stream, and ``(n, u)`` of them are ``n`` draws of ``u``."""
+        rng = np.random.default_rng(1)
+        chunks = rng.integers(0, 20, size=(4, 3))
+        rng_flat, rng_batch = np.random.default_rng(2), np.random.default_rng(2)
+        batch = sample_pool(chunks, chunks, 20, 3, 6, rng_batch)
+        for i, chunk in enumerate(chunks):
+            flat = sample_pool(chunk, chunk, 20, 3, 6, rng_flat)
+            np.testing.assert_array_equal(batch.entities[i], flat.entities)
+            np.testing.assert_array_equal(batch.mask[i], flat.mask)
+
+    def test_batch_negatives_come_from_the_own_chunk(self):
+        chunks = np.asarray([[10, 11, 12], [20, 21, 22]])
+        pool = sample_pool(chunks, chunks, 100, 8, 0, np.random.default_rng(3))
+        assert set(pool.entities[0].tolist()) <= {10, 11, 12}
+        assert set(pool.entities[1].tolist()) <= {20, 21, 22}
+
+    def test_induced_positives_are_masked_within_their_chunk_only(self):
+        """Entity 8 ends an edge of both chunks; entity 7 only of the
+        first. In the second chunk's pool a 7 is an ordinary negative."""
+        chunks = np.asarray([[7, 8], [8, 9]])
+        rng = np.random.default_rng(4)
+        pool = sample_pool(chunks, chunks, 10, 2, 0, rng)
+        np.testing.assert_array_equal(pool.entities, chunks)
+        np.testing.assert_array_equal(
+            pool.mask, np.stack([~np.eye(2, dtype=bool)] * 2)
+        )
+        # Now with uniform candidates that collide across chunks.
+        pool = sample_pool(chunks, chunks, 10, 0, 200, rng)
+        for i in range(2):
+            other = np.setdiff1d(chunks[1 - i], chunks[i])
+            hits = np.isin(pool.entities[i], other)
+            assert hits.any()
+            assert pool.mask[i][:, hits].all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        c=st.integers(1, 6),
+        nb=st.integers(0, 8),
+        nu=st.integers(0, 8),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_mask_correctness_property(self, n, c, nb, nu, seed):
+        """mask[i, e, j] is False exactly when pool[i, j] == truth[i, e]."""
+        if nb == 0 and nu == 0:
+            return
+        rng = np.random.default_rng(seed)
+        chunks = rng.integers(0, 12, size=(n, c))
+        pool = sample_pool(chunks, chunks, 12, nb, nu, rng)
+        for i in range(n):
+            np.testing.assert_array_equal(
+                pool.mask[i], pool.entities[i][None, :] != chunks[i][:, None]
+            )
+
+
 class TestSampleUnbatched:
     def test_shapes(self):
         rng = np.random.default_rng(0)

@@ -211,6 +211,17 @@ class TestDenseAdagrad:
         with pytest.raises(ValueError):
             opt.step(np.zeros((2, 2)), np.zeros((3, 2)), lr=0.1)
 
+    def test_empty_parameter_is_checked_but_not_stepped(self):
+        """The identity operator's ``(0,)`` parameter: a step per batch
+        for nothing, but a wrong shape or rate is still an error."""
+        opt = DenseAdagrad((0,))
+        opt.step(np.zeros(0), np.zeros(0), lr=0.1)
+        assert opt.state.shape == (0,)
+        with pytest.raises(ValueError):
+            opt.step(np.zeros(0), np.zeros(3), lr=0.1)
+        with pytest.raises(ValueError):
+            opt.step(np.zeros(0), np.zeros(0), lr=0.0)
+
     def test_converges_on_quadratic(self):
         """Adagrad on f(x) = ||x - t||² reaches the target."""
         opt = DenseAdagrad((4,))

@@ -15,10 +15,9 @@ PBG's distributed mode combines three services:
   background thread per trainer.
 
 :mod:`~repro.distributed.cluster` wires these into a multi-machine
-trainer where each "machine" is a worker thread with private parameter
-copies — transfers are real array copies, so staleness, locking and
-occupancy effects are faithfully exercised; only the transport is
-in-process.
+trainer where each "machine" is a thread or a process with private
+parameter copies, so staleness, locking and occupancy effects are
+faithfully exercised; partitions cross between them encoded.
 
 Each machine drives the single-machine trainer's bucket loop
 (:class:`~repro.core.trainer.BucketExecutor`) over the same

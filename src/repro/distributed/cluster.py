@@ -13,14 +13,14 @@ Each "machine" runs the paper's per-bucket protocol (Figure 2):
 Two transports are provided:
 
 - ``mode="thread"`` — machines are threads with private parameter
-  copies (transfers deep-copy arrays). Deterministic-ish and cheap;
+  copies (encode/decode copy). Deterministic-ish and cheap;
   used by tests. Python's GIL serialises compute, so wallclock does
   not shrink with machines in this mode.
 - ``mode="process"`` — machines are OS processes; the three servers are
   hosted by a ``multiprocessing`` manager and accessed through proxies,
-  so every transfer really crosses a process boundary (pickled arrays —
-  an honest stand-in for the paper's TCP transport). This is the mode
-  the scaling benchmarks use: compute parallelism is real.
+  so every transfer really crosses a process boundary (pickled encoded
+  payloads — an honest stand-in for the paper's TCP transport). The
+  scaling benchmarks use this mode: compute parallelism is real.
 
 In both modes the caller is the coordinator: workers meet a barrier at
 each epoch end; the coordinator flushes learning-curve evaluations,
@@ -77,12 +77,13 @@ Compressed transport
 
 All partition-server traffic goes through
 :class:`~repro.distributed.partition_server.PartitionServerStorage`,
-which speaks the server's configured partition codec
-(``config.partition_compression``) and, with ``config.writeback_delta``,
-pushes dirty-row deltas instead of whole partitions — applied
-server-side under the per-key version check, with stale deltas
-degrading to full pushes. Since PR 2's NIC model charges bytes as
-wall-clock, both knobs convert directly into shorter swap stalls.
+which owns the codec (``config.partition_compression``): it encodes
+what a machine pushes — with ``config.writeback_delta`` only the dirty
+rows — and decodes what it fetches, so encoded payloads are what cross
+the thread or process boundary and what the server hosts and patches.
+Stale deltas degrade to full pushes. The coordinator assembles models
+through the same adapter; a shared-parameter sync is one
+``ParameterServer.sync`` call.
 """
 
 from __future__ import annotations
@@ -144,10 +145,10 @@ class MachineStats:
     absorbed off the critical path (total adapter I/O seconds minus the
     swap/flush time still paid inline).
 
-    The wire block accounts this machine's partition-server traffic in
-    *encoded* bytes; ``wire_bytes_saved`` is how many fp32 bytes the
-    codec and delta writeback avoided moving (at a fixed simulated
-    bandwidth, directly wall-clock saved). ``delta_pushes`` counts
+    The wire block is this machine's partition-server traffic in
+    *encoded* bytes, read off the payloads that crossed;
+    ``wire_bytes_saved`` is how many fp32 bytes the codec and delta
+    writeback avoided moving. ``delta_pushes`` counts
     dirty-row writebacks that applied server-side; ``delta_fallbacks``
     counts deltas rejected as stale and degraded to full pushes.
     """
@@ -336,8 +337,8 @@ def _machine_main(
             sync_interval=cfg.parameter_sync_interval,
         )
         client.initial_sync()
-        # The adapter applies the server's codec accounting, tracks
-        # baseline versions for delta writeback, and guards decoded dtypes.
+        # The adapter runs the server's codec, counts wire bytes, tracks
+        # delta baselines and guards decoded dtypes.
         backend = PartitionServerStorage(
             partition_server, use_delta=cfg.writeback_delta
         )
@@ -694,9 +695,12 @@ class DistributedTrainer:
         )
         for t in self._unpartitioned_types:
             model.init_partition(t, 0, np.random.default_rng(self.seed))
+        backend = PartitionServerStorage(self.partition_server)
         for entity_type, part in self.partition_server.keys():
-            entry = self.partition_server.get(entity_type, part)
-            model.set_table(entity_type, part, DenseEmbeddingTable(*entry))
+            model.set_table(
+                entity_type, part,
+                DenseEmbeddingTable(*backend.load(entity_type, part)),
+            )
         # Any never-stored partitions (untrained) get fresh tables.
         for t in self._partitioned_types:
             for p in range(self.entities.num_partitions(t)):
@@ -704,10 +708,9 @@ class DistributedTrainer:
                     model.init_partition(
                         t, p, np.random.default_rng(self.seed)
                     )
-        shared = {
-            name: self.parameter_server.pull(name)
-            for name in self.parameter_server.names()
-        }
+        shared = self.parameter_server.sync(
+            dict.fromkeys(self.parameter_server.names())
+        )
         model.set_shared_params(shared)
         for t in self._unpartitioned_types:
             key = f"table_{t}"

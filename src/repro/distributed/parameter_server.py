@@ -14,7 +14,9 @@ parameter-server semantics).
 :class:`SharedParameterClient` packages the per-trainer sync protocol:
 ``maybe_sync`` is called every batch; every ``sync_interval`` batches it
 pushes ``local - base`` and pulls, setting ``base`` to the new server
-value. Tests drive it synchronously; the cluster trainer calls it from
+value — in one :meth:`ParameterServer.sync` call: one manager round
+trip however many parameters. Tests drive it synchronously; the
+cluster trainer calls it from
 each machine's training loop (the paper uses a dedicated thread — the
 effect on parameter staleness is the same, a bounded number of batches
 between syncs).
@@ -88,6 +90,18 @@ class ParameterServer:
             self.stats.pushes += 1
             self.stats.bytes_transferred += delta.nbytes
 
+    def sync(
+        self, deltas: "dict[str, np.ndarray | None]"
+    ) -> "dict[str, np.ndarray]":
+        """A client's whole sync in one call: per name ``push_delta``
+        (unless None) then ``pull``, each locked and counted as such."""
+        values = {}
+        for name, delta in deltas.items():
+            if delta is not None:
+                self.push_delta(name, delta)
+            values[name] = self.pull(name)
+        return values
+
     def names(self) -> "list[str]":
         out = []
         for lock, store in zip(self._locks, self._stores):
@@ -128,28 +142,30 @@ class SharedParameterClient:
         self._base: "dict[str, np.ndarray]" = {}
         self.syncs = 0
 
+    def _exchange(self, deltas: "dict[str, np.ndarray | None]") -> None:
+        """One round trip; the answer becomes local and base."""
+        pulled = self.server.sync(deltas)
+        self.set_params(pulled)
+        self._base = {k: v.copy() for k, v in pulled.items()}
+
     def initial_sync(self) -> None:
         """Register local values, then adopt the server's state."""
         local = self.get_params()
         for name, value in local.items():
             self.server.register(name, value)
-        pulled = {name: self.server.pull(name) for name in local}
-        self.set_params(pulled)
-        self._base = {k: v.copy() for k, v in pulled.items()}
+        self._exchange(dict.fromkeys(local))
 
     def maybe_sync(self, force: bool = False) -> bool:
         """Push local deltas and pull fresh values every Nth call."""
         self._counter += 1
         if not force and self._counter % self.sync_interval:
             return False
-        local = self.get_params()
-        pulled = {}
-        for name, value in local.items():
-            delta = value - self._base[name]
-            if np.any(delta):
-                self.server.push_delta(name, delta)
-            pulled[name] = self.server.pull(name)
-        self.set_params(pulled)
-        self._base = {k: v.copy() for k, v in pulled.items()}
+        deltas = {
+            name: value - self._base[name]
+            for name, value in self.get_params().items()
+        }
+        self._exchange(
+            {k: d if np.any(d) else None for k, d in deltas.items()}
+        )
         self.syncs += 1
         return True

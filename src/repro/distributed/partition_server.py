@@ -5,28 +5,32 @@ server sharded across the ``N`` training machines; a trainer fetches
 the (often multi-GB) source and destination partitions of its next
 bucket and pushes back the partitions it no longer needs.
 
-In this simulation, shards are per-machine in-memory stores behind
-locks, and every get/put deep-copies its arrays — machines therefore
-never alias each other's parameters, so transfer semantics (and an
-optional bandwidth model) are faithful; only the wire is missing.
+What crosses the server boundary is the *wire format*: an encoded
+payload of :mod:`repro.graph.compression`. The codec runs at the client
+(:class:`PartitionServerStorage`, one per machine, encodes what it
+pushes and decodes what it fetches); :class:`PartitionServer` stores
+and ships payloads verbatim, so through a manager proxy (process mode)
+the pickled bytes *are* the encoded bytes and hosted memory is encoded
+memory. Since the server does not build what it stores, ``put`` and
+``put_delta`` validate first and raise :class:`PayloadError` before
+mutating anything. Nothing aliases: ``encode`` and ``decode`` allocate
+fresh arrays, and a stored payload is replaced wholesale, never written
+to, so a reference from ``get_versioned`` (thread mode) stays whole.
 
-The bandwidth model treats each shard's NIC as a *shared* device:
-concurrent transfers against the same shard queue behind one another
-(``nic_free_at`` tracks when the device frees up), so N simultaneous
-fetches take ~N× one fetch rather than all completing in parallel —
-the contention a real sharded server exhibits. Every ``put`` bumps a
-per-key version counter; :class:`PartitionServerStorage` records the
+Every ``put`` bumps a per-key version counter; the adapter records the
 version it observed so pipelined trainers can detect that a staged
 (prefetched) copy went stale because another machine pushed an update
-in the meantime.
+in the meantime. ``put_delta`` takes a dirty-row writeback delta under
+the same version check — one computed against a stale version is
+rejected and the caller degrades to a full push — and applies it as a
+copy-on-write *row patch of the stored encoded arrays*: every codec
+encodes rows independently, so this is bitwise what decode, scatter,
+re-encode would give, without touching the other rows.
 
-Transfers are compressed with a partition codec
-(:mod:`repro.graph.compression`): shards hold the *encoded* payload
-(so hosted memory shrinks too), the NIC model charges encoded bytes,
-and :meth:`PartitionServer.put_delta` accepts dirty-row writeback
-deltas applied under the per-key version check — a delta computed
-against a stale version is rejected and the caller degrades to a full
-push.
+The optional bandwidth model (thread mode) treats each shard's NIC as
+a *shared* device: concurrent transfers against one shard queue behind
+one another (``nic_free_at``), so N simultaneous fetches take ~N x one
+fetch. It is charged ``payload_nbytes``, the bytes that really move.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
     "PartitionServerStats",
     "PartitionServerStorage",
     "CodecDriftError",
+    "PayloadError",
 ]
 
 
@@ -60,15 +65,19 @@ class CodecDriftError(RuntimeError):
     """
 
 
+class PayloadError(ValueError):
+    """The server was handed a payload it must not store (foreign codec
+    marker, ragged arrays, a delta that does not fit the partition)."""
+
+
 @dataclass
 class PartitionServerStats:
     """Transfer counters, per server.
 
     ``gets`` counts every fetch attempt — including ones that return
     None (``misses``) — so hit rates can be derived; bytes accrue only
-    for transfers that actually moved data, and are *encoded* (on-wire)
-    bytes under a non-trivial codec — ``bytes_saved`` accumulates how
-    many fp32 bytes the codec and delta writeback avoided moving.
+    for transfers that actually moved data, and are *encoded* bytes —
+    ``bytes_saved`` is how many fp32 bytes codec and deltas avoided.
     ``simulated_transfer_seconds`` is the pure bytes/bandwidth cost;
     ``simulated_queue_seconds`` is the extra time transfers spent
     waiting for a busy shard NIC. ``delta_puts`` / ``delta_stale``
@@ -95,13 +104,18 @@ class _Shard:
         default_factory=dict
     )
     versions: "dict[tuple[str, int], int]" = field(default_factory=dict)
+    #: encoded bytes hosted (running sum over ``store``)
+    nbytes: int = 0
     #: monotonic timestamp at which this shard's simulated NIC is free
     nic_free_at: float = 0.0
 
 
-def _raw_nbytes(num_rows: int, dim: int) -> int:
-    """fp32 bytes of a full partition — the uncompressed baseline."""
-    return compression.wire_nbytes("none", num_rows, dim)
+_NOT_ROWS = (compression.CODEC_KEY, compression.DELTA_ROWS_KEY)
+
+
+def _raw_nbytes(payload) -> int:
+    """fp32 bytes of the partition a payload encodes (the baseline)."""
+    return compression.wire_nbytes("none", *compression.payload_shape(payload))
 
 
 class PartitionServer:  # public-guard: lock, _stats_lock
@@ -116,12 +130,10 @@ class PartitionServer:  # public-guard: lock, _stats_lock
         Optional simulated network bandwidth per shard NIC; each
         transfer occupies the shard's NIC for ``nbytes / bandwidth``
         seconds, and concurrent transfers on one shard serialise.
-        ``None`` disables the delay (the default for tests and fast
-        benchmarks).
+        ``None`` (the default) disables the delay.
     codec:
-        Partition codec name used for every transfer and for hosted
-        storage (``none`` / ``fp16`` / ``int8``). The NIC model charges
-        encoded bytes, so a smaller codec is directly wall-clock saved.
+        Name of the one codec (``none`` / ``fp16`` / ``int8``) whose
+        payloads this server accepts, hosts and ships.
     """
 
     def __init__(
@@ -136,7 +148,7 @@ class PartitionServer:  # public-guard: lock, _stats_lock
         self.bandwidth = bandwidth_bytes_per_s
         self._codec = compression.get_codec(codec)
         # Transfer counters live in a metrics registry; ``stats`` is a
-        # derived snapshot. _stats_lock still serialises the NIC model
+        # derived snapshot. _stats_lock serialises the NIC model
         # (nic_free_at read-modify-write must be atomic).
         self._metrics = MetricsRegistry()
         self._c_gets = self._metrics.counter("server.gets")
@@ -212,89 +224,96 @@ class PartitionServer:  # public-guard: lock, _stats_lock
 
     # ------------------------------------------------------------------
 
-    def put(
-        self,
-        entity_type: str,
-        part: int,
-        embeddings: np.ndarray,
-        optim_state: np.ndarray,
-    ) -> int:
-        """Store a partition (the server keeps its own, encoded, copy);
-        returns the partition's new version number."""
+    def _row_arrays(self, payload, num_rows: "int | None" = None):
+        """The per-row arrays of ``payload`` — or :class:`PayloadError`
+        unless it carries this server's codec marker, one 2-D block and
+        arrays of one length (``num_rows``, if given)."""
+        arrays = {k: v for k, v in payload.items() if k not in _NOT_ROWS}
+        lengths = {np.shape(a)[:1] for a in arrays.values()}  # () if 0-d
+        if num_rows is not None:
+            lengths.add((num_rows,))
+        codec = str(payload.get(compression.CODEC_KEY))
+        blocks = sum(np.ndim(a) == 2 for a in arrays.values())
+        if codec != self._codec.name or len(lengths) != 1 or blocks != 1:
+            raise PayloadError(
+                f"want a {self._codec.name!r} payload of equal-length "
+                f"arrays; got codec {codec!r}, row counts {sorted(lengths)}"
+            )
+        return arrays
+
+    def put(self, entity_type: str, part: int, payload) -> int:
+        """Store an encoded partition as handed over (the caller must
+        not touch ``payload`` again); returns its new version number."""
         with telemetry.span(
             "server.put", cat="transfer", entity=entity_type, part=part
         ) as sp:
-            payload = self._codec.encode(embeddings, optim_state)
+            self._row_arrays(payload)
             nbytes = compression.payload_nbytes(payload)
-            raw = _raw_nbytes(len(embeddings), embeddings.shape[1])
             sp.note(wire_bytes=nbytes)
             shard = self._shard(part)
             key = (entity_type, part)
             with shard.lock:
+                old = shard.store.get(key)
+                shard.nbytes += nbytes - (
+                    0 if old is None else compression.payload_nbytes(old)
+                )
                 shard.store[key] = payload
                 version = shard.versions.get(key, 0) + 1
                 shard.versions[key] = version
-            self._account(shard, nbytes, sent=False, saved=raw - nbytes)
+            self._account(
+                shard, nbytes, sent=False, saved=_raw_nbytes(payload) - nbytes
+            )
             return version
 
     def put_delta(
-        self,
-        entity_type: str,
-        part: int,
-        row_indices: np.ndarray,
-        emb_rows: np.ndarray,
-        state_rows: np.ndarray,
-        base_version: int,
+        self, entity_type: str, part: int, delta, base_version: int
     ) -> "int | None":
-        """Apply a dirty-row writeback delta under the version check.
+        """Apply an encoded dirty-row delta under the version check.
 
-        The delta was computed against ``base_version`` of the stored
-        partition; if the server's version has moved on (another
-        machine pushed in between), the delta is *rejected* — returns
-        None and the caller must degrade to a full :meth:`put`. On
-        success the stored partition is decoded, the delta rows are
-        scattered in, the result is re-encoded, the version bumps, and
-        the new version is returned. Only the delta's bytes are charged
-        to the NIC (the version check itself is a metadata round-trip,
-        not a data transfer).
+        ``delta`` (:func:`repro.graph.compression.encode_delta`) was
+        computed against ``base_version``; if the server's version has
+        moved on (another machine pushed in between) it is *rejected*:
+        returns None and the caller must degrade to a full :meth:`put`.
+        Otherwise its rows are patched into a copy of the stored arrays
+        and the new version is returned. Only the delta's bytes are
+        charged to the NIC (the version check is metadata).
         """
         with telemetry.span(
             "server.put_delta", cat="transfer", entity=entity_type, part=part
         ) as sp:
-            delta = compression.encode_delta(
-                self._codec, row_indices, emb_rows, state_rows
-            )
+            rows = np.asarray(delta.get(compression.DELTA_ROWS_KEY))
+            if rows.ndim != 1 or rows.dtype.kind != "i":
+                raise PayloadError("delta has no 1-D integer row indices")
+            patch = self._row_arrays(delta, len(rows))
             nbytes = compression.payload_nbytes(delta)
-            sp.note(wire_bytes=nbytes, rows=len(row_indices))
+            sp.note(wire_bytes=nbytes, rows=len(rows))
             shard = self._shard(part)
             key = (entity_type, part)
             with shard.lock:
-                current = shard.versions.get(key, 0)
-                if current != base_version or key not in shard.store:
-                    stale = True
-                else:
-                    stale = False
-                    emb, state = self._codec.decode(shard.store[key])
-                    rows, d_emb, d_state = compression.decode_delta(delta)
-                    compression.apply_delta_rows(
-                        emb, state, rows, d_emb, d_state
-                    )
-                    shard.store[key] = self._codec.encode(emb, state)
-                    version = current + 1
+                stored = shard.store.get(key)
+                stale = (
+                    stored is None
+                    or shard.versions.get(key, 0) != base_version
+                )
+                if not stale:
+                    shard.store[key] = _patched(stored, rows, patch)
+                    version = base_version + 1
                     shard.versions[key] = version
             sp.note(stale=stale)
             if stale:
                 self._c_delta_stale.inc()
                 return None
-            raw = _raw_nbytes(len(emb), emb.shape[1])
             self._c_delta_puts.inc()
-            self._account(shard, nbytes, sent=False, saved=raw - nbytes)
+            self._account(
+                shard, nbytes, sent=False, saved=_raw_nbytes(stored) - nbytes
+            )
             return version
 
     def get_versioned(
         self, entity_type: str, part: int
-    ) -> "tuple[np.ndarray, np.ndarray, int] | None":
-        """Fetch a partition copy plus its version; None if never stored."""
+    ) -> "tuple[dict[str, np.ndarray], int] | None":
+        """The stored payload (read-only: in-process it is the stored
+        reference) plus its version; None if never stored."""
         with telemetry.span(
             "server.get", cat="transfer", entity=entity_type, part=part
         ) as sp:
@@ -302,31 +321,17 @@ class PartitionServer:  # public-guard: lock, _stats_lock
             key = (entity_type, part)
             with shard.lock:
                 payload = shard.store.get(key)
-                version = (
-                    shard.versions.get(key) if payload is not None else None
-                )
-            if version is None:
+                version = shard.versions.get(key)
+            if payload is None:
                 self._account_miss()
                 sp.note(miss=True)
                 return None
-            # Decode outside the shard lock: payloads are replaced
-            # wholesale on put, never mutated, and decode() allocates
-            # fresh arrays, so callers can never alias the stored copy.
-            emb, state = self._codec.decode(payload)
             nbytes = compression.payload_nbytes(payload)
             sp.note(wire_bytes=nbytes)
-            raw = _raw_nbytes(len(emb), emb.shape[1])
-            self._account(shard, nbytes, sent=True, saved=raw - nbytes)
-            return emb, state, version
-
-    def get(  # lint: no-lock (pure delegation to get_versioned)
-        self, entity_type: str, part: int
-    ) -> "tuple[np.ndarray, np.ndarray] | None":
-        """Fetch a partition copy; None if never stored."""
-        entry = self.get_versioned(entity_type, part)
-        if entry is None:
-            return None
-        return entry[0], entry[1]
+            self._account(
+                shard, nbytes, sent=True, saved=_raw_nbytes(payload) - nbytes
+            )
+            return payload, version
 
     def version(self, entity_type: str, part: int) -> int:
         """Current version of a partition; 0 if never stored."""
@@ -346,19 +351,32 @@ class PartitionServer:  # public-guard: lock, _stats_lock
                 out.extend(shard.store)
         return sorted(out)
 
-    def shard_nbytes(self) -> "list[int]":
-        """Bytes hosted per shard — the memory each machine contributes
-        (encoded bytes: a non-trivial codec shrinks hosting too)."""
-        sizes = []
-        for shard in self._shards:
-            with shard.lock:
-                sizes.append(
-                    sum(
-                        compression.payload_nbytes(p)
-                        for p in shard.store.values()
-                    )
-                )
-        return sizes
+    def shard_nbytes(self) -> "list[int]":  # lint: no-lock (int reads)
+        """Encoded bytes hosted per shard — the memory each machine
+        contributes (a running count, not a walk)."""
+        return [shard.nbytes for shard in self._shards]
+
+
+def _patched(stored, rows: np.ndarray, patch) -> "dict[str, np.ndarray]":
+    """A copy of the payload ``stored`` with the encoded row blocks of
+    ``patch`` written at ``rows``; ``stored`` is left whole for whoever
+    still reads it."""
+    if patch.keys() != stored.keys() - {compression.CODEC_KEY} or any(
+        (block.dtype, block.shape[1:]) != (stored[k].dtype, stored[k].shape[1:])
+        for k, block in patch.items()
+    ):
+        raise PayloadError("delta arrays do not match the stored partition's")
+    num_rows = len(stored[next(iter(patch))])
+    if len(rows) and not 0 <= rows.min() <= rows.max() < num_rows:
+        raise PayloadError(
+            f"delta rows [{rows.min()}, {rows.max()}] out of range for "
+            f"partition of {num_rows} rows"
+        )
+    out = dict(stored)
+    for k, block in patch.items():
+        out[k] = stored[k].copy()
+        out[k][rows] = block
+    return out
 
 
 class PartitionServerStorage:  # public-guard: _lock
@@ -369,39 +387,35 @@ class PartitionServerStorage:  # public-guard: _lock
     (prefetch cache + writeback queue) works over the network path
     unchanged.
 
+    This is where the server's codec runs: ``save`` encodes (a full
+    payload or a dirty-row delta), ``load`` decodes the payload it
+    receives and guards the result.
+
     The adapter remembers the version of every partition it loaded or
     saved; :meth:`is_current` then tells the pipeline whether a staged
     copy still matches the server (another machine may have pushed an
-    update between our prefetch and our lock acquisition). It also
-    accumulates ``io_seconds`` — total wall time spent inside server
-    transfers across all threads — from which the trainer derives how
-    much transfer time was overlapped with compute.
+    update between our prefetch and our lock acquisition). From its
+    ``io_seconds`` the trainer derives how much transfer time was
+    overlapped with compute.
 
     With ``use_delta=True``, :meth:`save` pushes a dirty-row delta
     (when the caller supplies ``dirty_rows`` and the baseline version
     is known) instead of the whole partition; a stale delta degrades to
     a full push (``delta_fallbacks``), and a save with *no* dirty rows
     against a still-current baseline is skipped outright
-    (``delta_skips``) — nothing changed, so the server copy is already
-    exact. The adapter also keeps analytic per-machine wire counters
-    (``bytes_sent`` / ``bytes_received`` / ``bytes_saved``), computed
-    locally from the server's codec so they work across manager
-    proxies.
+    (``delta_skips``). The wire counters (``bytes_sent`` /
+    ``bytes_received`` / ``bytes_saved``) are read off the payloads
+    that actually crossed.
     """
 
-    def __init__(
-        self,
-        server,
-        use_delta: bool = False,
-        metrics: "MetricsRegistry | None" = None,
-    ) -> None:
+    def __init__(self, server, use_delta: bool = False) -> None:
         self.server = server
         self.use_delta = use_delta
         self._lock = threading.Lock()
         self._versions: "dict[tuple[str, int], int]" = {}  # guarded-by: _lock
-        self._codec_name: "str | None" = None
+        self._codec: "compression.PartitionCodec | None" = None
         #: per-machine transfer counters (MachineStats derives from these)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._c_loads = self.metrics.counter("backend.loads")
         self._c_saves = self.metrics.counter("backend.saves")
         self._c_delta_pushes = self.metrics.counter("backend.delta_pushes")
@@ -414,89 +428,65 @@ class PartitionServerStorage:  # public-guard: _lock
         self._c_bytes_saved = self.metrics.counter("backend.bytes_saved")
         self._c_io_seconds = self.metrics.counter("backend.io_seconds")
 
-    @property
-    def loads(self) -> int:  # lint: no-lock (counter-backed)
-        return int(self._c_loads.value)
+    loads = property(lambda self: int(self._c_loads.value))
+    saves = property(lambda self: int(self._c_saves.value))
+    delta_pushes = property(lambda self: int(self._c_delta_pushes.value))
+    delta_fallbacks = property(lambda self: int(self._c_delta_fallbacks.value))
+    delta_skips = property(lambda self: int(self._c_delta_skips.value))
+    bytes_sent = property(lambda self: int(self._c_bytes_sent.value))
+    bytes_received = property(lambda self: int(self._c_bytes_received.value))
+    bytes_saved = property(lambda self: int(self._c_bytes_saved.value))
+    #: wall seconds inside ``load``/``save``, all threads
+    io_seconds = property(lambda self: self._c_io_seconds.value)
 
-    @property
-    def saves(self) -> int:  # lint: no-lock (counter-backed)
-        return int(self._c_saves.value)
+    def _server_codec(self) -> compression.PartitionCodec:
+        """The server's codec (one manager round-trip, then cached; the
+        once-race is benign)."""
+        if self._codec is None:
+            self._codec = compression.get_codec(self.server.codec_name())
+        return self._codec
 
-    @property
-    def delta_pushes(self) -> int:  # lint: no-lock (counter-backed)
-        return int(self._c_delta_pushes.value)
-
-    @property
-    def delta_fallbacks(self) -> int:  # lint: no-lock (counter-backed)
-        return int(self._c_delta_fallbacks.value)
-
-    @property
-    def delta_skips(self) -> int:  # lint: no-lock (counter-backed)
-        return int(self._c_delta_skips.value)
-
-    @property
-    def bytes_sent(self) -> int:  # lint: no-lock (counter-backed)
-        return int(self._c_bytes_sent.value)
-
-    @property
-    def bytes_received(self) -> int:  # lint: no-lock (counter-backed)
-        return int(self._c_bytes_received.value)
-
-    @property
-    def bytes_saved(self) -> int:  # lint: no-lock (counter-backed)
-        return int(self._c_bytes_saved.value)
-
-    @property
-    def io_seconds(self) -> float:  # lint: no-lock (counter-backed)
-        """Total wall seconds inside server transfers, all threads."""
-        return self._c_io_seconds.value
-
-    def codec_name(self) -> str:  # lint: no-lock (benign once-race on a cache)
-        """The server's codec name (fetched once, cached — one manager
-        round-trip in process mode)."""
-        if self._codec_name is None:
-            self._codec_name = self.server.codec_name()
-        return self._codec_name
-
-    def _wire(self, num_rows: int, dim: int, outbound: bool, *, delta=False):
-        """Account one transfer's encoded + saved bytes locally, from
-        this machine's perspective (loads receive, saves send)."""
-        codec = self.codec_name()
-        if delta:
-            nbytes = compression.delta_wire_nbytes(codec, num_rows, dim)
-        else:
-            nbytes = compression.wire_nbytes(codec, num_rows, dim)
-        raw = compression.wire_nbytes("none", num_rows, dim)
-        if outbound:
-            self._c_bytes_sent.inc(nbytes)
-        else:
-            self._c_bytes_received.inc(nbytes)
-        self._c_bytes_saved.inc(raw - nbytes)
+    def _moved(self, payload, num_rows: int, dim: int, counter) -> int:
+        """Count ``payload``, standing for ``num_rows`` fp32 rows, on
+        ``counter`` (sent or received)."""
+        nbytes = compression.payload_nbytes(payload)
+        counter.inc(nbytes)
+        self._c_bytes_saved.inc(
+            compression.wire_nbytes("none", num_rows, dim) - nbytes
+        )
         return nbytes
 
     def load(self, entity_type, part):  # lint: no-lock (locks in _load)
+        t0 = time.perf_counter()
         with telemetry.span(
             "backend.load", cat="transfer", entity=entity_type, part=part
         ) as sp:
-            return self._load(sp, entity_type, part)
+            try:
+                return self._load(sp, entity_type, part)
+            finally:
+                self._c_io_seconds.inc(time.perf_counter() - t0)
 
     def _load(self, sp, entity_type: str, part: int):
-        t0 = time.perf_counter()
         entry = self.server.get_versioned(entity_type, part)
-        self._c_io_seconds.inc(time.perf_counter() - t0)
-        if entry is not None:
-            self._c_loads.inc()
-            with self._lock:
-                self._versions[(entity_type, part)] = entry[2]
         if entry is None:
             raise StorageError(
                 f"partition server has no ({entity_type!r}, {part})"
             )
-        embeddings, optim_state = entry[0], entry[1]
-        # Every fetch crosses an encode→decode round-trip; a codec bug
-        # (or a foreign writer) must never land dtype- or shape-drifted
+        payload, version = entry
+        self._c_loads.inc()
+        with self._lock:
+            self._versions[(entity_type, part)] = version
+        # A foreign writer or a codec bug must never land drifted
         # arrays in the staging cache, where they would silently poison
         # training. Fail loudly here instead.
+        codec = self._server_codec()
+        marker = compression.payload_codec_name(payload)
+        if marker != codec.name:
+            raise CodecDriftError(
+                f"partition ({entity_type!r}, {part}) arrived as {marker!r} "
+                f"from a {codec.name!r} server"
+            )
+        embeddings, optim_state = codec.decode(payload)
         if embeddings.dtype != np.float32 or embeddings.ndim != 2:
             raise CodecDriftError(
                 f"partition ({entity_type!r}, {part}) decoded to "
@@ -512,8 +502,8 @@ class PartitionServerStorage:  # public-guard: _lock
                 f"state; expected float32 ({len(embeddings)},)"
             )
         sp.note(
-            wire_bytes=self._wire(
-                len(embeddings), embeddings.shape[1], outbound=False
+            wire_bytes=self._moved(
+                payload, *embeddings.shape, self._c_bytes_received
             )
         )
         return embeddings, optim_state
@@ -526,64 +516,60 @@ class PartitionServerStorage:  # public-guard: _lock
         optim_state: np.ndarray,
         dirty_rows: "np.ndarray | None" = None,
     ) -> None:
+        t0 = time.perf_counter()
         with telemetry.span(
             "backend.save", cat="transfer", entity=entity_type, part=part
         ) as sp:
-            self._save(sp, entity_type, part, embeddings, optim_state,
-                       dirty_rows)
+            try:
+                self._save(sp, entity_type, part, embeddings, optim_state,
+                           dirty_rows)
+            finally:
+                self._c_io_seconds.inc(time.perf_counter() - t0)
 
     def _save(
         self, sp, entity_type, part, embeddings, optim_state, dirty_rows
     ) -> None:
         key = (entity_type, part)
         num_rows, dim = embeddings.shape
+        codec = self._server_codec()
         with self._lock:
             base = self._versions.get(key) if self.use_delta else None
-        t0 = time.perf_counter()
         version = None
-        if (
-            base is not None
-            and dirty_rows is not None
-            and len(dirty_rows) == 0
-        ):
+        delta_ok = base is not None and dirty_rows is not None
+        dirty = len(dirty_rows) if delta_ok else num_rows
+        if dirty == 0:
             # Nothing changed since fetch: if the server still holds
             # our baseline, the stored copy is already exact — skip the
             # transfer entirely.
             if self.server.version(entity_type, part) == base:
-                self._c_io_seconds.inc(time.perf_counter() - t0)
                 self._c_saves.inc()
                 self._c_delta_skips.inc()
                 sp.note(skipped=True, wire_bytes=0)
                 return
-        elif (
-            base is not None
-            and dirty_rows is not None
-            and len(dirty_rows) < num_rows
-        ):
-            version = self.server.put_delta(
-                entity_type,
-                part,
-                dirty_rows,
-                embeddings[dirty_rows],
+        elif dirty < num_rows:
+            delta = compression.encode_delta(
+                codec, dirty_rows, embeddings[dirty_rows],
                 optim_state[dirty_rows],
-                base,
             )
+            version = self.server.put_delta(entity_type, part, delta, base)
             if version is not None:
                 self._c_delta_pushes.inc()
                 sp.note(
                     delta=True,
-                    wire_bytes=self._wire(
-                        len(dirty_rows), dim, outbound=True, delta=True
+                    wire_bytes=self._moved(
+                        delta, dirty, dim, self._c_bytes_sent
                     ),
                 )
             else:
                 self._c_delta_fallbacks.inc()
         if version is None:
-            version = self.server.put(
-                entity_type, part, embeddings, optim_state
+            payload = codec.encode(embeddings, optim_state)
+            version = self.server.put(entity_type, part, payload)
+            sp.note(
+                wire_bytes=self._moved(
+                    payload, num_rows, dim, self._c_bytes_sent
+                )
             )
-            sp.note(wire_bytes=self._wire(num_rows, dim, outbound=True))
-        self._c_io_seconds.inc(time.perf_counter() - t0)
         self._c_saves.inc()
         with self._lock:
             self._versions[key] = version

@@ -1,10 +1,9 @@
 """Compressed partition transport: quantised codecs + dirty-row deltas.
 
-PR 2 made bandwidth the explicit bottleneck of distributed training by
-modelling each partition-server shard NIC as a shared serialising
-device — every byte moved is wall-clock spent. This module supplies the
-two byte-saving levers (ROADMAP item 2, in the spirit of the gradient /
-parameter compression literature in PAPERS.md):
+Every byte a partition moves — to the partition server or to a swap
+file — is wall-clock spent. This module supplies the two byte-saving
+levers (in the spirit of the gradient / parameter compression
+literature in PAPERS.md):
 
 - **Partition codecs** — whole-partition encodings used on the wire
   (partition server) and on disk (swap / checkpoint files):
@@ -27,8 +26,10 @@ parameter compression literature in PAPERS.md):
   partition's rows (edge endpoints plus sampled negatives), so the
   writeback path can push ``(row_indices, rows)`` instead of the whole
   partition. A delta is only valid against the exact version it was
-  computed from; the partition server applies it under the per-key
-  version check and a stale delta degrades to a full push.
+  computed from; the partition server patches its encoded rows into
+  the stored payload under the per-key version check (every codec
+  encodes rows independently, so nothing is decoded) and a stale delta
+  degrades to a full push.
 
 Encoded partitions travel as a flat ``dict[str, np.ndarray]`` payload
 (the "wire format"): directly storable in an ``.npz`` file, picklable
@@ -55,11 +56,9 @@ __all__ = [
     "get_codec",
     "payload_nbytes",
     "payload_codec_name",
+    "payload_shape",
     "encode_delta",
-    "decode_delta",
-    "apply_delta_rows",
     "wire_nbytes",
-    "delta_wire_nbytes",
 ]
 
 #: registry keys, in preference order of fidelity
@@ -244,6 +243,12 @@ def payload_nbytes(payload: "Mapping[str, np.ndarray]") -> int:
     )
 
 
+def payload_shape(payload: "Mapping[str, np.ndarray]") -> "tuple[int, int]":
+    """``(num_rows, dim)`` of the row block a payload encodes — the
+    shape of its one 2-D array."""
+    return next(np.shape(a) for a in payload.values() if np.ndim(a) == 2)
+
+
 def payload_codec_name(payload: "Mapping[str, np.ndarray]") -> str:
     """Codec name of a payload; every codec writes it under
     :data:`CODEC_KEY`, so a payload without one is not ours."""
@@ -278,46 +283,7 @@ def encode_delta(
     return payload
 
 
-def decode_delta(
-    payload: "Mapping[str, np.ndarray]",
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Decode a delta payload to ``(row_indices, emb_rows, state_rows)``."""
-    rows = np.ascontiguousarray(payload[DELTA_ROWS_KEY], dtype=np.int64)
-    body = {k: v for k, v in payload.items() if k != DELTA_ROWS_KEY}
-    emb_rows, state_rows = get_codec(payload_codec_name(body)).decode(body)
-    return rows, emb_rows, state_rows
-
-
-def apply_delta_rows(
-    embeddings: np.ndarray,
-    optim_state: np.ndarray,
-    row_indices: np.ndarray,
-    emb_rows: np.ndarray,
-    state_rows: np.ndarray,
-) -> None:
-    """Scatter decoded delta rows into full fp32 arrays, in place."""
-    if len(row_indices) and int(row_indices.max()) >= len(embeddings):
-        raise ValueError(
-            f"delta row {int(row_indices.max())} out of range for "
-            f"partition of {len(embeddings)} rows"
-        )
-    embeddings[row_indices] = emb_rows
-    optim_state[row_indices] = state_rows
-
-
-# ----------------------------------------------------------------------
-# Analytic wire sizes (used for per-machine byte accounting and by the
-# memory model — exact for the payload layouts above)
-# ----------------------------------------------------------------------
-
-
 def wire_nbytes(codec: "str | PartitionCodec", num_rows: int, dim: int) -> int:
-    """Encoded bytes of a full ``(num_rows, dim)`` partition transfer."""
+    """Encoded bytes of a full ``(num_rows, dim)`` partition transfer
+    (analytic, and exact for the payload layouts above)."""
     return num_rows * get_codec(codec).row_nbytes(dim)
-
-
-def delta_wire_nbytes(
-    codec: "str | PartitionCodec", num_rows: int, dim: int
-) -> int:
-    """Encoded bytes of a ``num_rows``-row delta (rows + int64 indices)."""
-    return wire_nbytes(codec, num_rows, dim) + 8 * num_rows

@@ -9,7 +9,11 @@ from repro.eval.ranking import LinkPredictionEvaluator
 from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import partition_entities
-from tests.helpers import record_thread_starts
+from tests.helpers import (
+    RecordingServer,
+    record_thread_starts,
+    slow_put_server,
+)
 
 
 def _graph(n=300, extra=2500, seed=0):
@@ -325,11 +329,9 @@ class TestSerialReleaseFetchRace:
         cross-machine handover, that a completed server put happened
         *after* the previous holder's release."""
         import threading
-        import time as time_mod
 
         from repro.distributed import cluster as cluster_mod
         from repro.distributed.lock_server import LockServer
-        from repro.distributed.partition_server import PartitionServer
 
         seq_lock = threading.Lock()
         seq = [0]
@@ -338,16 +340,10 @@ class TestSerialReleaseFetchRace:
         last_holder: dict = {}
         violations = []
 
-        class SlowPutServer(PartitionServer):
-            def put(self, entity_type, part, embeddings, optim_state):
-                time_mod.sleep(0.003)  # widen the race window
-                version = super().put(
-                    entity_type, part, embeddings, optim_state
-                )
-                with seq_lock:
-                    seq[0] += 1
-                    last_put_seq[part] = seq[0]
-                return version
+        def put_landed(entity_type, part):
+            with seq_lock:
+                seq[0] += 1
+                last_put_seq[part] = seq[0]
 
         class CheckingLockServer(LockServer):
             def acquire(self, machine):
@@ -376,7 +372,9 @@ class TestSerialReleaseFetchRace:
                         release_seq[p] = seq[0]
                         last_holder[p] = machine
 
-        monkeypatch.setattr(cluster_mod, "PartitionServer", SlowPutServer)
+        monkeypatch.setattr(
+            cluster_mod, "PartitionServer", slow_put_server(put_landed)
+        )
         monkeypatch.setattr(cluster_mod, "LockServer", CheckingLockServer)
 
         config, entities = _setup(2, 4, num_epochs=3)
@@ -398,11 +396,9 @@ class TestSerialReleaseFetchRace:
         type's push leaves the second type's bytes local while another
         machine fetches the stale server copy."""
         import threading
-        import time as time_mod
 
         from repro.distributed import cluster as cluster_mod
         from repro.distributed.lock_server import LockServer
-        from repro.distributed.partition_server import PartitionServer
 
         types = ("item", "user")
         seq_lock = threading.Lock()
@@ -412,16 +408,10 @@ class TestSerialReleaseFetchRace:
         last_holder: dict = {}
         violations = []
 
-        class SlowPutServer(PartitionServer):
-            def put(self, entity_type, part, embeddings, optim_state):
-                time_mod.sleep(0.003)  # widen the race window
-                version = super().put(
-                    entity_type, part, embeddings, optim_state
-                )
-                with seq_lock:
-                    seq[0] += 1
-                    last_put_seq[(entity_type, part)] = seq[0]
-                return version
+        def put_landed(entity_type, part):
+            with seq_lock:
+                seq[0] += 1
+                last_put_seq[(entity_type, part)] = seq[0]
 
         class CheckingLockServer(LockServer):
             def acquire(self, machine):
@@ -447,7 +437,9 @@ class TestSerialReleaseFetchRace:
                         release_seq[p] = seq[0]
                         last_holder[p] = machine
 
-        monkeypatch.setattr(cluster_mod, "PartitionServer", SlowPutServer)
+        monkeypatch.setattr(
+            cluster_mod, "PartitionServer", slow_put_server(put_landed)
+        )
         monkeypatch.setattr(cluster_mod, "LockServer", CheckingLockServer)
 
         n, nparts = 200, 4
@@ -599,6 +591,112 @@ class TestCompressedTransport:
         )
 
 
+class TestRealWire:
+    """What crosses the server boundary is the encoded payload — through
+    a live manager proxy the pickled bytes are the codec's bytes — and
+    the per-machine wire counters are read off it."""
+
+    ROWS, DIM = 4000, 64
+
+    @pytest.fixture
+    def manager(self):
+        from repro.distributed.cluster import _ServerManager
+
+        manager = _ServerManager()
+        manager.start()
+        yield manager
+        manager.shutdown()
+
+    def _traffic(self, manager, codec):
+        """One full push, one delta push and one fetch through a proxy."""
+        from repro.distributed.partition_server import PartitionServerStorage
+
+        wire = RecordingServer(manager.PartitionServer(1, None, codec))
+        store = PartitionServerStorage(wire, use_delta=True)
+        rng = np.random.default_rng(0)
+        emb = rng.standard_normal((self.ROWS, self.DIM)).astype(np.float32)
+        state = rng.random(self.ROWS).astype(np.float32)
+        store.save("node", 0, emb, state)
+        dirty = np.sort(rng.permutation(self.ROWS)[: self.ROWS // 2])
+        emb[dirty] += 1.0
+        store.save("node", 0, emb, state, dirty_rows=dirty)
+        got, _ = store.load("node", 0)
+        np.testing.assert_allclose(got, emb, atol=0.05)
+        assert [t[0] for t in wire.transfers] == [
+            "put", "put_delta", "get_versioned"
+        ]
+        return wire, store
+
+    @pytest.mark.parametrize("codec", ["none", "fp16", "int8"])
+    def test_pickled_bytes_are_the_encoded_bytes(self, manager, codec):
+        wire, store = self._traffic(manager, codec)
+        for method, nbytes, pickled, _ in wire.transfers:
+            assert nbytes <= pickled <= 1.02 * nbytes, (method, codec)
+        # MachineStats.wire_bytes_* are these two adapter counters.
+        assert store.bytes_sent == wire.nbytes("put", "put_delta")
+        assert store.bytes_received == wire.nbytes("get_versioned")
+        assert store.delta_pushes == 1
+
+    def test_int8_moves_under_a_third_of_the_fp32_bytes(self, manager):
+        pickled = {
+            codec: [t[2] for t in self._traffic(manager, codec)[0].transfers]
+            for codec in ("none", "int8")
+        }
+        for small, full in zip(pickled["int8"], pickled["none"]):
+            assert small <= 0.30 * full
+
+    def test_machine_stats_equal_the_payload_bytes(self, monkeypatch):
+        from repro.distributed import cluster as cluster_mod
+        from repro.distributed.partition_server import PartitionServer
+
+        wires = []
+
+        def recording_server(*args):
+            wires.append(RecordingServer(PartitionServer(*args)))
+            return wires[-1]
+
+        monkeypatch.setattr(cluster_mod, "PartitionServer", recording_server)
+        config, entities = _setup(
+            2, 4, partition_compression="int8", writeback_delta=True,
+            pipeline=True,
+        )
+        _, stats = DistributedTrainer(config, entities).train(_graph())
+        (wire,) = wires
+        assert sum(m.delta_pushes for m in stats.machines) > 0
+        assert sum(m.wire_bytes_sent for m in stats.machines) == wire.nbytes(
+            "put", "put_delta"
+        )
+        # The coordinator's fetches (assemble_model, main thread) are
+        # not a machine's.
+        assert sum(
+            m.wire_bytes_received for m in stats.machines
+        ) == wire.nbytes("get_versioned", thread="_machine_main") + wire.nbytes(
+            "get_versioned", thread="-prefetch"
+        )
+        assert wire.nbytes("get_versioned", thread="MainThread") > 0
+
+    @pytest.mark.slow
+    def test_thread_and_process_mode_push_the_same_deltas(self):
+        """One machine, fixed seed: the transport must not change what
+        is pushed, or what comes out."""
+        edges = _graph()
+        runs = {}
+        for mode in ("thread", "process"):
+            config, entities = _setup(
+                1, 4, partition_compression="int8", writeback_delta=True
+            )
+            model, stats = DistributedTrainer(
+                config, entities, mode=mode
+            ).train(edges)
+            runs[mode] = (model.global_embeddings("node"), stats.machines[0])
+        assert runs["thread"][1].delta_pushes > 0
+        for field in ("delta_pushes", "delta_fallbacks", "wire_bytes_sent",
+                      "wire_bytes_received", "wire_bytes_saved"):
+            assert getattr(runs["thread"][1], field) == getattr(
+                runs["process"][1], field
+            ), field
+        np.testing.assert_array_equal(runs["thread"][0], runs["process"][0])
+
 
 class TestSharedBucketLoop:
     """Every machine drives the single-machine trainer's
@@ -677,12 +775,14 @@ class TestSharedBucketLoop:
             name for name in started
             if "-writeback" in name or "-prefetch" in name
         ]
-        assert len(callers) == 2
+        # The coordinator assembles the model through an adapter too.
+        machines = [n for n in callers.values() if n != {"MainThread"}]
+        assert len(machines) == 2 and len(callers) == 3
         if pipelined:
             assert background  # the detector sees what it looks for
         else:
             assert background == []
-            for names in callers.values():
+            for names in machines:
                 (name,) = names  # one thread per adapter: its machine's
                 assert "_machine_main" in name
 

@@ -6,14 +6,12 @@ import pytest
 from repro.graph import compression
 from repro.graph.compression import (
     CODEC_NAMES,
-    decode_delta,
-    delta_wire_nbytes,
     encode_delta,
     get_codec,
     payload_codec_name,
     payload_nbytes,
+    payload_shape,
     wire_nbytes,
-    apply_delta_rows,
 )
 from repro.graph.storage import PartitionedEmbeddingStorage, StorageError
 
@@ -131,43 +129,23 @@ class TestPayloads:
 
 
 class TestDeltas:
-    @pytest.mark.parametrize("name", CODEC_NAMES)
-    def test_delta_roundtrip(self, name):
-        emb, state = _partition(n=60, d=8)
-        rows = np.array([3, 7, 41], dtype=np.int64)
-        delta = encode_delta(name, rows, emb[rows], state[rows])
-        got_rows, got_emb, got_state = decode_delta(delta)
-        np.testing.assert_array_equal(got_rows, rows)
-        if name == "none":
-            np.testing.assert_array_equal(got_emb, emb[rows])
-        np.testing.assert_array_equal(got_state, state[rows])
+    """``decode_delta`` / ``apply_delta_rows`` — the decode → scatter
+    reference the partition server no longer runs — and their tests
+    moved to ``tests/test_patch_oracle.py``."""
 
     def test_delta_wire_size(self):
         emb, state = _partition(n=60, d=8)
         rows = np.arange(5, dtype=np.int64)
         delta = encode_delta("int8", rows, emb[rows], state[rows])
-        assert payload_nbytes(delta) == delta_wire_nbytes("int8", 5, 8)
+        assert payload_nbytes(delta) == wire_nbytes("int8", 5, 8) + 8 * 5
 
-    def test_apply_delta_rows(self):
-        emb, state = _partition(n=10, d=4)
-        base_emb, base_state = emb.copy(), state.copy()
-        rows = np.array([1, 8])
-        new_rows = np.full((2, 4), 9.0, dtype=np.float32)
-        new_state = np.full(2, 5.0, dtype=np.float32)
-        apply_delta_rows(emb, state, rows, new_rows, new_state)
-        np.testing.assert_array_equal(emb[rows], new_rows)
-        np.testing.assert_array_equal(state[rows], new_state)
-        untouched = np.setdiff1d(np.arange(10), rows)
-        np.testing.assert_array_equal(emb[untouched], base_emb[untouched])
-        np.testing.assert_array_equal(state[untouched], base_state[untouched])
-
-    def test_apply_delta_out_of_range(self):
-        emb, state = _partition(n=4, d=2)
-        with pytest.raises(ValueError, match="out of range"):
-            apply_delta_rows(
-                emb, state, np.array([9]),
-                np.zeros((1, 2), np.float32), np.zeros(1, np.float32),
-            )
+    @pytest.mark.parametrize("name", CODEC_NAMES)
+    def test_payload_shape_of_partitions_and_deltas(self, name):
+        emb, state = _partition(n=37, d=12)
+        assert payload_shape(get_codec(name).encode(emb, state)) == (37, 12)
+        rows = np.array([4, 2], dtype=np.int64)
+        delta = encode_delta(name, rows, emb[rows], state[rows])
+        assert payload_shape(delta) == (2, 12)
 
     def test_encode_delta_length_mismatch(self):
         emb, state = _partition(n=4, d=2)

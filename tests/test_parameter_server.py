@@ -1,5 +1,6 @@
 """Tests for the parameter server and its sync client."""
 
+import sys
 import threading
 
 import numpy as np
@@ -67,6 +68,56 @@ class TestParameterServer:
         for t in threads:
             t.join()
         assert ps.pull("w")[0] == 800.0
+
+
+class TestSync:
+    def test_sync_is_push_then_pull_per_name_counted_as_such(self):
+        ps = ParameterServer(num_shards=2)
+        ps.register("a", np.zeros(4))
+        ps.register("b", np.ones(2))
+        values = ps.sync({"a": np.full(4, 2.0), "b": None})
+        np.testing.assert_array_equal(values["a"], np.full(4, 2.0))
+        np.testing.assert_array_equal(values["b"], np.ones(2))
+        assert ps.stats.pushes == 1 and ps.stats.pulls == 2
+        assert ps.stats.bytes_transferred == (4 + 4 + 2) * 8
+        values["a"] += 100  # answers are copies
+        np.testing.assert_array_equal(ps.pull("a"), np.full(4, 2.0))
+
+    def test_sync_of_nothing(self):
+        assert ParameterServer().sync({}) == {}
+
+
+class _CountingServer(ParameterServer):
+    """Counts the calls that arrive from outside (a ``sync`` is built
+    on ``push_delta``/``pull``, which must not count as round trips)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls: "list[str]" = []
+        self._inside = threading.local()
+
+    def _counted(self, name, *args):
+        outermost = not getattr(self._inside, "busy", False)
+        if outermost:
+            self.calls.append(name)
+            self._inside.busy = True
+        try:
+            return getattr(super(), name)(*args)
+        finally:
+            if outermost:
+                self._inside.busy = False
+
+    def register(self, *args):
+        return self._counted("register", *args)
+
+    def pull(self, *args):
+        return self._counted("pull", *args)
+
+    def push_delta(self, *args):
+        return self._counted("push_delta", *args)
+
+    def sync(self, *args):
+        return self._counted("sync", *args)
 
 
 class _FakeModel:
@@ -151,6 +202,55 @@ class TestSharedParameterClient:
         before = ps.stats.pushes
         client.maybe_sync()
         assert ps.stats.pushes == before
+
+    def test_one_server_call_per_sync(self):
+        """However many parameters: through a manager proxy every call
+        is a round trip on the training thread."""
+        ps = _CountingServer(2)
+        model = _FakeModel([0.0])
+        model.params.update({f"r{i}": np.zeros(64) for i in range(20)})
+        client = self._client(ps, model, interval=1)
+        client.initial_sync()
+        assert ps.calls == ["register"] * 21 + ["sync"]
+        ps.calls.clear()
+        for i in range(5):
+            model.params[f"r{i}"] += 1.0
+            assert client.maybe_sync()
+        assert ps.calls == ["sync"] * 5
+        assert ps.stats.pushes == 5 and ps.stats.pulls == 21 * 6
+
+    def test_concurrent_clients_lose_no_delta(self):
+        ps = ParameterServer(num_shards=2)
+        rounds, clients = 200, 4
+        models = [_FakeModel(np.zeros(8)) for _ in range(clients)]
+        syncers = [self._client(ps, m, interval=1) for m in models]
+        for c in syncers:
+            c.initial_sync()
+
+        def train(model, client, step):
+            for _ in range(rounds):
+                model.params["w"] += step
+                client.maybe_sync()
+
+        threads = [
+            threading.Thread(target=train, args=(m, c, float(i + 1)))
+            for i, (m, c) in enumerate(zip(models, syncers))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more, and less lucky, interleavings
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        total = rounds * sum(range(1, clients + 1))
+        np.testing.assert_array_equal(ps.pull("w"), np.full(8, float(total)))
+        for m, c in zip(models, syncers):
+            c.maybe_sync()
+            np.testing.assert_array_equal(m.params["w"], ps.pull("w"))
 
     def test_invalid_interval(self):
         ps = ParameterServer()

@@ -10,9 +10,12 @@ from repro.distributed.partition_server import (
     CodecDriftError,
     PartitionServer,
     PartitionServerStorage,
+    PayloadError,
 )
 from repro.graph import compression
 from repro.graph.storage import StorageError
+
+from tests.helpers import get_arrays, put_arrays, put_delta_arrays
 
 
 def _arrays(seed=0, n=10, d=4):
@@ -27,37 +30,37 @@ class TestPartitionServer:
     def test_put_get_roundtrip(self):
         ps = PartitionServer(2)
         emb, state = _arrays()
-        ps.put("node", 3, emb, state)
-        emb2, state2 = ps.get("node", 3)
+        put_arrays(ps, "node", 3, emb, state)
+        emb2, state2 = get_arrays(ps, "node", 3)
         np.testing.assert_array_equal(emb, emb2)
         np.testing.assert_array_equal(state, state2)
 
     def test_get_missing_returns_none(self):
         ps = PartitionServer(2)
-        assert ps.get("node", 0) is None
+        assert get_arrays(ps, "node", 0) is None
 
     def test_copies_isolate_callers(self):
         """Mutating a fetched partition must not affect the server."""
         ps = PartitionServer(1)
         emb, state = _arrays()
-        ps.put("node", 0, emb, state)
-        got, _ = ps.get("node", 0)
+        put_arrays(ps, "node", 0, emb, state)
+        got, _ = get_arrays(ps, "node", 0)
         got += 100.0
-        again, _ = ps.get("node", 0)
+        again, _ = get_arrays(ps, "node", 0)
         np.testing.assert_array_equal(again, emb)
 
     def test_put_copies_input(self):
         ps = PartitionServer(1)
         emb, state = _arrays()
-        ps.put("node", 0, emb, state)
+        put_arrays(ps, "node", 0, emb, state)
         emb += 50.0
-        stored, _ = ps.get("node", 0)
+        stored, _ = get_arrays(ps, "node", 0)
         assert not np.allclose(stored, emb)
 
     def test_sharding_by_partition_index(self):
         ps = PartitionServer(4)
         for p in range(8):
-            ps.put("node", p, *_arrays(p, n=2))
+            put_arrays(ps, "node", p, *_arrays(p, n=2))
         sizes = ps.shard_nbytes()
         assert len(sizes) == 4
         assert all(s > 0 for s in sizes)
@@ -66,28 +69,28 @@ class TestPartitionServer:
 
     def test_keys_sorted(self):
         ps = PartitionServer(2)
-        ps.put("b", 1, *_arrays(n=1))
-        ps.put("a", 0, *_arrays(n=1))
+        put_arrays(ps, "b", 1, *_arrays(n=1))
+        put_arrays(ps, "a", 0, *_arrays(n=1))
         assert ps.keys() == [("a", 0), ("b", 1)]
 
     def test_has(self):
         ps = PartitionServer(1)
         assert not ps.has("node", 0)
-        ps.put("node", 0, *_arrays())
+        put_arrays(ps, "node", 0, *_arrays())
         assert ps.has("node", 0)
 
     def test_stats_accounting(self):
         ps = PartitionServer(1)
         emb, state = _arrays()
-        ps.put("node", 0, emb, state)
-        ps.get("node", 0)
+        put_arrays(ps, "node", 0, emb, state)
+        get_arrays(ps, "node", 0)
         assert ps.stats.puts == 1 and ps.stats.gets == 1
         assert ps.stats.bytes_received == emb.nbytes + state.nbytes
         assert ps.stats.bytes_sent == emb.nbytes + state.nbytes
 
     def test_bandwidth_model_accumulates_delay(self):
         ps = PartitionServer(1, bandwidth_bytes_per_s=1e9)
-        ps.put("node", 0, *_arrays(n=100))
+        put_arrays(ps, "node", 0, *_arrays(n=100))
         assert ps.stats.simulated_transfer_seconds > 0
 
     def test_invalid_shards(self):
@@ -103,8 +106,8 @@ class TestPartitionServer:
                 for i in range(20):
                     part = m * 20 + i
                     emb, state = _arrays(part, n=5)
-                    ps.put("node", part, emb, state)
-                    got, _ = ps.get("node", part)
+                    put_arrays(ps, "node", part, emb, state)
+                    got, _ = get_arrays(ps, "node", part)
                     np.testing.assert_array_equal(got, emb)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
@@ -121,18 +124,18 @@ class TestPartitionServer:
         ps = PartitionServer(1)
         emb1, state = _arrays(1)
         emb2, _ = _arrays(2)
-        ps.put("node", 0, emb1, state)
-        ps.put("node", 0, emb2, state)
-        got, _ = ps.get("node", 0)
+        put_arrays(ps, "node", 0, emb1, state)
+        put_arrays(ps, "node", 0, emb2, state)
+        got, _ = get_arrays(ps, "node", 0)
         np.testing.assert_array_equal(got, emb2)
 
     def test_miss_counts_as_get(self):
         """A fetch that returns None is still a request the server
         served — gets and misses must both count it."""
         ps = PartitionServer(1)
-        assert ps.get("node", 0) is None
-        ps.put("node", 0, *_arrays())
-        ps.get("node", 0)
+        assert get_arrays(ps, "node", 0) is None
+        put_arrays(ps, "node", 0, *_arrays())
+        get_arrays(ps, "node", 0)
         assert ps.stats.gets == 2
         assert ps.stats.misses == 1
 
@@ -141,24 +144,25 @@ class TestVersioning:
     def test_put_bumps_version(self):
         ps = PartitionServer(2)
         assert ps.version("node", 1) == 0
-        assert ps.put("node", 1, *_arrays()) == 1
-        assert ps.put("node", 1, *_arrays(1)) == 2
+        assert put_arrays(ps, "node", 1, *_arrays()) == 1
+        assert put_arrays(ps, "node", 1, *_arrays(1)) == 2
         assert ps.version("node", 1) == 2
 
     def test_get_versioned(self):
         ps = PartitionServer(1)
         assert ps.get_versioned("node", 0) is None
         emb, state = _arrays()
-        ps.put("node", 0, emb, state)
-        got_emb, got_state, version = ps.get_versioned("node", 0)
+        put_arrays(ps, "node", 0, emb, state)
+        payload, version = ps.get_versioned("node", 0)
+        got_emb, got_state = compression.get_codec("none").decode(payload)
         np.testing.assert_array_equal(got_emb, emb)
         assert version == 1
 
     def test_versions_independent_per_key(self):
         ps = PartitionServer(2)
-        ps.put("a", 0, *_arrays(n=2))
-        ps.put("a", 0, *_arrays(n=2))
-        ps.put("b", 0, *_arrays(n=2))
+        put_arrays(ps, "a", 0, *_arrays(n=2))
+        put_arrays(ps, "a", 0, *_arrays(n=2))
+        put_arrays(ps, "b", 0, *_arrays(n=2))
         assert ps.version("a", 0) == 2
         assert ps.version("b", 0) == 1
 
@@ -172,12 +176,12 @@ class TestBandwidthContention:
         per_transfer = 0.1
         ps = PartitionServer(1, bandwidth_bytes_per_s=nbytes / per_transfer)
         ps.bandwidth = None  # free put
-        ps.put("node", 0, emb, state)
+        put_arrays(ps, "node", 0, emb, state)
         ps.bandwidth = nbytes / per_transfer
 
         t0 = time.perf_counter()
         threads = [
-            threading.Thread(target=ps.get, args=("node", 0))
+            threading.Thread(target=ps.get_versioned, args=("node", 0))
             for _ in range(2)
         ]
         for t in threads:
@@ -190,7 +194,7 @@ class TestBandwidthContention:
 
     def test_transfer_seconds_remain_pure_bandwidth_cost(self):
         ps = PartitionServer(1, bandwidth_bytes_per_s=1e9)
-        ps.put("node", 0, *_arrays(n=100))
+        put_arrays(ps, "node", 0, *_arrays(n=100))
         assert ps.stats.simulated_transfer_seconds > 0
 
 
@@ -236,8 +240,8 @@ class TestCompressedServer:
     def test_roundtrip_within_codec_tolerance(self, codec):
         ps = PartitionServer(2, codec=codec)
         emb, state = _arrays(n=50, d=16)
-        ps.put("node", 0, emb, state)
-        got_emb, got_state = ps.get("node", 0)
+        put_arrays(ps, "node", 0, emb, state)
+        got_emb, got_state = get_arrays(ps, "node", 0)
         np.testing.assert_allclose(got_emb, emb, atol=0.05, rtol=1e-3)
         # Optimizer state is never quantised.
         np.testing.assert_array_equal(got_state, state)
@@ -250,11 +254,11 @@ class TestCompressedServer:
         emb, state = _arrays(n=100, d=32)
         raw = emb.nbytes + state.nbytes
         ps = PartitionServer(1, codec="int8")
-        ps.put("node", 0, emb, state)
+        put_arrays(ps, "node", 0, emb, state)
         encoded = compression.wire_nbytes("int8", 100, 32)
         assert ps.stats.bytes_received == encoded
         assert ps.stats.bytes_saved == raw - encoded
-        ps.get("node", 0)
+        get_arrays(ps, "node", 0)
         assert ps.stats.bytes_sent == encoded
         assert ps.stats.bytes_saved == 2 * (raw - encoded)
 
@@ -262,16 +266,16 @@ class TestCompressedServer:
         emb, state = _arrays(n=500, d=64)
         plain = PartitionServer(1)
         packed = PartitionServer(1, codec="int8")
-        plain.put("node", 0, emb, state)
-        packed.put("node", 0, emb, state)
+        put_arrays(plain, "node", 0, emb, state)
+        put_arrays(packed, "node", 0, emb, state)
         assert sum(packed.shard_nbytes()) < 0.35 * sum(plain.shard_nbytes())
 
     def test_uncompressed_path_bit_identical(self):
         """codec='none' must be byte-for-byte the legacy fp32 path."""
         ps = PartitionServer(1, codec="none")
         emb, state = _arrays(n=30, d=8)
-        ps.put("node", 0, emb, state)
-        got_emb, got_state = ps.get("node", 0)
+        put_arrays(ps, "node", 0, emb, state)
+        got_emb, got_state = get_arrays(ps, "node", 0)
         np.testing.assert_array_equal(got_emb, emb)
         np.testing.assert_array_equal(got_state, state)
         assert ps.stats.bytes_saved == 0
@@ -281,13 +285,14 @@ class TestPutDelta:
     def test_applies_under_current_version(self):
         ps = PartitionServer(1)
         emb, state = _arrays(n=20, d=4)
-        v1 = ps.put("node", 0, emb, state)
+        v1 = put_arrays(ps, "node", 0, emb, state)
         rows = np.array([2, 5], dtype=np.int64)
         new_emb = np.full((2, 4), 7.0, dtype=np.float32)
         new_state = np.full(2, 3.0, dtype=np.float32)
-        v2 = ps.put_delta("node", 0, rows, new_emb, new_state, v1)
+        v2 = put_delta_arrays(
+                ps, "node", 0, rows, new_emb, new_state, v1)
         assert v2 == v1 + 1
-        got_emb, got_state = ps.get("node", 0)
+        got_emb, got_state = get_arrays(ps, "node", 0)
         np.testing.assert_array_equal(got_emb[rows], new_emb)
         np.testing.assert_array_equal(got_state[rows], new_state)
         untouched = np.setdiff1d(np.arange(20), rows)
@@ -297,11 +302,12 @@ class TestPutDelta:
     def test_stale_delta_rejected(self):
         ps = PartitionServer(1)
         emb, state = _arrays(n=10, d=4)
-        v1 = ps.put("node", 0, emb, state)
-        ps.put("node", 0, *_arrays(9, n=10))  # another machine pushes
+        v1 = put_arrays(ps, "node", 0, emb, state)
+        put_arrays(ps, "node", 0, *_arrays(9, n=10))  # another machine pushes
         rows = np.array([0], dtype=np.int64)
         assert (
-            ps.put_delta("node", 0, rows, emb[rows], state[rows], v1)
+            put_delta_arrays(
+                ps, "node", 0, rows, emb[rows], state[rows], v1)
             is None
         )
         assert ps.stats.delta_stale == 1
@@ -311,8 +317,8 @@ class TestPutDelta:
         ps = PartitionServer(1)
         rows = np.array([0], dtype=np.int64)
         assert (
-            ps.put_delta(
-                "node", 0, rows,
+            put_delta_arrays(
+                ps, "node", 0, rows,
                 np.zeros((1, 4), np.float32), np.zeros(1, np.float32), 0,
             )
             is None
@@ -322,13 +328,14 @@ class TestPutDelta:
     def test_delta_charges_only_delta_bytes(self):
         ps = PartitionServer(1)
         emb, state = _arrays(n=100, d=16)
-        v1 = ps.put("node", 0, emb, state)
+        v1 = put_arrays(ps, "node", 0, emb, state)
         before = ps.stats.bytes_received
         rows = np.array([1, 2, 3], dtype=np.int64)
-        ps.put_delta("node", 0, rows, emb[rows], state[rows], v1)
+        put_delta_arrays(
+                ps, "node", 0, rows, emb[rows], state[rows], v1)
         assert (
             ps.stats.bytes_received - before
-            == compression.delta_wire_nbytes("none", 3, 16)
+            == compression.wire_nbytes("none", 3, 16) + 8 * 3
         )
 
     def test_delta_bit_identical_under_none_codec(self):
@@ -336,13 +343,13 @@ class TestPutDelta:
         under codec none — they must come back bit-exact."""
         ps = PartitionServer(1)
         emb, state = _arrays(n=50, d=8)
-        v1 = ps.put("node", 0, emb, state)
+        v1 = put_arrays(ps, "node", 0, emb, state)
         rows = np.array([10], dtype=np.int64)
-        ps.put_delta(
-            "node", 0, rows,
+        put_delta_arrays(
+                ps, "node", 0, rows,
             np.ones((1, 8), np.float32), np.ones(1, np.float32), v1,
         )
-        got_emb, got_state = ps.get("node", 0)
+        got_emb, got_state = get_arrays(ps, "node", 0)
         untouched = np.setdiff1d(np.arange(50), rows)
         np.testing.assert_array_equal(got_emb[untouched], emb[untouched])
         np.testing.assert_array_equal(got_state[untouched], state[untouched])
@@ -352,16 +359,16 @@ class TestPutDelta:
         untouched rows (requantisation is idempotent)."""
         ps = PartitionServer(1, codec="int8")
         emb, state = _arrays(n=30, d=8)
-        v = ps.put("node", 0, emb, state)
-        baseline, _ = ps.get("node", 0)
+        v = put_arrays(ps, "node", 0, emb, state)
+        baseline, _ = get_arrays(ps, "node", 0)
         for i in range(5):
             rows = np.array([i], dtype=np.int64)
-            v = ps.put_delta(
-                "node", 0, rows,
+            v = put_delta_arrays(
+                ps, "node", 0, rows,
                 np.full((1, 8), float(i), np.float32),
                 np.zeros(1, np.float32), v,
             )
-        got, _ = ps.get("node", 0)
+        got, _ = get_arrays(ps, "node", 0)
         untouched = np.arange(5, 30)
         np.testing.assert_array_equal(got[untouched], baseline[untouched])
 
@@ -462,43 +469,42 @@ class TestDeltaWriteback:
         assert store.delta_pushes == 1
         assert (
             store.bytes_sent
-            == full + compression.delta_wire_nbytes("int8", 2, 16)
+            == full + compression.wire_nbytes("int8", 2, 16) + 8 * 2
         )
         store.load("node", 0)
         assert store.bytes_received == full
 
 
 class TestCodecDriftGuard:
-    def test_drifted_dtype_raises(self):
+    """The adapter decodes what the server ships; whatever the decode
+    gives (a codec bug, a foreign writer's payload) is guarded before
+    it can reach the staging cache."""
+
+    def test_drifted_dtype_raises(self, monkeypatch):
         server = PartitionServer(1)
         store = PartitionServerStorage(server)
-        server.put("node", 0, *_arrays())
+        put_arrays(server, "node", 0, *_arrays())
+        codec = compression.get_codec("none")
+        decode = type(codec)._decode
 
-        def bad_get_versioned(entity_type, part):
-            emb, state, v = PartitionServer.get_versioned(
-                server, entity_type, part
-            )
-            return emb.astype(np.float16), state, v
+        def bad_decode(self, payload):
+            emb, state = decode(self, payload)
+            return emb.astype(np.float16), state
 
-        store.server = type(
-            "Proxy", (), {
-                "get_versioned": staticmethod(bad_get_versioned),
-                "codec_name": staticmethod(server.codec_name),
-            },
-        )()
+        monkeypatch.setattr(type(codec), "_decode", bad_decode)
         with pytest.raises(CodecDriftError, match="float16"):
             store.load("node", 0)
 
     def test_drifted_state_shape_raises(self):
         server = PartitionServer(1)
         store = PartitionServerStorage(server)
-        server.put("node", 0, *_arrays(n=10))
+        put_arrays(server, "node", 0, *_arrays(n=10))
 
         def bad_get_versioned(entity_type, part):
-            emb, state, v = PartitionServer.get_versioned(
+            payload, v = PartitionServer.get_versioned(
                 server, entity_type, part
             )
-            return emb, state[:-1], v
+            return {**payload, "optim_state": payload["optim_state"][:-1]}, v
 
         store.server = type(
             "Proxy", (), {
@@ -509,7 +515,151 @@ class TestCodecDriftGuard:
         with pytest.raises(CodecDriftError, match="optimizer"):
             store.load("node", 0)
 
+    def test_foreign_codec_payload_raises(self):
+        """The adapter speaks the server's codec; a payload marked with
+        another one is drift, not something to decode on trust."""
+        store = PartitionServerStorage(PartitionServer(1, codec="fp16"))
+        store.save("node", 0, *_arrays())
+        store._codec = compression.get_codec("int8")
+        with pytest.raises(CodecDriftError, match="fp16"):
+            store.load("node", 0)
+
     def test_drift_is_not_a_storage_error(self):
         """StorageError means 'partition absent, initialise it' to every
         consumer; drift must never be masked as that."""
         assert not issubclass(CodecDriftError, StorageError)
+
+
+class TestTrustBoundary:
+    """The server stores what it is handed, so it checks it first —
+    and a rejected call leaves store, versions and counters alone."""
+
+    def _server(self, codec="int8", n=20, d=8):
+        ps = PartitionServer(1, codec=codec)
+        emb, state = _arrays(n=n, d=d)
+        version = put_arrays(ps, "node", 0, emb, state)
+        return ps, emb, state, version
+
+    def _unchanged(self, ps, emb_before, version):
+        assert ps.version("node", 0) == version
+        np.testing.assert_array_equal(
+            get_arrays(ps, "node", 0)[0], emb_before
+        )
+        assert ps.stats.puts == 1 and ps.stats.delta_puts == 0
+
+    def test_put_rejects_foreign_codec(self):
+        ps, emb, state, version = self._server()
+        before = get_arrays(ps, "node", 0)[0]
+        foreign = compression.get_codec("fp16").encode(emb, state)
+        with pytest.raises(PayloadError, match="int8"):
+            ps.put("node", 0, foreign)
+        unmarked = compression.get_codec("int8").encode(emb, state)
+        del unmarked[compression.CODEC_KEY]
+        with pytest.raises(PayloadError):
+            ps.put("node", 0, unmarked)
+        self._unchanged(ps, before, version)
+
+    def test_put_rejects_disagreeing_row_counts(self):
+        ps, emb, state, version = self._server()
+        before = get_arrays(ps, "node", 0)[0]
+        payload = compression.get_codec("int8").encode(emb, state)
+        payload["scales"] = payload["scales"][:-1]
+        with pytest.raises(PayloadError, match="row counts"):
+            ps.put("node", 0, payload)
+        self._unchanged(ps, before, version)
+        assert ps.shard_nbytes() == [
+            compression.wire_nbytes("int8", *emb.shape)
+        ]
+
+    @pytest.mark.parametrize("bad_row", [-1, 20, 10**6])
+    def test_delta_rejects_rows_outside_the_partition(self, bad_row):
+        """A negative index used to wrap silently onto the last rows."""
+        ps, emb, state, version = self._server()
+        before = get_arrays(ps, "node", 0)[0]
+        rows = np.array([3, bad_row], dtype=np.int64)
+        with pytest.raises(PayloadError, match="out of range"):
+            put_delta_arrays(
+                ps, "node", 0, rows, emb[:2] + 1.0, state[:2], version
+            )
+        self._unchanged(ps, before, version)
+
+    def test_delta_rejects_arrays_not_matching_its_rows(self):
+        ps, emb, state, version = self._server()
+        before = get_arrays(ps, "node", 0)[0]
+        delta = compression.encode_delta(
+            "int8", np.array([1, 2, 3]), emb[:3], state[:3]
+        )
+        delta[compression.DELTA_ROWS_KEY] = np.array([1, 2], dtype=np.int64)
+        with pytest.raises(PayloadError, match="row counts"):
+            ps.put_delta("node", 0, delta, version)
+        del delta[compression.DELTA_ROWS_KEY]
+        with pytest.raises(PayloadError, match="row indices"):
+            ps.put_delta("node", 0, delta, version)
+        self._unchanged(ps, before, version)
+
+    def test_delta_rejects_foreign_codec_and_shape(self):
+        ps, emb, state, version = self._server()
+        before = get_arrays(ps, "node", 0)[0]
+        rows = np.array([1, 2], dtype=np.int64)
+        with pytest.raises(PayloadError, match="int8"):
+            ps.put_delta(
+                "node", 0,
+                compression.encode_delta("none", rows, emb[:2], state[:2]),
+                version,
+            )
+        narrow = compression.encode_delta(
+            "int8", rows, emb[:2, :4], state[:2]
+        )
+        with pytest.raises(PayloadError, match="stored partition"):
+            ps.put_delta("node", 0, narrow, version)
+        self._unchanged(ps, before, version)
+
+    def test_put_rejects_a_scalar_where_rows_belong(self):
+        ps, emb, state, version = self._server()
+        before = get_arrays(ps, "node", 0)[0]
+        payload = compression.get_codec("int8").encode(emb, state)
+        payload["scales"] = np.float32(1.0)
+        with pytest.raises(PayloadError, match="row counts"):
+            ps.put("node", 0, payload)
+        self._unchanged(ps, before, version)
+
+    def test_payload_error_is_typed(self):
+        assert issubclass(PayloadError, ValueError)
+        assert not issubclass(PayloadError, StorageError)
+
+
+class TestHostedBytes:
+    def test_running_count_tracks_overwrites_and_deltas(self):
+        """``shard_nbytes`` is a running sum, not a walk: it must still
+        equal the walk after overwrites with another size and deltas."""
+        ps = PartitionServer(2, codec="int8")
+        put_arrays(ps, "node", 0, *_arrays(n=30, d=8))
+        v = put_arrays(ps, "node", 0, *_arrays(1, n=50, d=8))  # grows
+        put_arrays(ps, "node", 1, *_arrays(2, n=10, d=8))
+        put_arrays(ps, "node", 2, *_arrays(3, n=7, d=8))
+        emb, state = _arrays(4, n=5, d=8)
+        assert put_delta_arrays(
+            ps, "node", 0, np.arange(5), emb, state, v
+        ) == v + 1
+        walked = [0, 0]
+        for entity_type, part in ps.keys():
+            payload, _ = ps.get_versioned(entity_type, part)
+            walked[part % 2] += compression.payload_nbytes(payload)
+        assert ps.shard_nbytes() == walked
+        assert walked[0] == compression.wire_nbytes("int8", 57, 8)
+
+    def test_reader_never_sees_a_torn_payload(self):
+        """``put_delta`` is copy-on-write: a payload reference handed
+        out before the delta is bit-for-bit what it was."""
+        ps = PartitionServer(1, codec="int8")
+        emb, state = _arrays(n=40, d=8)
+        v = put_arrays(ps, "node", 0, emb, state)
+        held, _ = ps.get_versioned("node", 0)
+        snapshot = {k: np.array(a, copy=True) for k, a in held.items()}
+        put_delta_arrays(
+            ps, "node", 0, np.arange(40)[::2], emb[::2] * 3.0, state[::2], v
+        )
+        for k, a in held.items():
+            np.testing.assert_array_equal(a, snapshot[k])
+        now, _ = ps.get_versioned("node", 0)
+        assert not np.array_equal(now["scales"], held["scales"])

@@ -14,11 +14,18 @@ the benchmark of record (chunk 100, 50 + 50 negatives per side, d = 64,
 - ``RowAdagrad.step`` on one chunk's 400 stacked rows (~25 % repeats);
 - ``accumulate_duplicate_rows`` on the same rows, beside the three
   alternatives its docstring quotes (COO -> ``csr_matrix``, the
-  ``(data, indices, indptr)`` constructor, ``np.add.reduceat``).
+  ``(data, indices, indptr)`` constructor, ``np.add.reduceat``);
+- whole epochs of ``dense_social``'s shape with ``num_workers`` 1, 2
+  and 4 (in-bucket HOGWILD threads, ``BucketExecutor.train``): edges/s
+  and held-out MRR — whether threads under one interpreter lock buy
+  anything is a property of the machine, so it is a ledger row.
 
 Inputs are seeded and every timing is the median over 7 batches of 400
 calls (``--quick``: 3 of 50), so two runs on one machine agree to a few
-percent. The report is appended to ``BENCH_history.jsonl``.
+percent; the epoch rows are medians over ten rounds of three epochs
+that take the worker counts in rotating order (``--quick``: one round
+of one epoch at 1/20 size). The report is appended to
+``BENCH_history.jsonl``.
 
 Usage::
 
@@ -29,7 +36,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
+import time
 from pathlib import Path
 
 # One BLAS thread, like every child of benchmarks/perf/run.py; must be
@@ -43,7 +52,15 @@ import scipy.sparse as sp
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(_ROOT), str(_ROOT.parent / "src")]
 
-from common import append_history, provenance, social_config, time_us
+from common import (
+    append_history,
+    eval_ranking,
+    livejournal_splits,
+    provenance,
+    social_config,
+    time_us,
+    train_single,
+)
 
 from repro.config import RelationSchema
 from repro.core.model import EmbeddingModel
@@ -53,6 +70,7 @@ from repro.core.tables import DenseEmbeddingTable
 from repro.graph.entity_storage import EntityStorage
 
 CHUNK, BATCH, NEGS, DIM, NUM_ROWS = 100, 1000, 50, 64, 20_000
+WORKERS = (1, 2, 4)
 
 
 def chunk_steps(comparator: str, operator: str, two_tables: bool):
@@ -147,6 +165,35 @@ def accumulate_alternatives(rows, grads):
     }
 
 
+def worker_epochs(num_nodes: int, rounds: int, epochs: int):
+    """Per worker count: median epoch edges/s and median held-out MRR of
+    fresh ``dense_social``-shaped models (``social_config`` is that
+    shape), over ``rounds`` that rotate the order of the counts."""
+    graph, train, test = livejournal_splits(num_nodes)
+    speed = {n: [] for n in WORKERS}
+    mrr = {n: [] for n in WORKERS}
+    for r in range(rounds):
+        shift = r % len(WORKERS)
+        for n in WORKERS[shift:] + WORKERS[:shift]:
+            stamps = [time.perf_counter()]
+            model, _ = train_single(
+                social_config(num_workers=n, num_epochs=epochs),
+                {"node": graph.num_nodes}, train,
+                after_epoch=lambda *_: stamps.append(time.perf_counter()),
+            )
+            speed[n] += [len(train) / dt for dt in np.diff(stamps)]
+            mrr[n].append(eval_ranking(model, test, max_eval=2000).mrr)
+    return {
+        str(n): {
+            "edges_per_s": statistics.median(speed[n]),
+            "edges_per_s_min": min(speed[n]),
+            "edges_per_s_max": max(speed[n]),
+            "mrr": statistics.median(mrr[n]),
+        }
+        for n in WORKERS
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -196,14 +243,29 @@ def main(argv=None) -> int:
                  if name in chunks else "")
         print(f"  {name:58s} {value:8.1f} us{ratio}")
 
+    rounds, epochs, nodes = (1, 1, NUM_ROWS // 20) if args.quick else (
+        10, 3, NUM_ROWS
+    )
+    hogwild = worker_epochs(nodes, rounds, epochs)
+    print(f"epochs of {nodes} nodes, batch {BATCH}; {rounds} rounds x "
+          f"{epochs} epochs per worker count, order rotated")
+    for n, row in hogwild.items():
+        print(f"  epoch[num_workers={n}] {row['edges_per_s'] / 1e3:8.1f} k edges/s"
+              f" ({row['edges_per_s_min'] / 1e3:.1f}-"
+              f"{row['edges_per_s_max'] / 1e3:.1f})"
+              f"  {row['edges_per_s'] / hogwild['1']['edges_per_s']:5.2f} x one"
+              f" worker   MRR {row['mrr']:.4f}")
+
     report = {
         "benchmark": "micro_chunk_step",
         "params": {
             "chunk": CHUNK, "negs_per_source": NEGS, "dim": DIM,
             "num_rows": NUM_ROWS, "calls": calls, "repeats": repeats,
+            "epoch_nodes": nodes, "epoch_rounds": rounds, "epochs": epochs,
         },
         "us_per_call": us,
         "unique_row_ratio": unique_ratio,
+        "hogwild_epochs": hogwild,
     }
     report["provenance"] = provenance(report["params"])
     if args.history:

@@ -135,7 +135,7 @@ def main(argv=None) -> int:
         for transport, (partitions, parameters) in transports.items():
             for codec in ("none", "int8"):
                 cases = partition_cases(
-                    partitions(1, None, codec), codec, emb, state, dirty
+                    partitions(1, codec), codec, emb, state, dirty
                 )
                 for name, (operation, crossed) in cases.items():
                     key = f"{name}[{codec},{transport}]"

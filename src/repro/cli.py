@@ -150,19 +150,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if config.num_machines > 1:
         return _train_distributed(args, config, entities, edges)
     model = EmbeddingModel(config, entities)
-    storage = None
-    if any(s.num_partitions > 1 for s in config.entities.values()):
-        from repro.graph.storage import PartitionedEmbeddingStorage
-
-        if args.checkpoint is None:
-            print("error: partitioned training requires --checkpoint",
-                  file=sys.stderr)
-            return 2
-        storage = PartitionedEmbeddingStorage(
-            Path(args.checkpoint) / "swap",
-            codec=config.partition_compression,
-        )
-    trainer = Trainer(config, model, entities, storage)
+    partitioned = any(s.num_partitions > 1 for s in config.entities.values())
+    if partitioned and args.checkpoint is None:
+        print("error: partitioned training requires --checkpoint",
+              file=sys.stderr)
+        return 2
+    trainer = Trainer(config, model, entities)
 
     def progress(epoch: int, stats) -> None:
         e = stats.epochs[-1]
@@ -199,7 +192,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
             f"{p.prefetch_wait_time:.1f}s prefetch wait, "
             f"{p.writeback_stall_time:.1f}s writeback stall"
         )
-    if args.checkpoint is not None and storage is None:
+    # A partitioned run swapped against the checkpoint's own store and
+    # checkpointed it every epoch: nothing more to write.
+    if args.checkpoint is not None and not partitioned:
         save_model(args.checkpoint, model, entities,
                    metadata={"epoch": config.num_epochs - 1})
         print(f"checkpoint written to {args.checkpoint}")
@@ -217,17 +212,7 @@ def _train_distributed(
     per-machine partition-server prefetch pipeline."""
     from repro.distributed.cluster import DistributedTrainer
 
-    if args.bandwidth is not None and args.mode == "process":
-        print(
-            "warning: --bandwidth only applies to thread mode "
-            "(process mode pays real IPC costs); ignoring it",
-            file=sys.stderr,
-        )
-    trainer = DistributedTrainer(
-        config, entities,
-        mode=args.mode,
-        bandwidth_bytes_per_s=args.bandwidth,
-    )
+    trainer = DistributedTrainer(config, entities, mode=args.mode)
     # No after_epoch callback: passing one makes the coordinator
     # assemble the full model every epoch (every partition copied off
     # the server) while all machines idle at the barrier.
@@ -544,11 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also print raw pipeline / wire counter "
                               "summaries (default: telemetry digest "
                               "only when tracing)")
-    p_train.add_argument("--bandwidth", type=float, default=None,
-                         metavar="BYTES_PER_S",
-                         help="simulated partition-server NIC bandwidth "
-                              "for distributed thread mode "
-                              "(default: no delay)")
     p_train.set_defaults(fn=_cmd_train)
 
     p_eval = sub.add_parser("eval", help="rank held-out edges")

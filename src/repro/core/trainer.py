@@ -87,7 +87,11 @@ from repro.graph.buckets import Bucket, bucket_order
 from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import BucketedEdges, bucket_edges
-from repro.graph.storage import PartitionPipeline, PartitionedEmbeddingStorage
+from repro.graph.storage import (
+    CheckpointStorage,
+    PartitionPipeline,
+    PartitionedEmbeddingStorage,
+)
 
 __all__ = [
     "BucketExecutor", "Trainer", "TrainingStats", "EpochStats",
@@ -445,8 +449,12 @@ class Trainer:
     entities:
         Entity counts and partitionings.
     storage:
-        Disk store for swapped-out partitions. Required when any entity
-        type has more than one partition; optional (unused) otherwise.
+        Where swapped-out partitions live; used only when some entity
+        type has more than one partition. A run has one partition
+        store: with ``config.checkpoint_dir`` set it is the
+        checkpoint's own (the default), and a directory store rooted
+        anywhere else is refused. Without a checkpoint directory the
+        caller must supply one.
     """
 
     def __init__(
@@ -460,18 +468,34 @@ class Trainer:
         self.config = config
         self.model = model
         self.entities = entities
-        self.storage = storage
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
         self._partitioned = any(
             entities.num_partitions(t) > 1
             for t in entities.types
             if t in config.entities
         )
-        if self._partitioned and storage is None:
-            raise ValueError(
-                "partitioned training needs PartitionedEmbeddingStorage to "
-                "swap evicted partitions"
-            )
+        if self._partitioned:
+            if config.checkpoint_dir is not None:
+                own = CheckpointStorage(
+                    config.checkpoint_dir, codec=config.partition_compression
+                ).partitions
+                if storage is None:
+                    storage = own
+                elif (
+                    isinstance(storage, PartitionedEmbeddingStorage)
+                    and storage.root.resolve() != own.root.resolve()
+                ):
+                    raise ValueError(
+                        f"partition store at {storage.root} is not the "
+                        f"checkpoint's ({own.root}); a run has one "
+                        "partition store, so the checkpoint stays complete"
+                    )
+            if storage is None:
+                raise ValueError(
+                    "partitioned training needs a checkpoint_dir or a "
+                    "PartitionedEmbeddingStorage to swap evicted partitions"
+                )
+        self.storage = storage
 
     # ------------------------------------------------------------------
     # Public API
@@ -565,8 +589,8 @@ class Trainer:
 
         With partitioned training only resident partitions are saved
         here; the evicted ones were already flushed to the partition
-        store, which shares the checkpoint's directory layout when
-        ``checkpoint_dir`` is used for both. The barrier drains the
+        store, which is the checkpoint's own ``embeddings/`` directory,
+        so the checkpoint is complete. The barrier drains the
         pipeline's writeback queue so the partition store is consistent
         with training state before the checkpoint claims to be (the
         epoch-end flush just did; this holds whatever ran since).

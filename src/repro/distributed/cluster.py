@@ -503,8 +503,7 @@ class DistributedTrainer:
         ``"thread"`` (default; in-process, test-friendly) or
         ``"process"`` (true parallelism; used by scaling benchmarks).
     bandwidth_bytes_per_s:
-        Optional simulated network bandwidth for partition transfers
-        (thread mode only — process mode pays real IPC costs).
+        Vestigial: must be ``None`` (the frozen benchmark passes it).
     """
 
     def __init__(
@@ -517,12 +516,15 @@ class DistributedTrainer:
     ) -> None:
         if mode not in ("thread", "process"):
             raise ValueError(f"unknown mode {mode!r}")
+        if bandwidth_bytes_per_s is not None:
+            raise ValueError(
+                "the modelled NIC is gone: bandwidth_bytes_per_s must be None"
+            )
         self.config = config
         self.entities = entities
         self.mode = mode
         self.num_machines = config.num_machines
         self.seed = config.seed if seed is None else seed
-        self.bandwidth = bandwidth_bytes_per_s
         # Instantiated per-train() in process mode; kept for inspection
         # in thread mode.
         self.lock_server = None
@@ -638,7 +640,6 @@ class DistributedTrainer:
                 barrier_cls, queue_cls, worker_cls = (
                     fork.Barrier, fork.Queue, fork.Process
                 )
-                bandwidth = None  # real IPC costs instead of modelled ones
             else:
                 lock_cls, partition_cls, parameter_cls = (
                     LockServer, PartitionServer, ParameterServer
@@ -646,13 +647,11 @@ class DistributedTrainer:
                 barrier_cls, queue_cls, worker_cls = (
                     threading.Barrier, queue_mod.Queue, threading.Thread
                 )
-                bandwidth = self.bandwidth
             self.lock_server = lock_cls(
                 bucketed.nparts_lhs, bucketed.nparts_rhs
             )
             self.partition_server = partition_cls(
-                self.num_machines, bandwidth,
-                self.config.partition_compression,
+                self.num_machines, self.config.partition_compression
             )
             self.parameter_server = parameter_cls(self.num_machines)
             barrier = barrier_cls(self.num_machines + 1)

@@ -26,11 +26,6 @@ rejected and the caller degrades to a full push — and applies it as a
 copy-on-write *row patch of the stored encoded arrays*: every codec
 encodes rows independently, so this is bitwise what decode, scatter,
 re-encode would give, without touching the other rows.
-
-The optional bandwidth model (thread mode) treats each shard's NIC as
-a *shared* device: concurrent transfers against one shard queue behind
-one another (``nic_free_at``), so N simultaneous fetches take ~N x one
-fetch. It is charged ``payload_nbytes``, the bytes that really move.
 """
 
 from __future__ import annotations
@@ -78,10 +73,8 @@ class PartitionServerStats:
     None (``misses``) — so hit rates can be derived; bytes accrue only
     for transfers that actually moved data, and are *encoded* bytes —
     ``bytes_saved`` is how many fp32 bytes codec and deltas avoided.
-    ``simulated_transfer_seconds`` is the pure bytes/bandwidth cost;
-    ``simulated_queue_seconds`` is the extra time transfers spent
-    waiting for a busy shard NIC. ``delta_puts`` / ``delta_stale``
-    count dirty-row writebacks applied / rejected for staleness.
+    ``delta_puts`` / ``delta_stale`` count dirty-row writebacks applied
+    / rejected for staleness.
     """
 
     gets: int = 0
@@ -92,8 +85,6 @@ class PartitionServerStats:
     bytes_saved: int = 0
     delta_puts: int = 0
     delta_stale: int = 0
-    simulated_transfer_seconds: float = 0.0
-    simulated_queue_seconds: float = 0.0
 
 
 @dataclass
@@ -106,8 +97,6 @@ class _Shard:
     versions: "dict[tuple[str, int], int]" = field(default_factory=dict)
     #: encoded bytes hosted (running sum over ``store``)
     nbytes: int = 0
-    #: monotonic timestamp at which this shard's simulated NIC is free
-    nic_free_at: float = 0.0
 
 
 _NOT_ROWS = (compression.CODEC_KEY, compression.DELTA_ROWS_KEY)
@@ -118,7 +107,7 @@ def _raw_nbytes(payload) -> int:
     return compression.wire_nbytes("none", *compression.payload_shape(payload))
 
 
-class PartitionServer:  # public-guard: lock, _stats_lock
+class PartitionServer:  # public-guard: lock
     """Key-value store of partitions, sharded by partition index.
 
     Parameters
@@ -126,30 +115,18 @@ class PartitionServer:  # public-guard: lock, _stats_lock
     num_shards:
         Number of hosting machines; partition ``p`` of any entity type
         lives on shard ``p % num_shards``.
-    bandwidth_bytes_per_s:
-        Optional simulated network bandwidth per shard NIC; each
-        transfer occupies the shard's NIC for ``nbytes / bandwidth``
-        seconds, and concurrent transfers on one shard serialise.
-        ``None`` (the default) disables the delay.
     codec:
         Name of the one codec (``none`` / ``fp16`` / ``int8``) whose
         payloads this server accepts, hosts and ships.
     """
 
-    def __init__(
-        self,
-        num_shards: int,
-        bandwidth_bytes_per_s: float | None = None,
-        codec: str = "none",
-    ) -> None:
+    def __init__(self, num_shards: int, codec: str = "none") -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self._shards = [_Shard() for _ in range(num_shards)]
-        self.bandwidth = bandwidth_bytes_per_s
         self._codec = compression.get_codec(codec)
         # Transfer counters live in a metrics registry; ``stats`` is a
-        # derived snapshot. _stats_lock serialises the NIC model
-        # (nic_free_at read-modify-write must be atomic).
+        # derived snapshot.
         self._metrics = MetricsRegistry()
         self._c_gets = self._metrics.counter("server.gets")
         self._c_puts = self._metrics.counter("server.puts")
@@ -159,13 +136,6 @@ class PartitionServer:  # public-guard: lock, _stats_lock
         self._c_bytes_saved = self._metrics.counter("server.bytes_saved")
         self._c_delta_puts = self._metrics.counter("server.delta_puts")
         self._c_delta_stale = self._metrics.counter("server.delta_stale")
-        self._c_transfer_s = self._metrics.counter(
-            "server.simulated_transfer_seconds"
-        )
-        self._c_queue_s = self._metrics.counter(
-            "server.simulated_queue_seconds"
-        )
-        self._stats_lock = threading.Lock()
 
     @property
     def stats(self) -> PartitionServerStats:  # lint: no-lock (counter-backed)
@@ -179,8 +149,6 @@ class PartitionServer:  # public-guard: lock, _stats_lock
             bytes_saved=int(self._c_bytes_saved.value),
             delta_puts=int(self._c_delta_puts.value),
             delta_stale=int(self._c_delta_stale.value),
-            simulated_transfer_seconds=self._c_transfer_s.value,
-            simulated_queue_seconds=self._c_queue_s.value,
         )
 
     # ------------------------------------------------------------------
@@ -193,11 +161,7 @@ class PartitionServer:  # public-guard: lock, _stats_lock
     def _shard(self, part: int) -> _Shard:
         return self._shards[part % len(self._shards)]
 
-    def _account(
-        self, shard: _Shard, nbytes: int, sent: bool, saved: int = 0
-    ) -> None:
-        delay = nbytes / self.bandwidth if self.bandwidth else 0.0
-        wait = 0.0
+    def _account(self, nbytes: int, sent: bool, saved: int) -> None:
         if sent:
             self._c_gets.inc()
             self._c_bytes_sent.inc(nbytes)
@@ -205,18 +169,6 @@ class PartitionServer:  # public-guard: lock, _stats_lock
             self._c_puts.inc()
             self._c_bytes_received.inc(nbytes)
         self._c_bytes_saved.inc(saved)
-        self._c_transfer_s.inc(delay)
-        if delay:
-            with self._stats_lock:
-                # The shard's NIC is shared: this transfer starts when
-                # the device frees up, not immediately.
-                now = time.monotonic()
-                start = max(now, shard.nic_free_at)
-                shard.nic_free_at = start + delay
-                wait = (start + delay) - now
-            self._c_queue_s.inc(start - now)
-        if wait > 0:
-            time.sleep(wait)
 
     def _account_miss(self) -> None:
         self._c_gets.inc()
@@ -261,7 +213,7 @@ class PartitionServer:  # public-guard: lock, _stats_lock
                 version = shard.versions.get(key, 0) + 1
                 shard.versions[key] = version
             self._account(
-                shard, nbytes, sent=False, saved=_raw_nbytes(payload) - nbytes
+                nbytes, sent=False, saved=_raw_nbytes(payload) - nbytes
             )
             return version
 
@@ -276,7 +228,7 @@ class PartitionServer:  # public-guard: lock, _stats_lock
         returns None and the caller must degrade to a full :meth:`put`.
         Otherwise its rows are patched into a copy of the stored arrays
         and the new version is returned. Only the delta's bytes are
-        charged to the NIC (the version check is metadata).
+        counted (the version check is metadata).
         """
         with telemetry.span(
             "server.put_delta", cat="transfer", entity=entity_type, part=part
@@ -305,7 +257,7 @@ class PartitionServer:  # public-guard: lock, _stats_lock
                 return None
             self._c_delta_puts.inc()
             self._account(
-                shard, nbytes, sent=False, saved=_raw_nbytes(stored) - nbytes
+                nbytes, sent=False, saved=_raw_nbytes(stored) - nbytes
             )
             return version
 
@@ -329,7 +281,7 @@ class PartitionServer:  # public-guard: lock, _stats_lock
             nbytes = compression.payload_nbytes(payload)
             sp.note(wire_bytes=nbytes)
             self._account(
-                shard, nbytes, sent=True, saved=_raw_nbytes(payload) - nbytes
+                nbytes, sent=True, saved=_raw_nbytes(payload) - nbytes
             )
             return payload, version
 

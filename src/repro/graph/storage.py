@@ -3,9 +3,11 @@
 When a model exceeds memory, PBG keeps only the two partitions of the
 current bucket in RAM and swaps the rest to disk (paper Section 4.1);
 model checkpoints go to a shared filesystem in distributed mode
-(Figure 2). Both paths are implemented here on top of ``.npz`` files
-with atomic write-then-rename semantics (:func:`atomic_write`), so a
-crash mid-write never corrupts an existing partition.
+(Figure 2). A run keeps one copy of a partition at rest: the trainer
+swaps against the ``embeddings/`` directory of the checkpoint it
+writes, so the checkpoint always holds every partition. Files are
+``.npz`` with atomic write-then-rename semantics (:func:`atomic_write`),
+so a crash mid-write never corrupts an existing partition.
 
 Every mover of a partition reaches its backend through one
 :class:`PartitionPipeline` (``settle`` / ``park`` / ``persist`` /
@@ -648,7 +650,8 @@ class CheckpointStorage:
     - ``config.json`` — the serialized :class:`~repro.config.ConfigSchema`
     - ``metadata.json`` — epoch number and user metadata
     - ``shared.npz`` — relation operator parameters and other globals
-    - ``embeddings/`` — a :class:`PartitionedEmbeddingStorage`
+    - ``embeddings/`` — a :class:`PartitionedEmbeddingStorage`, the
+      store a partitioned run swaps against (``partitions``)
 
     ``codec`` selects the partition codec used when *writing* embedding
     partitions (shared parameters always stay fp32 — they are tiny and

@@ -39,11 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.graph.storage import (
-    CheckpointStorage,
-    PartitionedEmbeddingStorage,
-    atomic_write,
-)
+from repro.graph.storage import CheckpointStorage, atomic_write
 from repro.serving.index import ServingError
 
 __all__ = [
@@ -229,31 +225,15 @@ def publish_checkpoint(
             f"checkpoint at {checkpoint_dir} lacks layout arrays for "
             f"{entity_type!r}"
         )
-    # A per-epoch checkpoint only holds the partitions that were
-    # resident in the last trained bucket; partitioned runs keep the
-    # complete state in the training swap store next to it.
     required = {int(p) for p in np.unique(np.asarray(shared[part_key]))}
-    store = ckpt.partitions
     if not required.issubset(parts):
-        swap_root = Path(checkpoint_dir) / "swap"
-        swap_parts: "list[int]" = []
-        if swap_root.exists():
-            swap = PartitionedEmbeddingStorage(swap_root)
-            swap_parts = swap.stored_partitions(entity_type)
-            if required.issubset(swap_parts):
-                store = swap
-        if store is ckpt.partitions:
-            missing = sorted(required - set(parts) - set(swap_parts))
-            raise ServingError(
-                f"checkpoint at {checkpoint_dir} is missing partition(s) "
-                f"{missing} of {entity_type!r} (neither the checkpoint "
-                f"store nor its swap store holds them)"
-            )
+        raise ServingError(
+            f"checkpoint at {checkpoint_dir} is missing partition(s) "
+            f"{sorted(required - set(parts))} of {entity_type!r}"
+        )
     pub = _Publisher(root)
     try:
-        shards, dim = store.export_mmap(
-            entity_type, pub.staging
-        )
+        shards, dim = ckpt.partitions.export_mmap(entity_type, pub.staging)
         atomic_write(
             pub.staging / "layout_part.npy", np.save,
             shared[part_key].astype(np.int64),

@@ -154,6 +154,41 @@ class TestTrainEvalExport:
         assert rc == 0
         assert "done:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags", [[], ["--pipeline", "--partition-compression", "int8"]],
+        ids=["serial", "pipelined-int8"],
+    )
+    def test_partitioned_round_trip(self, workspace, capsys, flags):
+        """Train, then eval, both export formats and a query, all off
+        the one complete store the run leaves in the checkpoint."""
+        from repro.serving import MmapShardedTable
+
+        tmp_path, config_path, train_path, test_path = workspace
+        config = ConfigSchema.from_json(config_path.read_text()).replace(
+            entities={"node": EntitySchema(num_partitions=4)}, num_epochs=2
+        )
+        p4 = tmp_path / "config4.json"
+        p4.write_text(config.to_json())
+        ckpt, snap, npy = tmp_path / "ckpt", tmp_path / "snap", tmp_path / "e.npy"
+        export = ["export", "--checkpoint", str(ckpt), "--entity-type", "node"]
+        for argv in (
+            ["train", "--config", str(p4), "--edges", str(train_path),
+             "--checkpoint", str(ckpt), *flags],
+            ["eval", "--checkpoint", str(ckpt), "--edges", str(test_path),
+             "--candidates", "50"],
+            [*export, "--output", str(npy)],
+            [*export, "--output", str(snap), "--format", "mmap"],
+            ["query", "--snapshots", str(snap), "--ids", "0,5", "--k", "3"],
+        ):
+            assert main(argv) == 0, argv
+        assert "MRR" in capsys.readouterr().out
+        assert sorted(p.name for p in ckpt.iterdir()) == [
+            "config.json", "embeddings", "metadata.json", "shared.npz",
+        ]
+        table = MmapShardedTable.open(snap)
+        np.testing.assert_array_equal(np.load(npy), table.as_array())
+        table.close()
+
     def test_distributed_training_via_cli(self, workspace, capsys):
         """num_machines > 1 routes to the cluster trainer; the pipeline
         flags apply to the partition-server prefetch path."""

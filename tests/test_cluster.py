@@ -54,6 +54,12 @@ def _setup(num_machines, nparts, n=300, seed=0, **kw):
 
 
 class TestThreadMode:
+    def test_modelled_nic_is_gone(self):
+        config, entities = _setup(1, 2)
+        with pytest.raises(ValueError, match="bandwidth_bytes_per_s"):
+            DistributedTrainer(config, entities, bandwidth_bytes_per_s=1e6)
+        DistributedTrainer(config, entities, bandwidth_bytes_per_s=None)
+
     def test_single_machine_trains(self):
         config, entities = _setup(1, 2)
         trainer = DistributedTrainer(config, entities)
@@ -611,7 +617,7 @@ class TestRealWire:
         """One full push, one delta push and one fetch through a proxy."""
         from repro.distributed.partition_server import PartitionServerStorage
 
-        wire = RecordingServer(manager.PartitionServer(1, None, codec))
+        wire = RecordingServer(manager.PartitionServer(1, codec))
         store = PartitionServerStorage(wire, use_delta=True)
         rng = np.random.default_rng(0)
         emb = rng.standard_normal((self.ROWS, self.DIM)).astype(np.float32)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.neighbors import ExactIndex, KnnIndex
+from repro.serving.index import ExactIndex, KnnIndex
 
 
 def _clustered(n_per=20, c=4, d=8, seed=0):

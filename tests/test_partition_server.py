@@ -1,7 +1,6 @@
 """Tests for the sharded partition server."""
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -88,11 +87,6 @@ class TestPartitionServer:
         assert ps.stats.bytes_received == emb.nbytes + state.nbytes
         assert ps.stats.bytes_sent == emb.nbytes + state.nbytes
 
-    def test_bandwidth_model_accumulates_delay(self):
-        ps = PartitionServer(1, bandwidth_bytes_per_s=1e9)
-        put_arrays(ps, "node", 0, *_arrays(n=100))
-        assert ps.stats.simulated_transfer_seconds > 0
-
     def test_invalid_shards(self):
         with pytest.raises(ValueError):
             PartitionServer(0)
@@ -165,37 +159,6 @@ class TestVersioning:
         put_arrays(ps, "b", 0, *_arrays(n=2))
         assert ps.version("a", 0) == 2
         assert ps.version("b", 0) == 1
-
-
-class TestBandwidthContention:
-    def test_concurrent_transfers_share_the_nic(self):
-        """Two simultaneous fetches against one shard must queue behind
-        each other — the modeled NIC is shared, not per-transfer."""
-        emb, state = _arrays(n=1000, d=25)  # 100KB + state
-        nbytes = emb.nbytes + state.nbytes
-        per_transfer = 0.1
-        ps = PartitionServer(1, bandwidth_bytes_per_s=nbytes / per_transfer)
-        ps.bandwidth = None  # free put
-        put_arrays(ps, "node", 0, emb, state)
-        ps.bandwidth = nbytes / per_transfer
-
-        t0 = time.perf_counter()
-        threads = [
-            threading.Thread(target=ps.get_versioned, args=("node", 0))
-            for _ in range(2)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        elapsed = time.perf_counter() - t0
-        assert elapsed >= 1.7 * per_transfer
-        assert ps.stats.simulated_queue_seconds > 0
-
-    def test_transfer_seconds_remain_pure_bandwidth_cost(self):
-        ps = PartitionServer(1, bandwidth_bytes_per_s=1e9)
-        put_arrays(ps, "node", 0, *_arrays(n=100))
-        assert ps.stats.simulated_transfer_seconds > 0
 
 
 class TestPartitionServerStorage:

@@ -8,6 +8,7 @@ reads off the critical path and never perturbs RNG consumption order.
 
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,11 +75,13 @@ def train_run(
             ),
         )
     model = EmbeddingModel(config, entities, np.random.default_rng(seed))
-    storage = (
-        storage_cls(tmp_path / ("pipe" if pipeline else "serial"))
-        if num_partitions > 1
-        else None
+    # A run has one partition store: the checkpoint's, when it has one.
+    store_root = (
+        tmp_path / ("pipe" if pipeline else "serial")
+        if checkpoint_dir is None
+        else Path(checkpoint_dir) / "embeddings"
     )
+    storage = storage_cls(store_root) if num_partitions > 1 else None
     trainer = Trainer(
         config, model, entities, storage, np.random.default_rng(seed)
     )

@@ -481,15 +481,10 @@ class TestShards:
 
     @staticmethod
     def _partitioned_checkpoint(root, num_parts=4, n=40, d=8):
-        """A checkpoint whose own store holds only the last-resident
-        partition while the training swap store holds the full state —
-        the on-disk shape partitioned training actually leaves behind.
-        """
+        """A checkpoint of a partitioned run: every partition in the
+        one store, ``embeddings/``."""
         from repro.config import single_entity_config
-        from repro.graph.storage import (
-            CheckpointStorage,
-            PartitionedEmbeddingStorage,
-        )
+        from repro.graph.storage import CheckpointStorage
 
         rng = np.random.default_rng(0)
         emb = rng.standard_normal((n, d)).astype(np.float32)
@@ -502,23 +497,18 @@ class TestShards:
             .to_json()
         )
         ckpt.save_metadata({"epoch": 0, "counts": {"node": n}})
-        swap = PartitionedEmbeddingStorage(root / "swap")
         for p in range(num_parts):
             members = np.flatnonzero(part_of == p)
             offset_of[members] = np.arange(len(members))
-            swap.save("node", p, emb[members],
-                      np.zeros(len(members), dtype=np.float32))
+            ckpt.partitions.save("node", p, emb[members],
+                                 np.zeros(len(members), dtype=np.float32))
         ckpt.save_shared({
             "layout_node_part": part_of.astype(np.int64),
             "layout_node_offset": offset_of,
         })
-        last = num_parts - 1
-        members = np.flatnonzero(part_of == last)
-        ckpt.partitions.save("node", last, emb[members],
-                             np.zeros(len(members), dtype=np.float32))
         return emb
 
-    def test_publish_checkpoint_falls_back_to_swap_store(self, tmp_path):
+    def test_publish_checkpoint_of_a_partitioned_run(self, tmp_path):
         from repro.serving import publish_checkpoint
 
         emb = self._partitioned_checkpoint(tmp_path / "ckpt")
@@ -536,7 +526,7 @@ class TestShards:
         from repro.serving import publish_checkpoint
 
         self._partitioned_checkpoint(tmp_path / "ckpt")
-        (tmp_path / "ckpt" / "swap" / "node" / "part-00001.npz").unlink()
+        (tmp_path / "ckpt" / "embeddings" / "node" / "part-00001.npz").unlink()
         with pytest.raises(ServingError, match=r"missing partition\(s\) \[1\]"):
             publish_checkpoint(tmp_path / "snap", tmp_path / "ckpt", "node")
 

@@ -116,6 +116,27 @@ class TestPartitionedTraining:
         with pytest.raises(ValueError, match="Storage"):
             Trainer(config, model, entities)
 
+    def test_one_store_per_run(self, tmp_path):
+        """With a checkpoint directory the run's partition store is the
+        checkpoint's own: a directory store rooted elsewhere is refused,
+        and with none given the checkpoint holds every partition."""
+        from repro.core.checkpointing import load_model
+
+        kw = dict(nparts=4, num_epochs=2, checkpoint_dir=str(tmp_path / "ckpt"))
+        with pytest.raises(ValueError, match="one partition store"):
+            _setup(tmp_path=tmp_path / "elsewhere", **kw)
+        _, _, model, trainer = _setup(**kw)
+        trainer.train(_ring_graph())
+        assert len(model.resident_tables()) <= 2
+        _, _, loaded, _ = load_model(tmp_path / "ckpt")
+        assert sorted(loaded.resident_tables()) == [
+            ("node", p) for p in range(4)
+        ]
+        for key in model.resident_tables():
+            np.testing.assert_array_equal(
+                loaded.get_table(*key).weights, model.get_table(*key).weights
+            )
+
     def test_partitioned_swaps_to_disk(self, tmp_path):
         config, entities, model, trainer = _setup(
             nparts=4, tmp_path=tmp_path, num_epochs=2

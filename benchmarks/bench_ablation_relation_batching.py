@@ -6,9 +6,14 @@ This improves training speed specifically for the linear relation
 operator f_r(t) = A_r t, because it can be formulated as a
 matrix-multiply."
 
-We time one epoch with grouped vs ungrouped batches for the linear
-(RESCAL) operator and, as a control, the cheap diagonal operator where
-grouping matters less. Grouped batching must be faster for linear.
+We time one epoch of the shipped path — ``iterate_batches`` into
+``BucketExecutor._train_batch`` — with grouped batches (relation-pure
+chunks of full width, packed into relation-mixed batches) vs ungrouped
+ones (shuffle and slice, each slice sorted into relation runs, which
+leaves ~``batch_size / num_relations``-edge chunks of every width) for
+the linear (RESCAL) operator and, as controls, the
+element-wise translation and diagonal operators. Grouped batching must
+be faster for linear.
 """
 
 import time
@@ -18,18 +23,20 @@ import pytest
 
 from benchmarks.conftest import report_table
 from repro.config import ConfigSchema, EntitySchema, RelationSchema
-from repro.core.batching import iterate_batches, iterate_chunks
+from repro.core.batching import iterate_batches
 from repro.core.model import EmbeddingModel
+from repro.core.trainer import BucketExecutor
+from repro.graph.buckets import Bucket
 from repro.graph.entity_storage import EntityStorage
 
 _ROWS: "dict[tuple[str, bool], float]" = {}
-_OPERATORS = ["linear", "diagonal"]
+_OPERATORS = ["linear", "translation", "diagonal"]
 
 
 def _edges(num_entities=2000, num_relations=40, num_edges=30_000):
     """Uniform relation mix — the worst case for ungrouped batching:
     a mixed batch of B edges fragments into ~num_relations tiny chunks,
-    each paying its own operator application and negative pool."""
+    each paying its own negative pool and score matmuls."""
     from repro.graph.edgelist import EdgeList
 
     rng = np.random.default_rng(0)
@@ -55,17 +62,15 @@ def _run_epoch(operator: str, grouped: bool) -> float:
     entities = EntityStorage({"ent": num_entities})
     model = EmbeddingModel(config, entities, np.random.default_rng(0))
     model.init_all_partitions(np.random.default_rng(1))
-    table = model.get_table("ent", 0)
     rng = np.random.default_rng(2)
+    executor = BucketExecutor(config, model, entities, rng, pipeline=None)
 
     t0 = time.perf_counter()
     for batch in iterate_batches(
-        edges, config.batch_size, rng, group_by_relation=grouped
+        edges, config.batch_size, rng, group_by_relation=grouped,
+        chunk_size=config.chunk_size, groups=executor.rel_groups,
     ):
-        for rel_id, chunk in iterate_chunks(batch, config.chunk_size):
-            model.forward_backward_chunk(
-                rel_id, chunk.src, chunk.dst, table, table, rng
-            )
+        executor._train_batch(Bucket(0, 0), batch, rng)
     elapsed = time.perf_counter() - t0
     return len(edges) / elapsed
 

@@ -142,9 +142,15 @@ def fb15k_splits(seed=0):
 def freebase_splits(num_entities=12_000, num_relations=20,
                     num_edges=150_000, seed=0):
     # 20 relations keeps edges-per-relation-per-bucket near the real
-    # Freebase ratio at P=16 (the paper's 2.7B edges / 25k relations);
-    # more relations at this reduced scale fragments buckets into
-    # tiny same-relation chunks whose Python overhead swamps compute.
+    # Freebase ratio at P=16 (the paper's 2.7B edges / 25k relations).
+    # A bucket's chunks are packed into full batches whatever their
+    # relations, so what more relations cost at this reduced scale is
+    # short chunks, not small updates: at P=16 (527-edge buckets, one
+    # BLAS thread, 2-core box) an epoch trains at 92 k edges/s with 20
+    # relations (48 k while a batch held one relation) and at 27 k with
+    # 100 (17 k), where a bucket is ~100 tails of ~5 edges and every
+    # chunk width is its own ~0.2 ms run of score matmuls; at P=1 both
+    # run at ~265 k.
     kg = freebase_like(
         num_entities=num_entities, num_relations=num_relations,
         num_edges=num_edges, seed=seed,

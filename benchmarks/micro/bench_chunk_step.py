@@ -9,6 +9,16 @@ the benchmark of record (chunk 100, 50 + 50 negatives per side, d = 64,
   with both sides in one table and in two: one chunk, then a
   1000-edge batch as ten one-chunk calls (ten updates) against one
   batch call (ten chunks sharing one gather, backward and update);
+- one ``distributed_kg`` bucket (4 571 edges of 20 relations with 1/r
+  shares over a 16 250-row table, ``dot``/``translation`` and ``linear``)
+  trained as the parent's one-relation batches and as packed
+  relation-mixed batches, through the same ``iterate_batches`` and
+  ``forward_backward_chunk`` calls — µs per bucket beside the calls,
+  the chunks and the runs of equal-width chunks (each is six score
+  matmuls; no slot is padding: a short chunk is a narrower rectangle) —
+  and
+  ``partitioned_disk``'s one-relation 775-edge batch (7 full chunks and
+  a 75-edge tail, one stack);
 - the six chunk-sized matmuls on their own — the arithmetic floor of
   the paper's Figure 3, below which no assembly change can go;
 - ``RowAdagrad.step`` on one chunk's 400 stacked rows (~25 % repeats);
@@ -21,11 +31,11 @@ the benchmark of record (chunk 100, 50 + 50 negatives per side, d = 64,
   anything is a property of the machine, so it is a ledger row.
 
 Inputs are seeded and every timing is the median over 7 batches of 400
-calls (``--quick``: 3 of 50), so two runs on one machine agree to a few
-percent; the epoch rows are medians over ten rounds of three epochs
-that take the worker counts in rotating order (``--quick``: one round
-of one epoch at 1/20 size). The report is appended to
-``BENCH_history.jsonl``.
+calls (``--quick``: 3 of 40; a kg bucket counts as 50 calls), so two
+runs on one machine agree to a few percent; the epoch rows are medians
+over ten rounds of three epochs that take the worker counts in rotating
+order (``--quick``: one round of one epoch at 1/20 size). The report is
+appended to ``BENCH_history.jsonl``.
 
 Usage::
 
@@ -55,6 +65,7 @@ sys.path[:0] = [str(_ROOT), str(_ROOT.parent / "src")]
 from common import (
     append_history,
     eval_ranking,
+    kg_config,
     livejournal_splits,
     provenance,
     social_config,
@@ -63,14 +74,17 @@ from common import (
 )
 
 from repro.config import RelationSchema
+from repro.core.batching import chunk_bounds, iterate_batches
 from repro.core.model import EmbeddingModel
 from repro.core.negatives import sample_pool
 from repro.core.optimizers import RowAdagrad, accumulate_duplicate_rows
 from repro.core.tables import DenseEmbeddingTable
+from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 
 CHUNK, BATCH, NEGS, DIM, NUM_ROWS = 100, 1000, 50, 64, 20_000
 WORKERS = (1, 2, 4)
+KG_EDGES, KG_RELATIONS, KG_ROWS, DISK_BATCH = 4571, 20, 16_250, 775
 
 
 def chunk_steps(comparator: str, operator: str, two_tables: bool):
@@ -97,6 +111,59 @@ def chunk_steps(comparator: str, operator: str, two_tables: bool):
             step(lo, lo + CHUNK) for lo in range(0, BATCH, CHUNK)
         ],
         "batch_as_one_call": lambda: step(0, BATCH, chunk_size=CHUNK),
+        "ragged_batch_as_one_call": lambda: step(
+            0, DISK_BATCH, chunk_size=CHUNK
+        ),
+    }
+
+
+def kg_bucket(operator: str):
+    """One ``distributed_kg`` bucket: closures that train it as
+    one-relation batches (every relation its own group, chunks of a
+    whole batch) and as packed batches of one relation group, and the
+    shape of each — model calls, chunks, runs of equal-width chunks."""
+    rng = np.random.default_rng(0)
+    config = kg_config(KG_RELATIONS, operator)
+    model = EmbeddingModel(config, EntityStorage({"ent": KG_ROWS}), rng)
+    table = DenseEmbeddingTable.create(KG_ROWS, DIM, rng)
+    share = 1.0 / np.arange(1, KG_RELATIONS + 1)
+    edges = EdgeList(
+        rng.integers(0, KG_ROWS, KG_EDGES),
+        rng.choice(KG_RELATIONS, KG_EDGES, p=share / share.sum()),
+        rng.integers(0, KG_ROWS, KG_EDGES),
+    )
+    packings = {
+        "per_relation_batches": dict(
+            chunk_size=BATCH, groups=np.arange(KG_RELATIONS)
+        ),
+        "packed_batches": dict(
+            chunk_size=CHUNK, groups=np.zeros(KG_RELATIONS, dtype=np.int64)
+        ),
+    }
+
+    def train(packing):
+        for batch in iterate_batches(edges, BATCH, rng, **packing):
+            model.forward_backward_chunk(
+                batch.rel, batch.src, batch.dst, table, table, rng,
+                chunk_size=CHUNK,
+            )
+
+    def shape(packing):
+        widths = [
+            np.diff(chunk_bounds(batch.rel, CHUNK))
+            for batch in iterate_batches(edges, BATCH, rng, **packing)
+        ]
+        return {
+            "calls": len(widths),
+            "chunks": sum(map(len, widths)),
+            "matmul_runs": int(sum(
+                1 + np.count_nonzero(w[1:] != w[:-1]) for w in widths
+            )),
+        }
+
+    return {
+        name: (lambda packing=packing: train(packing), shape(packing))
+        for name, packing in packings.items()
     }
 
 
@@ -201,7 +268,7 @@ def main(argv=None) -> int:
     parser.add_argument("--history", default="BENCH_history.jsonl",
                         help="append the report here ('' to skip)")
     args = parser.parse_args(argv)
-    calls, repeats = (50, 3) if args.quick else (400, 7)
+    calls, repeats = (40, 3) if args.quick else (400, 7)
 
     us: "dict[str, float]" = {}
     chunks: "dict[str, int]" = {}  # chunk steps one call of a row stands for
@@ -211,11 +278,21 @@ def main(argv=None) -> int:
             steps = chunk_steps(comparator, operator, two_tables)
             for name, fn in steps.items():
                 row = f"{name}[{comparator},{operator},{layout}]"
-                chunks[row] = (
-                    1 if name == "forward_backward_chunk" else BATCH // CHUNK
-                )
+                chunks[row] = {
+                    "forward_backward_chunk": 1,
+                    "ragged_batch_as_one_call": -(-DISK_BATCH // CHUNK),
+                }.get(name, BATCH // CHUNK)
                 us[row] = time_us(fn, calls // chunks[row], repeats)
     us["matmul_floor"] = time_us(matmul_floor(), calls, repeats)
+
+    kg: "dict[str, dict]" = {}
+    for operator in ("translation", "linear"):
+        for name, (fn, shape) in kg_bucket(operator).items():
+            if operator == "linear" and name != "packed_batches":
+                continue
+            kg[f"{name}[dot,{operator}]"] = {
+                "us": time_us(fn, max(1, calls // 50), repeats), **shape
+            }
 
     rows, grads = stacked_rows(np.random.default_rng(2))
     params = np.zeros((NUM_ROWS, DIM), dtype=np.float32)
@@ -243,6 +320,12 @@ def main(argv=None) -> int:
                  if name in chunks else "")
         print(f"  {name:58s} {value:8.1f} us{ratio}")
 
+    print(f"kg bucket: {KG_EDGES} edges, {KG_RELATIONS} relations (1/r shares), "
+          f"{KG_ROWS} rows, batch {BATCH}")
+    for name, row in kg.items():
+        print(f"  {name:36s} {row['us'] / 1e3:7.2f} ms  {row['calls']:3d} calls"
+              f"  {row['chunks']:3d} chunks  {row['matmul_runs']:3d} matmul runs")
+
     rounds, epochs, nodes = (1, 1, NUM_ROWS // 20) if args.quick else (
         10, 3, NUM_ROWS
     )
@@ -262,8 +345,11 @@ def main(argv=None) -> int:
             "chunk": CHUNK, "negs_per_source": NEGS, "dim": DIM,
             "num_rows": NUM_ROWS, "calls": calls, "repeats": repeats,
             "epoch_nodes": nodes, "epoch_rounds": rounds, "epochs": epochs,
+            "kg_edges": KG_EDGES, "kg_relations": KG_RELATIONS,
+            "kg_rows": KG_ROWS, "disk_batch": DISK_BATCH,
         },
         "us_per_call": us,
+        "kg_bucket": kg,
         "unique_row_ratio": unique_ratio,
         "hogwild_epochs": hogwild,
     }

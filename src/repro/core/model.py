@@ -10,26 +10,24 @@ An :class:`EmbeddingModel` owns
 - a comparator and a loss.
 
 Its centrepiece is :meth:`EmbeddingModel.forward_backward_chunk`: score
-a batch of same-relation edges against batched negative pools on both
-sides, evaluate the loss, and backpropagate in closed form through
-comparator → operator → embedding rows, applying **one** Adagrad update
-per table. This is the computation of the paper's Figure 3; a *chunk* is
-the group of edges that shares a negative pool, not an update.
+a batch of edges against batched negative pools on both sides, evaluate
+the loss, and backpropagate in closed form through comparator → operator
+→ embedding rows, applying **one** Adagrad update per table and per
+relation. This is the computation of the paper's Figure 3. A *chunk* is
+the group of edges that shares a relation and a negative pool; the
+*batch* is the unit of the update and may mix relations.
 
 The batch is one **stack** of rows, ``[src | src negatives | dst | dst
-negatives]``, each piece chunk-major; the first two index the left-hand
-table, the last two the right-hand one. It is gathered once (once per
-table when the sides differ), the relation operator maps its contiguous
-right-hand half, and the comparator prepares it in one call that keeps
-what its backward needs. Viewed as ``(n_chunks, c or k, d)`` the pieces
-meet in six ``np.matmul`` products over the chunk axis: chunk ``i`` is
-scored against, and masked by, pool ``i`` only. The score gradients fill
-one buffer laid out like the stack, which goes back through comparator
-and operator in one call each and reaches each table as a single
-``apply_gradients`` — a row repeated across pieces or chunks gets one
-summed Adagrad step. A ragged last chunk is a second stack appended
-before that update. A 1000-edge batch of ten chunks costs ~5.1 ms, ~7.4
-as ten one-chunk calls (``benchmarks/micro/bench_chunk_step.py``).
+negatives]``, each piece chunk-major, whatever the chunk widths. Gather,
+comparator ``prepare_saved``, loss and the gradient buffer (laid out
+like the stack; a row repeated across pieces or chunks gets one summed
+Adagrad step) run flat over it. The operator maps the right-hand half
+``(n, w, d)`` chunks at a time under ``(n, *param_shape)`` parameters,
+and the six score ``np.matmul`` products run once per run of equal-width
+chunks — a short chunk is a narrower rectangle — so chunk ``i`` is scored
+against, and masked by, pool ``i`` only. A 1000-edge batch of ten chunks
+costs ~4 ms; a 4 571-edge bucket of 20 relations ~21 ms as 5 batches, ~25
+as 21 one-relation ones (``benchmarks/micro/bench_chunk_step.py``).
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ from functools import partial
 import numpy as np
 
 from repro.config import ConfigSchema
+from repro.core.batching import chunk_bounds
 from repro.core.comparators import make_comparator
 from repro.core.losses import make_loss
 from repro.core.negatives import sample_pool, sample_unbatched
@@ -113,6 +112,7 @@ class EmbeddingModel:
         self.rel_optimizers = [
             DenseAdagrad(p.shape) for p in self.rel_params
         ]
+        self._rel_weights = [rel.weight for rel in config.relations]
 
         # Resident embedding tables, keyed by (entity_type, partition).
         self._tables: dict[tuple[str, int], EmbeddingTable] = {}
@@ -275,7 +275,7 @@ class EmbeddingModel:
 
     def forward_backward_chunk(
         self,
-        rel_id: int,
+        rel_id: "int | np.ndarray",
         src_rows: np.ndarray,
         dst_rows: np.ndarray,
         lhs_table: EmbeddingTable,
@@ -285,126 +285,151 @@ class EmbeddingModel:
         update: bool = True,
         chunk_size: int | None = None,
     ) -> ChunkStats:
-        """Train on a batch of edges sharing relation ``rel_id``, with
-        one update of each table and of the relation's parameters.
+        """Train on a batch of edges with one update of each table and
+        of every relation's parameters.
 
-        ``src_rows`` / ``dst_rows`` index into ``lhs_table`` /
-        ``rhs_table`` (partition-local offsets). Each ``chunk_size``
-        edges (default: all) share a negative pool per side, sampled
+        ``rel_id`` is one relation or one per edge (of one entity-type
+        pair and operator); ``src_rows`` / ``dst_rows`` index into
+        ``lhs_table`` / ``rhs_table`` (partition-local offsets). Every
+        run of one relation is cut into chunks of ``chunk_size`` edges
+        (default: all), each sharing a negative pool per side, sampled
         within those tables, honouring the paper's same-partition and
         same-entity-type constraints by construction. With
-        ``disable_batch_negs`` every edge draws its own negatives (the
-        Figure 4 baseline: O(c * k * d) fetches, no matmul reuse) and
-        only the sampling and the negative scoring differ.
+        ``disable_batch_negs`` every edge draws its own negatives (Figure
+        4's baseline); only the sampling and the negative scoring differ.
         """
         cfg = self.config
         m = len(src_rows)
         if m == 0:
             return ChunkStats()
-        c = min(chunk_size or m, m)
-        full = m - m % c
-        # The whole chunks are one block and a ragged last chunk another;
-        # per-edge negatives gather k times the rows, a chunk at a time.
-        bounds = [*range(0, full, c if cfg.disable_batch_negs else full), full, m]
+        rel = np.full(m, rel_id)
+        bounds = chunk_bounds(rel, chunk_size or m)
+        chunk_rel = rel[bounds[:-1]].tolist()
+        # Per-chunk parameters: the distinct relations', stacked, indexed once.
+        slot = {r: i for i, r in enumerate(sorted(set(chunk_rel)))}
+        which = np.array([slot[r] for r in chunk_rel])
+        params = np.array([self.rel_params[r] for r in slot])[which]
+        # One block; per-edge negatives gather k times the rows, by chunk.
+        n = len(chunk_rel)
+        cuts = range(n + 1) if cfg.disable_batch_negs else (0, n)
         stats, steps = ChunkStats(), []
-        for lo, hi in zip(bounds, bounds[1:]):
-            if lo < hi:
-                width = min(c, hi - lo)
-                steps.append(self._block_step(
-                    rel_id, src_rows[lo:hi].reshape(-1, width),
-                    dst_rows[lo:hi].reshape(-1, width), lhs_table, rhs_table,
-                    rng, None if edge_weights is None else edge_weights[lo:hi],
-                    update, stats,
-                ))
+        for i, j in zip(cuts, cuts[1:]):
+            at = slice(bounds[i], bounds[j])
+            steps.append(self._block_step(
+                params[i:j], chunk_rel[i:j],
+                [bound - bounds[i] for bound in bounds[i:j + 1]],
+                src_rows[at], dst_rows[at], lhs_table, rhs_table, rng,
+                None if edge_weights is None else edge_weights[at],
+                update, stats,
+            ))
         if not update:
             return stats
         # One Adagrad step per table, so a row repeated across pieces,
         # chunks, blocks (and sides, for one table) accumulates first.
         tables = [lhs_table] if lhs_table is rhs_table else [lhs_table, rhs_table]
         for table, parts in zip(tables, zip(*(step[0] for step in steps))):
-            rows, grads = (
-                parts[0] if len(parts) == 1
-                else map(np.concatenate, zip(*parts))
+            table.apply_gradients(*map(_cat, zip(*parts)), cfg.lr)
+        # ... and one per relation, of its chunks' summed gradients.
+        g_params = _cat([step[1] for step in steps])
+        for relation, i in slot.items():
+            self.rel_optimizers[relation].step(
+                self.rel_params[relation], g_params[which == i].sum(axis=0),
+                cfg.relation_lr_effective,
             )
-            table.apply_gradients(rows, grads, cfg.lr)
-        self.rel_optimizers[rel_id].step(
-            self.rel_params[rel_id], np.sum([step[1] for step in steps], axis=0),
-            cfg.relation_lr_effective,
-        )
         return stats
 
     def _block_step(
-        self, rel_id, src, dst, lhs_table, rhs_table, rng, edge_weights,
-        update, stats,
+        self, params, chunk_rel, bounds, src, dst, lhs_table, rhs_table,
+        rng, edge_weights, update, stats,
     ):
-        """Forward and backward of ``(n, c)`` row blocks — ``n`` chunks of
-        ``c`` edges, stacked chunk-major. Adds to ``stats``; returns each
-        table's ``(rows, gradients)`` and the relation-parameter gradient."""
-        cfg = self.config
-        op = self.operators[rel_id]
-        params = self.rel_params[rel_id]
-        comp = self.comparator
-        n, n_pos = len(src), src.size
+        """Forward and backward of ``n`` chunks — chunk ``i`` is edges
+        ``bounds[i]:bounds[i + 1]``, of relation ``chunk_rel[i]``, under ``params[i]``.
+        Adds to ``stats``; returns each table's ``(rows, gradients)`` and ``params``' gradients."""
+        cfg, comp, op = self.config, self.comparator, self.operators[chunk_rel[0]]
+        n, n_pos, dim = len(params), len(src), lhs_table.dim
+        k = cfg.num_batch_negs + cfg.num_uniform_negs  # per edge and side
+        pool_rows = k * n_pos if cfg.disable_batch_negs else k  # per chunk
+        widths = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        cuts = [i for i in range(1, n) if widths[i] != widths[i - 1]]
+        # Runs of equal-width chunks, the rectangles the score matmuls
+        # need: (how many, which chunks, their edges, their pools' rows).
+        runs = [
+            (j - i, slice(i, j), slice(bounds[i], bounds[j]),
+             slice(i * pool_rows, j * pool_rows))
+            for i, j in zip([0, *cuts], [*cuts, n])
+        ]
 
-        def chunked(z):  # (n * w, d) -> (n, w, d)
+        def chunked(z, n):  # (n * w, d) -> (n, w, d)
             return z.reshape(n, -1, z.shape[-1])
 
+        def sample(ends, table):  # one side's pools of a run of chunks
+            if cfg.disable_batch_negs:
+                return sample_unbatched(ends.ravel(), table.num_rows, k, rng)
+            return sample_pool(
+                ends, ends, table.num_rows, cfg.num_batch_negs, cfg.num_uniform_negs, rng
+            )
+
         # ---- negatives (dst side first: the RNG draw order is fixed) ----
+        pools = [
+            (sample(dst[at].reshape(c, -1), rhs_table),
+             sample(src[at].reshape(c, -1), lhs_table))
+            for c, _, at, _ in runs
+        ]
+        dst_negs, src_negs = (
+            _cat([pool.entities.ravel() for pool in side]) for side in zip(*pools)
+        )
+        mask = _cat([
+            np.concatenate((d.mask, s.mask), axis=-1).reshape(-1, 2 * k)
+            for d, s in pools
+        ])
+        score, score_backward = comp.score_matrix, comp.score_matrix_backward
         if cfg.disable_batch_negs:
-            k = cfg.num_batch_negs + cfg.num_uniform_negs
-            dst_negs = sample_unbatched(dst.ravel(), rhs_table.num_rows, k, rng)
-            src_negs = sample_unbatched(src.ravel(), lhs_table.num_rows, k, rng)
-            l2 = cfg.comparator == "l2"
-            score = partial(_rowwise_scores, l2=l2)
-            score_backward = partial(_rowwise_scores_backward, l2=l2)
-        else:
-            dst_negs = sample_pool(
-                dst, dst, rhs_table.num_rows,
-                cfg.num_batch_negs, cfg.num_uniform_negs, rng,
+            score, score_backward = (
+                partial(fn, l2=cfg.comparator == "l2")
+                for fn in (_rowwise_scores, _rowwise_scores_backward)
             )
-            src_negs = sample_pool(
-                src, src, lhs_table.num_rows,
-                cfg.num_batch_negs, cfg.num_uniform_negs, rng,
-            )
-            score, score_backward = comp.score_matrix, comp.score_matrix_backward
 
         # ---- forward over the stack [src | src negs | dst | dst negs] ----
-        rows = np.concatenate((
-            src.ravel(), src_negs.entities.ravel(),
-            dst.ravel(), dst_negs.entities.ravel(),
-        ))
-        n_lhs = n_pos + src_negs.entities.size
-        if lhs_table is rhs_table:
-            raw = lhs_table.gather(rows)
-        else:
-            raw = np.concatenate((
-                lhs_table.gather(rows[:n_lhs]), rhs_table.gather(rows[n_lhs:])
-            ))
-        rhs_raw = raw[n_lhs:]
-        t_rhs = op.forward(rhs_raw, params)
-        # The identity operator returns its input: the stack is ``raw``.
-        x = raw if t_rhs is rhs_raw else np.concatenate((raw[:n_lhs], t_rhs))
+        rows = np.concatenate((src, src_negs, dst, dst_negs))
+        n_lhs = n_pos + len(src_negs)
+        halves = [(lhs_table, slice(None))] if lhs_table is rhs_table else [
+            (lhs_table, slice(0, n_lhs)), (rhs_table, slice(n_lhs, None))
+        ]
+        raw = _cat([table.gather(rows[at]) for table, at in halves])
+
+        # The operator maps the right-hand half by rectangles of chunks: all
+        # of it under one relation, else the runs of positives and the pools.
+        rects = [(1, slice(0, 1), slice(None))] if len(set(chunk_rel)) == 1 else [
+            *(run[:3] for run in runs), (n, slice(0, n), slice(n_pos, None)),
+        ]
+        x = raw
+        for c, chunks, at in rects:
+            piece = chunked(raw[n_lhs:][at], c)
+            mapped = op.forward(piece, params[chunks])
+            if mapped is not piece:  # the identity's stack is ``raw``
+                if x is raw:
+                    x = np.empty_like(raw)
+                    x[:n_lhs] = raw[:n_lhs]
+                x[n_lhs:][at] = mapped.reshape(-1, dim)
         y, saved = comp.prepare_saved(x)
-        a, pa, b, pb = np.split(y, (n_pos, n_lhs, n_lhs + n_pos))
+        a, pa, b, pb = y[:n_pos], y[n_pos:n_lhs], y[n_lhs:n_lhs + n_pos], y[n_lhs + n_pos:]
         pos = comp.score_pairs(a, b)
-        neg_dst = score(chunked(a), chunked(pb))
-        neg_src = score(chunked(b), chunked(pa))
-        neg = np.concatenate((neg_dst, neg_src), axis=-1).reshape(n_pos, -1)
-        mask = np.concatenate((dst_negs.mask, src_negs.mask), axis=-1)
+        # The corruption sides: positives, their pools, their score columns.
+        sides = ((a, pb, slice(0, k)), (b, pa, slice(k, None)))
+        neg = _cat([
+            np.concatenate([
+                score(chunked(p[at], c), chunked(q[pool], c)) for p, q, _ in sides
+            ], axis=-1).reshape(-1, 2 * k)
+            for c, _, at, pool in runs
+        ])
 
         # ---- loss ------------------------------------------------------
-        weights = (
-            None if edge_weights is None else edge_weights.astype(raw.dtype)
-        )
-        rel_weight = cfg.relations[rel_id].weight
-        if rel_weight != 1.0:
-            weights = (
-                np.full(n_pos, rel_weight, dtype=raw.dtype) if weights is None
-                else weights * rel_weight
-            )
-        loss, dpos, dneg = self.loss_fn.forward_backward(
-            pos, neg, mask.reshape(neg.shape), weights
-        )
+        weights = None if edge_weights is None else edge_weights.astype(raw.dtype)
+        rel_weight = [self._rel_weights[r] for r in chunk_rel]
+        if any(weight != 1.0 for weight in rel_weight):
+            per_edge = np.repeat(np.array(rel_weight, dtype=raw.dtype), widths)
+            weights = per_edge if weights is None else weights * per_edge
+        loss, dpos, dneg = self.loss_fn.forward_backward(pos, neg, mask, weights)
         stats.loss += loss
         stats.num_edges += n_pos
         stats.num_negatives += int(np.count_nonzero(mask))
@@ -413,22 +438,30 @@ class EmbeddingModel:
             return None
 
         # ---- backward: one gradient buffer laid out like the stack ------
-        kd = neg_dst.shape[-1]
-        dneg = dneg.reshape(neg_dst.shape[:-1] + (-1,))
         ga_pos, gb_pos = comp.score_pairs_backward(a, b, dpos)
-        ga_neg, g_pb = score_backward(chunked(a), chunked(pb), dneg[..., :kd])
-        gb_neg, g_pa = score_backward(chunked(b), chunked(pa), dneg[..., kd:])
         g = np.empty_like(y)
-        np.add(ga_pos, ga_neg.reshape(a.shape), out=g[:n_pos])
-        g[n_pos:n_lhs] = g_pa.reshape(pa.shape)
-        np.add(gb_pos, gb_neg.reshape(b.shape), out=g[n_lhs:n_lhs + n_pos])
-        g[n_lhs + n_pos:] = g_pb.reshape(pb.shape)
+        g_a, g_pa, g_b, g_pb = g[:n_pos], g[n_pos:n_lhs], g[n_lhs:n_lhs + n_pos], g[n_lhs + n_pos:]
+        g_sides = ((ga_pos, g_a, g_pb), (gb_pos, g_b, g_pa))
+        for c, _, at, pool in runs:
+            for (p, q, cols), (g_pos, g_p, g_q) in zip(sides, g_sides):
+                g_neg, g_pool = score_backward(
+                    chunked(p[at], c), chunked(q[pool], c), chunked(dneg[at], c)[..., cols]
+                )
+                np.add(g_pos[at], g_neg.reshape(-1, dim), out=g_p[at])
+                g_q[pool] = g_pool.reshape(-1, dim)
         g = comp.prepare_backward_saved(y, saved, g)
-        g_rhs, g_params = op.backward(rhs_raw, params, g[n_lhs:])
-        if lhs_table is rhs_table:
-            g[n_lhs:] = g_rhs
-            return [(rows, g)], g_params
-        return [(rows[:n_lhs], g[:n_lhs]), (rows[n_lhs:], g_rhs)], g_params
+        g_params = np.zeros_like(params)
+        for c, chunks, at in rects:
+            piece, g_out = chunked(raw[n_lhs:][at], c), chunked(g[n_lhs:][at], c)
+            g_in, g_chunks = op.backward(piece, params[chunks], g_out)
+            g_params[chunks] += g_chunks
+            if g_in is not g_out:
+                g[n_lhs:][at] = g_in.reshape(-1, dim)
+        return [(rows[at], g[at]) for _, at in halves], g_params
+
+
+def _cat(parts) -> np.ndarray:  # np.concatenate; one part is returned as is
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _rowwise_scores(a: np.ndarray, negs: np.ndarray, l2: bool) -> np.ndarray:
@@ -448,6 +481,7 @@ def _rowwise_scores_backward(a, negs, grad, l2: bool):
     """Gradients of :func:`_rowwise_scores` w.r.t. ``a`` and ``negs``."""
     a = a.reshape(-1, a.shape[-1])
     negs = negs.reshape(len(a), -1, a.shape[1])
+    grad = grad.reshape(len(a), -1)
     g_a = np.einsum("ck,ckd->cd", grad, negs)
     if l2:
         g_a = 2.0 * g_a - 2.0 * grad.sum(axis=1)[:, None] * a

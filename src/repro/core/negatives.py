@@ -1,28 +1,24 @@
 """Negative sampling, batched and unbatched (paper Section 4.3).
 
 Most embedding systems are memory-bound on negatives: ``B · Bn`` dot
-products need ``B · Bn · d`` floats of memory traffic. PBG instead
-splits a batch into chunks of ~50 edges and reuses *one* candidate pool
-per chunk and side:
+products need ``B · Bn · d`` floats of memory traffic. PBG instead cuts
+a batch into chunks of ~50 edges of one relation and reuses *one*
+candidate pool per chunk and side:
 
-- the chunk's own source (resp. destination) entities — these are
-  drawn from the data distribution because entities appear in edges in
-  proportion to their degree ("corrupting positive edges", reused
-  within the batch), and
-- ``U`` entities sampled uniformly from the correct entity type and the
-  active partition.
+- the chunk's own source (resp. destination) entities — drawn from the
+  data distribution, since entities appear in edges in proportion to
+  their degree ("corrupting positive edges"), and
+- ``U`` entities uniform over the entity type and the active partition.
 
-A chunk is a *negative-sharing group*, nothing more: the gradient step
-belongs to the batch. :func:`sample_pool` draws the pools of all ``n``
-chunks of a batch in one call, ``(n, c)`` entities in and ``(n, k)``
-candidates out, and scoring a chunk against its pool is one matmul
-(Figure 3). The mix of the two sources realises the paper's α-blend of
-data-prevalence and uniform negatives (α = 0.5 by default via equal
-counts). Entries of a pool that coincide with the true endpoint of an
-edge *of its own chunk* are *induced positives*, masked out of the loss.
-
-The unbatched path (one pool per edge) is kept for the Figure 4
-comparison.
+A chunk is the group that shares a relation and a pool; the gradient
+step belongs to the batch, which may mix relations. :func:`sample_pool`
+draws the pools of a run of ``n`` equal-width chunks in one call,
+``(n, c)`` entities in and ``(n, k)`` candidates out, and scoring a chunk
+against its pool is one matmul (Figure 3). The two sources realise the
+paper's α-blend of data-prevalence and uniform negatives (α = 0.5 by
+default via equal counts). Pool entries equal to the true endpoint of an
+edge *of their own chunk* are *induced positives*, masked out of the loss.
+The unbatched path (one pool per edge) is kept for Figure 4's comparison.
 """
 
 from __future__ import annotations
@@ -76,8 +72,8 @@ def sample_pool(
     ----------
     chunk_entities:
         The chunk's own entities on the corrupted side — the
-        data-distribution reuse pool: ``(c,)``, or ``(n, c)`` for a
-        batch of ``n`` chunks (each row its own pool).
+        data-distribution reuse pool: ``(c,)``, or ``(n, c)`` for
+        ``n`` chunks of one width (each row its own pool).
     true_entities:
         Each edge's true endpoint on the corrupted side (used for
         masking). For standard corruption this equals

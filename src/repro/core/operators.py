@@ -17,9 +17,10 @@ ComplEx   ``complex_diagonal``  dot
 Each operator implements ``forward`` and ``backward``; ``backward``
 consumes the upstream gradient with respect to the operator *output* and
 returns gradients with respect to the input embeddings and the relation
-parameters. All operators act row-wise on ``(n, d)`` batches that share
-one relation (the paper's same-relation batching, Section 4.3, which
-makes ``linear`` a single matmul).
+parameters. All operators act row-wise on the ``(w, d)`` rows of a chunk
+that shares one relation (Section 4.3: ``linear`` is a single matmul)
+and broadcast over a leading chunk axis — ``(n, w, d)`` rows under
+``(n, *param_shape)`` parameters, one batched matmul for ``linear``.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class Operator(abc.ABC):
 
     @abc.abstractmethod
     def forward(self, x: np.ndarray, params: np.ndarray) -> np.ndarray:
-        """Apply the transform to a ``(n, d)`` batch."""
+        """Apply the transform to ``(w, d)`` rows, or ``(n, w, d)``."""
 
     @abc.abstractmethod
     def backward(
@@ -74,13 +75,11 @@ class Operator(abc.ABC):
         """Return ``(grad_x, grad_params)`` given ``dL/d forward(x)``."""
 
     def check_shapes(self, x: np.ndarray, params: np.ndarray) -> None:
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise ValueError(f"expected (n, {self.dim}) input, got {x.shape}")
-        if params.shape != self.param_shape():
-            raise ValueError(
-                f"expected params of shape {self.param_shape()}, "
-                f"got {params.shape}"
-            )
+        if x.ndim < 2 or x.shape[-1] != self.dim:
+            raise ValueError(f"expected (..., {self.dim}) input, got {x.shape}")
+        want = x.shape[:-2] + self.param_shape()
+        if params.shape != want:
+            raise ValueError(f"expected params of shape {want}, got {params.shape}")
 
 
 class IdentityOperator(Operator):
@@ -116,13 +115,13 @@ class TranslationOperator(Operator):
 
     def forward(self, x: np.ndarray, params: np.ndarray) -> np.ndarray:
         self.check_shapes(x, params)
-        return x + params
+        return x + params[..., None, :]
 
     def backward(
         self, x: np.ndarray, params: np.ndarray, grad_out: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         self.check_shapes(x, params)
-        return grad_out, grad_out.sum(axis=0)
+        return grad_out, grad_out.sum(axis=-2)
 
 
 class DiagonalOperator(Operator):
@@ -137,19 +136,19 @@ class DiagonalOperator(Operator):
 
     def forward(self, x: np.ndarray, params: np.ndarray) -> np.ndarray:
         self.check_shapes(x, params)
-        return x * params
+        return x * params[..., None, :]
 
     def backward(
         self, x: np.ndarray, params: np.ndarray, grad_out: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         self.check_shapes(x, params)
-        return grad_out * params, (grad_out * x).sum(axis=0)
+        return grad_out * params[..., None, :], (grad_out * x).sum(axis=-2)
 
 
 class LinearOperator(Operator):
     """``g(x, A) = A x`` — the RESCAL transform (full d x d matrix).
 
-    With same-relation batches this is one ``(n, d) @ (d, d)`` matmul,
+    With same-relation chunks this is one ``(w, d) @ (d, d)`` matmul,
     the optimisation called out in Section 4.3.
     """
 
@@ -162,13 +161,13 @@ class LinearOperator(Operator):
 
     def forward(self, x: np.ndarray, params: np.ndarray) -> np.ndarray:
         self.check_shapes(x, params)
-        return x @ params.T
+        return x @ params.swapaxes(-1, -2)
 
     def backward(
         self, x: np.ndarray, params: np.ndarray, grad_out: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         self.check_shapes(x, params)
-        return grad_out @ params, grad_out.T @ x
+        return grad_out @ params, grad_out.swapaxes(-1, -2) @ x
 
 
 class ComplexDiagonalOperator(Operator):
@@ -204,11 +203,11 @@ class ComplexDiagonalOperator(Operator):
     def forward(self, x: np.ndarray, params: np.ndarray) -> np.ndarray:
         self.check_shapes(x, params)
         h = self.half
-        p, q = params[:h], params[h:]
-        x_re, x_im = x[:, :h], x[:, h:]
+        p, q = params[..., None, :h], params[..., None, h:]
+        x_re, x_im = x[..., :h], x[..., h:]
         out = np.empty_like(x)
-        out[:, :h] = p * x_re - q * x_im
-        out[:, h:] = q * x_re + p * x_im
+        out[..., :h] = p * x_re - q * x_im
+        out[..., h:] = q * x_re + p * x_im
         return out
 
     def backward(
@@ -216,18 +215,18 @@ class ComplexDiagonalOperator(Operator):
     ) -> tuple[np.ndarray, np.ndarray]:
         self.check_shapes(x, params)
         h = self.half
-        p, q = params[:h], params[h:]
-        x_re, x_im = x[:, :h], x[:, h:]
-        g_re, g_im = grad_out[:, :h], grad_out[:, h:]
+        p, q = params[..., None, :h], params[..., None, h:]
+        x_re, x_im = x[..., :h], x[..., h:]
+        g_re, g_im = grad_out[..., :h], grad_out[..., h:]
 
         grad_x = np.empty_like(x)
         # Adjoint of multiplication by (p + qi) is multiplication by (p - qi).
-        grad_x[:, :h] = p * g_re + q * g_im
-        grad_x[:, h:] = -q * g_re + p * g_im
+        grad_x[..., :h] = p * g_re + q * g_im
+        grad_x[..., h:] = -q * g_re + p * g_im
 
         grad_params = np.empty_like(params)
-        grad_params[:h] = (g_re * x_re + g_im * x_im).sum(axis=0)
-        grad_params[h:] = (g_im * x_re - g_re * x_im).sum(axis=0)
+        grad_params[..., :h] = (g_re * x_re + g_im * x_im).sum(axis=-2)
+        grad_params[..., h:] = (g_im * x_re - g_re * x_im).sum(axis=-2)
         return grad_x, grad_params
 
 
@@ -250,16 +249,17 @@ class AffineOperator(Operator):
 
     def forward(self, x: np.ndarray, params: np.ndarray) -> np.ndarray:
         self.check_shapes(x, params)
-        return x @ params[: self.dim].T + params[self.dim]
+        a_t = params[..., : self.dim, :].swapaxes(-1, -2)
+        return x @ a_t + params[..., self.dim, None, :]
 
     def backward(
         self, x: np.ndarray, params: np.ndarray, grad_out: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         self.check_shapes(x, params)
-        grad_x = grad_out @ params[: self.dim]
+        grad_x = grad_out @ params[..., : self.dim, :]
         grad_params = np.empty_like(params)
-        grad_params[: self.dim] = grad_out.T @ x
-        grad_params[self.dim] = grad_out.sum(axis=0)
+        grad_params[..., : self.dim, :] = grad_out.swapaxes(-1, -2) @ x
+        grad_params[..., self.dim, :] = grad_out.sum(axis=-2)
         return grad_x, grad_params
 
 

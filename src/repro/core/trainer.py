@@ -80,7 +80,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.config import ConfigSchema
-from repro.core.batching import iterate_batches, iterate_chunks
+from repro.core.batching import iterate_batches, iterate_chunks  # noqa: F401
 from repro.core.model import ChunkStats, EmbeddingModel
 from repro.core.tables import DenseEmbeddingTable
 from repro.graph.buckets import Bucket, bucket_order
@@ -252,6 +252,9 @@ class BucketExecutor:
             for t in entities.types
             if t in config.entities and entities.num_partitions(t) == 1
         ]
+        #: relation -> its group: same entity types and operator, one call
+        kinds = [(r.lhs, r.rhs, r.operator) for r in config.relations]
+        self.rel_groups = np.array([kinds.index(kind) for kind in kinds])
 
     # -- partition movement --------------------------------------------
 
@@ -383,13 +386,17 @@ class BucketExecutor:
         """Train one bucket's edges over its resident partitions."""
         cfg = self.config
         total = ChunkStats()
+        batches = iterate_batches(
+            edges, cfg.batch_size, self.rng,
+            chunk_size=cfg.chunk_size, groups=self.rel_groups,
+        )
         if cfg.num_workers == 1:
-            for batch in iterate_batches(edges, cfg.batch_size, self.rng):
+            for batch in batches:
                 total.merge(self._train_batch(bucket, batch, self.rng))
                 self.sync()
             return total
         # Lock-free parallel workers over disjoint batch streams.
-        batches = list(iterate_batches(edges, cfg.batch_size, self.rng))
+        batches = list(batches)
         seeds = np.random.SeedSequence(
             int(self.rng.integers(2**63))
         ).spawn(cfg.num_workers)
@@ -415,24 +422,21 @@ class BucketExecutor:
         self, bucket: Bucket, batch: EdgeList, rng: np.random.Generator
     ) -> ChunkStats:
         stats = ChunkStats()
-        # One update per same-relation run of the batch; the model splits
-        # the run into chunks, which only share negatives.
-        for rel_id, run in iterate_chunks(batch, self.config.batch_size):
-            rel = self.config.relations[rel_id]
+        # One model call, one update, per relation group of the batch; the
+        # model cuts it into chunks, which share a relation and a pool.
+        group = self.rel_groups[batch.rel]
+        cuts = np.flatnonzero(group[1:] != group[:-1]) + 1
+        for lo, hi in zip([0, *cuts], [*cuts, len(batch)]):
+            run = batch[lo:hi]
+            rel = self.config.relations[run.rel[0]]
             lhs_part = bucket.lhs if self.entities.num_partitions(rel.lhs) > 1 else 0
             rhs_part = bucket.rhs if self.entities.num_partitions(rel.rhs) > 1 else 0
-            stats.merge(
-                self.model.forward_backward_chunk(
-                    rel_id,
-                    run.src,
-                    run.dst,
-                    self.model.get_table(rel.lhs, lhs_part),
-                    self.model.get_table(rel.rhs, rhs_part),
-                    rng,
-                    edge_weights=run.weights,
-                    chunk_size=self.config.chunk_size,
-                )
-            )
+            stats.merge(self.model.forward_backward_chunk(
+                run.rel, run.src, run.dst,
+                self.model.get_table(rel.lhs, lhs_part),
+                self.model.get_table(rel.rhs, rhs_part),
+                rng, edge_weights=run.weights, chunk_size=self.config.chunk_size,
+            ))
         return stats
 
 

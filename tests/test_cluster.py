@@ -837,3 +837,123 @@ class TestSharedBucketLoop:
             reference.global_embeddings("node"),
             model.global_embeddings("node"),
         )
+
+
+class TestMixedRelationGroups:
+    """Three relations over two entity types with two operators, P = 4:
+    ``follows`` and ``blocks`` (user -> user, translation) are one
+    relation group and share batches; ``likes`` (user -> item,
+    diagonal) is its own. Every mode of running it agrees to the bit."""
+
+    USERS, ITEMS = 240, 160
+
+    def _setup(self, num_machines=1, **kw):
+        config = ConfigSchema(
+            entities={
+                "user": EntitySchema(num_partitions=4),
+                "item": EntitySchema(num_partitions=4),
+            },
+            relations=[
+                RelationSchema(name="follows", lhs="user", rhs="user",
+                               operator="translation"),
+                RelationSchema(name="blocks", lhs="user", rhs="user",
+                               operator="translation", weight=0.5),
+                RelationSchema(name="likes", lhs="user", rhs="item",
+                               operator="diagonal"),
+            ],
+            num_machines=num_machines, dimension=8, num_epochs=2,
+            batch_size=60, chunk_size=20, lr=0.1,
+            num_batch_negs=10, num_uniform_negs=10, **kw,
+        )
+        counts = {"user": self.USERS, "item": self.ITEMS}
+        entities = EntityStorage(counts)
+        for i, (name, count) in enumerate(counts.items()):
+            entities.set_partitioning(
+                name, partition_entities(count, 4, np.random.default_rng(i))
+            )
+        rng = np.random.default_rng(2)
+        rel = rng.choice(3, 4000, p=[0.5, 0.2, 0.3])
+        edges = EdgeList(
+            rng.integers(0, self.USERS, 4000), rel,
+            np.where(
+                rel == 2, rng.integers(0, self.ITEMS, 4000),
+                rng.integers(0, self.USERS, 4000),
+            ),
+        )
+        return config, entities, edges
+
+    @staticmethod
+    def _state(model):
+        arrays = [*model.rel_params, *(o.state for o in model.rel_optimizers)]
+        for entity_type in ("user", "item"):
+            arrays.append(model.global_embeddings(entity_type))
+            arrays += [
+                model.get_table(entity_type, p).optimizer.state
+                for p in range(4)
+            ]
+        return arrays
+
+    def _assert_same(self, one, other):
+        for got, want in zip(self._state(one), self._state(other)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_single_machine_serial_equals_pipelined(self, tmp_path, monkeypatch):
+        from repro.core.checkpointing import load_model
+        from repro.core.model import EmbeddingModel
+        from repro.core.trainer import Trainer
+
+        calls = []
+        original = EmbeddingModel.forward_backward_chunk
+
+        def recording(model, rel_id, src, *args, **kwargs):
+            calls.append((set(np.unique(rel_id).tolist()), len(src)))
+            return original(model, rel_id, src, *args, **kwargs)
+
+        monkeypatch.setattr(EmbeddingModel, "forward_backward_chunk", recording)
+        models = {}
+        for pipelined in (False, True):
+            config, entities, edges = self._setup(
+                pipeline=pipelined,
+                checkpoint_dir=str(tmp_path / f"ckpt-{pipelined}"),
+            )
+            model = EmbeddingModel(config, entities, np.random.default_rng(0))
+            Trainer(
+                config, model, entities, rng=np.random.default_rng(0)
+            ).train(edges)
+            models[pipelined] = load_model(config.checkpoint_dir)[2]
+        self._assert_same(models[False], models[True])
+        assert any((p != 0).any() for p in models[False].rel_params)
+        # Relations of different groups never share a model call, the
+        # two translations do, and their batches are full.
+        assert all(rels <= {0, 1} or rels == {2} for rels, _ in calls)
+        assert any(rels == {0, 1} for rels, _ in calls)
+        sizes = [size for _, size in calls]
+        assert max(sizes) == 60 and sizes.count(60) > len(sizes) // 2
+
+    def test_one_machine_distributed_serial_equals_pipelined(self):
+        models = {}
+        for pipelined in (False, True):
+            config, entities, edges = self._setup(pipeline=pipelined)
+            models[pipelined], _ = DistributedTrainer(
+                config, entities
+            ).train(edges)
+        self._assert_same(models[False], models[True])
+
+    @pytest.mark.slow
+    def test_thread_and_process_mode_push_the_same_deltas(self):
+        runs = {}
+        for mode in ("thread", "process"):
+            config, entities, edges = self._setup(
+                partition_compression="int8", writeback_delta=True
+            )
+            model, stats = DistributedTrainer(
+                config, entities, mode=mode
+            ).train(edges)
+            runs[mode] = (model, stats.machines[0])
+        assert runs["thread"][1].delta_pushes > 0
+        for field in ("delta_pushes", "delta_fallbacks", "wire_bytes_sent",
+                      "wire_bytes_received", "wire_bytes_saved"):
+            assert getattr(runs["thread"][1], field) == getattr(
+                runs["process"][1], field
+            ), field
+        self._assert_same(runs["thread"][0], runs["process"][0])

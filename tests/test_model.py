@@ -784,6 +784,280 @@ def test_batch_step_is_accumulated_chunk_gradients_applied_once(
     _assert_same_training_state(batch, reference, initial)
 
 
+# ----------------------------------------------------------------------
+# The mixed-relation batch: relation-pure chunks of any width ≡ their
+# one-relation gradients accumulated and applied once
+# ----------------------------------------------------------------------
+
+_MIXED_WEIGHTS = (1.5, 1.0, 0.7)
+
+
+def _mixed_models(operator, comparator, loss, two_tables, dtype=np.float64,
+                  **config_kw):
+    """Two identical models of three relations that share an operator
+    and entity types; relation parameters off their initialisation."""
+    config = ConfigSchema(
+        entities={"a": EntitySchema(), "b": EntitySchema()},
+        relations=[
+            RelationSchema(
+                name=f"r{i}", lhs="a", rhs="b" if two_tables else "a",
+                operator=operator, weight=weight,
+            )
+            for i, weight in enumerate(_MIXED_WEIGHTS)
+        ],
+        dimension=6, comparator=comparator, loss=loss, margin=0.2,
+        **{**dict(num_batch_negs=3, num_uniform_negs=4, lr=0.05), **config_kw},
+    )
+    models = []
+    for _ in range(2):
+        model = EmbeddingModel(
+            config, EntityStorage({"a": 9, "b": 11}),
+            np.random.default_rng(3), dtype,
+        )
+        model.init_all_partitions(np.random.default_rng(4))
+        noise = np.random.default_rng(5)
+        for params in model.rel_params:
+            params += (noise.standard_normal(params.shape) * 0.3).astype(dtype)
+        models.append(model)
+    return models
+
+
+def _mixed_batch(draw):
+    """A packed batch at chunk size 4: full chunks of relations 0 and 1,
+    then a tail per relation (3, 1 and 2 edges) — widths 4 4 4 3 1 2."""
+    rel = np.asarray([0] * 8 + [1] * 4 + [0] * 3 + [1] + [2] * 2)
+    return rel, draw.integers(0, 9, len(rel)), draw.integers(0, 9, len(rel))
+
+
+def _reference_mixed_step(model, rel, src, dst, lhs, rhs, rng, edge_weights,
+                          chunk_size):
+    """Per-chunk one-relation gradients at frozen weights, accumulated
+    and applied once: one Adagrad step per table and one per relation.
+
+    Draws the pools as the batch step does — each run of equal-width
+    chunks in one ``sample_pool`` call per side, destination side first
+    — and hands chunk ``i`` its own pool; everything else is the
+    parent's one-chunk, one-relation arithmetic, chunk after chunk.
+    """
+    from repro.core.batching import chunk_bounds
+    from repro.core.model import ChunkStats
+    from repro.core.negatives import NegativePool, sample_pool
+
+    cfg = model.config
+    bounds = chunk_bounds(rel, chunk_size)
+    widths = np.diff(bounds)
+    pools = [None] * len(widths)
+    if not cfg.disable_batch_negs:
+        cuts = np.flatnonzero(widths[1:] != widths[:-1]) + 1
+        for i, j in zip([0, *cuts], [*cuts, len(widths)]):
+            sides = [
+                sample_pool(block, block, table.num_rows, cfg.num_batch_negs,
+                            cfg.num_uniform_negs, rng)
+                for block, table in (
+                    (rows[bounds[i]:bounds[j]].reshape(j - i, -1), table)
+                    for rows, table in ((dst, rhs), (src, lhs))
+                )
+            ]
+            pools[i:j] = [
+                tuple(NegativePool(s.entities[c], s.mask[c]) for s in sides)
+                for c in range(j - i)
+            ]
+    total, updates, g_params = ChunkStats(), [], {}
+    for pool, lo, hi in zip(pools, bounds, bounds[1:]):
+        relation = int(rel[lo])
+        stats, chunk_updates, chunk_g_params = _parent_chunk_grads(
+            model, relation, src[lo:hi], dst[lo:hi], lhs, rhs, rng,
+            None if edge_weights is None else edge_weights[lo:hi], pool,
+        )
+        total.merge(stats)
+        updates += chunk_updates
+        g_params[relation] = g_params.get(relation, 0.0) + chunk_g_params
+    relations = sorted(g_params)
+    _apply_once(model, relations[0], updates, g_params[relations[0]])
+    for relation in relations[1:]:
+        model.rel_optimizers[relation].step(
+            model.rel_params[relation], g_params[relation],
+            cfg.relation_lr_effective,
+        )
+    return total
+
+
+def _all_training_arrays(model):
+    arrays = [*model.rel_params, *(o.state for o in model.rel_optimizers)]
+    for key in model.resident_tables():
+        table = model.get_table(*key)
+        arrays += [table.weights, table.optimizer.state,
+                   table.dirty_row_indices()]
+    return arrays
+
+
+@pytest.mark.parametrize("two_tables", [False, True], ids=["same", "two"])
+@pytest.mark.parametrize("comparator", ["dot", "cos", "l2"])
+@pytest.mark.parametrize("operator", [
+    "identity", "translation", "diagonal", "linear", "complex_diagonal",
+    "affine",
+])
+def test_mixed_batch_is_accumulated_chunk_gradients_applied_once(
+    operator, comparator, two_tables
+):
+    """Three relations (weights 1.5, 1, 0.7), chunks of 4, 3, 1 and 2
+    edges over 9 rows. Two consecutive batches, the second with edge
+    weights and on non-zero state."""
+    loss = {"dot": "ranking", "cos": "logistic", "l2": "softmax"}[comparator]
+    batch, reference = _mixed_models(operator, comparator, loss, two_tables)
+    rhs_type = "b" if two_tables else "a"
+    rng_b, rng_r = np.random.default_rng(11), np.random.default_rng(11)
+    draw = np.random.default_rng(12)
+    before = [array.copy() for array in _all_training_arrays(batch)]
+    for step in range(2):
+        rel, src, dst = _mixed_batch(draw)
+        edge_weights = draw.random(len(rel)) + 0.5 if step else None
+        got = batch.forward_backward_chunk(
+            rel, src, dst, batch.get_table("a", 0),
+            batch.get_table(rhs_type, 0), rng_b, edge_weights=edge_weights,
+            chunk_size=4,
+        )
+        want = _reference_mixed_step(
+            reference, rel, src, dst, reference.get_table("a", 0),
+            reference.get_table(rhs_type, 0), rng_r, edge_weights, 4,
+        )
+        assert got.loss == pytest.approx(want.loss, rel=1e-12, abs=1e-12)
+        assert (got.num_edges, got.num_negatives, got.violations) == (
+            len(rel), want.num_negatives, want.violations
+        )
+    assert rng_b.random() == rng_r.random()  # same number of draws
+    after = _all_training_arrays(batch)
+    for got, want in zip(after, _all_training_arrays(reference)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    # Every relation's parameters and state moved, and the tables.
+    for start, got in zip(before[:6], after[:6]):
+        assert (got != start).any() or operator == "identity"
+    assert (after[6] != before[6]).any() and len(after[8]) > len(before[8])
+
+
+def test_mixed_batch_with_unbatched_negatives_matches_the_reference():
+    batch, reference = _mixed_models(
+        "diagonal", "cos", "logistic", True, disable_batch_negs=True
+    )
+    rel, src, dst = _mixed_batch(np.random.default_rng(12))
+    rng_b, rng_r = np.random.default_rng(11), np.random.default_rng(11)
+    got = batch.forward_backward_chunk(
+        rel, src, dst, batch.get_table("a", 0), batch.get_table("b", 0),
+        rng_b, chunk_size=4,
+    )
+    want = _reference_mixed_step(
+        reference, rel, src, dst, reference.get_table("a", 0),
+        reference.get_table("b", 0), rng_r, None, 4,
+    )
+    assert got.loss == pytest.approx(want.loss, rel=1e-12, abs=1e-12)
+    assert got.num_negatives == want.num_negatives
+    assert rng_b.random() == rng_r.random()
+    for got, want in zip(
+        _all_training_arrays(batch), _all_training_arrays(reference)
+    ):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("operator, comparator, loss", [
+    ("translation", "dot", "logistic"),
+    ("diagonal", "cos", "softmax"),
+    ("linear", "l2", "logistic"),
+    ("affine", "dot", "softmax"),
+    ("complex_diagonal", "cos", "logistic"),
+])
+def test_mixed_ragged_batch_backward_matches_numerical(
+    operator, comparator, loss
+):
+    """Central differences of the mixed batch's summed loss with respect
+    to every embedding entry and every relation's parameters."""
+    rel, src, dst = _mixed_batch(np.random.default_rng(12))
+    edge_weights = np.random.default_rng(13).random(len(rel)) + 0.5
+    base, _ = _mixed_models(operator, comparator, loss, False)
+    weights0 = base.get_table("a", 0).weights.copy()
+    params0 = [p.copy() for p in base.rel_params]
+
+    def run(weights, rel_params, update=False, table_cls=DenseEmbeddingTable):
+        model, _ = _mixed_models(operator, comparator, loss, False)
+        table = table_cls(weights.copy())
+        model.set_table("a", 0, table)
+        grads = {}
+        for i, p in enumerate(rel_params):
+            model.rel_params[i][:] = p
+            model.rel_optimizers[i].step = (
+                lambda params, g, lr, i=i: grads.__setitem__(i, g.copy())
+            )
+        stats = model.forward_backward_chunk(
+            rel, src, dst, table, table, np.random.default_rng(99),
+            edge_weights=edge_weights, update=update, chunk_size=4,
+        )
+        return stats.loss, table, grads
+
+    _, rec_table, analytic_params = run(
+        weights0, params0, update=True, table_cls=_RecordingTable
+    )
+    assert sorted(analytic_params) == [0, 1, 2]
+    eps = 1e-6
+
+    def numeric(array, loss_at):
+        out = np.zeros_like(array)
+        for idx in np.ndindex(*array.shape):
+            plus, minus = array.copy(), array.copy()
+            plus[idx] += eps
+            minus[idx] -= eps
+            out[idx] = (loss_at(plus) - loss_at(minus)) / (2 * eps)
+        return out
+
+    assert_grads_close(
+        rec_table.dense_gradient(),
+        numeric(weights0, lambda w: run(w, params0)[0]),
+        atol=2e-4, rtol=1e-3,
+    )
+    for i in range(3):
+        assert_grads_close(
+            analytic_params[i],
+            numeric(params0[i], lambda p: run(
+                weights0, [*params0[:i], p, *params0[i + 1:]]
+            )[0]),
+            atol=2e-4, rtol=1e-3,
+        )
+
+
+@pytest.mark.parametrize("disable_batch_negs", [False, True],
+                         ids=["batched", "unbatched"])
+@pytest.mark.parametrize("operator", ["translation", "linear"])
+def test_scalar_relation_is_the_per_edge_array_bit_for_bit(
+    operator, disable_batch_negs
+):
+    """float32; a ragged three-chunk batch and a one-chunk call: weights,
+    state, relation parameters, dirty rows, statistics, RNG position."""
+    scalar, array = _mixed_models(
+        operator, "cos", "ranking", True, dtype=np.float32,
+        disable_batch_negs=disable_batch_negs,
+    )
+    rng_s, rng_a = np.random.default_rng(11), np.random.default_rng(11)
+    draw = np.random.default_rng(12)
+    for m, chunk_size in ((11, 4), (5, None), (8, 4)):
+        src, dst = draw.integers(0, 9, m), draw.integers(0, 9, m)
+        edge_weights = draw.random(m) + 0.5
+        got = [
+            model.forward_backward_chunk(
+                rel_id, src, dst, model.get_table("a", 0),
+                model.get_table("b", 0), rng, edge_weights=edge_weights,
+                chunk_size=chunk_size,
+            )
+            for model, rel_id, rng in (
+                (scalar, 0, rng_s), (array, np.zeros(m, dtype=int), rng_a)
+            )
+        ]
+        assert got[0] == got[1] and got[0].loss > 0
+    assert rng_s.random() == rng_a.random()
+    for got, want in zip(
+        _all_training_arrays(scalar), _all_training_arrays(array)
+    ):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 class TestBatchIsTheUnitOfTheUpdate:
     SRC = np.asarray([0, 1, 2, 0, 3, 4, 0])  # row 0: chunks 0, 1 and the tail
     DST = np.asarray([5, 6, 7, 8, 5, 6, 7])
@@ -861,11 +1135,64 @@ class TestBatchIsTheUnitOfTheUpdate:
             twin.get_table("b", 0), np.random.default_rng(0), chunk_size=3,
         )
 
+    @pytest.mark.parametrize("disable_batch_negs", [False, True])
+    @pytest.mark.parametrize("two_tables", [False, True])
+    def test_mixed_call_is_one_step_per_table_and_per_distinct_relation(
+        self, monkeypatch, two_tables, disable_batch_negs
+    ):
+        model, twin = _mixed_models(
+            "translation", "cos", "logistic", two_tables,
+            disable_batch_negs=disable_batch_negs,
+        )
+        lhs = model.get_table("a", 0)
+        rhs = model.get_table("b" if two_tables else "a", 0)
+        calls = self._spied(monkeypatch, model)
+        steps, blocks = [], []
+        for i, optimizer in enumerate(model.rel_optimizers):
+            optimizer.step = (
+                lambda *args, i=i, step=optimizer.step: (
+                    steps.append(i), step(*args)
+                )
+            )
+        block_step = model._block_step
+        model._block_step = lambda *args: (
+            blocks.append(len(args[1])), block_step(*args)
+        )[1]
+        # Relation 1 is absent; relation 2 comes in two runs.
+        rel = np.asarray([2] * 5 + [0] * 4 + [2] * 2)
+        draw = np.random.default_rng(1)
+        src, dst = draw.integers(0, 9, 11), draw.integers(0, 9, 11)
+        args = (rel, src, dst, lhs, rhs, np.random.default_rng(0))
+        before = [array.copy() for array in _all_training_arrays(model)]
+        stats = model.forward_backward_chunk(*args, update=False, chunk_size=4)
+        assert calls == {"tables": [], "relation": 0} and steps == []
+        for got, want in zip(_all_training_arrays(model), before):
+            np.testing.assert_array_equal(got, want)
+        # ... and reports the loss the updating call starts from.
+        assert stats.num_edges == 11 and stats == twin.forward_backward_chunk(
+            rel, src, dst, twin.get_table("a", 0),
+            twin.get_table("b" if two_tables else "a", 0),
+            np.random.default_rng(0), chunk_size=4,
+        )
+        blocks.clear(), calls["tables"].clear()  # the twin's update
+        model.forward_backward_chunk(*args, chunk_size=4)
+        assert [t for t, _, _ in calls["tables"]] == (
+            [lhs, rhs] if two_tables else [lhs]
+        )
+        assert steps == [0, 2]
+        # Chunks 4 1 | 4 | 2: one block, or one per chunk when every
+        # edge gathers its own negatives.
+        assert blocks == ([1, 1, 1, 1] if disable_batch_negs else [4])
+        np.testing.assert_array_equal(model.rel_params[1], before[1])
+
     def test_mixed_relation_batch_is_one_update_per_relation(
         self, monkeypatch
     ):
-        """The trainer hands each same-relation run of a batch to the
-        model whole, with the configured chunk size."""
+        """The trainer hands a batch to the model whole — one call per
+        relation group, with the configured chunk size; the ungrouped
+        batcher has sorted it into relation runs. The call is one update
+        per table and one per relation."""
+        from repro.core.batching import iterate_batches
         from repro.core.trainer import BucketExecutor
         from repro.graph.buckets import Bucket
         from repro.graph.edgelist import EdgeList
@@ -876,27 +1203,48 @@ class TestBatchIsTheUnitOfTheUpdate:
         )
         model = _model(config, n=12, dtype=np.float32)
         calls = self._spied(monkeypatch, model)
+        steps = []
+        for i, optimizer in enumerate(model.rel_optimizers):
+            monkeypatch.setattr(
+                optimizer, "step",
+                lambda *args, i=i, step=optimizer.step: (
+                    steps.append(i), step(*args)
+                ),
+            )
         seen = []
         original = EmbeddingModel.forward_backward_chunk
 
         def recording(self_, rel_id, src, dst, *args, **kwargs):
-            seen.append((rel_id, len(src), kwargs["chunk_size"]))
+            seen.append((rel_id.tolist(), kwargs["chunk_size"]))
             return original(self_, rel_id, src, dst, *args, **kwargs)
 
         monkeypatch.setattr(
             EmbeddingModel, "forward_backward_chunk", recording
         )
         rng = np.random.default_rng(0)
-        batch = EdgeList(
+        edges = EdgeList(
             rng.integers(0, 12, 30), np.arange(30) % 2, rng.integers(0, 12, 30)
         )
         executor = BucketExecutor(
             config, model, model.entities, rng, pipeline=None
         )
+        (batch,) = iterate_batches(
+            edges, 40, rng, group_by_relation=False,
+            chunk_size=4, groups=executor.rel_groups,
+        )
         stats = executor._train_batch(Bucket(0, 0), batch, rng)
-        assert seen == [(0, 15, 4), (1, 15, 4)]
+        assert seen == [([0] * 15 + [1] * 15, 4)]
         assert stats.num_edges == 30
-        assert len(calls["tables"]) == 2  # one table, one update per run
+        assert len(calls["tables"]) == 1  # one table, one update
+        assert steps == [0, 1]
+
+        # A packed batch (full chunks, then tails) is handed on as it is.
+        packed = EdgeList(
+            rng.integers(0, 12, 14), np.asarray([0] * 4 + [1] * 8 + [0, 1]),
+            rng.integers(0, 12, 14),
+        )
+        executor._train_batch(Bucket(0, 0), packed, rng)
+        assert seen[1] == (packed.rel.tolist(), 4)
 
 
 class TestChunkBehaviour:

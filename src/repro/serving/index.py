@@ -35,7 +35,10 @@ __all__ = [
     "KnnIndex",
     "ExactIndex",
     "ServingError",
+    "as_matrix",
+    "best_first",
     "chunked_topk",
+    "top_k",
     "validate_query",
 ]
 
@@ -73,6 +76,16 @@ class KnnIndex(Protocol):
     def nbytes(self) -> int:
         """Resident bytes of the index structure."""
         ...
+
+
+def as_matrix(embeddings) -> np.ndarray:
+    """The ``(n, d)`` array behind an array or an mmap-backed table."""
+    if hasattr(embeddings, "as_array"):
+        embeddings = embeddings.as_array()
+    embeddings = np.asarray(embeddings)
+    if embeddings.ndim != 2:
+        raise ValueError(f"embeddings must be (n, d), got {embeddings.shape}")
+    return embeddings
 
 
 def validate_query(
@@ -134,6 +147,56 @@ def validate_query(
     return vectors, k, exclude_self
 
 
+#: rows per block of the exact scan's preselection (see ``_shortlist``)
+_BLOCK = 128
+
+
+def top_k(
+    scores: np.ndarray, idx: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` best of each row of ``(q, w)`` scores with their ids
+    (``(q, w)``, or ``(w,)`` when the rows share them), unordered; all
+    ``w`` when ``w <= k``."""
+    width = scores.shape[1]
+    if width <= k:
+        return scores, np.broadcast_to(idx, scores.shape)
+    top = scores.argpartition(width - k, axis=1)[:, -k:]
+    rows = np.arange(len(scores))[:, None]
+    return scores[rows, top], idx[top] if idx.ndim == 1 else idx[rows, top]
+
+
+def best_first(
+    scores: np.ndarray, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(idx, scores)`` with every row sorted by descending score."""
+    order = np.argsort(-scores, axis=1)
+    rows = np.arange(len(scores))[:, None]
+    return idx[rows, order], scores[rows, order]
+
+
+def _shortlist(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Narrow a ``(rows, q)`` chunk to ``(q, w)`` scores and row
+    positions that hold every column's ``k`` best.
+
+    The ``k`` best scores of a column always lie in the ``k`` blocks of
+    ``_BLOCK`` rows with the largest maxima, so one max-reduction over
+    the chunk picks those blocks and the selection that follows runs
+    over ``k * _BLOCK`` scores plus the ragged tail, not the chunk.
+    """
+    width, q = scores.shape
+    blocks = width // _BLOCK
+    # Too few blocks to drop, or too few columns to pay for the max
+    # (it costs 1 column what it costs 16): select over the whole chunk.
+    if blocks < 4 * k or q < 16:
+        return np.ascontiguousarray(scores.T), np.arange(width)
+    body = scores[: blocks * _BLOCK].reshape(blocks, _BLOCK, q)
+    best = np.argpartition(body.max(axis=1), blocks - k, axis=0)[-k:].T
+    kept = (best[:, :, None] * _BLOCK + np.arange(_BLOCK)).reshape(q, -1)
+    tail = np.tile(np.arange(blocks * _BLOCK, width), (q, 1))
+    rows = np.concatenate([kept, tail], axis=1)
+    return scores[rows, np.arange(q)[:, None]], rows
+
+
 def chunked_topk(
     comparator,
     prepared_q: np.ndarray,
@@ -150,43 +213,23 @@ def chunked_topk(
     boundaries pin the BLAS operand shapes). Returns ``(indices,
     scores)``, both ``(q, k)`` sorted by descending score.
     """
-    q = len(prepared_q)
-    num_items = len(prepared_db)
-    rows = np.arange(q)[:, None]
-    best_scores: "np.ndarray | None" = None  # (q, k), score dtype
-    best_idx = np.zeros((q, k), dtype=np.int64)
-    for lo in range(0, num_items, chunk_size):
-        hi = min(lo + chunk_size, num_items)
-        scores = comparator.score_matrix(prepared_q, prepared_db[lo:hi])
+    found = []
+    for lo in range(0, len(prepared_db), chunk_size):
+        # Database-major: the chunk is the tall operand, the shape
+        # BLAS is good at (comparators are symmetric).
+        scores = comparator.score_matrix(
+            prepared_db[lo : lo + chunk_size], prepared_q
+        )
         if exclude_self is not None:
-            in_chunk = (exclude_self >= lo) & (exclude_self < hi)
-            excl_rows = np.flatnonzero(in_chunk)
-            scores[excl_rows, exclude_self[excl_rows] - lo] = -np.inf
-        # Reduce the chunk to its own top-k before merging: the only
-        # full-width pass is one argpartition over the chunk scores
-        # (no wide float64 temporaries, no negated copy).
-        width = hi - lo
-        if width > k:
-            part = np.argpartition(scores, width - k, axis=1)[:, -k:]
-            chunk_scores = scores[rows, part]
-            chunk_idx = part.astype(np.int64) + lo
-        else:
-            chunk_scores = scores
-            chunk_idx = np.broadcast_to(
-                np.arange(lo, hi), (q, width)
-            ).astype(np.int64)
-        if best_scores is None:
-            best_scores = np.full((q, k), -np.inf, dtype=scores.dtype)
-        # Merge the (q, <= 2k) candidate sets.
-        merged_scores = np.concatenate([best_scores, chunk_scores], axis=1)
-        merged_idx = np.concatenate([best_idx, chunk_idx], axis=1)
-        top = np.argpartition(
-            merged_scores, merged_scores.shape[1] - k, axis=1
-        )[:, -k:]
-        best_scores = merged_scores[rows, top]
-        best_idx = merged_idx[rows, top]
-    order = np.argsort(-best_scores, axis=1)
-    return best_idx[rows, order], best_scores[rows, order]
+            excl = np.flatnonzero(
+                (exclude_self >= lo) & (exclude_self < lo + len(scores))
+            )
+            scores[exclude_self[excl] - lo, excl] = -np.inf
+        # the chunk's own top-k; one selection over all follows the loop
+        top_scores, top_rows = top_k(*_shortlist(scores, k), k)
+        found.append((top_scores, top_rows + lo))
+    cand_scores, cand_idx = (np.concatenate(c, axis=1) for c in zip(*found))
+    return best_first(*top_k(cand_scores, cand_idx, k))
 
 
 class ExactIndex:
@@ -231,13 +274,7 @@ class ExactIndex:
 
     def build(self, embeddings) -> "ExactIndex":
         """Ingest the database matrix (prepared once, queried many)."""
-        if hasattr(embeddings, "as_array"):
-            embeddings = embeddings.as_array()
-        embeddings = np.asarray(embeddings)
-        if embeddings.ndim != 2:
-            raise ValueError(
-                f"embeddings must be (n, d), got {embeddings.shape}"
-            )
+        embeddings = as_matrix(embeddings)
         self._prepared = self._comp.prepare(embeddings)
         self.num_items, self.dim = embeddings.shape
         return self
@@ -263,8 +300,6 @@ class ExactIndex:
         (indices, scores):
             Both ``(q, k)``, sorted by descending score.
         """
-        if self._prepared is None:
-            raise ServingError("index is empty; call build() first")
         vectors, k, exclude_self = validate_query(
             vectors, self.dim, k, self.num_items, exclude_self
         )

@@ -21,12 +21,9 @@ Determinism: all randomness flows through one seeded
 ``numpy.random.default_rng``; identical inputs give identical indexes.
 
 Exact fallback: with ``nprobe >= num_lists`` and PQ disabled, queries
-bypass the list machinery entirely and run the *same* chunked scan as
-:class:`~repro.serving.index.ExactIndex` over the database restored to
-its original row order — gathers preserve bits, so results are
-bit-identical to the exact index (chunked BLAS matmuls are only
-reproducible at identical operand shapes; per-list scoring would not
-be). This is the property the equivalence tests pin down.
+run :func:`~repro.serving.index.chunked_topk` over the database in its
+original row order and are bit-identical to ``ExactIndex`` (see the
+exactness note there); the equivalence tests pin this down.
 """
 
 from __future__ import annotations
@@ -38,7 +35,10 @@ from repro.core.comparators import make_comparator
 from repro.serving.index import (
     DEFAULT_CHUNK_SIZE,
     ServingError,
+    as_matrix,
+    best_first,
     chunked_topk,
+    top_k,
     validate_query,
 )
 
@@ -258,17 +258,10 @@ class IVFPQIndex:
 
     # -- build ---------------------------------------------------------
 
-    def _materialize(self, embeddings) -> np.ndarray:
-        if hasattr(embeddings, "as_array"):
-            return np.asarray(embeddings.as_array())
-        return np.asarray(embeddings)
-
     def build(self, embeddings) -> "IVFPQIndex":
         """Cluster, group and (optionally) encode the database."""
         self._source = embeddings
-        raw = self._materialize(embeddings)
-        if raw.ndim != 2:
-            raise ValueError(f"embeddings must be (n, d), got {raw.shape}")
+        raw = as_matrix(embeddings)
         n, d = raw.shape
         if n == 0:
             raise ValueError("cannot build an index over 0 vectors")
@@ -307,7 +300,6 @@ class IVFPQIndex:
                 self._codes = None
                 self._pq = None
         self.num_items, self.dim = n, d
-        self._built_lists = num_lists
         self._orig_prepared = None
         return self
 
@@ -325,23 +317,18 @@ class IVFPQIndex:
         ``nprobe`` on a skewed clustering) pad with index ``-1`` and
         score ``-inf`` — callers must treat ``-1`` as "no result".
         """
-        if self._centroids is None:
-            raise ServingError("index is empty; call build() first")
         vectors, k, exclude_self = validate_query(
             vectors, self.dim, k, self.num_items, exclude_self
         )
         prepared_q = self._comp.prepare(vectors)
-        num_lists = self._built_lists
+        num_lists = len(self._centroids)
         nprobe = min(self.nprobe, num_lists)
 
         if nprobe >= num_lists and self._pq is None:
-            # Degenerate full scan: run the exact kernel over the
-            # original row order so results are bit-identical to
-            # ExactIndex (same chunk shapes, same row order).
+            # Degenerate full scan: the exact kernel over the original
+            # row order, bit-identical to ExactIndex (same chunk shapes).
             if self._orig_prepared is None:
-                full = np.empty_like(self._grouped)
-                full[self._ids] = self._grouped
-                self._orig_prepared = full
+                self._orig_prepared = self._grouped[np.argsort(self._ids)]
             return chunked_topk(
                 self._comp, prepared_q, self._orig_prepared, k,
                 self.chunk_size, exclude_self,
@@ -349,36 +336,30 @@ class IVFPQIndex:
 
         q = len(prepared_q)
         cscores = self._comp.score_matrix(prepared_q, self._centroids)
-        if nprobe < num_lists:
-            probes = np.argpartition(
-                -cscores, nprobe - 1, axis=1
-            )[:, :nprobe]
-        else:
-            probes = np.broadcast_to(
-                np.arange(num_lists), (q, num_lists)
-            )
+        probes = np.argpartition(-cscores, nprobe - 1, axis=1)[:, :nprobe]
 
-        merge_k = k if not self.refine else min(
-            k * self.refine, self.num_items
-        )
-        best_scores = np.full((q, merge_k), -np.inf)
-        best_idx = np.full((q, merge_k), -1, dtype=np.int64)
-
+        merge_k = min(k * max(self.refine, 1), self.num_items)
         if self._pq is not None:
             lut, bias = self._pq_luts(prepared_q)
+            dtype = lut.dtype
+        else:
+            dtype = np.result_type(prepared_q, self._grouped)
         # Invert (query -> probed lists) into (list -> probing
-        # queries) so each populated list is scored once per batch.
+        # queries): sorted by list, a list's pairs are contiguous; each
+        # pair owns the candidate row its list's top-merge_k goes into.
         flat = probes.ravel()
         inv = np.argsort(flat, kind="stable")
-        list_bounds = np.searchsorted(
-            flat[inv], np.arange(num_lists + 1)
-        )
-        for lst in range(num_lists):
-            lo, hi = self._starts[lst], self._starts[lst + 1]
-            plo, phi = list_bounds[lst], list_bounds[lst + 1]
-            if lo == hi or plo == phi:
-                continue
-            qidx = inv[plo:phi] // probes.shape[1]
+        pair_q = inv // nprobe
+        pair_bounds = np.searchsorted(flat[inv], np.arange(num_lists + 1))
+        cand_scores = np.full((q * nprobe, merge_k), -np.inf, dtype=dtype)
+        cand_idx = np.full((q * nprobe, merge_k), -1, dtype=np.int64)
+        populated = np.flatnonzero(np.diff(pair_bounds) * self.list_sizes())
+        # Bounds as Python ints: numpy scalars slow every slice below.
+        starts, pair_bounds = self._starts.tolist(), pair_bounds.tolist()
+        for lst in populated.tolist():
+            lo, hi = starts[lst], starts[lst + 1]
+            plo, phi = pair_bounds[lst], pair_bounds[lst + 1]
+            qidx = pair_q[plo:phi]
             member_ids = self._ids[lo:hi]
             if self._pq is not None:
                 codes = self._codes[lo:hi]
@@ -388,43 +369,32 @@ class IVFPQIndex:
                 if bias is not None:
                     scores += bias[qidx, None]
             else:
+                # database-major, as in chunked_topk
                 scores = self._comp.score_matrix(
-                    prepared_q[qidx], self._grouped[lo:hi]
-                )
+                    self._grouped[lo:hi], prepared_q[qidx]
+                ).T
             if exclude_self is not None:
                 scores[
                     member_ids[None, :] == exclude_self[qidx][:, None]
                 ] = -np.inf
-            # Merge this list into the probing queries' running
-            # top-merge_k (each query probes a list at most once, so
-            # qidx rows are unique and fancy assignment is safe).
-            merged_s = np.concatenate(
-                [best_scores[qidx], scores], axis=1
-            )
-            merged_i = np.concatenate(
-                [
-                    best_idx[qidx],
-                    np.broadcast_to(
-                        member_ids, (len(qidx), hi - lo)
-                    ),
-                ],
-                axis=1,
-            )
-            top = np.argpartition(
-                -merged_s, merge_k - 1, axis=1
-            )[:, :merge_k]
-            sel = np.arange(len(qidx))[:, None]
-            best_scores[qidx] = merged_s[sel, top]
-            best_idx[qidx] = merged_i[sel, top]
+            top_scores, top_ids = top_k(scores, member_ids, merge_k)
+            cand_scores[plo:phi, : top_scores.shape[1]] = top_scores
+            cand_idx[plo:phi, : top_scores.shape[1]] = top_ids
+
+        # Back to query-major, then one selection per query over the
+        # nprobe * merge_k candidates its lists put forward.
+        back = np.argsort(inv)
+        best_scores, best_idx = top_k(
+            cand_scores[back].reshape(q, -1),
+            cand_idx[back].reshape(q, -1),
+            merge_k,
+        )
 
         if self.refine:
-            best_scores, best_idx = self._refine(
-                prepared_q, best_scores, best_idx, exclude_self
-            )
+            best_scores = self._refine(prepared_q, best_idx, exclude_self)
 
-        order = np.argsort(-best_scores, axis=1)[:, :k]
-        sel = np.arange(q)[:, None]
-        return best_idx[sel, order], best_scores[sel, order]
+        best_idx, best_scores = best_first(best_scores, best_idx)
+        return best_idx[:, :k], best_scores[:, :k]
 
     def _pq_luts(
         self, prepared_q: np.ndarray
@@ -459,11 +429,10 @@ class IVFPQIndex:
     def _refine(
         self,
         prepared_q: np.ndarray,
-        best_scores: np.ndarray,
         best_idx: np.ndarray,
         exclude_self: "np.ndarray | None",
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Re-score the PQ shortlist against raw source vectors."""
+    ) -> np.ndarray:
+        """Exact scores of the shortlist, from raw source vectors."""
         q, merge_k = best_idx.shape
         valid = best_idx >= 0
         raw = self._gather_raw(
@@ -476,22 +445,18 @@ class IVFPQIndex:
         exact[~valid] = -np.inf
         if exclude_self is not None:
             exact[best_idx == exclude_self[:, None]] = -np.inf
-        return exact, best_idx
+        return exact
 
     # -- introspection -------------------------------------------------
 
     def nbytes(self) -> int:
         """Resident bytes of the index structure (not the raw table)."""
-        total = 0
-        for arr in (
+        arrays = (
             self._centroids, self._ids, self._starts,
-            self._grouped, self._codes,
-        ):
-            if arr is not None:
-                total += int(arr.nbytes)
-        if self._pq is not None:
-            total += self._pq.nbytes()
-        return total
+            self._grouped, self._codes, self._orig_prepared,
+        )
+        total = sum(int(a.nbytes) for a in arrays if a is not None)
+        return total + (self._pq.nbytes() if self._pq is not None else 0)
 
     def list_sizes(self) -> np.ndarray:
         """Members per coarse cell (clustering-balance diagnostic)."""

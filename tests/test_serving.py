@@ -325,6 +325,282 @@ class TestIVFPQIndex:
 
 
 # ----------------------------------------------------------------------
+# The merge-once probe path against its references
+# ----------------------------------------------------------------------
+
+
+def _probes(index, prepared_q):
+    """The lists ``IVFPQIndex.query`` probes for each query."""
+    nprobe = min(index.nprobe, len(index._centroids))
+    cscores = index._comp.score_matrix(prepared_q, index._centroids)
+    return np.argpartition(-cscores, nprobe - 1, axis=1)[:, :nprobe]
+
+
+def _parent_ivf_query(index, vectors, k, exclude_self=None):
+    """The probe path of ``IVFPQIndex.query`` as it stood before the
+    merge-once rewrite, frozen: query-major scoring, and every list
+    merged into a running ``(q, merge_k)`` top list as it is scored
+    (float64 scores whatever the table's dtype)."""
+    vectors = np.atleast_2d(np.asarray(vectors))
+    prepared_q = index._comp.prepare(vectors)
+    num_lists = len(index._centroids)
+    q = len(prepared_q)
+    probes = _probes(index, prepared_q)
+    merge_k = k if not index.refine else min(
+        k * index.refine, index.num_items
+    )
+    best_scores = np.full((q, merge_k), -np.inf)
+    best_idx = np.full((q, merge_k), -1, dtype=np.int64)
+    if index._pq is not None:
+        lut, bias = index._pq_luts(prepared_q)
+    flat = probes.ravel()
+    inv = np.argsort(flat, kind="stable")
+    list_bounds = np.searchsorted(flat[inv], np.arange(num_lists + 1))
+    for lst in range(num_lists):
+        lo, hi = index._starts[lst], index._starts[lst + 1]
+        plo, phi = list_bounds[lst], list_bounds[lst + 1]
+        if lo == hi or plo == phi:
+            continue
+        qidx = inv[plo:phi] // probes.shape[1]
+        member_ids = index._ids[lo:hi]
+        if index._pq is not None:
+            codes = index._codes[lo:hi]
+            scores = lut[qidx, 0][:, codes[:, 0]]
+            for m in range(1, index._pq.num_subvectors):
+                scores += lut[qidx, m][:, codes[:, m]]
+            if bias is not None:
+                scores += bias[qidx, None]
+        else:
+            scores = index._comp.score_matrix(
+                prepared_q[qidx], index._grouped[lo:hi]
+            )
+        if exclude_self is not None:
+            scores[
+                member_ids[None, :] == exclude_self[qidx][:, None]
+            ] = -np.inf
+        merged_s = np.concatenate([best_scores[qidx], scores], axis=1)
+        merged_i = np.concatenate(
+            [
+                best_idx[qidx],
+                np.broadcast_to(member_ids, (len(qidx), hi - lo)),
+            ],
+            axis=1,
+        )
+        top = np.argpartition(-merged_s, merge_k - 1, axis=1)[:, :merge_k]
+        sel = np.arange(len(qidx))[:, None]
+        best_scores[qidx] = merged_s[sel, top]
+        best_idx[qidx] = merged_i[sel, top]
+    if index.refine:
+        best_scores = index._refine(prepared_q, best_idx, exclude_self)
+    order = np.argsort(-best_scores, axis=1)[:, :k]
+    sel = np.arange(q)[:, None]
+    return best_idx[sel, order], best_scores[sel, order]
+
+
+def _assert_same_answers(got, want, rounding_of=None):
+    """Same scores, and the same id wherever the score says which row
+    it must be: a slot scored ``-inf`` holds ``-1`` or an excluded row,
+    whichever the selection met first.
+
+    ``rounding_of=None`` demands bit-equal scores (after the cast to
+    float64). Where the two sides sum in another order or at another
+    BLAS shape, pass the prepared float32 vectors: scores may then
+    differ by the rounding of their largest term, ``|a|^2 + |b|^2``,
+    and two rows closer than that may come back in either order.
+    """
+    (got_idx, got_scores), (want_idx, want_scores) = got, want
+    got_scores = got_scores.astype(np.float64)
+    want_scores = want_scores.astype(np.float64)
+    assert got_idx.shape == want_idx.shape
+    decided = np.isfinite(want_scores)
+    if rounding_of is None:
+        np.testing.assert_array_equal(got_scores, want_scores)
+    else:
+        largest = 2 * float(np.square(rounding_of).sum(axis=1).max())
+        atol = 16 * np.finfo(np.float32).eps * largest
+        np.testing.assert_allclose(
+            got_scores, want_scores, rtol=0, atol=atol
+        )
+        with np.errstate(invalid="ignore"):
+            close = np.abs(np.diff(want_scores, axis=1)) < 4 * atol
+        decided[:, 1:] &= ~close
+        decided[:, :-1] &= ~close
+    np.testing.assert_array_equal(got_idx[decided], want_idx[decided])
+
+
+class TestMergeOnceProbe:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        comparator=st.sampled_from(["dot", "cos", "l2"]),
+        pq=st.booleans(),
+        refine=st.sampled_from([0, 3]),
+        exclude=st.booleans(),
+        num_lists=st.integers(2, 7),
+        nprobe_share=st.floats(0.0, 1.0),
+        big_k=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property_matches_frozen_parent(
+        self, comparator, pq, refine, exclude, num_lists, nprobe_share,
+        big_k, seed,
+    ):
+        """Merge-once == the parent's per-list merge: same ids, same
+        scores once both are float64. PQ scores (table sums, and the
+        refine's row-wise re-score) are bit-equal; float lists are
+        scored database-major now, another BLAS call and for l2
+        another order of the three terms, so to rounding."""
+        rng = np.random.default_rng(seed)
+        emb = rng.standard_normal((90, 8)).astype(np.float32)
+        nprobe = 1 + int(nprobe_share * (num_lists - 2))
+        assert 1 <= nprobe < num_lists
+        index = IVFPQIndex(
+            comparator=comparator, num_lists=num_lists, nprobe=nprobe,
+            pq_subvectors=4 if pq else 0, refine=refine if pq else 0,
+            seed=seed,
+        ).build(emb)
+        picks = rng.choice(len(emb), 12, replace=False)
+        vectors = emb[picks] + 0.01 * rng.standard_normal((12, 8)).astype(
+            np.float32
+        )
+        exclude_self = picks if exclude else None
+        # below every probed list's size, or above their total (padding)
+        k = len(emb) if big_k else int(rng.integers(1, 4))
+        got = index.query(vectors, k=k, exclude_self=exclude_self)
+        want = _parent_ivf_query(index, vectors, k, exclude_self)
+        _assert_same_answers(
+            got, want, rounding_of=None if pq else index._grouped
+        )
+
+    @pytest.mark.parametrize("comparator", ["dot", "cos", "l2"])
+    @pytest.mark.parametrize("pq", [False, True])
+    def test_equals_exact_scan_of_probed_lists(self, comparator, pq):
+        """No parent needed: each query's answer is the exact top-k
+        over the union of the rows of the lists it probed (under PQ,
+        of those rows' reconstructions)."""
+        emb, _ = _clustered(n_per=30, c=12, d=16, seed=3)
+        rng = np.random.default_rng(4)
+        index = IVFPQIndex(
+            comparator=comparator, num_lists=12, nprobe=3,
+            pq_subvectors=4 if pq else 0,
+        ).build(emb)
+        picks = rng.choice(len(emb), 40, replace=False)
+        vectors = emb[picks] + 0.05 * rng.standard_normal(
+            (40, 16)
+        ).astype(np.float32)
+        k = 7
+        idx, scores = index.query(vectors, k=k, exclude_self=picks)
+        prepared_q = index._comp.prepare(vectors)
+        probes = _probes(index, prepared_q)
+        stored = (
+            index._pq.decode(index._codes) if pq else index._grouped
+        )
+        for i in range(len(vectors)):
+            rows = np.concatenate([
+                np.arange(index._starts[lst], index._starts[lst + 1])
+                for lst in probes[i]
+            ])
+            rows = rows[index._ids[rows] != picks[i]]
+            union = index._comp.score_matrix(
+                prepared_q[i : i + 1], stored[rows]
+            )[0]
+            best = np.argsort(-union)[:k]
+            _assert_same_answers(
+                (idx[i : i + 1], scores[i : i + 1]),
+                (index._ids[rows[best]][None], union[best][None]),
+                rounding_of=stored,
+            )
+
+    def test_one_score_matrix_call_per_populated_list(self, monkeypatch):
+        emb, _ = _clustered(n_per=60, c=16, d=16)
+        index = IVFPQIndex(
+            comparator="cos", num_lists=32, nprobe=4
+        ).build(emb)
+        vectors = emb[np.random.default_rng(0).choice(len(emb), 64)]
+        probes = _probes(index, index._comp.prepare(vectors))
+        populated = np.intersect1d(
+            probes, np.flatnonzero(index.list_sizes())
+        )
+        assert 4 < len(populated) < 64 * 4  # lists shared between queries
+        calls = []
+        owner = type(index._comp)
+        score_matrix = owner.score_matrix
+
+        def counting(self, a, pool):
+            calls.append((a.shape, pool.shape))
+            return score_matrix(self, a, pool)
+
+        monkeypatch.setattr(owner, "score_matrix", counting)
+        index.query(vectors, k=10)
+        # the centroids, then every populated list exactly once
+        assert len(calls) == 1 + len(populated)
+
+    @pytest.mark.parametrize("comparator", ["dot", "cos", "l2"])
+    def test_partial_probe_keeps_the_score_dtype(self, comparator):
+        emb, _ = _clustered()
+        assert emb.dtype == np.float32
+        exact = ExactIndex(emb, comparator)
+        ivf = IVFPQIndex(
+            comparator=comparator, num_lists=8, nprobe=3
+        ).build(emb)
+        want = exact.query(emb[:9], k=5)[1].dtype
+        assert want == np.float32
+        assert ivf.query(emb[:9], k=5)[1].dtype == want
+        ivf.nprobe = 8
+        assert ivf.query(emb[:9], k=5)[1].dtype == want
+
+    def test_nbytes_counts_the_full_probe_copy(self):
+        emb, _ = _clustered()
+        ivf = IVFPQIndex(num_lists=8, nprobe=3).build(emb)
+        built = ivf.nbytes()
+        ivf.query(emb[:4], k=3)
+        assert ivf.nbytes() == built  # a partial probe keeps no copy
+        ivf.nprobe = 8
+        ivf.query(emb[:4], k=3)
+        # the table again, in its original row order
+        assert ivf.nbytes() == built + emb.nbytes
+        ivf.query(emb[:4], k=3)
+        assert ivf.nbytes() == built + emb.nbytes
+
+
+class TestBlockMaxPreselection:
+    """``chunked_topk`` on chunks wide enough to be narrowed by block
+    maxima first (the small-chunk tests above never are)."""
+
+    @pytest.mark.parametrize("comparator", ["dot", "cos", "l2"])
+    @pytest.mark.parametrize("n", [1536, 1536 + 77])
+    def test_wide_chunk_against_bruteforce(self, comparator, n):
+        rng = np.random.default_rng(n)
+        emb = rng.standard_normal((n, 8)).astype(np.float32)
+        emb[rng.choice(n, 200)] = emb[rng.choice(n, 200)]  # tied scores
+        picks = np.concatenate([[0, n - 1], rng.choice(n, 18)])
+        exact = ExactIndex(emb, comparator)
+        k = 3
+        assert n // 128 >= 4 * k  # the preselection runs
+        idx, scores = exact.query(emb[picks], k=k, exclude_self=picks)
+        brute = exact._comp.score_matrix(
+            exact._prepared, exact._comp.prepare(emb[picks])
+        ).T
+        brute[np.arange(len(picks)), picks] = -np.inf
+        np.testing.assert_array_equal(
+            scores, -np.sort(-brute, axis=1)[:, :k]
+        )
+        np.testing.assert_array_equal(
+            np.take_along_axis(brute, idx, axis=1), scores
+        )
+        assert all(len(set(row)) == k for row in idx.tolist())
+
+    def test_wide_and_narrow_chunks_agree(self):
+        rng = np.random.default_rng(7)
+        emb = rng.standard_normal((3000, 8)).astype(np.float32)
+        wide = ExactIndex(emb, "dot").query(emb[:16], k=5)
+        narrow = ExactIndex(emb, "dot", chunk_size=500).query(
+            emb[:16], k=5
+        )
+        np.testing.assert_array_equal(wide[0], narrow[0])
+        np.testing.assert_allclose(wide[1], narrow[1], rtol=1e-5)
+
+
+# ----------------------------------------------------------------------
 # Shard publishing + mmap tables
 # ----------------------------------------------------------------------
 

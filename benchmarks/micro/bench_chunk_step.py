@@ -37,19 +37,45 @@ over ten rounds of three epochs that take the worker counts in rotating
 order (``--quick``: one round of one epoch at 1/20 size). The report is
 appended to ``BENCH_history.jsonl``.
 
+``--against PATH`` runs the *paired* ledger instead: a second copy of
+``repro`` is imported from ``PATH`` (a checkout of another commit, or
+its ``src``) as module objects distinct from this one's, and both
+versions train the same batches on their own, identically seeded models
+and tables in one process, one call each in turn (which goes first
+alternates). Separate processes on a shared box differ by more than the
+few percent a change to the step is worth; calls that alternate in one
+warm process do not. Each row reports the trimmed mean (10 % cut at
+each end) per side, the ratio change / other with its sample count,
+and whether the two versions' tables, Adagrad state, relation
+parameters and statistics were still bit-identical after the untimed
+first batches (the layer rows compare their outputs). The rows: the
+batches of ``dense_social`` (1000 edges, ``cos``/``identity``),
+``partitioned_disk`` (775 edges, two tables), a packed 20-relation
+``dot``/``translation`` batch, an ``l2`` batch and an unbatched-negatives
+chunk, then ``accumulate_duplicate_rows``, ``RowAdagrad.step``,
+``RankingLoss.forward_backward`` and ``CosComparator.prepare_saved`` on
+one batch's 4 000-row stack. ``--against src`` pairs the tree with
+itself: ratios near 1, and a row that is not bit-identical fails the
+run.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/micro/bench_chunk_step.py [--quick]
+    PYTHONPATH=src python benchmarks/micro/bench_chunk_step.py \\
+        --against ../parent-checkout [--quick]
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 # One BLAS thread, like every child of benchmarks/perf/run.py; must be
 # set before numpy loads the library.
@@ -261,13 +287,280 @@ def worker_epochs(num_nodes: int, rounds: int, epochs: int):
     }
 
 
+# ----------------------------------------------------------------------
+# The paired ledger (--against)
+# ----------------------------------------------------------------------
+
+_PACKAGE_MODULES = {
+    "config": "config", "model": "core.model", "tables": "core.tables",
+    "optimizers": "core.optimizers", "losses": "core.losses",
+    "comparators": "core.comparators", "entities": "graph.entity_storage",
+}
+
+
+def _package_root(path: "str | Path") -> Path:
+    """The directory holding ``repro``: ``path`` itself or ``path/src``."""
+    root = Path(path).resolve()
+    return root if (root / "repro").is_dir() else root / "src"
+
+
+def load_package(path: "str | Path") -> SimpleNamespace:
+    """The ``repro`` package under ``path`` (or ``path/src``), imported as
+    module objects distinct from the ``repro`` this script runs on."""
+    root = _package_root(path)
+
+    def ours():
+        return [n for n in sys.modules if n.split(".")[0] == "repro"]
+
+    saved = {name: sys.modules.pop(name) for name in ours()}
+    sys.path.insert(0, str(root))
+    try:
+        return SimpleNamespace(**{
+            alias: importlib.import_module(f"repro.{name}")
+            for alias, name in _PACKAGE_MODULES.items()
+        })
+    finally:
+        sys.path.remove(str(root))
+        for name in ours():
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def _paired_model(pkg, comparator, operator, two_tables, relations=1,
+                  num_rows=NUM_ROWS, **config_kw):
+    """One version's model and tables, seeded like the other's."""
+    cfg = pkg.config
+    config = cfg.ConfigSchema(
+        entities={"node": cfg.EntitySchema()},
+        relations=[
+            cfg.RelationSchema(
+                name=f"r{i}", lhs="node", rhs="node", operator=operator
+            )
+            for i in range(relations)
+        ],
+        dimension=DIM, comparator=comparator, loss="ranking", margin=0.1,
+        lr=0.1, batch_size=BATCH, chunk_size=CHUNK, num_batch_negs=NEGS,
+        num_uniform_negs=NEGS, **config_kw,
+    )
+    rng = np.random.default_rng(0)
+    model = pkg.model.EmbeddingModel(
+        config, pkg.entities.EntityStorage({"node": num_rows}), rng
+    )
+    table = pkg.tables.DenseEmbeddingTable
+    lhs = table.create(num_rows, DIM, rng)
+    rhs = table.create(num_rows, DIM, rng) if two_tables else lhs
+    return model, lhs, rhs
+
+
+def _paired_batches():
+    """Row name -> (model arguments, the shared batches it cycles)."""
+    rng = np.random.default_rng(3)
+
+    def uniform(edges, count=4):
+        return [
+            (0, rng.integers(0, NUM_ROWS, edges),
+             rng.integers(0, NUM_ROWS, edges))
+            for _ in range(count)
+        ]
+
+    share = 1.0 / np.arange(1, KG_RELATIONS + 1)
+    kg_edges = EdgeList(
+        rng.integers(0, KG_ROWS, KG_EDGES),
+        rng.choice(KG_RELATIONS, KG_EDGES, p=share / share.sum()),
+        rng.integers(0, KG_ROWS, KG_EDGES),
+    )
+    kg = [
+        (batch.rel, batch.src, batch.dst)
+        for batch in iterate_batches(
+            kg_edges, BATCH, rng, chunk_size=CHUNK,
+            groups=np.zeros(KG_RELATIONS, dtype=np.int64),
+        )
+    ]
+    return {
+        "batch[cos,identity,same_table]": (
+            dict(comparator="cos", operator="identity", two_tables=False),
+            uniform(BATCH),
+        ),
+        "ragged_batch[cos,identity,two_tables]": (
+            dict(comparator="cos", operator="identity", two_tables=True),
+            uniform(DISK_BATCH),
+        ),
+        "kg_batch[dot,translation,20_relations]": (
+            dict(comparator="dot", operator="translation", two_tables=False,
+                 relations=KG_RELATIONS, num_rows=KG_ROWS),
+            kg,
+        ),
+        "batch[l2,translation,two_tables]": (
+            dict(comparator="l2", operator="translation", two_tables=True),
+            uniform(BATCH),
+        ),
+        "unbatched_chunk[dot,translation,same_table]": (
+            dict(comparator="dot", operator="translation", two_tables=False,
+                 disable_batch_negs=True),
+            uniform(CHUNK),
+        ),
+    }
+
+
+def _training_state(model, lhs, rhs, stats):
+    tables = [lhs] if lhs is rhs else [lhs, rhs]
+    arrays = [*model.rel_params, *(o.state for o in model.rel_optimizers)]
+    for table in tables:
+        arrays += [table.weights, table.optimizer.state]
+    return arrays, [
+        (s.loss, s.num_edges, s.num_negatives, s.violations) for s in stats
+    ]
+
+
+def _same(a, b) -> bool:
+    return len(a) == len(b) and all(
+        np.array_equal(x, y) for x, y in zip(a, b)
+    )
+
+
+def _trimmed_mean(samples: "list[float]", cut: float = 0.1) -> float:
+    samples = sorted(samples)
+    drop = int(len(samples) * cut)
+    return statistics.fmean(samples[drop:len(samples) - drop])
+
+
+def alternate(fns, calls: int) -> "list[list[float]]":
+    """µs of ``calls`` calls of each of the two ``fns``, one of each in
+    turn, the first of every pair alternating between them."""
+    samples = [[], []]
+    for i in range(calls):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            fns[side]()
+            samples[side].append((time.perf_counter() - start) * 1e6)
+    return samples
+
+
+def paired_rows(other, change, calls: int, warmup: int) -> "dict[str, dict]":
+    """The paired ledger: ``other`` and ``change`` are two
+    :func:`load_package` namespaces."""
+    rows: "dict[str, dict]" = {}
+
+    def record(name, fns, identical):
+        other_us, change_us = map(_trimmed_mean, alternate(fns, calls))
+        rows[name] = {
+            "other_us": other_us, "change_us": change_us,
+            "ratio": change_us / other_us, "n": calls,
+            "bit_identical": bool(identical),
+        }
+
+    for name, (kwargs, batches) in _paired_batches().items():
+        sides = []
+        for pkg in (other, change):
+            model, lhs, rhs = _paired_model(pkg, **kwargs)
+            rng, stats, turn = np.random.default_rng(1), [], [0]
+
+            def step(model=model, lhs=lhs, rhs=rhs, rng=rng, turn=turn):
+                rel, src, dst = batches[turn[0] % len(batches)]
+                turn[0] += 1
+                return model.forward_backward_chunk(
+                    rel, src, dst, lhs, rhs, rng, chunk_size=CHUNK
+                )
+
+            stats += [step() for _ in range(warmup)]
+            sides.append((step, _training_state(model, lhs, rhs, stats)))
+        (arrays_o, stats_o), (arrays_c, stats_c) = (s[1] for s in sides)
+        identical = _same(arrays_o, arrays_c) and stats_o == stats_c
+        record(name, [s[0] for s in sides], identical)
+
+    # The layers, on one dense_social batch's stacked rows.
+    rng = np.random.default_rng(2)
+    src, dst = (rng.integers(0, NUM_ROWS, BATCH) for _ in range(2))
+    pools = [
+        sample_pool(side.reshape(-1, CHUNK), side.reshape(-1, CHUNK),
+                    NUM_ROWS, NEGS, NEGS, rng)
+        for side in (dst, src)
+    ]
+    stack = np.concatenate(
+        (src, pools[1].entities.ravel(), dst, pools[0].entities.ravel())
+    )
+    grads = rng.standard_normal((len(stack), DIM), dtype=np.float32)
+    pos = rng.standard_normal(BATCH, dtype=np.float32)
+    neg = rng.standard_normal((BATCH, 4 * NEGS), dtype=np.float32)
+    mask = np.concatenate([
+        pool.mask.reshape(BATCH, 2 * NEGS) for pool in pools
+    ], axis=1)
+
+    layers = {
+        "accumulate_duplicate_rows": lambda pkg: partial(
+            pkg.optimizers.accumulate_duplicate_rows, stack, grads
+        ),
+        "ranking_loss": lambda pkg: partial(
+            pkg.losses.RankingLoss(0.1).forward_backward, pos, neg, mask
+        ),
+        "cos_prepare_saved": lambda pkg: partial(
+            pkg.comparators.CosComparator().prepare_saved, grads
+        ),
+    }
+    for name, bind in layers.items():
+        fns = [bind(other), bind(change)]
+        outputs = [[np.asarray(x) for x in fn()] for fn in fns]
+        record(name, fns, _same(*outputs))
+
+    sides = []
+    for pkg in (other, change):
+        params = np.zeros((NUM_ROWS, DIM), dtype=np.float32)
+        optimizer = pkg.optimizers.RowAdagrad(NUM_ROWS)
+        step = partial(optimizer.step, params, stack, grads, 0.1)
+        for _ in range(warmup):
+            step()
+        sides.append((step, [params, optimizer.state]))
+    record("row_adagrad_step", [s[0] for s in sides],
+           _same(sides[0][1], sides[1][1]))
+    return rows
+
+
+def main_paired(args) -> int:
+    calls, warmup = (40, 5) if args.quick else (600, 30)
+    other = load_package(args.against)
+    change = load_package(_ROOT.parent / "src")
+    rows = paired_rows(other, change, calls, warmup)
+    print(f"paired in one process: this tree vs {args.against}; "
+          f"{calls} alternating calls per side, 10 % trimmed means; "
+          f"bit-identical after {warmup} untimed calls")
+    for name, row in rows.items():
+        print(f"  {name:46s} {row['other_us']:9.1f} -> "
+              f"{row['change_us']:9.1f} us  x{row['ratio']:.3f}  "
+              f"n={row['n']}  bit-identical: {row['bit_identical']}")
+    report = {
+        "benchmark": "micro_chunk_step",
+        "params": {
+            "paired": True, "chunk": CHUNK, "negs_per_source": NEGS,
+            "dim": DIM, "num_rows": NUM_ROWS, "batch": BATCH,
+            "disk_batch": DISK_BATCH, "kg_edges": KG_EDGES,
+            "kg_relations": KG_RELATIONS, "kg_rows": KG_ROWS,
+            "calls": calls, "warmup": warmup,
+        },
+        "against": str(args.against),
+        "paired": rows,
+    }
+    report["provenance"] = provenance(report["params"])
+    if args.history:
+        append_history(report, args.history)
+    itself = _package_root(args.against) == _package_root(_ROOT.parent)
+    if itself and not all(row["bit_identical"] for row in rows.values()):
+        print("FAIL: the tree paired with itself is not bit-identical")
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="fewer calls (CI smoke run)")
     parser.add_argument("--history", default="BENCH_history.jsonl",
                         help="append the report here ('' to skip)")
+    parser.add_argument("--against", metavar="PATH",
+                        help="pair this tree with the repro package under "
+                             "PATH in one process (the paired ledger)")
     args = parser.parse_args(argv)
+    if args.against:
+        return main_paired(args)
     calls, repeats = (40, 3) if args.quick else (400, 7)
 
     us: "dict[str, float]" = {}

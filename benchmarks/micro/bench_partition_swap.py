@@ -40,9 +40,9 @@ sys.path[:0] = [str(_ROOT), str(_ROOT.parent / "src")]
 from common import append_history, provenance, time_us
 
 from repro.graph.storage import (
+    PartitionAbsent,
     PartitionPipeline,
     PartitionedEmbeddingStorage,
-    StorageError,
 )
 
 ROWS, DIM, DRAIN_PARTS = 5_000, 64, 8
@@ -61,7 +61,7 @@ class DictBackend:
         try:
             return self.parts[entity_type, part]
         except KeyError:
-            raise StorageError(f"no partition {entity_type}/{part}") from None
+            raise PartitionAbsent(f"no partition {entity_type}/{part}") from None
 
 
 def scenarios(backend, synchronous: bool, parts):

@@ -82,14 +82,15 @@ class Comparator(abc.ABC):
         """Gradients of :meth:`score_pairs` w.r.t. prepared a and b."""
 
     @abc.abstractmethod
-    def score_matrix(self, a: np.ndarray, pool: np.ndarray) -> np.ndarray:
-        """All-pairs scores: ``out[i, j] = sim(a[i], pool[j])`` — (n, k)."""
+    def score_matrix(self, a: np.ndarray, pool: np.ndarray, out=None) -> np.ndarray:
+        """All-pairs scores: ``out[i, j] = sim(a[i], pool[j])`` — (n, k),
+        written into ``out`` (a view will do) when one is given."""
 
     @abc.abstractmethod
     def score_matrix_backward(
-        self, a: np.ndarray, pool: np.ndarray, grad: np.ndarray
+        self, a: np.ndarray, pool: np.ndarray, grad: np.ndarray, out=(None, None)
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Gradients of :meth:`score_matrix` w.r.t. prepared a and pool."""
+        """Gradients of :meth:`score_matrix` w.r.t. prepared a and pool (into ``out``)."""
 
 
 class DotComparator(Comparator):
@@ -102,11 +103,12 @@ class DotComparator(Comparator):
         g = grad[:, None]
         return g * b, g * a
 
-    def score_matrix(self, a: np.ndarray, pool: np.ndarray) -> np.ndarray:
-        return a @ pool.swapaxes(-1, -2)
+    def score_matrix(self, a, pool, out=None):
+        return np.matmul(a, pool.swapaxes(-1, -2), out=out)
 
-    def score_matrix_backward(self, a, pool, grad):
-        return grad @ pool, grad.swapaxes(-1, -2) @ a
+    def score_matrix_backward(self, a, pool, grad, out=(None, None)):
+        return (np.matmul(grad, pool, out=out[0]),
+                np.matmul(grad.swapaxes(-1, -2), a, out=out[1]))
 
 
 class CosComparator(Comparator):
@@ -119,7 +121,8 @@ class CosComparator(Comparator):
         return self.prepare_backward_saved(*self.prepare_saved(x), grad_prepared)
 
     def prepare_saved(self, x):
-        norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), _NORM_EPS)
+        norms = np.sqrt(np.einsum("nd,nd->n", x, x))[:, None]
+        np.maximum(norms, _NORM_EPS, out=norms)
         return x / norms, norms
 
     def prepare_backward_saved(self, y, saved, grad_prepared):
@@ -153,17 +156,27 @@ class L2Comparator(Comparator):
         g = (-2.0 * grad)[:, None] * diff
         return g, -g
 
-    def score_matrix(self, a: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    def score_matrix(self, a, pool, out=None):
         sq_a = np.einsum("...nd,...nd->...n", a, a)[..., :, None]
         sq_p = np.einsum("...kd,...kd->...k", pool, pool)[..., None, :]
-        return 2.0 * (a @ pool.swapaxes(-1, -2)) - sq_a - sq_p
+        # 2 a.pool - sq_a - sq_p in place on a contiguous product, then
+        # copied: three passes over a strided ``out`` cost more than one.
+        scores = DotComparator.score_matrix(self, a, pool)
+        scores *= 2.0
+        scores -= sq_a
+        scores -= sq_p
+        if out is None:
+            return scores
+        out[...] = scores
+        return out
 
-    def score_matrix_backward(self, a, pool, grad):
+    def score_matrix_backward(self, a, pool, grad, out=(None, None)):
         # score = 2 a.pool - ||a||^2 - ||pool||^2
-        grad_a = 2.0 * (grad @ pool) - 2.0 * grad.sum(axis=-1)[..., None] * a
-        grad_t = grad.swapaxes(-1, -2)
-        grad_pool = 2.0 * (grad_t @ a) - 2.0 * grad.sum(axis=-2)[..., None] * pool
-        return grad_a, grad_pool
+        grads = DotComparator.score_matrix_backward(self, a, pool, grad, out)
+        for g, x, axis in zip(grads, (a, pool), (-1, -2)):
+            g *= 2.0
+            g -= 2.0 * grad.sum(axis=axis)[..., None] * x
+        return grads
 
 
 COMPARATORS: "dict[str, type[Comparator]]" = {

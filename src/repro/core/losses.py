@@ -89,10 +89,13 @@ class RankingLoss(Loss):
 
     def forward_backward(self, pos, neg, mask=None, weights=None):
         mask = _check_inputs(pos, neg, mask)
-        violation = self.margin - pos[:, None] + neg
-        active = (violation > 0) & mask
+        # One (n, k) temporary, ``violation``, overwritten in place.
+        violation = np.add((self.margin - pos)[:, None], neg)
+        active = np.greater(violation, 0)
+        active &= mask
         grad_neg = _weighted(active.astype(pos.dtype), weights)
-        loss = float((violation * grad_neg).sum())
+        violation *= grad_neg
+        loss = float(violation.sum())
         grad_pos = -grad_neg.sum(axis=1)
         return loss, grad_pos, grad_neg
 

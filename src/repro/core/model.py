@@ -25,9 +25,10 @@ Adagrad step) run flat over it. The operator maps the right-hand half
 ``(n, w, d)`` chunks at a time under ``(n, *param_shape)`` parameters,
 and the six score ``np.matmul`` products run once per run of equal-width
 chunks — a short chunk is a narrower rectangle — so chunk ``i`` is scored
-against, and masked by, pool ``i`` only. A 1000-edge batch of ten chunks
-costs ~4 ms; a 4 571-edge bucket of 20 relations ~21 ms as 5 batches, ~25
-as 21 one-relation ones (``benchmarks/micro/bench_chunk_step.py``).
+against, and masked by, pool ``i`` only; they write straight into their
+slices of the score and gradient buffers. A 1000-edge batch of ten chunks
+costs ~3.1 ms; a 4 571-edge bucket of 20 relations ~18 ms as 5 batches,
+~20 as 21 one-relation ones (``benchmarks/micro/bench_chunk_step.py``).
 """
 
 from __future__ import annotations
@@ -416,12 +417,10 @@ class EmbeddingModel:
         pos = comp.score_pairs(a, b)
         # The corruption sides: positives, their pools, their score columns.
         sides = ((a, pb, slice(0, k)), (b, pa, slice(k, None)))
-        neg = _cat([
-            np.concatenate([
-                score(chunked(p[at], c), chunked(q[pool], c)) for p, q, _ in sides
-            ], axis=-1).reshape(-1, 2 * k)
-            for c, _, at, pool in runs
-        ])
+        neg = np.empty((n_pos, 2 * k), dtype=y.dtype)
+        for c, _, at, pool in runs:
+            for p, q, cols in sides:
+                score(chunked(p[at], c), chunked(q[pool], c), out=chunked(neg[at], c)[..., cols])
 
         # ---- loss ------------------------------------------------------
         weights = None if edge_weights is None else edge_weights.astype(raw.dtype)
@@ -433,22 +432,21 @@ class EmbeddingModel:
         stats.loss += loss
         stats.num_edges += n_pos
         stats.num_negatives += int(np.count_nonzero(mask))
-        stats.violations += int(np.count_nonzero(dneg))
+        stats.violations += int(np.count_nonzero(dneg != 0))  # bools count fastest
         if not update:
             return None
 
         # ---- backward: one gradient buffer laid out like the stack ------
-        ga_pos, gb_pos = comp.score_pairs_backward(a, b, dpos)
         g = np.empty_like(y)
         g_a, g_pa, g_b, g_pb = g[:n_pos], g[n_pos:n_lhs], g[n_lhs:n_lhs + n_pos], g[n_lhs + n_pos:]
-        g_sides = ((ga_pos, g_a, g_pb), (gb_pos, g_b, g_pa))
         for c, _, at, pool in runs:
-            for (p, q, cols), (g_pos, g_p, g_q) in zip(sides, g_sides):
-                g_neg, g_pool = score_backward(
-                    chunked(p[at], c), chunked(q[pool], c), chunked(dneg[at], c)[..., cols]
+            for (p, q, cols), g_p, g_q in zip(sides, (g_a, g_b), (g_pb, g_pa)):
+                score_backward(
+                    chunked(p[at], c), chunked(q[pool], c), chunked(dneg[at], c)[..., cols],
+                    out=(chunked(g_p[at], c), chunked(g_q[pool], c)),
                 )
-                np.add(g_pos[at], g_neg.reshape(-1, dim), out=g_p[at])
-                g_q[pool] = g_pool.reshape(-1, dim)
+        for g_p, g_pos in zip((g_a, g_b), comp.score_pairs_backward(a, b, dpos)):
+            g_p += g_pos
         g = comp.prepare_backward_saved(y, saved, g)
         g_params = np.zeros_like(params)
         for c, chunks, at in rects:
@@ -464,9 +462,9 @@ def _cat(parts) -> np.ndarray:  # np.concatenate; one part is returned as is
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _rowwise_scores(a: np.ndarray, negs: np.ndarray, l2: bool) -> np.ndarray:
-    """Unbatched ``score_matrix``: ``a[i]`` against its own ``k`` prepared
-    negatives, rows ``i*k .. (i+1)*k`` of ``negs`` — shape ``(c, k)``."""
+def _rowwise_scores(a: np.ndarray, negs: np.ndarray, l2: bool, out) -> None:
+    """Unbatched ``score_matrix`` (one chunk): ``a[i]`` against its own ``k``
+    prepared negatives, rows ``i*k .. (i+1)*k`` of ``negs``, into ``out``."""
     a = a.reshape(-1, a.shape[-1])
     negs = negs.reshape(len(a), -1, a.shape[1])
     scores = np.einsum("cd,ckd->ck", a, negs)
@@ -474,11 +472,11 @@ def _rowwise_scores(a: np.ndarray, negs: np.ndarray, l2: bool) -> np.ndarray:
         # -||a - n||^2 = 2 a.n - ||a||^2 - ||n||^2
         sq_a = np.einsum("cd,cd->c", a, a)[:, None]
         scores = 2.0 * scores - sq_a - np.einsum("ckd,ckd->ck", negs, negs)
-    return scores
+    out[...] = scores
 
 
-def _rowwise_scores_backward(a, negs, grad, l2: bool):
-    """Gradients of :func:`_rowwise_scores` w.r.t. ``a`` and ``negs``."""
+def _rowwise_scores_backward(a, negs, grad, l2: bool, out) -> None:
+    """Gradients of :func:`_rowwise_scores` w.r.t. ``a`` and ``negs``, into ``out``."""
     a = a.reshape(-1, a.shape[-1])
     negs = negs.reshape(len(a), -1, a.shape[1])
     grad = grad.reshape(len(a), -1)
@@ -488,4 +486,4 @@ def _rowwise_scores_backward(a, negs, grad, l2: bool):
         g_negs = 2.0 * grad[:, :, None] * (a[:, None, :] - negs)
     else:
         g_negs = grad[:, :, None] * a[:, None, :]
-    return g_a, g_negs.reshape(-1, a.shape[1])
+    out[0][...], out[1][...] = g_a, g_negs.reshape(-1, a.shape[1])

@@ -12,15 +12,15 @@ rows, possibly with duplicates (an entity can appear in several edges
 and in the negative pool). Duplicate rows must have their gradients
 summed before the Adagrad state update, otherwise the accumulator would
 double-count. :func:`accumulate_duplicate_rows` does that with one
-stable argsort: neighbouring sorted rows that differ start a segment,
-and the segment starts and the sort permutation *are* the ``indptr`` /
-``indices`` of the CSR selection matrix that sums each segment, so they
-go straight to scipy's ``csr_matvecs`` kernel without a ``csr_matrix``
-being constructed. ``benchmarks/micro/bench_chunk_step.py`` times it
-against the alternatives on one chunk's 400 x 64 float32 gradients with
-26 % repeated rows: 21 us, against 97 us for ``np.unique`` + a COO-built
-``csr_matrix``, 52 us for ``csr_matrix((data, indices, indptr))`` and
-126 us for ``np.add.reduceat``.
+stable sort, :func:`radix_argsort` (a 1000-edge batch's 4 000 ids: 38 us
+against 215 for the int64 ``np.argsort``; they cross at 800-1500 ids):
+neighbouring sorted rows that differ start a segment, and the segment
+starts and the permutation *are* the ``indptr`` / ``indices`` of the CSR
+selection matrix that sums each segment, so they go straight to scipy's
+``csr_matvecs``. ``benchmarks/micro/bench_chunk_step.py`` times it on
+one chunk's 400 x 64 float32 gradients with 26 % repeated rows: 30 us,
+against 112 us for ``np.unique`` + a COO-built ``csr_matrix``, 52 us for
+``csr_matrix((data, indices, indptr))`` and 176 us for ``np.add.reduceat``.
 """
 
 from __future__ import annotations
@@ -28,9 +28,17 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvecs
 
-__all__ = ["RowAdagrad", "DenseAdagrad", "accumulate_duplicate_rows"]
+__all__ = ["RowAdagrad", "DenseAdagrad", "accumulate_duplicate_rows", "radix_argsort"]
 
 _EPS = 1e-10
+
+
+def radix_argsort(rows: np.ndarray) -> np.ndarray:
+    """``np.argsort(rows, kind="stable")`` of ids in ``[0, 2**32)``, as two 16-bit radix passes."""
+    if len(rows) and (rows.min() < 0 or rows.max() >= 2**32):
+        raise ValueError("row ids must lie in [0, 2**32)")
+    order = np.argsort(rows.astype(np.uint16), kind="stable")
+    return order[np.argsort((rows[order] >> 16).astype(np.uint16), kind="stable")]
 
 
 def accumulate_duplicate_rows(
@@ -58,7 +66,7 @@ def accumulate_duplicate_rows(
     if len(rows) == 0:
         return rows, grads
     m = len(rows)
-    order = np.argsort(rows, kind="stable")
+    order = radix_argsort(rows)
     sorted_rows = rows[order]
     starts = np.flatnonzero(sorted_rows[1:] != sorted_rows[:-1]) + 1
     if len(starts) == m - 1:
@@ -104,10 +112,11 @@ class RowAdagrad:
     ) -> None:
         """Apply a sparse update in place.
 
-        ``rows`` may contain duplicates; they are accumulated first.
-        ``params`` is the full ``(n, d)`` embedding matrix.
+        ``rows`` may contain duplicates; they are accumulated first, into a
+        copy that is then scaled in place. ``params`` is the full ``(n, d)``
+        embedding matrix.
         """
-        self.step_unique(params, *accumulate_duplicate_rows(rows, grads), lr)
+        self._update(params, *accumulate_duplicate_rows(rows, grads), lr, True)
 
     def step_unique(
         self,
@@ -116,16 +125,20 @@ class RowAdagrad:
         grads: np.ndarray,
         lr: float,
     ) -> None:
-        """:meth:`step` for ``rows`` the caller knows to be distinct."""
+        """:meth:`step` for distinct ``rows``; ``grads`` is not written."""
+        self._update(params, rows, grads, lr, False)
+
+    def _update(self, params, rows, grads, lr, in_place: bool) -> None:
         if lr <= 0:
             raise ValueError(f"lr must be > 0, got {lr}")
         if len(rows) == 0:
             return
         sq = np.einsum("nd,nd->n", grads, grads) / grads.shape[1]
-        state = self.state[rows] + sq.astype(np.float32)
+        state = sq.astype(np.float32, copy=False)
+        state += self.state[rows]
         self.state[rows] = state
         scale = lr / (np.sqrt(state) + self.eps)
-        params[rows] -= scale[:, None] * grads
+        params[rows] -= np.multiply(grads, scale[:, None], out=grads if in_place else None)
 
     def nbytes(self) -> int:
         return self.state.nbytes

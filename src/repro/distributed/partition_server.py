@@ -38,7 +38,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.graph import compression
-from repro.graph.storage import StorageError
+from repro.graph.storage import PartitionAbsent
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
@@ -54,9 +54,9 @@ class CodecDriftError(RuntimeError):
     """A fetched partition decoded to drifted dtype/shape.
 
     Deliberately *not* a :class:`~repro.graph.storage.StorageError`:
-    every consumer treats StorageError as "partition absent, initialise
-    it", which would silently discard the (corrupt but real) stored
-    data. Drift must abort the run instead.
+    the stored data is real, so drift must abort the run, never be
+    mistaken for :class:`~repro.graph.storage.PartitionAbsent` ("no
+    copy, initialise it").
     """
 
 
@@ -421,7 +421,7 @@ class PartitionServerStorage:  # public-guard: _lock
     def _load(self, sp, entity_type: str, part: int):
         entry = self.server.get_versioned(entity_type, part)
         if entry is None:
-            raise StorageError(
+            raise PartitionAbsent(
                 f"partition server has no ({entity_type!r}, {part})"
             )
         payload, version = entry

@@ -50,6 +50,7 @@ __all__ = [
     "PartitionedEmbeddingStorage",
     "CheckpointStorage",
     "StorageError",
+    "PartitionAbsent",
     "PartitionPipeline",
     "atomic_write",
 ]
@@ -57,6 +58,13 @@ __all__ = [
 
 class StorageError(RuntimeError):
     """Raised when stored data is missing or corrupt."""
+
+
+class PartitionAbsent(StorageError):
+    """The backend holds no copy of the partition, so the caller may
+    initialise it. Every other :class:`StorageError` a load raises means
+    the stored bytes exist but are unusable; those propagate, so a
+    damaged file never trains on as random rows."""
 
 
 def atomic_write(path: Path, writer, /, *args, **kwargs) -> None:
@@ -124,10 +132,11 @@ class PartitionedEmbeddingStorage:
     def load(
         self, entity_type: str, part: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Load one partition; raises :class:`StorageError` if absent/corrupt."""
+        """Load one partition; raises :class:`PartitionAbsent` if there is
+        no file and :class:`StorageError` if it is corrupt."""
         path = self._path(entity_type, part)
         if not path.exists():
-            raise StorageError(f"no stored partition at {path}")
+            raise PartitionAbsent(f"no stored partition at {path}")
         try:
             with telemetry.span(
                 "storage.load", cat="transfer", entity=entity_type, part=part,
@@ -541,11 +550,11 @@ class PartitionPipeline:
 
         Returns ``(arrays, served_from_staged)``; arrays is None when
         the partition is neither staged nor in the backend (the caller
-        initialises it). A staged copy whose write is still in flight
-        is handed out only once it has landed — the caller is about to
-        mutate the arrays (flush-before-reuse). A stale staged copy
-        (see ``validate``) counts in ``stale_hits`` and falls back to a
-        backend read.
+        initialises it); any other load error propagates. A staged copy
+        whose write is still in flight is handed out only once it has
+        landed — the caller is about to mutate the arrays
+        (flush-before-reuse). A stale staged copy (see ``validate``)
+        counts in ``stale_hits`` and falls back to a backend read.
         """
         key = (entity_type, part)
         self._raise_if_failed()
@@ -564,7 +573,7 @@ class PartitionPipeline:
                 self._owner.dropped(entity_type, part)
         try:
             got = self.storage.load(entity_type, part)
-        except StorageError:
+        except PartitionAbsent:
             got = None
         if self._owner is not None:
             # None means the caller initialises the partition; either
@@ -597,14 +606,14 @@ class PartitionPipeline:
 
         Never touches the model or any RNG; a partition the backend
         does not have is simply skipped (the main thread initialises
-        it)."""
+        it). Any other load error is raised to :meth:`settle`."""
         try:
             with telemetry.span(
                 "prefetch.fetch", cat="transfer",
                 entity=key[0], part=key[1],
             ):
                 embeddings, optim_state = self.storage.load(*key)
-        except StorageError:
+        except PartitionAbsent:
             return
         if self._owner is not None:
             # Record before the insert: the moment the entry is staged,

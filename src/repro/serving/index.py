@@ -229,7 +229,10 @@ def chunked_topk(
         top_scores, top_rows = top_k(*_shortlist(scores, k), k)
         found.append((top_scores, top_rows + lo))
     cand_scores, cand_idx = (np.concatenate(c, axis=1) for c in zip(*found))
-    return best_first(*top_k(cand_scores, cand_idx, k))
+    idx, scores = best_first(*top_k(cand_scores, cand_idx, k))
+    if exclude_self is not None:
+        idx[scores == -np.inf] = -1  # an excluded row is no result
+    return idx, scores
 
 
 class ExactIndex:

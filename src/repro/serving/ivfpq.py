@@ -394,6 +394,8 @@ class IVFPQIndex:
             best_scores = self._refine(prepared_q, best_idx, exclude_self)
 
         best_idx, best_scores = best_first(best_scores, best_idx)
+        if exclude_self is not None:
+            best_idx[best_scores == -np.inf] = -1  # an excluded row is no result
         return best_idx[:, :k], best_scores[:, :k]
 
     def _pq_luts(

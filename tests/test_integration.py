@@ -22,7 +22,11 @@ from repro.distributed.cluster import DistributedTrainer
 from repro.eval.ranking import LinkPredictionEvaluator
 from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import partition_entities
-from repro.graph.storage import PartitionedEmbeddingStorage
+from repro.graph.storage import (
+    PartitionAbsent,
+    PartitionedEmbeddingStorage,
+    StorageError,
+)
 
 
 class TestSocialPipeline:
@@ -255,32 +259,37 @@ class TestPartitionedVsDistributedParity:
 
 
 class TestFailureInjection:
-    def test_corrupt_partition_file_reinitialises(self, tmp_path):
-        """A corrupt swap file must not crash training: the loader
-        treats it as unreadable and re-initialises that partition (the
-        other partitions keep their training progress)."""
+    def test_corrupt_partition_file_raises(self, tmp_path):
+        """A corrupt swap file stops training, serial or pipelined, with
+        a typed error instead of being re-initialised as random rows
+        (which would silently discard that partition's training), and is
+        left as it was. Only a missing file means "initialise it"."""
         g = social_network(200, 1500, seed=6)
-        config = ConfigSchema(
-            entities={"node": EntitySchema(num_partitions=2)},
-            relations=[RelationSchema(name="f", lhs="node", rhs="node")],
-            dimension=8, num_epochs=1, batch_size=100, chunk_size=20,
-        )
         entities = EntityStorage({"node": 200})
         entities.set_partitioning(
             "node", partition_entities(200, 2, np.random.default_rng(0))
         )
-        model = EmbeddingModel(config, entities)
-        storage = PartitionedEmbeddingStorage(tmp_path)
-        trainer = Trainer(config, model, entities, storage)
-        trainer.train(g.edges)
-        # Corrupt a stored partition, then retrain: the loader treats a
-        # corrupt file as unreadable and re-initialises that partition
-        # (matching PBG's behaviour of restarting a partition whose
-        # checkpoint is unusable) — training must not crash.
-        (tmp_path / "node" / "part-00000.npz").write_bytes(b"junk")
-        trainer.config = config.replace(num_epochs=1)
-        stats = trainer.train(g.edges)
-        assert stats.epochs[0].num_edges == len(g.edges)
+        for pipeline in (False, True):
+            config = ConfigSchema(
+                entities={"node": EntitySchema(num_partitions=2)},
+                relations=[RelationSchema(name="f", lhs="node", rhs="node")],
+                dimension=8, num_epochs=1, batch_size=100, chunk_size=20,
+                pipeline=pipeline,
+            )
+            root = tmp_path / str(pipeline)
+            storage = PartitionedEmbeddingStorage(root)
+            model = EmbeddingModel(config, entities)
+            Trainer(config, model, entities, storage).train(g.edges)
+            assert storage.stored_partitions("node") == [0, 1]
+            path = root / "node" / "part-00000.npz"
+            path.write_bytes(b"junk")
+            retrain = Trainer(
+                config, EmbeddingModel(config, entities), entities, storage
+            )
+            with pytest.raises(StorageError, match="corrupt") as info:
+                retrain.train(g.edges)
+            assert not isinstance(info.value, PartitionAbsent)
+            assert path.read_bytes() == b"junk"
 
     def test_isolated_nodes_are_harmless(self):
         """Nodes with no edges simply keep their random embeddings."""

@@ -1058,6 +1058,309 @@ def test_scalar_relation_is_the_per_edge_array_bit_for_bit(
         np.testing.assert_array_equal(got, want)
 
 
+# ----------------------------------------------------------------------
+# The batch step before its passes per row were cut, frozen: an int64
+# argsort and a scaled gradient copy in the row update, five (n, 2k)
+# temporaries in the ranking loss, score and gradient blocks assembled
+# by concatenation, the cosine norm from ``np.linalg.norm``
+# ----------------------------------------------------------------------
+
+
+def _frozen_ranking_loss(margin, pos, neg, mask, weights):
+    violation = margin - pos[:, None] + neg
+    active = (violation > 0) & mask
+    grad_neg = active.astype(pos.dtype)
+    if weights is not None:
+        grad_neg = grad_neg * weights[:, None]
+    loss = float((violation * grad_neg).sum())
+    return loss, -grad_neg.sum(axis=1), grad_neg
+
+
+def _frozen_score_matrix(a, pool, l2):
+    if not l2:
+        return a @ pool.swapaxes(-1, -2)
+    sq_a = np.einsum("...nd,...nd->...n", a, a)[..., :, None]
+    sq_p = np.einsum("...kd,...kd->...k", pool, pool)[..., None, :]
+    return 2.0 * (a @ pool.swapaxes(-1, -2)) - sq_a - sq_p
+
+
+def _frozen_score_matrix_backward(a, pool, grad, l2):
+    if not l2:
+        return grad @ pool, grad.swapaxes(-1, -2) @ a
+    grad_a = 2.0 * (grad @ pool) - 2.0 * grad.sum(axis=-1)[..., None] * a
+    grad_t = grad.swapaxes(-1, -2)
+    grad_pool = 2.0 * (grad_t @ a) - 2.0 * grad.sum(axis=-2)[..., None] * pool
+    return grad_a, grad_pool
+
+
+def _frozen_rowwise_scores(a, negs, l2):
+    return _parent_rowwise_scores(a.reshape(-1, a.shape[-1]), negs, l2)
+
+
+def _frozen_rowwise_scores_backward(a, negs, grad, l2):
+    a = a.reshape(-1, a.shape[-1])
+    return _parent_rowwise_scores_backward(
+        a, negs, grad.reshape(len(a), -1), l2
+    )
+
+
+class _FrozenRowAdagrad:
+    """``RowAdagrad.step`` as it was, on the table's own state array."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def step(self, params, rows, grads, lr):
+        from scipy.sparse._sparsetools import csr_matvecs
+
+        m = len(rows)
+        order = np.argsort(rows, kind="stable")
+        sorted_rows = rows[order]
+        starts = np.flatnonzero(sorted_rows[1:] != sorted_rows[:-1]) + 1
+        if len(starts) == m - 1:
+            rows, grads = sorted_rows, grads[order]
+        else:
+            indptr = np.empty(len(starts) + 2, dtype=order.dtype)
+            indptr[0], indptr[1:-1], indptr[-1] = 0, starts, m
+            summed = np.zeros((len(indptr) - 1, grads.shape[1]), grads.dtype)
+            csr_matvecs(
+                len(summed), m, grads.shape[1], indptr, order,
+                np.ones(m, dtype=grads.dtype), grads.ravel(), summed.ravel(),
+            )
+            rows, grads = sorted_rows[indptr[:-1]], summed
+        sq = np.einsum("nd,nd->n", grads, grads) / grads.shape[1]
+        state = self.state[rows] + sq.astype(np.float32)
+        self.state[rows] = state
+        scale = lr / (np.sqrt(state) + 1e-10)
+        params[rows] -= scale[:, None] * grads
+
+
+def _frozen_block_step(model, params, chunk_rel, bounds, src, dst, lhs_table,
+                       rhs_table, rng, edge_weights, stats):
+    """``EmbeddingModel._block_step`` as it was (``update=True``)."""
+    from repro.core.model import _cat
+    from repro.core.negatives import sample_pool, sample_unbatched
+
+    cfg, comp, op = model.config, model.comparator, model.operators[chunk_rel[0]]
+    n, n_pos, dim = len(params), len(src), lhs_table.dim
+    k = cfg.num_batch_negs + cfg.num_uniform_negs
+    pool_rows = k * n_pos if cfg.disable_batch_negs else k
+    widths = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    cuts = [i for i in range(1, n) if widths[i] != widths[i - 1]]
+    runs = [
+        (j - i, slice(i, j), slice(bounds[i], bounds[j]),
+         slice(i * pool_rows, j * pool_rows))
+        for i, j in zip([0, *cuts], [*cuts, n])
+    ]
+
+    def chunked(z, n):
+        return z.reshape(n, -1, z.shape[-1])
+
+    def sample(ends, table):
+        if cfg.disable_batch_negs:
+            return sample_unbatched(ends.ravel(), table.num_rows, k, rng)
+        return sample_pool(
+            ends, ends, table.num_rows, cfg.num_batch_negs,
+            cfg.num_uniform_negs, rng,
+        )
+
+    pools = [
+        (sample(dst[at].reshape(c, -1), rhs_table),
+         sample(src[at].reshape(c, -1), lhs_table))
+        for c, _, at, _ in runs
+    ]
+    dst_negs, src_negs = (
+        _cat([pool.entities.ravel() for pool in side]) for side in zip(*pools)
+    )
+    mask = _cat([
+        np.concatenate((d.mask, s.mask), axis=-1).reshape(-1, 2 * k)
+        for d, s in pools
+    ])
+    l2 = cfg.comparator == "l2"
+    score, score_backward = (
+        (_frozen_rowwise_scores, _frozen_rowwise_scores_backward)
+        if cfg.disable_batch_negs
+        else (_frozen_score_matrix, _frozen_score_matrix_backward)
+    )
+
+    rows = np.concatenate((src, src_negs, dst, dst_negs))
+    n_lhs = n_pos + len(src_negs)
+    halves = [(lhs_table, slice(None))] if lhs_table is rhs_table else [
+        (lhs_table, slice(0, n_lhs)), (rhs_table, slice(n_lhs, None))
+    ]
+    raw = _cat([table.gather(rows[at]) for table, at in halves])
+    rects = [(1, slice(0, 1), slice(None))] if len(set(chunk_rel)) == 1 else [
+        *(run[:3] for run in runs), (n, slice(0, n), slice(n_pos, None)),
+    ]
+    x = raw
+    for c, chunks, at in rects:
+        piece = chunked(raw[n_lhs:][at], c)
+        mapped = op.forward(piece, params[chunks])
+        if mapped is not piece:
+            if x is raw:
+                x = np.empty_like(raw)
+                x[:n_lhs] = raw[:n_lhs]
+            x[n_lhs:][at] = mapped.reshape(-1, dim)
+    if cfg.comparator == "cos":
+        saved = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
+        y = x / saved
+    else:
+        y, saved = x, None
+    a, pa, b, pb = (
+        y[:n_pos], y[n_pos:n_lhs], y[n_lhs:n_lhs + n_pos], y[n_lhs + n_pos:]
+    )
+    pos = comp.score_pairs(a, b)
+    sides = ((a, pb, slice(0, k)), (b, pa, slice(k, None)))
+    neg = _cat([
+        np.concatenate([
+            score(chunked(p[at], c), chunked(q[pool], c), l2)
+            for p, q, _ in sides
+        ], axis=-1).reshape(-1, 2 * k)
+        for c, _, at, pool in runs
+    ])
+
+    weights = None if edge_weights is None else edge_weights.astype(raw.dtype)
+    rel_weight = [model._rel_weights[r] for r in chunk_rel]
+    if any(weight != 1.0 for weight in rel_weight):
+        per_edge = np.repeat(np.array(rel_weight, dtype=raw.dtype), widths)
+        weights = per_edge if weights is None else weights * per_edge
+    if cfg.loss == "ranking":
+        loss, dpos, dneg = _frozen_ranking_loss(
+            cfg.margin, pos, neg, mask, weights
+        )
+    else:  # unchanged
+        loss, dpos, dneg = model.loss_fn.forward_backward(
+            pos, neg, mask, weights
+        )
+    stats.loss += loss
+    stats.num_edges += n_pos
+    stats.num_negatives += int(np.count_nonzero(mask))
+    stats.violations += int(np.count_nonzero(dneg))
+
+    ga_pos, gb_pos = comp.score_pairs_backward(a, b, dpos)
+    g = np.empty_like(y)
+    g_a, g_pa, g_b, g_pb = (
+        g[:n_pos], g[n_pos:n_lhs], g[n_lhs:n_lhs + n_pos], g[n_lhs + n_pos:]
+    )
+    g_sides = ((ga_pos, g_a, g_pb), (gb_pos, g_b, g_pa))
+    for c, _, at, pool in runs:
+        for (p, q, cols), (g_pos, g_p, g_q) in zip(sides, g_sides):
+            g_neg, g_pool = score_backward(
+                chunked(p[at], c), chunked(q[pool], c),
+                chunked(dneg[at], c)[..., cols], l2,
+            )
+            np.add(g_pos[at], g_neg.reshape(-1, dim), out=g_p[at])
+            g_q[pool] = g_pool.reshape(-1, dim)
+    g = comp.prepare_backward_saved(y, saved, g)
+    g_params = np.zeros_like(params)
+    for c, chunks, at in rects:
+        piece, g_out = chunked(raw[n_lhs:][at], c), chunked(g[n_lhs:][at], c)
+        g_in, g_chunks = op.backward(piece, params[chunks], g_out)
+        g_params[chunks] += g_chunks
+        if g_in is not g_out:
+            g[n_lhs:][at] = g_in.reshape(-1, dim)
+    return [(rows[at], g[at]) for _, at in halves], g_params
+
+
+def _frozen_batch_step(model, rel_id, src_rows, dst_rows, lhs_table,
+                       rhs_table, rng, edge_weights, chunk_size):
+    """``forward_backward_chunk`` as it was, over :func:`_frozen_block_step`;
+    the tables' optimizers must be :class:`_FrozenRowAdagrad`."""
+    from repro.core.batching import chunk_bounds
+    from repro.core.model import ChunkStats, _cat
+
+    cfg = model.config
+    m = len(src_rows)
+    rel = np.full(m, rel_id)
+    bounds = chunk_bounds(rel, chunk_size or m)
+    chunk_rel = rel[bounds[:-1]].tolist()
+    slot = {r: i for i, r in enumerate(sorted(set(chunk_rel)))}
+    which = np.array([slot[r] for r in chunk_rel])
+    params = np.array([model.rel_params[r] for r in slot])[which]
+    n = len(chunk_rel)
+    cuts = range(n + 1) if cfg.disable_batch_negs else (0, n)
+    stats, steps = ChunkStats(), []
+    for i, j in zip(cuts, cuts[1:]):
+        at = slice(bounds[i], bounds[j])
+        steps.append(_frozen_block_step(
+            model, params[i:j], chunk_rel[i:j],
+            [bound - bounds[i] for bound in bounds[i:j + 1]],
+            src_rows[at], dst_rows[at], lhs_table, rhs_table, rng,
+            None if edge_weights is None else edge_weights[at], stats,
+        ))
+    tables = [lhs_table] if lhs_table is rhs_table else [lhs_table, rhs_table]
+    for table, parts in zip(tables, zip(*(step[0] for step in steps))):
+        assert isinstance(table.optimizer, _FrozenRowAdagrad)
+        table.apply_gradients(*map(_cat, zip(*parts)), cfg.lr)
+    g_params = _cat([step[1] for step in steps])
+    for relation, i in slot.items():
+        model.rel_optimizers[relation].step(
+            model.rel_params[relation], g_params[which == i].sum(axis=0),
+            cfg.relation_lr_effective,
+        )
+    return stats
+
+
+@pytest.mark.parametrize("disable_batch_negs", [False, True],
+                         ids=["batched", "unbatched"])
+@pytest.mark.parametrize("two_tables", [False, True], ids=["same", "two"])
+@pytest.mark.parametrize("loss", ["ranking", "logistic", "softmax"])
+@pytest.mark.parametrize("operator", [
+    "identity", "translation", "diagonal", "linear", "complex_diagonal",
+    "affine",
+])
+@pytest.mark.parametrize("comparator", ["dot", "l2", "cos"])
+def test_batch_step_is_the_frozen_step_before_the_cuts(
+    comparator, operator, loss, two_tables, disable_batch_negs
+):
+    """float32, three relation-mixed batches of chunk widths 4 4 4 3 1 2
+    (relation weights; edge weights on the last two): tables, Adagrad
+    state, relation parameters, dirty rows, statistics — ``violations``
+    included — and RNG position equal the frozen step's bit for bit.
+    ``cos`` norms now come from one ``einsum``, so there the two agree
+    to float32 rounding instead."""
+    live, frozen = _mixed_models(
+        operator, comparator, loss, two_tables, dtype=np.float32,
+        disable_batch_negs=disable_batch_negs,
+    )
+    for key in frozen.resident_tables():
+        table = frozen.get_table(*key)
+        table.optimizer = _FrozenRowAdagrad(table.optimizer.state)
+    rhs_type = "b" if two_tables else "a"
+    rng_l, rng_f = np.random.default_rng(11), np.random.default_rng(11)
+    draw = np.random.default_rng(12)
+    rounding = dict(rtol=2e-5, atol=1e-6)
+    for step in range(3):
+        rel, src, dst = _mixed_batch(draw)
+        edge_weights = draw.random(len(rel)) + 0.5 if step else None
+        got = live.forward_backward_chunk(
+            rel, src, dst, live.get_table("a", 0),
+            live.get_table(rhs_type, 0), rng_l, edge_weights=edge_weights,
+            chunk_size=4,
+        )
+        want = _frozen_batch_step(
+            frozen, rel, src, dst, frozen.get_table("a", 0),
+            frozen.get_table(rhs_type, 0), rng_f, edge_weights, 4,
+        )
+        assert (got.num_edges, got.num_negatives, got.violations) == (
+            want.num_edges, want.num_negatives, want.violations
+        )
+        assert got.violations > 0
+        if comparator == "cos":
+            assert got.loss == pytest.approx(want.loss, rel=rounding["rtol"])
+        else:
+            assert got.loss == want.loss
+    assert rng_l.random() == rng_f.random()
+    for got, want in zip(
+        _all_training_arrays(live), _all_training_arrays(frozen)
+    ):
+        assert got.dtype == want.dtype
+        if comparator == "cos":
+            np.testing.assert_allclose(got, want, **rounding)
+        else:
+            np.testing.assert_array_equal(got, want)
+
+
 class TestBatchIsTheUnitOfTheUpdate:
     SRC = np.asarray([0, 1, 2, 0, 3, 4, 0])  # row 0: chunks 0, 1 and the tail
     DST = np.asarray([5, 6, 7, 8, 5, 6, 7])

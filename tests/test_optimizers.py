@@ -9,7 +9,46 @@ from repro.core.optimizers import (
     DenseAdagrad,
     RowAdagrad,
     accumulate_duplicate_rows,
+    radix_argsort,
 )
+
+#: ids at the 16-bit digit boundaries and the ends of the 32-bit range
+_EDGE_IDS = [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 2**31 - 1, 2**32 - 1]
+
+
+class TestRadixArgsort:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        dtype=st.sampled_from([np.int32, np.int64]),
+        shape=st.sampled_from(["any", "empty", "one", "all_equal"]),
+    )
+    def test_is_the_stable_argsort(self, data, dtype, shape):
+        top = min(np.iinfo(dtype).max, 2**32 - 1)
+        ids = st.one_of(
+            st.integers(0, top),
+            st.sampled_from([i for i in _EDGE_IDS if i <= top]),
+        )
+        n = data.draw({
+            "any": st.integers(0, 300), "empty": st.just(0),
+            "one": st.just(1), "all_equal": st.integers(2, 300),
+        }[shape])
+        if shape == "all_equal":
+            values = [data.draw(ids)] * n
+        else:
+            values = data.draw(st.lists(ids, min_size=n, max_size=n))
+        rows = np.asarray(values, dtype=dtype)
+        np.testing.assert_array_equal(
+            radix_argsort(rows), np.argsort(rows, kind="stable")
+        )
+
+    @pytest.mark.parametrize("bad", [2**32, 2**32 + 5, 2**40, -1])
+    def test_ids_outside_32_bits_raise(self, bad):
+        rows = np.asarray([3, bad, 3], dtype=np.int64)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            radix_argsort(rows)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            accumulate_duplicate_rows(rows, np.ones((3, 2)))
 
 
 class TestAccumulateDuplicateRows:
@@ -170,6 +209,24 @@ class TestRowAdagrad:
             results.append((params, opt.state))
         np.testing.assert_array_equal(results[0][0], results[1][0])
         np.testing.assert_array_equal(results[0][1], results[1][1])
+
+    @pytest.mark.parametrize("method, rows", [
+        ("step_unique", [4, 0, 2, 1]),
+        ("step", [4, 0, 2, 1]),  # no duplicates: a permuted copy
+        ("step", [4, 0, 4, 1]),  # duplicates: a summed copy
+    ])
+    def test_callers_grads_are_left_as_they_are(self, method, rows):
+        """Only the optimizer's own array is scaled in place; the
+        caller's gradient — here a view into a larger buffer, as the
+        model hands over — is never written."""
+        rng = np.random.default_rng(1)
+        buffer = rng.standard_normal((8, 3)).astype(np.float32)
+        grads = buffer[2:6]
+        before = buffer.copy()
+        params = np.zeros((6, 3), np.float32)
+        getattr(RowAdagrad(6), method)(params, np.asarray(rows), grads, 0.3)
+        np.testing.assert_array_equal(buffer, before)
+        assert (params[rows] != 0).all()
 
     def test_state_one_float_per_row(self):
         """The paper's memory trick: state is (n,), not (n, d)."""

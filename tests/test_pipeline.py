@@ -23,6 +23,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import partition_entities
 from repro.graph.storage import (
+    PartitionAbsent,
     PartitionPipeline,
     PartitionedEmbeddingStorage,
     StorageError,
@@ -642,3 +643,50 @@ class TestNoDoublePush:
         pipe.drain()  # the entry is clean now; nothing to do
         assert server.version("node", 0) == 1
         pipe.close()
+
+
+class TestAbsentIsNotCorrupt:
+    """Only a partition the backend does not have comes back as None
+    ("initialise it"); unusable stored bytes raise, whichever thread
+    read them."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        store = PartitionedEmbeddingStorage(tmp_path / "swap")
+        store.save("node", 0, np.ones((3, 2), np.float32),
+                   np.zeros(3, np.float32))
+        (tmp_path / "swap" / "node" / "part-00001.npz").write_bytes(b"junk")
+        return store
+
+    @pytest.mark.parametrize("synchronous", [True, False])
+    def test_take(self, store, synchronous):
+        pipe = PartitionPipeline(store, synchronous=synchronous)
+        assert pipe.take("node", 2) == (None, False)
+        with pytest.raises(StorageError, match="corrupt") as info:
+            pipe.take("node", 1)
+        assert not isinstance(info.value, PartitionAbsent)
+        got, _ = pipe.take("node", 0)
+        np.testing.assert_array_equal(got[0], np.ones((3, 2)))
+        pipe.close()
+
+    def test_prefetch_raises_at_settle(self, store):
+        pipe = PartitionPipeline(store, name="absent")
+        assert pipe.schedule([("node", 2), ("node", 1)]) == 2
+        with pytest.raises(StorageError, match="corrupt") as info:
+            pipe.settle()
+        assert not isinstance(info.value, PartitionAbsent)
+        pipe.close()
+        assert _live_threads("absent") == []
+
+    def test_server_backend_absent_is_typed(self):
+        from repro.distributed.partition_server import (
+            PartitionServer,
+            PartitionServerStorage,
+        )
+
+        pipe = PartitionPipeline(
+            PartitionServerStorage(PartitionServer(1)), synchronous=True
+        )
+        with pytest.raises(PartitionAbsent):
+            pipe.storage.load("node", 0)
+        assert pipe.take("node", 0) == (None, False)

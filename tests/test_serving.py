@@ -398,21 +398,24 @@ def _parent_ivf_query(index, vectors, k, exclude_self=None):
 
 
 def _assert_same_answers(got, want, rounding_of=None):
-    """Same scores, and the same id wherever the score says which row
-    it must be: a slot scored ``-inf`` holds ``-1`` or an excluded row,
-    whichever the selection met first.
+    """Same scores, and the same ids run by run: a run of slots whose
+    scores tie (PQ codes can coincide) holds the same set of ids on
+    both sides, in either order. Only the run that reaches slot ``k``
+    goes unchecked, since which of the tied rows made the cut is
+    arbitrary. A slot scored ``-inf`` holds ``-1`` or an excluded
+    row, whichever the selection met first.
 
     ``rounding_of=None`` demands bit-equal scores (after the cast to
-    float64). Where the two sides sum in another order or at another
-    BLAS shape, pass the prepared float32 vectors: scores may then
-    differ by the rounding of their largest term, ``|a|^2 + |b|^2``,
-    and two rows closer than that may come back in either order.
+    float64), so only exact ties form runs. Where the two sides sum in
+    another order or at another BLAS shape, pass the prepared float32
+    vectors: scores may then differ by the rounding of their largest
+    term, ``|a|^2 + |b|^2``, and rows closer than that tie.
     """
     (got_idx, got_scores), (want_idx, want_scores) = got, want
     got_scores = got_scores.astype(np.float64)
     want_scores = want_scores.astype(np.float64)
     assert got_idx.shape == want_idx.shape
-    decided = np.isfinite(want_scores)
+    tied = 0.0
     if rounding_of is None:
         np.testing.assert_array_equal(got_scores, want_scores)
     else:
@@ -421,11 +424,17 @@ def _assert_same_answers(got, want, rounding_of=None):
         np.testing.assert_allclose(
             got_scores, want_scores, rtol=0, atol=atol
         )
+        tied = 4 * atol
+    k = want_idx.shape[1]
+    for row, scores in enumerate(want_scores):
         with np.errstate(invalid="ignore"):
-            close = np.abs(np.diff(want_scores, axis=1)) < 4 * atol
-        decided[:, 1:] &= ~close
-        decided[:, :-1] &= ~close
-    np.testing.assert_array_equal(got_idx[decided], want_idx[decided])
+            starts = np.flatnonzero(~(np.abs(np.diff(scores)) <= tied)) + 1
+        for lo, hi in zip(np.r_[0, starts], np.r_[starts, k]):
+            if hi == k or not np.isfinite(scores[lo]):
+                continue
+            np.testing.assert_array_equal(
+                np.sort(got_idx[row, lo:hi]), np.sort(want_idx[row, lo:hi])
+            )
 
 
 class TestMergeOnceProbe:
@@ -598,6 +607,52 @@ class TestBlockMaxPreselection:
         )
         np.testing.assert_array_equal(wide[0], narrow[0])
         np.testing.assert_allclose(wide[1], narrow[1], rtol=1e-5)
+
+
+class TestExcludedRowIsNoResult:
+    """Under ``exclude_self`` a slot scored ``-inf`` holds ``-1``, never
+    the excluded row's id, when ``k`` reaches past the rows that could
+    be scored: the whole table (exact scan, full probe) or the probed
+    lists (probe path, with and without PQ + refine)."""
+
+    @staticmethod
+    def _check(idx, scores, excluded, finite_per_row):
+        assert ((scores == -np.inf) == (idx == -1)).all()
+        assert not (idx == excluded[:, None]).any()
+        np.testing.assert_array_equal(
+            np.isfinite(scores).sum(axis=1), finite_per_row
+        )
+
+    @pytest.mark.parametrize("comparator", ["dot", "cos", "l2"])
+    def test_exact_and_full_probe_at_k_num_items(self, comparator):
+        emb, _ = _clustered(n_per=10, c=4, d=8)
+        picks = np.arange(0, len(emb), 5)
+        for index in (
+            ExactIndex(emb, comparator, chunk_size=13),
+            IVFPQIndex(comparator=comparator, num_lists=4, nprobe=4,
+                       chunk_size=13).build(emb),
+        ):
+            idx, scores = index.query(emb[picks], k=len(emb),
+                                      exclude_self=picks)
+            self._check(idx, scores, picks, len(emb) - 1)
+        # Without exclude_self the same call fills every slot.
+        idx, _ = index.query(emb[picks], k=len(emb))
+        assert (idx >= 0).all()
+
+    @pytest.mark.parametrize("pq", [False, True])
+    def test_probe_path_with_k_above_the_probed_rows(self, pq):
+        emb, _ = _clustered(n_per=10, c=4, d=8)
+        index = IVFPQIndex(
+            comparator="l2", num_lists=4, nprobe=1, kmeans_iters=20,
+            pq_subvectors=4 if pq else 0, refine=2 if pq else 0,
+        ).build(emb)
+        picks = np.arange(0, len(emb), 5)
+        k = int(index.list_sizes().max()) + 3  # past every list's rows
+        idx, scores = index.query(emb[picks], k=k, exclude_self=picks)
+        probed = index.list_sizes()[_probes(
+            index, index._comp.prepare(emb[picks])
+        )[:, 0]]
+        self._check(idx, scores, picks, np.minimum(probed - 1, k))
 
 
 # ----------------------------------------------------------------------

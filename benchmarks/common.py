@@ -9,7 +9,6 @@ so sweeps over partitions/machines reuse one graph.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import statistics
 import subprocess
@@ -18,7 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import ConfigSchema, EntitySchema, RelationSchema
+from repro.config import (
+    ConfigSchema,
+    EntitySchema,
+    RelationSchema,
+    fingerprint,
+)
 from repro.core.model import EmbeddingModel
 from repro.core.tables import DenseEmbeddingTable
 from repro.core.trainer import Trainer
@@ -67,13 +71,10 @@ def provenance(params: dict) -> dict:
                 dirty = bool(status.stdout.strip())
     except (OSError, subprocess.SubprocessError):
         pass
-    fingerprint = hashlib.sha256(
-        json.dumps(params, sort_keys=True, default=str).encode()
-    ).hexdigest()[:16]
     return {
         "git_commit": commit,
         "git_dirty": dirty,
-        "config_fingerprint": fingerprint,
+        "config_fingerprint": fingerprint(params),
     }
 
 

@@ -46,7 +46,7 @@ def main() -> None:
     config = ConfigSchema(
         entities={
             "user": EntitySchema(),
-            "item": EntitySchema(featurized=True, num_features=num_tags),
+            "item": EntitySchema(featurized=True),
         },
         relations=[RelationSchema(name="buys", lhs="user", rhs="item")],
         dimension=32,

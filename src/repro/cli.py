@@ -24,6 +24,7 @@ partition-server prefetch pipeline instead of the disk pipeline.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,7 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from repro import telemetry
-from repro.config import ConfigSchema
+from repro.config import (
+    COMPRESSION_NAMES,
+    INDEX_NAMES,
+    ConfigSchema,
+    ServingConfig,
+    fingerprint,
+)
 from repro.core.checkpointing import load_model, save_model
 from repro.core.model import EmbeddingModel
 from repro.core.trainer import Trainer
@@ -115,24 +122,21 @@ def _print_digest(tracer) -> None:
     print(render_digest(analyze_tracer(tracer)))
 
 
+def _apply_overrides(obj, args: argparse.Namespace):
+    """``obj`` (a config dataclass) with every field that a flag set
+    replaced. A config-backed flag's ``dest`` is its field's name and
+    its default is ``None``, so an absent flag keeps the file's value."""
+    return dataclasses.replace(obj, **{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(obj)
+        if getattr(args, f.name, None) is not None
+    })
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = ConfigSchema.from_json(Path(args.config).read_text())
-    if args.checkpoint is not None:
-        config = config.replace(checkpoint_dir=str(args.checkpoint))
-    if args.pipeline:
-        config = config.replace(pipeline=True)
-    if args.partition_cache_budget is not None:
-        config = config.replace(
-            partition_cache_budget=args.partition_cache_budget
-        )
-    if args.partition_compression is not None:
-        config = config.replace(
-            partition_compression=args.partition_compression
-        )
-    if args.writeback_delta:
-        config = config.replace(writeback_delta=True)
-    if args.trace is not None:
-        config = config.replace(trace_path=args.trace)
+    config = _apply_overrides(
+        ConfigSchema.from_json(Path(args.config).read_text()), args
+    )
     edges = load_edges(args.edges)
     counts = (
         json.loads(args.entity_counts)
@@ -151,9 +155,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         return _train_distributed(args, config, entities, edges)
     model = EmbeddingModel(config, entities)
     partitioned = any(s.num_partitions > 1 for s in config.entities.values())
-    if partitioned and args.checkpoint is None:
-        print("error: partitioned training requires --checkpoint",
-              file=sys.stderr)
+    if partitioned and config.checkpoint_dir is None:
+        print("error: partitioned training requires --checkpoint "
+              "(or checkpoint_dir in the config)", file=sys.stderr)
         return 2
     trainer = Trainer(config, model, entities)
 
@@ -192,12 +196,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
             f"{p.prefetch_wait_time:.1f}s prefetch wait, "
             f"{p.writeback_stall_time:.1f}s writeback stall"
         )
-    # A partitioned run swapped against the checkpoint's own store and
-    # checkpointed it every epoch: nothing more to write.
-    if args.checkpoint is not None and not partitioned:
-        save_model(args.checkpoint, model, entities,
-                   metadata={"epoch": config.num_epochs - 1})
-        print(f"checkpoint written to {args.checkpoint}")
+    # The trainer checkpointed every epoch: nothing more to write.
+    if config.checkpoint_dir is not None and config.num_epochs:
+        print(f"checkpoint written to {config.checkpoint_dir}")
     return 0
 
 
@@ -249,10 +250,12 @@ def _train_distributed(
             f"{stats.wire_bytes_saved / 1e6:.1f} MB saved, "
             f"{deltas} delta pushes ({fallbacks} stale fallbacks)"
         )
-    if args.checkpoint is not None:
-        save_model(args.checkpoint, model, entities,
-                   metadata={"epoch": config.num_epochs - 1})
-        print(f"checkpoint written to {args.checkpoint}")
+    # The cluster trainer does not checkpoint; the coordinator does.
+    if config.checkpoint_dir is not None and config.num_epochs:
+        save_model(config.checkpoint_dir, model, entities,
+                   metadata={"epoch": config.num_epochs - 1},
+                   codec=config.partition_compression)
+        print(f"checkpoint written to {config.checkpoint_dir}")
     return 0
 
 
@@ -297,40 +300,13 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serving_config(args: argparse.Namespace):
+def _serving_config(args: argparse.Namespace) -> ServingConfig:
     """ServingConfig from --config (if given) + CLI overrides."""
-    import dataclasses
-
-    from repro.config import ServingConfig
-
-    if getattr(args, "config", None):
-        serving = ConfigSchema.from_json(
-            Path(args.config).read_text()
-        ).serving
-    else:
-        serving = ServingConfig()
-    overrides = {
-        name: getattr(args, name)
-        for name in (
-            "index", "num_lists", "nprobe", "pq_subvectors",
-            "refine", "batch_size", "slow_batch_seconds",
-        )
-        if getattr(args, name, None) is not None
-    }
-    return dataclasses.replace(serving, **overrides) if overrides else serving
-
-
-def _serving_fingerprint(serving) -> str:
-    """Fingerprint of the resolved serving parameters (same
-    construction as ConfigSchema.fingerprint) for stamping serve
-    traces when no full config file was given."""
-    import dataclasses
-    import hashlib
-
-    blob = json.dumps(
-        dataclasses.asdict(serving), sort_keys=True, default=str
+    serving = (
+        ConfigSchema.from_json(Path(args.config).read_text()).serving
+        if args.config else ServingConfig()
     )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return _apply_overrides(serving, args)
 
 
 def _open_service(args: argparse.Namespace, auto_refresh: bool = False):
@@ -382,7 +358,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
         if tracer is not None:
             tracer.add_metadata(
-                config_fingerprint=_serving_fingerprint(serving)
+                config_fingerprint=fingerprint(dataclasses.asdict(serving))
             )
         if args.metrics_port is not None:
             from repro.telemetry import MetricsServer
@@ -497,12 +473,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="path to a ConfigSchema JSON file")
     p_train.add_argument("--edges", required=True,
                          help="training edges (.npz or text)")
-    p_train.add_argument("--checkpoint", default=None,
-                         help="directory for checkpoints / partition swap")
+    # Config-backed flags: dest = the ConfigSchema field it overrides,
+    # default None = keep the config file's value (_apply_overrides).
+    p_train.add_argument("--checkpoint", dest="checkpoint_dir",
+                         default=None, metavar="DIR",
+                         help="directory for checkpoints / partition swap "
+                              "(default: config value)")
     p_train.add_argument("--entity-counts", default=None,
                          help='JSON dict of entity counts, e.g. '
                               '\'{"node": 10000}\' (default: inferred)')
-    p_train.add_argument("--pipeline", action="store_true",
+    p_train.add_argument("--pipeline", action="store_true", default=None,
                          help="overlap partition I/O with training "
                               "(async prefetch + background writeback)")
     p_train.add_argument("--partition-cache-budget", type=int, default=None,
@@ -511,17 +491,19 @@ def build_parser() -> argparse.ArgumentParser:
                               "cache (default: unlimited; per machine "
                               "in distributed mode)")
     p_train.add_argument("--partition-compression",
-                         choices=("none", "fp16", "int8"), default=None,
+                         choices=COMPRESSION_NAMES, default=None,
                          help="codec for swapped partitions on wire and "
                               "disk (default: config value / none)")
     p_train.add_argument("--writeback-delta", action="store_true",
+                         default=None,
                          help="push dirty-row deltas instead of whole "
                               "partitions on distributed writeback")
     p_train.add_argument("--mode", choices=("thread", "process"),
                          default="thread",
                          help="distributed transport when the config "
                               "has num_machines > 1 (default: thread)")
-    p_train.add_argument("--trace", default=None, metavar="PATH",
+    p_train.add_argument("--trace", dest="trace_path", default=None,
+                         metavar="PATH",
                          help="write a Chrome trace_event JSON of the "
                               "run's spans here (view in Perfetto or "
                               "analyze with python -m repro.telemetry)")
@@ -559,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: npy)")
     p_export.set_defaults(fn=_cmd_export)
 
-    def add_serving_args(p, with_batch: bool) -> None:
+    def add_serving_args(p) -> None:
         p.add_argument("--snapshots", required=True, metavar="DIR",
                        help="snapshot root written by "
                             "'export --format mmap'")
@@ -569,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=None,
                        help="neighbours per query "
                             "(default: serving.default_k)")
-        p.add_argument("--index", choices=("exact", "ivfpq"),
-                       default=None,
+        # Config-backed flags: dest = the ServingConfig field.
+        p.add_argument("--index", choices=INDEX_NAMES, default=None,
                        help="index implementation (default: config "
                             "value / exact)")
         p.add_argument("--num-lists", type=int, default=None,
@@ -588,16 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-score top k*R PQ candidates against "
                             "raw vectors; 0 disables (default: config "
                             "value)")
-        if with_batch:
-            p.add_argument("--batch-size", type=int, default=None,
-                           dest="batch_size", metavar="N",
-                           help="queries per pinned-snapshot batch "
-                                "(default: serving.batch_size)")
-            p.add_argument("--slow-batch", type=float, default=None,
-                           dest="slow_batch_seconds", metavar="SECONDS",
-                           help="batches slower than this emit a sampled "
-                                "serve.query.slow span and a structured "
-                                "log line (default: config value / off)")
 
     p_serve = sub.add_parser(
         "serve",
@@ -608,7 +580,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "snapshot published mid-stream is picked up at the "
                     "next batch boundary (atomic swap, no downtime).",
     )
-    add_serving_args(p_serve, with_batch=True)
+    add_serving_args(p_serve)
+    # Only serve splits its queries into batches (query answers from
+    # one pinned batch; metrics runs none).
+    p_serve.add_argument("--batch-size", type=int, default=None,
+                         dest="batch_size", metavar="N",
+                         help="queries per pinned-snapshot batch "
+                              "(default: serving.batch_size)")
+    p_serve.add_argument("--slow-batch", type=float, default=None,
+                         dest="slow_batch_seconds", metavar="SECONDS",
+                         help="batches slower than this emit a sampled "
+                              "serve.query.slow span and a structured "
+                              "log line (default: config value / off)")
     p_serve.add_argument("--queries", required=True,
                          help=".npy file of (q, d) query vectors")
     p_serve.add_argument("--output", default=None, metavar="PATH",
@@ -635,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "table (self excluded), or --queries for a .npy "
                     "of external query vectors.",
     )
-    add_serving_args(p_query, with_batch=False)
+    add_serving_args(p_query)
     group = p_query.add_mutually_exclusive_group(required=True)
     group.add_argument("--ids", default=None,
                        help="comma-separated entity ids to look up, "
@@ -652,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "— the same text 'repro serve --metrics-port' "
                     "serves at /metrics.",
     )
-    add_serving_args(p_metrics, with_batch=False)
+    add_serving_args(p_metrics)
     p_metrics.set_defaults(fn=_cmd_metrics)
     return parser
 

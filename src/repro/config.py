@@ -22,6 +22,7 @@ described by one object that can be checkpointed alongside the model.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
@@ -32,6 +33,7 @@ __all__ = [
     "RelationSchema",
     "ServingConfig",
     "ConfigSchema",
+    "fingerprint",
     "OPERATOR_NAMES",
     "COMPARATOR_NAMES",
     "LOSS_NAMES",
@@ -70,6 +72,41 @@ class ConfigError(ValueError):
     """Raised when a configuration fails validation."""
 
 
+def fingerprint(params: Mapping[str, Any]) -> str:
+    """Short stable hash of a parameter dict: sha256 of its sorted-key
+    JSON, first 16 hex chars. Benchmark records, training traces and
+    serving traces all stamp this, so equal parameters compare."""
+    blob = json.dumps(params, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+#: Removed fields, each with a test for the values every older
+#: ``config.json`` carries (``to_dict`` wrote all fields) that ask for
+#: nothing: those are dropped on load. Any other value, e.g. the never
+#: implemented ``all_negs: true``, is refused like an unknown key.
+_RETIRED = {
+    "EntitySchema": {"num_features": lambda v, data: type(v) is int and (
+        v >= 1 if data.get("featurized") else v == 0)},
+    "RelationSchema": {"all_negs": lambda v, data: v is False},
+}
+
+
+def _build(cls, data: Mapping[str, Any]):
+    """``cls(**data)``, refusing any key that is not a field of ``cls``
+    (a knob nothing reads must fail loudly, not be ignored)."""
+    retired = _RETIRED.get(cls.__name__, {})
+    kept = {
+        k: v for k, v in data.items()
+        if not (k in retired and retired[k](v, data))
+    }
+    unknown = sorted(set(kept) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(
+            f"unknown {cls.__name__} key(s): {', '.join(unknown)}"
+        )
+    return cls(**kept)
+
+
 @dataclass(frozen=True)
 class EntitySchema:
     """Schema for one entity type.
@@ -85,33 +122,22 @@ class EntitySchema:
         If true, entities of this type are represented as bags of
         features: their embedding is the mean of the feature embeddings
         listed for each entity, and the feature-embedding table is a
-        shared parameter.
-    num_features:
-        Size of the feature vocabulary for featurized entity types.
+        shared parameter. The table attached to the model defines the
+        feature vocabulary (its row count).
     """
 
     num_partitions: int = 1
     featurized: bool = False
-    num_features: int = 0
 
     def __post_init__(self) -> None:
         if self.num_partitions < 1:
             raise ConfigError(
                 f"num_partitions must be >= 1, got {self.num_partitions}"
             )
-        if self.featurized:
-            if self.num_partitions != 1:
-                raise ConfigError(
-                    "featurized entity types cannot be partitioned; their "
-                    "feature table is a shared parameter"
-                )
-            if self.num_features < 1:
-                raise ConfigError(
-                    "featurized entity types need num_features >= 1"
-                )
-        elif self.num_features:
+        if self.featurized and self.num_partitions != 1:
             raise ConfigError(
-                "num_features is only meaningful for featurized entity types"
+                "featurized entity types cannot be partitioned; their "
+                "feature table is a shared parameter"
             )
 
 
@@ -132,9 +158,6 @@ class RelationSchema:
         of :data:`OPERATOR_NAMES`.
     weight:
         Multiplier applied to the loss of this relation's edges.
-    all_negs:
-        If true, evaluation ranks against *all* entities of the correct
-        type (FB15k protocol) rather than sampled candidates.
     """
 
     name: str
@@ -142,7 +165,6 @@ class RelationSchema:
     rhs: str
     operator: str = "identity"
     weight: float = 1.0
-    all_negs: bool = False
 
     def __post_init__(self) -> None:
         if self.operator not in OPERATOR_NAMES:
@@ -484,39 +506,37 @@ class ConfigSchema:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ConfigSchema":
-        """Reconstruct a config from :meth:`to_dict` output."""
+        """Reconstruct a config from :meth:`to_dict` output; any key
+        that is not a field raises :class:`ConfigError`."""
         data = dict(data)
         data["entities"] = {
-            k: EntitySchema(**v) for k, v in data["entities"].items()
+            k: _build(EntitySchema, v) for k, v in data["entities"].items()
         }
-        data["relations"] = [RelationSchema(**r) for r in data["relations"]]
+        data["relations"] = [
+            _build(RelationSchema, r) for r in data["relations"]
+        ]
         if "serving" in data and not isinstance(
             data["serving"], ServingConfig
         ):
-            data["serving"] = ServingConfig(**data["serving"])
-        return cls(**data)
+            data["serving"] = _build(ServingConfig, data["serving"])
+        return _build(cls, data)
 
     def to_json(self) -> str:
         """Serialise to a JSON string."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def fingerprint(self) -> str:
-        """Short stable hash of the workload-defining config fields.
+        """:func:`fingerprint` of the workload-defining config fields.
 
-        Same construction as ``benchmarks.common.provenance`` (sha256 of
-        the sorted-key JSON, first 16 hex chars), so a trace stamped by
-        the CLI and a benchmark history record of the same parameters
-        carry comparable fingerprints. Used by the trace differ to
-        refuse apples-to-oranges comparisons — which is why output
-        artifact paths (checkpoint dir, trace file) are excluded: two
-        runs of the same workload that differ only in where they write
-        results must compare.
+        Used by the trace differ to refuse apples-to-oranges
+        comparisons — which is why output artifact paths (checkpoint
+        dir, trace file) are excluded: two runs of the same workload
+        that differ only in where they write results must compare.
         """
         params = self.to_dict()
         for output_field in ("checkpoint_dir", "trace_path"):
             params.pop(output_field, None)
-        blob = json.dumps(params, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return fingerprint(params)
 
     @classmethod
     def from_json(cls, text: str) -> "ConfigSchema":
@@ -525,19 +545,10 @@ class ConfigSchema:
 
     def replace(self, **changes: Any) -> "ConfigSchema":
         """Return a copy of this config with ``changes`` applied."""
-        data = {
-            "entities": dict(self.entities),
-            "relations": list(self.relations),
-        }
-        for f in self.__dataclass_fields__:
-            if f not in data:
-                data[f] = getattr(self, f)
-        data.update(changes)
-        return ConfigSchema(**data)
+        return dataclasses.replace(self, **changes)
 
 
 def single_entity_config(
-    num_entities: int | None = None,
     *,
     num_partitions: int = 1,
     operator: str = "identity",
@@ -547,11 +558,10 @@ def single_entity_config(
     """Build a config for the common homogeneous-graph case.
 
     One entity type named ``"node"`` and one relation per name in
-    ``relation_names``, all with the same operator. ``num_entities`` is
-    accepted for symmetry with dataset builders but not stored (entity
-    counts live with the graph, not the config).
+    ``relation_names``, all with the same operator. Entity counts live
+    with the graph (:class:`~repro.graph.entity_storage.EntityStorage`),
+    not the config.
     """
-    del num_entities  # counts live in EntityStorage, not in the schema
     return ConfigSchema(
         entities={"node": EntitySchema(num_partitions=num_partitions)},
         relations=[

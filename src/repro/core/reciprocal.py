@@ -50,7 +50,6 @@ def add_reciprocal_relations(config: ConfigSchema) -> ConfigSchema:
             rhs=rel.lhs,
             operator=rel.operator,
             weight=rel.weight,
-            all_negs=rel.all_negs,
         )
         for rel in base
     ]

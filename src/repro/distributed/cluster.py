@@ -253,7 +253,6 @@ class _WorkerContext:
     config: ConfigSchema
     entities: EntityStorage
     bucketed: BucketedEdges
-    seed: int
     unpartitioned_types: "list[str]"
 
 
@@ -321,7 +320,7 @@ def _machine_main(
     pipe = None
     try:
         rng = np.random.default_rng(
-            np.random.SeedSequence([ctx.seed, ctx.machine])
+            np.random.SeedSequence([cfg.seed, ctx.machine])
         )
         model = EmbeddingModel(cfg, ctx.entities, rng=rng)
         # Unpartitioned entity types are shared parameters: same init
@@ -329,7 +328,7 @@ def _machine_main(
         # copy takes over.
         shared = ctx.unpartitioned_types
         for t in shared:
-            model.init_partition(t, 0, np.random.default_rng(ctx.seed))
+            model.init_partition(t, 0, np.random.default_rng(cfg.seed))
         client = SharedParameterClient(
             parameter_server,
             get_params=lambda: _shared_snapshot(model, shared),
@@ -512,7 +511,6 @@ class DistributedTrainer:
         entities: EntityStorage,
         mode: str = "thread",
         bandwidth_bytes_per_s: float | None = None,
-        seed: int | None = None,
     ) -> None:
         if mode not in ("thread", "process"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -524,7 +522,6 @@ class DistributedTrainer:
         self.entities = entities
         self.mode = mode
         self.num_machines = config.num_machines
-        self.seed = config.seed if seed is None else seed
         # Instantiated per-train() in process mode; kept for inspection
         # in thread mode.
         self.lock_server = None
@@ -665,7 +662,6 @@ class DistributedTrainer:
                             config=self.config,
                             entities=self.entities,
                             bucketed=bucketed,
-                            seed=self.seed,
                             unpartitioned_types=self._unpartitioned_types,
                         ),
                         self.lock_server, self.partition_server,
@@ -688,12 +684,12 @@ class DistributedTrainer:
 
     def assemble_model(self) -> EmbeddingModel:
         """Build a complete model from the servers' current state."""
+        seed = self.config.seed
         model = EmbeddingModel(
-            self.config, self.entities,
-            rng=np.random.default_rng(self.seed),
+            self.config, self.entities, rng=np.random.default_rng(seed)
         )
         for t in self._unpartitioned_types:
-            model.init_partition(t, 0, np.random.default_rng(self.seed))
+            model.init_partition(t, 0, np.random.default_rng(seed))
         backend = PartitionServerStorage(self.partition_server)
         for entity_type, part in self.partition_server.keys():
             model.set_table(
@@ -704,9 +700,7 @@ class DistributedTrainer:
         for t in self._partitioned_types:
             for p in range(self.entities.num_partitions(t)):
                 if not model.has_table(t, p):
-                    model.init_partition(
-                        t, p, np.random.default_rng(self.seed)
-                    )
+                    model.init_partition(t, p, np.random.default_rng(seed))
         shared = self.parameter_server.sync(
             dict.fromkeys(self.parameter_server.names())
         )

@@ -1,9 +1,16 @@
 """Tests for whole-model checkpointing (save_model / load_model)."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.config import ConfigSchema, EntitySchema, RelationSchema
+from repro.config import (
+    ConfigError,
+    ConfigSchema,
+    EntitySchema,
+    RelationSchema,
+)
 from repro.core.checkpointing import load_model, save_model
 from repro.core.model import EmbeddingModel
 from repro.core.trainer import Trainer
@@ -123,7 +130,7 @@ class TestFeaturizedCheckpoint:
         config = ConfigSchema(
             entities={
                 "user": EntitySchema(),
-                "tagged": EntitySchema(featurized=True, num_features=6),
+                "tagged": EntitySchema(featurized=True),
             },
             relations=[RelationSchema(name="r", lhs="user", rhs="tagged")],
             dimension=4,
@@ -151,6 +158,34 @@ class TestFeaturizedCheckpoint:
         _, _, model, _ = load_model(tmp_path)
         assert model.has_table("user", 0)
         assert not model.has_table("tagged", 0)
+
+
+class TestCheckpointWithRemovedFields:
+    """A checkpoint written while ``RelationSchema.all_negs`` and
+    ``EntitySchema.num_features`` existed has both in its config.json
+    (``to_dict`` wrote every field)."""
+
+    def _old_checkpoint(self, path, all_negs):
+        config, entities, model = _trained_model()
+        save_model(path, model, entities)
+        data = json.loads((path / "config.json").read_text())
+        data["entities"]["node"]["num_features"] = 0
+        data["relations"][0]["all_negs"] = all_negs
+        (path / "config.json").write_text(json.dumps(data))
+        return config, model
+
+    def test_loads_at_the_old_defaults(self, tmp_path):
+        config, model = self._old_checkpoint(tmp_path, all_negs=False)
+        config2, _, model2, _ = load_model(tmp_path)
+        assert config2 == config
+        np.testing.assert_array_equal(
+            model.global_embeddings("node"), model2.global_embeddings("node")
+        )
+
+    def test_all_negatives_mode_is_refused(self, tmp_path):
+        self._old_checkpoint(tmp_path, all_negs=True)
+        with pytest.raises(ConfigError, match="RelationSchema.*all_negs"):
+            load_model(tmp_path)
 
 
 class TestErrorPaths:

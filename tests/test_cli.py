@@ -1,12 +1,26 @@
 """Tests for the command-line interface."""
 
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from repro.cli import load_edges, main, save_edges
-from repro.config import ConfigSchema, EntitySchema, RelationSchema
+from repro.cli import (
+    _apply_overrides,
+    _serving_config,
+    build_parser,
+    load_edges,
+    main,
+    save_edges,
+)
+from repro.config import (
+    ConfigSchema,
+    EntitySchema,
+    RelationSchema,
+    ServingConfig,
+)
 from repro.graph.edgelist import EdgeList
 
 
@@ -273,3 +287,236 @@ class TestCompressionFlags:
                 "--partition-compression", "zstd",
             ])
         capsys.readouterr()
+
+
+def _subparsers() -> "dict[str, argparse.ArgumentParser]":
+    (sub,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return sub.choices
+
+
+_SERVING_FLAGS = (
+    "--config --index --k --nprobe --num-lists --pq-subvectors --refine "
+    "--snapshots"
+)
+
+#: Every subcommand's option strings; the config-backed ones changed
+#: dest, not spelling.
+_OPTIONS = {
+    "train": "--checkpoint --config --edges --entity-counts --mode "
+             "--partition-cache-budget --partition-compression --pipeline "
+             "--trace --verbose --writeback-delta -v",
+    "eval": "--candidates --checkpoint --edges --filter --seed",
+    "export": "--checkpoint --entity-type --format --output",
+    "serve": _SERVING_FLAGS + " --batch-size --metrics-port --output "
+                              "--poll --queries --slow-batch --trace",
+    "query": _SERVING_FLAGS + " --ids --queries",
+    "metrics": _SERVING_FLAGS,
+}
+
+_INDEX_FIELDS = {"index", "num_lists", "nprobe", "pq_subvectors", "refine"}
+
+#: The args each subcommand applies as overrides: its dests that are
+#: fields of the dataclass it resolves.
+_OVERRIDES = {
+    "train": (ConfigSchema, {
+        "checkpoint_dir", "trace_path", "pipeline", "partition_cache_budget",
+        "partition_compression", "writeback_delta",
+    }),
+    "serve": (ServingConfig,
+              _INDEX_FIELDS | {"batch_size", "slow_batch_seconds"}),
+    "query": (ServingConfig, _INDEX_FIELDS),
+    "metrics": (ServingConfig, _INDEX_FIELDS),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(_OPTIONS))
+    def test_option_strings(self, command):
+        parser = _subparsers()[command]
+        options = {
+            o for a in parser._actions for o in a.option_strings
+        } - {"-h", "--help"}
+        assert options == set(_OPTIONS[command].split())
+
+    @pytest.mark.parametrize("command", sorted(_OVERRIDES))
+    def test_override_dests_are_pinned(self, command):
+        cls, expected = _OVERRIDES[command]
+        actions = _subparsers()[command]._actions
+        names = {f.name for f in dataclasses.fields(cls)}
+        overrides = [a for a in actions if a.dest in names]
+        assert {a.dest for a in overrides} == expected
+        # None = "flag absent": the config file's value survives.
+        assert all(a.default is None for a in overrides)
+
+
+class TestOverrides:
+    def _train_config(self, config_path, *flags):
+        args = build_parser().parse_args([
+            "train", "--config", str(config_path), "--edges", "e.npz",
+            *flags,
+        ])
+        return _apply_overrides(
+            ConfigSchema.from_json(config_path.read_text()), args
+        )
+
+    def test_every_train_flag_lands(self, workspace):
+        _, config_path, _, _ = workspace
+        config = self._train_config(
+            config_path, "--checkpoint", "ckpt", "--trace", "t.json",
+            "--pipeline", "--partition-cache-budget", "123",
+            "--partition-compression", "int8", "--writeback-delta",
+        )
+        assert config.checkpoint_dir == "ckpt"
+        assert config.trace_path == "t.json"
+        assert config.pipeline is True
+        assert config.partition_cache_budget == 123
+        assert config.partition_compression == "int8"
+        assert config.writeback_delta is True
+
+    def test_file_values_survive_absent_flags(self, workspace):
+        tmp_path, config_path, _, _ = workspace
+        path = tmp_path / "piped.json"
+        path.write_text(
+            ConfigSchema.from_json(config_path.read_text())
+            .replace(pipeline=True, partition_compression="fp16")
+            .to_json()
+        )
+        config = self._train_config(path)
+        assert config == ConfigSchema.from_json(path.read_text())
+        assert config.pipeline is True
+        assert config.partition_compression == "fp16"
+
+    _INDEX_ARGS = [
+        "--index", "ivfpq", "--num-lists", "4", "--nprobe", "2",
+        "--pq-subvectors", "4", "--refine", "2",
+    ]
+    _INDEX_CONFIG = ServingConfig(
+        index="ivfpq", num_lists=4, nprobe=2, pq_subvectors=4, refine=2,
+    )
+
+    def test_every_serve_flag_lands(self):
+        args = build_parser().parse_args([
+            "serve", "--snapshots", "snap", "--queries", "q.npy",
+            *self._INDEX_ARGS, "--batch-size", "7", "--slow-batch", "0.5",
+        ])
+        assert _serving_config(args) == dataclasses.replace(
+            self._INDEX_CONFIG, batch_size=7, slow_batch_seconds=0.5,
+        )
+
+    @pytest.mark.parametrize("command, extra", [
+        ("query", ["--ids", "0"]),
+        ("metrics", []),
+    ])
+    def test_every_index_flag_lands(self, command, extra):
+        args = build_parser().parse_args([
+            command, "--snapshots", "snap", *extra, *self._INDEX_ARGS,
+        ])
+        assert _serving_config(args) == self._INDEX_CONFIG
+
+    def test_serving_section_survives_absent_flags(self, workspace):
+        tmp_path, config_path, _, _ = workspace
+        serving = ServingConfig(index="ivfpq", num_lists=4, nprobe=2)
+        path = tmp_path / "serving.json"
+        path.write_text(
+            ConfigSchema.from_json(config_path.read_text())
+            .replace(serving=serving).to_json()
+        )
+        args = build_parser().parse_args([
+            "metrics", "--snapshots", "snap", "--config", str(path),
+            "--nprobe", "3",
+        ])
+        assert _serving_config(args) == dataclasses.replace(serving, nprobe=3)
+
+    def test_checkpoint_dir_from_config_file(self, workspace, capsys):
+        """A partitioned config that names its checkpoint directory
+        needs no --checkpoint."""
+        tmp_path, config_path, train_path, _ = workspace
+        ckpt = tmp_path / "from_file"
+        path = tmp_path / "with_ckpt.json"
+        path.write_text(
+            ConfigSchema.from_json(config_path.read_text()).replace(
+                entities={"node": EntitySchema(num_partitions=2)},
+                num_epochs=1, checkpoint_dir=str(ckpt),
+            ).to_json()
+        )
+        assert main([
+            "train", "--config", str(path), "--edges", str(train_path),
+        ]) == 0
+        assert (ckpt / "metadata.json").exists()
+        capsys.readouterr()
+
+
+#: Config changes that route ``train`` to each trainer.
+_TRAINERS = {
+    "single": {},
+    "distributed": {
+        "entities": {"node": EntitySchema(num_partitions=4)},
+        "num_machines": 2,
+    },
+}
+
+
+class TestCheckpointWrites:
+    @pytest.mark.parametrize("trainer", sorted(_TRAINERS))
+    def test_one_write_per_epoch_with_configured_codec(
+        self, workspace, capsys, monkeypatch, trainer
+    ):
+        """An unpartitioned run is checkpointed by the trainer once per
+        epoch and the CLI writes nothing over it (it used to re-save the
+        last epoch with codec none); the cluster trainer does not
+        checkpoint, so the CLI writes its last epoch once. Both keep
+        the configured codec."""
+        import repro.core.checkpointing as checkpointing
+
+        writes = []
+        save_files = checkpointing._save_model_files
+
+        def recording(checkpoint_dir, model, entities, metadata, codec):
+            writes.append((metadata["epoch"], codec))
+            return save_files(checkpoint_dir, model, entities, metadata, codec)
+
+        monkeypatch.setattr(checkpointing, "_save_model_files", recording)
+        tmp_path, config_path, train_path, _ = workspace
+        config = ConfigSchema.from_json(config_path.read_text()).replace(
+            num_epochs=2, **_TRAINERS[trainer]
+        )
+        path = tmp_path / "run.json"
+        path.write_text(config.to_json())
+        ckpt = tmp_path / "model"
+        assert main([
+            "train", "--config", str(path), "--edges", str(train_path),
+            "--checkpoint", str(ckpt), "--partition-compression", "int8",
+        ]) == 0
+        capsys.readouterr()
+        assert writes == (
+            [(0, "int8"), (1, "int8")] if trainer == "single"
+            else [(1, "int8")]
+        )
+        part_files = sorted(ckpt.rglob("part-*.npz"))
+        assert part_files
+        for part in part_files:
+            with np.load(part) as payload:
+                assert str(payload["codec"]) == "int8"
+
+    @pytest.mark.parametrize("trainer", sorted(_TRAINERS))
+    def test_zero_epochs_writes_no_checkpoint(
+        self, workspace, capsys, trainer
+    ):
+        """With no epoch to checkpoint, no run writes one (a partitioned
+        single-machine run never did)."""
+        tmp_path, config_path, train_path, _ = workspace
+        path = tmp_path / "zero.json"
+        path.write_text(
+            ConfigSchema.from_json(config_path.read_text())
+            .replace(num_epochs=0, **_TRAINERS[trainer]).to_json()
+        )
+        ckpt = tmp_path / "model"
+        assert main([
+            "train", "--config", str(path), "--edges", str(train_path),
+            "--checkpoint", str(ckpt),
+        ]) == 0
+        assert "checkpoint written" not in capsys.readouterr().out
+        assert not (ckpt / "metadata.json").exists()

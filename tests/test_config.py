@@ -1,12 +1,22 @@
 """Tests for the configuration schema."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.config import (
+    ConfigError,
     ConfigSchema,
     EntitySchema,
     RelationSchema,
+    fingerprint,
     single_entity_config,
+)
+
+HISTORY = Path(__file__).resolve().parents[1] / "benchmarks" / (
+    "baseline_history.jsonl"
 )
 
 
@@ -27,18 +37,9 @@ class TestEntitySchema:
         with pytest.raises(ValueError):
             EntitySchema(num_partitions=0)
 
-    def test_featurized_needs_features(self):
-        with pytest.raises(ValueError):
-            EntitySchema(featurized=True)
-        EntitySchema(featurized=True, num_features=10)  # ok
-
     def test_featurized_cannot_partition(self):
         with pytest.raises(ValueError):
-            EntitySchema(featurized=True, num_features=5, num_partitions=2)
-
-    def test_features_only_for_featurized(self):
-        with pytest.raises(ValueError):
-            EntitySchema(num_features=5)
+            EntitySchema(featurized=True, num_partitions=2)
 
 
 class TestRelationSchema:
@@ -146,7 +147,7 @@ class TestConfigSchema:
         cfg = ConfigSchema(
             entities={
                 "user": EntitySchema(num_partitions=8),
-                "tag": EntitySchema(featurized=True, num_features=64),
+                "tag": EntitySchema(featurized=True),
             },
             relations=[
                 RelationSchema(
@@ -212,3 +213,110 @@ class TestPartitionCompressionConfig:
         again = ConfigSchema.from_json(cfg.to_json())
         assert again.partition_compression == "int8"
         assert again.writeback_delta is True
+
+
+class TestUnknownKeys:
+    """A key no field reads fails loudly in every nested dataclass —
+    including the removed knobs a config file might still carry."""
+
+    @pytest.mark.parametrize("path, key, owner", [
+        ((), "num_negs", "ConfigSchema"),
+        (("entities", "node"), "num_features", "EntitySchema"),
+        (("relations", 0), "all_negs", "RelationSchema"),
+        (("serving",), "probes", "ServingConfig"),
+    ])
+    def test_unknown_key_names_class_and_key(self, path, key, owner):
+        data = json.loads(_minimal().to_json())
+        target = data
+        for step in path:
+            target = target[step]
+        target[key] = True
+        with pytest.raises(ConfigError, match=rf"unknown {owner} .*{key}"):
+            ConfigSchema.from_dict(data)
+
+
+#: What ``to_dict`` wrote while ``EntitySchema.num_features`` and
+#: ``RelationSchema.all_negs`` existed (every field, so every such
+#: checkpoint's config.json carries both).
+_OLD_CONFIG = {
+    "batch_size": 1000, "bucket_order": "inside_out", "checkpoint_dir": None,
+    "chunk_size": 50, "comparator": "dot", "dimension": 8,
+    "disable_batch_negs": False,
+    "entities": {
+        "tag": {"featurized": True, "num_features": 8, "num_partitions": 1},
+        "user": {"featurized": False, "num_features": 0, "num_partitions": 2},
+    },
+    "eval_fraction": 0.0, "loss": "ranking", "lr": 0.1, "margin": 0.1,
+    "num_batch_negs": 50, "num_epochs": 5, "num_machines": 1,
+    "num_uniform_negs": 50, "num_workers": 1, "parameter_sync_interval": 10,
+    "partition_cache_budget": None, "partition_compression": "none",
+    "pipeline": False, "relation_lr": None,
+    "relations": [{
+        "all_negs": False, "lhs": "user", "name": "likes",
+        "operator": "translation", "rhs": "tag", "weight": 1.0,
+    }],
+    "seed": 0,
+    "serving": {
+        "batch_size": 1024, "default_k": 10, "index": "exact",
+        "kmeans_iters": 10, "nprobe": 8, "num_lists": 64,
+        "pq_subvectors": 0, "refine": 0, "seed": 0,
+        "slow_batch_seconds": 0.0, "train_sample": 20000,
+    },
+    "stratum_passes": 1, "trace_path": None, "writeback_delta": False,
+}
+
+
+class TestRemovedFields:
+    def test_config_written_before_removal_loads(self):
+        assert ConfigSchema.from_dict(_OLD_CONFIG) == ConfigSchema(
+            entities={
+                "tag": EntitySchema(featurized=True),
+                "user": EntitySchema(num_partitions=2),
+            },
+            relations=[RelationSchema(
+                name="likes", lhs="user", rhs="tag", operator="translation",
+            )],
+            dimension=8,
+        )
+
+    @pytest.mark.parametrize("path, key, value", [
+        (("relations", 0), "all_negs", True),
+        (("entities", "user"), "num_features", 3),
+        (("entities", "user"), "num_features", False),
+        (("entities", "tag"), "num_features", 0),
+    ])
+    def test_other_values_are_unknown_keys(self, path, key, value):
+        data = json.loads(json.dumps(_OLD_CONFIG))
+        target = data
+        for step in path:
+            target = target[step]
+        target[key] = value
+        with pytest.raises(ConfigError, match=rf"unknown \w+ key\(s\): {key}"):
+            ConfigSchema.from_dict(data)
+
+
+class TestFingerprint:
+    def test_config_fingerprint_excludes_output_paths(self):
+        cfg = _minimal(checkpoint_dir="ckpt", trace_path="t.json")
+        params = cfg.to_dict()
+        del params["checkpoint_dir"], params["trace_path"]
+        assert cfg.fingerprint() == fingerprint(params)
+
+    def test_fingerprint_is_key_order_independent(self):
+        params = {"b": 2, "a": [1, 2.5], "c": {"y": None, "x": "s"}}
+        reordered = {"c": {"x": "s", "y": None}, "a": [1, 2.5], "b": 2}
+        blob = json.dumps(params, sort_keys=True).encode()
+        assert fingerprint(params) == fingerprint(reordered) == (
+            hashlib.sha256(blob).hexdigest()[:16]
+        )
+        assert fingerprint(params) != fingerprint({**params, "b": 3})
+
+    def test_committed_history_fingerprints_recompute(self):
+        records = [
+            json.loads(line) for line in HISTORY.read_text().splitlines()
+        ]
+        assert len(records) >= 33
+        for record in records:
+            assert record["provenance"]["config_fingerprint"] == (
+                fingerprint(record["params"])
+            ), record["benchmark"]

@@ -122,7 +122,7 @@ class TestFeaturizedPipeline:
         config = ConfigSchema(
             entities={
                 "user": EntitySchema(),
-                "item": EntitySchema(featurized=True, num_features=n_tags),
+                "item": EntitySchema(featurized=True),
             },
             relations=[RelationSchema(name="buys", lhs="user", rhs="item")],
             dimension=16, num_epochs=5, batch_size=200, chunk_size=50,

@@ -292,7 +292,7 @@ def _cluster(num_machines, nparts, n=200, seed=0, **kw):
     entities.set_partitioning(
         "node", partition_entities(n, nparts, np.random.default_rng(seed))
     )
-    return DistributedTrainer(config, entities, seed=seed)
+    return DistributedTrainer(config.replace(seed=seed), entities)
 
 
 class TestInstrumentedTraining:

@@ -72,7 +72,7 @@ from __future__ import annotations
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable
 
@@ -92,6 +92,7 @@ from repro.graph.storage import (
     PartitionPipeline,
     PartitionedEmbeddingStorage,
 )
+from repro.telemetry.metrics import view
 
 __all__ = [
     "BucketExecutor", "Trainer", "TrainingStats", "EpochStats",
@@ -120,27 +121,17 @@ class PipelineStats:
     cache_evictions: int = 0
 
     def merge(self, other: "PipelineStats") -> None:
-        self.prefetch_hits += other.prefetch_hits
-        self.prefetch_misses += other.prefetch_misses
-        self.prefetch_wait_time += other.prefetch_wait_time
-        self.writeback_stall_time += other.writeback_stall_time
-        self.cache_evictions += other.cache_evictions
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def since(self, base: "PipelineStats") -> "PipelineStats":
         """Delta snapshot: counters accumulated after ``base`` was
         taken (the pipeline's registry counts monotonically across the
         whole run; per-epoch stats are differences of snapshots)."""
-        return PipelineStats(
-            prefetch_hits=self.prefetch_hits - base.prefetch_hits,
-            prefetch_misses=self.prefetch_misses - base.prefetch_misses,
-            prefetch_wait_time=(
-                self.prefetch_wait_time - base.prefetch_wait_time
-            ),
-            writeback_stall_time=(
-                self.writeback_stall_time - base.writeback_stall_time
-            ),
-            cache_evictions=self.cache_evictions - base.cache_evictions,
-        )
+        return PipelineStats(**{
+            f.name: getattr(self, f.name) - getattr(base, f.name)
+            for f in fields(self)
+        })
 
     @property
     def hit_rate(self) -> float:
@@ -367,18 +358,10 @@ class BucketExecutor:
         return nbytes
 
     def pipeline_stats(self) -> PipelineStats:
-        """Point-in-time snapshot of the pipeline's metrics registry
-        (all zero without the pipelined mode's threads)."""
-        pipe = self.pipeline
-        if pipe is None or pipe.synchronous:
+        """The pipeline's counters now (all zero in synchronous mode)."""
+        if self.pipeline is None:
             return PipelineStats()
-        return PipelineStats(
-            prefetch_hits=pipe.prefetch_hits,
-            prefetch_misses=pipe.prefetch_misses,
-            prefetch_wait_time=pipe.prefetch_wait_seconds,
-            writeback_stall_time=pipe.writeback_stall_seconds,
-            cache_evictions=pipe.evictions,
-        )
+        return view(PipelineStats, self.pipeline.metrics)
 
     # -- in-bucket training (HOGWILD) ----------------------------------
 

@@ -122,7 +122,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import BucketedEdges, bucket_edges
 from repro.graph.storage import PartitionPipeline
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, view
 
 __all__ = ["DistributedTrainer", "MachineStats", "DistributedStats"]
 
@@ -302,14 +302,14 @@ def _machine_main(
     cfg = ctx.config
     telemetry.set_lane(f"machine-{ctx.machine}.main")
     # Per-machine registry: the MachineStats shipped to the coordinator
-    # is a snapshot of these instruments (plus the pipeline's and the
-    # adapter's own registries), not a hand-incremented twin.
+    # is a view of these counters plus the pipeline's and the adapter's,
+    # each named after the field it feeds.
     registry = MetricsRegistry()
-    c_train = registry.counter("machine.train_seconds")
-    c_transfer = registry.counter("machine.transfer_seconds")
-    c_idle = registry.counter("machine.idle_seconds")
+    c_train = registry.counter("machine.train_time")
+    c_transfer = registry.counter("machine.transfer_time")
+    c_idle = registry.counter("machine.idle_time")
     c_loss = registry.counter("machine.loss")
-    c_edges = registry.counter("machine.edges")
+    c_edges = registry.counter("machine.num_edges")
     c_buckets = registry.counter("machine.buckets_trained")
     c_reservations = registry.counter("machine.reservations")
     c_res_hits = registry.counter("machine.reservation_hits")
@@ -418,33 +418,17 @@ def _machine_main(
             c_transfer.inc(time.perf_counter() - t0)
             barrier.wait(_BARRIER_TIMEOUT)  # epoch end
             barrier.wait(_BARRIER_TIMEOUT)  # coordinator go-ahead
-        pstats = executor.pipeline_stats()
-        mstats = MachineStats(
+        mstats = view(
+            MachineStats, registry, pipe.metrics, backend.metrics,
             machine=ctx.machine,
-            buckets_trained=int(c_buckets.value),
-            num_edges=int(c_edges.value),
-            loss=c_loss.value,
-            train_time=c_train.value,
-            transfer_time=c_transfer.value,
-            idle_time=c_idle.value,
             peak_resident_bytes=int(g_resident.max),
-            reservations=int(c_reservations.value),
-            reservation_hits=int(c_res_hits.value),
-            wire_bytes_sent=backend.bytes_sent,
-            wire_bytes_received=backend.bytes_received,
-            wire_bytes_saved=backend.bytes_saved,
-            delta_pushes=backend.delta_pushes,
-            delta_fallbacks=backend.delta_fallbacks,
-            prefetch_hits=pstats.prefetch_hits,
-            prefetch_misses=pstats.prefetch_misses,
-            prefetch_wait_time=pstats.prefetch_wait_time,
-            stale_prefetches=pipe.stale_hits,
-            writeback_stall_time=pstats.writeback_stall_time,
             # Partition-server I/O hidden behind compute: total adapter
             # I/O seconds minus what was still paid inline (swap waits,
             # flush barriers) — parameter-server sync is excluded. In
             # synchronous mode all of it is inline.
-            transfer_overlap_time=max(0.0, backend.io_seconds - inline_io),
+            transfer_overlap_time=max(
+                0.0, backend.io_seconds.value - inline_io
+            ),
         )
         result_queue.put(("ok", mstats))
     except BaseException as exc:

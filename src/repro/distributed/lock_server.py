@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 from repro import telemetry
 from repro.graph.buckets import Bucket
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, view
 
 __all__ = ["LockServer", "LockServerStats"]
 
@@ -109,9 +109,9 @@ class LockServer:  # public-guard: _lock
             for j in range(nparts_rhs)
         ]
         self._lock = threading.Lock()
-        # Scheduling counters live in a metrics registry; ``stats`` is a
-        # derived snapshot, not a hand-incremented twin. Counters carry
-        # their own leaf locks, so bumping them under _lock is safe.
+        # Scheduling counters live in a metrics registry, one per
+        # LockServerStats field; ``stats`` is a view of it. Counters
+        # carry their own leaf locks, so bumping them under _lock is safe.
         self._metrics = MetricsRegistry()
         self._c_acquires = self._metrics.counter("lockserver.acquires")
         self._c_failed = self._metrics.counter("lockserver.failed_acquires")
@@ -130,20 +130,11 @@ class LockServer:  # public-guard: _lock
 
     @property
     def stats(self) -> LockServerStats:  # lint: no-lock (counter-backed)
-        """Snapshot of the scheduling counters (derived, read-only)."""
-        return LockServerStats(
-            acquires=int(self._c_acquires.value),
-            failed_acquires=int(self._c_failed.value),
-            affinity_hits=int(self._c_affinity.value),
-            epochs=int(self._c_epochs.value),
-            reservations=int(self._c_reservations.value),
-            reservation_hits=int(self._c_res_hits.value),
-            reservation_misses=int(self._c_res_misses.value),
-        )
+        return view(LockServerStats, self._metrics)
 
     # ------------------------------------------------------------------
 
-    def new_epoch(self, initialized_carry_over: bool = True) -> None:
+    def new_epoch(self) -> None:
         """Reset the remaining-bucket set for a new pass over the grid.
 
         Initialised partitions carry over between epochs (they are
@@ -163,16 +154,10 @@ class LockServer:  # public-guard: _lock
                     f"drain their push-back queues before the epoch "
                     f"barrier)"
                 )
-            init = (
-                self._state.initialized_partitions
-                if initialized_carry_over
-                else set()
-            )
-            done_any = self._state.done_any if initialized_carry_over else False
             self._state = _State(
                 remaining=set(self._all_buckets),
-                initialized_partitions=init,
-                done_any=done_any,
+                initialized_partitions=self._state.initialized_partitions,
+                done_any=self._state.done_any,
             )
             # A reservation made against the drained grid is meaningless
             # for the fresh one; scoring it would skew accuracy stats.

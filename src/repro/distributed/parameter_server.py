@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.telemetry.metrics import MetricsRegistry, view
+
 __all__ = ["ParameterServer", "SharedParameterClient", "ParameterServerStats"]
 
 
@@ -56,8 +58,16 @@ class ParameterServer:
         self._stores: "list[dict[str, np.ndarray]]" = [
             {} for _ in range(num_shards)
         ]
-        self.stats = ParameterServerStats()
-        self._stats_lock = threading.Lock()
+        # One counter per ParameterServerStats field; ``stats`` is a
+        # view of them.
+        self._metrics = MetricsRegistry()
+        self._c_pulls = self._metrics.counter("paramserver.pulls")
+        self._c_pushes = self._metrics.counter("paramserver.pushes")
+        self._c_bytes = self._metrics.counter("paramserver.bytes_transferred")
+
+    @property
+    def stats(self) -> ParameterServerStats:
+        return view(ParameterServerStats, self._metrics)
 
     def _shard_id(self, name: str) -> int:
         return hash(name) % len(self._locks)
@@ -76,9 +86,8 @@ class ParameterServer:
         sid = self._shard_id(name)
         with self._locks[sid]:
             value = np.array(self._stores[sid][name], copy=True)
-        with self._stats_lock:
-            self.stats.pulls += 1
-            self.stats.bytes_transferred += value.nbytes
+        self._c_pulls.inc()
+        self._c_bytes.inc(value.nbytes)
         return value
 
     def push_delta(self, name: str, delta: np.ndarray) -> None:
@@ -86,9 +95,8 @@ class ParameterServer:
         sid = self._shard_id(name)
         with self._locks[sid]:
             self._stores[sid][name] += delta
-        with self._stats_lock:
-            self.stats.pushes += 1
-            self.stats.bytes_transferred += delta.nbytes
+        self._c_pushes.inc()
+        self._c_bytes.inc(delta.nbytes)
 
     def sync(
         self, deltas: "dict[str, np.ndarray | None]"

@@ -39,7 +39,7 @@ import numpy as np
 from repro import telemetry
 from repro.graph import compression
 from repro.graph.storage import PartitionAbsent
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, view
 
 __all__ = [
     "PartitionServer",
@@ -125,8 +125,8 @@ class PartitionServer:  # public-guard: lock
             raise ValueError("num_shards must be >= 1")
         self._shards = [_Shard() for _ in range(num_shards)]
         self._codec = compression.get_codec(codec)
-        # Transfer counters live in a metrics registry; ``stats`` is a
-        # derived snapshot.
+        # Transfer counters live in a metrics registry, one per
+        # PartitionServerStats field; ``stats`` is a view of it.
         self._metrics = MetricsRegistry()
         self._c_gets = self._metrics.counter("server.gets")
         self._c_puts = self._metrics.counter("server.puts")
@@ -139,17 +139,7 @@ class PartitionServer:  # public-guard: lock
 
     @property
     def stats(self) -> PartitionServerStats:  # lint: no-lock (counter-backed)
-        """Snapshot of the transfer counters (derived, read-only)."""
-        return PartitionServerStats(
-            gets=int(self._c_gets.value),
-            puts=int(self._c_puts.value),
-            misses=int(self._c_misses.value),
-            bytes_sent=int(self._c_bytes_sent.value),
-            bytes_received=int(self._c_bytes_received.value),
-            bytes_saved=int(self._c_bytes_saved.value),
-            delta_puts=int(self._c_delta_puts.value),
-            delta_stale=int(self._c_delta_stale.value),
-        )
+        return view(PartitionServerStats, self._metrics)
 
     # ------------------------------------------------------------------
 
@@ -353,11 +343,11 @@ class PartitionServerStorage:  # public-guard: _lock
     With ``use_delta=True``, :meth:`save` pushes a dirty-row delta
     (when the caller supplies ``dirty_rows`` and the baseline version
     is known) instead of the whole partition; a stale delta degrades to
-    a full push (``delta_fallbacks``), and a save with *no* dirty rows
-    against a still-current baseline is skipped outright
-    (``delta_skips``). The wire counters (``bytes_sent`` /
-    ``bytes_received`` / ``bytes_saved``) are read off the payloads
-    that actually crossed.
+    a full push (``backend.delta_fallbacks``), and a save with *no*
+    dirty rows against a still-current baseline is skipped outright
+    (``backend.delta_skips``). The wire counters of :attr:`metrics`
+    (``backend.wire_bytes_sent`` / ``_received`` / ``_saved``) are read
+    off the payloads that actually crossed.
     """
 
     def __init__(self, server, use_delta: bool = False) -> None:
@@ -366,7 +356,8 @@ class PartitionServerStorage:  # public-guard: _lock
         self._lock = threading.Lock()
         self._versions: "dict[tuple[str, int], int]" = {}  # guarded-by: _lock
         self._codec: "compression.PartitionCodec | None" = None
-        #: per-machine transfer counters (MachineStats derives from these)
+        #: per-machine transfer counters, named after the MachineStats
+        #: fields they feed
         self.metrics = MetricsRegistry()
         self._c_loads = self.metrics.counter("backend.loads")
         self._c_saves = self.metrics.counter("backend.saves")
@@ -375,21 +366,13 @@ class PartitionServerStorage:  # public-guard: _lock
             "backend.delta_fallbacks"
         )
         self._c_delta_skips = self.metrics.counter("backend.delta_skips")
-        self._c_bytes_sent = self.metrics.counter("backend.bytes_sent")
-        self._c_bytes_received = self.metrics.counter("backend.bytes_received")
-        self._c_bytes_saved = self.metrics.counter("backend.bytes_saved")
-        self._c_io_seconds = self.metrics.counter("backend.io_seconds")
-
-    loads = property(lambda self: int(self._c_loads.value))
-    saves = property(lambda self: int(self._c_saves.value))
-    delta_pushes = property(lambda self: int(self._c_delta_pushes.value))
-    delta_fallbacks = property(lambda self: int(self._c_delta_fallbacks.value))
-    delta_skips = property(lambda self: int(self._c_delta_skips.value))
-    bytes_sent = property(lambda self: int(self._c_bytes_sent.value))
-    bytes_received = property(lambda self: int(self._c_bytes_received.value))
-    bytes_saved = property(lambda self: int(self._c_bytes_saved.value))
-    #: wall seconds inside ``load``/``save``, all threads
-    io_seconds = property(lambda self: self._c_io_seconds.value)
+        self._c_bytes_sent = self.metrics.counter("backend.wire_bytes_sent")
+        self._c_bytes_received = self.metrics.counter(
+            "backend.wire_bytes_received"
+        )
+        self._c_bytes_saved = self.metrics.counter("backend.wire_bytes_saved")
+        #: wall seconds inside ``load``/``save``, all threads
+        self.io_seconds = self.metrics.counter("backend.io_seconds")
 
     def _server_codec(self) -> compression.PartitionCodec:
         """The server's codec (one manager round-trip, then cached; the
@@ -416,7 +399,7 @@ class PartitionServerStorage:  # public-guard: _lock
             try:
                 return self._load(sp, entity_type, part)
             finally:
-                self._c_io_seconds.inc(time.perf_counter() - t0)
+                self.io_seconds.inc(time.perf_counter() - t0)
 
     def _load(self, sp, entity_type: str, part: int):
         entry = self.server.get_versioned(entity_type, part)
@@ -476,7 +459,7 @@ class PartitionServerStorage:  # public-guard: _lock
                 self._save(sp, entity_type, part, embeddings, optim_state,
                            dirty_rows)
             finally:
-                self._c_io_seconds.inc(time.perf_counter() - t0)
+                self.io_seconds.inc(time.perf_counter() - t0)
 
     def _save(
         self, sp, entity_type, part, embeddings, optim_state, dirty_rows

@@ -300,8 +300,8 @@ class PartitionPipeline:
     ``validate``, when given, is called as ``validate(entity_type,
     part)`` on every staged hit; returning False means the staged copy
     is stale (another machine updated the backend since it was staged)
-    and a fresh synchronous read is performed instead — ``stale_hits``
-    counts those.
+    and a fresh synchronous read is performed instead —
+    ``pipeline.stale_prefetches`` counts those.
     """
 
     def __init__(
@@ -318,15 +318,23 @@ class PartitionPipeline:
         self.budget_bytes = budget_bytes
         self.validate = validate
         self.synchronous = synchronous
-        #: the registry the pipeline's counters live in; ``*Stats``
-        #: objects snapshot it
+        #: the registry the pipeline's counters live in, each named after
+        #: the ``PipelineStats`` / ``MachineStats`` field it feeds
         self.metrics = MetricsRegistry()
-        self._m_take_hits = self.metrics.counter("pipeline.take_hits")
-        self._m_take_misses = self.metrics.counter("pipeline.take_misses")
-        self._m_stale = self.metrics.counter("pipeline.stale_hits")
-        self._m_wait = self.metrics.counter("pipeline.wait_seconds")
-        self._m_stall = self.metrics.counter("writeback.stall_seconds")
-        self._m_evictions = self.metrics.counter("cache.evictions")
+        #: take() calls served from the staged set (and still valid)
+        self._m_take_hits = self.metrics.counter("pipeline.prefetch_hits")
+        #: take() calls that fell through to a backend read (pipelined
+        #: mode only: a synchronous pipeline has nothing to miss)
+        self._m_take_misses = self.metrics.counter("pipeline.prefetch_misses")
+        #: staged hits invalidated because the backend had newer bytes
+        self._m_stale = self.metrics.counter("pipeline.stale_prefetches")
+        #: seconds settle() blocked on in-flight prefetches
+        self._m_wait = self.metrics.counter("pipeline.prefetch_wait_time")
+        #: seconds callers blocked on background writes
+        #: (flush-before-reuse, budget evictions, drains)
+        self._m_stall = self.metrics.counter("pipeline.writeback_stall_time")
+        #: staged entries dropped to stay under the byte budget
+        self._m_evictions = self.metrics.counter("pipeline.cache_evictions")
         # A leaf: held only around dict operations, never across a
         # backend call or a wait on a future.
         self._lock = threading.Lock()
@@ -356,39 +364,6 @@ class PartitionPipeline:
             None if tracker is None
             else tracker.register_owner(f"pipeline-{id(self):x}")
         )
-
-    # -- counters ------------------------------------------------------
-
-    @property
-    def stale_hits(self) -> int:
-        """Staged hits invalidated because the backend had newer bytes."""
-        return int(self._m_stale.value)
-
-    @property
-    def prefetch_hits(self) -> int:
-        """take() calls served from the staged set (and still valid)."""
-        return int(self._m_take_hits.value)
-
-    @property
-    def prefetch_misses(self) -> int:
-        """take() calls that fell through to a synchronous backend read."""
-        return int(self._m_take_misses.value)
-
-    @property
-    def prefetch_wait_seconds(self) -> float:
-        """Cumulative seconds settle() blocked on in-flight prefetches."""
-        return self._m_wait.value
-
-    @property
-    def writeback_stall_seconds(self) -> float:
-        """Cumulative seconds callers spent blocked on background
-        writes (flush-before-reuse, budget evictions, drains)."""
-        return self._m_stall.value
-
-    @property
-    def evictions(self) -> int:
-        """Staged entries dropped to stay under the byte budget."""
-        return int(self._m_evictions.value)
 
     def nbytes(self) -> int:
         """Bytes currently staged."""
@@ -554,7 +529,8 @@ class PartitionPipeline:
         whose write is still in flight is handed out only once it has
         landed — the caller is about to mutate the arrays
         (flush-before-reuse). A stale staged copy (see ``validate``)
-        counts in ``stale_hits`` and falls back to a backend read.
+        counts in ``pipeline.stale_prefetches`` and falls back to a
+        backend read.
         """
         key = (entity_type, part)
         self._raise_if_failed()
@@ -579,7 +555,8 @@ class PartitionPipeline:
             # None means the caller initialises the partition; either
             # way it is resident on the main thread from here.
             self._owner.resident(entity_type, part, from_cache=False)
-        self._m_take_misses.inc()
+        if not self.synchronous:
+            self._m_take_misses.inc()
         return got, False
 
     def schedule(self, keys) -> int:

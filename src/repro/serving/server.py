@@ -28,6 +28,7 @@ from repro.serving.index import ExactIndex
 from repro.serving.ivfpq import IVFPQIndex
 from repro.serving.snapshot import SnapshotManager
 from repro.telemetry.exposition import render_prometheus
+from repro.telemetry.metrics import view
 
 __all__ = ["QueryService", "ServingStats", "make_index"]
 
@@ -234,19 +235,11 @@ class QueryService:
         )
 
     def stats(self) -> ServingStats:
-        metrics = self.manager.metrics
         qs = self._h_batch.quantiles((0.5, 0.95, 0.99))
-        return ServingStats(
-            queries=int(self._m_queries.value),
-            batches=int(self._m_batches.value),
-            seconds=float(self._m_seconds.value),
-            swaps=int(metrics.counter("serve.swaps").value),
-            refreshes=int(metrics.counter("serve.refreshes").value),
+        return view(
+            ServingStats, self.manager.metrics,
             version=self.manager.current_version(),
-            p50=qs[0.5],
-            p95=qs[0.95],
-            p99=qs[0.99],
-            slow_batches=int(self._m_slow.value),
+            p50=qs[0.5], p95=qs[0.95], p99=qs[0.99],
         )
 
     def stats_text(self) -> str:

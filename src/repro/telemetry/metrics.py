@@ -1,10 +1,12 @@
 """Metrics registry: counters, gauges, and histograms with labels.
 
-This is the substrate the end-of-run ``*Stats`` dataclasses are derived
+This is the substrate the end-of-run ``*Stats`` dataclasses are read
 from.  Components create instruments once (at ``__init__`` time, so the
-hot path pays one attribute load + one locked float add) and the stats
-objects are *snapshots* of the registry rather than hand-incremented
-twins of it.  Instruments are always live — unlike the span tracer there
+hot path pays one attribute load + one locked float add) and name each
+counter ``<component>.<field>`` after the stats field it feeds;
+:func:`view` then builds the stats object by field name, so no stats
+object is a hand-incremented twin or a hand-written copy of the
+registry.  Instruments are always live — unlike the span tracer there
 is no disabled mode, because the counters feed user-visible summaries.
 
 Thread-safety: every instrument carries its own leaf lock.  Instrument
@@ -16,7 +18,9 @@ caller already holds (see CONCURRENCY.md).
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import threading
+import typing
 
 #: Default histogram bucket upper bounds: powers of two from 1 µs-ish
 #: to ~17 minutes.  Log-spaced so one fixed, bounded layout covers both
@@ -236,14 +240,33 @@ class MetricsRegistry:  # public-guard: _lock
         with self._lock:
             return sorted(self._metrics.items())
 
-    def snapshot(self) -> "dict[str, object]":
-        """Point-in-time value of every instrument, keyed canonically."""
-        with self._lock:
-            items = list(self._metrics.items())
-        out: "dict[str, object]" = {}
-        for key, inst in items:
-            if isinstance(inst, Histogram):
-                out[key] = inst.summary()
-            else:
-                out[key] = inst.value
-        return out
+
+def view(cls, *registries: MetricsRegistry, **given):
+    """A ``cls`` dataclass read from ``registries`` by field name.
+
+    Every field not in ``given`` takes the value of the one unlabelled
+    counter, across all ``registries``, whose name ends in
+    ``.<field>``, cast to the field's declared type (counters hold
+    floats; an ``int`` field gets ``int(value)``). Raises
+    :class:`KeyError` naming the field when no counter or more than one
+    matches.
+    """
+    counters: "dict[str, list[Counter]]" = {}
+    for registry in registries:
+        for key, inst in registry.instruments():
+            if isinstance(inst, Counter) and "{" not in key and "." in key:
+                counters.setdefault(key.rsplit(".", 1)[1], []).append(inst)
+    types = typing.get_type_hints(cls)
+    values = dict(given)
+    for f in dataclasses.fields(cls):
+        if f.name in given:
+            continue
+        found = counters.get(f.name, [])
+        if len(found) != 1:
+            raise KeyError(
+                f"{cls.__name__}.{f.name}: want one counter named "
+                f"'<component>.{f.name}', found "
+                f"{[c.key for c in found] or 'none'}"
+            )
+        values[f.name] = types[f.name](found[0].value)
+    return cls(**values)

@@ -7,8 +7,20 @@ import numpy as np
 __all__ = [
     "numerical_gradient", "assert_grads_close", "tiny_chain_edges",
     "record_thread_starts", "put_arrays", "put_delta_arrays", "get_arrays",
-    "slow_put_server", "RecordingServer",
+    "slow_put_server", "RecordingServer", "counts",
 ]
+
+
+def counts(registry) -> "dict[str, float]":
+    """Every counter of a metrics ``registry`` by key (reading a
+    misspelt name is a ``KeyError``, not a freshly created zero)."""
+    from repro.telemetry.metrics import Counter
+
+    return {
+        key: inst.value
+        for key, inst in registry.instruments()
+        if isinstance(inst, Counter)
+    }
 
 
 def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,30 @@ class TestTrainEvalExport:
         table = MmapShardedTable.open(snap)
         np.testing.assert_array_equal(np.load(npy), table.as_array())
         table.close()
+
+    def test_pipelined_verbose_counts(self, workspace, capsys):
+        """The per-epoch and run-level pipeline counts print as integers
+        (a float leaking out of a counter would print ``3.0 hits``)."""
+        tmp_path, config_path, train_path, _ = workspace
+        config = ConfigSchema.from_json(config_path.read_text()).replace(
+            entities={"node": EntitySchema(num_partitions=4)}, num_epochs=3
+        )
+        p4 = tmp_path / "config4.json"
+        p4.write_text(config.to_json())
+        assert main([
+            "train", "--config", str(p4), "--edges", str(train_path),
+            "--checkpoint", str(tmp_path / "ckpt"), "--pipeline", "--verbose",
+        ]) == 0
+        out = capsys.readouterr().out
+        # Epoch 0 initialises the four partitions; after that every
+        # swap-in is served from the staging cache.
+        assert re.findall(
+            r"^epoch (\d): .* \[pipeline: (\d+) hits / (\d+) misses, "
+            r"\d+\.\ds stalled\]$", out, re.M,
+        ) == [("0", "3", "4"), ("1", "7", "0"), ("2", "7", "0")]
+        assert re.search(
+            r"^pipeline: 81% prefetch hit rate \(17/21\), ", out, re.M
+        )
 
     def test_distributed_training_via_cli(self, workspace, capsys):
         """num_machines > 1 routes to the cluster trainer; the pipeline

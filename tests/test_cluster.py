@@ -11,6 +11,7 @@ from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import partition_entities
 from tests.helpers import (
     RecordingServer,
+    counts,
     record_thread_starts,
     slow_put_server,
 )
@@ -639,9 +640,10 @@ class TestRealWire:
         for method, nbytes, pickled, _ in wire.transfers:
             assert nbytes <= pickled <= 1.02 * nbytes, (method, codec)
         # MachineStats.wire_bytes_* are these two adapter counters.
-        assert store.bytes_sent == wire.nbytes("put", "put_delta")
-        assert store.bytes_received == wire.nbytes("get_versioned")
-        assert store.delta_pushes == 1
+        c = counts(store.metrics)
+        assert c["backend.wire_bytes_sent"] == wire.nbytes("put", "put_delta")
+        assert c["backend.wire_bytes_received"] == wire.nbytes("get_versioned")
+        assert c["backend.delta_pushes"] == 1
 
     def test_int8_moves_under_a_third_of_the_fp32_bytes(self, manager):
         pickled = {
@@ -757,17 +759,19 @@ class TestSharedBucketLoop:
         )
 
         started = record_thread_starts(monkeypatch)
+        # Keyed by the adapter itself, not its id(): a machine's adapter
+        # dies with its thread, and the coordinator's may reuse the id.
         callers: dict = {}
 
         class RecordingAdapter(PartitionServerStorage):
             def load(self, entity_type, part):
-                callers.setdefault(id(self), set()).add(
+                callers.setdefault(self, set()).add(
                     threading.current_thread().name
                 )
                 return super().load(entity_type, part)
 
             def save(self, *args, **kwargs):
-                callers.setdefault(id(self), set()).add(
+                callers.setdefault(self, set()).add(
                     threading.current_thread().name
                 )
                 return super().save(*args, **kwargs)

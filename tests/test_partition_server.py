@@ -14,7 +14,7 @@ from repro.distributed.partition_server import (
 from repro.graph import compression
 from repro.graph.storage import StorageError
 
-from tests.helpers import get_arrays, put_arrays, put_delta_arrays
+from tests.helpers import counts, get_arrays, put_arrays, put_delta_arrays
 
 
 def _arrays(seed=0, n=10, d=4):
@@ -194,8 +194,9 @@ class TestPartitionServerStorage:
         store = PartitionServerStorage(PartitionServer(1))
         store.save("node", 0, *_arrays())
         store.load("node", 0)
-        assert store.saves == 1 and store.loads == 1
-        assert store.io_seconds > 0
+        c = counts(store.metrics)
+        assert c["backend.saves"] == 1 and c["backend.loads"] == 1
+        assert store.io_seconds.value > 0
 
 
 class TestCompressedServer:
@@ -349,7 +350,7 @@ class TestDeltaWriteback:
         dirty = np.array([3, 17], dtype=np.int64)
         emb2[dirty] += 1.0
         store.save("node", 0, emb2, state, dirty_rows=dirty)
-        assert store.delta_pushes == 1
+        assert counts(store.metrics)["backend.delta_pushes"] == 1
         got, _ = store.load("node", 0)
         np.testing.assert_array_equal(got, emb2)
 
@@ -357,12 +358,12 @@ class TestDeltaWriteback:
         server, store = self._pair()
         emb, state = _arrays(n=10, d=4)
         store.save("node", 0, emb, state)
-        sent_before = store.bytes_sent
+        sent_before = counts(store.metrics)["backend.wire_bytes_sent"]
         store.save(
             "node", 0, emb, state, dirty_rows=np.array([], dtype=np.int64)
         )
-        assert store.delta_skips == 1
-        assert store.bytes_sent == sent_before
+        assert counts(store.metrics)["backend.delta_skips"] == 1
+        assert counts(store.metrics)["backend.wire_bytes_sent"] == sent_before
         assert server.stats.puts == 1  # no second transfer reached the server
 
     def test_zero_dirty_rows_with_stale_baseline_full_push(self):
@@ -376,7 +377,7 @@ class TestDeltaWriteback:
         store.save(
             "node", 0, emb, state, dirty_rows=np.array([], dtype=np.int64)
         )
-        assert store.delta_skips == 0
+        assert counts(store.metrics)["backend.delta_skips"] == 0
         got, _ = store.load("node", 0)
         np.testing.assert_array_equal(got, emb)
 
@@ -390,8 +391,8 @@ class TestDeltaWriteback:
         dirty = np.array([1], dtype=np.int64)
         emb2[dirty] += 1.0
         store.save("node", 0, emb2, state, dirty_rows=dirty)
-        assert store.delta_fallbacks == 1
-        assert store.delta_pushes == 0
+        assert counts(store.metrics)["backend.delta_fallbacks"] == 1
+        assert counts(store.metrics)["backend.delta_pushes"] == 0
         got, _ = store.load("node", 0)
         np.testing.assert_array_equal(got, emb2)
         assert server.stats.delta_stale == 1
@@ -403,7 +404,7 @@ class TestDeltaWriteback:
         store.save(
             "node", 0, emb, state, dirty_rows=np.arange(8, dtype=np.int64)
         )
-        assert store.delta_pushes == 0
+        assert counts(store.metrics)["backend.delta_pushes"] == 0
         assert server.stats.puts == 2
 
     def test_delta_disabled_always_full_push(self):
@@ -415,7 +416,7 @@ class TestDeltaWriteback:
             "node", 0, emb, state, dirty_rows=np.array([1], dtype=np.int64)
         )
         assert server.stats.puts == 2
-        assert store.delta_pushes == 0
+        assert counts(store.metrics)["backend.delta_pushes"] == 0
 
     def test_adapter_wire_counters(self):
         server, store = self._pair(codec="int8")
@@ -423,19 +424,19 @@ class TestDeltaWriteback:
         store.save("node", 0, emb, state)
         full = compression.wire_nbytes("int8", 100, 16)
         raw = compression.wire_nbytes("none", 100, 16)
-        assert store.bytes_sent == full
-        assert store.bytes_saved == raw - full
+        assert counts(store.metrics)["backend.wire_bytes_sent"] == full
+        assert counts(store.metrics)["backend.wire_bytes_saved"] == raw - full
         dirty = np.array([1, 2], dtype=np.int64)
         emb2 = emb.copy()
         emb2[dirty] += 1.0
         store.save("node", 0, emb2, state, dirty_rows=dirty)
-        assert store.delta_pushes == 1
+        assert counts(store.metrics)["backend.delta_pushes"] == 1
         assert (
-            store.bytes_sent
+            counts(store.metrics)["backend.wire_bytes_sent"]
             == full + compression.wire_nbytes("int8", 2, 16) + 8 * 2
         )
         store.load("node", 0)
-        assert store.bytes_received == full
+        assert counts(store.metrics)["backend.wire_bytes_received"] == full
 
 
 class TestCodecDriftGuard:

@@ -29,7 +29,7 @@ from repro.graph.storage import (
     StorageError,
 )
 from repro.stats.memory import MemoryModel
-from tests.helpers import record_thread_starts
+from tests.helpers import counts, record_thread_starts
 
 
 def make_edges(num_nodes=200, num_edges=3000, seed=42) -> EdgeList:
@@ -355,7 +355,7 @@ class TestWritebackDurability:
         got, from_staged = pipe.take("node", 0)  # blocks on the save
         assert from_staged and got[0] is w
         assert store.completed_saves == 1
-        assert pipe.writeback_stall_seconds > 0.0
+        assert counts(pipe.metrics)["pipeline.writeback_stall_time"] > 0.0
         pipe.close()
 
     def test_take_returns_after_on_flushed(self, tmp_path):
@@ -483,7 +483,7 @@ class TestPartitionPipeline:
         storage.save("node", 0, fresh_w, fresh_s)  # ... then superseded
         got, from_cache = pipe.take("node", 0)
         assert not from_cache
-        assert pipe.stale_hits == 1
+        assert counts(pipe.metrics)["pipeline.stale_prefetches"] == 1
         np.testing.assert_array_equal(got[0], fresh_w)
         pipe.close()
 
@@ -508,7 +508,8 @@ class TestPartitionPipeline:
         pipe.park("node", 0, w, s, on_flushed=lambda: events.append(0))
         assert events == [0]
         assert storage.exists("node", 0)
-        assert pipe.nbytes() == 0 and pipe.evictions == 1
+        assert pipe.nbytes() == 0
+        assert counts(pipe.metrics)["pipeline.cache_evictions"] == 1
         pipe.drain()
         assert events == [0]
         pipe.close()

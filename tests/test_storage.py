@@ -10,6 +10,7 @@ from repro.graph.storage import (
     PartitionedEmbeddingStorage,
     StorageError,
 )
+from tests.helpers import counts
 
 
 class TestPartitionedEmbeddingStorage:
@@ -366,5 +367,5 @@ class TestStorageRoundtripFuzz:
                 del latest[key]
             if budget:
                 assert pipe.nbytes() <= budget
-        assert pipe.evictions > 0
+        assert counts(pipe.metrics)["pipeline.cache_evictions"] > 0
         pipe.close()

@@ -13,6 +13,7 @@ The load-bearing properties:
   that the analyzer (and chrome://tracing) can load.
 """
 
+import dataclasses
 import json
 import threading
 
@@ -36,6 +37,7 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     metric_key,
+    view,
 )
 
 
@@ -239,16 +241,25 @@ class TestMetrics:
         assert s["mean"] == 2.0
         assert s["min"] == 1.0 and s["max"] == 3.0
 
-    def test_registry_get_or_create_and_snapshot(self):
+    def test_registry_get_or_create_and_view(self):
+        @dataclasses.dataclass
+        class Hits:
+            hits: int
+            machine: int
+
         r = MetricsRegistry()
         c1 = r.counter("pipeline.hits", machine=1)
         c1.inc(3)
         assert r.counter("pipeline.hits", machine=1) is c1
         assert r.counter("pipeline.hits", machine=2) is not c1
-        r.gauge("resident").set(7.0)
-        snap = r.snapshot()
-        assert snap["pipeline.hits{machine=1}"] == 3.0
-        assert snap["resident"] == 7.0
+        r.gauge("resident.hits").set(7.0)
+        # Labelled counters and gauges feed no field.
+        with pytest.raises(KeyError, match="Hits.hits"):
+            view(Hits, r, machine=1)
+        r.counter("pipeline.hits").inc(2.0)
+        got = view(Hits, r, machine=1)
+        assert got == Hits(hits=2, machine=1)
+        assert type(got.hits) is int
 
     def test_registry_rejects_kind_mismatch(self):
         r = MetricsRegistry()

@@ -1,9 +1,10 @@
 """Shared builders for the benchmark suite.
 
 All benchmark scales are laptop-sized stand-ins for the paper's
-datasets (see DESIGN.md §2); the *trends* across configurations are the
-reproduction target, not absolute numbers. Datasets are module-cached
-so sweeps over partitions/machines reuse one graph.
+datasets (``benchmarks/paper/run.py`` quotes the paper's numbers beside
+each claim); the *trends* across configurations are the reproduction
+target, not absolute numbers. Datasets are module-cached so sweeps over
+partitions/machines reuse one graph.
 """
 
 from __future__ import annotations

@@ -331,6 +331,7 @@ class ConfigSchema:
     # training one part per visit. Interleaving buckets more often
     # counteracts the slower convergence of grouped (non-i.i.d.) edge
     # sampling, at the cost of proportionally more partition swaps.
+    # Single-machine trainer only.
     stratum_passes: int = 1
     # Partition codec for swapped partitions: on the wire (partition
     # server transfers and hosted shards) and on disk (single-machine
@@ -358,7 +359,7 @@ class ConfigSchema:
     # section; training ignores it).
     serving: ServingConfig = field(default_factory=ServingConfig)
 
-    # Evaluation during training.
+    # Evaluation during training (single-machine trainer only).
     eval_fraction: float = 0.0
 
     # Reproducibility.

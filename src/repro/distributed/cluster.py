@@ -101,7 +101,7 @@ from typing import Callable
 import numpy as np
 
 from repro import telemetry
-from repro.config import ConfigSchema
+from repro.config import ConfigError, ConfigSchema
 # Unused here: outside-in instrumentation (benchmarks/perf) rebinds
 # these two names on this module as well as on core.trainer.
 from repro.core.batching import iterate_batches, iterate_chunks  # noqa: F401
@@ -501,6 +501,18 @@ class DistributedTrainer:
         if bandwidth_bytes_per_s is not None:
             raise ValueError(
                 "the modelled NIC is gone: bandwidth_bytes_per_s must be None"
+            )
+        # Machines train each granted bucket's edges whole and never
+        # hold out edges: refuse the single-machine knobs, don't drop them.
+        if config.stratum_passes > 1:
+            raise ConfigError(
+                "stratum_passes > 1 is single-machine only; "
+                "DistributedTrainer trains each bucket once per epoch"
+            )
+        if config.eval_fraction > 0:
+            raise ConfigError(
+                "eval_fraction > 0 is single-machine only; "
+                "DistributedTrainer does no in-training evaluation"
             )
         self.config = config
         self.entities = entities

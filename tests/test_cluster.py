@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import ConfigSchema, EntitySchema, RelationSchema
+from repro.config import ConfigError, ConfigSchema, EntitySchema, RelationSchema
 from repro.distributed.cluster import DistributedTrainer
 from repro.eval.ranking import LinkPredictionEvaluator
 from repro.graph.edgelist import EdgeList
@@ -60,6 +60,14 @@ class TestThreadMode:
         with pytest.raises(ValueError, match="bandwidth_bytes_per_s"):
             DistributedTrainer(config, entities, bandwidth_bytes_per_s=1e6)
         DistributedTrainer(config, entities, bandwidth_bytes_per_s=None)
+
+    @pytest.mark.parametrize(
+        "field, value", [("stratum_passes", 2), ("eval_fraction", 0.1)]
+    )
+    def test_single_machine_knobs_refused(self, field, value):
+        config, entities = _setup(1, 2, **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            DistributedTrainer(config, entities)
 
     def test_single_machine_trains(self):
         config, entities = _setup(1, 2)

@@ -315,7 +315,7 @@ class TestFingerprint:
         records = [
             json.loads(line) for line in HISTORY.read_text().splitlines()
         ]
-        assert len(records) >= 33
+        assert len(records) >= 52
         for record in records:
             assert record["provenance"]["config_fingerprint"] == (
                 fingerprint(record["params"])

@@ -548,12 +548,12 @@ def _machine_curves(report: Report, figure: str, graph, name: str,
         )
         points = curves[machines] = []
 
-        def record_epoch(epoch, model):
-            # epoch_times excludes evaluation: the coordinator records
-            # the epoch's wallclock before invoking this callback and
-            # restarts the clock after it returns.
-            cumulative = sum(trainer.current_stats.epoch_times)
-            m = _prevalence_eval(model, train, test, 500, 1000)
+        def record_epoch(epoch, stats):
+            # epoch_times excludes evaluation: an epoch's wallclock ends
+            # at the drain barrier, before this callback runs.
+            cumulative = sum(stats.epoch_times)
+            m = _prevalence_eval(trainer.assemble_model(), train, test,
+                                 500, 1000)
             points.append((epoch, cumulative, m.mrr))
 
         trainer.train(train, after_epoch=record_epoch)

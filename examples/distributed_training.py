@@ -46,11 +46,12 @@ def run(num_machines: int, graph, train, test) -> None:
         candidate_sampling="prevalence", train_edges=train,
         rng=np.random.default_rng(1),
     )
+    losses = " ".join(f"{e.mean_loss:.3f}" for e in stats.epochs)
     print(
         f"M={num_machines}: P={nparts:2d}  MRR {metrics.mrr:.3f}  "
         f"time {stats.total_time:5.1f}s  "
-        f"peak/machine {stats.peak_machine_bytes / 1e6:5.1f} MB  "
-        f"idle {stats.mean_idle_fraction:.0%}"
+        f"peak/machine {stats.peak_resident_bytes / 1e6:5.1f} MB  "
+        f"idle {stats.mean_idle_fraction:.0%}  loss/epoch {losses}"
     )
 
 

@@ -39,7 +39,7 @@ from repro.config import (
     ServingConfig,
     fingerprint,
 )
-from repro.core.checkpointing import load_model, save_model
+from repro.core.checkpointing import load_model
 from repro.core.model import EmbeddingModel
 from repro.core.trainer import Trainer
 from repro.eval.ranking import LinkPredictionEvaluator
@@ -151,15 +151,19 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 name,
                 partition_entities(counts[name], schema.num_partitions, rng),
             )
-    if config.num_machines > 1:
-        return _train_distributed(args, config, entities, edges)
-    model = EmbeddingModel(config, entities)
-    partitioned = any(s.num_partitions > 1 for s in config.entities.values())
-    if partitioned and config.checkpoint_dir is None:
+    distributed = config.num_machines > 1
+    if distributed:
+        from repro.distributed.cluster import DistributedTrainer
+
+        trainer = DistributedTrainer(config, entities, mode=args.mode)
+    elif config.checkpoint_dir is None and any(
+        s.num_partitions > 1 for s in config.entities.values()
+    ):
         print("error: partitioned training requires --checkpoint "
               "(or checkpoint_dir in the config)", file=sys.stderr)
         return 2
-    trainer = Trainer(config, model, entities)
+    else:
+        trainer = Trainer(config, EmbeddingModel(config, entities), entities)
 
     def progress(epoch: int, stats) -> None:
         e = stats.epochs[-1]
@@ -177,71 +181,42 @@ def _cmd_train(args: argparse.Namespace) -> int:
             )
         print(line)
 
+    # Process-mode machines record into their own copies of the tracer.
     tracer = _arm_tracer(config)
     try:
         stats = trainer.train(edges, after_epoch=progress)
     finally:
         _finish_tracer(tracer, config)
-    print(
-        f"done: {stats.total_edges} edge-visits in {stats.total_time:.1f}s "
-        f"({stats.edges_per_second:,.0f} edges/s), peak "
-        f"{stats.peak_resident_bytes / 1e6:.1f} MB"
+    if distributed:
+        _, stats = stats  # the cluster trainer also returns its model
+    line = (
+        f"done: {stats.total_edges} edge-visits"
+        + (f" on {config.num_machines} machines" if distributed else "")
+        + f" in {stats.total_time:.1f}s ({stats.edges_per_second:,.0f} "
+        f"edges/s), peak {stats.peak_resident_bytes / 1e6:.1f} MB"
     )
+    if distributed:
+        line += f" per machine, idle {stats.mean_idle_fraction:.0%}"
+    print(line)
     _print_digest(tracer)
     if config.pipeline and args.verbose:
         p = stats.pipeline
-        print(
+        line = (
             f"pipeline: {p.hit_rate:.0%} prefetch hit rate "
             f"({p.prefetch_hits}/{p.prefetch_hits + p.prefetch_misses}), "
             f"{p.prefetch_wait_time:.1f}s prefetch wait, "
             f"{p.writeback_stall_time:.1f}s writeback stall"
         )
-    # The trainer checkpointed every epoch: nothing more to write.
-    if config.checkpoint_dir is not None and config.num_epochs:
-        print(f"checkpoint written to {config.checkpoint_dir}")
-    return 0
-
-
-def _train_distributed(
-    args: argparse.Namespace,
-    config: ConfigSchema,
-    entities: EntityStorage,
-    edges: EdgeList,
-) -> int:
-    """Train on the simulated cluster (config.num_machines > 1); the
-    ``--pipeline`` / ``--partition-cache-budget`` flags apply to the
-    per-machine partition-server prefetch pipeline."""
-    from repro.distributed.cluster import DistributedTrainer
-
-    trainer = DistributedTrainer(config, entities, mode=args.mode)
-    # No after_epoch callback: passing one makes the coordinator
-    # assemble the full model every epoch (every partition copied off
-    # the server) while all machines idle at the barrier.
-    # Note: in process mode the trace only sees the coordinator —
-    # worker processes have their own (disarmed) tracer global.
-    tracer = _arm_tracer(config)
-    try:
-        model, stats = trainer.train(edges)
-    finally:
-        _finish_tracer(tracer, config)
-    for epoch, seconds in enumerate(stats.epoch_times):
-        print(f"epoch {epoch}: {seconds:.1f}s")
-    print(
-        f"done: {stats.total_edges} edge-visits on "
-        f"{config.num_machines} machines in {stats.total_time:.1f}s, "
-        f"peak/machine {stats.peak_machine_bytes / 1e6:.1f} MB, "
-        f"idle {stats.mean_idle_fraction:.0%}"
-    )
-    _print_digest(tracer)
-    if config.pipeline and args.verbose:
-        print(
-            f"pipeline: {stats.prefetch_hit_rate:.0%} prefetch hit rate, "
-            f"{stats.reservation_accuracy:.0%} reservation accuracy, "
-            f"{stats.transfer_overlap_seconds:.1f}s transfer overlapped"
-        )
-    if (
+        if distributed:
+            line += (
+                f", {stats.reservation_accuracy:.0%} reservation accuracy, "
+                f"{sum(m.transfer_overlap_time for m in stats.machines):.1f}s "
+                "transfer overlapped"
+            )
+        print(line)
+    if distributed and args.verbose and (
         config.partition_compression != "none" or config.writeback_delta
-    ) and args.verbose:
+    ):
         deltas = sum(m.delta_pushes for m in stats.machines)
         fallbacks = sum(m.delta_fallbacks for m in stats.machines)
         print(
@@ -250,11 +225,8 @@ def _train_distributed(
             f"{stats.wire_bytes_saved / 1e6:.1f} MB saved, "
             f"{deltas} delta pushes ({fallbacks} stale fallbacks)"
         )
-    # The cluster trainer does not checkpoint; the coordinator does.
+    # Either trainer checkpointed every epoch: nothing more to write.
     if config.checkpoint_dir is not None and config.num_epochs:
-        save_model(config.checkpoint_dir, model, entities,
-                   metadata={"epoch": config.num_epochs - 1},
-                   codec=config.partition_compression)
         print(f"checkpoint written to {config.checkpoint_dir}")
     return 0
 

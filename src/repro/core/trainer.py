@@ -1,4 +1,4 @@
-"""The bucket loop, and the single-machine trainer that drives it.
+"""The bucket loop, the epoch loop, and the single-machine trainer.
 
 Implements the paper's Section 4.1 training loop. Each epoch iterates
 the edge buckets in the configured order; for bucket ``(i, j)`` the
@@ -54,9 +54,8 @@ Ownership rules (who may touch which buffers):
    lands. Arrays handed to it must not be mutated meanwhile; the
    pipeline enforces this by blocking :meth:`PartitionPipeline.take`
    until a pending write of that partition completes
-   (flush-before-reuse), and
-   the epoch-end flush and checkpoints drain the whole queue first
-   (see :func:`repro.core.checkpointing.save_model`'s ``barrier``).
+   (flush-before-reuse), and the epoch-end flush drains the whole
+   queue before :func:`run_epochs` checkpoints.
 4. Whoever counts landed write-backs per partition *index* hears of
    **every** partition of an eviction pass before the first is parked:
    entity types share indices, and the count must not drain between
@@ -72,6 +71,7 @@ from __future__ import annotations
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable
@@ -80,6 +80,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.config import ConfigSchema
+from repro.core import checkpointing
 from repro.core.batching import iterate_batches, iterate_chunks  # noqa: F401
 from repro.core.model import ChunkStats, EmbeddingModel
 from repro.core.tables import DenseEmbeddingTable
@@ -96,7 +97,7 @@ from repro.telemetry.metrics import view
 
 __all__ = [
     "BucketExecutor", "Trainer", "TrainingStats", "EpochStats",
-    "PipelineStats",
+    "PipelineStats", "run_epochs",
 ]
 
 
@@ -147,10 +148,14 @@ class EpochStats:
     loss: float = 0.0
     num_edges: int = 0
     violations: int = 0
+    #: seconds training / moving partitions; in cluster mode these are
+    #: machine-seconds, summed over machines
     train_time: float = 0.0
     io_time: float = 0.0
     swaps: int = 0
     pipeline: PipelineStats = field(default_factory=PipelineStats)
+    #: the epoch's wallclock, checkpoint and after_epoch excluded
+    wall_time: float = 0.0
     #: in-training evaluation (config.eval_fraction > 0): mean MRR of
     #: held-out bucket edges before / after training each bucket,
     #: weighted by held-out edge counts (PBG's per-bucket eval stats).
@@ -162,10 +167,19 @@ class EpochStats:
     def mean_loss(self) -> float:
         return self.loss / max(self.num_edges, 1)
 
+    def merge(self, other: "EpochStats") -> None:
+        """Add another share of the same epoch (one machine's report)."""
+        for name in (
+            "loss", "num_edges", "violations", "train_time", "io_time",
+            "swaps",
+        ):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.pipeline.merge(other.pipeline)
+
 
 @dataclass
 class TrainingStats:
-    """Whole-run statistics returned by :meth:`Trainer.train`."""
+    """Whole-run statistics of either trainer (:func:`run_epochs`)."""
 
     epochs: "list[EpochStats]" = field(default_factory=list)
     peak_resident_bytes: int = 0
@@ -178,6 +192,10 @@ class TrainingStats:
     @property
     def total_edges(self) -> int:
         return sum(e.num_edges for e in self.epochs)
+
+    @property
+    def epoch_times(self) -> "list[float]":
+        return [e.wall_time for e in self.epochs]
 
     @property
     def edges_per_second(self) -> float:
@@ -423,6 +441,56 @@ class BucketExecutor:
         return stats
 
 
+def run_epochs(
+    config: ConfigSchema,
+    entities: EntityStorage,
+    stats: TrainingStats,
+    session,
+    after_epoch: Callable[[int, TrainingStats], None] | None = None,
+) -> TrainingStats:
+    """The epoch loop of both trainers; they differ only in ``session``.
+
+    ``session`` is a context manager that brings up what an epoch runs
+    on, tears it down on exit, and yields ``(run_epoch, snapshot)``:
+    ``run_epoch(epoch)`` trains one epoch and returns its
+    :class:`EpochStats`, leaving every partition resident or durably
+    stored; ``snapshot()`` returns the complete model. Per epoch: the
+    ``epoch`` span around ``run_epoch``, a checkpoint of ``snapshot()``
+    when ``config.checkpoint_dir`` is set (paper Figure 2: trainers
+    write checkpoints to the shared filesystem), then
+    ``after_epoch(epoch, stats)`` — evaluation callbacks may read the
+    model (learning curves, Figures 5–7).
+    """
+    start = time.perf_counter()
+    # Arm tracing when the config asks for it and nothing outer (CLI,
+    # benchmark, test) already owns a tracer; whoever arms, exports.
+    owned_tracer = None
+    if config.trace_path and telemetry.active() is None:
+        owned_tracer = telemetry.enable()
+    telemetry.set_lane("trainer.main")
+    try:
+        with session as (run_epoch, snapshot):
+            for epoch in range(config.num_epochs):
+                with telemetry.span("epoch", cat="phase", epoch=epoch):
+                    stats.epochs.append(run_epoch(epoch))
+                if config.checkpoint_dir is not None:
+                    checkpointing.save_model(
+                        config.checkpoint_dir, snapshot(), entities,
+                        metadata={"epoch": epoch},
+                        codec=config.partition_compression,
+                    )
+                if after_epoch is not None:
+                    after_epoch(epoch, stats)
+    finally:
+        if owned_tracer is not None:
+            try:
+                owned_tracer.export(config.trace_path)
+            finally:
+                telemetry.disable()
+    stats.total_time = time.perf_counter() - start
+    return stats
+
+
 class Trainer:
     """Partition-aware single-machine trainer.
 
@@ -493,12 +561,7 @@ class Trainer:
         edges: EdgeList,
         after_epoch: Callable[[int, "TrainingStats"], None] | None = None,
     ) -> TrainingStats:
-        """Run ``config.num_epochs`` over ``edges``; returns statistics.
-
-        ``after_epoch(epoch, stats_so_far)`` is invoked with all
-        partitions resident or persisted — evaluation callbacks can
-        safely read the model (learning-curve harness, Figures 5–7).
-        """
+        """Run ``config.num_epochs`` over ``edges`` (:func:`run_epochs`)."""
         bucketed = bucket_edges(edges, self.config, self.entities)
         return self.train_bucketed(bucketed, after_epoch=after_epoch)
 
@@ -509,17 +572,16 @@ class Trainer:
     ) -> TrainingStats:
         """Train on pre-bucketed edges (see :func:`bucket_edges`)."""
         stats = TrainingStats()
-        start = time.perf_counter()
-        # Arm tracing when the config asks for it and nothing outer
-        # (CLI, benchmark, test) already owns a tracer; whoever arms,
-        # exports.
-        owned_tracer = None
-        if self.config.trace_path and telemetry.active() is None:
-            owned_tracer = telemetry.enable()
-        telemetry.set_lane("trainer.main")
-        # The pipeline lives for one training run; the distributed
-        # trainer builds the same subsystem over a partition-server
-        # backend instead of disk.
+        run_epochs(
+            self.config, self.entities, stats,
+            self._session(bucketed, stats), after_epoch,
+        )
+        if self.storage is not None:
+            stats.partition_store_bytes = self.storage.nbytes()
+        return stats
+
+    @contextmanager
+    def _session(self, bucketed: BucketedEdges, stats: TrainingStats):
         pipeline = None
         if self._partitioned:
             pipeline = PartitionPipeline(
@@ -532,22 +594,15 @@ class Trainer:
         )
         self._ensure_global_types(executor.global_types)
         try:
-            for epoch in range(self.config.num_epochs):
-                pipe_base = executor.pipeline_stats()
-                with telemetry.span("epoch", cat="phase", epoch=epoch):
-                    epoch_stats = self._run_epoch(
-                        epoch, bucketed, stats, executor
-                    )
-                stats.epochs.append(epoch_stats)
-                if self.config.checkpoint_dir is not None:
-                    self._write_checkpoint(epoch, pipeline)
-                # Snapshot after the checkpoint: its barrier's drain
-                # belongs to the epoch just checkpointed.
-                epoch_stats.pipeline = executor.pipeline_stats().since(
-                    pipe_base
-                )
-                if after_epoch is not None:
-                    after_epoch(epoch, stats)
+            yield (
+                partial(
+                    self._run_epoch, bucketed=bucketed, run_stats=stats,
+                    executor=executor,
+                ),
+                # Only the resident partitions: the evicted ones are in
+                # the partition store, the checkpoint's own embeddings/.
+                lambda: self.model,
+            )
         finally:
             if pipeline is not None:
                 failing = sys.exc_info()[0] is not None
@@ -558,40 +613,6 @@ class Trainer:
                     # the original exception with a writeback error.
                     if not failing:
                         raise
-            if owned_tracer is not None:
-                try:
-                    owned_tracer.export(self.config.trace_path)
-                finally:
-                    telemetry.disable()
-        stats.total_time = time.perf_counter() - start
-        if self.storage is not None:
-            stats.partition_store_bytes = self.storage.nbytes()
-        return stats
-
-    def _write_checkpoint(
-        self, epoch: int, pipeline: "PartitionPipeline | None"
-    ) -> None:
-        """Persist the model after an epoch (paper Figure 2: trainers
-        intermittently write checkpoints to the shared filesystem).
-
-        With partitioned training only resident partitions are saved
-        here; the evicted ones were already flushed to the partition
-        store, which is the checkpoint's own ``embeddings/`` directory,
-        so the checkpoint is complete. The barrier drains the
-        pipeline's writeback queue so the partition store is consistent
-        with training state before the checkpoint claims to be (the
-        epoch-end flush just did; this holds whatever ran since).
-        """
-        from repro.core.checkpointing import save_model
-
-        save_model(
-            self.config.checkpoint_dir,
-            self.model,
-            self.entities,
-            metadata={"epoch": epoch},
-            barrier=pipeline.drain if pipeline is not None else None,
-            codec=self.config.partition_compression,
-        )
 
     # ------------------------------------------------------------------
     # Epoch machinery
@@ -617,7 +638,9 @@ class Trainer:
         run_stats: TrainingStats,
         executor: BucketExecutor,
     ) -> EpochStats:
+        start = time.perf_counter()
         estats = EpochStats(epoch=epoch)
+        pipe_base = executor.pipeline_stats()
         order = bucket_order(
             self.config.bucket_order,
             bucketed.nparts_lhs,
@@ -693,6 +716,8 @@ class Trainer:
         t0 = time.perf_counter()
         executor.flush(keep_resident=True)
         estats.io_time += time.perf_counter() - t0
+        estats.pipeline = executor.pipeline_stats().since(pipe_base)
+        estats.wall_time = time.perf_counter() - start
         return estats
 
     _EVAL_CANDIDATES = 100

@@ -22,9 +22,14 @@ Two transports are provided:
   payloads — an honest stand-in for the paper's TCP transport). The
   scaling benchmarks use this mode: compute parallelism is real.
 
-In both modes the caller is the coordinator: workers meet a barrier at
-each epoch end; the coordinator flushes learning-curve evaluations,
-resets the lock server, and releases the next epoch.
+In both modes the caller is the coordinator, and it runs the
+single-machine epoch loop (:func:`~repro.core.trainer.run_epochs`): it
+gives the machines an epoch's go-ahead and waits at the drain barrier,
+before which each machine queues a report of its share (loss, edges,
+swaps, train/io seconds, pipeline counters). The coordinator sums the
+reports into the epoch's ``EpochStats``, resets the lock server and,
+with ``checkpoint_dir`` set, checkpoints there: the model assembled
+from the servers, saved like the single-machine trainer's.
 
 The bucket loop and its two pipeline modes
 ------------------------------------------
@@ -64,8 +69,8 @@ the critical path (pipelined):
   prefetch miss; staged copies are version-checked against the server,
   so a stale prefetch is never consumed.
 - **Drain barrier.** The epoch-end flush evicts everything and drains,
-  so the partition server is complete and consistent before the
-  coordinator assembles a model or checkpoints.
+  so the partition server is complete and consistent when the
+  coordinator checkpoints and runs ``after_epoch``.
 - **First touch stays home**, on the owning machine's main thread
   (never the prefetch thread), so with one machine the pipelined run
   is bit-identical to the synchronous one under a fixed seed.
@@ -95,6 +100,7 @@ import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing.managers import BaseManager
 from typing import Callable
 
@@ -107,7 +113,12 @@ from repro.config import ConfigError, ConfigSchema
 from repro.core.batching import iterate_batches, iterate_chunks  # noqa: F401
 from repro.core.model import EmbeddingModel
 from repro.core.tables import DenseEmbeddingTable
-from repro.core.trainer import BucketExecutor
+from repro.core.trainer import (
+    BucketExecutor,
+    EpochStats,
+    TrainingStats,
+    run_epochs,
+)
 from repro.distributed.lock_server import LockServer
 from repro.distributed.parameter_server import (
     ParameterServer,
@@ -179,21 +190,12 @@ class MachineStats:
 
 
 @dataclass
-class DistributedStats:
-    """Whole-cluster run statistics."""
+class DistributedStats(TrainingStats):
+    """A cluster run's :class:`TrainingStats` (one :class:`EpochStats`
+    per epoch, built from every machine's report; ``peak_resident_bytes``
+    is the largest machine's) plus each machine's accounting."""
 
     machines: "list[MachineStats]" = field(default_factory=list)
-    total_time: float = 0.0
-    epoch_times: "list[float]" = field(default_factory=list)
-
-    @property
-    def peak_machine_bytes(self) -> int:
-        """Max over machines of resident + hosted-shard memory."""
-        return max((m.peak_resident_bytes for m in self.machines), default=0)
-
-    @property
-    def total_edges(self) -> int:
-        return sum(m.num_edges for m in self.machines)
 
     @property
     def mean_idle_fraction(self) -> float:
@@ -204,9 +206,7 @@ class DistributedStats:
     @property
     def prefetch_hit_rate(self) -> float:
         """Fraction of bucket swap-ins served from the staging caches."""
-        hits = sum(m.prefetch_hits for m in self.machines)
-        total = hits + sum(m.prefetch_misses for m in self.machines)
-        return hits / total if total else 0.0
+        return self.pipeline.hit_rate
 
     @property
     def reservation_accuracy(self) -> float:
@@ -215,12 +215,6 @@ class DistributedStats:
         hits = sum(m.reservation_hits for m in self.machines)
         total = sum(m.reservations for m in self.machines)
         return hits / total if total else 0.0
-
-    @property
-    def transfer_overlap_seconds(self) -> float:
-        """Partition-server transfer seconds hidden behind compute,
-        summed over machines."""
-        return sum(m.transfer_overlap_time for m in self.machines)
 
     @property
     def wire_bytes_total(self) -> int:
@@ -298,18 +292,16 @@ def _machine_main(
     barrier,
     result_queue,
 ) -> None:
-    """One machine's full run (works with objects or proxies)."""
+    """One machine's full run (works with objects or proxies); every
+    epoch ends by queueing an ``("epoch", EpochStats, MachineStats)``
+    report, then meeting the drain barrier."""
     cfg = ctx.config
     telemetry.set_lane(f"machine-{ctx.machine}.main")
     # Per-machine registry: the MachineStats shipped to the coordinator
     # is a view of these counters plus the pipeline's and the adapter's,
-    # each named after the field it feeds.
+    # each named after the field it feeds, and of the epoch reports.
     registry = MetricsRegistry()
-    c_train = registry.counter("machine.train_time")
-    c_transfer = registry.counter("machine.transfer_time")
     c_idle = registry.counter("machine.idle_time")
-    c_loss = registry.counter("machine.loss")
-    c_edges = registry.counter("machine.num_edges")
     c_buckets = registry.counter("machine.buckets_trained")
     c_reservations = registry.counter("machine.reservations")
     c_res_hits = registry.counter("machine.reservation_hits")
@@ -354,13 +346,19 @@ def _machine_main(
             sync=client.maybe_sync,
         )
 
-        for _epoch in range(cfg.num_epochs):
+        run = EpochStats(epoch=cfg.num_epochs)  # this machine's sums
+        for epoch in range(cfg.num_epochs):
+            barrier.wait(_BARRIER_TIMEOUT)  # coordinator go-ahead
+            report = EpochStats(epoch=epoch)
+            pipe_base = executor.pipeline_stats()
             reserved: Bucket | None = None
             while True:
                 bucket = lock_server.acquire(ctx.machine)
                 if bucket is None:
                     if lock_server.epoch_done():
                         break
+                    if barrier.broken:  # a peer died holding a bucket
+                        raise threading.BrokenBarrierError
                     executor.evict()  # starved: see module docstring
                     t0 = time.perf_counter()
                     with telemetry.span(
@@ -379,9 +377,9 @@ def _machine_main(
                     "swap.bucket", cat="stall", machine=ctx.machine,
                     bucket=f"{bucket.lhs},{bucket.rhs}",
                 ):
-                    executor.swap(bucket)
+                    report.swaps += executor.swap(bucket)
                 elapsed = time.perf_counter() - t0
-                c_transfer.inc(elapsed)
+                report.io_time += elapsed
                 inline_io += elapsed
                 hosted = partition_server.shard_nbytes()[ctx.machine]
                 g_resident.set(executor.resident_nbytes() + hosted)
@@ -401,9 +399,10 @@ def _machine_main(
                     bucket=f"{bucket.lhs},{bucket.rhs}",
                 ):
                     bstats = executor.train(bucket, edges)
-                c_train.inc(time.perf_counter() - t1)
-                c_loss.inc(bstats.loss)
-                c_edges.inc(bstats.num_edges)
+                report.train_time += time.perf_counter() - t1
+                report.loss += bstats.loss
+                report.num_edges += bstats.num_edges
+                report.violations += bstats.violations
                 c_buckets.inc()
                 lock_server.release(ctx.machine, bucket, defer=True)
 
@@ -415,22 +414,21 @@ def _machine_main(
                 executor.flush(keep_resident=False)
                 inline_io += time.perf_counter() - t0
                 client.maybe_sync(force=True)
-            c_transfer.inc(time.perf_counter() - t0)
+            report.io_time += time.perf_counter() - t0
+            report.pipeline = executor.pipeline_stats().since(pipe_base)
+            run.merge(report)
+            mstats = view(
+                MachineStats, registry, pipe.metrics, backend.metrics,
+                machine=ctx.machine,
+                loss=run.loss, num_edges=run.num_edges,
+                train_time=run.train_time, transfer_time=run.io_time,
+                peak_resident_bytes=int(g_resident.max),
+                transfer_overlap_time=max(  # see MachineStats
+                    0.0, backend.io_seconds.value - inline_io
+                ),
+            )
+            result_queue.put(("epoch", report, mstats))
             barrier.wait(_BARRIER_TIMEOUT)  # epoch end
-            barrier.wait(_BARRIER_TIMEOUT)  # coordinator go-ahead
-        mstats = view(
-            MachineStats, registry, pipe.metrics, backend.metrics,
-            machine=ctx.machine,
-            peak_resident_bytes=int(g_resident.max),
-            # Partition-server I/O hidden behind compute: total adapter
-            # I/O seconds minus what was still paid inline (swap waits,
-            # flush barriers) — parameter-server sync is excluded. In
-            # synchronous mode all of it is inline.
-            transfer_overlap_time=max(
-                0.0, backend.io_seconds.value - inline_io
-            ),
-        )
-        result_queue.put(("ok", mstats))
     except BaseException as exc:
         # Abort first so peers (and the coordinator) fall out of their
         # barrier waits instead of hanging until the timeout; then ship
@@ -528,89 +526,96 @@ class DistributedTrainer:
             for t in entities.types
             if t in config.entities and entities.num_partitions(t) == 1
         ]
-        self._partitioned_types = [
-            t
-            for t in entities.types
-            if t in config.entities and entities.num_partitions(t) > 1
-        ]
 
     # ------------------------------------------------------------------
 
     def train(
         self,
         edges: EdgeList,
-        after_epoch: Callable[[int, EmbeddingModel], None] | None = None,
+        after_epoch: Callable[[int, DistributedStats], None] | None = None,
     ) -> tuple[EmbeddingModel, DistributedStats]:
         """Run the cluster; returns the assembled model and statistics.
 
-        ``after_epoch(epoch, model)`` runs in the coordinator (this
-        process) with a freshly assembled model while the machines wait
-        at the epoch barrier — its cost is excluded from epoch times.
-        """
+        The epoch loop is :func:`~repro.core.trainer.run_epochs`; its
+        checkpoint and ``after_epoch`` run at the drain barrier, outside
+        ``stats.epoch_times`` (a callback that needs the model calls
+        :meth:`assemble_model`)."""
         bucketed = bucket_edges(edges, self.config, self.entities)
         if bucketed.nparts_lhs != bucketed.nparts_rhs:
             raise ValueError(
                 "distributed training expects a square partition grid"
             )
-
-        with self._launch(bucketed) as (barrier, result_queue, workers):
-            stats = DistributedStats()
-            #: live view of the running stats (epoch_times grows as
-            #: epochs complete) — learning-curve callbacks read this.
-            self.current_stats = stats
-            start = time.perf_counter()
-            epoch_start = start
-            for w in workers:
-                w.start()
-            barrier_broken = False
-            try:
-                for epoch in range(self.config.num_epochs):
-                    barrier.wait(_BARRIER_TIMEOUT)  # workers hit epoch end
-                    stats.epoch_times.append(
-                        time.perf_counter() - epoch_start
-                    )
-                    if after_epoch is not None:
-                        after_epoch(epoch, self.assemble_model())
-                    self.lock_server.new_epoch()
-                    epoch_start = time.perf_counter()
-                    barrier.wait(_BARRIER_TIMEOUT)  # release next epoch
-            except threading.BrokenBarrierError:
-                barrier_broken = True  # a worker failed; surface below
-            except Exception:
-                barrier.abort()
-                raise
-            finally:
-                results: list = []
-                deadline = time.monotonic() + 120
-                while len(results) < self.num_machines:
-                    try:
-                        results.append(
-                            result_queue.get(
-                                timeout=max(0.1, deadline - time.monotonic())
-                            )
-                        )
-                    except queue_mod.Empty:
-                        break
-                for w in workers:
-                    w.join(timeout=30)
-            errors = [r[1] for r in results if r[0] == "error"]
-            if errors:
-                raise RuntimeError(f"machine failure(s): {errors}")
-            if barrier_broken or len(results) < self.num_machines:
-                # The barrier broke (timeout / abort) or a worker never
-                # reported, yet no error result arrived — never pretend
-                # the partial state on the servers is a trained model.
-                stuck = [w.name for w in workers if w.is_alive()]
-                raise RuntimeError(
-                    f"cluster run incomplete: {len(results)}/"
-                    f"{self.num_machines} machine results"
-                    + (f", still running: {stuck}" if stuck else "")
-                )
-            stats.machines = sorted(
-                (r[1] for r in results), key=lambda m: m.machine
+        stats = DistributedStats()
+        with self._launch(bucketed) as cluster:
+            run_epochs(
+                self.config, self.entities, stats,
+                self._session(stats, *cluster), after_epoch,
             )
-            stats.total_time = time.perf_counter() - start
             return self.assemble_model(), stats
+
+    @contextmanager
+    def _session(self, stats: DistributedStats, barrier, results, workers):
+        """Start the machines; once they exit, raise the coordinator's
+        own failure, else every machine failure (with tracebacks)."""
+        for w in workers:
+            w.start()
+        failure = None
+        try:
+            yield (
+                partial(self._run_epoch, stats=stats, barrier=barrier,
+                        results=results),
+                self.assemble_model,
+            )
+        except BaseException as exc:
+            barrier.abort()  # machines waiting for a go-ahead fall out
+            failure = exc
+        items, deadline = [], time.monotonic() + 60
+        while True:  # drain first: a process exits once its puts are taken
+            alive = any(w.is_alive() for w in workers)
+            try:
+                items.append(results.get(timeout=0.01 if alive else 0))
+            except queue_mod.Empty:
+                if not alive or time.monotonic() > deadline:
+                    break
+        errors = [item[1] for item in items if item[0] == "error"]
+        stuck = [w.name for w in workers if w.is_alive()]
+        if failure is not None and not isinstance(
+            failure, threading.BrokenBarrierError
+        ):
+            raise failure
+        if errors:
+            raise RuntimeError("machine failure(s):\n" + "\n".join(errors))
+        if failure or stuck:
+            # The barrier broke (timeout / abort) yet no error arrived —
+            # never pretend the state on the servers is a trained model.
+            raise RuntimeError(
+                "cluster run incomplete"
+                + (f", still running: {stuck}" if stuck else "")
+            )
+
+    def _run_epoch(
+        self, epoch: int, stats: DistributedStats, barrier, results
+    ) -> EpochStats:
+        """Release the machines, wait at the epoch-end barrier, and sum
+        the report each machine queued before reaching it."""
+        start = time.perf_counter()
+        barrier.wait(_BARRIER_TIMEOUT)  # go-ahead
+        barrier.wait(_BARRIER_TIMEOUT)  # every machine flushed
+        epoch_stats = EpochStats(
+            epoch=epoch, wall_time=time.perf_counter() - start
+        )
+        reports = [
+            results.get(timeout=_BARRIER_TIMEOUT)[1:]
+            for _ in range(self.num_machines)
+        ]
+        for report, _ in reports:
+            epoch_stats.merge(report)
+        stats.machines = sorted((m for _, m in reports), key=lambda m: m.machine)
+        stats.peak_resident_bytes = max(
+            m.peak_resident_bytes for m in stats.machines
+        )
+        self.lock_server.new_epoch()
+        return epoch_stats
 
     @contextmanager
     def _launch(self, bucketed: BucketedEdges):
@@ -654,11 +659,8 @@ class DistributedTrainer:
                     target=_machine_main,
                     args=(
                         _WorkerContext(
-                            machine=m,
-                            config=self.config,
-                            entities=self.entities,
-                            bucketed=bucketed,
-                            unpartitioned_types=self._unpartitioned_types,
+                            m, self.config, self.entities, bucketed,
+                            self._unpartitioned_types,
                         ),
                         self.lock_server, self.partition_server,
                         self.parameter_server, barrier, result_queue,
@@ -693,7 +695,7 @@ class DistributedTrainer:
                 DenseEmbeddingTable(*backend.load(entity_type, part)),
             )
         # Any never-stored partitions (untrained) get fresh tables.
-        for t in self._partitioned_types:
+        for t in self.config.entities:
             for p in range(self.entities.num_partitions(t)):
                 if not model.has_table(t, p):
                     model.init_partition(t, p, np.random.default_rng(seed))

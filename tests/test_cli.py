@@ -489,11 +489,10 @@ class TestCheckpointWrites:
     def test_one_write_per_epoch_with_configured_codec(
         self, workspace, capsys, monkeypatch, trainer
     ):
-        """An unpartitioned run is checkpointed by the trainer once per
-        epoch and the CLI writes nothing over it (it used to re-save the
-        last epoch with codec none); the cluster trainer does not
-        checkpoint, so the CLI writes its last epoch once. Both keep
-        the configured codec."""
+        """Either trainer checkpoints once per epoch with the configured
+        codec, and the CLI writes nothing over it (it used to re-save
+        the last epoch: with codec none after a single-machine run, as
+        the only checkpoint of a cluster run)."""
         import repro.core.checkpointing as checkpointing
 
         writes = []
@@ -516,10 +515,7 @@ class TestCheckpointWrites:
             "--checkpoint", str(ckpt), "--partition-compression", "int8",
         ]) == 0
         capsys.readouterr()
-        assert writes == (
-            [(0, "int8"), (1, "int8")] if trainer == "single"
-            else [(1, "int8")]
-        )
+        assert writes == [(0, "int8"), (1, "int8")]
         part_files = sorted(ckpt.rglob("part-*.npz"))
         assert part_files
         for part in part_files:
@@ -545,3 +541,24 @@ class TestCheckpointWrites:
         ]) == 0
         assert "checkpoint written" not in capsys.readouterr().out
         assert not (ckpt / "metadata.json").exists()
+
+
+class TestProgress:
+    @pytest.mark.parametrize("trainer", sorted(_TRAINERS))
+    def test_one_loss_line_per_epoch(self, workspace, capsys, trainer):
+        """Both trainers run one epoch loop, so both print the same
+        per-epoch progress line."""
+        tmp_path, config_path, train_path, _ = workspace
+        path = tmp_path / "run.json"
+        path.write_text(
+            ConfigSchema.from_json(config_path.read_text())
+            .replace(num_epochs=3, **_TRAINERS[trainer]).to_json()
+        )
+        assert main([
+            "train", "--config", str(path), "--edges", str(train_path),
+            "--checkpoint", str(tmp_path / "model"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert re.findall(
+            r"^epoch (\d+): loss \d+\.\d{4} ", out, re.M
+        ) == ["0", "1", "2"]

@@ -108,13 +108,22 @@ class TestThreadMode:
         trainer = DistributedTrainer(config, entities)
         snapshots = []
 
-        def cb(epoch, model):
-            emb = model.global_embeddings("node")
-            snapshots.append((epoch, float(np.linalg.norm(emb))))
+        def cb(epoch, stats):
+            emb = trainer.assemble_model().global_embeddings("node")
+            e = stats.epochs[-1]
+            snapshots.append((epoch, float(np.linalg.norm(emb)), e))
+            assert stats.epoch_times[-1] == e.wall_time > 0
 
-        trainer.train(_graph(), after_epoch=cb)
-        assert [e for e, _ in snapshots] == [0, 1, 2]
-        assert all(np.isfinite(v) for _, v in snapshots)
+        _, stats = trainer.train(_graph(), after_epoch=cb)
+        assert [e for e, _, _ in snapshots] == [0, 1, 2]
+        assert all(np.isfinite(v) for _, v, _ in snapshots)
+        # One EpochStats per epoch, summed over both machines' reports.
+        assert [e for _, _, e in snapshots] == stats.epochs
+        for e in stats.epochs:
+            assert e.num_edges == len(_graph())
+            assert np.isfinite(e.mean_loss) and e.mean_loss > 0
+            assert e.swaps > 0 and e.train_time > 0 and e.io_time > 0
+        assert stats.total_edges == sum(m.num_edges for m in stats.machines)
 
     def test_partition_server_holds_all_partitions_after_run(self):
         config, entities = _setup(2, 4)
@@ -131,7 +140,7 @@ class TestThreadMode:
             config, entities = _setup(m, p, num_epochs=1)
             trainer = DistributedTrainer(config, entities)
             _, stats = trainer.train(edges)
-            peaks[m] = stats.peak_machine_bytes
+            peaks[m] = stats.peak_resident_bytes
         assert peaks[4] < peaks[2]
 
     def test_worker_exception_propagates(self):
@@ -317,7 +326,7 @@ class TestProcessMode:
         trainer stops handing out proxies to a half-trained cluster."""
         import multiprocessing
 
-        def boom(epoch, model):
+        def boom(epoch, stats):
             raise RuntimeError("after_epoch failed")
 
         config, entities = _setup(2, 4, num_epochs=2)
@@ -326,6 +335,103 @@ class TestProcessMode:
             trainer.train(_graph(), after_epoch=boom)
         assert multiprocessing.active_children() == []
         assert trainer.partition_server is None
+
+
+def _failing_machine(monkeypatch, machine=0, epoch=1):
+    """Make ``machine``'s ``BucketExecutor.train`` raise in ``epoch``
+    (an executor is flushed once per finished epoch). Patched on the
+    class, so forked machine processes inherit it."""
+    from repro.core.trainer import BucketExecutor
+
+    flush, train = BucketExecutor.flush, BucketExecutor.train
+
+    def counting_flush(self, keep_resident):
+        self.flushes = getattr(self, "flushes", 0) + 1
+        return flush(self, keep_resident)
+
+    def failing_train(self, bucket, edges):
+        if (self.committer._machine == machine
+                and getattr(self, "flushes", 0) == epoch):
+            raise RuntimeError("injected machine failure")
+        return train(self, bucket, edges)
+
+    monkeypatch.setattr(BucketExecutor, "flush", counting_flush)
+    monkeypatch.setattr(BucketExecutor, "train", failing_train)
+
+
+class TestEpochServices:
+    """The coordinator runs the single-machine epoch loop: a cluster
+    run checkpoints every epoch, and a machine failure surfaces."""
+
+    def test_machine_failure_keeps_last_epoch_checkpoint(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main, save_edges
+        from repro.core.checkpointing import load_model
+
+        _failing_machine(monkeypatch)
+        ckpt = tmp_path / "ckpt"
+        config, entities = _setup(2, 4, checkpoint_dir=str(ckpt))
+        with pytest.raises(RuntimeError, match="machine failure") as info:
+            DistributedTrainer(config, entities).train(_graph())
+        message = str(info.value)
+        assert "machine 0: RuntimeError('injected machine failure')" in message
+        assert "Traceback" in message and "in failing_train" in message
+        _, _, _, metadata = load_model(ckpt)
+        assert metadata["epoch"] == 0
+        save_edges(tmp_path / "test.npz", _graph()[:300])
+        assert main([
+            "eval", "--checkpoint", str(ckpt),
+            "--edges", str(tmp_path / "test.npz"), "--candidates", "20",
+        ]) == 0
+        assert "checkpoint epoch: 0" in capsys.readouterr().out
+
+    @pytest.mark.slow
+    def test_machine_failure_leaves_no_child_process(self, monkeypatch):
+        import multiprocessing
+
+        _failing_machine(monkeypatch)
+        config, entities = _setup(2, 4)
+        trainer = DistributedTrainer(config, entities, mode="process")
+        with pytest.raises(RuntimeError, match="injected machine failure"):
+            trainer.train(_graph())
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("codec", ["none", "int8"])
+    def test_last_checkpoint_is_the_returned_model(
+        self, tmp_path, monkeypatch, codec
+    ):
+        """One machine's grants are deterministic. Its run writes a
+        checkpoint per epoch, and the last one holds exactly what
+        ``save_model`` of the returned model writes (the end-of-run save
+        the CLI used to make)."""
+        import repro.core.checkpointing as checkpointing
+
+        writes = []
+        save_files = checkpointing._save_model_files
+
+        def recording(checkpoint_dir, model, entities, metadata, codec):
+            writes.append(metadata["epoch"])
+            return save_files(checkpoint_dir, model, entities, metadata, codec)
+
+        monkeypatch.setattr(checkpointing, "_save_model_files", recording)
+        ckpt, end = tmp_path / "ckpt", tmp_path / "end"
+        config, entities = _setup(
+            1, 4, checkpoint_dir=str(ckpt), partition_compression=codec
+        )
+        model, _ = DistributedTrainer(config, entities).train(_graph())
+        assert writes == [0, 1, 2]
+        checkpointing.save_model(
+            end, model, entities, metadata={"epoch": 2}, codec=codec
+        )
+        files = sorted(p.relative_to(end) for p in end.rglob("*.npz"))
+        assert len(files) == 5  # shared.npz and four partitions
+        assert sorted(p.relative_to(ckpt) for p in ckpt.rglob("*.npz")) == files
+        for name in files:
+            with np.load(ckpt / name) as got, np.load(end / name) as want:
+                assert got.files == want.files
+                for key in want.files:
+                    np.testing.assert_array_equal(got[key], want[key])
 
 
 class TestSerialReleaseFetchRace:

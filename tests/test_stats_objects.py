@@ -79,17 +79,21 @@ class TestTrainingStats:
 
 
 class TestDistributedStats:
-    def test_peak_and_totals(self):
+    def test_is_training_stats_plus_machines(self):
         stats = DistributedStats(
+            epochs=[
+                EpochStats(epoch=0, num_edges=30, wall_time=2.0),
+                EpochStats(epoch=1, num_edges=30, wall_time=1.5),
+            ],
+            peak_resident_bytes=300,
             machines=[
-                MachineStats(machine=0, num_edges=10,
-                             peak_resident_bytes=100),
-                MachineStats(machine=1, num_edges=20,
-                             peak_resident_bytes=300),
-            ]
+                MachineStats(machine=0, num_edges=20),
+                MachineStats(machine=1, num_edges=40),
+            ],
         )
-        assert stats.peak_machine_bytes == 300
-        assert stats.total_edges == 30
+        assert isinstance(stats, TrainingStats)
+        assert stats.epoch_times == [2.0, 1.5]
+        assert stats.total_edges == 60
 
     def test_idle_fraction(self):
         stats = DistributedStats(
@@ -102,9 +106,26 @@ class TestDistributedStats:
 
     def test_empty_cluster_safe(self):
         stats = DistributedStats()
-        assert stats.peak_machine_bytes == 0
+        assert stats.peak_resident_bytes == 0
         assert stats.mean_idle_fraction == 0.0
         assert stats.total_edges == 0
+        assert stats.epoch_times == []
+
+
+class TestEpochStatsMerge:
+    def test_machine_reports_sum(self):
+        total = EpochStats(epoch=3, wall_time=5.0)
+        for m in range(2):
+            total.merge(EpochStats(
+                epoch=3, loss=1.5, num_edges=10, violations=2,
+                train_time=1.0, io_time=0.5, swaps=4,
+                pipeline=PipelineStats(prefetch_hits=m, prefetch_misses=1),
+            ))
+        assert total == EpochStats(
+            epoch=3, loss=3.0, num_edges=20, violations=4, train_time=2.0,
+            io_time=1.0, swaps=8, wall_time=5.0,
+            pipeline=PipelineStats(prefetch_hits=1, prefetch_misses=2),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-import statistics
 import subprocess
-import time
 from pathlib import Path
 
 import numpy as np
@@ -77,19 +75,6 @@ def provenance(params: dict) -> dict:
         "git_dirty": dirty,
         "config_fingerprint": fingerprint(params),
     }
-
-
-def time_us(fn, calls: int, repeats: int) -> float:
-    """Median over ``repeats`` of the mean µs of ``calls`` calls (after
-    one untimed warm-up call) — the micro benchmarks' clock."""
-    fn()
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        samples.append((time.perf_counter() - start) / calls * 1e6)
-    return statistics.median(samples)
 
 
 def append_history(

@@ -28,7 +28,7 @@ chunks — a short chunk is a narrower rectangle — so chunk ``i`` is scored
 against, and masked by, pool ``i`` only; they write straight into their
 slices of the score and gradient buffers. A 1000-edge batch of ten chunks
 costs ~3.1 ms; a 4 571-edge bucket of 20 relations ~18 ms as 5 batches,
-~20 as 21 one-relation ones (``benchmarks/micro/bench_chunk_step.py``).
+~20 as 21 one-relation ones (``benchmarks/micro/run.py chunk_step``).
 """
 
 from __future__ import annotations

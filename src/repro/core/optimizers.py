@@ -17,7 +17,7 @@ against 215 for the int64 ``np.argsort``; they cross at 800-1500 ids):
 neighbouring sorted rows that differ start a segment, and the segment
 starts and the permutation *are* the ``indptr`` / ``indices`` of the CSR
 selection matrix that sums each segment, so they go straight to scipy's
-``csr_matvecs``. ``benchmarks/micro/bench_chunk_step.py`` times it on
+``csr_matvecs``. ``benchmarks/micro/run.py chunk_step`` times it on
 one chunk's 400 x 64 float32 gradients with 26 % repeated rows: 30 us,
 against 112 us for ``np.unique`` + a COO-built ``csr_matrix``, 52 us for
 ``csr_matrix((data, indices, indptr))`` and 176 us for ``np.add.reduceat``.

@@ -14,7 +14,11 @@ timed calls alternate one each in turn, the side that goes first
 alternating (one warm process resolves what separate processes on a
 shared box cannot). Per row: the 10 %-trimmed mean per side, the ratio
 this / against, n, bit-identity. One history record per group; exit 1
-on a lost bit-identity or a failed check. One BLAS thread throughout.
+on a lost bit-identity or a failed check. A change that means to move a
+row's numbers names the row in ``NUMERIC_CHANGES``: its lost bit-identity
+is recorded as ``declared`` and passes, and a declared row that stays
+bit-identical against another tree fails as stale. One BLAS thread
+throughout.
 
 Usage::
 
@@ -87,6 +91,11 @@ class Group(NamedTuple):
     checks: "dict[str, Callable[[dict], bool]]" = {}
 
 
+#: row name -> why this tree's output differs from the parent's. Emptied
+#: by the change after: against another tree a declared row that stays
+#: bit-identical fails as stale.
+NUMERIC_CHANGES: "dict[str, str]" = {}
+
 #: group name -> (history ``benchmark`` name, ``build(pkg, quick)``
 #: context manager yielding the group)
 GROUPS: "dict[str, tuple[str, Callable]]" = {}
@@ -122,13 +131,17 @@ def _namespace() -> SimpleNamespace:
     })
 
 
+def _src(path: "str | Path") -> Path:
+    root = Path(path).resolve()
+    return root if (root / "repro").is_dir() else root / "src"
+
+
 def load_package(path: "str | Path") -> SimpleNamespace:
     """The ``repro`` package under ``path`` (or ``path/src``), imported as
     module objects distinct from the ``repro`` this script runs on.
     Objects that cross a pickle (``partition_rpc``'s manager process)
     resolve to this tree's classes."""
-    root = Path(path).resolve()
-    root = root if (root / "repro").is_dir() else root / "src"
+    root = _src(path)
 
     def ours():
         return [n for n in sys.modules if n.split(".")[0] == "repro"]
@@ -234,10 +247,21 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"{name}: {time.perf_counter() - start:.1f} s")
         for check, ok in checks.items():
             print(f"  {'PASS' if ok else 'FAIL'}  {check}")
-        lost = [row for row, r in rows.items() if r.get("bit_identical") is False]
+        for row, r in rows.items():
+            if r.get("bit_identical") is False and row in NUMERIC_CHANGES:
+                r["declared"] = NUMERIC_CHANGES[row]
+                print(f"  declared  {row}: {r['declared']}")
+        lost = [row for row, r in rows.items()
+                if r.get("bit_identical") is False and "declared" not in r]
+        stale = [row for row, r in rows.items()
+                 if r.get("bit_identical") and row in NUMERIC_CHANGES
+                 and _src(args.against) != _src(_ROOT.parent)]
         if lost:
             print(f"  FAIL  not bit-identical: {', '.join(lost)}")
-        if lost or not all(checks.values()):
+        if stale:
+            print(f"  FAIL  declared in NUMERIC_CHANGES, still bit-identical: "
+                  f"{', '.join(stale)}")
+        if lost or stale or not all(checks.values()):
             failed.append(name)
         record = {
             "benchmark": benchmark,

@@ -4,6 +4,7 @@ with a second copy of the tree, one timed call a row."""
 
 import importlib.util
 import json
+import shutil
 from itertools import product
 from pathlib import Path
 
@@ -99,6 +100,10 @@ def test_rows_are_the_replaced_scripts_rows(quick_pair):
         expected = [new for row in OLD_ROWS[name] if row not in MERGED
                     for new in SPLIT.get(row, [row])]
         assert sorted(records[benchmark]["rows"]) == sorted(expected), name
+    # A declared numeric change names a row (a typo would declare none).
+    assert set(run.NUMERIC_CHANGES) <= {
+        row for record in records.values() for row in record["rows"]
+    }
 
 
 def test_the_replaced_scripts_are_gone():
@@ -140,14 +145,37 @@ def _stub(outputs, checks=None):
     return "micro_stub", run.contextmanager(stub)
 
 
-def test_outputs_that_differ_lose_bit_identity(monkeypatch, tmp_path):
-    monkeypatch.setitem(run.GROUPS, "stub", _stub([1, 2]))
+@pytest.mark.parametrize("outputs, declared, against, status", [
+    ([1, 2], False, "src", 1),
+    ([1, 2], True, "src", 0),
+    ([1, 1], True, "copy", 1),
+    ([1, 1], True, "src", 0),
+], ids=["undeclared", "declared", "stale_against_a_copy", "self_pair"])
+def test_outputs_that_differ_lose_bit_identity(
+    monkeypatch, tmp_path, outputs, declared, against, status
+):
+    """A row whose output differs fails the run unless it is declared
+    in ``NUMERIC_CHANGES``; a declared row that stays bit-identical
+    fails as stale against another tree, not against ``src`` itself."""
+    monkeypatch.setitem(run.GROUPS, "stub", _stub(outputs))
+    if declared:
+        monkeypatch.setitem(run.NUMERIC_CHANGES, "row", "a deliberate change")
+    if against == "copy":
+        against = shutil.copytree(
+            SRC, tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__")
+        )
+    else:
+        against = SRC
     history = tmp_path / "history.jsonl"
-    assert run.main(["stub", "--against", str(SRC),
-                     "--history", str(history)]) == 1
+    assert run.main(["stub", "--against", str(against),
+                     "--history", str(history)]) == status
     (record,) = _records(history)
-    assert record["rows"]["row"]["bit_identical"] is False
-    assert record["rows"]["row"]["n"] == 3
+    row = record["rows"]["row"]
+    assert row["bit_identical"] is (outputs[0] == outputs[1])
+    assert row.get("declared") == (
+        "a deliberate change" if declared and not row["bit_identical"] else None
+    )
+    assert row["n"] == 3
 
 
 def test_false_check_fails_the_run(monkeypatch, tmp_path):

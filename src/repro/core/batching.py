@@ -15,6 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.core.optimizers import radix_argsort
 from repro.graph.edgelist import EdgeList
 
 __all__ = ["iterate_batches", "iterate_chunks", "chunk_bounds"]
@@ -51,12 +52,13 @@ def iterate_batches(
             yield batch[np.argsort(key, kind="stable")]
         return
 
-    order = np.argsort(edges.rel, kind="stable")
+    order = radix_argsort(edges.rel)
     rel = edges.rel[order]
     starts = np.flatnonzero(rel[1:] != rel[:-1]) + 1
     layouts: "dict[int, tuple[list, list]]" = {}  # group -> (full, tails)
     for lo, hi in zip([0, *starts], [*starts, len(rel)]):
-        mine = rng.permutation(order[lo:hi])
+        mine = order[lo:hi]
+        rng.shuffle(mine)  # = rng.permutation(mine), without the copy
         whole = len(mine) - len(mine) % chunk_size
         full, tails = layouts.setdefault(groups[rel[lo]], ([], []))
         full.append(mine[:whole])

@@ -1,5 +1,6 @@
 """Tests for minibatch construction."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -24,18 +25,6 @@ def _per_relation(batch_size, n_rel=3):
     """The packing under which a relation is its own group: the batches
     of the time a batch held one relation."""
     return dict(chunk_size=batch_size, groups=np.arange(n_rel))
-
-
-def _parent_iterate_batches(edges, batch_size, rng):
-    """``iterate_batches`` as it stood while a batch held one relation
-    (frozen copy of the grouped path)."""
-    batches = []
-    for _, rel_edges in sorted(edges.group_by_relation().items()):
-        shuffled = rel_edges.shuffled(rng)
-        for lo in range(0, len(shuffled), batch_size):
-            batches.append(shuffled[lo : lo + batch_size])
-    for i in rng.permutation(len(batches)):
-        yield batches[i]
 
 
 def _bucket_edges(n=4571, n_rel=20, seed=0):
@@ -69,21 +58,28 @@ class TestIterateBatches:
             for rid, chunk in iterate_chunks(batch, 4):
                 assert np.all(chunk.rel == rid) and len(chunk) <= 4
 
-    def test_one_relation_list_is_the_parent_batcher(self):
-        """Same batches from the same draws, whatever the chunk size."""
+    def test_one_relation_batches_are_the_golden_draws(self):
+        """Same batches from the same draws, whatever the chunk size:
+        fixed-seed batch lengths, a digest of the edge ids in batch
+        order, and the generator's next draw. The values are those of
+        the batcher of the time a batch held one relation: shuffle each
+        relation, slice it, then permute the batches."""
         rng = np.random.default_rng(3)
         edges = EdgeList(
-            rng.integers(0, 50, 103), np.full(103, 2), rng.integers(0, 50, 103),
+            np.arange(103), np.full(103, 2), rng.integers(0, 50, 103),
             rng.random(103) + 0.5,
         )
         for chunk_size in (4, 5, 16, 200):
-            rng_new, rng_old = np.random.default_rng(7), np.random.default_rng(7)
-            got = list(iterate_batches(
-                edges, 16, rng_new, chunk_size=chunk_size, groups=np.zeros(3, int)
+            rng = np.random.default_rng(7)
+            batches = list(iterate_batches(
+                edges, 16, rng, chunk_size=chunk_size, groups=np.zeros(3, int)
             ))
-            want = list(_parent_iterate_batches(edges, 16, rng_old))
-            assert got == want
-            assert rng_new.random() == rng_old.random()
+            ids = np.concatenate([batch.src for batch in batches])
+            assert [len(batch) for batch in batches] == [7] + [16] * 6
+            assert hashlib.sha256(
+                ids.astype("<i8").tobytes()
+            ).hexdigest()[:16] == "e1cc39cf97ba8a38"
+            assert rng.random() == 0.3004200814790703
 
     def test_kg_bucket_packs_into_full_batches_quickly(self):
         edges = _bucket_edges()

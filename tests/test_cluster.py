@@ -917,24 +917,42 @@ class TestSharedBucketLoop:
         """A machine that holds deferred partitions while the lock
         server has nothing for it must push them back and commit them
         (or two such machines wedge the grid). The lock server here
-        starves the machine until its deferrals are gone; since an
-        eviction only moves bytes, the run stays bit-identical to an
-        unstarved one."""
+        starves the machine once after each release while it holds
+        deferrals; its next acquire waits until the eviction's commits
+        have landed (on the writeback thread, when pipelined) and is
+        granted. Since an eviction only moves bytes, the run stays
+        bit-identical to an unstarved one."""
         import time as time_mod
 
         from repro.distributed import cluster as cluster_mod
         from repro.distributed.lock_server import LockServer
 
-        starved = []
+        starved, owed, evicting = [], set(), set()
 
         class StarvingLockServer(LockServer):
-            def acquire(self, machine):
+            def release(self, machine, bucket, defer=False):
+                super().release(machine, bucket, defer)
+                owed.add(machine)
+
+            def holds_deferrals(self, machine):
                 with self._lock:
-                    holding = machine in self._state.deferred.values()
-                    remaining = bool(self._state.remaining)
-                if holding and remaining and len(starved) < 50:
-                    starved.append(time_mod.monotonic())
-                    return None
+                    return machine in self._state.deferred.values()
+
+            def acquire(self, machine):
+                if machine in evicting:
+                    evicting.discard(machine)
+                    deadline = time_mod.monotonic() + 10.0
+                    while (self.holds_deferrals(machine)
+                           and time_mod.monotonic() < deadline):
+                        time_mod.sleep(0.001)
+                elif machine in owed:
+                    owed.discard(machine)
+                    with self._lock:
+                        remaining = bool(self._state.remaining)
+                    if remaining and self.holds_deferrals(machine):
+                        starved.append(machine)
+                        evicting.add(machine)
+                        return None
                 return super().acquire(machine)
 
         edges = _graph()
@@ -945,9 +963,9 @@ class TestSharedBucketLoop:
         config, entities = _setup(1, 4, pipeline=pipelined)
         trainer = DistributedTrainer(config, entities)
         model, stats = trainer.train(edges)
-        # Starved after (nearly) every bucket, and never for long: the
-        # first idle pass already gave the partitions up.
-        assert 3 * 15 <= len(starved) < 50
+        # Starved after every bucket but an epoch's last, once each:
+        # the first idle pass gave the partitions up.
+        assert len(starved) == 3 * 15
         # ... so the real scheduler only ever said no at an epoch's end.
         assert trainer.lock_server.stats.failed_acquires == 3
         assert stats.machines[0].buckets_trained == 3 * 16

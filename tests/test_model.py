@@ -1,5 +1,6 @@
 """Tests for the embedding model: scoring semantics and the full
-forward/backward against numerical differentiation.
+forward/backward against numerical differentiation and against the
+per-edge float64 step of ``tests/reference.py``.
 
 The backward test is the strongest correctness check in the suite: it
 records the row gradients the model sends to its tables and compares
@@ -15,6 +16,7 @@ from repro.core.model import EmbeddingModel
 from repro.core.tables import DenseEmbeddingTable
 from repro.graph.entity_storage import EntityStorage
 from tests.helpers import assert_grads_close
+from tests.reference import reference_step
 
 
 def _config(operator="translation", comparator="dot", loss="ranking",
@@ -283,519 +285,16 @@ def test_relation_param_gradient_matches_numerical():
 
 
 # ----------------------------------------------------------------------
-# Stacked chunk step ≡ a plain per-piece reference
+# The step ≡ the paper's step per edge in float64 (tests/reference.py)
 # ----------------------------------------------------------------------
 
 
-def _reference_chunk_step(model, rel_id, src, dst, lhs, rhs, rng,
-                          edge_weights):
-    """One training chunk the long way round, as the oracle.
-
-    Four gathers, every piece prepared and back-propagated on its own
-    through ``prepare_backward(x, g)``, explicit all-ones weights, one
-    relation-gradient term per piece, and a per-row Python loop for the
-    duplicate-summing Adagrad update. Shares only the leaf kernels
-    (operator, comparator scores, loss, ``sample_pool``) with
-    ``forward_backward_chunk``; draws from ``rng`` in the same order.
-    """
-    from repro.core.negatives import sample_pool
-
-    cfg = model.config
-    op, comp = model.operators[rel_id], model.comparator
-    params = model.rel_params[rel_id]
-    c = len(src)
-
-    s_raw, d_raw = lhs.weights[src], rhs.weights[dst]
-    t_dst = op.forward(d_raw, params)
-    a, b = comp.prepare(s_raw), comp.prepare(t_dst)
-    pos = comp.score_pairs(a, b)
-    weights = np.ones(c) * cfg.relations[rel_id].weight
-    if edge_weights is not None:
-        weights = weights * edge_weights
-
-    dst_pool = sample_pool(dst, dst, rhs.num_rows, cfg.num_batch_negs,
-                           cfg.num_uniform_negs, rng)
-    src_pool = sample_pool(src, src, lhs.num_rows, cfg.num_batch_negs,
-                           cfg.num_uniform_negs, rng)
-    pool_d_raw = rhs.weights[dst_pool.entities]
-    t_pool_d = op.forward(pool_d_raw, params)
-    pb = comp.prepare(t_pool_d)
-    pool_s_raw = lhs.weights[src_pool.entities]
-    pa = comp.prepare(pool_s_raw)
-    neg_dst, neg_src = comp.score_matrix(a, pb), comp.score_matrix(b, pa)
-    mask = np.hstack([dst_pool.mask, src_pool.mask])
-    loss, dpos, dneg = model.loss_fn.forward_backward(
-        pos, np.hstack([neg_dst, neg_src]), mask, weights
-    )
-
-    kd = neg_dst.shape[1]
-    ga_pos, gb_pos = comp.score_pairs_backward(a, b, dpos)
-    ga_neg, g_pb = comp.score_matrix_backward(a, pb, dneg[:, :kd])
-    gb_neg, g_pa = comp.score_matrix_backward(b, pa, dneg[:, kd:])
-    g_s = comp.prepare_backward(s_raw, ga_pos + ga_neg)
-    g_d, g_params_pos = op.backward(
-        d_raw, params, comp.prepare_backward(t_dst, gb_pos + gb_neg)
-    )
-    g_pool_d, g_params_pool = op.backward(
-        pool_d_raw, params, comp.prepare_backward(t_pool_d, g_pb)
-    )
-    g_pool_s = comp.prepare_backward(pool_s_raw, g_pa)
-
-    # Row gradients summed per (table, row), then one Adagrad step each.
-    summed: "dict[tuple[int, int], np.ndarray]" = {}
-    tables = {id(lhs): lhs, id(rhs): rhs}
-    for table, rows, grads in (
-        (lhs, src, g_s), (lhs, src_pool.entities, g_pool_s),
-        (rhs, dst, g_d), (rhs, dst_pool.entities, g_pool_d),
-    ):
-        for row, grad in zip(rows.tolist(), grads):
-            key = (id(table), row)
-            summed[key] = summed[key] + grad if key in summed else grad
-    # (The optimizer keeps its accumulator and step scale in float32.)
-    for (table_id, row), grad in summed.items():
-        table = tables[table_id]
-        state = table.optimizer.state
-        state[row] += np.float32(np.mean(grad * grad))
-        scale = np.float32(cfg.lr) / (np.sqrt(state[row]) + np.float32(1e-10))
-        table.weights[row] -= scale * grad
-
-    g_params = g_params_pos + g_params_pool
-    rel_state = model.rel_optimizers[rel_id].state
-    rel_state += (g_params * g_params).astype(np.float32)
-    params -= cfg.relation_lr_effective * g_params / (
-        np.sqrt(rel_state) + 1e-10
-    )
-    return loss, int(mask.sum())
-
-
-def _oracle_models(operator, comparator, loss, two_tables, rel_weight=1.5,
-                   dtype=np.float64, **config_kw):
-    """Two identical float64 models; ``num_batch_negs`` is 5, the size
-    of the oracle tests' full chunk."""
-    config = ConfigSchema(
-        entities={"a": EntitySchema(), "b": EntitySchema()},
-        relations=[RelationSchema(
-            name="r", lhs="a", rhs="b" if two_tables else "a",
-            operator=operator, weight=rel_weight,
-        )],
-        dimension=6, comparator=comparator, loss=loss, margin=0.2,
-        **{**dict(num_batch_negs=5, num_uniform_negs=4, lr=0.05), **config_kw},
-    )
-    models = []
-    for _ in range(2):
-        model = EmbeddingModel(
-            config, EntityStorage({"a": 9, "b": 11}),
-            np.random.default_rng(3), dtype,
-        )
-        model.init_all_partitions(np.random.default_rng(4))
-        # Off the near-identity initialisation, so every operator's
-        # parameter gradient path matters.
-        model.rel_params[0] += np.random.default_rng(5).standard_normal(
-            model.rel_params[0].shape
-        ) * 0.3
-        models.append(model)
-    return models
-
-
-def _table_weights(model):
-    return {
-        key: model.get_table(*key).weights.copy()
-        for key in model.resident_tables()
-    }
-
-
-def _assert_same_training_state(stacked, reference, initial):
-    num_moved = 0
-    for key, start in initial.items():
-        got, want = stacked.get_table(*key), reference.get_table(*key)
-        np.testing.assert_allclose(
-            got.weights, want.weights, rtol=0, atol=1e-10
-        )
-        np.testing.assert_allclose(
-            got.optimizer.state, want.optimizer.state, rtol=0, atol=1e-10
-        )
-        # Every row the reference moved is marked for delta writeback.
-        moved = np.flatnonzero((want.weights != start).any(axis=1))
-        assert set(moved) <= set(got.dirty_row_indices())
-        num_moved += len(moved)
-    assert num_moved > 0
-    np.testing.assert_allclose(
-        stacked.rel_params[0], reference.rel_params[0], rtol=0, atol=1e-10
-    )
-    np.testing.assert_allclose(
-        stacked.rel_optimizers[0].state, reference.rel_optimizers[0].state,
-        rtol=0, atol=1e-10,
-    )
-
-
-@pytest.mark.parametrize("two_tables", [False, True], ids=["same", "two"])
-@pytest.mark.parametrize("loss", ["ranking", "logistic", "softmax"])
-@pytest.mark.parametrize("comparator", ["dot", "cos", "l2"])
-@pytest.mark.parametrize("operator", [
-    "identity", "translation", "diagonal", "linear", "complex_diagonal",
-    "affine",
-])
-def test_stacked_step_matches_per_piece_reference(
-    operator, comparator, loss, two_tables
-):
-    """Updated rows, Adagrad state and relation parameters to 1e-10.
-
-    Two consecutive chunks with edge weights and relation weight 1.5: a
-    full one (``num_batch_negs == chunk``: the chunk is its own pool)
-    with repeated endpoints, then a short last one (pool drawn from the
-    chunk with replacement) that meets non-zero Adagrad state.
-    """
-    stacked, reference = _oracle_models(operator, comparator, loss, two_tables)
-    initial = _table_weights(stacked)
-    rhs_type = "b" if two_tables else "a"
-    chunks = [
-        (np.asarray([0, 1, 2, 1, 8]), np.asarray([3, 4, 3, 0, 1])),
-        (np.asarray([5, 0]), np.asarray([0, 7])),
-    ]
-    rng_s, rng_r = np.random.default_rng(11), np.random.default_rng(11)
-    for i, (src, dst) in enumerate(chunks):
-        edge_weights = np.linspace(0.5, 2.0, len(src)) + i
-        stats = stacked.forward_backward_chunk(
-            0, src, dst, stacked.get_table("a", 0),
-            stacked.get_table(rhs_type, 0), rng_s, edge_weights=edge_weights,
-        )
-        ref_loss, ref_negatives = _reference_chunk_step(
-            reference, 0, src, dst, reference.get_table("a", 0),
-            reference.get_table(rhs_type, 0), rng_r, edge_weights,
-        )
-        assert stats.loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
-        assert (stats.num_edges, stats.num_negatives) == (
-            len(src), ref_negatives
-        )
-    assert rng_s.random() == rng_r.random()  # same number of draws
-    _assert_same_training_state(stacked, reference, initial)
-
-
-@pytest.mark.parametrize("loss", ["ranking", "logistic", "softmax"])
-def test_unit_weights_take_the_unweighted_loss_path(loss):
-    """No edge weights and relation weight 1.0 hand the loss
-    ``weights=None``; the reference multiplies by explicit ones."""
-    stacked, reference = _oracle_models(
-        "translation", "cos", loss, two_tables=False, rel_weight=1.0
-    )
-    initial = _table_weights(stacked)
-    src, dst = np.asarray([0, 1, 2, 1, 8]), np.asarray([3, 4, 3, 0, 1])
-    table_s, table_r = stacked.get_table("a", 0), reference.get_table("a", 0)
-    seen = []
-    original = stacked.loss_fn.forward_backward
-
-    def spy(pos, neg, mask=None, weights=None):
-        seen.append(weights)
-        return original(pos, neg, mask, weights)
-
-    stacked.loss_fn.forward_backward = spy
-    stats = stacked.forward_backward_chunk(
-        0, src, dst, table_s, table_s, np.random.default_rng(2)
-    )
-    ref_loss, ref_negatives = _reference_chunk_step(
-        reference, 0, src, dst, table_r, table_r, np.random.default_rng(2),
-        None,
-    )
-    assert seen == [None]
-    assert (stats.loss, stats.num_negatives) == (ref_loss, ref_negatives)
-    _assert_same_training_state(stacked, reference, initial)
-
-
-# ----------------------------------------------------------------------
-# The batch step: one chunk ≡ the parent's chunk step, n chunks ≡ its
-# per-chunk gradients accumulated and applied once
-# ----------------------------------------------------------------------
-
-
-def _parent_rowwise_scores(a, negs, l2):
-    negs = negs.reshape(len(a), -1, a.shape[1])
-    scores = np.einsum("cd,ckd->ck", a, negs)
-    if l2:
-        sq_a = np.einsum("cd,cd->c", a, a)[:, None]
-        scores = 2.0 * scores - sq_a - np.einsum("ckd,ckd->ck", negs, negs)
-    return scores
-
-
-def _parent_rowwise_scores_backward(a, negs, grad, l2):
-    negs = negs.reshape(len(a), -1, a.shape[1])
-    g_a = np.einsum("ck,ckd->cd", grad, negs)
-    if l2:
-        g_a = 2.0 * g_a - 2.0 * grad.sum(axis=1)[:, None] * a
-        g_negs = 2.0 * grad[:, :, None] * (a[:, None, :] - negs)
-    else:
-        g_negs = grad[:, :, None] * a[:, None, :]
-    return g_a, g_negs.reshape(-1, a.shape[1])
-
-
-def _parent_chunk_grads(model, rel_id, src_rows, dst_rows, lhs_table,
-                        rhs_table, rng, edge_weights=None, pools=None):
-    """The chunk step as it stood before the batch became the unit of
-    the update (one chunk, one stack, 2-D matmuls), frozen here up to
-    its updates: returns ``(stats, [(table, rows, grads), ...],
-    g_params)``. ``pools`` replaces the sampling with given
-    ``(dst_negs, src_negs)``."""
-    from functools import partial
-
-    from repro.core.model import ChunkStats
-    from repro.core.negatives import sample_pool, sample_unbatched
-
-    cfg = model.config
-    op = model.operators[rel_id]
-    params = model.rel_params[rel_id]
-    comp = model.comparator
-    c = len(src_rows)
-    score, score_backward = comp.score_matrix, comp.score_matrix_backward
-    if cfg.disable_batch_negs:
-        k = cfg.num_batch_negs + cfg.num_uniform_negs
-        dst_negs = sample_unbatched(dst_rows, rhs_table.num_rows, k, rng)
-        src_negs = sample_unbatched(src_rows, lhs_table.num_rows, k, rng)
-        l2 = cfg.comparator == "l2"
-        score = partial(_parent_rowwise_scores, l2=l2)
-        score_backward = partial(_parent_rowwise_scores_backward, l2=l2)
-    elif pools is not None:
-        dst_negs, src_negs = pools
-    else:
-        dst_negs = sample_pool(
-            dst_rows, dst_rows, rhs_table.num_rows,
-            cfg.num_batch_negs, cfg.num_uniform_negs, rng,
-        )
-        src_negs = sample_pool(
-            src_rows, src_rows, lhs_table.num_rows,
-            cfg.num_batch_negs, cfg.num_uniform_negs, rng,
-        )
-
-    rows = np.concatenate((
-        src_rows, src_negs.entities.ravel(),
-        dst_rows, dst_negs.entities.ravel(),
-    ))
-    n_lhs = c + src_negs.entities.size
-    if lhs_table is rhs_table:
-        raw = lhs_table.gather(rows)
-    else:
-        raw = np.concatenate((
-            lhs_table.gather(rows[:n_lhs]), rhs_table.gather(rows[n_lhs:])
-        ))
-    rhs_raw = raw[n_lhs:]
-    t_rhs = op.forward(rhs_raw, params)
-    x = raw if t_rhs is rhs_raw else np.concatenate((raw[:n_lhs], t_rhs))
-    y, saved = comp.prepare_saved(x)
-    a, pa, b, pb = y[:c], y[c:n_lhs], y[n_lhs:n_lhs + c], y[n_lhs + c:]
-    pos = comp.score_pairs(a, b)
-    neg_dst = score(a, pb)
-    neg_src = score(b, pa)
-    neg = np.concatenate((neg_dst, neg_src), axis=1)
-    mask = np.concatenate((dst_negs.mask, src_negs.mask), axis=1)
-
-    weights = (
-        None if edge_weights is None else edge_weights.astype(raw.dtype)
-    )
-    rel_weight = cfg.relations[rel_id].weight
-    if rel_weight != 1.0:
-        weights = (
-            np.full(c, rel_weight, dtype=raw.dtype) if weights is None
-            else weights * rel_weight
-        )
-    loss, dpos, dneg = model.loss_fn.forward_backward(pos, neg, mask, weights)
-    stats = ChunkStats(
-        loss=loss,
-        num_edges=c,
-        num_negatives=int(np.count_nonzero(mask)),
-        violations=int(np.count_nonzero(dneg)),
-    )
-
-    kd = neg_dst.shape[1]
-    ga_pos, gb_pos = comp.score_pairs_backward(a, b, dpos)
-    ga_neg, g_pb = score_backward(a, pb, dneg[:, :kd])
-    gb_neg, g_pa = score_backward(b, pa, dneg[:, kd:])
-    g = np.empty_like(y)
-    np.add(ga_pos, ga_neg, out=g[:c])
-    g[c:n_lhs] = g_pa
-    np.add(gb_pos, gb_neg, out=g[n_lhs:n_lhs + c])
-    g[n_lhs + c:] = g_pb
-    g = comp.prepare_backward_saved(y, saved, g)
-    g_rhs, g_params = op.backward(rhs_raw, params, g[n_lhs:])
-    if lhs_table is rhs_table:
-        g[n_lhs:] = g_rhs
-        return stats, [(lhs_table, rows, g)], g_params
-    return stats, [
-        (lhs_table, rows[:n_lhs], g[:n_lhs]), (rhs_table, rows[n_lhs:], g_rhs)
-    ], g_params
-
-
-def _apply_once(model, rel_id, updates, g_params):
-    """One Adagrad step per table over everything in ``updates``, and
-    one step of the relation's parameters."""
-    tables = {id(table): table for table, _, _ in updates}
-    for key, table in tables.items():
-        mine = [(r, g) for t, r, g in updates if id(t) == key]
-        table.apply_gradients(
-            np.concatenate([r for r, _ in mine]),
-            np.concatenate([g for _, g in mine]), model.config.lr,
-        )
-    model.rel_optimizers[rel_id].step(
-        model.rel_params[rel_id], g_params,
-        model.config.relation_lr_effective,
-    )
-
-
-def _parent_chunk_step(model, rel_id, src, dst, lhs, rhs, rng,
-                       edge_weights=None):
-    """The parent's whole chunk step: gradients, then its updates."""
-    stats, updates, g_params = _parent_chunk_grads(
-        model, rel_id, src, dst, lhs, rhs, rng, edge_weights
-    )
-    _apply_once(model, rel_id, updates, g_params)
-    return stats
-
-
-def _reference_batch_step(model, rel_id, src, dst, lhs, rhs, rng,
-                          edge_weights, chunk_size):
-    """Per-chunk gradients at frozen weights, accumulated, applied once.
-
-    Draws the pools as the batch step does — all whole chunks of a side
-    in one ``sample_pool`` call, the ragged last chunk after them — and
-    hands chunk ``i`` its own pool and its own mask rows; everything
-    else is the parent's one-chunk arithmetic, chunk after chunk.
-    """
-    from repro.core.model import ChunkStats
-    from repro.core.negatives import NegativePool, sample_pool
-
-    cfg = model.config
-    m = len(src)
-    full = m - m % chunk_size
-    total, updates, g_params = ChunkStats(), [], 0.0
-    for lo, hi, width in ((0, full, chunk_size), (full, m, m - full)):
-        if lo == hi:
-            continue
-        src_block = src[lo:hi].reshape(-1, width)
-        dst_block = dst[lo:hi].reshape(-1, width)
-        pools = [None] * len(src_block)
-        if not cfg.disable_batch_negs:
-            sides = [
-                sample_pool(block, block, table.num_rows, cfg.num_batch_negs,
-                            cfg.num_uniform_negs, rng)
-                for block, table in ((dst_block, rhs), (src_block, lhs))
-            ]
-            pools = [
-                tuple(NegativePool(s.entities[i], s.mask[i]) for s in sides)
-                for i in range(len(src_block))
-            ]
-        for i, pool in enumerate(pools):
-            at = slice(lo + i * width, lo + (i + 1) * width)
-            stats, chunk_updates, chunk_g_params = _parent_chunk_grads(
-                model, rel_id, src[at], dst[at], lhs, rhs, rng,
-                None if edge_weights is None else edge_weights[at], pool,
-            )
-            total.merge(stats)
-            updates += chunk_updates
-            g_params = g_params + chunk_g_params
-    _apply_once(model, rel_id, updates, g_params)
-    return total
-
-
-def _training_arrays(model):
-    arrays = [model.rel_params[0], model.rel_optimizers[0].state]
-    for key in model.resident_tables():
-        table = model.get_table(*key)
-        arrays += [table.weights, table.optimizer.state,
-                   table.dirty_row_indices()]
-    return arrays
-
-
-@pytest.mark.parametrize("disable_batch_negs", [False, True],
-                         ids=["batched", "unbatched"])
-@pytest.mark.parametrize("two_tables", [False, True], ids=["same", "two"])
-@pytest.mark.parametrize("operator", ["identity", "translation"])
-@pytest.mark.parametrize("comparator", ["cos", "dot"])
-def test_one_chunk_call_is_the_parent_chunk_step_bit_for_bit(
-    comparator, operator, two_tables, disable_batch_negs
-):
-    """float32, five steps, alternating a full chunk (its own pool)
-    with a short one (pool drawn with replacement) and weighted with
-    unweighted edges: weights, Adagrad state, relation parameters,
-    dirty rows, statistics and RNG position equal to the last bit —
-    whether the call names no ``chunk_size`` or one it does not reach."""
-    batch, parent = _oracle_models(
-        operator, comparator, "ranking", two_tables, rel_weight=1.0,
-        dtype=np.float32, disable_batch_negs=disable_batch_negs,
-    )
-    rhs_type = "b" if two_tables else "a"
-    rng_b, rng_p = np.random.default_rng(11), np.random.default_rng(11)
-    draw = np.random.default_rng(12)
-    for step in range(5):
-        c = 5 if step % 2 == 0 else 3
-        src, dst = draw.integers(0, 9, c), draw.integers(0, 9, c)
-        edge_weights = draw.random(c) + 0.5 if step % 2 else None
-        got = batch.forward_backward_chunk(
-            0, src, dst, batch.get_table("a", 0), batch.get_table(rhs_type, 0),
-            rng_b, edge_weights=edge_weights,
-            chunk_size=None if step < 3 else 5,
-        )
-        want = _parent_chunk_step(
-            parent, 0, src, dst, parent.get_table("a", 0),
-            parent.get_table(rhs_type, 0), rng_p, edge_weights,
-        )
-        assert got == want
-        assert got.loss > 0
-    assert rng_b.random() == rng_p.random()
-    for got, want in zip(_training_arrays(batch), _training_arrays(parent)):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-
-
-@pytest.mark.parametrize("num_edges", [15, 17], ids=["whole", "ragged"])
-@pytest.mark.parametrize("two_tables", [False, True], ids=["same", "two"])
-@pytest.mark.parametrize("operator, comparator, loss, config_kw", [
-    ("identity", "cos", "ranking", {}),
-    ("translation", "dot", "ranking", {}),
-    ("complex_diagonal", "dot", "softmax", {"num_batch_negs": 3}),
-    ("linear", "l2", "logistic", {"num_batch_negs": 3}),
-    ("affine", "cos", "logistic", {"disable_batch_negs": True}),
-])
-def test_batch_step_is_accumulated_chunk_gradients_applied_once(
-    operator, comparator, loss, config_kw, two_tables, num_edges
-):
-    """Chunks of 5 over 9 source rows: every row repeats across chunks.
-    Two consecutive batches, so the second meets non-zero state."""
-    batch, reference = _oracle_models(
-        operator, comparator, loss, two_tables, **config_kw
-    )
-    initial = _table_weights(batch)
-    rhs_type = "b" if two_tables else "a"
-    rng_b, rng_r = np.random.default_rng(11), np.random.default_rng(11)
-    draw = np.random.default_rng(12)
-    for step in range(2):
-        src = draw.integers(0, 9, num_edges)
-        dst = draw.integers(0, 9, num_edges)
-        edge_weights = draw.random(num_edges) + 0.5 if step else None
-        got = batch.forward_backward_chunk(
-            0, src, dst, batch.get_table("a", 0), batch.get_table(rhs_type, 0),
-            rng_b, edge_weights=edge_weights, chunk_size=5,
-        )
-        want = _reference_batch_step(
-            reference, 0, src, dst, reference.get_table("a", 0),
-            reference.get_table(rhs_type, 0), rng_r, edge_weights, 5,
-        )
-        assert got.loss == pytest.approx(want.loss, rel=1e-12, abs=1e-12)
-        assert (got.num_edges, got.num_negatives, got.violations) == (
-            num_edges, want.num_negatives, want.violations
-        )
-    assert rng_b.random() == rng_r.random()  # same number of draws
-    _assert_same_training_state(batch, reference, initial)
-
-
-# ----------------------------------------------------------------------
-# The mixed-relation batch: relation-pure chunks of any width ≡ their
-# one-relation gradients accumulated and applied once
-# ----------------------------------------------------------------------
-
-_MIXED_WEIGHTS = (1.5, 1.0, 0.7)
-
-
-def _mixed_models(operator, comparator, loss, two_tables, dtype=np.float64,
-                  **config_kw):
-    """Two identical models of three relations that share an operator
-    and entity types; relation parameters off their initialisation."""
+def _models(operator, comparator, loss, two_tables, dtype=np.float64,
+            **config_kw):
+    """Two identical models of three relations (weights 1.5, 1 and 0.7)
+    that share an operator and the entity types ``a`` (9 rows) and
+    ``b`` (11); relation parameters off their near-identity
+    initialisation, so every operator's parameter gradient matters."""
     config = ConfigSchema(
         entities={"a": EntitySchema(), "b": EntitySchema()},
         relations=[
@@ -803,7 +302,7 @@ def _mixed_models(operator, comparator, loss, two_tables, dtype=np.float64,
                 name=f"r{i}", lhs="a", rhs="b" if two_tables else "a",
                 operator=operator, weight=weight,
             )
-            for i, weight in enumerate(_MIXED_WEIGHTS)
+            for i, weight in enumerate((1.5, 1.0, 0.7))
         ],
         dimension=6, comparator=comparator, loss=loss, margin=0.2,
         **{**dict(num_batch_negs=3, num_uniform_negs=4, lr=0.05), **config_kw},
@@ -829,60 +328,7 @@ def _mixed_batch(draw):
     return rel, draw.integers(0, 9, len(rel)), draw.integers(0, 9, len(rel))
 
 
-def _reference_mixed_step(model, rel, src, dst, lhs, rhs, rng, edge_weights,
-                          chunk_size):
-    """Per-chunk one-relation gradients at frozen weights, accumulated
-    and applied once: one Adagrad step per table and one per relation.
-
-    Draws the pools as the batch step does — each run of equal-width
-    chunks in one ``sample_pool`` call per side, destination side first
-    — and hands chunk ``i`` its own pool; everything else is the
-    parent's one-chunk, one-relation arithmetic, chunk after chunk.
-    """
-    from repro.core.batching import chunk_bounds
-    from repro.core.model import ChunkStats
-    from repro.core.negatives import NegativePool, sample_pool
-
-    cfg = model.config
-    bounds = chunk_bounds(rel, chunk_size)
-    widths = np.diff(bounds)
-    pools = [None] * len(widths)
-    if not cfg.disable_batch_negs:
-        cuts = np.flatnonzero(widths[1:] != widths[:-1]) + 1
-        for i, j in zip([0, *cuts], [*cuts, len(widths)]):
-            sides = [
-                sample_pool(block, block, table.num_rows, cfg.num_batch_negs,
-                            cfg.num_uniform_negs, rng)
-                for block, table in (
-                    (rows[bounds[i]:bounds[j]].reshape(j - i, -1), table)
-                    for rows, table in ((dst, rhs), (src, lhs))
-                )
-            ]
-            pools[i:j] = [
-                tuple(NegativePool(s.entities[c], s.mask[c]) for s in sides)
-                for c in range(j - i)
-            ]
-    total, updates, g_params = ChunkStats(), [], {}
-    for pool, lo, hi in zip(pools, bounds, bounds[1:]):
-        relation = int(rel[lo])
-        stats, chunk_updates, chunk_g_params = _parent_chunk_grads(
-            model, relation, src[lo:hi], dst[lo:hi], lhs, rhs, rng,
-            None if edge_weights is None else edge_weights[lo:hi], pool,
-        )
-        total.merge(stats)
-        updates += chunk_updates
-        g_params[relation] = g_params.get(relation, 0.0) + chunk_g_params
-    relations = sorted(g_params)
-    _apply_once(model, relations[0], updates, g_params[relations[0]])
-    for relation in relations[1:]:
-        model.rel_optimizers[relation].step(
-            model.rel_params[relation], g_params[relation],
-            cfg.relation_lr_effective,
-        )
-    return total
-
-
-def _all_training_arrays(model):
+def _training_arrays(model):
     arrays = [*model.rel_params, *(o.state for o in model.rel_optimizers)]
     for key in model.resident_tables():
         table = model.get_table(*key)
@@ -891,71 +337,80 @@ def _all_training_arrays(model):
     return arrays
 
 
+@pytest.mark.parametrize("disable_batch_negs", [False, True],
+                         ids=["batched", "unbatched"])
 @pytest.mark.parametrize("two_tables", [False, True], ids=["same", "two"])
-@pytest.mark.parametrize("comparator", ["dot", "cos", "l2"])
+@pytest.mark.parametrize("loss", ["ranking", "logistic", "softmax"])
 @pytest.mark.parametrize("operator", [
     "identity", "translation", "diagonal", "linear", "complex_diagonal",
     "affine",
 ])
-def test_mixed_batch_is_accumulated_chunk_gradients_applied_once(
-    operator, comparator, two_tables
+@pytest.mark.parametrize("comparator", ["dot", "cos", "l2"])
+@pytest.mark.parametrize("num_batch_negs", [3, 4], ids=["drawn", "own"])
+def test_step_is_the_reference_step(
+    num_batch_negs, comparator, operator, loss, two_tables, disable_batch_negs
 ):
-    """Three relations (weights 1.5, 1, 0.7), chunks of 4, 3, 1 and 2
-    edges over 9 rows. Two consecutive batches, the second with edge
-    weights and on non-zero state."""
-    loss = {"dot": "ranking", "cos": "logistic", "l2": "softmax"}[comparator]
-    batch, reference = _mixed_models(operator, comparator, loss, two_tables)
+    """float64, to 1e-10. A one-chunk call of relation 1 (weight 1, no
+    edge weights: the unweighted loss path), then two relation-mixed
+    batches of chunk widths 4 4 4 3 1 2 (relation weights; edge weights
+    on the second) over 9 rows, so rows repeat across chunks and meet
+    non-zero state: tables, Adagrad state, relation parameters and their
+    state; every moved row marked dirty; loss, negatives, violations and
+    the RNG position. Three batch negatives are drawn from every chunk
+    but the width-3 tail; four, the chunk size, make each full chunk its
+    own pool, a run of three in one draw (the paper's setting)."""
+    step, reference = _models(
+        operator, comparator, loss, two_tables,
+        disable_batch_negs=disable_batch_negs, num_batch_negs=num_batch_negs,
+    )
     rhs_type = "b" if two_tables else "a"
-    rng_b, rng_r = np.random.default_rng(11), np.random.default_rng(11)
+    initial = {key: step.get_table(*key).weights.copy()
+               for key in step.resident_tables()}
+    params = [p.copy() for p in step.rel_params]
+    rng_s, rng_r = np.random.default_rng(11), np.random.default_rng(11)
     draw = np.random.default_rng(12)
-    before = [array.copy() for array in _all_training_arrays(batch)]
-    for step in range(2):
+    calls = [(1, draw.integers(0, 9, 5), draw.integers(0, 9, 5), None, None)]
+    for i in range(2):
         rel, src, dst = _mixed_batch(draw)
-        edge_weights = draw.random(len(rel)) + 0.5 if step else None
-        got = batch.forward_backward_chunk(
-            rel, src, dst, batch.get_table("a", 0),
-            batch.get_table(rhs_type, 0), rng_b, edge_weights=edge_weights,
-            chunk_size=4,
+        edge_weights = draw.random(len(rel)) + 0.5 if i else None
+        calls.append((rel, src, dst, edge_weights, 4))
+    for rel, src, dst, edge_weights, chunk_size in calls:
+        got = step.forward_backward_chunk(
+            rel, src, dst, step.get_table("a", 0),
+            step.get_table(rhs_type, 0), rng_s, edge_weights=edge_weights,
+            chunk_size=chunk_size,
         )
-        want = _reference_mixed_step(
+        want = reference_step(
             reference, rel, src, dst, reference.get_table("a", 0),
-            reference.get_table(rhs_type, 0), rng_r, edge_weights, 4,
+            reference.get_table(rhs_type, 0), rng_r, edge_weights,
+            chunk_size,
         )
         assert got.loss == pytest.approx(want.loss, rel=1e-12, abs=1e-12)
         assert (got.num_edges, got.num_negatives, got.violations) == (
-            len(rel), want.num_negatives, want.violations
+            len(src), want.num_negatives, want.violations
         )
-    assert rng_b.random() == rng_r.random()  # same number of draws
-    after = _all_training_arrays(batch)
-    for got, want in zip(after, _all_training_arrays(reference)):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
-    # Every relation's parameters and state moved, and the tables.
-    for start, got in zip(before[:6], after[:6]):
-        assert (got != start).any() or operator == "identity"
-    assert (after[6] != before[6]).any() and len(after[8]) > len(before[8])
-
-
-def test_mixed_batch_with_unbatched_negatives_matches_the_reference():
-    batch, reference = _mixed_models(
-        "diagonal", "cos", "logistic", True, disable_batch_negs=True
-    )
-    rel, src, dst = _mixed_batch(np.random.default_rng(12))
-    rng_b, rng_r = np.random.default_rng(11), np.random.default_rng(11)
-    got = batch.forward_backward_chunk(
-        rel, src, dst, batch.get_table("a", 0), batch.get_table("b", 0),
-        rng_b, chunk_size=4,
-    )
-    want = _reference_mixed_step(
-        reference, rel, src, dst, reference.get_table("a", 0),
-        reference.get_table("b", 0), rng_r, None, 4,
-    )
-    assert got.loss == pytest.approx(want.loss, rel=1e-12, abs=1e-12)
-    assert got.num_negatives == want.num_negatives
-    assert rng_b.random() == rng_r.random()
-    for got, want in zip(
-        _all_training_arrays(batch), _all_training_arrays(reference)
-    ):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    assert rng_s.random() == rng_r.random()  # same number of draws
+    moved = 0
+    for key, start in initial.items():
+        got, want = step.get_table(*key), reference.get_table(*key)
+        close = dict(rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got.weights, want.weights, **close)
+        np.testing.assert_allclose(
+            got.optimizer.state, want.optimizer.state, **close
+        )
+        rows = np.flatnonzero((want.weights != start).any(axis=1))
+        assert set(rows.tolist()) <= set(got.dirty_row_indices().tolist())
+        moved += len(rows)
+    assert moved > 0
+    for i, start in enumerate(params):
+        np.testing.assert_allclose(
+            step.rel_params[i], reference.rel_params[i], rtol=0, atol=1e-10
+        )
+        np.testing.assert_allclose(
+            step.rel_optimizers[i].state, reference.rel_optimizers[i].state,
+            rtol=0, atol=1e-10,
+        )
+        assert (reference.rel_params[i] != start).any() or operator == "identity"
 
 
 @pytest.mark.parametrize("operator, comparator, loss", [
@@ -972,12 +427,12 @@ def test_mixed_ragged_batch_backward_matches_numerical(
     to every embedding entry and every relation's parameters."""
     rel, src, dst = _mixed_batch(np.random.default_rng(12))
     edge_weights = np.random.default_rng(13).random(len(rel)) + 0.5
-    base, _ = _mixed_models(operator, comparator, loss, False)
+    base, _ = _models(operator, comparator, loss, False)
     weights0 = base.get_table("a", 0).weights.copy()
     params0 = [p.copy() for p in base.rel_params]
 
     def run(weights, rel_params, update=False, table_cls=DenseEmbeddingTable):
-        model, _ = _mixed_models(operator, comparator, loss, False)
+        model, _ = _models(operator, comparator, loss, False)
         table = table_cls(weights.copy())
         model.set_table("a", 0, table)
         grads = {}
@@ -1029,12 +484,18 @@ def test_scalar_relation_is_the_per_edge_array_bit_for_bit(
     operator, disable_batch_negs
 ):
     """float32; a ragged three-chunk batch and a one-chunk call: weights,
-    state, relation parameters, dirty rows, statistics, RNG position."""
-    scalar, array = _mixed_models(
+    state, relation parameters, dirty rows, statistics, RNG position.
+    A scalar ``rel`` is its per-edge array, and a call without a
+    ``chunk_size`` is one whose ``chunk_size`` it does not reach."""
+    scalar, array = _models(
         operator, "cos", "ranking", True, dtype=np.float32,
         disable_batch_negs=disable_batch_negs,
     )
-    rng_s, rng_a = np.random.default_rng(11), np.random.default_rng(11)
+    unreached, _ = _models(
+        operator, "cos", "ranking", True, dtype=np.float32,
+        disable_batch_negs=disable_batch_negs,
+    )
+    rngs = [np.random.default_rng(11) for _ in range(3)]
     draw = np.random.default_rng(12)
     for m, chunk_size in ((11, 4), (5, None), (8, 4)):
         src, dst = draw.integers(0, 9, m), draw.integers(0, 9, m)
@@ -1043,322 +504,22 @@ def test_scalar_relation_is_the_per_edge_array_bit_for_bit(
             model.forward_backward_chunk(
                 rel_id, src, dst, model.get_table("a", 0),
                 model.get_table("b", 0), rng, edge_weights=edge_weights,
-                chunk_size=chunk_size,
+                chunk_size=size,
             )
-            for model, rel_id, rng in (
-                (scalar, 0, rng_s), (array, np.zeros(m, dtype=int), rng_a)
+            for model, rel_id, size, rng in zip(
+                (scalar, array, unreached),
+                (0, np.zeros(m, dtype=int), 0),
+                (chunk_size, chunk_size, chunk_size or 2 * m),
+                rngs,
             )
         ]
-        assert got[0] == got[1] and got[0].loss > 0
-    assert rng_s.random() == rng_a.random()
-    for got, want in zip(
-        _all_training_arrays(scalar), _all_training_arrays(array)
-    ):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+        assert got[0] == got[1] == got[2] and got[0].loss > 0
+    assert len({rng.random() for rng in rngs}) == 1
+    for got, *want in zip(*map(_training_arrays, (scalar, array, unreached))):
+        for other in want:
+            assert got.dtype == other.dtype
+            np.testing.assert_array_equal(got, other)
 
-
-# ----------------------------------------------------------------------
-# The batch step before its passes per row were cut, frozen: an int64
-# argsort and a scaled gradient copy in the row update, five (n, 2k)
-# temporaries in the ranking loss, score and gradient blocks assembled
-# by concatenation, the cosine norm from ``np.linalg.norm``
-# ----------------------------------------------------------------------
-
-
-def _frozen_ranking_loss(margin, pos, neg, mask, weights):
-    violation = margin - pos[:, None] + neg
-    active = (violation > 0) & mask
-    grad_neg = active.astype(pos.dtype)
-    if weights is not None:
-        grad_neg = grad_neg * weights[:, None]
-    loss = float((violation * grad_neg).sum())
-    return loss, -grad_neg.sum(axis=1), grad_neg
-
-
-def _frozen_score_matrix(a, pool, l2):
-    if not l2:
-        return a @ pool.swapaxes(-1, -2)
-    sq_a = np.einsum("...nd,...nd->...n", a, a)[..., :, None]
-    sq_p = np.einsum("...kd,...kd->...k", pool, pool)[..., None, :]
-    return 2.0 * (a @ pool.swapaxes(-1, -2)) - sq_a - sq_p
-
-
-def _frozen_score_matrix_backward(a, pool, grad, l2):
-    if not l2:
-        return grad @ pool, grad.swapaxes(-1, -2) @ a
-    grad_a = 2.0 * (grad @ pool) - 2.0 * grad.sum(axis=-1)[..., None] * a
-    grad_t = grad.swapaxes(-1, -2)
-    grad_pool = 2.0 * (grad_t @ a) - 2.0 * grad.sum(axis=-2)[..., None] * pool
-    return grad_a, grad_pool
-
-
-def _frozen_rowwise_scores(a, negs, l2):
-    return _parent_rowwise_scores(a.reshape(-1, a.shape[-1]), negs, l2)
-
-
-def _frozen_rowwise_scores_backward(a, negs, grad, l2):
-    a = a.reshape(-1, a.shape[-1])
-    return _parent_rowwise_scores_backward(
-        a, negs, grad.reshape(len(a), -1), l2
-    )
-
-
-class _FrozenRowAdagrad:
-    """``RowAdagrad.step`` as it was, on the table's own state array."""
-
-    def __init__(self, state):
-        self.state = state
-
-    def step(self, params, rows, grads, lr):
-        from scipy.sparse._sparsetools import csr_matvecs
-
-        m = len(rows)
-        order = np.argsort(rows, kind="stable")
-        sorted_rows = rows[order]
-        starts = np.flatnonzero(sorted_rows[1:] != sorted_rows[:-1]) + 1
-        if len(starts) == m - 1:
-            rows, grads = sorted_rows, grads[order]
-        else:
-            indptr = np.empty(len(starts) + 2, dtype=order.dtype)
-            indptr[0], indptr[1:-1], indptr[-1] = 0, starts, m
-            summed = np.zeros((len(indptr) - 1, grads.shape[1]), grads.dtype)
-            csr_matvecs(
-                len(summed), m, grads.shape[1], indptr, order,
-                np.ones(m, dtype=grads.dtype), grads.ravel(), summed.ravel(),
-            )
-            rows, grads = sorted_rows[indptr[:-1]], summed
-        sq = np.einsum("nd,nd->n", grads, grads) / grads.shape[1]
-        state = self.state[rows] + sq.astype(np.float32)
-        self.state[rows] = state
-        scale = lr / (np.sqrt(state) + 1e-10)
-        params[rows] -= scale[:, None] * grads
-
-
-def _frozen_block_step(model, params, chunk_rel, bounds, src, dst, lhs_table,
-                       rhs_table, rng, edge_weights, stats):
-    """``EmbeddingModel._block_step`` as it was (``update=True``)."""
-    from repro.core.model import _cat
-    from repro.core.negatives import sample_pool, sample_unbatched
-
-    cfg, comp, op = model.config, model.comparator, model.operators[chunk_rel[0]]
-    n, n_pos, dim = len(params), len(src), lhs_table.dim
-    k = cfg.num_batch_negs + cfg.num_uniform_negs
-    pool_rows = k * n_pos if cfg.disable_batch_negs else k
-    widths = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-    cuts = [i for i in range(1, n) if widths[i] != widths[i - 1]]
-    runs = [
-        (j - i, slice(i, j), slice(bounds[i], bounds[j]),
-         slice(i * pool_rows, j * pool_rows))
-        for i, j in zip([0, *cuts], [*cuts, n])
-    ]
-
-    def chunked(z, n):
-        return z.reshape(n, -1, z.shape[-1])
-
-    def sample(ends, table):
-        if cfg.disable_batch_negs:
-            return sample_unbatched(ends.ravel(), table.num_rows, k, rng)
-        return sample_pool(
-            ends, ends, table.num_rows, cfg.num_batch_negs,
-            cfg.num_uniform_negs, rng,
-        )
-
-    pools = [
-        (sample(dst[at].reshape(c, -1), rhs_table),
-         sample(src[at].reshape(c, -1), lhs_table))
-        for c, _, at, _ in runs
-    ]
-    dst_negs, src_negs = (
-        _cat([pool.entities.ravel() for pool in side]) for side in zip(*pools)
-    )
-    mask = _cat([
-        np.concatenate((d.mask, s.mask), axis=-1).reshape(-1, 2 * k)
-        for d, s in pools
-    ])
-    l2 = cfg.comparator == "l2"
-    score, score_backward = (
-        (_frozen_rowwise_scores, _frozen_rowwise_scores_backward)
-        if cfg.disable_batch_negs
-        else (_frozen_score_matrix, _frozen_score_matrix_backward)
-    )
-
-    rows = np.concatenate((src, src_negs, dst, dst_negs))
-    n_lhs = n_pos + len(src_negs)
-    halves = [(lhs_table, slice(None))] if lhs_table is rhs_table else [
-        (lhs_table, slice(0, n_lhs)), (rhs_table, slice(n_lhs, None))
-    ]
-    raw = _cat([table.gather(rows[at]) for table, at in halves])
-    rects = [(1, slice(0, 1), slice(None))] if len(set(chunk_rel)) == 1 else [
-        *(run[:3] for run in runs), (n, slice(0, n), slice(n_pos, None)),
-    ]
-    x = raw
-    for c, chunks, at in rects:
-        piece = chunked(raw[n_lhs:][at], c)
-        mapped = op.forward(piece, params[chunks])
-        if mapped is not piece:
-            if x is raw:
-                x = np.empty_like(raw)
-                x[:n_lhs] = raw[:n_lhs]
-            x[n_lhs:][at] = mapped.reshape(-1, dim)
-    if cfg.comparator == "cos":
-        saved = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
-        y = x / saved
-    else:
-        y, saved = x, None
-    a, pa, b, pb = (
-        y[:n_pos], y[n_pos:n_lhs], y[n_lhs:n_lhs + n_pos], y[n_lhs + n_pos:]
-    )
-    pos = comp.score_pairs(a, b)
-    sides = ((a, pb, slice(0, k)), (b, pa, slice(k, None)))
-    neg = _cat([
-        np.concatenate([
-            score(chunked(p[at], c), chunked(q[pool], c), l2)
-            for p, q, _ in sides
-        ], axis=-1).reshape(-1, 2 * k)
-        for c, _, at, pool in runs
-    ])
-
-    weights = None if edge_weights is None else edge_weights.astype(raw.dtype)
-    rel_weight = [model._rel_weights[r] for r in chunk_rel]
-    if any(weight != 1.0 for weight in rel_weight):
-        per_edge = np.repeat(np.array(rel_weight, dtype=raw.dtype), widths)
-        weights = per_edge if weights is None else weights * per_edge
-    if cfg.loss == "ranking":
-        loss, dpos, dneg = _frozen_ranking_loss(
-            cfg.margin, pos, neg, mask, weights
-        )
-    else:  # unchanged
-        loss, dpos, dneg = model.loss_fn.forward_backward(
-            pos, neg, mask, weights
-        )
-    stats.loss += loss
-    stats.num_edges += n_pos
-    stats.num_negatives += int(np.count_nonzero(mask))
-    stats.violations += int(np.count_nonzero(dneg))
-
-    ga_pos, gb_pos = comp.score_pairs_backward(a, b, dpos)
-    g = np.empty_like(y)
-    g_a, g_pa, g_b, g_pb = (
-        g[:n_pos], g[n_pos:n_lhs], g[n_lhs:n_lhs + n_pos], g[n_lhs + n_pos:]
-    )
-    g_sides = ((ga_pos, g_a, g_pb), (gb_pos, g_b, g_pa))
-    for c, _, at, pool in runs:
-        for (p, q, cols), (g_pos, g_p, g_q) in zip(sides, g_sides):
-            g_neg, g_pool = score_backward(
-                chunked(p[at], c), chunked(q[pool], c),
-                chunked(dneg[at], c)[..., cols], l2,
-            )
-            np.add(g_pos[at], g_neg.reshape(-1, dim), out=g_p[at])
-            g_q[pool] = g_pool.reshape(-1, dim)
-    g = comp.prepare_backward_saved(y, saved, g)
-    g_params = np.zeros_like(params)
-    for c, chunks, at in rects:
-        piece, g_out = chunked(raw[n_lhs:][at], c), chunked(g[n_lhs:][at], c)
-        g_in, g_chunks = op.backward(piece, params[chunks], g_out)
-        g_params[chunks] += g_chunks
-        if g_in is not g_out:
-            g[n_lhs:][at] = g_in.reshape(-1, dim)
-    return [(rows[at], g[at]) for _, at in halves], g_params
-
-
-def _frozen_batch_step(model, rel_id, src_rows, dst_rows, lhs_table,
-                       rhs_table, rng, edge_weights, chunk_size):
-    """``forward_backward_chunk`` as it was, over :func:`_frozen_block_step`;
-    the tables' optimizers must be :class:`_FrozenRowAdagrad`."""
-    from repro.core.batching import chunk_bounds
-    from repro.core.model import ChunkStats, _cat
-
-    cfg = model.config
-    m = len(src_rows)
-    rel = np.full(m, rel_id)
-    bounds = chunk_bounds(rel, chunk_size or m)
-    chunk_rel = rel[bounds[:-1]].tolist()
-    slot = {r: i for i, r in enumerate(sorted(set(chunk_rel)))}
-    which = np.array([slot[r] for r in chunk_rel])
-    params = np.array([model.rel_params[r] for r in slot])[which]
-    n = len(chunk_rel)
-    cuts = range(n + 1) if cfg.disable_batch_negs else (0, n)
-    stats, steps = ChunkStats(), []
-    for i, j in zip(cuts, cuts[1:]):
-        at = slice(bounds[i], bounds[j])
-        steps.append(_frozen_block_step(
-            model, params[i:j], chunk_rel[i:j],
-            [bound - bounds[i] for bound in bounds[i:j + 1]],
-            src_rows[at], dst_rows[at], lhs_table, rhs_table, rng,
-            None if edge_weights is None else edge_weights[at], stats,
-        ))
-    tables = [lhs_table] if lhs_table is rhs_table else [lhs_table, rhs_table]
-    for table, parts in zip(tables, zip(*(step[0] for step in steps))):
-        assert isinstance(table.optimizer, _FrozenRowAdagrad)
-        table.apply_gradients(*map(_cat, zip(*parts)), cfg.lr)
-    g_params = _cat([step[1] for step in steps])
-    for relation, i in slot.items():
-        model.rel_optimizers[relation].step(
-            model.rel_params[relation], g_params[which == i].sum(axis=0),
-            cfg.relation_lr_effective,
-        )
-    return stats
-
-
-@pytest.mark.parametrize("disable_batch_negs", [False, True],
-                         ids=["batched", "unbatched"])
-@pytest.mark.parametrize("two_tables", [False, True], ids=["same", "two"])
-@pytest.mark.parametrize("loss", ["ranking", "logistic", "softmax"])
-@pytest.mark.parametrize("operator", [
-    "identity", "translation", "diagonal", "linear", "complex_diagonal",
-    "affine",
-])
-@pytest.mark.parametrize("comparator", ["dot", "l2", "cos"])
-def test_batch_step_is_the_frozen_step_before_the_cuts(
-    comparator, operator, loss, two_tables, disable_batch_negs
-):
-    """float32, three relation-mixed batches of chunk widths 4 4 4 3 1 2
-    (relation weights; edge weights on the last two): tables, Adagrad
-    state, relation parameters, dirty rows, statistics — ``violations``
-    included — and RNG position equal the frozen step's bit for bit.
-    ``cos`` norms now come from one ``einsum``, so there the two agree
-    to float32 rounding instead."""
-    live, frozen = _mixed_models(
-        operator, comparator, loss, two_tables, dtype=np.float32,
-        disable_batch_negs=disable_batch_negs,
-    )
-    for key in frozen.resident_tables():
-        table = frozen.get_table(*key)
-        table.optimizer = _FrozenRowAdagrad(table.optimizer.state)
-    rhs_type = "b" if two_tables else "a"
-    rng_l, rng_f = np.random.default_rng(11), np.random.default_rng(11)
-    draw = np.random.default_rng(12)
-    rounding = dict(rtol=2e-5, atol=1e-6)
-    for step in range(3):
-        rel, src, dst = _mixed_batch(draw)
-        edge_weights = draw.random(len(rel)) + 0.5 if step else None
-        got = live.forward_backward_chunk(
-            rel, src, dst, live.get_table("a", 0),
-            live.get_table(rhs_type, 0), rng_l, edge_weights=edge_weights,
-            chunk_size=4,
-        )
-        want = _frozen_batch_step(
-            frozen, rel, src, dst, frozen.get_table("a", 0),
-            frozen.get_table(rhs_type, 0), rng_f, edge_weights, 4,
-        )
-        assert (got.num_edges, got.num_negatives, got.violations) == (
-            want.num_edges, want.num_negatives, want.violations
-        )
-        assert got.violations > 0
-        if comparator == "cos":
-            assert got.loss == pytest.approx(want.loss, rel=rounding["rtol"])
-        else:
-            assert got.loss == want.loss
-    assert rng_l.random() == rng_f.random()
-    for got, want in zip(
-        _all_training_arrays(live), _all_training_arrays(frozen)
-    ):
-        assert got.dtype == want.dtype
-        if comparator == "cos":
-            np.testing.assert_allclose(got, want, **rounding)
-        else:
-            np.testing.assert_array_equal(got, want)
 
 
 class TestBatchIsTheUnitOfTheUpdate:
@@ -1390,9 +551,9 @@ class TestBatchIsTheUnitOfTheUpdate:
     def test_one_update_per_table_and_one_state_increment_per_row(
         self, monkeypatch, two_tables, disable_batch_negs
     ):
-        model, _ = _oracle_models(
+        model, _ = _models(
             "translation", "cos", "logistic", two_tables,
-            num_batch_negs=3, disable_batch_negs=disable_batch_negs,
+            disable_batch_negs=disable_batch_negs,
         )
         lhs = model.get_table("a", 0)
         rhs = model.get_table("b" if two_tables else "a", 0)
@@ -1418,7 +579,7 @@ class TestBatchIsTheUnitOfTheUpdate:
     def test_update_false_touches_nothing(
         self, monkeypatch, disable_batch_negs
     ):
-        model, twin = _oracle_models(
+        model, twin = _models(
             "translation", "cos", "logistic", True,
             disable_batch_negs=disable_batch_negs,
         )
@@ -1443,7 +604,7 @@ class TestBatchIsTheUnitOfTheUpdate:
     def test_mixed_call_is_one_step_per_table_and_per_distinct_relation(
         self, monkeypatch, two_tables, disable_batch_negs
     ):
-        model, twin = _mixed_models(
+        model, twin = _models(
             "translation", "cos", "logistic", two_tables,
             disable_batch_negs=disable_batch_negs,
         )
@@ -1466,10 +627,10 @@ class TestBatchIsTheUnitOfTheUpdate:
         draw = np.random.default_rng(1)
         src, dst = draw.integers(0, 9, 11), draw.integers(0, 9, 11)
         args = (rel, src, dst, lhs, rhs, np.random.default_rng(0))
-        before = [array.copy() for array in _all_training_arrays(model)]
+        before = [array.copy() for array in _training_arrays(model)]
         stats = model.forward_backward_chunk(*args, update=False, chunk_size=4)
         assert calls == {"tables": [], "relation": 0} and steps == []
-        for got, want in zip(_all_training_arrays(model), before):
+        for got, want in zip(_training_arrays(model), before):
             np.testing.assert_array_equal(got, want)
         # ... and reports the loss the updating call starts from.
         assert stats.num_edges == 11 and stats == twin.forward_backward_chunk(

@@ -37,6 +37,7 @@ import pickle
 import statistics
 import sys
 import tempfile
+import threading
 import time
 from collections.abc import Mapping
 from contextlib import ExitStack, contextmanager
@@ -547,7 +548,7 @@ def chunk_step(pkg, quick: bool):
 
 # --- partition_swap: the partition pipeline of §4.1 ------------------
 
-SWAP_ROWS, DRAIN_PARTS = 5_000, 8
+SWAP_ROWS, DRAIN_PARTS, SWAP_PARTS, BESIDE_STEPS = 5_000, 8, 4, 20
 
 
 @functools.lru_cache(maxsize=None)
@@ -613,6 +614,55 @@ def _swap_rows(pkg, make_backend, synchronous: bool, calls: int, stack):
     return rows
 
 
+def _swapper(pipe, stop: threading.Event, cycles: list) -> None:
+    """Swap ``partitioned_disk``'s way until ``stop``: prefetch the next
+    partition, park the held one (written back), take the next; then
+    park the last and drain, so nothing is in flight afterwards."""
+    part, held = 0, pipe.take("node", 0)[0]
+    while not stop.is_set():
+        nxt = (part + 1) % SWAP_PARTS
+        pipe.schedule([("node", nxt)])
+        pipe.park("node", part, *held)
+        pipe.settle()
+        part, held = nxt, pipe.take("node", nxt)[0]
+        cycles[0] += 1
+    pipe.park("node", part, *held)
+    pipe.drain()
+
+
+def _train_beside_swaps_row(pkg, calls: int, steps: int, store, stack) -> Row:
+    """``steps`` calls of ``partitioned_disk``'s batch step on the main
+    thread while a second thread keeps a pipelined disk store swapping
+    5 000 x 64 partitions: what the swap threads cost the trainer in
+    interpreter-lock time. Compared: the trained tables, as
+    ``ragged_batch_as_one_call`` does; info: swaps per second."""
+    train = _training_row(pkg, calls, _one_relation("cos", "identity"),
+                          _cycle(_uniform(DISK_BATCH)), two_tables=True)
+    for part in range(SWAP_PARTS):
+        store.save("node", part, *_partitions()[part])
+    pipe = pkg.storage.PartitionPipeline(
+        store, budget_bytes=sum(a.nbytes for a in _partitions()[0]),
+        name="beside")
+    stack.callback(pipe.close)
+    cycles, seconds = [0], [0.0]
+
+    def call():
+        stop = threading.Event()
+        thread = threading.Thread(target=_swapper, args=(pipe, stop, cycles))
+        start = time.perf_counter()
+        thread.start()
+        try:
+            for _ in range(steps):
+                train.call()
+        finally:
+            stop.set()
+            thread.join()
+            seconds[0] += time.perf_counter() - start
+
+    return Row(call, calls, train.output,
+               lambda: {"swaps_per_s": cycles[0] / seconds[0]})
+
+
 @group("micro_partition_swap")
 def partition_swap(pkg, quick: bool):
     calls = 40 if quick else 400
@@ -633,8 +683,13 @@ def partition_swap(pkg, quick: bool):
                     pkg, make_backend, synchronous, calls, stack
                 ).items():
                     rows[f"{name}[{backend},{mode}]"] = row
+        beside_calls = 10 if quick else 60
+        rows["train_beside_swaps[disk,pipelined]"] = _train_beside_swaps_row(
+            pkg, beside_calls, BESIDE_STEPS, backends["disk"](), stack)
         yield Group({"rows": SWAP_ROWS, "dim": DIM,
-                     "drain_parts": DRAIN_PARTS, "calls": calls}, rows)
+                     "drain_parts": DRAIN_PARTS, "calls": calls,
+                     "beside_calls": beside_calls,
+                     "beside_steps": BESIDE_STEPS}, rows)
 
 
 # --- partition_rpc: partition- and parameter-server calls of §4.2 ----

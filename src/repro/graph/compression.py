@@ -32,8 +32,9 @@ literature in PAPERS.md):
   degrades to a full push.
 
 Encoded partitions travel as a flat ``dict[str, np.ndarray]`` payload
-(the "wire format"): directly storable in an ``.npz`` file, picklable
-across the multiprocessing manager boundary, and byte-countable with
+(the "wire format"): stored as-is, one record per array, in a partition
+file (:func:`repro.graph.storage.write_arrays`), picklable across the
+multiprocessing manager boundary, and byte-countable with
 :func:`payload_nbytes`. Payloads are self-describing via the codec name
 stored under :data:`CODEC_KEY`, so readers never need out-of-band codec
 configuration.
@@ -64,7 +65,8 @@ __all__ = [
 #: registry keys, in preference order of fidelity
 CODEC_NAMES = ("none", "fp16", "int8")
 
-#: payload key holding the codec name (0-d unicode array in ``.npz``)
+#: payload key holding the codec name (a 0-d unicode array, stored as
+#: its own record in a partition file)
 CODEC_KEY = "codec"
 
 #: payload key holding a delta's row indices (int64)

@@ -5,9 +5,19 @@ current bucket in RAM and swaps the rest to disk (paper Section 4.1);
 model checkpoints go to a shared filesystem in distributed mode
 (Figure 2). A run keeps one copy of a partition at rest: the trainer
 swaps against the ``embeddings/`` directory of the checkpoint it
-writes, so the checkpoint always holds every partition. Files are
-``.npz`` with atomic write-then-rename semantics (:func:`atomic_write`),
-so a crash mid-write never corrupts an existing partition.
+writes, so the checkpoint always holds every partition.
+
+Partition and shared-parameter files share one format, written by
+:func:`write_arrays` and read by :func:`read_arrays`: a fixed prefix
+(magic, CRC-32 of the rest of the header, version, array count), one
+fixed-width record per array (name, dtype, ndim, shape, CRC-32 of its
+bytes), then the arrays' raw bytes back to back. A read is one header parse and one
+``readinto`` plus one ``zlib.crc32`` per array, both of which release
+the interpreter lock, so a swap thread barely competes with the
+trainer. Every damaged file (truncated, bit-flipped, trailing bytes,
+foreign) raises :class:`CorruptPartition`. Files are written with
+atomic write-then-rename semantics (:func:`atomic_write`), so a crash
+mid-write never corrupts an existing partition.
 
 Every mover of a partition reaches its backend through one
 :class:`PartitionPipeline` (``settle`` / ``park`` / ``persist`` /
@@ -28,16 +38,19 @@ both the disk and the network path.
 from __future__ import annotations
 
 import json
+import math
 import os
+import struct
 import tempfile
 import threading
 import time
+import zlib
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -51,8 +64,11 @@ __all__ = [
     "CheckpointStorage",
     "StorageError",
     "PartitionAbsent",
+    "CorruptPartition",
     "PartitionPipeline",
     "atomic_write",
+    "read_arrays",
+    "write_arrays",
 ]
 
 
@@ -67,10 +83,16 @@ class PartitionAbsent(StorageError):
     damaged file never trains on as random rows."""
 
 
+class CorruptPartition(StorageError):
+    """The stored file exists but its bytes are unusable: a bad magic
+    or version, a truncated header or array, trailing bytes, a checksum
+    mismatch, or a dtype, ndim or shape no codec writes."""
+
+
 def atomic_write(path: Path, writer, /, *args, **kwargs) -> None:
     """Write a file atomically: ``writer(fh, *args, **kwargs)`` (e.g.
-    ``np.save`` / ``np.savez``) fills a temp file beside ``path``,
-    which is then renamed over it."""
+    :func:`write_arrays` or ``np.save``) fills a temp file beside
+    ``path``, which is then renamed over it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -83,15 +105,144 @@ def atomic_write(path: Path, writer, /, *args, **kwargs) -> None:
         raise
 
 
+# -- the array file format ---------------------------------------------
+
+#: suffix of every file :func:`write_arrays` writes in a store
+SUFFIX = ".bin"
+#: suffix of the retired zip format, refused by name (see _refuse_npz)
+_NPZ = ".npz"
+_MAGIC = b"REPROARR"
+_VERSION = 1
+_MAX_NDIM = 8
+#: magic, CRC-32 of the rest of the header (from the version on),
+#: version, array count; the records follow
+_PREFIX = struct.Struct("<8sIII")
+_RECORD = np.dtype([
+    ("name", "S128"), ("dtype", "S16"), ("ndim", "<u4"), ("crc", "<u4"),
+    ("shape", "<u8", (_MAX_NDIM,)),
+])
+#: dtype kinds a file may hold: numbers, bools and strings (the codec
+#: marker). Never objects, so reading a file never unpickles anything.
+_KINDS = frozenset("biufcSU")
+
+
+def _check_dtype(dtype: np.dtype) -> np.dtype:
+    if dtype.kind not in _KINDS or dtype.fields is not None:
+        raise ValueError(f"dtype {dtype.str!r} cannot be stored")
+    return dtype
+
+
+def _stored_dtype(code: bytes) -> np.dtype:
+    try:
+        return _check_dtype(np.dtype(code.decode("ascii")))
+    except (TypeError, ValueError, OverflowError):
+        raise CorruptPartition(f"unsupported dtype {code!r}") from None
+
+
+def write_arrays(fh, arrays: "Mapping[str, np.ndarray]") -> None:
+    """Write ``arrays`` to the binary file ``fh``: one header write,
+    then one write per array. Refuses object and structured dtypes,
+    names over 128 bytes and more than 8 dimensions (``ValueError``)."""
+    # np.ascontiguousarray would make the 0-d codec marker 1-d
+    values = [np.asarray(a, order="C") for a in arrays.values()]
+    records = []
+    for name, arr in zip(arrays, values):
+        encoded = name.encode("utf-8")
+        if len(encoded) > _RECORD["name"].itemsize:
+            raise ValueError(f"array name {name!r} is too long to store")
+        if arr.ndim > _MAX_NDIM:
+            raise ValueError(f"array {name!r} has more than {_MAX_NDIM} dims")
+        dtype = _check_dtype(arr.dtype).str.encode("ascii")
+        shape = arr.shape + (0,) * (_MAX_NDIM - arr.ndim)
+        records.append((encoded, dtype, arr.ndim, zlib.crc32(arr), shape))
+    rest = (struct.pack("<II", _VERSION, len(records))
+            + np.array(records, dtype=_RECORD).tobytes())
+    fh.write(_MAGIC + struct.pack("<I", zlib.crc32(rest)) + rest)
+    for arr in values:
+        fh.write(arr)
+
+
+def _read_into(fh, buf) -> int:
+    """Fill ``buf`` from ``fh``; returns the bytes read (short only at
+    end of file). One ``readinto`` returns at most ~2 GiB on Linux."""
+    view, got = memoryview(buf).cast("B"), 0
+    while got < len(view):
+        n = fh.readinto(view[got:])
+        if not n:
+            break
+        got += n
+    return got
+
+
+def read_arrays(path: Path) -> "dict[str, np.ndarray]":
+    """Read a file :func:`write_arrays` wrote, in write order, each
+    array freshly allocated and checked against its CRC-32. Raises
+    :class:`CorruptPartition` for anything but an intact file and
+    ``OSError`` if it cannot be opened or read."""
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(_PREFIX.size)
+        if len(prefix) < _PREFIX.size:
+            raise CorruptPartition("truncated header")
+        magic, crc, version, count = _PREFIX.unpack(prefix)
+        if magic != _MAGIC:
+            raise CorruptPartition("not an array file (bad magic)")
+        if version != _VERSION:
+            raise CorruptPartition(f"unsupported format version {version}")
+        header = _PREFIX.size + count * _RECORD.itemsize
+        if header > size:
+            raise CorruptPartition("truncated header")
+        body = fh.read(header - _PREFIX.size)
+        if zlib.crc32(body, zlib.crc32(prefix[12:])) != crc:
+            raise CorruptPartition("header checksum mismatch")
+        specs = []
+        for name, code, ndim, crc, shape in np.frombuffer(body, _RECORD).tolist():
+            if ndim > _MAX_NDIM:
+                raise CorruptPartition(f"array {name!r} has {ndim} dims")
+            dtype, shape = _stored_dtype(code), shape[:ndim]
+            specs.append((name.decode("utf-8", "replace"), dtype, shape, crc,
+                          math.prod(shape) * dtype.itemsize))
+        end = header + sum(spec[-1] for spec in specs)
+        if end != size:
+            raise CorruptPartition(
+                "truncated array data" if end > size
+                else f"{size - end} trailing bytes"
+            )
+        arrays = {}
+        for name, dtype, shape, crc, nbytes in specs:
+            buf = np.empty(nbytes, dtype=np.uint8)
+            if _read_into(fh, buf) != nbytes:
+                raise CorruptPartition(f"array {name!r} is truncated")
+            if zlib.crc32(buf) != crc:
+                raise CorruptPartition(f"array {name!r} checksum mismatch")
+            arrays[name] = buf.view(dtype).reshape(shape)
+    if len(arrays) != count:
+        raise CorruptPartition("duplicate array names")
+    return arrays
+
+
+def _refuse_npz(path: Path) -> None:
+    """A file of the retired ``.npz`` format where ``path`` would be
+    must not read as absent: the caller would initialise random rows
+    over a real checkpoint."""
+    old = path.with_suffix(_NPZ)
+    if old.exists():
+        raise StorageError(
+            f"{old} is in the retired .npz format, which this version "
+            f"no longer reads; retrain or convert the checkpoint"
+        )
+
+
 class PartitionedEmbeddingStorage:
     """Disk store for per-partition embeddings + optimizer state.
 
-    Layout: ``{root}/{entity_type}/part-{p:05d}.npz`` holding the wire
-    payload of the configured partition codec — for the default
+    Layout: ``{root}/{entity_type}/part-{p:05d}.bin`` (see
+    :meth:`path`), an array file (:func:`write_arrays`) holding the
+    wire payload of the configured partition codec — for the default
     ``codec="none"`` that is arrays ``embeddings`` (n x d float32) and
-    ``optim_state`` (the row-Adagrad accumulator, one float per row),
-    i.e. the historical format. Files are self-describing (the codec
-    name is stored alongside the arrays), so :meth:`load` reads any
+    ``optim_state`` (the row-Adagrad accumulator, one float per row).
+    Files are self-describing (the codec name is stored as the
+    ``codec`` record beside the arrays), so :meth:`load` reads any
     codec regardless of what this instance writes.
     """
 
@@ -100,8 +251,9 @@ class PartitionedEmbeddingStorage:
         self.root.mkdir(parents=True, exist_ok=True)
         self.codec = compression.get_codec(codec)
 
-    def _path(self, entity_type: str, part: int) -> Path:
-        return self.root / entity_type / f"part-{part:05d}.npz"
+    def path(self, entity_type: str, part: int) -> Path:
+        """The file one partition is stored in."""
+        return self.root / entity_type / f"part-{part:05d}{SUFFIX}"
 
     def save(
         self,
@@ -125,49 +277,65 @@ class PartitionedEmbeddingStorage:
             bytes=int(embeddings.nbytes + optim_state.nbytes),
         ):
             atomic_write(
-                self._path(entity_type, part), np.savez,
-                **self.codec.encode(embeddings, optim_state),
+                self.path(entity_type, part), write_arrays,
+                self.codec.encode(embeddings, optim_state),
             )
 
     def load(
         self, entity_type: str, part: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Load one partition; raises :class:`PartitionAbsent` if there is
-        no file and :class:`StorageError` if it is corrupt."""
-        path = self._path(entity_type, part)
+        no file, :class:`CorruptPartition` if its bytes are unusable and
+        :class:`StorageError` if it cannot be read or is an old
+        ``.npz``."""
+        path = self.path(entity_type, part)
         if not path.exists():
+            _refuse_npz(path)
             raise PartitionAbsent(f"no stored partition at {path}")
         try:
             with telemetry.span(
                 "storage.load", cat="transfer", entity=entity_type, part=part,
             ) as sp:
-                with np.load(path) as data:
-                    payload = {k: data[k] for k in data.files}
+                payload = read_arrays(path)
                 codec = compression.get_codec(
                     compression.payload_codec_name(payload)
                 )
                 embeddings, optim_state = codec.decode(payload)
+                if (embeddings.ndim != 2 or optim_state.ndim != 1
+                        or len(embeddings) != len(optim_state)):
+                    raise CorruptPartition(
+                        f"decoded shapes {embeddings.shape} and "
+                        f"{optim_state.shape} do not form a partition"
+                    )
                 sp.note(bytes=int(embeddings.nbytes + optim_state.nbytes))
                 return embeddings, optim_state
-        except (OSError, KeyError, ValueError) as exc:
-            raise StorageError(f"corrupt partition file {path}: {exc}") from exc
+        except (CorruptPartition, LookupError, TypeError, ValueError) as exc:
+            raise CorruptPartition(
+                f"corrupt partition file {path}: {exc}"
+            ) from exc
+        except OSError as exc:
+            raise StorageError(f"cannot read partition file {path}: {exc}") from exc
 
     def exists(self, entity_type: str, part: int) -> bool:
-        return self._path(entity_type, part).exists()
+        return self.path(entity_type, part).exists()
 
     def drop(self, entity_type: str, part: int) -> None:
         """Delete one stored partition if present."""
-        path = self._path(entity_type, part)
+        path = self.path(entity_type, part)
         if path.exists():
             path.unlink()
 
     def stored_partitions(self, entity_type: str) -> "list[int]":
-        """Sorted partition indices present on disk for ``entity_type``."""
+        """Sorted partition indices present on disk for ``entity_type``;
+        a directory holding old ``.npz`` partitions raises
+        :class:`StorageError`."""
         type_dir = self.root / entity_type
         if not type_dir.exists():
             return []
+        for old in type_dir.glob(f"part-*{_NPZ}"):
+            _refuse_npz(old)
         parts = []
-        for p in type_dir.glob("part-*.npz"):
+        for p in type_dir.glob(f"part-*{SUFFIX}"):
             try:
                 parts.append(int(p.stem.split("-")[1]))
             except (IndexError, ValueError):
@@ -177,7 +345,7 @@ class PartitionedEmbeddingStorage:
     def nbytes(self) -> int:
         """Total bytes of stored partition files."""
         return sum(
-            p.stat().st_size for p in self.root.rglob("part-*.npz")
+            p.stat().st_size for p in self.root.rglob(f"part-*{SUFFIX}")
         )
 
     def export_mmap(
@@ -185,11 +353,11 @@ class PartitionedEmbeddingStorage:
     ) -> "tuple[list[dict], int]":
         """Decode stored partitions into raw mmap-servable ``.npy`` files.
 
-        Each ``part-{p}.npz`` (whatever its codec) becomes
+        Each stored partition (whatever its codec) becomes
         ``{dest}/shard-{p:05d}.npy`` holding just the fp32 embedding
-        values — optimizer state is training-only and dropped. The raw
-        ``.npy`` format is what ``np.load(mmap_mode="r")`` can map
-        without decompression, which ``.npz`` members cannot be.
+        values — optimizer state is training-only and dropped. A server
+        memory-maps ``.npy`` shards (``mmap_mode="r"``), and a partition
+        file's payload may be quantised, so each is decoded first.
 
         Returns ``(shards, dim)`` where ``shards`` is a manifest-ready
         list of ``{"part", "rows", "file"}`` entries.
@@ -635,7 +803,8 @@ class CheckpointStorage:
 
     - ``config.json`` — the serialized :class:`~repro.config.ConfigSchema`
     - ``metadata.json`` — epoch number and user metadata
-    - ``shared.npz`` — relation operator parameters and other globals
+    - ``shared.bin`` — relation operator parameters and other globals,
+      an array file (:func:`write_arrays`; see :attr:`shared_path`)
     - ``embeddings/`` — a :class:`PartitionedEmbeddingStorage`, the
       store a partitioned run swaps against (``partitions``)
 
@@ -685,19 +854,26 @@ class CheckpointStorage:
 
     # -- shared parameters ---------------------------------------------
 
+    @property
+    def shared_path(self) -> Path:
+        """The file the shared parameters are stored in."""
+        return self.root / f"shared{SUFFIX}"
+
     def save_shared(self, arrays: "dict[str, np.ndarray]") -> None:
         """Persist shared (non-partitioned) parameters."""
-        atomic_write(self.root / "shared.npz", np.savez, **arrays)
+        atomic_write(self.shared_path, write_arrays, arrays)
 
     def load_shared(self) -> "dict[str, np.ndarray]":
-        path = self.root / "shared.npz"
+        path = self.shared_path
         if not path.exists():
+            _refuse_npz(path)
             raise StorageError(f"no shared parameters at {path}")
         try:
-            with np.load(path) as data:
-                return {k: data[k] for k in data.files}
-        except (OSError, ValueError) as exc:
-            raise StorageError(f"corrupt shared file {path}: {exc}") from exc
+            return read_arrays(path)
+        except CorruptPartition as exc:
+            raise CorruptPartition(f"corrupt shared file {path}: {exc}") from exc
+        except OSError as exc:
+            raise StorageError(f"cannot read shared file {path}: {exc}") from exc
 
     def exists(self) -> bool:
         return (self.root / "config.json").exists()

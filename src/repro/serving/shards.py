@@ -15,7 +15,7 @@ embedding table, laid out for zero-copy serving:
 ```
 
 The shard unit is the training-time partition: ``export --format
-mmap`` decodes each ``part-*.npz`` from
+mmap`` decodes each stored partition of
 :class:`~repro.graph.storage.PartitionedEmbeddingStorage` into a raw
 ``.npy`` the server opens with ``np.load(mmap_mode="r")`` — pages
 fault in on demand, several server processes share one page cache
@@ -196,7 +196,7 @@ def publish_checkpoint(
 ) -> int:
     """Publish a training checkpoint's partitions as mmap shards.
 
-    Each stored ``part-*.npz`` becomes one raw ``shard-*.npy`` (codec
+    Each stored partition file becomes one raw ``shard-*.npy`` (codec
     decoded, optimizer state dropped — serving only needs values), and
     the checkpoint's partition layout arrays become the id mapping.
     The comparator is taken from the training config so "nearest"

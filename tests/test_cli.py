@@ -23,6 +23,13 @@ from repro.config import (
     ServingConfig,
 )
 from repro.graph.edgelist import EdgeList
+from repro.graph.storage import CheckpointStorage, read_arrays
+
+
+def _part_files(checkpoint_dir):
+    """Every stored partition file of the checkpoint's ``node`` type."""
+    store = CheckpointStorage(checkpoint_dir).partitions
+    return [store.path("node", p) for p in store.stored_partitions("node")]
 
 
 @pytest.fixture
@@ -198,7 +205,8 @@ class TestTrainEvalExport:
             assert main(argv) == 0, argv
         assert "MRR" in capsys.readouterr().out
         assert sorted(p.name for p in ckpt.iterdir()) == [
-            "config.json", "embeddings", "metadata.json", "shared.npz",
+            "config.json", "embeddings", "metadata.json",
+            CheckpointStorage(ckpt).shared_path.name,
         ]
         table = MmapShardedTable.open(snap)
         np.testing.assert_array_equal(np.load(npy), table.as_array())
@@ -276,12 +284,12 @@ class TestCompressionFlags:
         ])
         assert rc == 0
         assert "done:" in capsys.readouterr().out
-        part_files = sorted((tmp_path / "cmodel").rglob("part-*.npz"))
+        part_files = _part_files(tmp_path / "cmodel")
         assert part_files
         for path in part_files:
-            with np.load(path) as payload:
-                assert str(payload["codec"]) == "int8"
-                assert payload["embeddings_q8"].dtype == np.int8
+            payload = read_arrays(path)
+            assert str(payload["codec"]) == "int8"
+            assert payload["embeddings_q8"].dtype == np.int8
 
     def test_distributed_wire_summary(self, workspace, capsys):
         tmp_path, config_path, train_path, _ = workspace
@@ -516,11 +524,10 @@ class TestCheckpointWrites:
         ]) == 0
         capsys.readouterr()
         assert writes == [(0, "int8"), (1, "int8")]
-        part_files = sorted(ckpt.rglob("part-*.npz"))
+        part_files = _part_files(ckpt)
         assert part_files
         for part in part_files:
-            with np.load(part) as payload:
-                assert str(payload["codec"]) == "int8"
+            assert str(read_arrays(part)["codec"]) == "int8"
 
     @pytest.mark.parametrize("trainer", sorted(_TRAINERS))
     def test_zero_epochs_writes_no_checkpoint(

@@ -9,6 +9,7 @@ from repro.eval.ranking import LinkPredictionEvaluator
 from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import partition_entities
+from repro.graph.storage import SUFFIX, read_arrays
 from tests.helpers import (
     RecordingServer,
     counts,
@@ -424,14 +425,16 @@ class TestEpochServices:
         checkpointing.save_model(
             end, model, entities, metadata={"epoch": 2}, codec=codec
         )
-        files = sorted(p.relative_to(end) for p in end.rglob("*.npz"))
-        assert len(files) == 5  # shared.npz and four partitions
-        assert sorted(p.relative_to(ckpt) for p in ckpt.rglob("*.npz")) == files
+        files = sorted(p.relative_to(end) for p in end.rglob(f"*{SUFFIX}"))
+        assert len(files) == 5  # the shared file and four partitions
+        assert sorted(
+            p.relative_to(ckpt) for p in ckpt.rglob(f"*{SUFFIX}")
+        ) == files
         for name in files:
-            with np.load(ckpt / name) as got, np.load(end / name) as want:
-                assert got.files == want.files
-                for key in want.files:
-                    np.testing.assert_array_equal(got[key], want[key])
+            got, want = read_arrays(ckpt / name), read_arrays(end / name)
+            assert list(got) == list(want)
+            for key in want:
+                np.testing.assert_array_equal(got[key], want[key])
 
 
 class TestSerialReleaseFetchRace:

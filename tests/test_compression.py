@@ -13,7 +13,12 @@ from repro.graph.compression import (
     payload_shape,
     wire_nbytes,
 )
-from repro.graph.storage import PartitionedEmbeddingStorage, StorageError
+from repro.graph.storage import (
+    PartitionedEmbeddingStorage,
+    StorageError,
+    atomic_write,
+    write_arrays,
+)
 
 
 def _partition(seed=0, n=50, d=16):
@@ -197,13 +202,12 @@ class TestCompressedDiskStorage:
         np.testing.assert_allclose(got_emb, emb, rtol=1e-3, atol=1e-6)
 
     def test_unmarked_file_is_corrupt(self, tmp_path):
-        """A partition file without the codec marker is reported as
+        """A file without the codec marker record is reported as
         corrupt, not decoded on the guess that it is fp32."""
         emb, state = _partition()
-        path = tmp_path / "node" / "part-00000.npz"
-        path.parent.mkdir(parents=True)
-        np.savez(path, embeddings=emb, optim_state=state)
         store = PartitionedEmbeddingStorage(tmp_path, codec="int8")
+        atomic_write(store.path("node", 0), write_arrays,
+                     {"embeddings": emb, "optim_state": state})
         with pytest.raises(StorageError, match="corrupt partition file"):
             store.load("node", 0)
 

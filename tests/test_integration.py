@@ -281,7 +281,7 @@ class TestFailureInjection:
             model = EmbeddingModel(config, entities)
             Trainer(config, model, entities, storage).train(g.edges)
             assert storage.stored_partitions("node") == [0, 1]
-            path = root / "node" / "part-00000.npz"
+            path = storage.path("node", 0)
             path.write_bytes(b"junk")
             retrain = Trainer(
                 config, EmbeddingModel(config, entities), entities, storage

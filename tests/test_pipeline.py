@@ -656,7 +656,7 @@ class TestAbsentIsNotCorrupt:
         store = PartitionedEmbeddingStorage(tmp_path / "swap")
         store.save("node", 0, np.ones((3, 2), np.float32),
                    np.zeros(3, np.float32))
-        (tmp_path / "swap" / "node" / "part-00001.npz").write_bytes(b"junk")
+        store.path("node", 1).write_bytes(b"junk")
         return store
 
     @pytest.mark.parametrize("synchronous", [True, False])

@@ -785,10 +785,11 @@ class TestShards:
         table.close()
 
     def test_publish_checkpoint_partition_missing_everywhere(self, tmp_path):
+        from repro.graph.storage import CheckpointStorage
         from repro.serving import publish_checkpoint
 
         self._partitioned_checkpoint(tmp_path / "ckpt")
-        (tmp_path / "ckpt" / "embeddings" / "node" / "part-00001.npz").unlink()
+        CheckpointStorage(tmp_path / "ckpt").partitions.path("node", 1).unlink()
         with pytest.raises(ServingError, match=r"missing partition\(s\) \[1\]"):
             publish_checkpoint(tmp_path / "snap", tmp_path / "ckpt", "node")
 

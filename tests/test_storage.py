@@ -1,14 +1,23 @@
 """Tests for on-disk partition and checkpoint storage."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.analysis import hooks
+from repro.graph import storage
+from repro.graph.compression import CODEC_NAMES, get_codec
 from repro.graph.storage import (
     CheckpointStorage,
+    CorruptPartition,
+    PartitionAbsent,
     PartitionPipeline,
     PartitionedEmbeddingStorage,
     StorageError,
+    atomic_write,
+    read_arrays,
+    write_arrays,
 )
 from tests.helpers import counts
 
@@ -83,7 +92,7 @@ class TestPartitionedEmbeddingStorage:
         emb = np.zeros((1, 1), dtype=np.float32)
         state = np.zeros(1, dtype=np.float32)
         store.save("node", 0, emb, state)
-        path = tmp_path / "node" / "part-00000.npz"
+        path = store.path("node", 0)
         path.write_bytes(b"garbage")
         with pytest.raises(StorageError, match="corrupt"):
             store.load("node", 0)
@@ -106,6 +115,176 @@ class TestPartitionedEmbeddingStorage:
             np.zeros(100, dtype=np.float32),
         )
         assert store.nbytes() > 100 * 10 * 4
+
+
+def _partition_file(tmp_path):
+    """A stored partition: (path, its payload, its loader)."""
+    store = PartitionedEmbeddingStorage(tmp_path)
+    rng = np.random.default_rng(0)
+    emb = rng.standard_normal((6, 4)).astype(np.float32)
+    store.save("node", 0, emb, rng.random(6).astype(np.float32))
+    path = store.path("node", 0)
+    return path, read_arrays(path), lambda: store.load("node", 0)
+
+
+def _shared_file(tmp_path):
+    """A stored shared-parameter file: (path, its arrays, its loader)."""
+    ckpt = CheckpointStorage(tmp_path)
+    arrays = {
+        "rel_0": np.arange(4, dtype=np.float32),
+        "rel_0_state": np.ones(4, dtype=np.float32),
+        "layout_node_part": np.arange(5, dtype=np.int64),
+    }
+    ckpt.save_shared(arrays)
+    return ckpt.shared_path, arrays, ckpt.load_shared
+
+
+def _layout(path, arrays):
+    """``[(start, nbytes)]`` per array; the header is what precedes."""
+    sizes = [np.asarray(a).nbytes for a in arrays.values()]
+    start = path.stat().st_size - sum(sizes)
+    return [(start + sum(sizes[:i]), n) for i, n in enumerate(sizes)]
+
+
+def _flip(data: bytes, offset: int, bit: int = 0) -> bytes:
+    return data[:offset] + bytes([data[offset] ^ (1 << bit)]) + data[offset + 1:]
+
+
+def _corruptions(data: bytes, layout):
+    """name -> [damaged copies of ``data``]: one kind of damage each."""
+    header = layout[0][0]
+    cases = {
+        "empty": [b""],
+        "truncated_in_header": [data[:header // 2]],
+        "bit_flipped_in_header": [
+            _flip(data, i, i % 8) for i in range(header)
+        ],
+        "byte_appended": [data + b"\0"],
+    }
+    for i, (start, nbytes) in enumerate(layout):
+        cases[f"truncated_at_array_{i}"] = [data[:start]]
+        cases[f"truncated_mid_array_{i}"] = [data[:start + nbytes // 2]]
+        cases[f"bit_flipped_in_array_{i}"] = [
+            _flip(data, start + nbytes // 2, 3)
+        ]
+    return cases
+
+
+#: both files above hold three arrays
+CORRUPTIONS = [
+    "empty", "truncated_in_header", "bit_flipped_in_header", "byte_appended",
+    *(f"{kind}_{i}" for kind in ("truncated_at_array", "truncated_mid_array",
+                                 "bit_flipped_in_array") for i in range(3)),
+]
+
+
+class TestArrayFiles:
+    """The one format of partition and shared files: every codec
+    round-trips bit for bit, and any damage is :class:`CorruptPartition`
+    (never :class:`PartitionAbsent`, which would mean "initialise")."""
+
+    @pytest.mark.parametrize("rows", [0, 7])
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    def test_every_codec_round_trips_bit_for_bit(self, tmp_path, codec, rows):
+        rng = np.random.default_rng(rows)
+        emb = rng.standard_normal((rows, 5)).astype(np.float32)
+        state = rng.random(rows).astype(np.float32)
+        store = PartitionedEmbeddingStorage(tmp_path, codec=codec)
+        store.save("node", 2, emb, state)
+        payload = get_codec(codec).encode(emb, state)
+        stored = read_arrays(store.path("node", 2))
+        assert list(stored) == list(payload)
+        for key, want in payload.items():
+            got = stored[key]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), key
+            assert got.tobytes() == want.tobytes(), key
+        want = get_codec(codec).decode(payload)
+        for got, expected in zip(store.load("node", 2), want):
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_shared_arrays_round_trip_in_order(self, tmp_path):
+        arrays = {
+            "rel_0": np.zeros((0,), np.float32),
+            "rel_1": np.eye(3, dtype=np.float32),
+            "layout_node_part": np.arange(5, dtype=np.int64),
+            "flags": np.array([True, False]),
+            "scalar": np.float64(2.5),
+            "marker": np.array("int8"),
+            "strided": np.arange(12, dtype=np.int16)[::3],
+        }
+        ckpt = CheckpointStorage(tmp_path)
+        ckpt.save_shared(arrays)
+        loaded = ckpt.load_shared()
+        assert list(loaded) == list(arrays)
+        for key, want in arrays.items():
+            want = np.asarray(want)
+            got = loaded[key]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), key
+            np.testing.assert_array_equal(got, want)
+            assert got.flags.writeable and got.flags.c_contiguous
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    @pytest.mark.parametrize("make", [_partition_file, _shared_file],
+                             ids=["partition", "shared"])
+    def test_damage_is_corrupt_not_absent(self, tmp_path, make, corruption):
+        path, arrays, load = make(tmp_path)
+        data = path.read_bytes()
+        damaged = _corruptions(data, _layout(path, arrays))[corruption]
+        for copy in damaged:
+            path.write_bytes(copy)
+            with pytest.raises(CorruptPartition, match="corrupt") as info:
+                load()
+            assert not isinstance(info.value, PartitionAbsent)
+        path.write_bytes(data)
+        load()  # the intact bytes still read
+
+    def test_object_dtype_is_refused(self, tmp_path):
+        """A record naming an object dtype (with a valid header checksum)
+        is corrupt: nothing a reader does unpickles."""
+        path, arrays, load = _shared_file(tmp_path)
+        data = bytearray(path.read_bytes())
+        field = storage._PREFIX.size + storage._RECORD.fields["dtype"][1]
+        data[field:field + 16] = b"|O8".ljust(16, b"\0")
+        header = storage._PREFIX.size + len(arrays) * storage._RECORD.itemsize
+        data[8:12] = zlib.crc32(data[12:header]).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptPartition, match="unsupported dtype"):
+            load()
+        with pytest.raises(ValueError, match="cannot be stored"):
+            write_arrays(None, {"x": np.array([object()])})
+
+    def test_shape_no_codec_writes_is_corrupt(self, tmp_path):
+        store = PartitionedEmbeddingStorage(tmp_path)
+        atomic_write(store.path("node", 0), write_arrays, {
+            "codec": np.array("none"),
+            "embeddings": np.zeros(6, np.float32),
+            "optim_state": np.zeros(6, np.float32),
+        })
+        with pytest.raises(CorruptPartition, match="do not form"):
+            store.load("node", 0)
+
+    def test_old_npz_files_fail_loudly(self, tmp_path):
+        """An old-format checkpoint is refused by name; it never reads as
+        absent, which would train random rows over it."""
+        ckpt = CheckpointStorage(tmp_path)
+        emb = np.ones((3, 2), np.float32)
+        old = ckpt.partitions.path("node", 0).with_suffix(".npz")
+        old.parent.mkdir(parents=True)
+        np.savez(old, codec=np.array("none"), embeddings=emb,
+                 optim_state=np.zeros(3, np.float32))
+        np.savez(ckpt.shared_path.with_suffix(".npz"), rel_0=emb)
+        for call in (lambda: ckpt.partitions.load("node", 0),
+                     lambda: ckpt.partitions.stored_partitions("node"),
+                     ckpt.load_shared):
+            with pytest.raises(StorageError, match=r"retired \.npz") as info:
+                call()
+            assert not isinstance(info.value, PartitionAbsent)
+        pipe = PartitionPipeline(ckpt.partitions, synchronous=True)
+        with pytest.raises(StorageError, match=r"retired \.npz"):
+            pipe.take("node", 0)
+        with pytest.raises(PartitionAbsent):
+            ckpt.partitions.load("node", 1)
 
 
 class TestCheckpointStorage:

@@ -1,7 +1,7 @@
 """The bucket loop, the epoch loop, and the single-machine trainer.
 
 Implements the paper's Section 4.1 training loop. Each epoch iterates
-the edge buckets in the configured order; for bucket ``(i, j)`` the
+the edge buckets its schedule hands out; for bucket ``(i, j)`` the
 trainer swaps in the source-side partitions ``i`` and destination-side
 partitions ``j`` (initialising them on first touch), trains on the
 bucket's edges with lock-free worker threads (HOGWILD, Recht et al.
@@ -12,17 +12,16 @@ With one partition this degenerates to plain minibatch training with
 everything resident (no pipeline is built). Peak-memory accounting and
 swap/I/O counters feed the memory columns of Tables 3 and 4.
 
-One loop, two pipeline modes
-----------------------------
+One loop, two schedules, two pipeline modes
+-------------------------------------------
 
-:class:`BucketExecutor` is the only implementation of that per-bucket
-algorithm; this trainer and every machine of
-:mod:`repro.distributed.cluster` drive it, and decide only what really
-differs: where the next bucket and the prefetch hint come from (the
-``bucket_order`` list / the lock server), what a landed write-back
-triggers (nothing / ``commit_partition``), whether the epoch-end flush
-keeps tables resident, and the per-batch parameter-server sync. All
-partition I/O goes through one
+:meth:`BucketExecutor.run_epoch` is the only per-bucket loop. Where its
+buckets come from is its *schedule*: this trainer walks
+``config.bucket_order``; each machine of :mod:`repro.distributed.cluster`
+asks the lock server. Beyond that the two differ only in what a landed
+write-back triggers (nothing / ``commit_partition``), whether the
+epoch-end flush keeps tables resident, and the per-batch
+parameter-server sync. All partition I/O goes through one
 :class:`~repro.graph.storage.PartitionPipeline`; ``config.pipeline``
 selects its mode:
 
@@ -32,12 +31,12 @@ selects its mode:
   the calling thread — swap latency is additive with training time.
 - **Pipelined** (``pipeline=True``): I/O overlaps compute (the
   latency-hiding the paper relies on to keep edges/sec flat as
-  partition count grows). A *prefetch* thread loads the next visit's
-  partitions (from the configured ``bucket_order``, so inside-out's
-  locality directly turns into prefetch hits) into the pipeline's
-  staging area while workers *train* the current bucket; evicted
-  partitions are parked there and persisted by a *writeback* thread
-  off the critical path.
+  partition count grows). A *prefetch* thread loads the partitions of
+  the bucket the schedule names next (here the next visit, so
+  inside-out's locality directly turns into prefetch hits) into the
+  pipeline's staging area while workers *train* the current bucket;
+  evicted partitions are parked there and persisted by a *writeback*
+  thread off the critical path.
 
 Ownership rules (who may touch which buffers):
 
@@ -214,8 +213,9 @@ class TrainingStats:
 class BucketExecutor:
     """One machine's per-bucket algorithm: swap, prefetch, train, flush.
 
-    The caller owns the bucket schedule; see the module docstring for
-    the ownership rules every method below relies on.
+    :meth:`run_epoch` drives it over the caller's bucket schedule; see
+    the module docstring for the ownership rules every method below
+    relies on.
 
     Parameters
     ----------
@@ -366,6 +366,92 @@ class BucketExecutor:
             self.evict()
         pipe.drain()
 
+    # -- the bucket loop ------------------------------------------------
+
+    def run_epoch(self, epoch: int, schedule, keep_resident: bool) -> EpochStats:
+        """Train one epoch over the buckets ``schedule`` hands out.
+
+        Iterating ``schedule`` yields ``(bucket, edges)`` per visit, or
+        ``None`` when it has no bucket for now: the loop then gives up
+        every partition it holds (timed as I/O) and asks again.
+        ``schedule.swapped()`` runs after each swap and names the bucket
+        to prefetch (or ``None``). A bucket without edges is swapped but
+        not trained. The epoch ends with :meth:`flush`.
+        """
+        start = time.perf_counter()
+        stats = EpochStats(epoch=epoch)
+        pipe_base = self.pipeline_stats()
+        for visit in schedule:
+            t0 = time.perf_counter()
+            if visit is None:
+                self.evict()
+                stats.io_time += time.perf_counter() - t0
+                continue
+            bucket, edges = visit
+            label = f"{bucket.lhs},{bucket.rhs}"
+            with telemetry.span("swap.bucket", cat="stall", bucket=label, epoch=epoch):
+                stats.swaps += self.swap(bucket)
+            stats.io_time += time.perf_counter() - t0
+            nxt = schedule.swapped()
+            if nxt is not None:
+                self.prefetch(nxt)
+            if len(edges) == 0:
+                continue
+            # Optional in-training eval (PBG's eval stats): rank a held-out
+            # fraction of the bucket's edges before and after training it.
+            holdout = EdgeList.empty()
+            if self.config.eval_fraction > 0 and len(edges) > 1:
+                n_hold = max(1, int(self.config.eval_fraction * len(edges)))
+                perm = self.rng.permutation(len(edges))
+                holdout, edges = edges[perm[:n_hold]], edges[perm[n_hold:]]
+                before = self._bucket_eval(bucket, holdout)
+            t1 = time.perf_counter()
+            with telemetry.span("train.bucket", cat="compute", bucket=label, epoch=epoch):
+                trained = self.train(bucket, edges)
+            stats.train_time += time.perf_counter() - t1
+            if len(holdout):
+                stats.eval_mrr_before += before * len(holdout)
+                stats.eval_mrr_after += self._bucket_eval(bucket, holdout) * len(holdout)
+                stats.num_eval_edges += len(holdout)
+            stats.loss += trained.loss
+            stats.num_edges += trained.num_edges
+            stats.violations += trained.violations
+        if stats.num_eval_edges:
+            stats.eval_mrr_before /= stats.num_eval_edges
+            stats.eval_mrr_after /= stats.num_eval_edges
+        t0 = time.perf_counter()
+        with telemetry.span("epoch.flush", cat="stall", epoch=epoch):
+            self.flush(keep_resident)
+        stats.io_time += time.perf_counter() - t0
+        stats.pipeline = self.pipeline_stats().since(pipe_base)
+        stats.wall_time = time.perf_counter() - start
+        return stats
+
+    _EVAL_CANDIDATES = 100
+    _EVAL_MAX_EDGES = 512
+
+    def _bucket_eval(self, bucket: Bucket, holdout: EdgeList) -> float:
+        """Quick in-bucket MRR: rank held-out destinations against
+        uniform candidates from the resident destination partition."""
+        holdout = holdout[: self._EVAL_MAX_EDGES]
+        ranks: list[np.ndarray] = []
+        for rel_id, chunk in holdout.group_by_relation().items():
+            lhs_table, rhs_table = self._tables(rel_id, bucket)
+            cand = self.rng.integers(
+                0, rhs_table.num_rows,
+                size=min(self._EVAL_CANDIDATES, rhs_table.num_rows),
+            )
+            src_emb = lhs_table.gather(chunk.src)
+            pos = self.model.score_pairs(
+                rel_id, src_emb, rhs_table.gather(chunk.dst)
+            )
+            scores = self.model.score_dst_pool(
+                rel_id, src_emb, rhs_table.gather(cand)
+            )
+            scores[cand[None, :] == chunk.dst[:, None]] = -np.inf
+            ranks.append(1 + (scores > pos[:, None]).sum(axis=1))
+        return float((1.0 / np.concatenate(ranks)).mean())
+
     # -- accounting ----------------------------------------------------
 
     def resident_nbytes(self) -> int:
@@ -429,16 +515,20 @@ class BucketExecutor:
         cuts = np.flatnonzero(group[1:] != group[:-1]) + 1
         for lo, hi in zip([0, *cuts], [*cuts, len(batch)]):
             run = batch[lo:hi]
-            rel = self.config.relations[run.rel[0]]
-            lhs_part = bucket.lhs if self.entities.num_partitions(rel.lhs) > 1 else 0
-            rhs_part = bucket.rhs if self.entities.num_partitions(rel.rhs) > 1 else 0
             stats.merge(self.model.forward_backward_chunk(
-                run.rel, run.src, run.dst,
-                self.model.get_table(rel.lhs, lhs_part),
-                self.model.get_table(rel.rhs, rhs_part),
+                run.rel, run.src, run.dst, *self._tables(run.rel[0], bucket),
                 rng, edge_weights=run.weights, chunk_size=self.config.chunk_size,
             ))
         return stats
+
+    def _tables(self, rel_id: int, bucket: Bucket):
+        """The resident (lhs, rhs) tables of relation ``rel_id`` in ``bucket``."""
+        rel = self.config.relations[rel_id]
+        parts = self.entities.num_partitions
+        return (
+            self.model.get_table(rel.lhs, bucket.lhs if parts(rel.lhs) > 1 else 0),
+            self.model.get_table(rel.rhs, bucket.rhs if parts(rel.rhs) > 1 else 0),
+        )
 
 
 def run_epochs(
@@ -552,10 +642,6 @@ class Trainer:
                 )
         self.storage = storage
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-
     def train(
         self,
         edges: EdgeList,
@@ -595,9 +681,11 @@ class Trainer:
         self._ensure_global_types(executor.global_types)
         try:
             yield (
-                partial(
-                    self._run_epoch, bucketed=bucketed, run_stats=stats,
-                    executor=executor,
+                # The flushed tables stay resident for after_epoch
+                # callbacks and the checkpoint.
+                lambda epoch: executor.run_epoch(
+                    epoch, _BucketOrder(executor, bucketed, stats, epoch),
+                    keep_resident=True,
                 ),
                 # Only the resident partitions: the evicted ones are in
                 # the partition store, the checkpoint's own embeddings/.
@@ -614,10 +702,6 @@ class Trainer:
                     if not failing:
                         raise
 
-    # ------------------------------------------------------------------
-    # Epoch machinery
-    # ------------------------------------------------------------------
-
     def _ensure_global_types(self, global_types: "list[str]") -> None:
         """Materialise single-partition entity types (always resident)."""
         for entity_type in global_types:
@@ -631,126 +715,41 @@ class Trainer:
             if not self.model.has_table(entity_type, 0):
                 self.model.init_partition(entity_type, 0, self.rng)
 
-    def _run_epoch(
-        self,
-        epoch: int,
-        bucketed: BucketedEdges,
-        run_stats: TrainingStats,
-        executor: BucketExecutor,
-    ) -> EpochStats:
-        start = time.perf_counter()
-        estats = EpochStats(epoch=epoch)
-        pipe_base = executor.pipeline_stats()
+
+@dataclass
+class _BucketOrder:
+    """The single-machine schedule: ``config.bucket_order``, drawn when
+    the epoch starts, visited ``stratum_passes`` times, each visit a
+    disjoint ``1/passes`` slice of the bucket's edges (paper footnote 3,
+    Gemulla et al.'s "stratum losses": more bucket switches, more swaps)."""
+
+    executor: BucketExecutor
+    bucketed: BucketedEdges
+    run_stats: TrainingStats
+    epoch: int
+    _next: "Bucket | None" = None
+
+    def __iter__(self):
+        cfg, bucketed = self.executor.config, self.bucketed
         order = bucket_order(
-            self.config.bucket_order,
-            bucketed.nparts_lhs,
-            bucketed.nparts_rhs,
-            self.rng,
+            cfg.bucket_order, bucketed.nparts_lhs, bucketed.nparts_rhs,
+            self.executor.rng,
         )
-        passes = self.config.stratum_passes
-        # Stratum passes (paper footnote 3): visit the whole grid
-        # `passes` times per epoch, training a disjoint 1/passes slice
-        # of each bucket's edges per visit ("stratum losses", Gemulla
-        # et al. 2011) — more frequent bucket switching at the cost of
-        # proportionally more swaps.
-        visits = [
-            (stratum, bucket)
-            for stratum in range(passes)
-            for bucket in order
-        ]
+        passes = cfg.stratum_passes
+        visits = [(stratum, bucket) for stratum in range(passes) for bucket in order]
         for visit, (stratum, bucket) in enumerate(visits):
-            t0 = time.perf_counter()
-            with telemetry.span(
-                "swap.bucket", cat="stall",
-                bucket=f"{bucket.lhs},{bucket.rhs}", epoch=epoch,
-            ):
-                estats.swaps += executor.swap(bucket)
-                if visit + 1 < len(visits):
-                    executor.prefetch(visits[visit + 1][1])
-            estats.io_time += time.perf_counter() - t0
-            run_stats.peak_resident_bytes = max(
-                run_stats.peak_resident_bytes, executor.resident_nbytes()
-            )
+            self._next = visits[visit + 1][1] if visit + 1 < len(visits) else None
             edges = bucketed.edges_for(bucket)
-            if len(edges) == 0:
-                continue
-            if passes > 1:
+            if passes > 1 and len(edges):
                 perm = np.random.default_rng(
-                    [self.config.seed, epoch, bucket.lhs, bucket.rhs]
+                    [cfg.seed, self.epoch, bucket.lhs, bucket.rhs]
                 ).permutation(len(edges))
                 edges = edges[perm[stratum::passes]]
-                if len(edges) == 0:
-                    continue
-            # Optional in-training evaluation: hold out a fraction of
-            # this bucket's edges and measure their ranking quality
-            # before and after training the bucket (PBG's eval stats).
-            holdout = EdgeList.empty()
-            if self.config.eval_fraction > 0 and len(edges) > 1:
-                n_hold = max(1, int(self.config.eval_fraction * len(edges)))
-                perm = self.rng.permutation(len(edges))
-                holdout = edges[perm[:n_hold]]
-                edges = edges[perm[n_hold:]]
-                before = self._bucket_eval(bucket, holdout)
-            t1 = time.perf_counter()
-            with telemetry.span(
-                "train.bucket", cat="compute",
-                bucket=f"{bucket.lhs},{bucket.rhs}", epoch=epoch,
-                stratum=stratum,
-            ):
-                bucket_stats = executor.train(bucket, edges)
-            estats.train_time += time.perf_counter() - t1
-            if len(holdout):
-                after = self._bucket_eval(bucket, holdout)
-                estats.eval_mrr_before += before * len(holdout)
-                estats.eval_mrr_after += after * len(holdout)
-                estats.num_eval_edges += len(holdout)
-            estats.loss += bucket_stats.loss
-            estats.num_edges += bucket_stats.num_edges
-            estats.violations += bucket_stats.violations
-        if estats.num_eval_edges:
-            estats.eval_mrr_before /= estats.num_eval_edges
-            estats.eval_mrr_after /= estats.num_eval_edges
-        # Persist the trailing resident partitions so evaluation can
-        # reload a complete model; they stay resident for after_epoch
-        # callbacks and the checkpoint.
-        t0 = time.perf_counter()
-        executor.flush(keep_resident=True)
-        estats.io_time += time.perf_counter() - t0
-        estats.pipeline = executor.pipeline_stats().since(pipe_base)
-        estats.wall_time = time.perf_counter() - start
-        return estats
+            yield bucket, edges
 
-    _EVAL_CANDIDATES = 100
-    _EVAL_MAX_EDGES = 512
-
-    def _bucket_eval(self, bucket: Bucket, holdout: EdgeList) -> float:
-        """Quick in-bucket MRR: rank held-out destinations against
-        uniform candidates from the resident destination partition."""
-        if len(holdout) > self._EVAL_MAX_EDGES:
-            holdout = holdout[: self._EVAL_MAX_EDGES]
-        ranks: list[np.ndarray] = []
-        for rel_id, chunk in holdout.group_by_relation().items():
-            rel = self.config.relations[rel_id]
-            lhs_part = (
-                bucket.lhs if self.entities.num_partitions(rel.lhs) > 1 else 0
-            )
-            rhs_part = (
-                bucket.rhs if self.entities.num_partitions(rel.rhs) > 1 else 0
-            )
-            lhs_table = self.model.get_table(rel.lhs, lhs_part)
-            rhs_table = self.model.get_table(rel.rhs, rhs_part)
-            cand = self.rng.integers(
-                0, rhs_table.num_rows,
-                size=min(self._EVAL_CANDIDATES, rhs_table.num_rows),
-            )
-            src_emb = lhs_table.gather(chunk.src)
-            pos = self.model.score_pairs(
-                rel_id, src_emb, rhs_table.gather(chunk.dst)
-            )
-            scores = self.model.score_dst_pool(
-                rel_id, src_emb, rhs_table.gather(cand)
-            )
-            scores[cand[None, :] == chunk.dst[:, None]] = -np.inf
-            ranks.append(1 + (scores > pos[:, None]).sum(axis=1))
-        all_ranks = np.concatenate(ranks)
-        return float((1.0 / all_ranks).mean())
+    def swapped(self) -> "Bucket | None":
+        self.run_stats.peak_resident_bytes = max(
+            self.run_stats.peak_resident_bytes,
+            self.executor.resident_nbytes(),
+        )
+        return self._next

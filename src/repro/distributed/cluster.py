@@ -31,51 +31,35 @@ reports into the epoch's ``EpochStats``, resets the lock server and,
 with ``checkpoint_dir`` set, checkpoints there: the model assembled
 from the servers, saved like the single-machine trainer's.
 
-The bucket loop and its two pipeline modes
-------------------------------------------
+The bucket source and its protocol
+----------------------------------
 
-Steps 2–3 and the epoch-end flush are not implemented here: each
-machine drives the single-machine trainer's
-:class:`~repro.core.trainer.BucketExecutor` (that module's docstring
-has the loop, the synchronous / pipelined modes ``config.pipeline``
-selects, and the thread-ownership rules) over a
-:class:`~repro.graph.storage.PartitionPipeline` backed by a
-:class:`~repro.distributed.partition_server.PartitionServerStorage`
-adapter instead of disk. This module adds the protocol around it. Its
-rules hold in **both** modes — a push lands, and commits, before the
-evicting call returns (synchronous) or on the writeback thread, off
-the critical path (pipelined):
+Steps 2–3 and the epoch-end flush are the single-machine trainer's:
+each machine runs :meth:`~repro.core.trainer.BucketExecutor.run_epoch`
+(that module's docstring has the loop, its pipeline modes and the
+thread-ownership rules) with the lock server's grants (:class:`_Grants`)
+as its schedule, over a :class:`~repro.graph.storage.PartitionPipeline`
+backed by a partition-server adapter instead of disk. The protocol
+rules hold in both pipeline modes — a push lands, and commits, before
+the evicting call returns (synchronous) or on the writeback thread:
 
 - **Deferred release (network flush-before-reuse).** A bucket is
-  released with ``defer=True``: the lock server keeps its partitions
-  unavailable to other machines until their push-backs land and the
-  :class:`_PartitionCommitter` calls ``commit_partition``. Releasing
-  without deferral is the historical release/fetch race — the push
-  happened lazily, at the next swap, so another machine could acquire
-  the bucket and fetch the previous, stale version from the server.
-- **An index commits after *all* its pushes.** Deferral is keyed by
-  partition index and entity types share indices; the committer hears
-  of a whole eviction pass before its first push starts (rule 4 of the
-  executor's module), so the last type's landing is what commits.
-- **A starved machine evicts.** Holding deferred partitions while the
-  lock server has no bucket for it, a machine pushes and commits them
-  — two starved machines cross-holding each other's next partitions
-  must not wedge the grid.
-- **Reservation prefetch (pipelined mode only).** After a swap the
-  machine asks the lock server to
-  :meth:`~repro.distributed.lock_server.LockServer.reserve` its likely
-  *next* bucket and prefetches its partitions while the current one
-  trains. A reservation lost to another machine's acquire just costs a
-  prefetch miss; staged copies are version-checked against the server,
-  so a stale prefetch is never consumed.
+  released with ``defer=True``: its partitions stay unavailable to
+  other machines until their push-backs land and the
+  :class:`_PartitionCommitter` calls ``commit_partition``; otherwise
+  another machine could fetch the previous, stale version.
+- **An index commits after *all* its pushes** (the executor's rule 4).
+- **A starved machine evicts** the deferred partitions it holds, so two
+  starved machines cross-holding each other's next partitions cannot
+  wedge the grid; it then backs off ``_IDLE_SLEEP`` and asks again.
+- **Reservation prefetch (pipelined only).** After a swap the machine
+  reserves (:meth:`~repro.distributed.lock_server.LockServer.reserve`)
+  its likely next bucket and prefetches it; a reservation lost to
+  another machine costs a prefetch miss, and staged copies are
+  version-checked, so a stale prefetch is never consumed.
 - **Drain barrier.** The epoch-end flush evicts everything and drains,
-  so the partition server is complete and consistent when the
-  coordinator checkpoints and runs ``after_epoch``.
-- **First touch stays home**, on the owning machine's main thread
-  (never the prefetch thread), so with one machine the pipelined run
-  is bit-identical to the synchronous one under a fixed seed.
-- **HOGWILD workers are per machine** (``config.num_workers``);
-  parameter-server syncs stay on the machine's main thread.
+  then the forced parameter sync runs: the servers are complete when
+  the coordinator checkpoints.
 
 Compressed transport
 --------------------
@@ -154,7 +138,7 @@ class MachineStats:
     before the bucket was acquired. ``transfer_overlap_time`` is the
     partition-server I/O wall time this machine's background threads
     absorbed off the critical path (total adapter I/O seconds minus the
-    swap/flush time still paid inline).
+    I/O seconds still paid inline, ``transfer_time``).
 
     The wire block is this machine's partition-server traffic in
     *encoded* bytes, read off the payloads that crossed;
@@ -284,6 +268,60 @@ class _PartitionCommitter:
         self._lock_server.commit_partition(self._machine, part)
 
 
+@dataclass
+class _Grants:
+    """A machine's schedule for :meth:`BucketExecutor.run_epoch`: the
+    buckets the lock server grants it, each released (deferred) when
+    the loop asks for the next. Starved, it has the loop evict and
+    backs off before asking again; pipelined, it reserves the likely
+    next bucket as the prefetch hint. Feeds the machine's counters in
+    ``registry`` (``buckets_trained`` counts grants, empty ones too)."""
+
+    ctx: _WorkerContext
+    executor: BucketExecutor
+    lock_server: object
+    partition_server: object
+    barrier: object
+    registry: MetricsRegistry
+    reserved: "Bucket | None" = None
+
+    def __iter__(self):
+        machine, count = self.ctx.machine, self.registry.counter
+        while True:
+            granted = self.lock_server.acquire(machine)
+            if granted is None:
+                if self.lock_server.epoch_done():
+                    return
+                if self.barrier.broken:  # a peer died holding a bucket
+                    raise threading.BrokenBarrierError
+                yield None  # starved: the loop evicts (module docstring)
+                t0 = time.perf_counter()
+                with telemetry.span("lock.starved", cat="stall", machine=machine):
+                    time.sleep(_IDLE_SLEEP)
+                count("machine.idle_time").inc(time.perf_counter() - t0)
+                continue
+            bucket = Bucket(*granted)
+            if self.reserved is not None:
+                if self.reserved == bucket:
+                    count("machine.reservation_hits").inc()
+                self.reserved = None
+            count("machine.buckets_trained").inc()
+            yield bucket, self.ctx.bucketed.edges_for(bucket)
+            self.lock_server.release(machine, bucket, defer=True)
+
+    def swapped(self) -> "Bucket | None":
+        hosted = self.partition_server.shard_nbytes()[self.ctx.machine]
+        self.registry.gauge("machine.resident_bytes").set(
+            self.executor.resident_nbytes() + hosted
+        )
+        # Two-phase protocol: pull the likely next bucket while this trains.
+        nxt = self.lock_server.reserve(self.ctx.machine) if self.ctx.config.pipeline else None
+        if nxt is not None:
+            self.reserved = Bucket(*nxt)
+            self.registry.counter("machine.reservations").inc()
+        return self.reserved
+
+
 def _machine_main(
     ctx: _WorkerContext,
     lock_server,
@@ -297,18 +335,11 @@ def _machine_main(
     report, then meeting the drain barrier."""
     cfg = ctx.config
     telemetry.set_lane(f"machine-{ctx.machine}.main")
-    # Per-machine registry: the MachineStats shipped to the coordinator
-    # is a view of these counters plus the pipeline's and the adapter's,
-    # each named after the field it feeds, and of the epoch reports.
+    # MachineStats is a view of these counters (fed by _Grants), the
+    # pipeline's and the adapter's, and of the epoch reports.
     registry = MetricsRegistry()
-    c_idle = registry.counter("machine.idle_time")
-    c_buckets = registry.counter("machine.buckets_trained")
-    c_reservations = registry.counter("machine.reservations")
-    c_res_hits = registry.counter("machine.reservation_hits")
-    g_resident = registry.gauge("machine.resident_bytes")
-    #: wall seconds of partition-server I/O paid on the critical path
-    #: (swap-in waits, epoch flush barriers) — the overlap baseline.
-    inline_io = 0.0
+    for name in ("idle_time", "buckets_trained", "reservations", "reservation_hits"):
+        registry.counter(f"machine.{name}")
     pipe = None
     try:
         rng = np.random.default_rng(
@@ -349,82 +380,21 @@ def _machine_main(
         run = EpochStats(epoch=cfg.num_epochs)  # this machine's sums
         for epoch in range(cfg.num_epochs):
             barrier.wait(_BARRIER_TIMEOUT)  # coordinator go-ahead
-            report = EpochStats(epoch=epoch)
-            pipe_base = executor.pipeline_stats()
-            reserved: Bucket | None = None
-            while True:
-                bucket = lock_server.acquire(ctx.machine)
-                if bucket is None:
-                    if lock_server.epoch_done():
-                        break
-                    if barrier.broken:  # a peer died holding a bucket
-                        raise threading.BrokenBarrierError
-                    executor.evict()  # starved: see module docstring
-                    t0 = time.perf_counter()
-                    with telemetry.span(
-                        "lock.starved", cat="stall", machine=ctx.machine
-                    ):
-                        time.sleep(_IDLE_SLEEP)
-                    c_idle.inc(time.perf_counter() - t0)
-                    continue
-                bucket = Bucket(*bucket)
-                if reserved is not None:
-                    if reserved == bucket:
-                        c_res_hits.inc()
-                    reserved = None
-                t0 = time.perf_counter()
-                with telemetry.span(
-                    "swap.bucket", cat="stall", machine=ctx.machine,
-                    bucket=f"{bucket.lhs},{bucket.rhs}",
-                ):
-                    report.swaps += executor.swap(bucket)
-                elapsed = time.perf_counter() - t0
-                report.io_time += elapsed
-                inline_io += elapsed
-                hosted = partition_server.shard_nbytes()[ctx.machine]
-                g_resident.set(executor.resident_nbytes() + hosted)
-                if cfg.pipeline:
-                    # Two-phase protocol: learn the likely next bucket
-                    # and pull its partitions from the partition server
-                    # while this bucket trains.
-                    nxt = lock_server.reserve(ctx.machine)
-                    if nxt is not None:
-                        reserved = Bucket(*nxt)
-                        c_reservations.inc()
-                        executor.prefetch(reserved)
-                edges = ctx.bucketed.edges_for(bucket)
-                t1 = time.perf_counter()
-                with telemetry.span(
-                    "train.bucket", cat="compute", machine=ctx.machine,
-                    bucket=f"{bucket.lhs},{bucket.rhs}",
-                ):
-                    bstats = executor.train(bucket, edges)
-                report.train_time += time.perf_counter() - t1
-                report.loss += bstats.loss
-                report.num_edges += bstats.num_edges
-                report.violations += bstats.violations
-                c_buckets.inc()
-                lock_server.release(ctx.machine, bucket, defer=True)
-
-            # Flush resident partitions so the epoch-end model is complete.
-            t0 = time.perf_counter()
-            with telemetry.span(
-                "epoch.flush", cat="stall", machine=ctx.machine
-            ):
-                executor.flush(keep_resident=False)
-                inline_io += time.perf_counter() - t0
-                client.maybe_sync(force=True)
-            report.io_time += time.perf_counter() - t0
-            report.pipeline = executor.pipeline_stats().since(pipe_base)
+            report = executor.run_epoch(
+                epoch,
+                _Grants(ctx, executor, lock_server, partition_server, barrier, registry),
+                keep_resident=False,
+            )
+            client.maybe_sync(force=True)
             run.merge(report)
             mstats = view(
                 MachineStats, registry, pipe.metrics, backend.metrics,
                 machine=ctx.machine,
                 loss=run.loss, num_edges=run.num_edges,
                 train_time=run.train_time, transfer_time=run.io_time,
-                peak_resident_bytes=int(g_resident.max),
+                peak_resident_bytes=int(registry.gauge("machine.resident_bytes").max),
                 transfer_overlap_time=max(  # see MachineStats
-                    0.0, backend.io_seconds.value - inline_io
+                    0.0, backend.io_seconds.value - run.io_time
                 ),
             )
             result_queue.put(("epoch", report, mstats))

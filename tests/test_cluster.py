@@ -55,6 +55,68 @@ def _setup(num_machines, nparts, n=300, seed=0, **kw):
     return config, entities
 
 
+def _starving_lock_server(starved: list):
+    """A ``LockServer`` class that starves a machine once after each
+    release while it holds deferrals (appending it to ``starved``); the
+    machine's next acquire waits until the eviction's commits have
+    landed and is granted."""
+    import time as time_mod
+
+    from repro.distributed.lock_server import LockServer
+
+    owed, evicting = set(), set()
+
+    class StarvingLockServer(LockServer):
+        def release(self, machine, bucket, defer=False):
+            super().release(machine, bucket, defer)
+            owed.add(machine)
+
+        def holds_deferrals(self, machine):
+            with self._lock:
+                return machine in self._state.deferred.values()
+
+        def acquire(self, machine):
+            if machine in evicting:
+                evicting.discard(machine)
+                deadline = time_mod.monotonic() + 10.0
+                while (self.holds_deferrals(machine)
+                       and time_mod.monotonic() < deadline):
+                    time_mod.sleep(0.001)
+            elif machine in owed:
+                owed.discard(machine)
+                with self._lock:
+                    remaining = bool(self._state.remaining)
+                if remaining and self.holds_deferrals(machine):
+                    starved.append(machine)
+                    evicting.add(machine)
+                    return None
+            return super().acquire(machine)
+
+    return StarvingLockServer
+
+
+def _two_partition_graph(entities, m=1200, seed=0):
+    """Edges only among nodes of partitions 0 and 1: of P = 4's sixteen
+    buckets, (0,0), (0,1), (1,0) and (1,1) are the non-empty ones."""
+    nodes = np.flatnonzero(entities.partitioning("node").part_of < 2)
+    rng = np.random.default_rng(seed)
+    return EdgeList(
+        rng.choice(nodes, m), np.zeros(m, dtype=np.int64), rng.choice(nodes, m)
+    )
+
+
+def _train_single_machine(config, entities, edges, checkpoint_dir):
+    """The same config on the single-machine ``Trainer``."""
+    from dataclasses import replace
+
+    from repro.core.model import EmbeddingModel
+    from repro.core.trainer import Trainer
+
+    config = replace(config, num_machines=1, checkpoint_dir=str(checkpoint_dir))
+    model = EmbeddingModel(config, entities, np.random.default_rng(config.seed))
+    return Trainer(config, model, entities).train(edges)
+
+
 class TestThreadMode:
     def test_modelled_nic_is_gone(self):
         config, entities = _setup(1, 2)
@@ -925,44 +987,16 @@ class TestSharedBucketLoop:
         have landed (on the writeback thread, when pipelined) and is
         granted. Since an eviction only moves bytes, the run stays
         bit-identical to an unstarved one."""
-        import time as time_mod
-
         from repro.distributed import cluster as cluster_mod
-        from repro.distributed.lock_server import LockServer
 
-        starved, owed, evicting = [], set(), set()
-
-        class StarvingLockServer(LockServer):
-            def release(self, machine, bucket, defer=False):
-                super().release(machine, bucket, defer)
-                owed.add(machine)
-
-            def holds_deferrals(self, machine):
-                with self._lock:
-                    return machine in self._state.deferred.values()
-
-            def acquire(self, machine):
-                if machine in evicting:
-                    evicting.discard(machine)
-                    deadline = time_mod.monotonic() + 10.0
-                    while (self.holds_deferrals(machine)
-                           and time_mod.monotonic() < deadline):
-                        time_mod.sleep(0.001)
-                elif machine in owed:
-                    owed.discard(machine)
-                    with self._lock:
-                        remaining = bool(self._state.remaining)
-                    if remaining and self.holds_deferrals(machine):
-                        starved.append(machine)
-                        evicting.add(machine)
-                        return None
-                return super().acquire(machine)
-
+        starved = []
         edges = _graph()
         config, entities = _setup(1, 4, pipeline=pipelined)
         reference, _ = DistributedTrainer(config, entities).train(edges)
 
-        monkeypatch.setattr(cluster_mod, "LockServer", StarvingLockServer)
+        monkeypatch.setattr(
+            cluster_mod, "LockServer", _starving_lock_server(starved)
+        )
         config, entities = _setup(1, 4, pipeline=pipelined)
         trainer = DistributedTrainer(config, entities)
         model, stats = trainer.train(edges)
@@ -976,6 +1010,104 @@ class TestSharedBucketLoop:
             reference.global_embeddings("node"),
             model.global_embeddings("node"),
         )
+
+
+    @pytest.mark.parametrize("cluster", [False, True])
+    def test_one_train_call_per_nonempty_bucket(
+        self, monkeypatch, tmp_path, cluster
+    ):
+        """Both trainers run one bucket loop, which swaps an empty
+        bucket in but trains only non-empty ones: no worker pool is
+        started and no seed drawn for a bucket without edges."""
+        from repro.core.trainer import BucketExecutor
+        from repro.graph.partitioning import bucket_edges
+
+        sizes = []
+        original = BucketExecutor.train
+
+        def counting(self, bucket, edges):
+            sizes.append(len(edges))
+            return original(self, bucket, edges)
+
+        monkeypatch.setattr(BucketExecutor, "train", counting)
+        config, entities = _setup(2, 4, num_epochs=2, num_workers=2)
+        edges = _two_partition_graph(entities)
+        nonempty = bucket_edges(edges, config, entities).nonempty_buckets()
+        assert len(nonempty) == 4
+        if cluster:
+            DistributedTrainer(config, entities).train(edges)
+        else:
+            _train_single_machine(config, entities, edges, tmp_path)
+        assert len(sizes) == 2 * len(nonempty)
+        assert 0 not in sizes
+
+    def test_starved_eviction_counts_as_transfer(self, monkeypatch):
+        """A starved machine pushes its deferred partitions back on its
+        own thread: that is partition I/O, so with every push paid
+        inline (serial mode) ``transfer_time`` covers every save."""
+        import time as time_mod
+
+        from repro.distributed import cluster as cluster_mod
+        from repro.distributed.partition_server import (
+            PartitionServerStorage,
+        )
+
+        starved, saves = [], []
+
+        class SlowSaveAdapter(PartitionServerStorage):
+            def save(self, *args, **kwargs):
+                t0 = time_mod.perf_counter()
+                time_mod.sleep(0.005)
+                result = super().save(*args, **kwargs)
+                saves.append(time_mod.perf_counter() - t0)
+                return result
+
+        monkeypatch.setattr(
+            cluster_mod, "LockServer", _starving_lock_server(starved)
+        )
+        monkeypatch.setattr(
+            cluster_mod, "PartitionServerStorage", SlowSaveAdapter
+        )
+        config, entities = _setup(1, 4, pipeline=False)
+        _, stats = DistributedTrainer(config, entities).train(_graph())
+        assert len(starved) == 3 * 15
+        assert stats.machines[0].transfer_time >= sum(saves) > 0
+
+    def test_both_trainers_emit_one_span_vocabulary(self, tmp_path):
+        """The bucket loop's spans are the same in both trainers: names,
+        arg keys (the machine is its lane), one ``train.bucket`` per
+        non-empty bucket per epoch and one ``epoch.flush`` per epoch."""
+        from repro import telemetry
+        from repro.graph.partitioning import bucket_edges
+
+        config, entities = _setup(1, 4, num_epochs=2)
+        edges = _two_partition_graph(entities)
+        nonempty = bucket_edges(edges, config, entities).nonempty_buckets()
+        runs = {
+            "trainer": lambda: _train_single_machine(
+                config, entities, edges, tmp_path
+            ),
+            "cluster": lambda: DistributedTrainer(config, entities).train(edges),
+        }
+        loop = ("swap.bucket", "train.bucket", "epoch.flush")
+        vocabulary = {}
+        for name, run in runs.items():
+            tracer = telemetry.enable()
+            try:
+                run()
+            finally:
+                telemetry.disable()
+            spans = [e for e in tracer.events() if e.name in loop]
+            vocabulary[name] = {(e.name, tuple(sorted(e.args))) for e in spans}
+            trained = [e for e in spans if e.name == "train.bucket"]
+            assert len(trained) == 2 * len(nonempty)
+            assert {e.args["epoch"] for e in trained} == {0, 1}
+            assert [e.args["epoch"] for e in spans if e.name == "epoch.flush"] == [0, 1]
+        assert vocabulary["trainer"] == vocabulary["cluster"] == {
+            ("swap.bucket", ("bucket", "epoch")),
+            ("train.bucket", ("bucket", "epoch")),
+            ("epoch.flush", ("epoch",)),
+        }
 
 
 class TestMixedRelationGroups:

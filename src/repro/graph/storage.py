@@ -7,17 +7,18 @@ model checkpoints go to a shared filesystem in distributed mode
 swaps against the ``embeddings/`` directory of the checkpoint it
 writes, so the checkpoint always holds every partition.
 
-Partition and shared-parameter files share one format, written by
-:func:`write_arrays` and read by :func:`read_arrays`: a fixed prefix
-(magic, CRC-32 of the rest of the header, version, array count), one
-fixed-width record per array (name, dtype, ndim, shape, CRC-32 of its
-bytes), then the arrays' raw bytes back to back. A read is one header parse and one
-``readinto`` plus one ``zlib.crc32`` per array, both of which release
-the interpreter lock, so a swap thread barely competes with the
-trainer. Every damaged file (truncated, bit-flipped, trailing bytes,
-foreign) raises :class:`CorruptPartition`. Files are written with
-atomic write-then-rename semantics (:func:`atomic_write`), so a crash
-mid-write never corrupts an existing partition.
+Partition, shared-parameter and serving snapshot files share one
+format, written by :func:`write_arrays` and read by :func:`read_arrays`:
+a fixed prefix (magic, CRC-32 of the rest of the header, version, array
+count), one fixed-width record per array (name, dtype, ndim, shape,
+CRC-32 of its bytes), then the arrays' raw bytes back to back. A read
+is one header parse and one ``readinto`` plus one ``zlib.crc32`` per
+array, both of which release the interpreter lock, so a swap thread
+barely competes with the trainer; serving maps the bytes read-only
+instead (``mmap=True``) after the same checks. Every damaged file
+(truncated, bit-flipped, trailing bytes, foreign) raises
+:class:`CorruptPartition`. Files are written atomically
+(:func:`atomic_write`), so a crash mid-write never corrupts a file.
 
 Every mover of a partition reaches its backend through one
 :class:`PartitionPipeline` (``settle`` / ``park`` / ``persist`` /
@@ -91,8 +92,8 @@ class CorruptPartition(StorageError):
 
 def atomic_write(path: Path, writer, /, *args, **kwargs) -> None:
     """Write a file atomically: ``writer(fh, *args, **kwargs)`` (e.g.
-    :func:`write_arrays` or ``np.save``) fills a temp file beside
-    ``path``, which is then renamed over it."""
+    :func:`write_arrays`) fills a temp file beside ``path``, which is
+    then renamed over it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
@@ -174,11 +175,12 @@ def _read_into(fh, buf) -> int:
     return got
 
 
-def read_arrays(path: Path) -> "dict[str, np.ndarray]":
+def read_arrays(path: Path, mmap: bool = False) -> "dict[str, np.ndarray]":
     """Read a file :func:`write_arrays` wrote, in write order, each
-    array freshly allocated and checked against its CRC-32. Raises
-    :class:`CorruptPartition` for anything but an intact file and
-    ``OSError`` if it cannot be opened or read."""
+    array checked against its CRC-32: freshly allocated, or with
+    ``mmap=True`` a read-only ``np.memmap`` view of the file's bytes.
+    Raises :class:`CorruptPartition` for anything but an intact file
+    and ``OSError`` if it cannot be opened or read."""
     with open(path, "rb", buffering=0) as fh:
         size = os.fstat(fh.fileno()).st_size
         prefix = fh.read(_PREFIX.size)
@@ -208,11 +210,15 @@ def read_arrays(path: Path) -> "dict[str, np.ndarray]":
                 "truncated array data" if end > size
                 else f"{size - end} trailing bytes"
             )
-        arrays = {}
+        mapped = np.memmap(fh, np.uint8, "r") if mmap else None
+        arrays, start = {}, header
         for name, dtype, shape, crc, nbytes in specs:
-            buf = np.empty(nbytes, dtype=np.uint8)
-            if _read_into(fh, buf) != nbytes:
-                raise CorruptPartition(f"array {name!r} is truncated")
+            if mapped is not None:
+                buf, start = mapped[start:start + nbytes], start + nbytes
+            else:
+                buf = np.empty(nbytes, dtype=np.uint8)
+                if _read_into(fh, buf) != nbytes:
+                    raise CorruptPartition(f"array {name!r} is truncated")
             if zlib.crc32(buf) != crc:
                 raise CorruptPartition(f"array {name!r} checksum mismatch")
             arrays[name] = buf.view(dtype).reshape(shape)
@@ -351,13 +357,12 @@ class PartitionedEmbeddingStorage:
     def export_mmap(
         self, entity_type: str, dest: "str | Path"
     ) -> "tuple[list[dict], int]":
-        """Decode stored partitions into raw mmap-servable ``.npy`` files.
+        """Decode stored partitions into mmap-servable shard files.
 
-        Each stored partition (whatever its codec) becomes
-        ``{dest}/shard-{p:05d}.npy`` holding just the fp32 embedding
-        values — optimizer state is training-only and dropped. A server
-        memory-maps ``.npy`` shards (``mmap_mode="r"``), and a partition
-        file's payload may be quantised, so each is decoded first.
+        Each stored partition (whatever its codec, which may quantise)
+        becomes ``{dest}/shard-{p:05d}.bin``, an array file holding one
+        fp32 array, ``embeddings``; the training-only optimizer state
+        is dropped.
 
         Returns ``(shards, dim)`` where ``shards`` is a manifest-ready
         list of ``{"part", "rows", "file"}`` entries.
@@ -367,20 +372,14 @@ class PartitionedEmbeddingStorage:
         shards: "list[dict]" = []
         dim = 0
         for part in self.stored_partitions(entity_type):
-            embeddings, _ = self.load(entity_type, part)
-            embeddings = np.ascontiguousarray(
-                embeddings, dtype=np.float32
-            )
-            dim = embeddings.shape[1]
-            name = f"shard-{part:05d}.npy"
-            atomic_write(dest / name, np.save, embeddings)
-            shards.append(
-                {"part": part, "rows": len(embeddings), "file": name}
-            )
+            embeddings = self.load(entity_type, part)[0]
+            embeddings = embeddings.astype(np.float32, copy=False)
+            dim, name = embeddings.shape[1], f"shard-{part:05d}{SUFFIX}"
+            atomic_write(dest / name, write_arrays, {"embeddings": embeddings})
+            shards.append({"part": part, "rows": len(embeddings), "file": name})
         if not shards:
             raise StorageError(
-                f"no stored partitions for {entity_type!r} under "
-                f"{self.root}"
+                f"no stored partitions for {entity_type!r} under {self.root}"
             )
         return shards, dim
 

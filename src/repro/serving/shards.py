@@ -5,21 +5,24 @@ embedding table, laid out for zero-copy serving:
 
 ```
 {root}/
-  CURRENT                # text pointer: "v-000003\n"
+  CURRENT            # text pointer: "v-000003\n"
   v-000003/
-    manifest.json        # version, entity_type, dim, count, comparator,
-                         # shards: [{part, rows, file}], source metadata
-    layout_part.npy      # global id -> shard (partition) index
-    layout_offset.npy    # global id -> row within its shard
-    shard-00000.npy      # raw float32 (rows, dim), one per partition
+    manifest.json    # version, entity_type, dim, count, comparator,
+                     # shards: [{part, rows, file}], source metadata
+    layout.bin       # arrays part, offset: global id -> (shard, row)
+    shard-00000.bin  # array embeddings: float32 (rows, dim), one
+                     # per partition
 ```
 
 The shard unit is the training-time partition: ``export --format
 mmap`` decodes each stored partition of
-:class:`~repro.graph.storage.PartitionedEmbeddingStorage` into a raw
-``.npy`` the server opens with ``np.load(mmap_mode="r")`` — pages
-fault in on demand, several server processes share one page cache
-copy, and a shard never loads at all unless queries touch it.
+:class:`~repro.graph.storage.PartitionedEmbeddingStorage` into a shard.
+Every file but the manifest is an array file in the trainer's format
+(:func:`~repro.graph.storage.write_arrays`), so opening a version
+checks every CRC: a damaged version raises :class:`ServingError` naming
+the file and is never served. The shards are then mapped read-only
+(``read_arrays(mmap=True)``): pages fault in on demand, and several
+server processes share one page cache copy.
 
 Publishing is crash-safe and reader-atomic: a version is staged in a
 hidden temp dir, renamed into place (atomic within a filesystem), and
@@ -34,12 +37,20 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from repro.graph.storage import CheckpointStorage, atomic_write
+from repro.graph.storage import (
+    CheckpointStorage,
+    StorageError,
+    atomic_write,
+    read_arrays,
+    write_arrays,
+)
 from repro.serving.index import ServingError
 
 __all__ = [
@@ -52,6 +63,8 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 CURRENT_NAME = "CURRENT"
+LAYOUT_NAME = "layout.bin"
+_F32, _I64 = np.dtype(np.float32).str, np.dtype(np.int64).str
 
 
 def _version_dirname(version: int) -> str:
@@ -94,54 +107,48 @@ def _set_current(root: Path, version: int) -> None:
     os.replace(tmp, root / CURRENT_NAME)
 
 
-def _write_manifest(
-    vdir: Path,
-    version: int,
+def _publish(
+    root: "str | Path",
+    write_shards,
+    part: np.ndarray,
+    offset: np.ndarray,
     entity_type: str,
     comparator: str,
-    shards: "list[dict]",
-    dim: int,
-    count: int,
     source: "dict | None",
-) -> None:
-    manifest = {
-        "version": version,
-        "entity_type": entity_type,
-        "comparator": comparator,
-        "dim": dim,
-        "count": count,
-        "shards": shards,
-        "source": source or {},
-    }
-    (vdir / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True)
-    )
+) -> int:
+    """Stage one new version, rename it into place, then flip ``CURRENT``.
 
-
-class _Publisher:
-    """Stage-then-rename publisher for one new snapshot version."""
-
-    def __init__(self, root: "str | Path") -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        versions = list_versions(self.root)
-        self.version = (versions[-1] + 1) if versions else 1
-        self.staging = Path(
-            tempfile.mkdtemp(
-                dir=self.root, prefix=f".tmp-{_version_dirname(self.version)}-"
-            )
+    ``write_shards(staging) -> (shards, dim)`` writes the shard files
+    and returns their manifest entries ``[{part, rows, file}]``;
+    ``part`` and ``offset`` map each global id to a shard row. Returns
+    the new version number.
+    """
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    versions = list_versions(root)
+    version = (versions[-1] + 1) if versions else 1
+    staging = Path(tempfile.mkdtemp(
+        dir=root, prefix=f".tmp-{_version_dirname(version)}-"
+    ))
+    try:
+        shards, dim = write_shards(staging)
+        atomic_write(staging / LAYOUT_NAME, write_arrays, {
+            "part": part.astype(np.int64), "offset": offset.astype(np.int64),
+        })
+        manifest = {
+            "version": version, "entity_type": entity_type,
+            "comparator": comparator, "dim": dim, "count": len(part),
+            "shards": shards, "source": source or {},
+        }
+        (staging / MANIFEST_NAME).write_text(
+            json.dumps(manifest, indent=2, sort_keys=True)
         )
-
-    def commit(self) -> int:
-        final = self.root / _version_dirname(self.version)
-        os.rename(self.staging, final)
-        _set_current(self.root, self.version)
-        return self.version
-
-    def abort(self) -> None:
-        for p in self.staging.glob("*"):
-            p.unlink()
-        self.staging.rmdir()
+    except BaseException:
+        shutil.rmtree(staging)
+        raise
+    os.rename(staging, root / _version_dirname(version))
+    _set_current(root, version)
+    return version
 
 
 def publish_embeddings(
@@ -164,29 +171,18 @@ def publish_embeddings(
             f"embeddings must be (n, d), got {embeddings.shape}"
         )
     n, d = embeddings.shape
-    pub = _Publisher(root)
-    try:
-        atomic_write(
-            pub.staging / "shard-00000.npy", np.save,
-            np.ascontiguousarray(embeddings, dtype=np.float32),
-        )
-        atomic_write(
-            pub.staging / "layout_part.npy", np.save,
-            np.zeros(n, dtype=np.int64),
-        )
-        atomic_write(
-            pub.staging / "layout_offset.npy", np.save,
-            np.arange(n, dtype=np.int64),
-        )
-        _write_manifest(
-            pub.staging, pub.version, entity_type, comparator,
-            [{"part": 0, "rows": n, "file": "shard-00000.npy"}],
-            d, n, source,
-        )
-    except BaseException:
-        pub.abort()
-        raise
-    return pub.commit()
+
+    def write_shard(staging: Path) -> "tuple[list[dict], int]":
+        name = "shard-00000.bin"
+        atomic_write(staging / name, write_arrays, {
+            "embeddings": embeddings.astype(np.float32, copy=False),
+        })
+        return [{"part": 0, "rows": n, "file": name}], d
+
+    return _publish(
+        root, write_shard, np.zeros(n, dtype=np.int64), np.arange(n),
+        entity_type, comparator, source,
+    )
 
 
 def publish_checkpoint(
@@ -196,7 +192,7 @@ def publish_checkpoint(
 ) -> int:
     """Publish a training checkpoint's partitions as mmap shards.
 
-    Each stored partition file becomes one raw ``shard-*.npy`` (codec
+    Each stored partition file becomes one ``shard-*.bin`` (codec
     decoded, optimizer state dropped — serving only needs values), and
     the checkpoint's partition layout arrays become the id mapping.
     The comparator is taken from the training config so "nearest"
@@ -225,44 +221,28 @@ def publish_checkpoint(
             f"checkpoint at {checkpoint_dir} lacks layout arrays for "
             f"{entity_type!r}"
         )
-    required = {int(p) for p in np.unique(np.asarray(shared[part_key]))}
+    required = {int(p) for p in np.unique(shared[part_key])}
     if not required.issubset(parts):
         raise ServingError(
             f"checkpoint at {checkpoint_dir} is missing partition(s) "
             f"{sorted(required - set(parts))} of {entity_type!r}"
         )
-    pub = _Publisher(root)
-    try:
-        shards, dim = ckpt.partitions.export_mmap(entity_type, pub.staging)
-        atomic_write(
-            pub.staging / "layout_part.npy", np.save,
-            shared[part_key].astype(np.int64),
-        )
-        atomic_write(
-            pub.staging / "layout_offset.npy", np.save,
-            shared[offset_key].astype(np.int64),
-        )
-        count = int(metadata["counts"][entity_type])
-        _write_manifest(
-            pub.staging, pub.version, entity_type, config.comparator,
-            shards, dim, count,
-            {
-                "checkpoint": str(checkpoint_dir),
-                "epoch": metadata.get("epoch"),
-            },
-        )
-    except BaseException:
-        pub.abort()
-        raise
-    return pub.commit()
+    return _publish(
+        root, partial(ckpt.partitions.export_mmap, entity_type),
+        shared[part_key], shared[offset_key], entity_type,
+        config.comparator,
+        {"checkpoint": str(checkpoint_dir), "epoch": metadata.get("epoch")},
+    )
 
 
 class MmapShardedTable:
     """Read-only view of one published snapshot, shards mmap-backed.
 
     Immutable once opened (the version dir never changes after
-    publish). Global entity ids are resolved through the layout
-    arrays: ``id -> (layout_part[id], layout_offset[id])``.
+    publish). Opening checks every CRC; any failure to open raises
+    :class:`ServingError` naming the version dir and the file. Global
+    entity ids are resolved through the layout arrays:
+    ``id -> (part[id], offset[id])``.
     """
 
     def __init__(self, version_dir: "str | Path") -> None:
@@ -270,38 +250,33 @@ class MmapShardedTable:
         mpath = self.version_dir / MANIFEST_NAME
         if not mpath.exists():
             raise ServingError(f"no snapshot manifest at {mpath}")
-        self.manifest = json.loads(mpath.read_text())
-        self.version = int(self.manifest["version"])
-        self.entity_type = self.manifest["entity_type"]
-        self.comparator = self.manifest["comparator"]
-        self.dim = int(self.manifest["dim"])
-        self.num_items = int(self.manifest["count"])
-        self._shards: "dict[int, np.ndarray]" = {}
-        for entry in self.manifest["shards"]:
-            arr = np.load(
-                self.version_dir / entry["file"], mmap_mode="r"
-            )
-            if arr.shape != (entry["rows"], self.dim):
-                raise ServingError(
-                    f"shard {entry['file']} shape {arr.shape} does not "
-                    f"match manifest ({entry['rows']}, {self.dim})"
-                )
-            self._shards[int(entry["part"])] = arr
-        self._part_of = np.load(
-            self.version_dir / "layout_part.npy", mmap_mode="r"
-        )
-        self._offset_of = np.load(
-            self.version_dir / "layout_offset.npy", mmap_mode="r"
-        )
-        if len(self._part_of) != self.num_items:
+        try:
+            self.manifest = json.loads(mpath.read_text())
+            self.version = int(self.manifest["version"])
+            self.entity_type = self.manifest["entity_type"]
+            self.comparator = self.manifest["comparator"]
+            self.dim = int(self.manifest["dim"])
+            self.num_items = int(self.manifest["count"])
+            entries = [
+                (int(e["part"]), str(e["file"]), (int(e["rows"]), self.dim))
+                for e in self.manifest["shards"]
+            ]
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ServingError(
-                f"layout covers {len(self._part_of)} ids, manifest "
-                f"says {self.num_items}"
-            )
+                f"bad snapshot manifest {mpath}: {exc!r}"
+            ) from exc
+        self._shards: "dict[int, np.ndarray]" = {}
+        for part, name, shape in entries:
+            self._shards[part] = self._read(
+                name, {"embeddings": (_F32, shape)}, mmap=True
+            )["embeddings"]
+        # Eager: 16 bytes per id, indexed by every gather.
+        layout = self._read(LAYOUT_NAME, dict.fromkeys(
+            ("part", "offset"), (_I64, (self.num_items,))
+        ))
+        self._part_of, self._offset_of = layout["part"], layout["offset"]
         missing = sorted(
-            int(p)
-            for p in np.unique(np.asarray(self._part_of))
-            if int(p) not in self._shards
+            set(np.unique(self._part_of).tolist()) - set(self._shards)
         )
         if missing:
             raise ServingError(
@@ -309,11 +284,27 @@ class MmapShardedTable:
                 f"partition(s) {missing} referenced by its layout"
             )
         self._identity_layout = len(self._shards) == 1 and bool(
-            np.array_equal(
-                self._offset_of, np.arange(self.num_items)
-            )
+            np.array_equal(self._offset_of, np.arange(self.num_items))
         )
         self._closed = False
+
+    def _read(self, name: str, want: dict, mmap: bool = False) -> dict:
+        """The CRC-checked arrays of one file of this version, which
+        must match ``want`` (``{array: (dtype, shape)}``)."""
+        path = self.version_dir / name
+        try:
+            arrays = read_arrays(path, mmap=mmap)
+        except (StorageError, OSError) as exc:
+            raise ServingError(
+                f"cannot open snapshot file {path}: {exc}"
+            ) from exc
+        got = {key: (a.dtype.str, a.shape) for key, a in arrays.items()}
+        if got != want:
+            raise ServingError(
+                f"snapshot file {path} holds {got}, which does not "
+                f"match manifest: {want}"
+            )
+        return arrays
 
     @classmethod
     def open(cls, root: "str | Path") -> "MmapShardedTable":
@@ -334,9 +325,7 @@ class MmapShardedTable:
         self._check_open()
         ids = np.asarray(ids)
         if len(ids) and (ids.min() < 0 or ids.max() >= self.num_items):
-            raise ValueError(
-                f"ids must be in [0, {self.num_items})"
-            )
+            raise ValueError(f"ids must be in [0, {self.num_items})")
         if self._identity_layout:
             return np.asarray(self._shards[0][ids])
         parts = self._part_of[ids]
@@ -358,18 +347,14 @@ class MmapShardedTable:
         if self._identity_layout:
             return self._shards[0]
         out = np.empty((self.num_items, self.dim), dtype=np.float32)
-        part_of = np.asarray(self._part_of)
-        offset_of = np.asarray(self._offset_of)
         for part, shard in self._shards.items():
-            members = np.flatnonzero(part_of == part)
-            out[members] = np.asarray(shard)[offset_of[members]]
+            members = np.flatnonzero(self._part_of == part)
+            out[members] = np.asarray(shard)[self._offset_of[members]]
         return out
 
     def nbytes_on_disk(self) -> int:
-        total = 0
-        for entry in self.manifest["shards"]:
-            total += (self.version_dir / entry["file"]).stat().st_size
-        return total
+        return sum((self.version_dir / e["file"]).stat().st_size
+                   for e in self.manifest["shards"])
 
     def close(self) -> None:
         """Release the mappings (idempotent).
@@ -381,14 +366,9 @@ class MmapShardedTable:
         if self._closed:
             return
         self._closed = True
-        for arr in list(self._shards.values()):
+        for arr in self._shards.values():
             mm = getattr(arr, "_mmap", None)
-            if mm is not None:
+            if mm is not None:  # an empty shard maps nothing
                 mm.close()
         self._shards = {}
-        for name in ("_part_of", "_offset_of"):
-            arr = getattr(self, name)
-            mm = getattr(arr, "_mmap", None)
-            if mm is not None:
-                mm.close()
-            setattr(self, name, None)
+        self._part_of = self._offset_of = None

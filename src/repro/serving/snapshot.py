@@ -14,15 +14,19 @@ that makes a swap safe without pausing traffic:
 - A retired snapshot's mmaps are closed only after its refcount
   drains to zero — and the close happens *outside* the lock (closing
   a mapping is I/O).
+- A version that fails to open (a damaged or missing file) is
+  *refused*: the live snapshot keeps serving, ``serve.refused`` counts
+  it once, and it is not reopened until ``CURRENT`` moves on.
 
-The expensive work (``np.load``, k-means build) happens with no lock
-held, so queries on the old snapshot proceed at full speed during a
-refresh. Two concurrent refreshes are safe: the loser's snapshot is
-discarded (version numbers only move forward).
+The expensive work (mapping and CRC-checking the shards, k-means build)
+happens with no lock held, so queries on the old snapshot proceed at
+full speed during a refresh. Two concurrent refreshes are safe: the
+loser's snapshot is discarded (version numbers only move forward).
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -33,6 +37,8 @@ from repro.serving.index import ExactIndex, ServingError
 from repro.serving.shards import MmapShardedTable
 
 __all__ = ["SnapshotManager"]
+
+_LOG = logging.getLogger(__name__)
 
 
 class _Snapshot:
@@ -81,6 +87,7 @@ class SnapshotManager:  # public-guard: _lock
         self._lock = threading.Lock()
         self._live: "_Snapshot | None" = None  # guarded-by: _lock
         self._retired: "list[_Snapshot]" = []  # guarded-by: _lock
+        self._refused: "int | None" = None  # guarded-by: _lock
         if metrics is None:
             from repro.telemetry.metrics import MetricsRegistry
 
@@ -89,6 +96,7 @@ class SnapshotManager:  # public-guard: _lock
         # Counters are leaf-locked; safe to touch under _lock.
         self._m_swaps = metrics.counter("serve.swaps")
         self._m_refreshes = metrics.counter("serve.refreshes")
+        self._m_refused = metrics.counter("serve.refused")
 
     # -- refresh / swap ------------------------------------------------
 
@@ -97,19 +105,32 @@ class SnapshotManager:  # public-guard: _lock
 
         Loading the table and building the index happen before (and
         outside) the lock; the swap is a pointer write. No-op (False)
-        when nothing is published or the live version is current.
+        when nothing is published, the live version is current or the
+        published one was refused. A version that fails to open raises
+        only when there is no live snapshot to keep serving.
         """
         self._m_refreshes.inc()
         published = shards_mod.current_version(self.root)
         with self._lock:
-            live_version = (
-                self._live.version if self._live is not None else None
-            )
-        if published is None or published == live_version:
+            live, refused = self._live, self._refused
+        live_version = live.version if live is not None else None
+        if published is None or published in (live_version, refused):
             return False
-        table = MmapShardedTable(
-            self.root / f"v-{published:06d}"
-        )
+        try:
+            table = MmapShardedTable(self.root / f"v-{published:06d}")
+        except ServingError as exc:
+            with self._lock:
+                if self._refused != published:
+                    self._refused = published
+                    self._m_refused.inc()
+                live = self._live
+            if live is None:
+                raise
+            _LOG.warning(
+                "refused snapshot v%d, still serving v%d: %s",
+                published, live.version, exc,
+            )
+            return False
         index = self._index_factory(table)
         fresh = _Snapshot(published, table, index)
         to_close: "list[_Snapshot]" = []

@@ -12,6 +12,7 @@ The load-bearing properties pinned here:
 """
 
 import json
+import re
 import threading
 
 import numpy as np
@@ -37,7 +38,8 @@ from repro.serving import (
     make_index,
     publish_embeddings,
 )
-from repro.serving.shards import MANIFEST_NAME
+from repro.graph.storage import atomic_write, read_arrays, write_arrays
+from repro.serving.shards import LAYOUT_NAME, MANIFEST_NAME
 
 
 def _clustered(n_per=40, c=16, d=16, seed=0):
@@ -50,6 +52,20 @@ def _clustered(n_per=40, c=16, d=16, seed=0):
     )
     labels = np.repeat(np.arange(c), n_per)
     return emb.astype(np.float32), labels
+
+
+def _damage(path, how):
+    """Flip one bit inside the last array of ``path``, or cut its end."""
+    data = path.read_bytes()
+    if how == "bit_flip":
+        path.write_bytes(_flip(data, len(data) - 5))
+    else:
+        path.write_bytes(data[:-7])
+
+
+def _flip(data: bytes, offset: int) -> bytes:
+    flipped = data[offset] ^ (1 << offset % 8)
+    return data[:offset] + bytes([flipped]) + data[offset + 1:]
 
 
 def _overlap_recall(idx, true_idx):
@@ -671,14 +687,16 @@ class TestShards:
         vdir = tmp_path / "v-000001"
         vdir.mkdir(parents=True)
         for p, shard in enumerate(shards):
-            np.save(vdir / f"shard-{p:05d}.npy", shard)
-        np.save(vdir / "layout_part.npy", part_of.astype(np.int64))
-        np.save(vdir / "layout_offset.npy", offset_of)
+            atomic_write(vdir / f"shard-{p:05d}.bin", write_arrays,
+                         {"embeddings": shard})
+        atomic_write(vdir / LAYOUT_NAME, write_arrays, {
+            "part": part_of.astype(np.int64), "offset": offset_of,
+        })
         (vdir / MANIFEST_NAME).write_text(json.dumps({
             "version": 1, "entity_type": "node", "comparator": "cos",
             "dim": 4, "count": 20, "source": {},
             "shards": [
-                {"part": p, "rows": len(s), "file": f"shard-{p:05d}.npy"}
+                {"part": p, "rows": len(s), "file": f"shard-{p:05d}.bin"}
                 for p, s in enumerate(shards)
             ],
         }))
@@ -715,7 +733,9 @@ class TestShards:
         assert dim == 4
         assert [s["rows"] for s in shards] == [6, 9]
         for s in shards:
-            arr = np.load(tmp_path / "out" / s["file"], mmap_mode="r")
+            arr = read_arrays(tmp_path / "out" / s["file"], mmap=True)[
+                "embeddings"
+            ]
             assert arr.shape == (s["rows"], 4)
             assert arr.dtype == np.float32
         with pytest.raises(StorageError, match="no stored partitions"):
@@ -727,15 +747,17 @@ class TestShards:
         emb = rng.standard_normal((8, 4)).astype(np.float32)
         vdir = tmp_path / "v-000001"
         vdir.mkdir(parents=True)
-        np.save(vdir / "shard-00000.npy", emb)
+        atomic_write(vdir / "shard-00000.bin", write_arrays,
+                     {"embeddings": emb})
         part_of = np.zeros(8, dtype=np.int64)
         part_of[3] = 1  # references shard 1, which does not exist
-        np.save(vdir / "layout_part.npy", part_of)
-        np.save(vdir / "layout_offset.npy", np.arange(8, dtype=np.int64))
+        atomic_write(vdir / LAYOUT_NAME, write_arrays, {
+            "part": part_of, "offset": np.arange(8, dtype=np.int64),
+        })
         (vdir / MANIFEST_NAME).write_text(json.dumps({
             "version": 1, "entity_type": "node", "comparator": "cos",
             "dim": 4, "count": 8, "source": {},
-            "shards": [{"part": 0, "rows": 8, "file": "shard-00000.npy"}],
+            "shards": [{"part": 0, "rows": 8, "file": "shard-00000.bin"}],
         }))
         (tmp_path / "CURRENT").write_text("v-000001\n")
         with pytest.raises(ServingError, match=r"no shard for.*\[1\]"):
@@ -881,6 +903,69 @@ class TestSnapshotManager:
         with pytest.raises(ServingError, match="no snapshot loaded"):
             with manager.acquire():
                 pass
+
+
+class TestRefusedVersion:
+    """A version whose files fail to open is refused, never served."""
+
+    @pytest.mark.parametrize("name", ["shard-00000.bin", LAYOUT_NAME])
+    def test_any_flipped_byte_fails_the_open(self, tmp_path, name):
+        publish_embeddings(tmp_path, np.arange(12.0).reshape(4, 3))
+        path = tmp_path / "v-000001" / name
+        data = path.read_bytes()
+        for offset in range(len(data)):  # header and arrays alike
+            path.write_bytes(_flip(data, offset))
+            with pytest.raises(ServingError, match=re.escape(str(path))):
+                MmapShardedTable.open(tmp_path)
+        path.write_bytes(data)
+        MmapShardedTable.open(tmp_path).close()
+
+    def test_cold_start_raises_once(self, tmp_path):
+        emb, _ = _clustered()
+        publish_embeddings(tmp_path, emb)
+        _damage(tmp_path / "v-000001" / "shard-00000.bin", "truncate")
+        manager = SnapshotManager(tmp_path)
+        with pytest.raises(ServingError, match="shard-00000.bin"):
+            manager.refresh()
+        assert manager.refresh() is False  # refused, not reopened
+        assert manager.metrics.counter("serve.refused").value == 1
+        assert manager.current_version() is None
+
+    @pytest.mark.parametrize("damage", ["bit_flip", "truncate"])
+    def test_live_snapshot_keeps_serving(self, tmp_path, monkeypatch, damage):
+        from repro.serving import snapshot
+
+        emb, _ = _clustered()
+        publish_embeddings(tmp_path, emb, comparator="dot")
+        manager = SnapshotManager(tmp_path)
+        manager.refresh()
+        service = QueryService(manager, batch_size=4, auto_refresh=True)
+        want = service.query(emb[:12], k=3)
+        publish_embeddings(tmp_path, emb[::-1], comparator="dot")
+        _damage(tmp_path / "v-000002" / "shard-00000.bin", damage)
+        opened = []
+
+        class CountingTable(MmapShardedTable):
+            def __init__(self, version_dir):
+                opened.append(version_dir.name)
+                super().__init__(version_dir)
+
+        monkeypatch.setattr(snapshot, "MmapShardedTable", CountingTable)
+        for _ in range(3):  # each query polls CURRENT twice
+            got = service.query(emb[:12], k=3)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+        assert manager.refresh() is False
+        assert manager.current_version() == 1
+        assert opened == ["v-000002"]
+        refused = manager.metrics.counter("serve.refused")
+        assert refused.value == 1
+        # A new version is opened as usual.
+        publish_embeddings(tmp_path, emb * 2, comparator="dot")
+        assert manager.refresh() is True
+        assert manager.current_version() == 3
+        assert opened == ["v-000002", "v-000003"] and refused.value == 1
+        manager.close()
 
 
 # ----------------------------------------------------------------------
@@ -1283,6 +1368,41 @@ class TestServingCLI:
         ])
         assert rc == 2
         assert "no published snapshot" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["bit_flip", "truncate", "npy_version"])
+    def test_damaged_snapshot_exits_2(self, tmp_path, capsys, damage):
+        """Cold start on a damaged version, or on one in the retired
+        ``.npy`` format: exit 2 with an error naming the file."""
+        from repro.cli import main
+
+        emb, _ = _clustered()
+        snaps = tmp_path / "snaps"
+        vdir = snaps / "v-000001"
+        if damage == "npy_version":
+            vdir.mkdir(parents=True)
+            bad = vdir / "shard-00000.npy"
+            np.save(bad, emb)
+            np.save(vdir / "layout_part.npy", np.zeros(len(emb), np.int64))
+            np.save(vdir / "layout_offset.npy", np.arange(len(emb)))
+            (vdir / MANIFEST_NAME).write_text(json.dumps({
+                "version": 1, "entity_type": "node", "comparator": "cos",
+                "dim": emb.shape[1], "count": len(emb), "source": {},
+                "shards": [
+                    {"part": 0, "rows": len(emb), "file": bad.name}
+                ],
+            }))
+            (snaps / "CURRENT").write_text("v-000001\n")
+        else:
+            publish_embeddings(snaps, emb)
+            bad = vdir / "shard-00000.bin"
+            _damage(bad, damage)
+        queries = tmp_path / "q.npy"
+        np.save(queries, emb[:3])
+        for argv in (["serve", "--queries", str(queries)],
+                     ["query", "--ids", "0,1"]):
+            assert main([*argv, "--snapshots", str(snaps)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(bad) in err
 
     def test_export_mmap_unknown_entity(self, trained, capsys):
         from repro.cli import main

@@ -139,6 +139,20 @@ def _shared_file(tmp_path):
     return ckpt.shared_path, arrays, ckpt.load_shared
 
 
+def _mapped_file(tmp_path):
+    """The shared file, read mapped as serving reads a shard; like the
+    stores' loaders, this one names the file in its error."""
+    path, arrays, _ = _shared_file(tmp_path)
+
+    def load():
+        try:
+            return read_arrays(path, mmap=True)
+        except CorruptPartition as exc:
+            raise CorruptPartition(f"corrupt mapped file {path}: {exc}") from exc
+
+    return path, arrays, load
+
+
 def _layout(path, arrays):
     """``[(start, nbytes)]`` per array; the header is what precedes."""
     sizes = [np.asarray(a).nbytes for a in arrays.values()]
@@ -224,9 +238,30 @@ class TestArrayFiles:
             np.testing.assert_array_equal(got, want)
             assert got.flags.writeable and got.flags.c_contiguous
 
+    def test_mapped_read_is_read_only_and_bit_identical(self, tmp_path):
+        arrays = {
+            "empty": np.zeros((0, 3), np.float32),
+            "embeddings": np.arange(12, dtype=np.float32).reshape(4, 3),
+            "offset": np.arange(5, dtype=np.int64),
+            "marker": np.array("int8"),
+        }
+        path = tmp_path / "arrays.bin"
+        atomic_write(path, write_arrays, arrays)
+        eager, mapped = read_arrays(path), read_arrays(path, mmap=True)
+        assert list(mapped) == list(eager) == list(arrays)
+        for key, got in mapped.items():
+            want = eager[key]
+            # an empty array maps no bytes: numpy hands back a plain view
+            assert isinstance(got, np.memmap) or not got.size, key
+            assert not got.flags.writeable and want.flags.writeable, key
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), key
+            assert got.tobytes() == want.tobytes(), key
+        with pytest.raises(ValueError, match="read-only"):
+            mapped["embeddings"][0, 0] = 1.0
+
     @pytest.mark.parametrize("corruption", CORRUPTIONS)
-    @pytest.mark.parametrize("make", [_partition_file, _shared_file],
-                             ids=["partition", "shared"])
+    @pytest.mark.parametrize("make", [_partition_file, _shared_file, _mapped_file],
+                             ids=["partition", "shared", "mapped"])
     def test_damage_is_corrupt_not_absent(self, tmp_path, make, corruption):
         path, arrays, load = make(tmp_path)
         data = path.read_bytes()

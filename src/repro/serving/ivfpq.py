@@ -17,6 +17,11 @@ Two classic tricks compose here:
   vectors (gathered from the source table, which may be mmap-backed)
   to recover exactness at the top of the list.
 
+Build: k-means, the full-table assignment, PQ training and PQ encoding
+all run in the table's own floating dtype (a float32 table is never
+up-cast), and the assignment reads the prepared table in place: for
+``dot`` and ``l2`` that is the (possibly read-only, mmap-backed) table.
+
 Determinism: all randomness flows through one seeded
 ``numpy.random.default_rng``; identical inputs give identical indexes.
 
@@ -32,6 +37,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.comparators import make_comparator
+from repro.core.optimizers import accumulate_duplicate_rows
 from repro.serving.index import (
     DEFAULT_CHUNK_SIZE,
     ServingError,
@@ -49,16 +55,19 @@ _ASSIGN_CHUNK = 16_384
 
 
 def _assign_l2(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest centroid per row under squared L2, chunked."""
+    """Nearest centroid per row under squared L2, chunked.
+
+    argmin ||x - c||^2 == argmin (x.(-2c) + ||c||^2): ||x||^2 is constant
+    per row and dropped. ``data`` is read in place, in its own dtype; the
+    only temporary is one ``(chunk, k)`` distance block per chunk.
+    """
     sq_c = np.einsum("cd,cd->c", centroids, centroids)
+    scaled = -2.0 * centroids.T  # exact: a power-of-two scale
     out = np.empty(len(data), dtype=np.int64)
     for lo in range(0, len(data), _ASSIGN_CHUNK):
-        chunk = data[lo : lo + _ASSIGN_CHUNK]
-        # argmin ||x - c||^2 == argmin (||c||^2 - 2 x.c); ||x||^2 is
-        # constant per row and can be dropped.
-        out[lo : lo + len(chunk)] = np.argmin(
-            sq_c[None, :] - 2.0 * (chunk @ centroids.T), axis=1
-        )
+        dist = data[lo : lo + _ASSIGN_CHUNK] @ scaled
+        dist += sq_c
+        out[lo : lo + len(dist)] = dist.argmin(axis=1)
     return out
 
 
@@ -70,33 +79,26 @@ def kmeans(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's k-means under L2; returns ``(centroids, assignment)``.
 
-    Deterministic given ``rng``; empty clusters are reseeded to random
-    data rows each iteration so ``k`` centroids always come back.
+    Runs in ``data``'s floating dtype (integers become float64), so
+    float32 rows give float32 centroids. Deterministic given ``rng``;
+    empty clusters are reseeded to random data rows each iteration so
+    ``k`` centroids always come back.
     """
     n = len(data)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    centroids = data[rng.choice(n, size=k, replace=False)].copy()
+    data = np.ascontiguousarray(data, dtype=np.result_type(data, np.float32))
+    centroids = data[rng.choice(n, size=k, replace=False)]
     assign = _assign_l2(data, centroids)
     for _ in range(max(0, iters)):
-        order = np.argsort(assign, kind="stable")
-        sorted_data = data[order]
         counts = np.bincount(assign, minlength=k)
-        # reduceat needs indices < n; an index clipped down from n
-        # belongs to an empty cluster and is overwritten below.
-        bounds = np.searchsorted(assign[order], np.arange(k))
-        sums = np.add.reduceat(
-            sorted_data, np.minimum(bounds, n - 1), axis=0
-        )
-        nonempty = counts > 0
-        centroids[nonempty] = (
-            sums[nonempty] / counts[nonempty, None]
-        )
-        num_empty = int((~nonempty).sum())
-        if num_empty:
-            centroids[~nonempty] = data[
-                rng.choice(n, size=num_empty, replace=False)
+        members, sums = accumulate_duplicate_rows(assign, data)
+        sums /= counts[members, None]
+        centroids[members] = sums
+        empty = np.flatnonzero(counts == 0)
+        if len(empty):
+            centroids[empty] = data[
+                rng.choice(n, size=len(empty), replace=False)
             ]
         assign = _assign_l2(data, centroids)
     return centroids, assign
@@ -148,7 +150,10 @@ class ProductQuantizer:
         self.dim = d
         ds = self.subdim
         c = min(self.num_centroids, n)
-        books = np.empty((self.num_subvectors, c, ds))
+        books = np.empty(
+            (self.num_subvectors, c, ds),
+            dtype=np.result_type(data, np.float32),
+        )
         for m in range(self.num_subvectors):
             books[m], _ = kmeans(
                 data[:, m * ds : (m + 1) * ds], c, self.iters, rng
@@ -167,10 +172,7 @@ class ProductQuantizer:
         )
         for m in range(self.num_subvectors):
             codes[:, m] = _assign_l2(
-                np.ascontiguousarray(
-                    data[:, m * ds : (m + 1) * ds], dtype=np.float64
-                ),
-                self.codebooks[m],
+                data[:, m * ds : (m + 1) * ds], self.codebooks[m]
             )
         return codes
 
@@ -279,10 +281,7 @@ class IVFPQIndex:
             self._centroids, _ = kmeans(
                 sample, num_lists, self.kmeans_iters, rng
             )
-            assign = _assign_l2(
-                np.ascontiguousarray(prepared, dtype=np.float64),
-                self._centroids,
-            )
+            assign = _assign_l2(prepared, self._centroids)
             order = np.argsort(assign, kind="stable")
             self._ids = order.astype(np.int64)
             self._starts = np.searchsorted(

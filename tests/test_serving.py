@@ -14,6 +14,7 @@ The load-bearing properties pinned here:
 import json
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,18 @@ class TestKmeans:
         assert centroids.shape == (10, 3)
         assert np.isfinite(centroids).all()
         assert assign.max() < 10
+
+    @pytest.mark.parametrize("k", [4, 10])
+    def test_centroids_are_member_means(self, k):
+        # Means of one-hot rows sum to 1, whichever cluster ids are
+        # empty (a sum that drops a member row does not).
+        data = np.repeat(np.eye(3), 4, axis=0)
+        for seed in range(50):
+            centroids, _ = kmeans(data, k, 1, np.random.default_rng(seed))
+            np.testing.assert_allclose(
+                centroids.sum(axis=1), 1.0, rtol=1e-12,
+                err_msg=f"seed {seed}",
+            )
 
     def test_k_validation(self):
         emb, _ = _clustered()
@@ -337,6 +350,56 @@ class TestIVFPQIndex:
         ai, ascores = from_array.query(emb[:8], k=5)
         np.testing.assert_array_equal(ti, ai)
         np.testing.assert_array_equal(ts, ascores)
+        table.close()
+
+
+class TestBuildPrecision:
+    """The build runs in the table's own dtype and reads it in place."""
+
+    @pytest.mark.parametrize("comparator", ["dot", "cos", "l2"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_build_keeps_table_dtype(self, comparator, dtype):
+        emb = _clustered()[0].astype(dtype)
+        nn = IVFPQIndex(
+            comparator=comparator, num_lists=8, nprobe=2, pq_subvectors=4
+        ).build(emb)
+        assert nn._centroids.dtype == dtype
+        assert nn._pq.codebooks.dtype == dtype
+        lut, bias = nn._pq_luts(nn._comp.prepare(emb[:3]))
+        assert lut.dtype == dtype
+        assert bias is None or bias.dtype == dtype
+
+    def test_traced_peak_within_three_tables(self):
+        table = np.random.default_rng(0).standard_normal(
+            (100_000, 64)
+        ).astype(np.float32)
+        tracemalloc.start()
+        try:
+            IVFPQIndex(comparator="cos", num_lists=256).build(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / table.nbytes <= 3.0
+
+    @pytest.mark.parametrize("pq_subvectors", [0, 4])
+    def test_dot_build_from_read_only_mapping(self, tmp_path, pq_subvectors):
+        emb, _ = _clustered()
+        publish_embeddings(tmp_path, emb, comparator="dot")
+        table = MmapShardedTable.open(tmp_path)
+        assert not table.as_array().flags.writeable
+        kw = dict(comparator="dot", num_lists=8, pq_subvectors=pq_subvectors)
+        mapped = IVFPQIndex(**kw).build(table)
+        in_memory = IVFPQIndex(**kw).build(emb)
+        for name in ("_centroids", "_ids", "_starts", "_grouped", "_codes"):
+            a, b = getattr(mapped, name), getattr(in_memory, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.dtype == b.dtype, name
+                np.testing.assert_array_equal(a, b, err_msg=name)
+        if pq_subvectors:
+            np.testing.assert_array_equal(
+                mapped._pq.codebooks, in_memory._pq.codebooks
+            )
         table.close()
 
 

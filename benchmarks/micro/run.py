@@ -1,9 +1,10 @@
 """Per-layer micro ledger: one registry of row groups, one paired harness.
 
-Five groups price the layers behind the paper's speed claims at the
-shapes of the benchmark of record: ``chunk_step`` (the batched-negatives
-step of §4.3, the layers under it, HOGWILD epochs), ``partition_swap``
-(§4.1), ``partition_rpc`` (§4.2), ``knn_query`` and ``serving_knn``.
+Six groups price the layers behind the paper's speed claims at the
+shapes of the benchmark of record: ``import`` (entity partitioning and
+edge bucketing, §4.1), ``chunk_step`` (the batched-negatives step of
+§4.3, the layers under it, HOGWILD epochs), ``partition_swap`` (§4.1),
+``partition_rpc`` (§4.2), ``knn_query`` and ``serving_knn``.
 An entry builds its rows from one ``repro`` package namespace: per row
 the timed call, its call count and the output two versions must agree
 on, plus named checks over the recorded rows. ``--against PATH``
@@ -102,11 +103,12 @@ NUMERIC_CHANGES: "dict[str, str]" = {}
 GROUPS: "dict[str, tuple[str, Callable]]" = {}
 
 
-def group(benchmark: str):
-    """Register the decorated generator, under its name, as a group."""
+def group(benchmark: str, name: "str | None" = None):
+    """Register the decorated generator, under ``name`` or its own, as a
+    group."""
 
     def register(build):
-        GROUPS[build.__name__] = (benchmark, contextmanager(build))
+        GROUPS[name or build.__name__] = (benchmark, contextmanager(build))
         return build
 
     return register
@@ -118,6 +120,7 @@ _MODULES = {
     "tables": "core.tables", "optimizers": "core.optimizers",
     "losses": "core.losses", "comparators": "core.comparators",
     "trainer": "core.trainer", "entities": "graph.entity_storage",
+    "edgelist": "graph.edgelist", "partitioning": "graph.partitioning",
     "storage": "graph.storage", "compression": "graph.compression",
     "cluster": "distributed.cluster", "serving": "serving",
     "partition_server": "distributed.partition_server",
@@ -275,6 +278,83 @@ def main(argv: "list[str] | None" = None) -> int:
     print(f"\n{len(failed)} group(s) failed: {', '.join(failed)}" if failed
           else "\nall rows and checks passed")
     return 1 if failed else 0
+
+
+# --- import: entity partitioning and edge bucketing, §4.1 -------------
+
+#: the benchmark of record's training edges per workload: entities,
+#: partitions, edges, relations (``--quick``: a twentieth of each count)
+IMPORT_SHAPES = {
+    "kg": (130_000, 8, 292_500, 20),
+    "disk": (80_000, 16, 197_600, 1),
+    "dense": (20_000, 1, 252_000, 1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _import_edges(count: int, num_edges: int, relations: int):
+    """Uniform endpoints; relation r takes a 1/r share of the edges."""
+    rng = np.random.default_rng(count)
+    share = 1.0 / np.arange(1, relations + 1)
+    rel = rng.choice(relations, num_edges, p=share / share.sum())
+    return rng.integers(0, count, num_edges), rel, rng.integers(0, count, num_edges)
+
+
+def _bucketed_arrays(bucketed) -> list:
+    """The grid, the keys in order, and each bucket's columns and their
+    dtypes."""
+    out = [np.asarray([bucketed.nparts_lhs, bucketed.nparts_rhs]),
+           np.asarray(list(bucketed.buckets)).reshape(-1, 2)]
+    for edges in bucketed.buckets.values():
+        columns = [edges.src, edges.rel, edges.dst]
+        columns += [] if edges.weights is None else [edges.weights]
+        out += [*columns, np.asarray([c.dtype.str for c in columns])]
+    return out
+
+
+@group("micro_import", name="import")
+def import_(pkg, quick: bool):
+    """``bucket_edges`` on each workload's training edges (compared: keys,
+    key order, every bucket's columns and dtypes), ``partition_entities``
+    at ``distributed_kg``'s size, and ``radix_argsort`` on a batch's row
+    stack and on ``distributed_kg``'s bucket keys."""
+    scale = 20 if quick else 1
+    bucket_calls, part_calls, sort_calls = (5, 20, 20) if quick else (40, 200, 400)
+    rows: "dict[str, Row]" = {}
+    for name, (count, nparts, num_edges, relations) in IMPORT_SHAPES.items():
+        count, num_edges = count // scale, num_edges // scale
+        config = pkg.config.ConfigSchema(
+            entities={"node": pkg.config.EntitySchema(num_partitions=nparts)},
+            relations=[pkg.config.RelationSchema(name=f"r{i}", lhs="node", rhs="node")
+                       for i in range(relations)],
+            dimension=DIM,
+        )
+        entities = pkg.entities.EntityStorage({"node": count})
+        layout = partial(pkg.partitioning.partition_entities, count, nparts)
+        entities.set_partitioning("node", layout(np.random.default_rng(0)))
+        edges = pkg.edgelist.EdgeList(*_import_edges(count, num_edges, relations))
+        bucket = partial(pkg.partitioning.bucket_edges, edges, config, entities)
+        rows[f"bucket_edges[{name}]"] = Row(
+            bucket, bucket_calls, lambda bucket=bucket: _bucketed_arrays(bucket()),
+            rate=("edges_per_s", num_edges))
+        if name == "kg":
+            def partition(layout=layout):
+                return layout(np.random.default_rng(0))
+
+            def layout_arrays(partition=partition):
+                p = partition()
+                return [p.part_of, p.offset_of, p.part_sizes, *p.global_of]
+
+            rows["partition_entities[kg]"] = Row(partition, part_calls, layout_arrays)
+    keys = np.random.default_rng(1).integers(0, 64, IMPORT_SHAPES["kg"][2])
+    for ids in (_stack(BATCH)[0], keys):
+        sort = partial(pkg.optimizers.radix_argsort, ids)
+        rows[f"radix_argsort[{len(ids)}_ids]"] = Row(sort, sort_calls, sort)
+    yield Group({
+        "shapes": {name: list(shape) for name, shape in IMPORT_SHAPES.items()},
+        "scale": scale, "bucket_calls": bucket_calls,
+        "partition_calls": part_calls, "sort_calls": sort_calls,
+    }, rows)
 
 
 # --- chunk_step: the batched-negatives step of §4.3, layers under it --

@@ -12,8 +12,9 @@ rows, possibly with duplicates (an entity can appear in several edges
 and in the negative pool). Duplicate rows must have their gradients
 summed before the Adagrad state update, otherwise the accumulator would
 double-count. :func:`accumulate_duplicate_rows` does that with one
-stable sort, :func:`radix_argsort` (a 1000-edge batch's 4 000 ids: 38 us
-against 215 for the int64 ``np.argsort``; they cross at 800-1500 ids):
+stable sort, :func:`radix_argsort` (a 1000-edge batch's 4 000 ids: ~26 us
+in the one pass ids below 2**16 need, against 215 for the int64
+``np.argsort``; two passes and it cross at 800-1500 ids):
 neighbouring sorted rows that differ start a segment, and the segment
 starts and the permutation *are* the ``indptr`` / ``indices`` of the CSR
 selection matrix that sums each segment, so they go straight to scipy's
@@ -34,10 +35,15 @@ _EPS = 1e-10
 
 
 def radix_argsort(rows: np.ndarray) -> np.ndarray:
-    """``np.argsort(rows, kind="stable")`` of ids in ``[0, 2**32)``, as two 16-bit radix passes."""
-    if len(rows) and (rows.min() < 0 or rows.max() >= 2**32):
+    """``np.argsort(rows, kind="stable")`` of ids in ``[0, 2**32)``, as two
+    16-bit radix passes; one when every id is below ``2**16``, where the
+    low pass already is the stable order (4 000 ids: ~26 us, not ~43)."""
+    top = rows.max() if len(rows) else 0
+    if len(rows) and (rows.min() < 0 or top >= 2**32):
         raise ValueError("row ids must lie in [0, 2**32)")
     order = np.argsort(rows.astype(np.uint16), kind="stable")
+    if top < 2**16:
+        return order
     return order[np.argsort((rows[order] >> 16).astype(np.uint16), kind="stable")]
 
 

@@ -4,6 +4,8 @@ The paper (Section 4.1, Figure 1) splits each partitioned entity type
 uniformly into ``P`` parts sized to fit in memory, then divides edges
 into buckets ``(part(src), part(dst))``. Training iterates bucket by
 bucket, holding only two partitions' embeddings in RAM at a time.
+Both are a few whole-array passes: all partitions fill at once, and
+bucketing looks endpoints up once per entity-type pair of the relations.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import ConfigSchema
+from repro.core.optimizers import radix_argsort
 from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage, TypePartitioning
 
@@ -37,11 +40,7 @@ def partition_entities(
         )
     # A single partition keeps the identity layout: offsets are global
     # ids, which makes unpartitioned training transparent to debug.
-    perm = (
-        np.arange(count)
-        if num_partitions == 1
-        else rng.permutation(count)
-    )
+    perm = np.arange(count) if num_partitions == 1 else rng.permutation(count)
     # Balanced sizes: first (count % P) parts get one extra entity.
     base, extra = divmod(count, num_partitions)
     part_sizes = np.full(num_partitions, base, dtype=np.int64)
@@ -50,18 +49,10 @@ def partition_entities(
 
     part_of = np.empty(count, dtype=np.int64)
     offset_of = np.empty(count, dtype=np.int64)
-    global_of = []
-    for p in range(num_partitions):
-        members = perm[bounds[p] : bounds[p + 1]]
-        part_of[members] = p
-        offset_of[members] = np.arange(len(members), dtype=np.int64)
-        global_of.append(np.ascontiguousarray(members))
-    return TypePartitioning(
-        part_of=part_of,
-        offset_of=offset_of,
-        part_sizes=part_sizes,
-        global_of=tuple(global_of),
-    )
+    part_of[perm] = np.repeat(np.arange(num_partitions, dtype=np.int64), part_sizes)
+    offset_of[perm] = np.arange(count, dtype=np.int64) - np.repeat(bounds[:-1], part_sizes)
+    global_of = tuple(np.split(perm, bounds[1:-1]))
+    return TypePartitioning(part_of, offset_of, part_sizes, global_of)
 
 
 @dataclass
@@ -94,58 +85,67 @@ class BucketedEdges:
 
 
 def bucket_edges(
-    edges: EdgeList,
-    config: ConfigSchema,
-    entities: EntityStorage,
+    edges: EdgeList, config: ConfigSchema, entities: EntityStorage
 ) -> BucketedEdges:
     """Assign every edge to its ``(part(src), part(dst))`` bucket.
 
     Endpoint ids in the returned buckets are partition-local offsets, so
     a trainer holding the two partitions' embedding matrices can index
-    them directly.
+    them directly. Buckets come in ascending ``(lhs, rhs)`` order, each
+    holding its edges in input order. Partitioned entity types must all
+    use the same partition count ``P`` (the paper's single grid);
+    unpartitioned types are fine on either side — edges whose endpoint
+    type is unpartitioned land in partition 0 of that grid axis, since
+    the type is always resident. A relation id the config lacks, or an
+    endpoint id its entity type lacks, raises ``ValueError``.
 
-    Partitioned entity types must all use the same partition count
-    ``P`` (the paper's single grid); unpartitioned types are fine on
-    either side — edges whose endpoint type is unpartitioned land in
-    partition 0 of that grid axis, since the type is always resident.
+    Cost: one endpoint lookup per ``(lhs, rhs)`` entity-type pair of the
+    relations (a single unmasked pass when all relations share a pair),
+    one stable 16-bit radix pass over the bucket keys and one gather per
+    bucket column; about seven int64 arrays of the edge count at peak.
     """
-    lhs_parts = {entities.num_partitions(r.lhs) for r in config.relations}
-    rhs_parts = {entities.num_partitions(r.rhs) for r in config.relations}
-    multi = (lhs_parts | rhs_parts) - {1}
-    if len(multi) > 1:
-        raise ValueError(
-            "all partitioned entity types must share one partition "
-            f"count; got {sorted(multi)}"
-        )
-    nparts_lhs = max(lhs_parts)
-    nparts_rhs = max(rhs_parts)
+    pairs = list(dict.fromkeys((r.lhs, r.rhs) for r in config.relations))
+    lhs_parts = {entities.num_partitions(lhs) for lhs, _ in pairs}
+    rhs_parts = {entities.num_partitions(rhs) for _, rhs in pairs}
+    if len(multi := (lhs_parts | rhs_parts) - {1}) > 1:
+        raise ValueError("all partitioned entity types must share one partition "
+                         f"count; got {sorted(multi)}")
+    nparts_lhs, nparts_rhs = max(lhs_parts), max(rhs_parts)
+    if len(edges) and edges.rel.max() >= len(config.relations):
+        raise ValueError(f"edge relation id {int(edges.rel.max())} is not in "
+                         f"the config, which has {len(config.relations)} relations")
 
-    # Per-relation lookups (relations may use different entity types).
-    rel_lhs = [config.relations[i].lhs for i in range(len(config.relations))]
-    rel_rhs = [config.relations[i].rhs for i in range(len(config.relations))]
+    if len(pairs) == 1:
+        ((lhs, rhs),) = pairs
+        src_part, src_off = _to_local(entities, lhs, edges.src)
+        dst_part, dst_off = _to_local(entities, rhs, edges.dst)
+    else:
+        which = np.array([pairs.index((r.lhs, r.rhs)) for r in config.relations])[edges.rel]
+        src_part, src_off, dst_part, dst_off = np.empty((4, len(edges)), dtype=np.int64)
+        for i, (lhs, rhs) in enumerate(pairs):
+            mask = which == i
+            src_part[mask], src_off[mask] = _to_local(entities, lhs, edges.src[mask])
+            dst_part[mask], dst_off[mask] = _to_local(entities, rhs, edges.dst[mask])
 
-    src_part = np.empty(len(edges), dtype=np.int64)
-    src_off = np.empty(len(edges), dtype=np.int64)
-    dst_part = np.empty(len(edges), dtype=np.int64)
-    dst_off = np.empty(len(edges), dtype=np.int64)
-    for rid in np.unique(edges.rel) if len(edges) else []:
-        mask = edges.rel == rid
-        lp = entities.partitioning(rel_lhs[int(rid)])
-        rp = entities.partitioning(rel_rhs[int(rid)])
-        src_part[mask], src_off[mask] = lp.to_local(edges.src[mask])
-        dst_part[mask], dst_off[mask] = rp.to_local(edges.dst[mask])
-
+    key = src_part * nparts_rhs + dst_part
+    del src_part, dst_part
+    order = radix_argsort(key)
+    sizes = np.bincount(key, minlength=nparts_lhs * nparts_rhs)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
     buckets: dict[tuple[int, int], EdgeList] = {}
-    if len(edges):
-        key = src_part * nparts_rhs + dst_part
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        uniq, starts = np.unique(sorted_key, return_index=True)
-        bounds = list(starts[1:]) + [len(edges)]
-        for k, lo, hi in zip(uniq, starts, bounds):
-            idx = order[lo:hi]
-            weights = edges.weights[idx] if edges.weights is not None else None
-            buckets[(int(k) // nparts_rhs, int(k) % nparts_rhs)] = EdgeList(
-                src_off[idx], edges.rel[idx], dst_off[idx], weights
-            )
+    for k in np.flatnonzero(sizes):
+        idx = order[bounds[k] : bounds[k + 1]]
+        weights = None if edges.weights is None else edges.weights[idx]
+        buckets[(int(k) // nparts_rhs, int(k) % nparts_rhs)] = EdgeList._from_valid(
+            src_off[idx], edges.rel[idx], dst_off[idx], weights
+        )
     return BucketedEdges(buckets, nparts_lhs, nparts_rhs)
+
+
+def _to_local(entities: EntityStorage, entity_type: str, ids: np.ndarray):
+    """``to_local`` of ``entity_type``; an id past its count raises ``ValueError``."""
+    try:
+        return entities.partitioning(entity_type).to_local(ids)
+    except IndexError:
+        raise ValueError(f"entity id {int(ids.max())} is out of range for type {entity_type!r}, "
+                         f"which has {entities.count(entity_type)} entities") from None

@@ -42,6 +42,19 @@ class TestRadixArgsort:
             radix_argsort(rows), np.argsort(rows, kind="stable")
         )
 
+    @pytest.mark.parametrize("ids", [
+        np.random.default_rng(0).integers(0, 2**16, 4000),
+        np.asarray([65_536, 65_535, 65_536, 0, 65_535, 65_537, 65_535]),
+        np.asarray([2**32 - 1, 2**32 - 2, 2**32 - 1, 0, 2**32 - 2**16]),
+        np.asarray([7]),
+        np.asarray([], dtype=np.int64),
+    ], ids=["below_2_16", "straddling_2_16", "near_2_32", "single", "empty"])
+    def test_boundary_cases_are_the_stable_argsort(self, ids):
+        """Below 2**16 one pass is the answer; at or above it, two."""
+        got, want = radix_argsort(ids), np.argsort(ids, kind="stable")
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("bad", [2**32, 2**32 + 5, 2**40, -1])
     def test_ids_outside_32_bits_raise(self, bad):
         rows = np.asarray([3, bad, 3], dtype=np.int64)

@@ -188,6 +188,98 @@ class TestBucketEdges:
             assert len(e) in (0, 1)
 
 
+def _reference_buckets(edges, config, entities):
+    """``bucket_edges`` by definition: walk the edges in input order and
+    append each, with local offsets, to ``(part(src), part(dst))``."""
+    out = {}
+    for i in range(len(edges)):
+        rel = config.relations[edges.rel[i]]
+        lhs = entities.partitioning(rel.lhs)
+        rhs = entities.partitioning(rel.rhs)
+        src, dst = edges.src[i], edges.dst[i]
+        key = (int(lhs.part_of[src]), int(rhs.part_of[dst]))
+        weight = None if edges.weights is None else edges.weights[i]
+        out.setdefault(key, []).append(
+            (lhs.offset_of[src], edges.rel[i], rhs.offset_of[dst], weight)
+        )
+    return {key: out[key] for key in sorted(out)}
+
+
+@st.composite
+def _graphs(draw):
+    """1-3 entity types sharing one partition count (one possibly
+    unpartitioned), relations over several type pairs, edges with or
+    without weights (possibly none)."""
+    nparts = draw(st.integers(1, 4))
+    names = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    parts = {n: nparts for n in names}
+    if len(names) > 1 and draw(st.booleans()):
+        parts[draw(st.sampled_from(names))] = 1
+    counts = {n: draw(st.integers(parts[n], 25)) for n in names}
+    pairs = draw(st.lists(st.tuples(*[st.sampled_from(names)] * 2), min_size=1, max_size=4))
+    config = ConfigSchema(
+        entities={n: EntitySchema(num_partitions=parts[n]) for n in names},
+        relations=[RelationSchema(name=f"r{i}", lhs=lhs, rhs=rhs)
+                   for i, (lhs, rhs) in enumerate(pairs)],
+        dimension=4,
+    )
+    entities = EntityStorage(counts)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for n in names:
+        entities.set_partitioning(n, partition_entities(counts[n], parts[n], rng))
+    rel = rng.integers(0, len(pairs), draw(st.integers(0, 80)))
+    src = [rng.integers(counts[pairs[r][0]]) for r in rel]
+    dst = [rng.integers(counts[pairs[r][1]]) for r in rel]
+    weights = rng.random(len(rel)) + 0.1 if draw(st.booleans()) else None
+    return config, entities, EdgeList(src, rel, dst, weights)
+
+
+class TestBucketOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(graph=_graphs())
+    def test_equals_the_per_edge_reference(self, graph):
+        """Keys, key order, and each bucket's columns in value, order
+        and dtype: ``iterate_batches`` shuffles from this order."""
+        config, entities, edges = graph
+        bucketed = bucket_edges(edges, config, entities)
+        reference = _reference_buckets(edges, config, entities)
+        assert list(bucketed.buckets) == list(reference)
+        for key, rows in reference.items():
+            bucket = bucketed.buckets[key]
+            src, rel, dst, weights = zip(*rows)
+            for got, want in [(bucket.src, src), (bucket.rel, rel), (bucket.dst, dst)]:
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+            if edges.weights is None:
+                assert bucket.weights is None
+            else:
+                assert bucket.weights.dtype == np.float64
+                np.testing.assert_array_equal(bucket.weights, weights)
+
+
+class TestUnknownIds:
+    @pytest.mark.parametrize("rhs", ["node", "item"], ids=["one_pair", "two_pairs"])
+    def test_relation_id_beyond_the_config_raises(self, rhs):
+        config = ConfigSchema(
+            entities={"node": EntitySchema(num_partitions=2), "item": EntitySchema()},
+            relations=[RelationSchema(name="a", lhs="node", rhs="node"),
+                       RelationSchema(name="b", lhs="node", rhs=rhs)],
+            dimension=4,
+        )
+        entities = EntityStorage({"node": 10, "item": 10})
+        edges = EdgeList.from_tuples([(0, 1, 1), (2, 2, 3)])
+        with pytest.raises(ValueError, match="relation id 2 is not in the config"):
+            bucket_edges(edges, config, entities)
+
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_endpoint_id_beyond_its_type_raises(self, side):
+        config, entities, _ = _setup(2, num_nodes=10)
+        edge = {"src": (12, 0, 3), "dst": (3, 0, 12)}[side]
+        edges = EdgeList.from_tuples([(1, 1, 2), edge])
+        with pytest.raises(ValueError, match="entity id 12 is out of range for type 'node'"):
+            bucket_edges(edges, config, entities)
+
+
 class TestEntityStorage:
     def test_counts(self):
         es = EntityStorage({"a": 5, "b": 10})

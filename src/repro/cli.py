@@ -35,6 +35,7 @@ from repro import telemetry
 from repro.config import (
     COMPRESSION_NAMES,
     INDEX_NAMES,
+    ConfigError,
     ConfigSchema,
     ServingConfig,
     fingerprint,
@@ -45,7 +46,8 @@ from repro.core.trainer import Trainer
 from repro.eval.ranking import LinkPredictionEvaluator
 from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
-from repro.graph.partitioning import partition_entities
+from repro.graph.partitioning import edge_type_pairs, partition_entities
+from repro.graph.storage import StorageError
 
 __all__ = ["main", "load_edges"]
 
@@ -77,13 +79,15 @@ def save_edges(path: "str | Path", edges: EdgeList) -> None:
 
 
 def _infer_counts(config: ConfigSchema, edges: EdgeList) -> "dict[str, int]":
-    """Entity counts = 1 + max id seen per entity type."""
+    """Entity counts = 1 + max id seen per entity type; a relation id
+    the config lacks raises ``ValueError``."""
     counts = {name: 1 for name in config.entities}
-    for rid in np.unique(edges.rel) if len(edges) else []:
-        rel = config.relations[int(rid)]
-        mask = edges.rel == rid
-        counts[rel.lhs] = max(counts[rel.lhs], int(edges.src[mask].max()) + 1)
-        counts[rel.rhs] = max(counts[rel.rhs], int(edges.dst[mask].max()) + 1)
+    pairs, which = edge_type_pairs(edges, config)
+    for i, (lhs, rhs) in enumerate(pairs):
+        mask = slice(None) if which is None else which == i
+        for name, ids in ((lhs, edges.src[mask]), (rhs, edges.dst[mask])):
+            if len(ids):
+                counts[name] = max(counts[name], int(ids.max()) + 1)
     return counts
 
 
@@ -138,11 +142,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
         ConfigSchema.from_json(Path(args.config).read_text()), args
     )
     edges = load_edges(args.edges)
-    counts = (
-        json.loads(args.entity_counts)
-        if args.entity_counts
-        else _infer_counts(config, edges)
-    )
+    try:
+        counts = (json.loads(args.entity_counts) if args.entity_counts
+                  else _infer_counts(config, edges))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     entities = EntityStorage(counts)
     rng = np.random.default_rng(config.seed)
     for name, schema in config.entities.items():
@@ -232,8 +237,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    config, entities, model, metadata = load_model(args.checkpoint)
-    del config, entities
+    try:
+        _, _, model, metadata = load_model(args.checkpoint)
+    except (StorageError, ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     edges = load_edges(args.edges)
     filter_edges = (
         [load_edges(p) for p in args.filter] if args.filter else None
@@ -251,18 +259,22 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    if args.format == "mmap":
-        from repro.serving import publish_checkpoint
+    try:
+        if args.format == "mmap":
+            from repro.serving import publish_checkpoint
 
-        version = publish_checkpoint(
-            args.output, args.checkpoint, args.entity_type
-        )
-        print(
-            f"published snapshot v{version} of {args.entity_type!r} "
-            f"to {args.output}"
-        )
-        return 0
-    _, _, model, _ = load_model(args.checkpoint)
+            version = publish_checkpoint(
+                args.output, args.checkpoint, args.entity_type
+            )
+            print(
+                f"published snapshot v{version} of {args.entity_type!r} "
+                f"to {args.output}"
+            )
+            return 0
+        _, _, model, _ = load_model(args.checkpoint)
+    except (StorageError, ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     embeddings = model.global_embeddings(args.entity_type)
     np.save(args.output, embeddings)
     print(

@@ -20,6 +20,7 @@ the checkpointed ``features_{type}`` weights when loading.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.core.model import EmbeddingModel
 from repro.core.tables import DenseEmbeddingTable, FeaturizedEmbeddingTable
 from repro import telemetry
 from repro.graph.entity_storage import EntityStorage, TypePartitioning
-from repro.graph.storage import CheckpointStorage
+from repro.graph.storage import CheckpointStorage, StorageError
 
 __all__ = ["save_model", "load_model", "load_manifest"]
 
@@ -76,11 +77,9 @@ def _save_model_files(
     for entity_type in entities.types:
         if entity_type not in model.config.entities:
             continue
-        layout_meta["counts"][entity_type] = entities.count(entity_type)
-        layout_meta["partitions"][entity_type] = entities.num_partitions(
-            entity_type
-        )
         partitioning = entities.partitioning(entity_type)
+        layout_meta["counts"][entity_type] = entities.count(entity_type)
+        layout_meta["partitions"][entity_type] = partitioning.num_partitions
         # Both arrays are needed: part_of alone cannot reconstruct the
         # row order of the saved embedding matrices.
         shared[f"layout_{entity_type}_part"] = partitioning.part_of
@@ -105,25 +104,15 @@ def _save_model_files(
 def _rebuild_partitioning(
     part_of: np.ndarray, offset_of: np.ndarray
 ) -> TypePartitioning:
-    """Rebuild a TypePartitioning from stored (part, offset) arrays."""
+    """Rebuild a TypePartitioning from stored (part, offset) arrays:
+    one scatter recovers the permutation the layout was built from."""
     part_of = part_of.astype(np.int64)
-    offset_of = offset_of.astype(np.int64)
     num_partitions = int(part_of.max()) + 1 if len(part_of) else 1
-    part_sizes = np.bincount(part_of, minlength=num_partitions).astype(
-        np.int64
-    )
-    global_of = []
-    for p in range(num_partitions):
-        members = np.flatnonzero(part_of == p)
-        inverse = np.empty(part_sizes[p], dtype=np.int64)
-        inverse[offset_of[members]] = members
-        global_of.append(inverse)
-    return TypePartitioning(
-        part_of=part_of,
-        offset_of=offset_of,
-        part_sizes=part_sizes,
-        global_of=tuple(global_of),
-    )
+    part_sizes = np.bincount(part_of, minlength=num_partitions).astype(np.int64)
+    bounds = np.concatenate([[0], np.cumsum(part_sizes)])
+    perm = np.empty(len(part_of), dtype=np.int64)
+    perm[bounds[part_of] + offset_of] = np.arange(len(part_of), dtype=np.int64)
+    return TypePartitioning.from_permutation(perm, part_sizes)
 
 
 def load_manifest(
@@ -136,10 +125,16 @@ def load_manifest(
     embedding matrices — those are streamed partition by partition.
     """
     ckpt = CheckpointStorage(checkpoint_dir)
-    return (
-        ConfigSchema.from_json(ckpt.load_config()),
-        ckpt.load_metadata(),
-    )
+    return _load_config(ckpt), ckpt.load_metadata()
+
+
+def _load_config(ckpt: CheckpointStorage) -> ConfigSchema:
+    """The checkpoint's config; JSON damage raises ``StorageError``
+    naming the file, a parsed but invalid config ``ConfigError``."""
+    try:
+        return ConfigSchema.from_json(ckpt.load_config())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise StorageError(f"corrupt config at {ckpt.root / 'config.json'}: {exc}") from exc
 
 
 def load_model(
@@ -152,7 +147,7 @@ def load_model(
     the returned model's shared parameters under ``features_{type}``).
     """
     ckpt = CheckpointStorage(checkpoint_dir)
-    config = ConfigSchema.from_json(ckpt.load_config())
+    config = _load_config(ckpt)
     metadata = ckpt.load_metadata()
     shared = ckpt.load_shared()
 

@@ -256,11 +256,7 @@ class BucketExecutor:
         self.committer = committer
         self.sync = sync
         #: entity types always resident (single partition / featurized)
-        self.global_types = [
-            t
-            for t in entities.types
-            if t in config.entities and entities.num_partitions(t) == 1
-        ]
+        self.global_types = entities.unpartitioned_types(config.entities)
         #: relation -> its group: same entity types and operator, one call
         kinds = [(r.lhs, r.rhs, r.operator) for r in config.relations]
         self.rel_groups = np.array([kinds.index(kind) for kind in kinds])
@@ -614,11 +610,9 @@ class Trainer:
         self.model = model
         self.entities = entities
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
-        self._partitioned = any(
-            entities.num_partitions(t) > 1
-            for t in entities.types
-            if t in config.entities
-        )
+        # Partitioned unless every configured type is unpartitioned.
+        configured = [t for t in entities.types if t in config.entities]
+        self._partitioned = entities.unpartitioned_types(config.entities) != configured
         if self._partitioned:
             if config.checkpoint_dir is not None:
                 own = CheckpointStorage(

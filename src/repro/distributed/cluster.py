@@ -231,7 +231,6 @@ class _WorkerContext:
     config: ConfigSchema
     entities: EntityStorage
     bucketed: BucketedEdges
-    unpartitioned_types: "list[str]"
 
 
 class _PartitionCommitter:
@@ -349,7 +348,7 @@ def _machine_main(
         # Unpartitioned entity types are shared parameters: same init
         # seed on every machine, then the parameter server's canonical
         # copy takes over.
-        shared = ctx.unpartitioned_types
+        shared = ctx.entities.unpartitioned_types(cfg.entities)
         for t in shared:
             model.init_partition(t, 0, np.random.default_rng(cfg.seed))
         client = SharedParameterClient(
@@ -433,6 +432,9 @@ def _shared_restore(
     params: "dict[str, np.ndarray]",
     unpartitioned_types: "list[str]",
 ) -> None:
+    """Put the parameter server's shared state onto ``model``: relation
+    parameters, and the tables of the unpartitioned types (which must
+    be resident) from their ``table_{type}`` entries."""
     model.set_shared_params(params)
     for t in unpartitioned_types:
         key = f"table_{t}"
@@ -491,11 +493,6 @@ class DistributedTrainer:
         self.lock_server = None
         self.partition_server = None
         self.parameter_server = None
-        self._unpartitioned_types = [
-            t
-            for t in entities.types
-            if t in config.entities and entities.num_partitions(t) == 1
-        ]
 
     # ------------------------------------------------------------------
 
@@ -629,8 +626,7 @@ class DistributedTrainer:
                     target=_machine_main,
                     args=(
                         _WorkerContext(
-                            m, self.config, self.entities, bucketed,
-                            self._unpartitioned_types,
+                            m, self.config, self.entities, bucketed
                         ),
                         self.lock_server, self.partition_server,
                         self.parameter_server, barrier, result_queue,
@@ -656,15 +652,15 @@ class DistributedTrainer:
         model = EmbeddingModel(
             self.config, self.entities, rng=np.random.default_rng(seed)
         )
-        for t in self._unpartitioned_types:
-            model.init_partition(t, 0, np.random.default_rng(seed))
         backend = PartitionServerStorage(self.partition_server)
         for entity_type, part in self.partition_server.keys():
             model.set_table(
                 entity_type, part,
                 DenseEmbeddingTable(*backend.load(entity_type, part)),
             )
-        # Any never-stored partitions (untrained) get fresh tables.
+        # Never-stored partitions and the unpartitioned types get fresh
+        # tables, seeded as the machines seed them; the shared state
+        # then overwrites the latter.
         for t in self.config.entities:
             for p in range(self.entities.num_partitions(t)):
                 if not model.has_table(t, p):
@@ -672,9 +668,7 @@ class DistributedTrainer:
         shared = self.parameter_server.sync(
             dict.fromkeys(self.parameter_server.names())
         )
-        model.set_shared_params(shared)
-        for t in self._unpartitioned_types:
-            key = f"table_{t}"
-            if key in shared:
-                np.copyto(model.get_table(t, 0).weights, shared[key])
+        _shared_restore(
+            model, shared, self.entities.unpartitioned_types(self.config.entities)
+        )
         return model

@@ -165,37 +165,35 @@ class LockServer:  # public-guard: _lock
             self._c_epochs.inc()
 
     def _select(
-        self,
-        machine: int,
-        remaining: "set[Bucket]",
-        locked: "set[int]",
-        deferred: "dict[int, int]",
-        initialized: "set[int]",
-        prev: "Bucket | None",
-        done_any: bool,
-        has_active: bool,
+        self, machine: int, state: _State, releasing: "Bucket | None" = None
     ) -> "tuple[Bucket | None, tuple | None]":
         """The shared preference order of ``acquire`` and ``reserve``:
         (1) buckets sharing a partition with the machine's previous
         bucket (partition reuse), (2) buckets with the most initialised
-        partitions (alignment), (3) grid order."""
+        partitions (alignment), (3) grid order. With ``releasing`` (the
+        machine's current bucket) the order is evaluated as if that
+        bucket had been released."""
+        freed = set() if releasing is None else {releasing.lhs, releasing.rhs}
+        locked = state.locked_partitions - freed
+        initialized = state.initialized_partitions | freed
+        prev = self._prev.get(machine) if releasing is None else releasing
+        # Alignment invariant: only the very first bucket of a run may
+        # touch two uninitialised partitions — a concurrent fresh-fresh
+        # bucket would seed a second, unaligned embedding space.
+        fresh_ok = not (state.done_any or freed or any(m != machine for m in state.active))
         best: Bucket | None = None
         best_key: tuple | None = None
-        for bucket in remaining:
+        for bucket in state.remaining:
             parts = {bucket.lhs, bucket.rhs}
             if parts & locked:
                 continue
-            if any(deferred.get(p, machine) != machine for p in parts):
+            if any(state.deferred.get(p, machine) != machine for p in parts):
                 # Another machine's push-back for this partition has not
                 # landed on the partition server yet; fetching it now
                 # would observe stale bytes.
                 continue
             n_init = len(parts & initialized)
-            if n_init == 0 and (done_any or has_active):
-                # Alignment invariant: only the very first bucket of
-                # a run may touch two uninitialised partitions — a
-                # concurrent fresh-fresh bucket would seed a second,
-                # unaligned embedding space.
+            if n_init == 0 and not fresh_ok:
                 continue
             affinity = 0
             if prev is not None:
@@ -229,16 +227,7 @@ class LockServer:  # public-guard: _lock
                 raise RuntimeError(
                     f"machine {machine} already holds {st.active[machine]}"
                 )
-            best, best_key = self._select(
-                machine,
-                st.remaining,
-                st.locked_partitions,
-                st.deferred,
-                st.initialized_partitions,
-                self._prev.get(machine),
-                st.done_any,
-                bool(st.active),
-            )
+            best, best_key = self._select(machine, st)
             if best is None:
                 self._c_failed.inc()
                 return None
@@ -275,30 +264,7 @@ class LockServer:  # public-guard: _lock
 
     def _reserve(self, machine: int) -> Bucket | None:
         with self._lock:
-            st = self._state
-            cur = st.active.get(machine)
-            locked = set(st.locked_partitions)
-            initialized = set(st.initialized_partitions)
-            prev = self._prev.get(machine)
-            done_any = st.done_any
-            others_active = bool(
-                {m for m in st.active if m != machine}
-            )
-            if cur is not None:
-                locked.difference_update((cur.lhs, cur.rhs))
-                initialized.update((cur.lhs, cur.rhs))
-                prev = cur
-                done_any = True
-            best, _ = self._select(
-                machine,
-                st.remaining,
-                locked,
-                st.deferred,
-                initialized,
-                prev,
-                done_any,
-                others_active,
-            )
+            best, _ = self._select(machine, self._state, self._state.active.get(machine))
             if best is None:
                 self._reserved.pop(machine, None)
                 return None

@@ -9,6 +9,7 @@ Section 4.1).
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,21 @@ class TypePartitioning:
     offset_of: np.ndarray
     part_sizes: np.ndarray
     global_of: tuple[np.ndarray, ...]
+
+    @classmethod
+    def from_permutation(
+        cls, perm: np.ndarray, part_sizes: np.ndarray
+    ) -> "TypePartitioning":
+        """The one constructor of a layout: partition ``p`` holds
+        ``perm``'s next ``part_sizes[p]`` global ids, in row order.
+        Whole-array passes only (a repeat, two scatters and a split)."""
+        count, nparts = len(perm), len(part_sizes)
+        bounds = np.concatenate([[0], np.cumsum(part_sizes)])
+        part_of = np.empty(count, dtype=np.int64)
+        offset_of = np.empty(count, dtype=np.int64)
+        part_of[perm] = np.repeat(np.arange(nparts, dtype=np.int64), part_sizes)
+        offset_of[perm] = np.arange(count, dtype=np.int64) - np.repeat(bounds[:-1], part_sizes)
+        return cls(part_of, offset_of, part_sizes, tuple(np.split(perm, bounds[1:-1])))
 
     @property
     def num_partitions(self) -> int:
@@ -108,24 +124,21 @@ class EntityStorage:
     def partitioning(self, entity_type: str) -> TypePartitioning:
         """The partition layout of ``entity_type`` (identity if unset)."""
         if entity_type not in self._partitionings:
-            self._partitionings[entity_type] = _identity_partitioning(
-                self._counts[entity_type]
+            count = self._counts[entity_type]
+            self._partitionings[entity_type] = TypePartitioning.from_permutation(
+                np.arange(count, dtype=np.int64), np.asarray([count], dtype=np.int64)
             )
         return self._partitionings[entity_type]
 
     def num_partitions(self, entity_type: str) -> int:
         return self.partitioning(entity_type).num_partitions
 
+    def unpartitioned_types(self, configured: "Container[str]") -> "list[str]":
+        """The types of ``configured`` (a config's ``entities``) that
+        have one partition, in storage order: always resident, and in
+        distributed training shared through the parameter server."""
+        return [t for t in self.types if t in configured and self.num_partitions(t) == 1]
+
     def part_size(self, entity_type: str, part: int) -> int:
         return int(self.partitioning(entity_type).part_sizes[part])
 
-
-def _identity_partitioning(count: int) -> TypePartitioning:
-    """Single-partition layout: global ids are partition offsets."""
-    ids = np.arange(count, dtype=np.int64)
-    return TypePartitioning(
-        part_of=np.zeros(count, dtype=np.int64),
-        offset_of=ids,
-        part_sizes=np.asarray([count], dtype=np.int64),
-        global_of=(ids,),
-    )

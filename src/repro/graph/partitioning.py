@@ -19,7 +19,7 @@ from repro.core.optimizers import radix_argsort
 from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage, TypePartitioning
 
-__all__ = ["partition_entities", "bucket_edges", "BucketedEdges"]
+__all__ = ["partition_entities", "bucket_edges", "BucketedEdges", "edge_type_pairs"]
 
 
 def partition_entities(
@@ -45,14 +45,7 @@ def partition_entities(
     base, extra = divmod(count, num_partitions)
     part_sizes = np.full(num_partitions, base, dtype=np.int64)
     part_sizes[:extra] += 1
-    bounds = np.concatenate([[0], np.cumsum(part_sizes)])
-
-    part_of = np.empty(count, dtype=np.int64)
-    offset_of = np.empty(count, dtype=np.int64)
-    part_of[perm] = np.repeat(np.arange(num_partitions, dtype=np.int64), part_sizes)
-    offset_of[perm] = np.arange(count, dtype=np.int64) - np.repeat(bounds[:-1], part_sizes)
-    global_of = tuple(np.split(perm, bounds[1:-1]))
-    return TypePartitioning(part_of, offset_of, part_sizes, global_of)
+    return TypePartitioning.from_permutation(perm, part_sizes)
 
 
 @dataclass
@@ -104,23 +97,19 @@ def bucket_edges(
     one stable 16-bit radix pass over the bucket keys and one gather per
     bucket column; about seven int64 arrays of the edge count at peak.
     """
-    pairs = list(dict.fromkeys((r.lhs, r.rhs) for r in config.relations))
+    pairs, which = edge_type_pairs(edges, config)
     lhs_parts = {entities.num_partitions(lhs) for lhs, _ in pairs}
     rhs_parts = {entities.num_partitions(rhs) for _, rhs in pairs}
     if len(multi := (lhs_parts | rhs_parts) - {1}) > 1:
         raise ValueError("all partitioned entity types must share one partition "
                          f"count; got {sorted(multi)}")
     nparts_lhs, nparts_rhs = max(lhs_parts), max(rhs_parts)
-    if len(edges) and edges.rel.max() >= len(config.relations):
-        raise ValueError(f"edge relation id {int(edges.rel.max())} is not in "
-                         f"the config, which has {len(config.relations)} relations")
 
-    if len(pairs) == 1:
+    if which is None:
         ((lhs, rhs),) = pairs
         src_part, src_off = _to_local(entities, lhs, edges.src)
         dst_part, dst_off = _to_local(entities, rhs, edges.dst)
     else:
-        which = np.array([pairs.index((r.lhs, r.rhs)) for r in config.relations])[edges.rel]
         src_part, src_off, dst_part, dst_off = np.empty((4, len(edges)), dtype=np.int64)
         for i, (lhs, rhs) in enumerate(pairs):
             mask = which == i
@@ -140,6 +129,22 @@ def bucket_edges(
             src_off[idx], edges.rel[idx], dst_off[idx], weights
         )
     return BucketedEdges(buckets, nparts_lhs, nparts_rhs)
+
+
+def edge_type_pairs(
+    edges: EdgeList, config: ConfigSchema
+) -> "tuple[list[tuple[str, str]], np.ndarray | None]":
+    """The distinct ``(lhs, rhs)`` entity-type pairs of the config's
+    relations, in first-seen order, and each edge's index into them
+    (``None`` when all relations share one pair). An edge relation id
+    the config lacks raises ``ValueError``."""
+    if len(edges) and edges.rel.max() >= len(config.relations):
+        raise ValueError(f"edge relation id {int(edges.rel.max())} is not in "
+                         f"the config, which has {len(config.relations)} relations")
+    pairs = list(dict.fromkeys((r.lhs, r.rhs) for r in config.relations))
+    if len(pairs) == 1:
+        return pairs, None
+    return pairs, np.array([pairs.index((r.lhs, r.rhs)) for r in config.relations])[edges.rel]
 
 
 def _to_local(entities: EntityStorage, entity_type: str, ids: np.ndarray):

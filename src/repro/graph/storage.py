@@ -823,10 +823,7 @@ class CheckpointStorage:
     # -- config -------------------------------------------------------
 
     def save_config(self, config_json: str) -> None:
-        path = self.root / "config.json"
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(config_json)
-        os.replace(tmp, path)
+        atomic_write(self.root / "config.json", lambda fh: fh.write(config_json.encode()))
 
     def load_config(self) -> str:
         path = self.root / "config.json"
@@ -837,10 +834,8 @@ class CheckpointStorage:
     # -- metadata -----------------------------------------------------
 
     def save_metadata(self, metadata: dict) -> None:
-        path = self.root / "metadata.json"
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(metadata, indent=2, sort_keys=True))
-        os.replace(tmp, path)
+        text = json.dumps(metadata, indent=2, sort_keys=True)
+        atomic_write(self.root / "metadata.json", lambda fh: fh.write(text.encode()))
 
     def load_metadata(self) -> dict:
         path = self.root / "metadata.json"

@@ -26,8 +26,8 @@ server processes share one page cache copy.
 
 Publishing is crash-safe and reader-atomic: a version is staged in a
 hidden temp dir, renamed into place (atomic within a filesystem), and
-only then does ``CURRENT`` get rewritten via the tmp-file +
-``os.replace`` trick. Readers resolve ``CURRENT`` once and then only
+only then does ``CURRENT`` get rewritten (``atomic_write``: a temp
+file renamed over it). Readers resolve ``CURRENT`` once and then only
 touch immutable version dirs, so a concurrent publish can never hand
 them a mixed view; swapping live queries onto the new version is the
 job of :class:`~repro.serving.snapshot.SnapshotManager`.
@@ -102,9 +102,8 @@ def current_version(root: "str | Path") -> "int | None":
 
 
 def _set_current(root: Path, version: int) -> None:
-    tmp = root / f".{CURRENT_NAME}.tmp"
-    tmp.write_text(_version_dirname(version) + "\n")
-    os.replace(tmp, root / CURRENT_NAME)
+    text = _version_dirname(version) + "\n"
+    atomic_write(root / CURRENT_NAME, lambda fh: fh.write(text.encode()))
 
 
 def _publish(

@@ -14,10 +14,12 @@ true allocations track the model closely).
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from dataclasses import dataclass
 
 from repro.config import ConfigSchema
+from repro.core.operators import make_operator
 from repro.graph import compression
 from repro.graph.entity_storage import EntityStorage
 
@@ -73,25 +75,23 @@ class MemoryModel:
         """Full model: every entity row + shared parameters."""
         total = sum(
             self.entities.count(t) * self.embedding_row_bytes()
-            for t in self.entities.types
-            if t in self.config.entities
-            and not self.config.entities[t].featurized
+            for t in self._dense_types()
         )
         return total + self.shared_param_bytes()
 
+    def _dense_types(self) -> "list[str]":
+        """Configured types with embedding rows (featurized ones have none)."""
+        return [
+            t for t in self.entities.types
+            if t in self.config.entities and not self.config.entities[t].featurized
+        ]
+
     def shared_param_bytes(self) -> int:
-        """Relation-operator parameters (+ dense Adagrad state)."""
+        """Relation-operator parameters (+ dense Adagrad state), each
+        relation's sized by its operator's ``param_shape``."""
         d = self.config.dimension
-        sizes = {
-            "identity": 0,
-            "translation": d,
-            "diagonal": d,
-            "linear": d * d,
-            "complex_diagonal": d,
-            "affine": (d + 1) * d,
-        }
         return sum(
-            2 * sizes[rel.operator] * _FLOAT_BYTES
+            2 * math.prod(make_operator(rel.operator, d).param_shape()) * _FLOAT_BYTES
             for rel in self.config.relations
         )
 
@@ -117,17 +117,18 @@ class MemoryModel:
         and rhs). Pipelined training additionally retains cached
         partitions — see :meth:`pipelined_peak_bytes`.
         """
+        return self._peak_bytes(hosted_parts=lambda nparts: 0)
+
+    def _peak_bytes(self, hosted_parts) -> int:
+        """Shared parameters, every unpartitioned type whole, and per
+        partitioned type two live partitions plus ``hosted_parts(P)``."""
         total = self.shared_param_bytes()
-        for t in self.entities.types:
-            if t not in self.config.entities:
-                continue
-            if self.config.entities[t].featurized:
-                continue
+        for t in self._dense_types():
             nparts = self.entities.num_partitions(t)
             if nparts == 1:
                 total += self.entities.count(t) * self.embedding_row_bytes()
             else:
-                total += 2 * self._max_partition_bytes(t)
+                total += (2 + hosted_parts(nparts)) * self._max_partition_bytes(t)
         return total
 
     def partition_cache_peak_bytes(self) -> int:
@@ -138,10 +139,8 @@ class MemoryModel:
         unlimited, so the cap itself is the worst case."""
         cacheable = sum(
             self.partition_bytes(t, p)
-            for t in self.entities.types
-            if t in self.config.entities
-            and not self.config.entities[t].featurized
-            and self.entities.num_partitions(t) > 1
+            for t in self._dense_types()
+            if self.entities.num_partitions(t) > 1
             for p in range(self.entities.num_partitions(t))
         )
         budget = self.config.partition_cache_budget
@@ -171,20 +170,7 @@ class MemoryModel:
         because the model moves from disk to cluster RAM).
         """
         m = self.config.num_machines
-        total = self.shared_param_bytes()
-        for t in self.entities.types:
-            if t not in self.config.entities:
-                continue
-            if self.config.entities[t].featurized:
-                continue
-            nparts = self.entities.num_partitions(t)
-            if nparts == 1:
-                total += self.entities.count(t) * self.embedding_row_bytes()
-                continue
-            per_part = self._max_partition_bytes(t)
-            hosted = -(-nparts // m)  # ceil
-            total += (2 + hosted) * per_part
-        return total
+        return self._peak_bytes(hosted_parts=lambda nparts: -(-nparts // m))  # ceil
 
     def distributed_pipelined_peak_bytes_per_machine(self) -> int:
         """Peak per machine for *pipelined* distributed training: the

@@ -11,7 +11,7 @@ from repro.config import (
     EntitySchema,
     RelationSchema,
 )
-from repro.core.checkpointing import load_model, save_model
+from repro.core.checkpointing import load_manifest, load_model, save_model
 from repro.core.model import EmbeddingModel
 from repro.core.trainer import Trainer
 from repro.graph.edgelist import EdgeList
@@ -194,3 +194,26 @@ class TestErrorPaths:
 
         with pytest.raises(StorageError):
             load_model(tmp_path / "nope")
+
+    @pytest.mark.parametrize("load", [load_model, load_manifest])
+    def test_damaged_config_is_a_storage_error_naming_the_file(self, tmp_path, load):
+        from repro.graph.storage import StorageError
+
+        _, entities, model = _trained_model()
+        save_model(tmp_path, model, entities)
+        path = tmp_path / "config.json"
+        path.write_bytes(path.read_bytes()[:40])
+        with pytest.raises(StorageError, match=f"corrupt config at {path}"):
+            load(tmp_path)
+
+    def test_failed_text_write_leaves_the_old_file_and_no_temp(self, tmp_path):
+        from repro.graph.storage import CheckpointStorage
+
+        _, entities, model = _trained_model()
+        save_model(tmp_path, model, entities)
+        before = sorted(tmp_path.iterdir())
+        config = (tmp_path / "config.json").read_bytes()
+        with pytest.raises(UnicodeEncodeError):
+            CheckpointStorage(tmp_path).save_config("\ud800")  # unencodable
+        assert sorted(tmp_path.iterdir()) == before
+        assert (tmp_path / "config.json").read_bytes() == config

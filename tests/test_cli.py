@@ -569,3 +569,60 @@ class TestProgress:
         assert re.findall(
             r"^epoch (\d+): loss \d+\.\d{4} ", out, re.M
         ) == ["0", "1", "2"]
+
+
+class TestRefusals:
+    """Bad input ends in ``error: …`` and exit 2, never a traceback."""
+
+    def test_unknown_relation_id(self, workspace, capsys):
+        tmp_path, config_path, train_path, _ = workspace
+        edges = load_edges(train_path)
+        rel = edges.rel.copy()
+        rel[5] = 3  # the config has one relation
+        bad = tmp_path / "bad.npz"
+        save_edges(bad, EdgeList(edges.src, rel, edges.dst))
+        rc = main(["train", "--config", str(config_path), "--edges", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "relation id 3" in err
+
+    @pytest.fixture
+    def checkpoint(self, workspace, capsys):
+        tmp_path, config_path, train_path, test_path = workspace
+        ckpt = tmp_path / "model"
+        assert main([
+            "train", "--config", str(config_path), "--edges", str(train_path),
+            "--checkpoint", str(ckpt),
+        ]) == 0
+        capsys.readouterr()
+        return ckpt, test_path
+
+    def _commands(self, ckpt, test_path):
+        out = ckpt.parent
+        return {
+            "eval": ["eval", "--checkpoint", str(ckpt), "--edges", str(test_path)],
+            "export": ["export", "--checkpoint", str(ckpt), "--entity-type", "node",
+                       "--output", str(out / "emb.npy")],
+            "export-mmap": ["export", "--checkpoint", str(ckpt), "--entity-type", "node",
+                            "--output", str(out / "snaps"), "--format", "mmap"],
+        }
+
+    @pytest.mark.parametrize("command", ["eval", "export", "export-mmap"])
+    def test_damaged_config(self, checkpoint, capsys, command):
+        ckpt, test_path = checkpoint
+        path = ckpt / "config.json"
+        path.write_bytes(path.read_bytes()[:25])
+        assert main(self._commands(ckpt, test_path)[command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("command", ["eval", "export", "export-mmap"])
+    def test_invalid_config(self, checkpoint, capsys, command):
+        ckpt, test_path = checkpoint
+        path = ckpt / "config.json"
+        data = json.loads(path.read_text())
+        data["relations"][0]["all_negs"] = True
+        path.write_text(json.dumps(data))
+        assert main(self._commands(ckpt, test_path)[command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "all_negs" in err

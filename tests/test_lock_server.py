@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed.lock_server import LockServer
 from repro.graph.buckets import Bucket
@@ -250,6 +252,44 @@ class TestReservation:
         while (b := ls.acquire(0)) is not None:
             ls.release(0, b)
         assert ls.reserve(0) is None
+
+
+class TestGrantOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_reserve_before_release_is_the_next_grant(self, data):
+        """``reserve`` and ``acquire`` share one grant order: taken just
+        before a machine releases, the reservation is that machine's
+        next grant (``None`` included) whenever no other machine acquires,
+        releases or commits in between."""
+        machines = data.draw(st.integers(2, 3), label="machines")
+        p = data.draw(st.integers(2, 5), label="partitions")
+        ls = LockServer(p, p)
+        held: dict = {}
+        reserved: dict = {}
+        uncommitted: dict = {m: [] for m in range(machines)}
+        for _ in range(data.draw(st.integers(1, 60), label="steps")):
+            m = data.draw(st.integers(0, machines - 1))
+            if m in held:
+                reserved[m] = ls.reserve(m)
+                bucket = held.pop(m)
+                defer = data.draw(st.booleans())
+                ls.release(m, bucket, defer=defer)
+                if defer:
+                    uncommitted[m] += [bucket.lhs, bucket.rhs]
+            elif uncommitted[m] and data.draw(st.booleans()):
+                # Lifts the deferral for others only: m's own grant is
+                # unchanged, so its reservation stays comparable.
+                ls.commit_partition(m, uncommitted[m].pop())
+            else:
+                granted = ls.acquire(m)
+                if m in reserved:
+                    assert granted == reserved.pop(m)
+                if granted is not None:
+                    held[m] = granted
+            for other in range(machines):
+                if other != m:
+                    reserved.pop(other, None)
 
 
 class TestDeferredRelease:

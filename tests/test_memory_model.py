@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ConfigSchema, EntitySchema, RelationSchema
+from repro.core.operators import OPERATORS
 from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import partition_entities
 from repro.stats.memory import MemoryModel, measure_peak_tracemalloc
@@ -128,3 +129,32 @@ class TestTracemalloc:
     def test_propagates_exceptions(self):
         with pytest.raises(RuntimeError):
             measure_peak_tracemalloc(lambda: (_ for _ in ()).throw(RuntimeError))
+
+
+class TestSharedParamsMatchTheModel:
+    """The analytic shared bytes are the operators' own parameter
+    shapes: a real model's shared parameters and their optimizer
+    state hold exactly that many bytes."""
+
+    @pytest.mark.parametrize("d", [8, 10])
+    @pytest.mark.parametrize("operators", [
+        *[[op] for op in OPERATORS], sorted(OPERATORS),
+    ], ids=lambda ops: "+".join(ops) if len(ops) < 6 else "all")
+    def test_shared_param_bytes_is_the_model_nbytes(self, d, operators):
+        from repro.core.model import EmbeddingModel
+
+        config = ConfigSchema(
+            entities={"node": EntitySchema()},
+            relations=[
+                RelationSchema(name=f"r{i}", lhs="node", rhs="node", operator=op)
+                for i, op in enumerate(operators)
+            ],
+            dimension=d,
+        )
+        entities = EntityStorage({"node": 10})
+        model = EmbeddingModel(config, entities)
+        shared = {**model.get_shared_params(), **model.get_shared_state()}
+        assert len(shared) == 2 * len(operators)
+        assert MemoryModel(config, entities).shared_param_bytes() == sum(
+            a.nbytes for a in shared.values()
+        )

@@ -308,3 +308,39 @@ class TestEntityStorage:
             es.set_partitioning(
                 "zzz", partition_entities(7, 2, np.random.default_rng(0))
             )
+
+
+def _assert_same_layout(got, want):
+    """Array for array and dtype for dtype, every field of the layout."""
+    for name in ("part_of", "offset_of", "part_sizes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert len(got.global_of) == len(want.global_of)
+    for a, b in zip(got.global_of, want.global_of):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+class TestOneLayoutConstructor:
+    """The checkpoint rebuild and the identity layout go through the
+    constructor ``partition_entities`` uses, so they build its layout."""
+
+    @pytest.mark.parametrize("count,nparts", [
+        (1, 1), (17, 1), (3, 3), (20, 3), (8, 8), (101, 8),
+    ])
+    @pytest.mark.parametrize("stored", [np.int64, np.int32])
+    def test_checkpoint_rebuild_is_the_partitioned_layout(self, count, nparts, stored):
+        from repro.core.checkpointing import _rebuild_partitioning
+
+        want = partition_entities(count, nparts, np.random.default_rng(count))
+        got = _rebuild_partitioning(
+            want.part_of.astype(stored), want.offset_of.astype(stored)
+        )
+        _assert_same_layout(got, want)
+
+    @pytest.mark.parametrize("count", [1, 7, 40])
+    def test_identity_layout_is_the_one_partition_layout(self, count):
+        got = EntityStorage({"a": count}).partitioning("a")
+        want = partition_entities(count, 1, np.random.default_rng(0))
+        _assert_same_layout(got, want)

@@ -983,24 +983,20 @@ def swap_is_clean(serving, emb, queries) -> bool:
 @group("serving_knn")
 def serving_knn(pkg, quick: bool):
     """Spend recall, buy QPS: one 1 000-query batch a call (quick: 400)
-    on clustered embeddings. IVF-PQ's win on a CPU is memory, not QPS,
-    so it is checked on bytes and recall; the speedup on float IVF."""
+    on clustered embeddings, the exact scan against float IVF at a
+    sweep of ``nprobe``; checked on recall (quick) or on recall and the
+    speedup over exact (full size), and on a clean snapshot swap."""
     if quick:
         clusters, per_cluster, dim, num_queries = 80, 50, 32, 400
-        num_lists, probes, pq, calls = 64, (4, 8), 8, 20
+        num_lists, probes, calls = 64, (4, 8), 20
     else:
         clusters, per_cluster, dim, num_queries = 200, 100, 64, 1000
-        num_lists, probes, pq, calls = 128, (2, 4, 8, 16), 16, 30
+        num_lists, probes, calls = 128, (2, 4, 8, 16), 30
     emb, queries = clustered_dataset(clusters, per_cluster, dim, num_queries)
     indexes = {"exact": pkg.serving.ExactIndex(comparator="cos")}
     for nprobe in probes:
         indexes[f"ivf[l={num_lists},p={nprobe}]"] = pkg.serving.IVFPQIndex(
             comparator="cos", num_lists=num_lists, nprobe=nprobe)
-    pq_name = f"ivfpq[l={num_lists},p={probes[-1]},m={pq},r=8]"
-    indexes[pq_name] = pkg.serving.IVFPQIndex(
-        comparator="cos", num_lists=num_lists, nprobe=probes[-1],
-        pq_subvectors=pq, refine=8,
-    )
     rows, truth = {}, None
     for name, index in indexes.items():
         start = time.perf_counter()
@@ -1017,10 +1013,6 @@ def serving_knn(pkg, quick: bool):
     def ivf(recorded):  # the float-IVF rows
         return [r for n, r in recorded.items() if n.startswith("ivf[")]
     checks = {
-        "PQ bytes <= 30 % of exact's, at recall@10 >= 0.7": lambda r: (
-            r[pq_name]["nbytes"] <= 0.3 * r["exact"]["nbytes"]
-            and r[pq_name]["recall_at_k"] >= 0.7
-        ),
         "snapshot swap v1 -> v2 clean (nothing retired left pinned)":
             lambda r: clean,
     }

@@ -73,7 +73,14 @@ MERGED = {
     "ragged_batch[cos,identity,two_tables]":
         "ragged_batch_as_one_call[cos,identity,two_tables]",
     "ivf[b=400]": "serving_knn's ivf[l=64,p=8]",
-    "ivfpq[b=400,m=8,r=8]": "serving_knn's ivfpq[l=64,p=8,m=8,r=8]",
+}
+
+#: rows whose code is gone -> why
+RETIRED = {
+    "ivfpq[l=64,p=8,m=8,r=8]": "product quantisation and refine left the "
+                               "serving index: slower than the exact scan",
+    "ivfpq[b=400,m=8,r=8]": "merged into serving_knn's "
+                            "ivfpq[l=64,p=8,m=8,r=8], retired with it",
 }
 
 #: one name for two inputs -> a row per stack size
@@ -105,9 +112,12 @@ def test_rows_are_the_replaced_scripts_rows(quick_pair):
     _, records = quick_pair
     assert list(records) == [benchmark for benchmark, _ in run.GROUPS.values()]
     for name, (benchmark, _) in run.GROUPS.items():
-        expected = [new for row in OLD_ROWS.get(name, []) if row not in MERGED
+        expected = [new for row in OLD_ROWS.get(name, [])
+                    if row not in MERGED and row not in RETIRED
                     for new in SPLIT.get(row, [row])] + NEW_ROWS.get(name, [])
         assert sorted(records[benchmark]["rows"]) == sorted(expected), name
+    # A retired row was an old row (a typo would retire none).
+    assert set(RETIRED) <= {row for rows in OLD_ROWS.values() for row in rows}
     # A declared numeric change names a row (a typo would declare none).
     assert set(run.NUMERIC_CHANGES) <= {
         row for record in records.values() for row in record["rows"]

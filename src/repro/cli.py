@@ -48,8 +48,15 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import edge_type_pairs, partition_entities
 from repro.graph.storage import StorageError
+from repro.serving import ServingError
 
 __all__ = ["main", "load_edges"]
+
+#: What bad serving input raises: a missing or damaged snapshot
+#: (``ServingError``), an invalid config section (``ConfigError``, a
+#: ``ValueError``), an unreadable file (``OSError``), a query the index
+#: refuses (``ValueError``: ``k``, width, ids).
+_SERVING_ERRORS = (ServingError, ValueError, OSError)
 
 
 def load_edges(path: "str | Path") -> EdgeList:
@@ -295,12 +302,7 @@ def _serving_config(args: argparse.Namespace) -> ServingConfig:
 
 def _open_service(args: argparse.Namespace, auto_refresh: bool = False):
     """Build (manager, service) over the snapshot root, or raise."""
-    from repro.serving import (
-        QueryService,
-        ServingError,
-        SnapshotManager,
-        make_index,
-    )
+    from repro.serving import QueryService, SnapshotManager, make_index
 
     serving = _serving_config(args)
 
@@ -325,21 +327,15 @@ def _open_service(args: argparse.Namespace, auto_refresh: bool = False):
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Batch-serve a query file through the configured index."""
-    from repro.serving import ServingError
-
     tracer = None
     if args.trace:
         tracer = telemetry.enable()
         telemetry.set_lane("cli.serve")
-    metrics_server = None
+    manager = metrics_server = None
     try:
-        try:
-            manager, service, serving = _open_service(
-                args, auto_refresh=args.poll
-            )
-        except ServingError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        manager, service, serving = _open_service(
+            args, auto_refresh=args.poll
+        )
         if tracer is not None:
             tracer.add_metadata(
                 config_fingerprint=fingerprint(dataclasses.asdict(serving))
@@ -370,10 +366,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"snapshot v{snap.version})"
             )
         print(stats.summary())
-        manager.close()
+    except _SERVING_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if metrics_server is not None:
             metrics_server.close()
+        if manager is not None:
+            manager.close()
         if tracer is not None:
             try:
                 tracer.export(args.trace)
@@ -385,44 +385,49 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     """One-shot neighbour lookup (by query file or entity ids)."""
-    from repro.serving import ServingError
-
+    manager = None
     try:
         manager, service, _ = _open_service(args)
-    except ServingError as exc:
+        exclude = None
+        if args.ids is not None:
+            try:
+                ids = np.asarray(
+                    [int(tok) for tok in args.ids.split(",") if tok.strip()],
+                    dtype=np.int64,
+                )
+            except ValueError:
+                raise ValueError(
+                    f"--ids must be comma-separated integers, got {args.ids!r}"
+                ) from None
+            if not len(ids):
+                raise ValueError("--ids is empty")
+            with manager.acquire() as snap:
+                queries = snap.table.gather(ids)
+            exclude = ids  # an entity is not its own neighbour
+        else:
+            queries = np.load(args.queries)
+        idx, scores, version = service.query_pinned(
+            queries, k=args.k, exclude_self=exclude
+        )
+        labels = (
+            [str(i) for i in ids] if args.ids is not None
+            else [str(i) for i in range(len(queries))]
+        )
+        print(f"snapshot v{version}, top-{idx.shape[1]}:")
+        for label, row_idx, row_scores in zip(labels, idx, scores):
+            pairs = " ".join(
+                f"{int(j)}:{s:.4f}"
+                for j, s in zip(row_idx, row_scores)
+                if j >= 0
+            )
+            print(f"  {label}: {pairs}")
+        print(service.stats().summary())
+    except _SERVING_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    exclude = None
-    if args.ids is not None:
-        ids = np.asarray(
-            [int(tok) for tok in args.ids.split(",") if tok.strip()],
-            dtype=np.int64,
-        )
-        if not len(ids):
-            print("error: --ids is empty", file=sys.stderr)
-            return 2
-        with manager.acquire() as snap:
-            queries = snap.table.gather(ids)
-        exclude = ids  # an entity is not its own neighbour
-    else:
-        queries = np.load(args.queries)
-    idx, scores, version = service.query_pinned(
-        queries, k=args.k, exclude_self=exclude
-    )
-    labels = (
-        [str(i) for i in ids] if args.ids is not None
-        else [str(i) for i in range(len(queries))]
-    )
-    print(f"snapshot v{version}, top-{idx.shape[1]}:")
-    for label, row_idx, row_scores in zip(labels, idx, scores):
-        pairs = " ".join(
-            f"{int(j)}:{s:.4f}"
-            for j, s in zip(row_idx, row_scores)
-            if j >= 0
-        )
-        print(f"  {label}: {pairs}")
-    print(service.stats().summary())
-    manager.close()
+    finally:
+        if manager is not None:
+            manager.close()
     return 0
 
 
@@ -433,11 +438,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     --metrics-port`` — mostly zeros here (the service just came up),
     but it shows every metric name and label a scrape would see.
     """
-    from repro.serving import ServingError
-
     try:
         manager, service, _ = _open_service(args)
-    except ServingError as exc:
+    except _SERVING_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(service.stats_text(), end="")
@@ -545,14 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nprobe", type=int, default=None, metavar="P",
                        help="IVF cells scanned per query — the "
                             "recall/latency knob (default: config "
-                            "value)")
-        p.add_argument("--pq-subvectors", type=int, default=None,
-                       dest="pq_subvectors", metavar="M",
-                       help="product-quantization subvectors; 0 stores "
-                            "full float vectors (default: config value)")
-        p.add_argument("--refine", type=int, default=None, metavar="R",
-                       help="re-score top k*R PQ candidates against "
-                            "raw vectors; 0 disables (default: config "
                             "value)")
 
     p_serve = sub.add_parser(

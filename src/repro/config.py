@@ -83,11 +83,20 @@ def fingerprint(params: Mapping[str, Any]) -> str:
 #: Removed fields, each with a test for the values every older
 #: ``config.json`` carries (``to_dict`` wrote all fields) that ask for
 #: nothing: those are dropped on load. Any other value, e.g. the never
-#: implemented ``all_negs: true``, is refused like an unknown key.
+#: implemented ``all_negs: true`` or product quantisation's
+#: ``pq_subvectors: 4``, is refused like an unknown key. The serving
+#: index's k-means iterations and training sample became the index's
+#: own defaults, which are the only values they accept.
 _RETIRED = {
     "EntitySchema": {"num_features": lambda v, data: type(v) is int and (
         v >= 1 if data.get("featurized") else v == 0)},
     "RelationSchema": {"all_negs": lambda v, data: v is False},
+    "ServingConfig": {
+        "pq_subvectors": lambda v, data: type(v) is int and v == 0,
+        "refine": lambda v, data: type(v) is int and v == 0,
+        "kmeans_iters": lambda v, data: type(v) is int and v == 10,
+        "train_sample": lambda v, data: type(v) is int and v == 20_000,
+    },
 }
 
 
@@ -190,20 +199,15 @@ class ServingConfig:
     ----------
     index:
         ``"exact"`` (brute-force chunked scan — the recall-1.0
-        baseline) or ``"ivfpq"`` (IVF coarse quantizer + optional PQ).
+        baseline) or ``"ivfpq"`` (IVF coarse quantizer over float
+        lists).
     num_lists:
         IVF coarse cells; ~``sqrt(n)`` is a reasonable starting point.
     nprobe:
         Cells scanned per query — *the* recall/latency knob.
-        ``nprobe = num_lists`` (PQ off) degenerates to the exact scan.
-    pq_subvectors:
-        ``0`` stores float vectors in the lists; ``M > 0`` stores one
-        byte per subvector (``dimension`` must be divisible by ``M``).
-    refine:
-        ``0`` off; ``r >= 1`` re-scores the top ``k*r`` PQ candidates
-        against the raw mmap-backed vectors.
-    kmeans_iters, train_sample, seed:
-        Index-build cost/determinism knobs.
+        ``nprobe = num_lists`` degenerates to the exact scan.
+    seed:
+        Seeds the index build (k-means sample and initialisation).
     batch_size:
         Queries per pinned-snapshot batch in the query service.
     default_k:
@@ -217,10 +221,6 @@ class ServingConfig:
     index: str = "exact"
     num_lists: int = 64
     nprobe: int = 8
-    pq_subvectors: int = 0
-    refine: int = 0
-    kmeans_iters: int = 10
-    train_sample: int = 20_000
     seed: int = 0
     batch_size: int = 1024
     default_k: int = 10
@@ -241,19 +241,6 @@ class ServingConfig:
                 f"nprobe must be in [1, num_lists={self.num_lists}], "
                 f"got {self.nprobe}"
             )
-        if self.pq_subvectors < 0:
-            raise ConfigError("pq_subvectors must be >= 0 (0 disables PQ)")
-        if self.refine < 0:
-            raise ConfigError("refine must be >= 0 (0 disables)")
-        if self.refine and not self.pq_subvectors:
-            raise ConfigError(
-                "refine only applies to PQ indexes; set pq_subvectors "
-                "or drop refine"
-            )
-        if self.kmeans_iters < 0:
-            raise ConfigError("kmeans_iters must be >= 0")
-        if self.train_sample < 1:
-            raise ConfigError("train_sample must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("serving batch_size must be >= 1")
         if self.default_k < 1:
@@ -454,14 +441,6 @@ class ConfigSchema:
             )
         if not 0.0 <= self.eval_fraction < 1.0:
             raise ConfigError("eval_fraction must be in [0, 1)")
-        if (
-            self.serving.pq_subvectors
-            and self.dimension % self.serving.pq_subvectors
-        ):
-            raise ConfigError(
-                f"serving.pq_subvectors ({self.serving.pq_subvectors}) "
-                f"must divide dimension ({self.dimension})"
-            )
 
     # ------------------------------------------------------------------
     # Convenience accessors

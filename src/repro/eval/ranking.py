@@ -343,7 +343,7 @@ def retrieval_recall(
 
     Works with *any* :class:`~repro.serving.index.KnnIndex` — exact or
     approximate — which is exactly the point: the same number measures
-    the exact scan's ceiling and an IVF-PQ configuration's cost in
+    the exact scan's ceiling and an IVF configuration's cost in
     recall.
     """
     true_ids = np.asarray(true_ids)

@@ -4,8 +4,9 @@ The train→serve loop in four pieces:
 
 - :mod:`repro.serving.index` — the :class:`KnnIndex` protocol and the
   exact chunked scan (:class:`ExactIndex`);
-- :mod:`repro.serving.ivfpq` — the approximate IVF-PQ index with the
-  ``nprobe`` recall/latency knob;
+- :mod:`repro.serving.ivfpq` — the approximate IVF index
+  (:class:`IVFPQIndex`, float lists) with the ``nprobe``
+  recall/latency knob;
 - :mod:`repro.serving.shards` — versioned mmap snapshot layout,
   publishing from checkpoints, :class:`MmapShardedTable`;
 - :mod:`repro.serving.snapshot` / :mod:`repro.serving.server` —
@@ -15,7 +16,7 @@ See SERVING.md for the operational story.
 """
 
 from repro.serving.index import ExactIndex, KnnIndex, ServingError
-from repro.serving.ivfpq import IVFPQIndex, ProductQuantizer, kmeans
+from repro.serving.ivfpq import IVFPQIndex, kmeans
 from repro.serving.server import QueryService, ServingStats, make_index
 from repro.serving.shards import (
     MmapShardedTable,
@@ -31,7 +32,6 @@ __all__ = [
     "IVFPQIndex",
     "KnnIndex",
     "MmapShardedTable",
-    "ProductQuantizer",
     "QueryService",
     "ServingError",
     "ServingStats",

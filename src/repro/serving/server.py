@@ -56,10 +56,6 @@ def make_index(serving, comparator: str):
             comparator=comparator,
             num_lists=serving.num_lists,
             nprobe=serving.nprobe,
-            pq_subvectors=serving.pq_subvectors,
-            refine=serving.refine,
-            kmeans_iters=serving.kmeans_iters,
-            train_sample=serving.train_sample,
             seed=serving.seed,
         )
     raise ValueError(f"unknown serving index {serving.index!r}")

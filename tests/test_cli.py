@@ -331,8 +331,7 @@ def _subparsers() -> "dict[str, argparse.ArgumentParser]":
 
 
 _SERVING_FLAGS = (
-    "--config --index --k --nprobe --num-lists --pq-subvectors --refine "
-    "--snapshots"
+    "--config --index --k --nprobe --num-lists --snapshots"
 )
 
 #: Every subcommand's option strings; the config-backed ones changed
@@ -349,7 +348,7 @@ _OPTIONS = {
     "metrics": _SERVING_FLAGS,
 }
 
-_INDEX_FIELDS = {"index", "num_lists", "nprobe", "pq_subvectors", "refine"}
+_INDEX_FIELDS = {"index", "num_lists", "nprobe"}
 
 #: The args each subcommand applies as overrides: its dests that are
 #: fields of the dataclass it resolves.
@@ -422,13 +421,8 @@ class TestOverrides:
         assert config.pipeline is True
         assert config.partition_compression == "fp16"
 
-    _INDEX_ARGS = [
-        "--index", "ivfpq", "--num-lists", "4", "--nprobe", "2",
-        "--pq-subvectors", "4", "--refine", "2",
-    ]
-    _INDEX_CONFIG = ServingConfig(
-        index="ivfpq", num_lists=4, nprobe=2, pq_subvectors=4, refine=2,
-    )
+    _INDEX_ARGS = ["--index", "ivfpq", "--num-lists", "4", "--nprobe", "2"]
+    _INDEX_CONFIG = ServingConfig(index="ivfpq", num_lists=4, nprobe=2)
 
     def test_every_serve_flag_lands(self):
         args = build_parser().parse_args([
@@ -626,3 +620,87 @@ class TestRefusals:
         assert main(self._commands(ckpt, test_path)[command]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "all_negs" in err
+
+
+class TestServingInput:
+    """Bad serving input ends in ``error: …`` and exit 2, with the
+    snapshot manager closed, never a traceback."""
+
+    @pytest.fixture
+    def snapshot(self, tmp_path, monkeypatch):
+        from repro.serving import SnapshotManager, publish_embeddings
+
+        rng = np.random.default_rng(0)
+        publish_embeddings(
+            tmp_path / "snaps",
+            rng.standard_normal((50, 8)).astype(np.float32),
+        )
+        np.save(tmp_path / "q.npy", rng.standard_normal((3, 8)))
+        np.save(tmp_path / "wide.npy", rng.standard_normal((3, 9)))
+        # A config.json as written while product quantisation existed.
+        data = json.loads(ConfigSchema(
+            entities={"node": EntitySchema()},
+            relations=[RelationSchema(name="r", lhs="node", rhs="node")],
+        ).to_json())
+        data["serving"].update(
+            index="ivfpq", num_lists=4, nprobe=2, pq_subvectors=0,
+            refine=0, kmeans_iters=10, train_sample=20000,
+        )
+        (tmp_path / "old.json").write_text(json.dumps(data))
+        data["serving"]["pq_subvectors"] = 4
+        (tmp_path / "bad.json").write_text(json.dumps(data))
+        closed = []
+        close = SnapshotManager.close
+
+        def counting_close(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(SnapshotManager, "close", counting_close)
+        return tmp_path, closed
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("query", ["--ids", "50"], "ids must be in [0, 50)"),
+        ("query", ["--ids", "-1"], "ids must be in [0, 50)"),
+        ("query", ["--ids", "x"], "--ids must be comma-separated integers"),
+        ("query", ["--ids", "0", "--k", "60"], "k=60 exceeds"),
+        ("serve", ["--queries", "q.npy", "--k", "60"], "k=60 exceeds"),
+        ("query", ["--queries", "wide.npy"], "queries have dim 9"),
+        ("serve", ["--queries", "wide.npy"], "queries have dim 9"),
+        ("query", ["--queries", "missing.npy"], "missing.npy"),
+        ("serve", ["--queries", "missing.npy"], "missing.npy"),
+        ("query", ["--ids", "0", "--config", "bad.json"], "pq_subvectors"),
+        ("serve", ["--queries", "q.npy", "--config", "bad.json"],
+         "pq_subvectors"),
+    ], ids=[
+        "query-id_past_the_table", "query-negative_id", "query-id_not_int",
+        "query-k_past_the_table", "serve-k_past_the_table",
+        "query-wrong_width", "serve-wrong_width", "query-missing_queries",
+        "serve-missing_queries", "query-bad_config", "serve-bad_config",
+    ])
+    def test_exits_2(self, snapshot, capsys, command, flags, message):
+        tmp_path, closed = snapshot
+        flags = [
+            str(tmp_path / f) if f.endswith((".npy", ".json")) else f
+            for f in flags
+        ]
+        argv = [command, "--snapshots", str(tmp_path / "snaps"), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+        # A config error is raised before a manager exists.
+        assert len(closed) == (0 if "--config" in flags else 1)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("query", ["--ids", "0,5"]),
+        ("serve", ["--queries", "q.npy"]),
+    ])
+    def test_older_config_still_serves(self, snapshot, capsys, command, flags):
+        tmp_path, closed = snapshot
+        flags = [str(tmp_path / f) if f.endswith(".npy") else f for f in flags]
+        assert main([
+            command, "--snapshots", str(tmp_path / "snaps"),
+            "--config", str(tmp_path / "old.json"), *flags,
+        ]) == 0
+        assert "snapshot v1" in capsys.readouterr().out
+        assert len(closed) == 1

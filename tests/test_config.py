@@ -235,9 +235,10 @@ class TestUnknownKeys:
             ConfigSchema.from_dict(data)
 
 
-#: What ``to_dict`` wrote while ``EntitySchema.num_features`` and
-#: ``RelationSchema.all_negs`` existed (every field, so every such
-#: checkpoint's config.json carries both).
+#: What ``to_dict`` wrote while ``EntitySchema.num_features``,
+#: ``RelationSchema.all_negs`` and ``ServingConfig``'s ``pq_subvectors``,
+#: ``refine``, ``kmeans_iters`` and ``train_sample`` existed (every
+#: field, so every such checkpoint's config.json carries them all).
 _OLD_CONFIG = {
     "batch_size": 1000, "bucket_order": "inside_out", "checkpoint_dir": None,
     "chunk_size": 50, "comparator": "dot", "dimension": 8,
@@ -284,6 +285,11 @@ class TestRemovedFields:
         (("entities", "user"), "num_features", 3),
         (("entities", "user"), "num_features", False),
         (("entities", "tag"), "num_features", 0),
+        (("serving",), "pq_subvectors", 4),
+        (("serving",), "pq_subvectors", False),
+        (("serving",), "refine", 2),
+        (("serving",), "kmeans_iters", 20),
+        (("serving",), "train_sample", 1000),
     ])
     def test_other_values_are_unknown_keys(self, path, key, value):
         data = json.loads(json.dumps(_OLD_CONFIG))
@@ -293,6 +299,26 @@ class TestRemovedFields:
         target[key] = value
         with pytest.raises(ConfigError, match=rf"unknown \w+ key\(s\): {key}"):
             ConfigSchema.from_dict(data)
+
+
+    def test_serving_section_written_now(self):
+        assert _minimal().to_dict()["serving"] == {
+            "batch_size": 1024, "default_k": 10, "index": "exact",
+            "nprobe": 8, "num_lists": 64, "seed": 0,
+            "slow_batch_seconds": 0.0,
+        }
+
+    def test_retired_serving_values_are_the_index_defaults(self):
+        from repro.serving import IVFPQIndex
+
+        index = IVFPQIndex()
+        data = json.loads(json.dumps(_OLD_CONFIG))
+        data["serving"].update(
+            kmeans_iters=index.kmeans_iters, train_sample=index.train_sample,
+        )
+        assert ConfigSchema.from_dict(data) == ConfigSchema.from_dict(
+            _OLD_CONFIG
+        )
 
 
 class TestFingerprint:

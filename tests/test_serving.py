@@ -1,8 +1,8 @@
-"""Tests for the serving layer: IVF-PQ, mmap shards, snapshot swap.
+"""Tests for the serving layer: the IVF index, mmap shards, snapshot swap.
 
 The load-bearing properties pinned here:
 
-- exact equivalence: an IVF index probing every list (PQ off) is
+- exact equivalence: an IVF index probing every list is
   **bit-identical** to :class:`ExactIndex` (hypothesis property test);
 - recall regression: a real approximate configuration keeps
   recall@10 >= 0.95 on clustered data;
@@ -29,7 +29,6 @@ from repro.serving import (
     IVFPQIndex,
     KnnIndex,
     MmapShardedTable,
-    ProductQuantizer,
     QueryService,
     ServingError,
     SnapshotManager,
@@ -79,7 +78,7 @@ def _overlap_recall(idx, true_idx):
 
 
 # ----------------------------------------------------------------------
-# k-means + PQ building blocks
+# k-means
 # ----------------------------------------------------------------------
 
 
@@ -135,53 +134,8 @@ class TestKmeans:
             kmeans(emb, len(emb) + 1, 5, np.random.default_rng(0))
 
 
-class TestProductQuantizer:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="num_subvectors"):
-            ProductQuantizer(0)
-        with pytest.raises(ValueError, match="num_centroids"):
-            ProductQuantizer(4, num_centroids=257)
-        with pytest.raises(ValueError, match="divisible"):
-            ProductQuantizer(5).fit(
-                np.zeros((10, 16)), np.random.default_rng(0)
-            )
-
-    def test_unfitted_raises(self):
-        pq = ProductQuantizer(4)
-        with pytest.raises(ServingError, match="not fitted"):
-            pq.encode(np.zeros((2, 16)))
-        with pytest.raises(ServingError, match="not fitted"):
-            pq.decode(np.zeros((2, 4), dtype=np.uint8))
-        assert pq.nbytes() == 0
-
-    def test_codes_are_uint8(self):
-        emb, _ = _clustered(d=16)
-        pq = ProductQuantizer(4).fit(emb, np.random.default_rng(0))
-        codes = pq.encode(emb)
-        assert codes.dtype == np.uint8
-        assert codes.shape == (len(emb), 4)
-        assert pq.decode(codes).shape == emb.shape
-
-    def test_exact_roundtrip_with_enough_centroids(self):
-        # <= 256 distinct rows and k-means run to convergence: every
-        # point gets its own centroid, so encode/decode is lossless.
-        rng = np.random.default_rng(3)
-        emb = rng.standard_normal((40, 8))
-        pq = ProductQuantizer(2, iters=25).fit(emb, np.random.default_rng(0))
-        np.testing.assert_allclose(
-            pq.decode(pq.encode(emb)), emb, atol=1e-10
-        )
-
-    def test_quantisation_beats_mean_baseline(self):
-        emb, _ = _clustered(n_per=60, c=8, d=16)
-        pq = ProductQuantizer(4).fit(emb, np.random.default_rng(0))
-        err = np.linalg.norm(pq.decode(pq.encode(emb)) - emb)
-        baseline = np.linalg.norm(emb - emb.mean(axis=0))
-        assert err < 0.25 * baseline
-
-
 # ----------------------------------------------------------------------
-# IVF-PQ index
+# IVF index
 # ----------------------------------------------------------------------
 
 
@@ -240,7 +194,7 @@ class TestIVFPQIndex:
     def test_property_full_probe_equivalence(
         self, n, d, k, num_lists, comparator, seed
     ):
-        """nprobe = num_lists + PQ off == ExactIndex, bit for bit."""
+        """nprobe = num_lists == ExactIndex, bit for bit."""
         rng = np.random.default_rng(seed)
         emb = rng.standard_normal((n, d)).astype(np.float32)
         exact = ExactIndex(emb, comparator, chunk_size=13)
@@ -293,44 +247,6 @@ class TestIVFPQIndex:
         idx, _ = nn.query(emb[:32], k=5, exclude_self=ids)
         assert not (idx == ids[:, None]).any()
 
-    def test_pq_shrinks_memory(self):
-        # Large enough that codes dominate the fixed codebook cost.
-        emb, _ = _clustered(n_per=250, c=16, d=16)
-        plain = IVFPQIndex(num_lists=8, nprobe=2).build(emb)
-        pq = IVFPQIndex(
-            num_lists=8, nprobe=2, pq_subvectors=4
-        ).build(emb)
-        assert pq.nbytes() < 0.5 * plain.nbytes()
-
-    def test_refine_improves_pq_recall(self):
-        emb, _ = _clustered(n_per=40, c=16, d=16, seed=4)
-        rng = np.random.default_rng(5)
-        q = emb[rng.choice(len(emb), 48, replace=False)]
-        true_idx, _ = ExactIndex(emb, "cos").query(q, k=10)
-        kw = dict(
-            comparator="cos", num_lists=16, nprobe=6, pq_subvectors=4
-        )
-        plain_idx, _ = IVFPQIndex(**kw).build(emb).query(q, k=10)
-        ref_idx, _ = IVFPQIndex(refine=4, **kw).build(emb).query(q, k=10)
-        plain = _overlap_recall(plain_idx, true_idx)
-        refined = _overlap_recall(ref_idx, true_idx)
-        assert refined >= plain
-        assert refined >= 0.9
-
-    def test_refined_scores_are_exact(self):
-        emb, _ = _clustered()
-        nn = IVFPQIndex(
-            comparator="dot", num_lists=4, nprobe=4,
-            pq_subvectors=4, refine=3,
-        ).build(emb)
-        idx, scores = nn.query(emb[:5], k=3)
-        for i in range(5):
-            for j, s in zip(idx[i], scores[i]):
-                if j >= 0:
-                    assert s == pytest.approx(
-                        float(emb[i] @ emb[j]), rel=1e-5
-                    )
-
     def test_deterministic_given_seed(self):
         emb, _ = _clustered()
         a = IVFPQIndex(num_lists=8, nprobe=2, seed=3).build(emb)
@@ -361,13 +277,11 @@ class TestBuildPrecision:
     def test_build_keeps_table_dtype(self, comparator, dtype):
         emb = _clustered()[0].astype(dtype)
         nn = IVFPQIndex(
-            comparator=comparator, num_lists=8, nprobe=2, pq_subvectors=4
+            comparator=comparator, num_lists=8, nprobe=2
         ).build(emb)
         assert nn._centroids.dtype == dtype
-        assert nn._pq.codebooks.dtype == dtype
-        lut, bias = nn._pq_luts(nn._comp.prepare(emb[:3]))
-        assert lut.dtype == dtype
-        assert bias is None or bias.dtype == dtype
+        assert nn._grouped.dtype == dtype
+        assert nn.query(emb[:3], k=2)[1].dtype == dtype
 
     def test_traced_peak_within_three_tables(self):
         table = np.random.default_rng(0).standard_normal(
@@ -381,25 +295,17 @@ class TestBuildPrecision:
             tracemalloc.stop()
         assert peak / table.nbytes <= 3.0
 
-    @pytest.mark.parametrize("pq_subvectors", [0, 4])
-    def test_dot_build_from_read_only_mapping(self, tmp_path, pq_subvectors):
+    def test_dot_build_from_read_only_mapping(self, tmp_path):
         emb, _ = _clustered()
         publish_embeddings(tmp_path, emb, comparator="dot")
         table = MmapShardedTable.open(tmp_path)
         assert not table.as_array().flags.writeable
-        kw = dict(comparator="dot", num_lists=8, pq_subvectors=pq_subvectors)
-        mapped = IVFPQIndex(**kw).build(table)
-        in_memory = IVFPQIndex(**kw).build(emb)
-        for name in ("_centroids", "_ids", "_starts", "_grouped", "_codes"):
+        mapped = IVFPQIndex(comparator="dot", num_lists=8).build(table)
+        in_memory = IVFPQIndex(comparator="dot", num_lists=8).build(emb)
+        for name in ("_centroids", "_ids", "_starts", "_grouped"):
             a, b = getattr(mapped, name), getattr(in_memory, name)
-            assert (a is None) == (b is None), name
-            if a is not None:
-                assert a.dtype == b.dtype, name
-                np.testing.assert_array_equal(a, b, err_msg=name)
-        if pq_subvectors:
-            np.testing.assert_array_equal(
-                mapped._pq.codebooks, in_memory._pq.codebooks
-            )
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
         table.close()
 
 
@@ -417,7 +323,7 @@ def _probes(index, prepared_q):
 
 def _assert_same_answers(got, want, rounding_of=None):
     """Same scores, and the same ids run by run: a run of slots whose
-    scores tie (PQ codes can coincide) holds the same set of ids on
+    scores tie holds the same set of ids on
     both sides, in either order. Only the run that reaches slot ``k``
     goes unchecked, since which of the tied rows made the cut is
     arbitrary. A slot scored ``-inf`` holds ``-1`` or an excluded
@@ -459,8 +365,6 @@ class TestMergeOnceProbe:
     @settings(max_examples=60, deadline=None)
     @given(
         comparator=st.sampled_from(["dot", "cos", "l2"]),
-        pq=st.booleans(),
-        refine=st.sampled_from([0, 3]),
         exclude=st.booleans(),
         num_lists=st.integers(2, 7),
         nprobe_share=st.floats(0.0, 1.0),
@@ -468,21 +372,17 @@ class TestMergeOnceProbe:
         seed=st.integers(0, 2**16),
     )
     def test_equals_exact_scan_of_probed_lists(
-        self, comparator, pq, refine, exclude, num_lists, nprobe_share,
-        big_k, seed,
+        self, comparator, exclude, num_lists, nprobe_share, big_k, seed,
     ):
         """Each query's answer is the exact top-k over the rows of the
-        lists it probed (under PQ, over those rows' reconstructions;
-        under refine, the top ``k * refine`` of them re-scored on the
-        raw vectors), padded with ``-1``. Scores agree to the rounding
-        of the other summation order and BLAS shape."""
+        lists it probed, padded with ``-1``. Scores agree to the
+        rounding of the other summation order and BLAS shape."""
         rng = np.random.default_rng(seed)
         emb = rng.standard_normal((90, 8)).astype(np.float32)
         nprobe = 1 + int(nprobe_share * (num_lists - 2))
         assert 1 <= nprobe < num_lists
         index = IVFPQIndex(
             comparator=comparator, num_lists=num_lists, nprobe=nprobe,
-            pq_subvectors=4 if pq else 0, refine=refine if pq else 0,
             seed=seed,
         ).build(emb)
         picks = rng.choice(len(emb), 12, replace=False)
@@ -495,11 +395,7 @@ class TestMergeOnceProbe:
             vectors, k=k, exclude_self=picks if exclude else None
         )
         comp, prepared_q = index._comp, index._comp.prepare(vectors)
-        stored = index._pq.decode(index._codes) if pq else index._grouped
-        tied = 64 * np.finfo(np.float32).eps * float(
-            np.square(stored).sum(axis=1).max()
-        )
-        shortlist = k * max(index.refine, 1)
+        stored = index._grouped
         for i, lists in enumerate(_probes(index, prepared_q)):
             rows = np.concatenate([
                 np.arange(index._starts[lst], index._starts[lst + 1])
@@ -510,17 +406,6 @@ class TestMergeOnceProbe:
             union = comp.score_matrix(prepared_q[i : i + 1], stored[rows])[0]
             best = np.argsort(-union, kind="stable")
             want = union[best]
-            if index.refine:
-                if len(best) > shortlist and (
-                    want[shortlist - 1] - want[shortlist] <= tied
-                ):
-                    continue  # which of the tied rows made the shortlist is arbitrary
-                best = best[:shortlist]
-                want = comp.score_matrix(
-                    prepared_q[i : i + 1],
-                    comp.prepare(emb[index._ids[rows[best]]]),
-                )[0]
-                best, want = best[np.argsort(-want)], np.sort(want)[::-1]
             pad = max(k - len(best), 0)
             _assert_same_answers(
                 (idx[i : i + 1], scores[i : i + 1]),
@@ -623,7 +508,7 @@ class TestExcludedRowIsNoResult:
     """Under ``exclude_self`` a slot scored ``-inf`` holds ``-1``, never
     the excluded row's id, when ``k`` reaches past the rows that could
     be scored: the whole table (exact scan, full probe) or the probed
-    lists (probe path, with and without PQ + refine)."""
+    lists (probe path)."""
 
     @staticmethod
     def _check(idx, scores, excluded, finite_per_row):
@@ -649,12 +534,10 @@ class TestExcludedRowIsNoResult:
         idx, _ = index.query(emb[picks], k=len(emb))
         assert (idx >= 0).all()
 
-    @pytest.mark.parametrize("pq", [False, True])
-    def test_probe_path_with_k_above_the_probed_rows(self, pq):
+    def test_probe_path_with_k_above_the_probed_rows(self):
         emb, _ = _clustered(n_per=10, c=4, d=8)
         index = IVFPQIndex(
             comparator="l2", num_lists=4, nprobe=1, kmeans_iters=20,
-            pq_subvectors=4 if pq else 0, refine=2 if pq else 0,
         ).build(emb)
         picks = np.arange(0, len(emb), 5)
         k = int(index.list_sizes().max()) + 3  # past every list's rows
@@ -1180,8 +1063,6 @@ class TestServingConfig:
             ServingConfig(num_lists=0)
         with pytest.raises(ConfigError, match="nprobe"):
             ServingConfig(num_lists=4, nprobe=5)
-        with pytest.raises(ConfigError, match="refine"):
-            ServingConfig(refine=2)  # refine without PQ
         with pytest.raises(ConfigError, match="batch_size"):
             ServingConfig(batch_size=0)
 
@@ -1194,29 +1075,11 @@ class TestServingConfig:
                 name="r", lhs="node", rhs="node", operator="identity"
             )],
             dimension=16,
-            serving=ServingConfig(
-                index="ivfpq", num_lists=8, nprobe=2, pq_subvectors=4,
-                refine=2,
-            ),
+            serving=ServingConfig(index="ivfpq", num_lists=8, nprobe=2),
         )
         back = ConfigSchema.from_json(cfg.to_json())
         assert back.serving == cfg.serving
         assert back.serving.index == "ivfpq"
-
-    def test_pq_must_divide_dimension(self):
-        from repro.config import EntitySchema, RelationSchema
-
-        with pytest.raises(ConfigError, match="pq_subvectors"):
-            ConfigSchema(
-                entities={"node": EntitySchema()},
-                relations=[RelationSchema(
-                    name="r", lhs="node", rhs="node", operator="identity"
-                )],
-                dimension=10,
-                serving=ServingConfig(
-                    index="ivfpq", pq_subvectors=4
-                ),
-            )
 
     def test_make_index(self):
         exact = make_index(ServingConfig(index="exact"), "l2")
@@ -1415,7 +1278,7 @@ class TestServingCLI:
         assert "index: ivfpq" in capsys.readouterr().out
 
         with np.load(out_exact) as e, np.load(out_ivf) as a:
-            # Full probe, PQ off: the approximate CLI path is
+            # Full probe: the approximate CLI path is
             # bit-identical to the exact one.
             np.testing.assert_array_equal(e["indices"], a["indices"])
             np.testing.assert_array_equal(e["scores"], a["scores"])

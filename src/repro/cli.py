@@ -52,11 +52,12 @@ from repro.serving import ServingError
 
 __all__ = ["main", "load_edges"]
 
-#: What bad serving input raises: a missing or damaged snapshot
-#: (``ServingError``), an invalid config section (``ConfigError``, a
-#: ``ValueError``), an unreadable file (``OSError``), a query the index
-#: refuses (``ValueError``: ``k``, width, ids).
-_SERVING_ERRORS = (ServingError, ValueError, OSError)
+#: What bad input raises: an unreadable file (``OSError``), an invalid
+#: config (``ConfigError``, a ``ValueError``), an unparsable edge file.
+_INPUT_ERRORS = (ValueError, OSError)
+#: ... plus a missing or damaged snapshot (``ServingError``) and a query
+#: the index refuses (``ValueError``: ``k``, width, ids).
+_SERVING_ERRORS = (ServingError, *_INPUT_ERRORS)
 
 
 def load_edges(path: "str | Path") -> EdgeList:
@@ -145,14 +146,14 @@ def _apply_overrides(obj, args: argparse.Namespace):
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = _apply_overrides(
-        ConfigSchema.from_json(Path(args.config).read_text()), args
-    )
-    edges = load_edges(args.edges)
     try:
+        config = _apply_overrides(
+            ConfigSchema.from_json(Path(args.config).read_text()), args
+        )
+        edges = load_edges(args.edges)
         counts = (json.loads(args.entity_counts) if args.entity_counts
                   else _infer_counts(config, edges))
-    except ValueError as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     entities = EntityStorage(counts)
@@ -184,6 +185,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
             f"({e.num_edges} edges, {e.train_time:.1f}s train, "
             f"{e.io_time:.1f}s io)"
         )
+        if e.num_eval_edges:
+            line += (
+                f" eval MRR {e.eval_mrr_before:.3f} -> {e.eval_mrr_after:.3f}"
+                f" ({e.num_eval_edges} held out)"
+            )
         if config.pipeline and args.verbose:
             p = e.pipeline
             line += (
@@ -246,13 +252,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         _, _, model, metadata = load_model(args.checkpoint)
-    except (StorageError, ConfigError) as exc:
+        edges = load_edges(args.edges)
+        filter_edges = (
+            [load_edges(p) for p in args.filter] if args.filter else None
+        )
+    except (StorageError, *_INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    edges = load_edges(args.edges)
-    filter_edges = (
-        [load_edges(p) for p in args.filter] if args.filter else None
-    )
     evaluator = LinkPredictionEvaluator(model, filter_edges=filter_edges)
     metrics = evaluator.evaluate(
         edges,

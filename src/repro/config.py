@@ -317,8 +317,8 @@ class ConfigSchema:
     # into N parts and sweep the bucket grid N times per epoch,
     # training one part per visit. Interleaving buckets more often
     # counteracts the slower convergence of grouped (non-i.i.d.) edge
-    # sampling, at the cost of proportionally more partition swaps.
-    # Single-machine trainer only.
+    # sampling, at the cost of proportionally more partition swaps (on
+    # a cluster each pass is a lock-server round that ends in a flush).
     stratum_passes: int = 1
     # Partition codec for swapped partitions: on the wire (partition
     # server transfers and hosted shards) and on disk (single-machine
@@ -346,7 +346,8 @@ class ConfigSchema:
     # section; training ignores it).
     serving: ServingConfig = field(default_factory=ServingConfig)
 
-    # Evaluation during training (single-machine trainer only).
+    # Evaluation during training, in either trainer: rank this share
+    # of each bucket's edges, held out, before and after training it.
     eval_fraction: float = 0.0
 
     # Reproducibility.
@@ -457,10 +458,6 @@ class ConfigSchema:
             if rel.name == name:
                 return i
         raise KeyError(f"no relation named {name!r}")
-
-    def entity_partitions(self, entity_type: str) -> int:
-        """Number of partitions of ``entity_type``."""
-        return self.entities[entity_type].num_partitions
 
     def num_buckets(self) -> int:
         """Number of edge buckets implied by the partition counts.

@@ -207,9 +207,6 @@ class EmbeddingModel:
     # Shared parameters (distributed sync surface)
     # ------------------------------------------------------------------
 
-    def shared_param_names(self) -> "list[str]":
-        return [f"rel_{i}" for i in range(len(self.rel_params))]
-
     def get_shared_params(self) -> "dict[str, np.ndarray]":
         """Snapshot the shared parameters (relation operators)."""
         return {

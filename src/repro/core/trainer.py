@@ -96,7 +96,7 @@ from repro.telemetry.metrics import view
 
 __all__ = [
     "BucketExecutor", "Trainer", "TrainingStats", "EpochStats",
-    "PipelineStats", "run_epochs",
+    "PipelineStats", "run_epochs", "stratum_edges",
 ]
 
 
@@ -155,22 +155,30 @@ class EpochStats:
     pipeline: PipelineStats = field(default_factory=PipelineStats)
     #: the epoch's wallclock, checkpoint and after_epoch excluded
     wall_time: float = 0.0
-    #: in-training evaluation (config.eval_fraction > 0): mean MRR of
-    #: held-out bucket edges before / after training each bucket,
-    #: weighted by held-out edge counts (PBG's per-bucket eval stats).
-    eval_mrr_before: float = 0.0
-    eval_mrr_after: float = 0.0
+    #: in-training evaluation (config.eval_fraction > 0): reciprocal
+    #: ranks of held-out bucket edges before / after training each
+    #: bucket, summed (PBG's per-bucket eval stats)
+    eval_rr_before: float = 0.0
+    eval_rr_after: float = 0.0
     num_eval_edges: int = 0
 
     @property
     def mean_loss(self) -> float:
         return self.loss / max(self.num_edges, 1)
 
+    @property
+    def eval_mrr_before(self) -> float:
+        return self.eval_rr_before / max(self.num_eval_edges, 1)
+
+    @property
+    def eval_mrr_after(self) -> float:
+        return self.eval_rr_after / max(self.num_eval_edges, 1)
+
     def merge(self, other: "EpochStats") -> None:
-        """Add another share of the same epoch (one machine's report)."""
+        """Add another share of the same epoch (a machine's report, a pass)."""
         for name in (
             "loss", "num_edges", "violations", "train_time", "io_time",
-            "swaps",
+            "swaps", "eval_rr_before", "eval_rr_after", "num_eval_edges",
         ):
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.pipeline.merge(other.pipeline)
@@ -406,15 +414,12 @@ class BucketExecutor:
                 trained = self.train(bucket, edges)
             stats.train_time += time.perf_counter() - t1
             if len(holdout):
-                stats.eval_mrr_before += before * len(holdout)
-                stats.eval_mrr_after += self._bucket_eval(bucket, holdout) * len(holdout)
+                stats.eval_rr_before += before * len(holdout)
+                stats.eval_rr_after += self._bucket_eval(bucket, holdout) * len(holdout)
                 stats.num_eval_edges += len(holdout)
             stats.loss += trained.loss
             stats.num_edges += trained.num_edges
             stats.violations += trained.violations
-        if stats.num_eval_edges:
-            stats.eval_mrr_before /= stats.num_eval_edges
-            stats.eval_mrr_after /= stats.num_eval_edges
         t0 = time.perf_counter()
         with telemetry.span("epoch.flush", cat="stall", epoch=epoch):
             self.flush(keep_resident)
@@ -710,12 +715,29 @@ class Trainer:
                 self.model.init_partition(entity_type, 0, self.rng)
 
 
+def stratum_edges(
+    bucketed: BucketedEdges, bucket: Bucket, config: ConfigSchema, epoch: int, stratum: int
+) -> EdgeList:
+    """``bucket``'s edges for pass ``stratum`` of ``epoch``: slice
+    ``stratum`` of ``config.stratum_passes`` disjoint slices that cover
+    it, drawn from ``[seed, epoch, lhs, rhs]`` alone, so both schedules
+    train the same slice (paper footnote 3, Gemulla et al.'s "stratum
+    losses": more bucket switches, more swaps). One pass: the whole bucket."""
+    edges = bucketed.edges_for(bucket)
+    passes = config.stratum_passes
+    if passes > 1 and len(edges):
+        perm = np.random.default_rng(
+            [config.seed, epoch, bucket.lhs, bucket.rhs]
+        ).permutation(len(edges))
+        edges = edges[perm[stratum::passes]]
+    return edges
+
+
 @dataclass
 class _BucketOrder:
     """The single-machine schedule: ``config.bucket_order``, drawn when
-    the epoch starts, visited ``stratum_passes`` times, each visit a
-    disjoint ``1/passes`` slice of the bucket's edges (paper footnote 3,
-    Gemulla et al.'s "stratum losses": more bucket switches, more swaps)."""
+    the epoch starts, visited once per stratum pass, each visit that
+    pass's :func:`stratum_edges`."""
 
     executor: BucketExecutor
     bucketed: BucketedEdges
@@ -729,17 +751,10 @@ class _BucketOrder:
             cfg.bucket_order, bucketed.nparts_lhs, bucketed.nparts_rhs,
             self.executor.rng,
         )
-        passes = cfg.stratum_passes
-        visits = [(stratum, bucket) for stratum in range(passes) for bucket in order]
+        visits = [(stratum, bucket) for stratum in range(cfg.stratum_passes) for bucket in order]
         for visit, (stratum, bucket) in enumerate(visits):
             self._next = visits[visit + 1][1] if visit + 1 < len(visits) else None
-            edges = bucketed.edges_for(bucket)
-            if passes > 1 and len(edges):
-                perm = np.random.default_rng(
-                    [cfg.seed, self.epoch, bucket.lhs, bucket.rhs]
-                ).permutation(len(edges))
-                edges = edges[perm[stratum::passes]]
-            yield bucket, edges
+            yield bucket, stratum_edges(bucketed, bucket, cfg, self.epoch, stratum)
 
     def swapped(self) -> "Bucket | None":
         self.run_stats.peak_resident_bytes = max(

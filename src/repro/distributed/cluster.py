@@ -23,22 +23,23 @@ Two transports are provided:
   scaling benchmarks use this mode: compute parallelism is real.
 
 In both modes the caller is the coordinator, and it runs the
-single-machine epoch loop (:func:`~repro.core.trainer.run_epochs`): it
-gives the machines an epoch's go-ahead and waits at the drain barrier,
-before which each machine queues a report of its share (loss, edges,
-swaps, train/io seconds, pipeline counters). The coordinator sums the
-reports into the epoch's ``EpochStats``, resets the lock server and,
-with ``checkpoint_dir`` set, checkpoints there: the model assembled
+single-machine epoch loop (:func:`~repro.core.trainer.run_epochs`). An
+epoch is one grid round per stratum pass: the coordinator gives the
+machines the go-ahead and waits at the drain barrier, before which each
+machine queues a report of its share (loss, edges, swaps, train/io
+seconds, eval sums, pipeline counters); it sums the reports into the
+epoch's ``EpochStats`` and resets the lock server. After the last pass,
+with ``checkpoint_dir`` set, it checkpoints there: the model assembled
 from the servers, saved like the single-machine trainer's.
 
 The bucket source and its protocol
 ----------------------------------
 
-Steps 2–3 and the epoch-end flush are the single-machine trainer's:
+Steps 2–3 and the pass-end flush are the single-machine trainer's:
 each machine runs :meth:`~repro.core.trainer.BucketExecutor.run_epoch`
-(that module's docstring has the loop, its pipeline modes and the
-thread-ownership rules) with the lock server's grants (:class:`_Grants`)
-as its schedule, over a :class:`~repro.graph.storage.PartitionPipeline`
+per pass (that module's docstring has the loop, its pipeline modes and
+the thread-ownership rules) with the lock server's grants
+(:class:`_Grants`) as its schedule, over a :class:`~repro.graph.storage.PartitionPipeline`
 backed by a partition-server adapter instead of disk. The protocol
 rules hold in both pipeline modes — a push lands, and commits, before
 the evicting call returns (synchronous) or on the writeback thread:
@@ -57,9 +58,9 @@ the evicting call returns (synchronous) or on the writeback thread:
   its likely next bucket and prefetches it; a reservation lost to
   another machine costs a prefetch miss, and staged copies are
   version-checked, so a stale prefetch is never consumed.
-- **Drain barrier.** The epoch-end flush evicts everything and drains,
+- **Drain barrier.** The pass-end flush evicts everything and drains,
   then the forced parameter sync runs: the servers are complete when
-  the coordinator checkpoints.
+  the coordinator resets the lock server or checkpoints.
 
 Compressed transport
 --------------------
@@ -91,7 +92,7 @@ from typing import Callable
 import numpy as np
 
 from repro import telemetry
-from repro.config import ConfigError, ConfigSchema
+from repro.config import ConfigSchema
 # Unused here: outside-in instrumentation (benchmarks/perf) rebinds
 # these two names on this module as well as on core.trainer.
 from repro.core.batching import iterate_batches, iterate_chunks  # noqa: F401
@@ -102,6 +103,7 @@ from repro.core.trainer import (
     EpochStats,
     TrainingStats,
     run_epochs,
+    stratum_edges,
 )
 from repro.distributed.lock_server import LockServer
 from repro.distributed.parameter_server import (
@@ -269,12 +271,13 @@ class _PartitionCommitter:
 
 @dataclass
 class _Grants:
-    """A machine's schedule for :meth:`BucketExecutor.run_epoch`: the
-    buckets the lock server grants it, each released (deferred) when
-    the loop asks for the next. Starved, it has the loop evict and
-    backs off before asking again; pipelined, it reserves the likely
-    next bucket as the prefetch hint. Feeds the machine's counters in
-    ``registry`` (``buckets_trained`` counts grants, empty ones too)."""
+    """A machine's schedule for :meth:`BucketExecutor.run_epoch` in one
+    pass: the buckets the lock server grants it, each with the pass's
+    :func:`stratum_edges`, released (deferred) when the loop asks for
+    the next. Starved, it has the loop evict and backs off before
+    asking again; pipelined, it reserves the likely next bucket as the
+    prefetch hint. Feeds the machine's counters in ``registry``
+    (``buckets_trained`` counts grants, empty ones too)."""
 
     ctx: _WorkerContext
     executor: BucketExecutor
@@ -282,6 +285,8 @@ class _Grants:
     partition_server: object
     barrier: object
     registry: MetricsRegistry
+    epoch: int
+    stratum: int
     reserved: "Bucket | None" = None
 
     def __iter__(self):
@@ -305,7 +310,9 @@ class _Grants:
                     count("machine.reservation_hits").inc()
                 self.reserved = None
             count("machine.buckets_trained").inc()
-            yield bucket, self.ctx.bucketed.edges_for(bucket)
+            yield bucket, stratum_edges(
+                self.ctx.bucketed, bucket, self.ctx.config, self.epoch, self.stratum
+            )
             self.lock_server.release(machine, bucket, defer=True)
 
     def swapped(self) -> "Bucket | None":
@@ -330,7 +337,7 @@ def _machine_main(
     result_queue,
 ) -> None:
     """One machine's full run (works with objects or proxies); every
-    epoch ends by queueing an ``("epoch", EpochStats, MachineStats)``
+    pass ends by queueing an ``("epoch", EpochStats, MachineStats)``
     report, then meeting the drain barrier."""
     cfg = ctx.config
     telemetry.set_lane(f"machine-{ctx.machine}.main")
@@ -377,11 +384,14 @@ def _machine_main(
         )
 
         run = EpochStats(epoch=cfg.num_epochs)  # this machine's sums
-        for epoch in range(cfg.num_epochs):
+        for epoch, stratum in np.ndindex(cfg.num_epochs, cfg.stratum_passes):
             barrier.wait(_BARRIER_TIMEOUT)  # coordinator go-ahead
             report = executor.run_epoch(
                 epoch,
-                _Grants(ctx, executor, lock_server, partition_server, barrier, registry),
+                _Grants(
+                    ctx, executor, lock_server, partition_server, barrier,
+                    registry, epoch, stratum,
+                ),
                 keep_resident=False,
             )
             client.maybe_sync(force=True)
@@ -397,7 +407,7 @@ def _machine_main(
                 ),
             )
             result_queue.put(("epoch", report, mstats))
-            barrier.wait(_BARRIER_TIMEOUT)  # epoch end
+            barrier.wait(_BARRIER_TIMEOUT)  # pass end
     except BaseException as exc:
         # Abort first so peers (and the coordinator) fall out of their
         # barrier waits instead of hanging until the timeout; then ship
@@ -471,18 +481,6 @@ class DistributedTrainer:
         if bandwidth_bytes_per_s is not None:
             raise ValueError(
                 "the modelled NIC is gone: bandwidth_bytes_per_s must be None"
-            )
-        # Machines train each granted bucket's edges whole and never
-        # hold out edges: refuse the single-machine knobs, don't drop them.
-        if config.stratum_passes > 1:
-            raise ConfigError(
-                "stratum_passes > 1 is single-machine only; "
-                "DistributedTrainer trains each bucket once per epoch"
-            )
-        if config.eval_fraction > 0:
-            raise ConfigError(
-                "eval_fraction > 0 is single-machine only; "
-                "DistributedTrainer does no in-training evaluation"
             )
         self.config = config
         self.entities = entities
@@ -563,25 +561,25 @@ class DistributedTrainer:
     def _run_epoch(
         self, epoch: int, stats: DistributedStats, barrier, results
     ) -> EpochStats:
-        """Release the machines, wait at the epoch-end barrier, and sum
-        the report each machine queued before reaching it."""
-        start = time.perf_counter()
-        barrier.wait(_BARRIER_TIMEOUT)  # go-ahead
-        barrier.wait(_BARRIER_TIMEOUT)  # every machine flushed
-        epoch_stats = EpochStats(
-            epoch=epoch, wall_time=time.perf_counter() - start
-        )
-        reports = [
-            results.get(timeout=_BARRIER_TIMEOUT)[1:]
-            for _ in range(self.num_machines)
-        ]
-        for report, _ in reports:
-            epoch_stats.merge(report)
-        stats.machines = sorted((m for _, m in reports), key=lambda m: m.machine)
-        stats.peak_resident_bytes = max(
-            m.peak_resident_bytes for m in stats.machines
-        )
-        self.lock_server.new_epoch()
+        """Per stratum pass: release the machines, wait at the pass-end
+        barrier, sum the reports queued before it, reset the lock server."""
+        epoch_stats = EpochStats(epoch=epoch)
+        for _ in range(self.config.stratum_passes):
+            start = time.perf_counter()
+            barrier.wait(_BARRIER_TIMEOUT)  # go-ahead
+            barrier.wait(_BARRIER_TIMEOUT)  # every machine flushed
+            epoch_stats.wall_time += time.perf_counter() - start
+            reports = [
+                results.get(timeout=_BARRIER_TIMEOUT)[1:]
+                for _ in range(self.num_machines)
+            ]
+            for report, _ in reports:
+                epoch_stats.merge(report)
+            stats.machines = sorted((m for _, m in reports), key=lambda m: m.machine)
+            stats.peak_resident_bytes = max(
+                m.peak_resident_bytes for m in stats.machines
+            )
+            self.lock_server.new_epoch()
         return epoch_stats
 
     @contextmanager

@@ -55,22 +55,6 @@ class MemoryModel:
             self.config.dimension
         )
 
-    def partition_wire_bytes(
-        self, entity_type: str, part: int, codec: "str | None" = None
-    ) -> int:
-        """Encoded bytes of one full partition transfer."""
-        return compression.wire_nbytes(
-            self._codec(codec),
-            self.entities.part_size(entity_type, part),
-            self.config.dimension,
-        )
-
-    def compression_ratio(self, codec: "str | None" = None) -> float:
-        """fp32 row bytes over encoded row bytes (>= 1.0)."""
-        return self.embedding_row_bytes() / self.embedding_row_wire_bytes(
-            codec
-        )
-
     def total_model_bytes(self) -> int:
         """Full model: every entity row + shared parameters."""
         total = sum(

@@ -7,7 +7,7 @@ import numpy as np
 __all__ = [
     "numerical_gradient", "assert_grads_close", "tiny_chain_edges",
     "record_thread_starts", "put_arrays", "put_delta_arrays", "get_arrays",
-    "slow_put_server", "RecordingServer", "counts",
+    "slow_put_server", "RecordingServer", "counts", "edge_rows",
 ]
 
 
@@ -21,6 +21,11 @@ def counts(registry) -> "dict[str, float]":
         for key, inst in registry.instruments()
         if isinstance(inst, Counter)
     }
+
+
+def edge_rows(edges) -> "list[tuple[int, int, int]]":
+    """An edge list as a sorted list of ``(src, rel, dst)``: a multiset."""
+    return sorted(zip(edges.src.tolist(), edges.rel.tolist(), edges.dst.tolist()))
 
 
 def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -565,8 +565,63 @@ class TestProgress:
         ) == ["0", "1", "2"]
 
 
+    @pytest.mark.parametrize("trainer", sorted(_TRAINERS))
+    def test_eval_mrr_in_both_modes(self, workspace, capsys, trainer):
+        """With ``eval_fraction`` set, either trainer's progress line
+        adds the epoch's held-out MRR before and after training."""
+        tmp_path, config_path, train_path, _ = workspace
+        path = tmp_path / "run.json"
+        path.write_text(
+            ConfigSchema.from_json(config_path.read_text())
+            .replace(num_epochs=2, eval_fraction=0.1, **_TRAINERS[trainer])
+            .to_json()
+        )
+        assert main([
+            "train", "--config", str(path), "--edges", str(train_path),
+            "--checkpoint", str(tmp_path / "model"),
+        ]) == 0
+        held = re.findall(
+            r"^epoch \d+: loss .* eval MRR [01]\.\d{3} -> [01]\.\d{3} "
+            r"\((\d+) held out\)$",
+            capsys.readouterr().out, re.M,
+        )
+        assert len(held) == 2 and all(int(n) > 0 for n in held)
+
+
 class TestRefusals:
     """Bad input ends in ``error: …`` and exit 2, never a traceback."""
+
+    def _train(self, config_path, edges_path):
+        return main(["train", "--config", str(config_path), "--edges", str(edges_path)])
+
+    def test_missing_config(self, workspace, capsys):
+        tmp_path, _, train_path, _ = workspace
+        assert self._train(tmp_path / "ghost.json", train_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ghost.json" in err
+
+    def test_unknown_config_key(self, workspace, capsys):
+        tmp_path, config_path, train_path, _ = workspace
+        data = json.loads(config_path.read_text())
+        data["bogus_knob"] = 1
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(data))
+        assert self._train(path, train_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bogus_knob" in err
+
+    def test_train_missing_edges(self, workspace, capsys):
+        tmp_path, config_path, _, _ = workspace
+        assert self._train(config_path, tmp_path / "ghost.npz") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ghost.npz" in err
+
+    def test_non_integer_text_edges(self, workspace, capsys):
+        tmp_path, config_path, _, _ = workspace
+        path = tmp_path / "edges.txt"
+        path.write_text("0 0 1\n1 0 two\n")
+        assert self._train(config_path, path) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_relation_id(self, workspace, capsys):
         tmp_path, config_path, train_path, _ = workspace
@@ -600,6 +655,12 @@ class TestRefusals:
             "export-mmap": ["export", "--checkpoint", str(ckpt), "--entity-type", "node",
                             "--output", str(out / "snaps"), "--format", "mmap"],
         }
+
+    def test_eval_missing_edges(self, checkpoint, capsys):
+        ckpt, _ = checkpoint
+        assert main(self._commands(ckpt, ckpt.parent / "ghost.npz")["eval"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ghost.npz" in err
 
     @pytest.mark.parametrize("command", ["eval", "export", "export-mmap"])
     def test_damaged_config(self, checkpoint, capsys, command):

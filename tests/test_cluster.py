@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import ConfigError, ConfigSchema, EntitySchema, RelationSchema
+from repro.config import ConfigSchema, EntitySchema, RelationSchema
 from repro.distributed.cluster import DistributedTrainer
 from repro.eval.ranking import LinkPredictionEvaluator
 from repro.graph.edgelist import EdgeList
@@ -13,6 +13,7 @@ from repro.graph.storage import SUFFIX, read_arrays
 from tests.helpers import (
     RecordingServer,
     counts,
+    edge_rows,
     record_thread_starts,
     slow_put_server,
 )
@@ -105,7 +106,7 @@ def _two_partition_graph(entities, m=1200, seed=0):
     )
 
 
-def _train_single_machine(config, entities, edges, checkpoint_dir):
+def _train_single_machine(config, entities, edges, checkpoint_dir, after_epoch=None):
     """The same config on the single-machine ``Trainer``."""
     from dataclasses import replace
 
@@ -114,7 +115,7 @@ def _train_single_machine(config, entities, edges, checkpoint_dir):
 
     config = replace(config, num_machines=1, checkpoint_dir=str(checkpoint_dir))
     model = EmbeddingModel(config, entities, np.random.default_rng(config.seed))
-    return Trainer(config, model, entities).train(edges)
+    return Trainer(config, model, entities).train(edges, after_epoch)
 
 
 class TestThreadMode:
@@ -124,13 +125,87 @@ class TestThreadMode:
             DistributedTrainer(config, entities, bandwidth_bytes_per_s=1e6)
         DistributedTrainer(config, entities, bandwidth_bytes_per_s=None)
 
-    @pytest.mark.parametrize(
-        "field, value", [("stratum_passes", 2), ("eval_fraction", 0.1)]
-    )
-    def test_single_machine_knobs_refused(self, field, value):
-        config, entities = _setup(1, 2, **{field: value})
-        with pytest.raises(ConfigError, match=field):
-            DistributedTrainer(config, entities)
+    @pytest.mark.parametrize("passes", [2, 3])
+    def test_every_edge_trained_once_per_epoch(self, monkeypatch, passes):
+        """Stratum passes on the cluster: each pass is a grid round, and
+        over the passes and machines of an epoch every bucket's edges
+        are trained exactly once."""
+        from repro.core.trainer import BucketExecutor
+        from repro.graph.partitioning import bucket_edges
+
+        calls, per_epoch = [], []
+        original = BucketExecutor.train
+
+        def recording(self, bucket, edges):
+            calls.append((bucket, edges))
+            return original(self, bucket, edges)
+
+        monkeypatch.setattr(BucketExecutor, "train", recording)
+        config, entities = _setup(2, 4, num_epochs=2, stratum_passes=passes)
+        edges = _graph()
+        bucketed = bucket_edges(edges, config, entities)
+
+        def after_epoch(epoch, stats):
+            per_epoch.append(calls[:])
+            calls.clear()
+
+        _, stats = DistributedTrainer(config, entities).train(
+            edges, after_epoch=after_epoch
+        )
+        assert [e.num_edges for e in stats.epochs] == [len(edges)] * 2
+        for visits in per_epoch:
+            assert {b for b, _ in visits} == set(bucketed.nonempty_buckets())
+            for bucket in bucketed.nonempty_buckets():
+                trained = EdgeList.concat([e for b, e in visits if b == bucket])
+                assert edge_rows(trained) == edge_rows(bucketed.edges_for(bucket))
+
+    def test_both_schedules_train_the_same_slices(self, monkeypatch, tmp_path):
+        """``Trainer``'s bucket order and the machines' grants visit the
+        buckets in different orders, yet train the same
+        :func:`stratum_edges` slice of each bucket in each pass."""
+        from repro.core.trainer import BucketExecutor, stratum_edges
+        from repro.graph.buckets import Bucket
+        from repro.graph.partitioning import bucket_edges
+
+        calls, per_epoch = [], {}
+        original = BucketExecutor.train
+
+        def recording(self, bucket, edges):
+            calls.append((tuple(bucket), edge_rows(edges)))
+            return original(self, bucket, edges)
+
+        def after_epoch(epoch, stats):
+            per_epoch.setdefault(epoch, []).append(sorted(calls))
+            calls.clear()
+
+        monkeypatch.setattr(BucketExecutor, "train", recording)
+        config, entities = _setup(2, 4, num_epochs=2, stratum_passes=3)
+        edges = _graph()
+        DistributedTrainer(config, entities).train(edges, after_epoch=after_epoch)
+        _train_single_machine(config, entities, edges, tmp_path, after_epoch)
+        bucketed = bucket_edges(edges, config, entities)
+        for epoch, (cluster, single) in per_epoch.items():
+            assert cluster == single == sorted(
+                (b, edge_rows(stratum_edges(bucketed, Bucket(*b), config, epoch, s)))
+                for b in bucketed.nonempty_buckets() for s in range(3)
+            )
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_eval_count_equals_trainers(self, tmp_path, mode):
+        """``eval_fraction`` on the cluster holds out what ``Trainer``
+        holds out, and trains the rest once per epoch."""
+        config, entities = _setup(
+            2, 4, num_epochs=2, stratum_passes=2, eval_fraction=0.1
+        )
+        edges = _graph()
+        _, stats = DistributedTrainer(config, entities, mode=mode).train(edges)
+        single = _train_single_machine(config, entities, edges, tmp_path)
+        held = [e.num_eval_edges for e in stats.epochs]
+        assert held == [e.num_eval_edges for e in single.epochs]
+        assert all(h > 0 for h in held)
+        for e in stats.epochs:
+            assert e.num_edges + e.num_eval_edges == len(edges)
+            assert 0 <= e.eval_mrr_before <= 1 and 0 <= e.eval_mrr_after <= 1
 
     def test_single_machine_trains(self):
         config, entities = _setup(1, 2)

@@ -11,6 +11,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import partition_entities
 from repro.graph.storage import PartitionedEmbeddingStorage
+from tests.helpers import edge_rows
 
 
 def _ring_graph(n=200, extra=1500, seed=0):
@@ -266,6 +267,21 @@ class TestInTrainingEval:
         stats = trainer.train(_ring_graph())
         assert stats.epochs[0].num_eval_edges == 0
 
+    def test_merge_weights_mrr_by_held_out_edges(self):
+        """Shares of an epoch (machines, passes) keep reciprocal-rank
+        sums, so the merged MRR is the held-out-weighted mean."""
+        from repro.core.trainer import EpochStats
+
+        a = EpochStats(0, eval_rr_before=0.5 * 10, eval_rr_after=0.8 * 10,
+                       num_eval_edges=10)
+        b = EpochStats(0, eval_rr_before=0.1 * 30, eval_rr_after=0.4 * 30,
+                       num_eval_edges=30)
+        a.merge(b)
+        assert a.num_eval_edges == 40
+        assert a.eval_mrr_before == pytest.approx((0.5 * 10 + 0.1 * 30) / 40)
+        assert a.eval_mrr_after == pytest.approx((0.8 * 10 + 0.4 * 30) / 40)
+        assert EpochStats(0).eval_mrr_before == EpochStats(0).eval_mrr_after == 0.0
+
     def test_partitioned_eval(self, tmp_path):
         _, _, _, trainer = _setup(
             nparts=4, tmp_path=tmp_path, num_epochs=2, eval_fraction=0.1
@@ -312,6 +328,33 @@ class TestStratumPasses:
                 rng=np.random.default_rng(0),
             ).mrr
         assert mrrs[4] > 0.7 * mrrs[1]
+
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    def test_slices_are_disjoint_and_cover_the_bucket(self, tmp_path, passes):
+        from repro.core.trainer import stratum_edges
+        from repro.graph.buckets import Bucket
+        from repro.graph.partitioning import bucket_edges
+
+        config, entities, _, _ = _setup(
+            nparts=4, tmp_path=tmp_path, stratum_passes=passes
+        )
+        bucketed = bucket_edges(_ring_graph(), config, entities)
+        for bucket in [Bucket(*b) for b in bucketed.nonempty_buckets()]:
+            whole = bucketed.edges_for(bucket)
+            slices = [
+                stratum_edges(bucketed, bucket, config, 1, s) for s in range(passes)
+            ]
+            assert sum(len(e) for e in slices) == len(whole)
+            assert max(map(len, slices)) - min(map(len, slices)) <= 1
+            assert edge_rows(EdgeList.concat(slices)) == edge_rows(whole)
+            # Drawn from [seed, epoch, lhs, rhs] alone: a second call, with
+            # any other generator state, cuts the same slices.
+            np.random.default_rng().random(5)
+            again = stratum_edges(bucketed, bucket, config, 1, passes - 1)
+            assert edge_rows(again) == edge_rows(slices[-1])
+            if passes > 1:  # another epoch cuts another split
+                other = stratum_edges(bucketed, bucket, config, 2, 0)
+                assert edge_rows(other) != edge_rows(slices[0])
 
     def test_invalid_passes_rejected(self):
         with pytest.raises(ValueError, match="stratum_passes"):

@@ -67,6 +67,11 @@ def load_edges(path: "str | Path") -> EdgeList:
         raise FileNotFoundError(f"no edge file at {path}")
     if path.suffix == ".npz":
         with np.load(path) as data:
+            missing = [k for k in ("src", "rel", "dst") if k not in data.files]
+            if missing:
+                raise ValueError(
+                    f"edge archive {path} lacks array(s) {', '.join(missing)}"
+                )
             weights = data["weights"] if "weights" in data.files else None
             return EdgeList(data["src"], data["rel"], data["dst"], weights)
     rows = np.loadtxt(path, dtype=np.int64, ndmin=2)

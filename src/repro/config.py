@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -100,19 +101,40 @@ _RETIRED = {
 }
 
 
+#: What a scalar field's annotation accepts from a config file. A
+#: ``bool`` is no number here, though Python counts it as an ``int``.
+_SCALARS = {
+    "int": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "None": lambda v: v is None,
+}
+
+
 def _build(cls, data: Mapping[str, Any]):
     """``cls(**data)``, refusing any key that is not a field of ``cls``
-    (a knob nothing reads must fail loudly, not be ignored)."""
+    (a knob nothing reads must fail loudly, not be ignored) and any
+    scalar field whose value does not match its annotation."""
     retired = _RETIRED.get(cls.__name__, {})
     kept = {
         k: v for k, v in data.items()
         if not (k in retired and retired[k](v, data))
     }
-    unknown = sorted(set(kept) - {f.name for f in dataclasses.fields(cls)})
+    declared = {f.name: str(f.type) for f in dataclasses.fields(cls)}
+    unknown = sorted(set(kept) - set(declared))
     if unknown:
         raise ConfigError(
             f"unknown {cls.__name__} key(s): {', '.join(unknown)}"
         )
+    for key, value in kept.items():
+        kinds = declared[key].split(" | ")
+        if set(kinds) <= set(_SCALARS) and not any(
+            _SCALARS[kind](value) for kind in kinds
+        ):
+            raise ConfigError(
+                f"{cls.__name__}.{key} must be {declared[key]}, got {value!r}"
+            )
     return cls(**kept)
 
 

@@ -55,10 +55,6 @@ Ownership rules (who may touch which buffers):
    until a pending write of that partition completes
    (flush-before-reuse), and the epoch-end flush drains the whole
    queue before :func:`run_epochs` checkpoints.
-4. Whoever counts landed write-backs per partition *index* hears of
-   **every** partition of an eviction pass before the first is parked:
-   entity types share indices, and the count must not drain between
-   the first type's write and the second's.
 
 Residual I/O that cannot be hidden (first-touch initialisation,
 prefetch misses, barrier drains) still lands in ``io_time``;
@@ -236,10 +232,10 @@ class BucketExecutor:
         partitioned: every table was materialised up front and nothing
         ever moves.
     committer:
-        Optional ``expect(parts)`` / ``landed(part)`` pair: ``expect``
-        gets the partition indices of an eviction pass before the first
-        write starts, ``landed`` runs (possibly on the writeback
-        thread) as each write lands.
+        Optional ``held(part)`` / ``landed(part)`` pair: ``held`` runs
+        on the calling thread as a partition is swapped in (taken or
+        initialised), ``landed`` (possibly on the writeback thread) as
+        the write of its evicted copy lands.
     sync:
         Called on the calling thread after every batch with one worker
         and after the bucket's workers join otherwise (the distributed
@@ -298,6 +294,8 @@ class BucketExecutor:
         for entity_type, part in sorted(needed):
             if self.model.has_table(entity_type, part):
                 continue
+            if self.committer is not None:
+                self.committer.held(part)
             got, _ = pipe.take(entity_type, part)
             if got is None:
                 self.model.init_partition(entity_type, part, self.rng)
@@ -320,8 +318,6 @@ class BucketExecutor:
             if key not in keep and key[0] not in self.global_types
         ]
         committer, delta = self.committer, self.config.writeback_delta
-        if committer is not None:
-            committer.expect([part for _, part in keys])  # rule 4
         for entity_type, part in keys:
             table = self.model.drop_table(entity_type, part)
             self.pipeline.park(

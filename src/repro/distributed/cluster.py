@@ -49,10 +49,13 @@ the evicting call returns (synchronous) or on the writeback thread:
   other machines until their push-backs land and the
   :class:`_PartitionCommitter` calls ``commit_partition``; otherwise
   another machine could fetch the previous, stale version.
-- **An index commits after *all* its pushes** (the executor's rule 4).
+- **An index commits when the machine's last copy of it lands**: the
+  committer counts held copies per index, of every entity type.
 - **A starved machine evicts** the deferred partitions it holds, so two
   starved machines cross-holding each other's next partitions cannot
-  wedge the grid; it then backs off ``_IDLE_SLEEP`` and asks again.
+  wedge the grid; it then waits inside ``acquire(..., wait=True)``
+  for a grant or the round's end. A failure calls ``LockServer.abort``
+  beside ``barrier.abort``, so a waiting peer raises, never hangs.
 - **Reservation prefetch (pipelined only).** After a swap the machine
   reserves (:meth:`~repro.distributed.lock_server.LockServer.reserve`)
   its likely next bucket and prefetches it; a reservation lost to
@@ -123,7 +126,6 @@ from repro.telemetry.metrics import MetricsRegistry, view
 
 __all__ = ["DistributedTrainer", "MachineStats", "DistributedStats"]
 
-_IDLE_SLEEP = 0.002  # seconds between lock-server retries when starved
 _BARRIER_TIMEOUT = 3600.0
 
 
@@ -238,14 +240,14 @@ class _WorkerContext:
 class _PartitionCommitter:
     """Translates writeback completions into lock-server commits.
 
-    A partition index may be parked once per partitioned entity type;
-    its lock-server deferral must lift only after *all* of those pushes
-    land. ``expect`` registers the pending pushes of one eviction pass
-    (main thread, before the first starts — registered one by one, the
-    first type's landing would drain the count); ``landed`` (writeback
-    thread, or main thread in synchronous mode) commits once the count
-    drains. Over-delivery is harmless: ``commit_partition`` is a no-op
-    for non-deferred partitions.
+    The lock server defers by partition *index*, which every partitioned
+    entity type shares, so a deferral may lift only once the machine
+    holds no copy of the index the partition server lacks. ``held``
+    counts a copy in at swap-in (main thread); ``landed`` (writeback
+    thread, or main thread in synchronous mode) counts it out once its
+    push lands, and commits when the count drains. Over-delivery is
+    harmless: ``commit_partition`` is a no-op for non-deferred
+    partitions.
     """
 
     def __init__(self, lock_server, machine: int) -> None:
@@ -254,10 +256,9 @@ class _PartitionCommitter:
         self._lock = threading.Lock()
         self._pending: "dict[int, int]" = {}  # guarded-by: _lock
 
-    def expect(self, parts: "list[int]") -> None:
+    def held(self, part: int) -> None:
         with self._lock:
-            for part in parts:
-                self._pending[part] = self._pending.get(part, 0) + 1
+            self._pending[part] = self._pending.get(part, 0) + 1
 
     def landed(self, part: int) -> None:
         with self._lock:
@@ -274,16 +275,15 @@ class _Grants:
     """A machine's schedule for :meth:`BucketExecutor.run_epoch` in one
     pass: the buckets the lock server grants it, each with the pass's
     :func:`stratum_edges`, released (deferred) when the loop asks for
-    the next. Starved, it has the loop evict and backs off before
-    asking again; pipelined, it reserves the likely next bucket as the
-    prefetch hint. Feeds the machine's counters in ``registry``
+    the next. Starved, it has the loop evict, then waits in the lock
+    server for a grant or the round's end; pipelined, it reserves the
+    likely next bucket as the prefetch hint. Feeds the machine's counters in ``registry``
     (``buckets_trained`` counts grants, empty ones too)."""
 
     ctx: _WorkerContext
     executor: BucketExecutor
     lock_server: object
     partition_server: object
-    barrier: object
     registry: MetricsRegistry
     epoch: int
     stratum: int
@@ -294,16 +294,13 @@ class _Grants:
         while True:
             granted = self.lock_server.acquire(machine)
             if granted is None:
-                if self.lock_server.epoch_done():
-                    return
-                if self.barrier.broken:  # a peer died holding a bucket
-                    raise threading.BrokenBarrierError
                 yield None  # starved: the loop evicts (module docstring)
                 t0 = time.perf_counter()
                 with telemetry.span("lock.starved", cat="stall", machine=machine):
-                    time.sleep(_IDLE_SLEEP)
+                    granted = self.lock_server.acquire(machine, wait=True)
                 count("machine.idle_time").inc(time.perf_counter() - t0)
-                continue
+                if granted is None:
+                    return  # the round has no bucket left
             bucket = Bucket(*granted)
             if self.reserved is not None:
                 if self.reserved == bucket:
@@ -389,7 +386,7 @@ def _machine_main(
             report = executor.run_epoch(
                 epoch,
                 _Grants(
-                    ctx, executor, lock_server, partition_server, barrier,
+                    ctx, executor, lock_server, partition_server,
                     registry, epoch, stratum,
                 ),
                 keep_resident=False,
@@ -416,6 +413,7 @@ def _machine_main(
         tb = traceback.format_exc()
         try:
             barrier.abort()
+            lock_server.abort()  # peers waiting for a grant raise
         finally:
             result_queue.put(
                 ("error", f"machine {ctx.machine}: {exc!r}\n{tb}")
@@ -533,6 +531,7 @@ class DistributedTrainer:
             )
         except BaseException as exc:
             barrier.abort()  # machines waiting for a go-ahead fall out
+            self.lock_server.abort()  # ... and those waiting for a grant
             failure = exc
         items, deadline = [], time.monotonic() + 60
         while True:  # drain first: a process exits once its puts are taken

@@ -9,7 +9,9 @@ two uninitialised partitions (Section 4.1).
 
 Up to ``P/2`` machines can hold disjoint buckets on a ``P x P`` grid,
 which is why the paper pairs ``M`` machines with ``2M`` partitions.
-A machine that finds no eligible bucket idles and retries — the
+A machine that finds no eligible bucket waits inside
+``acquire(machine, wait=True)`` until a grant, a release, a lifted
+deferral or :meth:`~LockServer.abort` changes the grid — the
 "incomplete occupancy" overhead discussed with Table 3.
 
 Two-phase reservation protocol (pipelined distributed training)
@@ -45,8 +47,8 @@ deferral and pushing lazily at the next swap was the historical
 release/fetch race). With ``pipeline=False`` the push is synchronous
 and the commit follows it on the machine's own thread; with
 ``pipeline=True`` the writeback thread commits as pushes land. Either
-way a partition *index* is committed once, after the pushes of every
-entity type that has a partition with that index.
+way a partition *index* is committed when the machine's last copy of
+it, of any entity type, has landed.
 """
 
 from __future__ import annotations
@@ -65,8 +67,10 @@ __all__ = ["LockServer", "LockServerStats"]
 class LockServerStats:
     """Counters for diagnosing scheduling behaviour.
 
-    ``epochs`` counts *completed* epoch resets (:meth:`LockServer.new_epoch`
-    calls), so it reads 0 while the first training epoch is still running.
+    ``epochs`` counts *completed* grid rounds (:meth:`LockServer.new_epoch`
+    calls; a cluster runs one per stratum pass, so a run ends at
+    ``num_epochs * stratum_passes``). ``failed_acquires`` counts
+    non-waiting acquires that found nothing (starvations, round ends).
     """
 
     acquires: int = 0
@@ -108,7 +112,7 @@ class LockServer:  # public-guard: _lock
             for i in range(nparts_lhs)
             for j in range(nparts_rhs)
         ]
-        self._lock = threading.Lock()
+        self._lock = threading.Condition()  # waiting acquires sleep on it
         # Scheduling counters live in a metrics registry, one per
         # LockServerStats field; ``stats`` is a view of it. Counters
         # carry their own leaf locks, so bumping them under _lock is safe.
@@ -127,6 +131,7 @@ class LockServer:  # public-guard: _lock
         self._prev: "dict[int, Bucket]" = {}  # guarded-by: _lock
         self._reserved: "dict[int, Bucket]" = {}  # guarded-by: _lock
         self._state = _State(remaining=set(self._all_buckets))  # guarded-by: _lock
+        self._aborted = False  # guarded-by: _lock
 
     @property
     def stats(self) -> LockServerStats:  # lint: no-lock (counter-backed)
@@ -203,9 +208,11 @@ class LockServer:  # public-guard: _lock
                 best, best_key = bucket, key
         return best, best_key
 
-    def acquire(self, machine: int):  # lint: no-lock (locks in _acquire)
+    def acquire(self, machine: int, wait: bool = False):  # lint: no-lock (locks in _acquire)
         """Request a bucket for ``machine``; None if nothing is eligible.
 
+        With ``wait``, block until one is, or return None once the round
+        has no bucket left; after :meth:`abort`, raise ``RuntimeError``.
         Partitions deferred by this machine (released with
         ``defer=True``, push-back still in flight) are re-acquirable by
         it — its resident copy is the freshest — and reclaiming them
@@ -214,23 +221,31 @@ class LockServer:  # public-guard: _lock
         with telemetry.span(
             "lock.acquire", cat="lock", machine=machine
         ) as sp:
-            bucket = self._acquire(machine)
+            bucket = self._acquire(machine, wait)
             sp.note(granted=bucket is not None)
             if bucket is not None:
                 sp.note(bucket=f"{bucket.lhs},{bucket.rhs}")
             return bucket
 
-    def _acquire(self, machine: int) -> Bucket | None:
+    def _acquire(self, machine: int, wait: bool) -> Bucket | None:
         with self._lock:
-            st = self._state
-            if machine in st.active:
-                raise RuntimeError(
-                    f"machine {machine} already holds {st.active[machine]}"
-                )
-            best, best_key = self._select(machine, st)
-            if best is None:
-                self._c_failed.inc()
-                return None
+            while True:
+                if self._aborted:
+                    raise RuntimeError("lock server aborted: a machine failed")
+                st = self._state
+                if machine in st.active:
+                    raise RuntimeError(
+                        f"machine {machine} already holds {st.active[machine]}"
+                    )
+                best, best_key = self._select(machine, st)
+                if best is not None:
+                    break
+                if not wait:
+                    self._c_failed.inc()
+                    return None
+                if not st.remaining:
+                    return None
+                self._lock.wait()
             reserved = self._reserved.pop(machine, None)
             if reserved is not None:
                 if reserved == best:
@@ -245,6 +260,7 @@ class LockServer:  # public-guard: _lock
             self._c_acquires.inc()
             if best_key[0] > 0:
                 self._c_affinity.inc()
+            self._lock.notify_all()  # the round's last grant ends waits
             return best
 
     def reserve(self, machine: int):  # lint: no-lock (locks in _reserve)
@@ -300,6 +316,7 @@ class LockServer:  # public-guard: _lock
             st.initialized_partitions.update((bucket.lhs, bucket.rhs))
             st.done_any = True
             self._prev[machine] = bucket
+            self._lock.notify_all()
 
     def commit_partition(self, machine: int, part: int) -> None:
         """Confirm that ``machine``'s deferred push-back of ``part`` has
@@ -312,11 +329,14 @@ class LockServer:  # public-guard: _lock
         ), self._lock:
             if self._state.deferred.get(part) == machine:
                 del self._state.deferred[part]
+                self._lock.notify_all()
+
+    def abort(self) -> None:
+        """Make every waiting and later :meth:`acquire` raise."""
+        with self._lock:
+            self._aborted = True
+            self._lock.notify_all()
 
     def remaining_count(self) -> int:
         with self._lock:
             return len(self._state.remaining)
-
-    def epoch_done(self) -> bool:
-        with self._lock:
-            return not self._state.remaining and not self._state.active

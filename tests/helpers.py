@@ -112,17 +112,18 @@ def get_arrays(server, entity_type, part):
     return get_codec(server.codec_name()).decode(entry[0])
 
 
-def slow_put_server(landed, delay: float = 0.003):
+def slow_put_server(landed, delay: "float | dict[str, float]" = 0.003):
     """A ``PartitionServer`` subclass whose ``put`` sleeps ``delay``
-    first (widening any release/fetch race window) and calls
-    ``landed(entity_type, part)`` once the payload is stored."""
+    first (widening any release/fetch race window; a dict gives each
+    entity type its own) and calls ``landed(entity_type, part)`` once
+    the payload is stored."""
     import time
 
     from repro.distributed.partition_server import PartitionServer
 
     class SlowPutServer(PartitionServer):
         def put(self, entity_type, part, payload):
-            time.sleep(delay)
+            time.sleep(delay[entity_type] if isinstance(delay, dict) else delay)
             version = super().put(entity_type, part, payload)
             landed(entity_type, part)
             return version

@@ -616,6 +616,24 @@ class TestRefusals:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "ghost.npz" in err
 
+    def test_edge_archive_without_columns(self, workspace, capsys):
+        tmp_path, config_path, _, _ = workspace
+        path = tmp_path / "wrong.npz"
+        np.savez(path, src=np.arange(3), dst=np.arange(3))
+        assert self._train(config_path, path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rel" in err and "wrong.npz" in err
+
+    def test_config_value_of_the_wrong_type(self, workspace, capsys):
+        tmp_path, config_path, train_path, _ = workspace
+        data = json.loads(config_path.read_text())
+        data["dimension"] = "8"
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(data))
+        assert self._train(path, train_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ConfigSchema.dimension" in err
+
     def test_non_integer_text_edges(self, workspace, capsys):
         tmp_path, config_path, _, _ = workspace
         path = tmp_path / "edges.txt"

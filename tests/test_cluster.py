@@ -76,7 +76,7 @@ def _starving_lock_server(starved: list):
             with self._lock:
                 return machine in self._state.deferred.values()
 
-        def acquire(self, machine):
+        def acquire(self, machine, wait=False):
             if machine in evicting:
                 evicting.discard(machine)
                 deadline = time_mod.monotonic() + 10.0
@@ -91,7 +91,7 @@ def _starving_lock_server(starved: list):
                     starved.append(machine)
                     evicting.add(machine)
                     return None
-            return super().acquire(machine)
+            return super().acquire(machine, wait)
 
     return StarvingLockServer
 
@@ -158,6 +158,14 @@ class TestThreadMode:
             for bucket in bucketed.nonempty_buckets():
                 trained = EdgeList.concat([e for b, e in visits if b == bucket])
                 assert edge_rows(trained) == edge_rows(bucketed.edges_for(bucket))
+
+    def test_lock_server_counts_one_round_per_pass(self):
+        """``LockServerStats.epochs`` counts grid rounds, and a cluster
+        runs one per stratum pass: 2 epochs of 3 passes read 6."""
+        config, entities = _setup(2, 4, num_epochs=2, stratum_passes=3)
+        trainer = DistributedTrainer(config, entities)
+        trainer.train(_graph())
+        assert trainer.lock_server.stats.epochs == 6
 
     def test_both_schedules_train_the_same_slices(self, monkeypatch, tmp_path):
         """``Trainer``'s bucket order and the machines' grants visit the
@@ -524,6 +532,48 @@ class TestEpochServices:
         ]) == 0
         assert "checkpoint epoch: 0" in capsys.readouterr().out
 
+    def test_failure_wakes_a_peer_waiting_for_a_grant(self, monkeypatch):
+        """Machine 1 is never granted a bucket, so it waits inside
+        ``acquire(wait=True)``; then machine 0 raises. Its abort of the
+        lock server wakes machine 1, so ``train()`` raises machine 0's
+        traceback within seconds instead of hanging."""
+        import threading
+        import time as time_mod
+
+        from repro.core.trainer import BucketExecutor
+        from repro.distributed import cluster as cluster_mod
+        from repro.distributed.lock_server import LockServer
+
+        waiting = threading.Event()
+
+        class NoGrantForMachineOne(LockServer):
+            def _select(self, machine, state, releasing=None):
+                if machine == 1:
+                    return None, None
+                return super()._select(machine, state, releasing)
+
+            def acquire(self, machine, wait=False):
+                if wait:
+                    waiting.set()
+                return super().acquire(machine, wait)
+
+        def failing_train(self, bucket, edges):
+            assert waiting.wait(10)
+            time_mod.sleep(0.05)  # machine 1 is asleep in the server
+            raise RuntimeError("injected machine failure")
+
+        monkeypatch.setattr(cluster_mod, "LockServer", NoGrantForMachineOne)
+        monkeypatch.setattr(BucketExecutor, "train", failing_train)
+        config, entities = _setup(2, 4)
+        start = time_mod.monotonic()
+        with pytest.raises(RuntimeError, match="machine failure") as info:
+            DistributedTrainer(config, entities).train(_graph())
+        assert time_mod.monotonic() - start < 5
+        message = str(info.value)
+        assert "machine 0: RuntimeError('injected machine failure')" in message
+        assert "Traceback" in message and "in failing_train" in message
+        assert "machine 1: RuntimeError('lock server aborted" in message
+
     @pytest.mark.slow
     def test_machine_failure_leaves_no_child_process(self, monkeypatch):
         import multiprocessing
@@ -607,8 +657,8 @@ class TestSerialReleaseFetchRace:
                 last_put_seq[part] = seq[0]
 
         class CheckingLockServer(LockServer):
-            def acquire(self, machine):
-                bucket = super().acquire(machine)
+            def acquire(self, machine, wait=False):
+                bucket = super().acquire(machine, wait)
                 if bucket is not None:
                     with seq_lock:
                         for p in (bucket.lhs, bucket.rhs):
@@ -645,23 +695,45 @@ class TestSerialReleaseFetchRace:
         assert sum(m.buckets_trained for m in stats.machines) == 3 * 16
         assert np.isfinite(model.global_embeddings("node")).all()
 
-    @pytest.mark.parametrize("pipelined", [False, True])
+    @pytest.mark.parametrize(
+        "pipelined, one_way",
+        [(False, False), (True, False), (True, True)],
+        ids=["False", "True", "one_way_pipelined"],
+    )
     def test_index_commits_only_after_every_types_push(
-        self, monkeypatch, pipelined
+        self, monkeypatch, pipelined, one_way
     ):
-        """Two partitioned entity types share each partition index
-        (relations in both directions keep both types' partitions
-        resident), and lock-server deferral is keyed by index: the
-        index may only be handed to another machine once *every*
-        type's push for it has landed. Committing after the first
-        type's push leaves the second type's bytes local while another
-        machine fetches the stale server copy."""
+        """Two partitioned entity types share each partition index, and
+        lock-server deferral is keyed by index: the index may only be
+        handed to another machine once *every* type's push for it has
+        landed. Committing after the first type's push leaves the
+        second type's bytes local while another machine fetches the
+        stale server copy.
+
+        With relations in both directions every bucket keeps both
+        types' partitions of both its indices resident. With
+        ``user -> item`` only, a bucket holds ``(user, i)`` and
+        ``(item, j)``, so a machine can swap in ``(user, 3)`` while its
+        older ``(item, 3)`` push is still in flight; that push must not
+        commit index 3 once the bucket is released. Slow pushes (items
+        slower than users) and a delay before every grant widen that
+        window between two calls."""
         import threading
+        import time as time_mod
 
         from repro.distributed import cluster as cluster_mod
         from repro.distributed.lock_server import LockServer
 
         types = ("item", "user")
+        relations = [RelationSchema(name="likes", lhs="user", rhs="item")]
+        if not one_way:
+            relations.append(
+                RelationSchema(name="liked_by", lhs="item", rhs="user")
+            )
+        put_delay, grant_delay, num_epochs, m = (
+            ({"item": 0.05, "user": 0.025}, 0.08, 1, 60) if one_way
+            else (0.003, 0.0, 3, 2000)
+        )
         seq_lock = threading.Lock()
         seq = [0]
         last_put_seq: dict = {}
@@ -669,50 +741,55 @@ class TestSerialReleaseFetchRace:
         last_holder: dict = {}
         violations = []
 
+        def touched(bucket):
+            """The (type, part) keys resident while ``bucket`` trains."""
+            return {(r.lhs, bucket.lhs) for r in relations} | {
+                (r.rhs, bucket.rhs) for r in relations
+            }
+
         def put_landed(entity_type, part):
             with seq_lock:
                 seq[0] += 1
                 last_put_seq[(entity_type, part)] = seq[0]
 
         class CheckingLockServer(LockServer):
-            def acquire(self, machine):
-                bucket = super().acquire(machine)
+            def acquire(self, machine, wait=False):
+                time_mod.sleep(grant_delay)
+                bucket = super().acquire(machine, wait)
                 if bucket is not None:
                     with seq_lock:
                         for p in (bucket.lhs, bucket.rhs):
-                            prev = last_holder.get(p)
-                            if prev is None or prev == machine:
-                                continue
-                            for t in types:
+                            for key in ((t, p) for t in types):
+                                prev = last_holder.get(key)
+                                if prev is None or prev == machine:
+                                    continue
                                 if last_put_seq.get(
-                                    (t, p), -1
-                                ) <= release_seq.get(p, -1):
-                                    violations.append((machine, t, p))
+                                    key, -1
+                                ) <= release_seq[key]:
+                                    violations.append((machine, *key))
                 return bucket
 
             def release(self, machine, bucket, defer=False):
                 super().release(machine, bucket, defer=defer)
                 with seq_lock:
                     seq[0] += 1
-                    for p in (bucket.lhs, bucket.rhs):
-                        release_seq[p] = seq[0]
-                        last_holder[p] = machine
+                    for key in touched(bucket):
+                        release_seq[key] = seq[0]
+                        last_holder[key] = machine
 
         monkeypatch.setattr(
-            cluster_mod, "PartitionServer", slow_put_server(put_landed)
+            cluster_mod, "PartitionServer",
+            slow_put_server(put_landed, put_delay),
         )
         monkeypatch.setattr(cluster_mod, "LockServer", CheckingLockServer)
 
         n, nparts = 200, 4
         config = ConfigSchema(
             entities={t: EntitySchema(num_partitions=nparts) for t in types},
-            relations=[
-                RelationSchema(name="likes", lhs="user", rhs="item"),
-                RelationSchema(name="liked_by", lhs="item", rhs="user"),
-            ],
-            dimension=8, num_epochs=3, num_machines=2, batch_size=200,
-            chunk_size=50, num_batch_negs=5, num_uniform_negs=5,
-            pipeline=pipelined,
+            relations=relations,
+            dimension=8, num_epochs=num_epochs, num_machines=2,
+            batch_size=200, chunk_size=50, num_batch_negs=5,
+            num_uniform_negs=5, pipeline=pipelined,
         )
         entities = EntityStorage({t: n for t in types})
         for i, t in enumerate(types):
@@ -721,13 +798,13 @@ class TestSerialReleaseFetchRace:
             )
         rng = np.random.default_rng(0)
         edges = EdgeList(
-            rng.integers(0, n, 2000), rng.integers(0, 2, 2000),
-            rng.integers(0, n, 2000),
+            rng.integers(0, n, m), rng.integers(0, len(relations), m),
+            rng.integers(0, n, m),
         )
         trainer = DistributedTrainer(config, entities)
         model, stats = trainer.train(edges)
         assert violations == []
-        assert stats.total_edges == 3 * len(edges)
+        assert stats.total_edges == num_epochs * len(edges)
         assert trainer.partition_server.keys() == [
             (t, p) for t in types for p in range(nparts)
         ]

@@ -235,6 +235,33 @@ class TestUnknownKeys:
             ConfigSchema.from_dict(data)
 
 
+class TestScalarTypes:
+    """A scalar field takes only what its annotation names: ``int`` no
+    ``bool``, ``float`` also an ``int``, ``X | None`` also ``null``."""
+
+    @pytest.mark.parametrize("path, key, value", [
+        ((), "dimension", "8"), ((), "dimension", 8.5), ((), "num_epochs", False),
+        ((), "lr", "0.1"), ((), "relation_lr", True), ((), "pipeline", 0),
+        ((), "checkpoint_dir", 1), (("entities", "node"), "num_partitions", None),
+        (("relations", 0), "weight", "1"), (("serving",), "nprobe", 2.0),
+    ])
+    def test_wrong_type_names_the_field(self, path, key, value):
+        data = json.loads(_minimal().to_json())
+        target = data
+        for step in path:
+            target = target[step]
+        target[key] = value
+        with pytest.raises(ConfigError, match=rf"\.{key} must be "):
+            ConfigSchema.from_dict(data)
+
+    def test_ints_for_floats_and_nulls_for_optionals(self):
+        data = json.loads(_minimal().to_json())
+        data.update(lr=1, margin=0, relation_lr=None, partition_cache_budget=None)
+        data["relations"][0]["weight"] = 2
+        config = ConfigSchema.from_dict(data)
+        assert config.lr == 1 and config.relations[0].weight == 2
+
+
 #: What ``to_dict`` wrote while ``EntitySchema.num_features``,
 #: ``RelationSchema.all_negs`` and ``ServingConfig``'s ``pq_subvectors``,
 #: ``refine``, ``kmeans_iters`` and ``train_sample`` existed (every

@@ -1,5 +1,6 @@
 """Tests for the distributed lock server."""
 
+import sys
 import threading
 
 import numpy as np
@@ -39,7 +40,7 @@ class TestBasicProtocol:
             ls.release(0, b)
         assert len(served) == 9
         assert len(set(served)) == 9
-        assert ls.epoch_done()
+        assert ls.acquire(0, wait=True) is None
 
     def test_disjoint_partitions_concurrent(self):
         """Two machines must never hold overlapping partitions.
@@ -339,6 +340,68 @@ class TestDeferredRelease:
             ls.new_epoch()
 
 
+def _blocked_acquire(ls: LockServer, machine: int):
+    """Start ``acquire(machine, wait=True)`` on a thread and check that
+    it blocks; returns the thread and the list that gets its outcome
+    (a bucket, None, or the exception it raised)."""
+    out: list = []
+
+    def run():
+        try:
+            out.append(ls.acquire(machine, wait=True))
+        except RuntimeError as exc:
+            out.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(0.1)
+    assert thread.is_alive() and out == []
+    return thread, out
+
+
+class TestWaitingAcquire:
+    """``acquire(m, wait=True)``: a starved machine sleeps in the server
+    until a release, a lifted deferral or the round's last grant."""
+
+    @pytest.mark.parametrize("frees", ["release", "commit"])
+    def test_returns_once_a_peer_frees_a_bucket(self, frees):
+        ls = _warmed(2)
+        misses = ls.stats.failed_acquires
+        b0 = ls.acquire(0)  # (0, 1): both partitions
+        if frees == "commit":
+            ls.release(0, b0, defer=True)
+        thread, out = _blocked_acquire(ls, 1)
+        if frees == "release":
+            ls.release(0, b0)
+        else:
+            ls.commit_partition(0, b0.lhs)
+            ls.commit_partition(0, b0.rhs)
+        thread.join(5)
+        assert not thread.is_alive() and isinstance(out[0], Bucket)
+        assert ls.stats.failed_acquires == misses  # waiting is no miss
+
+    def test_returns_none_once_the_round_is_granted(self):
+        ls = _warmed(2)
+        b0 = ls.acquire(0)
+        ls.release(0, b0, defer=True)  # machine 1 may take nothing
+        thread, out = _blocked_acquire(ls, 1)
+        while (b := ls.acquire(0)) is not None:  # the owner reclaims
+            ls.release(0, b, defer=True)
+        thread.join(5)
+        assert not thread.is_alive() and out == [None]
+        assert ls.acquire(1, wait=True) is None  # no bucket left: no wait
+
+    def test_abort_wakes_a_waiting_acquire(self):
+        ls = _warmed(2)
+        ls.acquire(0)
+        thread, out = _blocked_acquire(ls, 1)
+        ls.abort()
+        thread.join(5)
+        assert not thread.is_alive() and "aborted" in str(out[0])
+        with pytest.raises(RuntimeError, match="aborted"):
+            ls.acquire(2)
+
+
 class TestConcurrency:
     def test_threaded_consumption_no_overlap_no_loss(self):
         """8 threads drain a 8x8 grid; locks must never overlap and all
@@ -354,11 +417,9 @@ class TestConcurrency:
         def worker(machine):
             rng = np.random.default_rng(machine)
             while True:
-                b = ls.acquire(machine)
+                b = ls.acquire(machine, wait=True)
                 if b is None:
-                    if ls.epoch_done():
-                        return
-                    continue
+                    return
                 with live_lock:
                     if {b.lhs, b.rhs} & live_partitions:
                         errors.append(f"overlap on {b}")
@@ -375,10 +436,16 @@ class TestConcurrency:
         threads = [
             threading.Thread(target=worker, args=(m,)) for m in range(8)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often: a lost wake-up hangs
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         assert len(served) == p * p
         assert len(set(served)) == p * p

@@ -412,10 +412,11 @@ def _cycle(batches, split: "int | None" = None):
 
 
 def _training_row(pkg, calls, config, feed, *, num_rows=NUM_ROWS,
-                  two_tables=False, info=dict) -> Row:
-    """``forward_backward_chunk`` on what ``feed`` yields per timed call,
-    on this side's model and tables (seeded alike on both sides);
-    compared: tables, Adagrad state, relation parameters, last stats."""
+                  two_tables=False, chunk_size=CHUNK, info=dict) -> Row:
+    """``forward_backward_chunk`` at ``chunk_size`` on what ``feed``
+    yields per timed call, on this side's model and tables (seeded alike
+    on both sides); compared: tables, Adagrad state, relation
+    parameters, last stats."""
     config = pkg.config.ConfigSchema.from_dict(config.to_dict())
     (entity,) = config.entities
     rng = np.random.default_rng(0)
@@ -428,7 +429,7 @@ def _training_row(pkg, calls, config, feed, *, num_rows=NUM_ROWS,
     def step():
         for rel, src, dst in feed(rng):
             last[:] = [model.forward_backward_chunk(
-                rel, src, dst, lhs, tables[-1], rng, chunk_size=CHUNK
+                rel, src, dst, lhs, tables[-1], rng, chunk_size=chunk_size
             )]
 
     def state():
@@ -569,9 +570,11 @@ def chunk_step(pkg, quick: bool):
                                   two_tables=two_tables))
     rows["batch[l2,translation,two_tables]"] = _training_row(
         pkg, calls, _one_relation("l2", "translation"), _cycle(_uniform(BATCH)), two_tables=True)
+    # Figure 4's unbatched baseline: every edge its own 100 uniform negatives.
     rows["unbatched_chunk[dot,translation,same_table]"] = _training_row(
-        pkg, calls, _one_relation("dot", "translation", disable_batch_negs=True),
-        _cycle(_uniform(CHUNK)))
+        pkg, calls,
+        _one_relation("dot", "translation", num_batch_negs=0, num_uniform_negs=2 * NEGS),
+        _cycle(_uniform(CHUNK)), chunk_size=1)
     rows["kg_batch[dot,translation,20_relations]"] = _training_row(
         pkg, calls, kg_config(KG_RELATIONS), _cycle(_packed_kg_batches()), num_rows=KG_ROWS)
     rows["per_relation_batches[dot,translation]"] = _bucket_row(

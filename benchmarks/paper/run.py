@@ -598,23 +598,28 @@ def fig4_negatives(report: Report) -> dict:
     negatives per edge; with *batched* negatives (one candidate pool per
     ~50-edge chunk, scored by a single matmul), speed is nearly constant
     up to Bn ≈ 100. Edges/sec of one epoch at d = 100 (the figure's
-    dimension) for Bn ∈ {10, 20, 50, 100, 200} in both modes.
+    dimension) for Bn ∈ {10, 20, 50, 100, 200} in both modes. Unbatched
+    is the same step at ``chunk_size=1, num_batch_negs=0``: chunks of
+    one edge, each with its own Bn uniform negatives.
     """
     g = social_network(3000, 30_000, seed=0)
     dim, negatives, speeds = 100, [10, 20, 50, 100, 200], {}
     for batched in (True, False):
         for bn in negatives:
+            pools = dict(chunk_size=50, num_batch_negs=bn // 2,
+                         num_uniform_negs=bn - bn // 2)
+            if not batched:
+                pools = dict(chunk_size=1, num_batch_negs=0, num_uniform_negs=bn)
             config = social_config(
                 dimension=dim, num_epochs=1, comparator="dot",
-                num_batch_negs=bn // 2, num_uniform_negs=bn - bn // 2,
-                disable_batch_negs=not batched, chunk_size=50,
-                batch_size=1000,
+                batch_size=1000, **pools,
             )
             _, stats = train_single(config, {"node": g.num_nodes}, g.edges)
             speeds[batched, bn] = stats.edges_per_second
     report.table(
         f"Figure 4 — training speed vs negatives (d={dim}, edges/sec)",
-        ["negatives/edge", "batched", "unbatched"],
+        ["negatives/edge", "batched (50-edge chunks)",
+         "unbatched (chunk_size=1, num_batch_negs=0)"],
         [[bn, f"{speeds[True, bn]:.0f}", f"{speeds[False, bn]:.0f}"]
          for bn in negatives],
     )

@@ -87,8 +87,11 @@ def fingerprint(params: Mapping[str, Any]) -> str:
 #: implemented ``all_negs: true`` or product quantisation's
 #: ``pq_subvectors: 4``, is refused like an unknown key. The serving
 #: index's k-means iterations and training sample became the index's
-#: own defaults, which are the only values they accept.
+#: own defaults, which are the only values they accept. Figure 4's
+#: unbatched baseline (``disable_batch_negs: true``) is the batched step
+#: at ``chunk_size: 1``, ``num_batch_negs: 0``, ``num_uniform_negs: k``.
 _RETIRED = {
+    "ConfigSchema": {"disable_batch_negs": lambda v, data: v is False},
     "EntitySchema": {"num_features": lambda v, data: type(v) is int and (
         v >= 1 if data.get("featurized") else v == 0)},
     "RelationSchema": {"all_negs": lambda v, data: v is False},
@@ -302,7 +305,6 @@ class ConfigSchema:
     # distribution.
     num_batch_negs: int = 50
     num_uniform_negs: int = 50
-    disable_batch_negs: bool = False
 
     # Optimisation.
     lr: float = 0.1

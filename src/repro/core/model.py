@@ -26,7 +26,9 @@ Adagrad step) run flat over it. The operator maps the right-hand half
 and the six score ``np.matmul`` products run once per run of equal-width
 chunks — a short chunk is a narrower rectangle — so chunk ``i`` is scored
 against, and masked by, pool ``i`` only; they write straight into their
-slices of the score and gradient buffers. A 1000-edge batch of ten chunks
+slices of the score and gradient buffers. Figure 4's unbatched baseline
+is this step at ``chunk_size=1`` with ``num_batch_negs=0``: every edge
+its own pool of uniform negatives. A 1000-edge batch of ten chunks
 costs ~3.1 ms; a 4 571-edge bucket of 20 relations ~18 ms as 5 batches,
 ~20 as 21 one-relation ones (``benchmarks/micro/run.py chunk_step``).
 """
@@ -34,7 +36,6 @@ costs ~3.1 ms; a 4 571-edge bucket of 20 relations ~18 ms as 5 batches,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from repro.config import ConfigSchema
 from repro.core.batching import chunk_bounds
 from repro.core.comparators import make_comparator
 from repro.core.losses import make_loss
-from repro.core.negatives import sample_pool, sample_unbatched
+from repro.core.negatives import sample_pool
 from repro.core.operators import make_operator
 from repro.core.optimizers import DenseAdagrad
 from repro.core.tables import DenseEmbeddingTable, EmbeddingTable
@@ -292,9 +293,9 @@ class EmbeddingModel:
         run of one relation is cut into chunks of ``chunk_size`` edges
         (default: all), each sharing a negative pool per side, sampled
         within those tables, honouring the paper's same-partition and
-        same-entity-type constraints by construction. With
-        ``disable_batch_negs`` every edge draws its own negatives (Figure
-        4's baseline); only the sampling and the negative scoring differ.
+        same-entity-type constraints by construction. Figure 4's
+        unbatched baseline, every edge with its own uniform negatives, is
+        ``chunk_size=1`` with ``num_batch_negs=0``.
         """
         cfg = self.config
         m = len(src_rows)
@@ -307,28 +308,20 @@ class EmbeddingModel:
         slot = {r: i for i, r in enumerate(sorted(set(chunk_rel)))}
         which = np.array([slot[r] for r in chunk_rel])
         params = np.array([self.rel_params[r] for r in slot])[which]
-        # One block; per-edge negatives gather k times the rows, by chunk.
-        n = len(chunk_rel)
-        cuts = range(n + 1) if cfg.disable_batch_negs else (0, n)
-        stats, steps = ChunkStats(), []
-        for i, j in zip(cuts, cuts[1:]):
-            at = slice(bounds[i], bounds[j])
-            steps.append(self._block_step(
-                params[i:j], chunk_rel[i:j],
-                [bound - bounds[i] for bound in bounds[i:j + 1]],
-                src_rows[at], dst_rows[at], lhs_table, rhs_table, rng,
-                None if edge_weights is None else edge_weights[at],
-                update, stats,
-            ))
+        stats = ChunkStats()
+        step = self._block_step(
+            params, chunk_rel, bounds, src_rows, dst_rows, lhs_table,
+            rhs_table, rng, edge_weights, update, stats,
+        )
         if not update:
             return stats
         # One Adagrad step per table, so a row repeated across pieces,
-        # chunks, blocks (and sides, for one table) accumulates first.
+        # chunks (and sides, for one table) accumulates first.
+        row_grads, g_params = step
         tables = [lhs_table] if lhs_table is rhs_table else [lhs_table, rhs_table]
-        for table, parts in zip(tables, zip(*(step[0] for step in steps))):
-            table.apply_gradients(*map(_cat, zip(*parts)), cfg.lr)
+        for table, (rows, grads) in zip(tables, row_grads):
+            table.apply_gradients(rows, grads, cfg.lr)
         # ... and one per relation, of its chunks' summed gradients.
-        g_params = _cat([step[1] for step in steps])
         for relation, i in slot.items():
             self.rel_optimizers[relation].step(
                 self.rel_params[relation], g_params[which == i].sum(axis=0),
@@ -340,20 +333,19 @@ class EmbeddingModel:
         self, params, chunk_rel, bounds, src, dst, lhs_table, rhs_table,
         rng, edge_weights, update, stats,
     ):
-        """Forward and backward of ``n`` chunks — chunk ``i`` is edges
+        """Forward and backward of the batch's ``n`` chunks — chunk ``i`` is edges
         ``bounds[i]:bounds[i + 1]``, of relation ``chunk_rel[i]``, under ``params[i]``.
         Adds to ``stats``; returns each table's ``(rows, gradients)`` and ``params``' gradients."""
         cfg, comp, op = self.config, self.comparator, self.operators[chunk_rel[0]]
         n, n_pos, dim = len(params), len(src), lhs_table.dim
-        k = cfg.num_batch_negs + cfg.num_uniform_negs  # per edge and side
-        pool_rows = k * n_pos if cfg.disable_batch_negs else k  # per chunk
+        k = cfg.num_batch_negs + cfg.num_uniform_negs  # per chunk and side
         widths = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
         cuts = [i for i in range(1, n) if widths[i] != widths[i - 1]]
         # Runs of equal-width chunks, the rectangles the score matmuls
         # need: (how many, which chunks, their edges, their pools' rows).
         runs = [
             (j - i, slice(i, j), slice(bounds[i], bounds[j]),
-             slice(i * pool_rows, j * pool_rows))
+             slice(i * k, j * k))
             for i, j in zip([0, *cuts], [*cuts, n])
         ]
 
@@ -361,8 +353,6 @@ class EmbeddingModel:
             return z.reshape(n, -1, z.shape[-1])
 
         def sample(ends, table):  # one side's pools of a run of chunks
-            if cfg.disable_batch_negs:
-                return sample_unbatched(ends.ravel(), table.num_rows, k, rng)
             return sample_pool(
                 ends, ends, table.num_rows, cfg.num_batch_negs, cfg.num_uniform_negs, rng
             )
@@ -380,12 +370,6 @@ class EmbeddingModel:
             np.concatenate((d.mask, s.mask), axis=-1).reshape(-1, 2 * k)
             for d, s in pools
         ])
-        score, score_backward = comp.score_matrix, comp.score_matrix_backward
-        if cfg.disable_batch_negs:
-            score, score_backward = (
-                partial(fn, l2=cfg.comparator == "l2")
-                for fn in (_rowwise_scores, _rowwise_scores_backward)
-            )
 
         # ---- forward over the stack [src | src negs | dst | dst negs] ----
         rows = np.concatenate((src, src_negs, dst, dst_negs))
@@ -417,7 +401,9 @@ class EmbeddingModel:
         neg = np.empty((n_pos, 2 * k), dtype=y.dtype)
         for c, _, at, pool in runs:
             for p, q, cols in sides:
-                score(chunked(p[at], c), chunked(q[pool], c), out=chunked(neg[at], c)[..., cols])
+                comp.score_matrix(
+                    chunked(p[at], c), chunked(q[pool], c), out=chunked(neg[at], c)[..., cols]
+                )
 
         # ---- loss ------------------------------------------------------
         weights = None if edge_weights is None else edge_weights.astype(raw.dtype)
@@ -438,7 +424,7 @@ class EmbeddingModel:
         g_a, g_pa, g_b, g_pb = g[:n_pos], g[n_pos:n_lhs], g[n_lhs:n_lhs + n_pos], g[n_lhs + n_pos:]
         for c, _, at, pool in runs:
             for (p, q, cols), g_p, g_q in zip(sides, (g_a, g_b), (g_pb, g_pa)):
-                score_backward(
+                comp.score_matrix_backward(
                     chunked(p[at], c), chunked(q[pool], c), chunked(dneg[at], c)[..., cols],
                     out=(chunked(g_p[at], c), chunked(g_q[pool], c)),
                 )
@@ -458,29 +444,3 @@ class EmbeddingModel:
 def _cat(parts) -> np.ndarray:  # np.concatenate; one part is returned as is
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-
-def _rowwise_scores(a: np.ndarray, negs: np.ndarray, l2: bool, out) -> None:
-    """Unbatched ``score_matrix`` (one chunk): ``a[i]`` against its own ``k``
-    prepared negatives, rows ``i*k .. (i+1)*k`` of ``negs``, into ``out``."""
-    a = a.reshape(-1, a.shape[-1])
-    negs = negs.reshape(len(a), -1, a.shape[1])
-    scores = np.einsum("cd,ckd->ck", a, negs)
-    if l2:
-        # -||a - n||^2 = 2 a.n - ||a||^2 - ||n||^2
-        sq_a = np.einsum("cd,cd->c", a, a)[:, None]
-        scores = 2.0 * scores - sq_a - np.einsum("ckd,ckd->ck", negs, negs)
-    out[...] = scores
-
-
-def _rowwise_scores_backward(a, negs, grad, l2: bool, out) -> None:
-    """Gradients of :func:`_rowwise_scores` w.r.t. ``a`` and ``negs``, into ``out``."""
-    a = a.reshape(-1, a.shape[-1])
-    negs = negs.reshape(len(a), -1, a.shape[1])
-    grad = grad.reshape(len(a), -1)
-    g_a = np.einsum("ck,ckd->cd", grad, negs)
-    if l2:
-        g_a = 2.0 * g_a - 2.0 * grad.sum(axis=1)[:, None] * a
-        g_negs = 2.0 * grad[:, :, None] * (a[:, None, :] - negs)
-    else:
-        g_negs = grad[:, :, None] * a[:, None, :]
-    out[0][...], out[1][...] = g_a, g_negs.reshape(-1, a.shape[1])

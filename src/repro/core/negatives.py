@@ -1,4 +1,4 @@
-"""Negative sampling, batched and unbatched (paper Section 4.3).
+"""Negative sampling (paper Section 4.3).
 
 Most embedding systems are memory-bound on negatives: ``B · Bn`` dot
 products need ``B · Bn · d`` floats of memory traffic. PBG instead cuts
@@ -18,7 +18,9 @@ against its pool is one matmul (Figure 3). The two sources realise the
 paper's α-blend of data-prevalence and uniform negatives (α = 0.5 by
 default via equal counts). Pool entries equal to the true endpoint of an
 edge *of their own chunk* are *induced positives*, masked out of the loss.
-The unbatched path (one pool per edge) is kept for Figure 4's comparison.
+Figure 4's unbatched baseline is chunks of one edge with only uniform
+negatives (``chunk_size=1``, ``num_batch_negs=0``): ``(n, 1)`` entities
+in, a pool of ``k`` per edge out, each masked against its own endpoint.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 __all__ = [
     "NegativePool",
     "sample_pool",
-    "sample_unbatched",
     "PrevalenceSampler",
 ]
 
@@ -43,7 +44,7 @@ class NegativePool:
     ----------
     entities:
         ``(k,)`` candidate entity ids (partition-local offsets) of one
-        chunk; ``(n, k)`` for ``n`` chunks, or per edge when unbatched.
+        chunk; ``(n, k)`` for ``n`` chunks.
     mask:
         ``(c, k)`` boolean, ``(n, c, k)`` for ``n`` chunks;
         ``mask[..., i, j]`` is False when candidate ``j`` equals edge
@@ -107,28 +108,6 @@ def sample_pool(
         raise ValueError("pool would be empty; need some negatives")
     entities = np.concatenate(parts, axis=-1)
     mask = entities[..., None, :] != true_entities[..., :, None]
-    return NegativePool(entities=entities, mask=mask)
-
-
-def sample_unbatched(
-    true_entities: np.ndarray,
-    num_entities: int,
-    num_negs: int,
-    rng: np.random.Generator,
-) -> NegativePool:
-    """Sample ``num_negs`` independent uniform negatives per edge:
-    ``(c, num_negs)`` entities and a mask of the same shape.
-
-    This is the memory-bound baseline of Figure 4: every (edge,
-    negative) pair costs its own embedding fetch downstream.
-    """
-    if num_negs < 1:
-        raise ValueError("num_negs must be >= 1")
-    if num_entities < 1:
-        raise ValueError("num_entities must be >= 1")
-    c = len(true_entities)
-    entities = rng.integers(0, num_entities, size=(c, num_negs), dtype=np.int64)
-    mask = entities != true_entities[:, None]
     return NegativePool(entities=entities, mask=mask)
 
 

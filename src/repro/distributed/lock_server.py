@@ -70,7 +70,9 @@ class LockServerStats:
     ``epochs`` counts *completed* grid rounds (:meth:`LockServer.new_epoch`
     calls; a cluster runs one per stratum pass, so a run ends at
     ``num_epochs * stratum_passes``). ``failed_acquires`` counts
-    non-waiting acquires that found nothing (starvations, round ends).
+    starvations: non-waiting acquires that found nothing while the
+    round still had buckets (locked or deferred by peers). An acquire
+    after the round's last grant is no miss.
     """
 
     acquires: int = 0
@@ -241,7 +243,8 @@ class LockServer:  # public-guard: _lock
                 if best is not None:
                     break
                 if not wait:
-                    self._c_failed.inc()
+                    if st.remaining:  # starved, not past the round's end
+                        self._c_failed.inc()
                     return None
                 if not st.remaining:
                     return None

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from repro.config import ConfigSchema
 from repro.core.operators import make_operator
-from repro.graph import compression
 from repro.graph.entity_storage import EntityStorage
 
 __all__ = ["MemoryModel", "measure_peak_tracemalloc"]
@@ -41,19 +40,6 @@ class MemoryModel:
     def embedding_row_bytes(self) -> int:
         """Bytes per embedding row including row-Adagrad state."""
         return self.config.dimension * _FLOAT_BYTES + _ROW_STATE_BYTES
-
-    # -- wire / disk bytes under the configured partition codec --------
-
-    def _codec(self, codec: "str | None") -> str:
-        return self.config.partition_compression if codec is None else codec
-
-    def embedding_row_wire_bytes(self, codec: "str | None" = None) -> int:
-        """Encoded bytes per row on the wire / on disk (embedding +
-        per-row codec metadata + fp32 optimizer state); defaults to the
-        config's ``partition_compression``."""
-        return compression.get_codec(self._codec(codec)).row_nbytes(
-            self.config.dimension
-        )
 
     def total_model_bytes(self) -> int:
         """Full model: every entity row + shared parameters."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.model import ChunkStats
-from repro.core.negatives import NegativePool, sample_pool, sample_unbatched
+from repro.core.negatives import NegativePool, sample_pool
 
 __all__ = ["reference_step"]
 
@@ -40,16 +40,8 @@ def _chunks(rel, chunk_size):
 
 def _pools(cfg, chunks, src, dst, lhs, rhs, rng):
     """Each chunk's ``(dst side, src side)`` pools, drawn as the step
-    draws them: unbatched, one chunk after the other; batched, each run
-    of equal-width chunks in one ``sample_pool`` call per side. The
-    destination side comes first."""
-    k = cfg.num_batch_negs + cfg.num_uniform_negs
-    if cfg.disable_batch_negs:
-        return [
-            tuple(sample_unbatched(ends[lo:hi], table.num_rows, k, rng)
-                  for ends, table in ((dst, rhs), (src, lhs)))
-            for lo, hi in chunks
-        ]
+    draws them: each run of equal-width chunks in one ``sample_pool``
+    call per side, the destination side first."""
     pools, i = [], 0
     while i < len(chunks):
         width = chunks[i][1] - chunks[i][0]
@@ -69,12 +61,6 @@ def _pools(cfg, chunks, src, dst, lhs, rhs, rng):
         ]
         i = j
     return pools
-
-
-def _negatives(pool, t):
-    """Edge ``t`` of its chunk: its candidates and their mask row."""
-    entities = pool.entities if pool.entities.ndim == 1 else pool.entities[t]
-    return entities, pool.mask[t]
 
 
 def reference_step(model, rel, src, dst, lhs, rhs, rng, edge_weights=None,
@@ -100,8 +86,8 @@ def reference_step(model, rel, src, dst, lhs, rhs, rng, edge_weights=None,
         for e in range(lo, hi):
             r = int(rel[e])
             op, theta = model.operators[r], model.rel_params[r]
-            neg_d, mask_d = _negatives(dst_pool, e - lo)
-            neg_s, mask_s = _negatives(src_pool, e - lo)
+            neg_d, mask_d = dst_pool.entities, dst_pool.mask[e - lo]
+            neg_s, mask_s = src_pool.entities, src_pool.mask[e - lo]
             s_raw, d_raw = lhs.weights[src[e:e + 1]], rhs.weights[dst[e:e + 1]]
             nd_raw, ns_raw = rhs.weights[neg_d], lhs.weights[neg_s]
             t_d, t_nd = op.forward(d_raw, theta), op.forward(nd_raw, theta)
@@ -135,7 +121,10 @@ def reference_step(model, rel, src, dst, lhs, rhs, rng, edge_weights=None,
             add(lhs, neg_s, comp.prepare_backward(ns_raw, g_pa))
             add(rhs, dst[e:e + 1], g_d)
             add(rhs, neg_d, g_nd)
-            rel_grads[r] = rel_grads.get(r, 0.0) + g_theta + g_theta_neg
+            # The edge's gradient first, as the step sums a one-edge chunk:
+            # a first Adagrad step divides a sum's rounding by its size,
+            # and relation sums that cancel to ~1e-7 occur at width 1.
+            rel_grads[r] = rel_grads.get(r, 0.0) + (g_theta + g_theta_neg)
 
     # One row-Adagrad update per (table, row), of its summed gradient.
     tables = {id(lhs): lhs, id(rhs): rhs}

@@ -1155,8 +1155,9 @@ class TestSharedBucketLoop:
         # Starved after every bucket but an epoch's last, once each:
         # the first idle pass gave the partitions up.
         assert len(starved) == 3 * 15
-        # ... so the real scheduler only ever said no at an epoch's end.
-        assert trainer.lock_server.stats.failed_acquires == 3
+        # ... so the real scheduler never starved it: saying no at an
+        # epoch's end, with no bucket left, is no miss.
+        assert trainer.lock_server.stats.failed_acquires == 0
         assert stats.machines[0].buckets_trained == 3 * 16
         np.testing.assert_array_equal(
             reference.global_embeddings("node"),

@@ -4,6 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -262,10 +263,11 @@ class TestScalarTypes:
         assert config.lr == 1 and config.relations[0].weight == 2
 
 
-#: What ``to_dict`` wrote while ``EntitySchema.num_features``,
-#: ``RelationSchema.all_negs`` and ``ServingConfig``'s ``pq_subvectors``,
-#: ``refine``, ``kmeans_iters`` and ``train_sample`` existed (every
-#: field, so every such checkpoint's config.json carries them all).
+#: What ``to_dict`` wrote while ``ConfigSchema.disable_batch_negs``,
+#: ``EntitySchema.num_features``, ``RelationSchema.all_negs`` and
+#: ``ServingConfig``'s ``pq_subvectors``, ``refine``, ``kmeans_iters``
+#: and ``train_sample`` existed (every field, so every such checkpoint's
+#: config.json carries them all).
 _OLD_CONFIG = {
     "batch_size": 1000, "bucket_order": "inside_out", "checkpoint_dir": None,
     "chunk_size": 50, "comparator": "dot", "dimension": 8,
@@ -317,6 +319,7 @@ class TestRemovedFields:
         (("serving",), "refine", 2),
         (("serving",), "kmeans_iters", 20),
         (("serving",), "train_sample", 1000),
+        ((), "disable_batch_negs", True),
     ])
     def test_other_values_are_unknown_keys(self, path, key, value):
         data = json.loads(json.dumps(_OLD_CONFIG))
@@ -327,6 +330,25 @@ class TestRemovedFields:
         with pytest.raises(ConfigError, match=rf"unknown \w+ key\(s\): {key}"):
             ConfigSchema.from_dict(data)
 
+
+    def test_unbatched_config_is_refused_by_train(self, tmp_path, capsys):
+        """Figure 4's baseline is ``chunk_size: 1, num_batch_negs: 0``
+        now: a config that still asks for the removed flag makes ``repro
+        train`` print ``error:`` and exit 2."""
+        from repro.cli import main
+
+        data = json.loads(json.dumps(_OLD_CONFIG))
+        data["disable_batch_negs"] = True
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        edges_path = tmp_path / "edges.npz"
+        np.savez(edges_path, src=np.arange(4), rel=np.zeros(4, dtype=np.int64),
+                 dst=np.arange(4))
+        assert main([
+            "train", "--config", str(config_path), "--edges", str(edges_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "disable_batch_negs" in err
 
     def test_serving_section_written_now(self):
         assert _minimal().to_dict()["serving"] == {

@@ -175,6 +175,18 @@ class TestEpochs:
         ls.new_epoch()
         assert ls.stats.epochs == 1
 
+    def test_failed_acquires_count_starvation_not_round_ends(self):
+        ls = _warmed(2)  # its drain ended in a no at the round's end
+        assert ls.stats.failed_acquires == 0
+        b0 = ls.acquire(0)  # (0, 1): both partitions
+        assert ls.remaining_count() == 3 and ls.acquire(1) is None
+        assert ls.stats.failed_acquires == 1  # buckets remain, all locked
+        ls.release(0, b0)
+        while (b := ls.acquire(0)) is not None:
+            ls.release(0, b)
+        assert ls.acquire(1) is None  # after the round's last grant
+        assert ls.stats.failed_acquires == 1
+
     def test_affinity_state_explicit_after_init(self):
         """The scheduler's affinity state exists from construction
         (regression: it used to be hasattr-lazily created mid-lock)."""

@@ -19,8 +19,13 @@ from tests.helpers import assert_grads_close
 from tests.reference import reference_step
 
 
+#: Figure 4's unbatched baseline, at the tests' seven negatives per edge
+#: and side: chunks of one edge (``chunk_size=1``), every negative uniform.
+WIDTH_ONE = dict(num_batch_negs=0, num_uniform_negs=7)
+
+
 def _config(operator="translation", comparator="dot", loss="ranking",
-            disable_batch_negs=False, dimension=6, **kw):
+            dimension=6, **kw):
     return ConfigSchema(
         entities={"node": EntitySchema()},
         relations=[
@@ -31,11 +36,8 @@ def _config(operator="translation", comparator="dot", loss="ranking",
         comparator=comparator,
         loss=loss,
         margin=0.2,
-        num_batch_negs=3,
-        num_uniform_negs=4,
-        disable_batch_negs=disable_batch_negs,
         lr=0.05,
-        **kw,
+        **{**dict(num_batch_negs=3, num_uniform_negs=4), **kw},
     )
 
 
@@ -157,43 +159,45 @@ class _RecordingTable(DenseEmbeddingTable):
 @pytest.mark.parametrize("loss", ["ranking", "logistic", "softmax"])
 def test_chunk_backward_matches_numerical(operator, comparator, loss):
     """End-to-end gradient check through sampling, scoring and loss."""
-    _chunk_gradcheck(operator, comparator, loss, disable_batch_negs=False)
+    _chunk_gradcheck(operator, comparator, loss, width_one=False)
 
 
 @pytest.mark.parametrize("operator", ["translation", "complex_diagonal"])
 @pytest.mark.parametrize("comparator", ["dot", "cos", "l2"])
 def test_unbatched_backward_matches_numerical(operator, comparator):
-    """The Figure 4 unbatched path must compute the same math."""
-    _chunk_gradcheck(operator, comparator, "logistic", disable_batch_negs=True)
+    """Figure 4's unbatched baseline: three chunks of one edge."""
+    _chunk_gradcheck(operator, comparator, "logistic", width_one=True)
 
 
 @pytest.mark.parametrize("num_edges", [6, 7], ids=["whole", "ragged"])
-@pytest.mark.parametrize("operator, comparator, loss, disable_batch_negs", [
+@pytest.mark.parametrize("operator, comparator, loss, width_one", [
     ("translation", "cos", "logistic", False),
     ("identity", "dot", "softmax", False),
     ("complex_diagonal", "l2", "logistic", False),
     ("diagonal", "cos", "logistic", True),
 ])
 def test_batch_backward_matches_numerical(
-    operator, comparator, loss, disable_batch_negs, num_edges
+    operator, comparator, loss, width_one, num_edges
 ):
     """The one update of a three-chunk batch (plus a one-edge ragged
-    tail) is the gradient of the batch's summed loss: entities repeat
-    across chunks, and chunk ``i`` only meets pool ``i``."""
+    tail; or chunks of one edge, ``width_one``) is the gradient of the
+    batch's summed loss: entities repeat across chunks, and chunk ``i``
+    only meets pool ``i``."""
     src = np.asarray([0, 1, 2, 1, 5, 0, 6])[:num_edges]
     dst = np.asarray([3, 4, 3, 0, 2, 7, 1])[:num_edges]
     _chunk_gradcheck(
-        operator, comparator, loss, disable_batch_negs, src, dst, chunk_size=2
+        operator, comparator, loss, width_one, src, dst, chunk_size=2
     )
 
 
-def _chunk_gradcheck(operator, comparator, loss, disable_batch_negs,
+def _chunk_gradcheck(operator, comparator, loss, width_one,
                      src=np.asarray([0, 1, 2]), dst=np.asarray([3, 4, 3]),
                      chunk_size=None):
     config = _config(
         operator=operator, comparator=comparator, loss=loss,
-        disable_batch_negs=disable_batch_negs,
+        **(WIDTH_ONE if width_one else {}),
     )
+    chunk_size = 1 if width_one else chunk_size
     n = 12
     base = _model(config, n=n, seed=5)
     weights0 = base.get_table("node", 0).weights.copy()
@@ -337,7 +341,7 @@ def _training_arrays(model):
     return arrays
 
 
-@pytest.mark.parametrize("disable_batch_negs", [False, True],
+@pytest.mark.parametrize("width_one", [False, True],
                          ids=["batched", "unbatched"])
 @pytest.mark.parametrize("two_tables", [False, True], ids=["same", "two"])
 @pytest.mark.parametrize("loss", ["ranking", "logistic", "softmax"])
@@ -348,7 +352,7 @@ def _training_arrays(model):
 @pytest.mark.parametrize("comparator", ["dot", "cos", "l2"])
 @pytest.mark.parametrize("num_batch_negs", [3, 4], ids=["drawn", "own"])
 def test_step_is_the_reference_step(
-    num_batch_negs, comparator, operator, loss, two_tables, disable_batch_negs
+    num_batch_negs, comparator, operator, loss, two_tables, width_one
 ):
     """float64, to 1e-10. A one-chunk call of relation 1 (weight 1, no
     edge weights: the unweighted loss path), then two relation-mixed
@@ -358,22 +362,26 @@ def test_step_is_the_reference_step(
     state; every moved row marked dirty; loss, negatives, violations and
     the RNG position. Three batch negatives are drawn from every chunk
     but the width-3 tail; four, the chunk size, make each full chunk its
-    own pool, a run of three in one draw (the paper's setting)."""
-    step, reference = _models(
-        operator, comparator, loss, two_tables,
-        disable_batch_negs=disable_batch_negs, num_batch_negs=num_batch_negs,
-    )
+    own pool, a run of three in one draw (the paper's setting). Figure
+    4's unbatched baseline, ``width_one``, takes as many uniform negatives
+    and cuts every call into chunks of one edge."""
+    negatives = dict(num_batch_negs=num_batch_negs, num_uniform_negs=4)
+    if width_one:
+        negatives = dict(num_batch_negs=0, num_uniform_negs=num_batch_negs + 4)
+    step, reference = _models(operator, comparator, loss, two_tables, **negatives)
     rhs_type = "b" if two_tables else "a"
     initial = {key: step.get_table(*key).weights.copy()
                for key in step.resident_tables()}
     params = [p.copy() for p in step.rel_params]
     rng_s, rng_r = np.random.default_rng(11), np.random.default_rng(11)
     draw = np.random.default_rng(12)
-    calls = [(1, draw.integers(0, 9, 5), draw.integers(0, 9, 5), None, None)]
+    width = 1 if width_one else 4
+    calls = [(1, draw.integers(0, 9, 5), draw.integers(0, 9, 5), None,
+              1 if width_one else None)]
     for i in range(2):
         rel, src, dst = _mixed_batch(draw)
         edge_weights = draw.random(len(rel)) + 0.5 if i else None
-        calls.append((rel, src, dst, edge_weights, 4))
+        calls.append((rel, src, dst, edge_weights, width))
     for rel, src, dst, edge_weights, chunk_size in calls:
         got = step.forward_backward_chunk(
             rel, src, dst, step.get_table("a", 0),
@@ -477,27 +485,28 @@ def test_mixed_ragged_batch_backward_matches_numerical(
         )
 
 
-@pytest.mark.parametrize("disable_batch_negs", [False, True],
+@pytest.mark.parametrize("width_one", [False, True],
                          ids=["batched", "unbatched"])
 @pytest.mark.parametrize("operator", ["translation", "linear"])
 def test_scalar_relation_is_the_per_edge_array_bit_for_bit(
-    operator, disable_batch_negs
+    operator, width_one
 ):
     """float32; a ragged three-chunk batch and a one-chunk call: weights,
     state, relation parameters, dirty rows, statistics, RNG position.
     A scalar ``rel`` is its per-edge array, and a call without a
-    ``chunk_size`` is one whose ``chunk_size`` it does not reach."""
+    ``chunk_size`` is one whose ``chunk_size`` it does not reach. With
+    ``width_one`` the calls that pass a ``chunk_size`` pass 1."""
+    negatives = WIDTH_ONE if width_one else {}
+    width = 1 if width_one else 4
     scalar, array = _models(
-        operator, "cos", "ranking", True, dtype=np.float32,
-        disable_batch_negs=disable_batch_negs,
+        operator, "cos", "ranking", True, dtype=np.float32, **negatives,
     )
     unreached, _ = _models(
-        operator, "cos", "ranking", True, dtype=np.float32,
-        disable_batch_negs=disable_batch_negs,
+        operator, "cos", "ranking", True, dtype=np.float32, **negatives,
     )
     rngs = [np.random.default_rng(11) for _ in range(3)]
     draw = np.random.default_rng(12)
-    for m, chunk_size in ((11, 4), (5, None), (8, 4)):
+    for m, chunk_size in ((11, width), (5, None), (8, width)):
         src, dst = draw.integers(0, 9, m), draw.integers(0, 9, m)
         edge_weights = draw.random(m) + 0.5
         got = [
@@ -519,6 +528,36 @@ def test_scalar_relation_is_the_per_edge_array_bit_for_bit(
         for other in want:
             assert got.dtype == other.dtype
             np.testing.assert_array_equal(got, other)
+
+
+@pytest.mark.parametrize("two_tables", [False, True], ids=["same", "two"])
+@pytest.mark.parametrize("chunk_size, num_batch_negs", [(1, 0), (50, 5)],
+                         ids=["unbatched", "batched"])
+def test_gathered_rows_are_figure_4s_traffic(
+    monkeypatch, chunk_size, num_batch_negs, two_tables
+):
+    """Figure 4's memory traffic as a count, not a time: ``m`` edges with
+    ``k`` negatives per side gather ``2m(1 + k)`` rows when every edge
+    has its own pool (chunks of one edge, uniform negatives only), and
+    ``2m + 2(m / 50)k`` when each 50-edge chunk shares one."""
+    m, k = 200, 10
+    model, _ = _models(
+        "translation", "dot", "ranking", two_tables, dtype=np.float32,
+        num_batch_negs=num_batch_negs, num_uniform_negs=k - num_batch_negs,
+    )
+    gathered, gather = [], DenseEmbeddingTable.gather
+    monkeypatch.setattr(DenseEmbeddingTable, "gather", lambda table, rows: (
+        gathered.append(len(rows)), gather(table, rows)
+    )[1])
+    draw = np.random.default_rng(0)
+    model.forward_backward_chunk(
+        0, draw.integers(0, 9, m), draw.integers(0, 9, m),
+        model.get_table("a", 0), model.get_table("b" if two_tables else "a", 0),
+        np.random.default_rng(1), chunk_size=chunk_size,
+    )
+    want = 2 * m * (1 + k) if chunk_size == 1 else 2 * m + 2 * (m // 50) * k
+    assert sum(gathered) == want
+    assert len(gathered) == (2 if two_tables else 1)
 
 
 
@@ -546,21 +585,21 @@ class TestBatchIsTheUnitOfTheUpdate:
         model.rel_optimizers[0].step = relation_step
         return calls
 
-    @pytest.mark.parametrize("disable_batch_negs", [False, True])
+    @pytest.mark.parametrize("width_one", [False, True])
     @pytest.mark.parametrize("two_tables", [False, True])
     def test_one_update_per_table_and_one_state_increment_per_row(
-        self, monkeypatch, two_tables, disable_batch_negs
+        self, monkeypatch, two_tables, width_one
     ):
         model, _ = _models(
             "translation", "cos", "logistic", two_tables,
-            disable_batch_negs=disable_batch_negs,
+            **(WIDTH_ONE if width_one else {}),
         )
         lhs = model.get_table("a", 0)
         rhs = model.get_table("b" if two_tables else "a", 0)
         calls = self._spied(monkeypatch, model)
         model.forward_backward_chunk(
             0, self.SRC, self.DST, lhs, rhs, np.random.default_rng(0),
-            chunk_size=3,
+            chunk_size=1 if width_one else 3,
         )
         assert [t for t, _, _ in calls["tables"]] == (
             [lhs, rhs] if two_tables else [lhs]
@@ -575,19 +614,18 @@ class TestBatchIsTheUnitOfTheUpdate:
         per_chunk = sum(np.mean(g * g) for g in grads[rows == 0])
         assert lhs.optimizer.state[0] != pytest.approx(per_chunk, rel=1e-3)
 
-    @pytest.mark.parametrize("disable_batch_negs", [False, True])
-    def test_update_false_touches_nothing(
-        self, monkeypatch, disable_batch_negs
-    ):
+    @pytest.mark.parametrize("width_one", [False, True])
+    def test_update_false_touches_nothing(self, monkeypatch, width_one):
         model, twin = _models(
             "translation", "cos", "logistic", True,
-            disable_batch_negs=disable_batch_negs,
+            **(WIDTH_ONE if width_one else {}),
         )
+        chunk_size = 1 if width_one else 3
         calls = self._spied(monkeypatch, model)
         stats = model.forward_backward_chunk(
             0, self.SRC, self.DST, model.get_table("a", 0),
             model.get_table("b", 0), np.random.default_rng(0),
-            update=False, chunk_size=3,
+            update=False, chunk_size=chunk_size,
         )
         assert stats.num_edges == 7 and stats.loss > 0
         assert calls == {"tables": [], "relation": 0}
@@ -596,17 +634,16 @@ class TestBatchIsTheUnitOfTheUpdate:
         # ... and reports the loss the updating call starts from.
         assert stats == twin.forward_backward_chunk(
             0, self.SRC, self.DST, twin.get_table("a", 0),
-            twin.get_table("b", 0), np.random.default_rng(0), chunk_size=3,
+            twin.get_table("b", 0), np.random.default_rng(0),
+            chunk_size=chunk_size,
         )
 
-    @pytest.mark.parametrize("disable_batch_negs", [False, True])
     @pytest.mark.parametrize("two_tables", [False, True])
     def test_mixed_call_is_one_step_per_table_and_per_distinct_relation(
-        self, monkeypatch, two_tables, disable_batch_negs
+        self, monkeypatch, two_tables
     ):
         model, twin = _models(
-            "translation", "cos", "logistic", two_tables,
-            disable_batch_negs=disable_batch_negs,
+            "translation", "cos", "logistic", two_tables
         )
         lhs = model.get_table("a", 0)
         rhs = model.get_table("b" if two_tables else "a", 0)
@@ -644,9 +681,8 @@ class TestBatchIsTheUnitOfTheUpdate:
             [lhs, rhs] if two_tables else [lhs]
         )
         assert steps == [0, 2]
-        # Chunks 4 1 | 4 | 2: one block, or one per chunk when every
-        # edge gathers its own negatives.
-        assert blocks == ([1, 1, 1, 1] if disable_batch_negs else [4])
+        # Chunks 4 1 | 4 | 2: one step over all four.
+        assert blocks == [4]
         np.testing.assert_array_equal(model.rel_params[1], before[1])
 
     def test_mixed_relation_batch_is_one_update_per_relation(

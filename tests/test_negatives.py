@@ -1,15 +1,11 @@
-"""Tests for batched / unbatched negative sampling."""
+"""Tests for negative sampling: chunk pools, and the prevalence sampler."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.negatives import (
-    PrevalenceSampler,
-    sample_pool,
-    sample_unbatched,
-)
+from repro.core.negatives import PrevalenceSampler, sample_pool
 
 
 class TestSamplePool:
@@ -170,26 +166,29 @@ class TestSamplePoolPerChunkOfABatch:
             )
 
 
-class TestSampleUnbatched:
+class TestWidthOneChunks:
+    """Figure 4's unbatched baseline: ``(n, 1)`` entities and uniform
+    negatives only give every edge its own pool of ``k``."""
+
     def test_shapes(self):
-        rng = np.random.default_rng(0)
-        true = np.asarray([1, 2, 3, 4])
-        negs = sample_unbatched(true, 100, 7, rng)
-        assert negs.entities.shape == (4, 7)
-        assert negs.mask.shape == (4, 7)
+        ends = np.asarray([1, 2, 3, 4])[:, None]
+        pool = sample_pool(ends, ends, 100, 0, 7, np.random.default_rng(0))
+        assert pool.entities.shape == (4, 7)
+        assert pool.mask.shape == (4, 1, 7)
 
     def test_mask_blocks_collisions(self):
-        rng = np.random.default_rng(1)
-        true = np.zeros(50, dtype=np.int64)
-        negs = sample_unbatched(true, 2, 10, rng)
-        np.testing.assert_array_equal(negs.mask, negs.entities != 0)
+        """Each edge is masked against its own endpoint only: with two
+        entities, half the edges end at the other's."""
+        ends = (np.arange(50) % 2)[:, None]
+        pool = sample_pool(ends, ends, 2, 0, 10, np.random.default_rng(1))
+        np.testing.assert_array_equal(pool.mask[:, 0], pool.entities != ends)
 
     def test_invalid_args(self):
-        rng = np.random.default_rng(2)
+        ends, rng = np.asarray([[1]]), np.random.default_rng(2)
         with pytest.raises(ValueError):
-            sample_unbatched(np.asarray([1]), 10, 0, rng)
+            sample_pool(ends, ends, 10, 0, 0, rng)
         with pytest.raises(ValueError):
-            sample_unbatched(np.asarray([1]), 0, 5, rng)
+            sample_pool(ends, ends, 0, 0, 5, rng)
 
 
 class TestPrevalenceSampler:

@@ -243,7 +243,7 @@ def train_single(config, counts, train_edges, storage_dir=None,
 
 def eval_ranking(model, eval_edges, train_edges=None, num_candidates=1000,
                  sampling="uniform", filtered=False, filter_edges=None,
-                 max_eval=3000, seed=0):
+                 max_eval=3000, seed=0, both_sides=True):
     """Standard evaluation call used by most benchmarks."""
     rng = np.random.default_rng(seed)
     if len(eval_edges) > max_eval:
@@ -256,6 +256,7 @@ def eval_ranking(model, eval_edges, train_edges=None, num_candidates=1000,
         candidate_sampling=sampling,
         train_edges=train_edges,
         filtered=filtered,
+        both_sides=both_sides,
         rng=np.random.default_rng(seed),
     )
 

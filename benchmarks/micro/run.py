@@ -570,6 +570,11 @@ def chunk_step(pkg, quick: bool):
                                   two_tables=two_tables))
     rows["batch[l2,translation,two_tables]"] = _training_row(
         pkg, calls, _one_relation("l2", "translation"), _cycle(_uniform(BATCH)), two_tables=True)
+    rows["batch[dot,affine,same_table]"] = _training_row(
+        pkg, calls, _one_relation("dot", "affine"), _cycle(_uniform(BATCH)))
+    rows["batch[dot,translation,same_table,logistic]"] = _training_row(
+        pkg, calls, _one_relation("dot", "translation", loss="logistic"),
+        _cycle(_uniform(BATCH)))
     # Figure 4's unbatched baseline: every edge its own 100 uniform negatives.
     rows["unbatched_chunk[dot,translation,same_table]"] = _training_row(
         pkg, calls,
@@ -858,7 +863,7 @@ def partition_rpc(pkg, quick: bool):
                            pkg.parameter_server.ParameterServer),
             "proxy": (manager.PartitionServer, manager.ParameterServer),
         }.items():
-            for codec in ("none", "int8"):
+            for codec in ("none", "int8", "fp16"):
                 for name, row in _server_rows(
                     pkg, partitions(1, codec), codec, calls
                 ).items():

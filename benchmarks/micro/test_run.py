@@ -60,7 +60,14 @@ OLD_ROWS = {
 
 #: rows added since, per group
 NEW_ROWS = {
+    "chunk_step": ["batch[dot,affine,same_table]",
+                   "batch[dot,translation,same_table,logistic]"],
     "partition_swap": ["train_beside_swaps[disk,pipelined]"],
+    "partition_rpc": _rows(
+        ["server.get_versioned", "server.put", "server.put_delta",
+         "adapter.load", "adapter.save", "adapter.save_delta"],
+        ["fp16"], ["in_process", "proxy"],
+    ),
     "import": [*_rows(["bucket_edges"], ["kg", "disk", "dense"]),
                "partition_entities[kg]", "radix_argsort[4000_ids]",
                "radix_argsort[292500_ids]"],

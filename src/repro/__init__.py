@@ -35,11 +35,7 @@ from repro.config import (
 )
 from repro.core.checkpointing import load_model, save_model
 from repro.core.model import EmbeddingModel
-from repro.core.reciprocal import (
-    ReciprocalEvaluator,
-    add_reciprocal_edges,
-    add_reciprocal_relations,
-)
+from repro.core.reciprocal import add_reciprocal_edges, add_reciprocal_relations
 from repro.core.trainer import Trainer, TrainingStats
 from repro.distributed.cluster import DistributedTrainer
 from repro.eval.ranking import LinkPredictionEvaluator
@@ -60,6 +56,5 @@ __all__ = [
     "load_model",
     "add_reciprocal_relations",
     "add_reciprocal_edges",
-    "ReciprocalEvaluator",
     "__version__",
 ]

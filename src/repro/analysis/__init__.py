@@ -22,6 +22,10 @@ commit:
 - :mod:`repro.analysis.hooks` — the ultra-light indirection the
   production modules consult to find an active ownership tracker;
   importing it costs nothing when the harness is off.
+- :mod:`repro.analysis.reach` — the reachability map: which library
+  functions the committed commands (workloads, paper claims, examples,
+  micro rows, CI steps) enter. Run it with
+  ``python -m repro.analysis.reach``.
 
 See ``CONCURRENCY.md`` at the repository root for the annotation
 syntax, the ownership state machine, and how to run both layers

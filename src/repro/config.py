@@ -476,24 +476,6 @@ class ConfigSchema:
         """Learning rate for relation-operator parameters."""
         return self.relation_lr if self.relation_lr is not None else self.lr
 
-    def relation_index(self, name: str) -> int:
-        """Return the integer id of relation ``name``."""
-        for i, rel in enumerate(self.relations):
-            if rel.name == name:
-                return i
-        raise KeyError(f"no relation named {name!r}")
-
-    def num_buckets(self) -> int:
-        """Number of edge buckets implied by the partition counts.
-
-        With both sides of some relation partitioned into ``P`` parts the
-        grid has ``P x P`` buckets; if only one side is partitioned it
-        degenerates to ``P`` buckets (paper Figure 1, centre).
-        """
-        lhs = max(self.entities[r.lhs].num_partitions for r in self.relations)
-        rhs = max(self.entities[r.rhs].num_partitions for r in self.relations)
-        return lhs * rhs
-
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------

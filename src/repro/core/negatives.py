@@ -133,16 +133,6 @@ class PrevalenceSampler:
             raise ValueError("at least one entity must have positive count")
         self._cdf = np.cumsum(counts) / total
 
-    @classmethod
-    def from_edges(
-        cls, src: np.ndarray, dst: np.ndarray, num_entities: int
-    ) -> "PrevalenceSampler":
-        """Build from edge endpoints (frequency = degree)."""
-        counts = np.bincount(src, minlength=num_entities) + np.bincount(
-            dst, minlength=num_entities
-        )
-        return cls(counts)
-
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         """Draw ``size`` entity ids (int, tuple sizes supported)."""
         u = rng.random(size)

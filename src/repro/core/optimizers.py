@@ -162,12 +162,6 @@ class DenseAdagrad:
         self.state = np.zeros(shape, dtype=np.float32)
         self.eps = eps
 
-    @classmethod
-    def from_state(cls, state: np.ndarray, eps: float = _EPS) -> "DenseAdagrad":
-        opt = cls(state.shape, eps)
-        opt.state = np.ascontiguousarray(state, dtype=np.float32)
-        return opt
-
     def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         """Apply a dense update in place."""
         if lr <= 0:

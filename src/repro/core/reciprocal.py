@@ -9,24 +9,19 @@ destinations of ``r'`` — so the two directions never share operator
 parameters.
 
 This module implements that transform at the dataset/config level (the
-model itself is unchanged — twins are just extra relations) plus an
-evaluation wrapper that routes source-corruption queries through the
-reverse relation.
+model itself is unchanged — twins are just extra relations). Evaluation
+needs no wrapper: rank ``add_reciprocal_edges(test, R)`` one-sided
+(``LinkPredictionEvaluator.evaluate(..., both_sides=False)``) against
+filter lists doubled the same way, so a reverse edge's destination query
+is the original edge's source query through ``r'``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.config import ConfigSchema, RelationSchema
-from repro.eval.ranking import LinkPredictionEvaluator, RankingMetrics
 from repro.graph.edgelist import EdgeList
 
-__all__ = [
-    "add_reciprocal_relations",
-    "add_reciprocal_edges",
-    "ReciprocalEvaluator",
-]
+__all__ = ["add_reciprocal_relations", "add_reciprocal_edges"]
 
 _SUFFIX = "_reciprocal"
 
@@ -70,65 +65,3 @@ def add_reciprocal_edges(edges: EdgeList, num_relations: int) -> EdgeList:
         edges.weights.copy() if edges.weights is not None else None,
     )
     return EdgeList.concat([edges, reverse])
-
-
-class ReciprocalEvaluator:
-    """Link-prediction evaluation under the reciprocal protocol.
-
-    Destination corruption of ``(s, r, d)`` scores ``f(s, r, ·)`` as
-    usual; source corruption scores ``f(d, r', ·)`` — a destination
-    query on the reverse relation. Metrics aggregate both directions,
-    matching how reciprocal models are evaluated in Lacroix et al.
-    """
-
-    def __init__(self, model, num_base_relations: int,
-                 filter_edges: "list[EdgeList] | None" = None) -> None:
-        self.model = model
-        self.num_base = num_base_relations
-        # Filtering must know reverse edges too.
-        self._evaluator = LinkPredictionEvaluator(model, filter_edges)
-
-    def evaluate(
-        self,
-        eval_edges: EdgeList,
-        num_candidates: int | None = None,
-        filtered: bool = False,
-        rng: np.random.Generator | None = None,
-    ):
-        """Rank base-relation eval edges in both directions."""
-        if len(eval_edges) and eval_edges.rel.max() >= self.num_base:
-            raise ValueError("eval edges must use base relation ids")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        forward = self._evaluator.evaluate(
-            eval_edges,
-            num_candidates=num_candidates,
-            filtered=filtered,
-            both_sides=False,
-            rng=rng,
-        )
-        reversed_edges = EdgeList(
-            eval_edges.dst, eval_edges.rel + self.num_base, eval_edges.src
-        )
-        backward = self._evaluator.evaluate(
-            reversed_edges,
-            num_candidates=num_candidates,
-            filtered=filtered,
-            both_sides=False,
-            rng=rng,
-        )
-        # Merge: MRR/MR/Hits are means over the union of queries.
-        n1, n2 = forward.num_queries, backward.num_queries
-        total = n1 + n2
-
-        def blend(a, b):
-            return (a * n1 + b * n2) / total
-
-        return RankingMetrics(
-            num_queries=total,
-            mr=blend(forward.mr, backward.mr),
-            mrr=blend(forward.mrr, backward.mrr),
-            hits_at={
-                k: blend(forward.hits_at[k], backward.hits_at[k])
-                for k in forward.hits_at
-            },
-        )

@@ -186,10 +186,6 @@ class FeaturizedEmbeddingTable(EmbeddingTable):
         return self.incidence.shape[0]
 
     @property
-    def num_features(self) -> int:
-        return len(self.feature_weights)
-
-    @property
     def dim(self) -> int:
         return self.feature_weights.shape[1]
 

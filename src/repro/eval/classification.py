@@ -19,13 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from repro.serving.index import KnnIndex
-
 __all__ = [
     "LogisticRegressionOvR",
     "f1_scores",
     "multilabel_cross_validation",
-    "knn_predict_labels",
     "ClassificationResult",
 ]
 
@@ -117,44 +114,6 @@ class LogisticRegressionOvR:
             if k > 0:
                 pred[i, order[i, :k]] = True
         return pred
-
-
-def knn_predict_labels(
-    index: KnnIndex,
-    queries: np.ndarray,
-    neighbor_labels: np.ndarray,
-    label_counts: np.ndarray,
-    k: int = 10,
-    exclude_self: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """Neighbour-vote multi-label prediction through a k-NN index.
-
-    The training-free baseline the serving layer enables online: score
-    each class by how many of a query's ``k`` nearest labelled
-    neighbours carry it, then predict the top ``label_counts[i]``
-    classes per query (the same known-count protocol as
-    :meth:`LogisticRegressionOvR.predict_top_k`, so the two are
-    directly comparable).
-
-    ``index`` is any :class:`~repro.serving.index.KnnIndex` built over
-    the labelled nodes' embeddings, row-aligned with
-    ``neighbor_labels`` (n, c). Approximate indexes may pad missing
-    neighbours with id ``-1``; those cast no vote.
-    """
-    neighbor_labels = np.asarray(neighbor_labels, dtype=bool)
-    idx, _ = index.query(queries, k=k, exclude_self=exclude_self)
-    valid = idx >= 0
-    votes = (
-        neighbor_labels[idx.clip(min=0)] & valid[:, :, None]
-    ).sum(axis=1)
-    n, c = votes.shape
-    pred = np.zeros((n, c), dtype=bool)
-    order = np.argsort(-votes, axis=1)
-    for i in range(n):
-        count = int(label_counts[i])
-        if count > 0:
-            pred[i, order[i, :count]] = True
-    return pred
 
 
 def f1_scores(

@@ -30,12 +30,6 @@ class CurvePoint:
     mrr: float
     hits_at_10: float
 
-    def __str__(self) -> str:
-        return (
-            f"epoch={self.epoch} t={self.wallclock:.1f}s "
-            f"MRR={self.mrr:.3f} Hits@10={self.hits_at_10:.3f}"
-        )
-
 
 @dataclass
 class LearningCurve:
@@ -112,9 +106,3 @@ class LearningCurve:
             if p.mrr >= target:
                 return p.wallclock
         return None
-
-    def as_rows(self) -> "list[tuple[int, float, float, float]]":
-        """(epoch, wallclock, mrr, hits@10) tuples for tabular output."""
-        return [
-            (p.epoch, p.wallclock, p.mrr, p.hits_at_10) for p in self.points
-        ]

@@ -27,14 +27,11 @@ import numpy as np
 from repro.core.model import EmbeddingModel
 from repro.core.negatives import PrevalenceSampler
 from repro.graph.edgelist import EdgeList
-from repro.serving.index import ExactIndex, KnnIndex
 
 __all__ = [
     "RankingMetrics",
     "ranks_to_metrics",
     "LinkPredictionEvaluator",
-    "retrieval_recall",
-    "evaluate_candidate_generation",
 ]
 
 _DEFAULT_HITS = (1, 10, 50)
@@ -145,10 +142,6 @@ class LinkPredictionEvaluator:
                 entity_type
             )
         return self._emb_cache[entity_type]
-
-    def invalidate_cache(self) -> None:
-        """Drop cached embeddings (call when the model has been trained)."""
-        self._emb_cache.clear()
 
     # ------------------------------------------------------------------
 
@@ -325,78 +318,3 @@ class LinkPredictionEvaluator:
         scores = np.where(invalid, -np.inf, scores)
         # Optimistic tie-breaking against strictly greater scores.
         return 1 + (scores > pos_scores[:, None]).sum(axis=1)
-
-
-# ----------------------------------------------------------------------
-# Candidate generation through the serving interface
-# ----------------------------------------------------------------------
-
-
-def retrieval_recall(
-    index: KnnIndex,
-    queries: np.ndarray,
-    true_ids: np.ndarray,
-    k: int = 10,
-    exclude_self: "np.ndarray | None" = None,
-) -> float:
-    """Recall@``k``: fraction of queries whose true id is in the top-k.
-
-    Works with *any* :class:`~repro.serving.index.KnnIndex` — exact or
-    approximate — which is exactly the point: the same number measures
-    the exact scan's ceiling and an IVF configuration's cost in
-    recall.
-    """
-    true_ids = np.asarray(true_ids)
-    idx, _ = index.query(queries, k=k, exclude_self=exclude_self)
-    return float((idx == true_ids[:, None]).any(axis=1).mean())
-
-
-def evaluate_candidate_generation(
-    model: EmbeddingModel,
-    eval_edges: EdgeList,
-    index_factory=None,
-    k: int = 10,
-) -> "dict[str, float]":
-    """Recall@``k`` of k-NN candidate generation, per relation.
-
-    The serving-side analogue of link-prediction eval: for each
-    relation, build a k-NN index over the *operator-transformed*
-    destination pool (so index scores equal ``model.score_dst_pool``
-    scores) and ask whether each test edge's true destination appears
-    among the top-``k`` neighbours of its source embedding.
-
-    ``index_factory()`` returns an unbuilt
-    :class:`~repro.serving.index.KnnIndex`; the default is the exact
-    scan with the model's comparator. Pass a factory producing an
-    :class:`~repro.serving.ivfpq.IVFPQIndex` to measure what an
-    approximate serving configuration costs in end-task recall.
-
-    Returns ``{relation_name: recall@k}``.
-    """
-    config = model.config
-    if index_factory is None:
-        def index_factory():
-            return ExactIndex(comparator=config.comparator)
-    recalls: "dict[str, float]" = {}
-    for rel_id, rel_edges in sorted(
-        eval_edges.group_by_relation().items()
-    ):
-        rel = config.relations[rel_id]
-        src_emb = model.global_embeddings(rel.lhs)
-        pool = model.global_embeddings(rel.rhs)
-        t_pool = model.operators[rel_id].forward(
-            pool, model.rel_params[rel_id]
-        )
-        index = index_factory().build(t_pool)
-        queries = src_emb[rel_edges.src]
-        # Self-retrieval is only degenerate for identity-operator
-        # self-relations (query == its own best neighbour).
-        exclude = (
-            rel_edges.src.astype(np.int64)
-            if rel.lhs == rel.rhs and rel.operator == "identity"
-            else None
-        )
-        recalls[rel.name] = retrieval_recall(
-            index, queries, rel_edges.dst, k=k, exclude_self=exclude
-        )
-    return recalls

@@ -140,12 +140,6 @@ class EdgeList:
             return True
         return np.array_equal(self.weights, other.weights)
 
-    def __repr__(self) -> str:
-        return (
-            f"EdgeList(n={len(self)}, relations="
-            f"{int(self.rel.max()) + 1 if len(self) else 0})"
-        )
-
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
@@ -186,23 +180,3 @@ class EdgeList:
         for rid, lo, hi in zip(uniques, starts, bounds):
             out[int(rid)] = self[order[lo:hi]]
         return out
-
-    def unique_entities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (unique sources, unique destinations)."""
-        return np.unique(self.src), np.unique(self.dst)
-
-    def degree_counts(
-        self, num_src: int, num_dst: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Out-degrees of sources and in-degrees of destinations."""
-        return (
-            np.bincount(self.src, minlength=num_src),
-            np.bincount(self.dst, minlength=num_dst),
-        )
-
-    def nbytes(self) -> int:
-        """Bytes of storage held by the columns."""
-        n = self.src.nbytes + self.rel.nbytes + self.dst.nbytes
-        if self.weights is not None:
-            n += self.weights.nbytes
-        return n

@@ -98,12 +98,6 @@ class EntityStorage:
         """Number of entities of ``entity_type``."""
         return self._counts[entity_type]
 
-    def __contains__(self, entity_type: str) -> bool:
-        return entity_type in self._counts
-
-    def __repr__(self) -> str:
-        return f"EntityStorage({self._counts})"
-
     # ------------------------------------------------------------------
     # Partitioning
     # ------------------------------------------------------------------

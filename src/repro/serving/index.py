@@ -315,23 +315,3 @@ class ExactIndex:
     def nbytes(self) -> int:
         """Resident bytes: the prepared database matrix."""
         return 0 if self._prepared is None else int(self._prepared.nbytes)
-
-    # -- conveniences --------------------------------------------------
-
-    def neighbors_of(
-        self, index: int, k: int = 10
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` neighbours of database row ``index`` (self excluded).
-
-        Note: queries take *raw* vectors; for cosine the stored row is
-        already normalised, which is fine since normalisation is
-        idempotent.
-        """
-        if self._prepared is None:
-            raise ServingError("index is empty; call build() first")
-        idx, scores = self.query(
-            self._prepared[index : index + 1],
-            k=k,
-            exclude_self=np.asarray([index]),
-        )
-        return idx[0], scores[0]

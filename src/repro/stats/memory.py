@@ -84,8 +84,7 @@ class MemoryModel:
 
         Unpartitioned types are always resident; each partitioned type
         contributes at most two partitions (the current bucket's lhs
-        and rhs). Pipelined training additionally retains cached
-        partitions — see :meth:`pipelined_peak_bytes`.
+        and rhs).
         """
         return self._peak_bytes(hosted_parts=lambda nparts: 0)
 
@@ -101,35 +100,6 @@ class MemoryModel:
                 total += (2 + hosted_parts(nparts)) * self._max_partition_bytes(t)
         return total
 
-    def partition_cache_peak_bytes(self) -> int:
-        """Worst-case bytes held by the pipelined trainer's LRU
-        partition cache: the configured budget, capped by the total
-        size of everything that could ever be cached (all partitions of
-        partitioned types). ``partition_cache_budget=None`` means
-        unlimited, so the cap itself is the worst case."""
-        cacheable = sum(
-            self.partition_bytes(t, p)
-            for t in self._dense_types()
-            if self.entities.num_partitions(t) > 1
-            for p in range(self.entities.num_partitions(t))
-        )
-        budget = self.config.partition_cache_budget
-        if budget is None:
-            return cacheable
-        return min(cacheable, budget)
-
-    def pipelined_peak_bytes(self) -> int:
-        """Peak resident bytes for single-machine *pipelined* training:
-        the serial peak (two live partitions per partitioned type plus
-        always-resident types) plus whatever the partition cache is
-        allowed to retain. The memory/speed dial of pipelined mode is
-        ``partition_cache_budget``: 0 reproduces the serial footprint
-        but also gives up the overlap (nothing can be staged, so
-        evictions flush synchronously and prefetch is disabled); the
-        budget must cover at least the next bucket's partitions for
-        latency hiding to engage."""
-        return self.single_machine_peak_bytes() + self.partition_cache_peak_bytes()
-
     def distributed_peak_bytes_per_machine(self) -> int:
         """Peak per machine: two live partitions + hosted shard.
 
@@ -141,18 +111,6 @@ class MemoryModel:
         """
         m = self.config.num_machines
         return self._peak_bytes(hosted_parts=lambda nparts: -(-nparts // m))  # ceil
-
-    def distributed_pipelined_peak_bytes_per_machine(self) -> int:
-        """Peak per machine for *pipelined* distributed training: the
-        serial distributed peak plus the per-machine staging cache the
-        prefetch pipeline is allowed to retain (reserved-bucket
-        partitions pulled early, evicted partitions awaiting their
-        asynchronous push-back). The same ``partition_cache_budget``
-        dial as the single-machine pipeline, paid once per machine."""
-        return (
-            self.distributed_peak_bytes_per_machine()
-            + self.partition_cache_peak_bytes()
-        )
 
 
 def measure_peak_tracemalloc(fn, *args, **kwargs):

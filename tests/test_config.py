@@ -57,7 +57,6 @@ class TestConfigSchema:
     def test_minimal_valid(self):
         cfg = _minimal()
         assert cfg.dimension == 100
-        assert cfg.num_buckets() == 1
 
     def test_unknown_entity_reference(self):
         with pytest.raises(ValueError, match="unknown lhs entity"):
@@ -111,35 +110,6 @@ class TestConfigSchema:
             num_machines=2,
         )
 
-    def test_num_buckets_grid(self):
-        cfg = ConfigSchema(
-            entities={"node": EntitySchema(num_partitions=4)},
-            relations=[RelationSchema(name="r", lhs="node", rhs="node")],
-        )
-        assert cfg.num_buckets() == 16
-
-    def test_num_buckets_one_sided(self):
-        cfg = ConfigSchema(
-            entities={
-                "user": EntitySchema(num_partitions=4),
-                "item": EntitySchema(),
-            },
-            relations=[RelationSchema(name="buys", lhs="user", rhs="item")],
-        )
-        assert cfg.num_buckets() == 4
-
-    def test_relation_index(self):
-        cfg = ConfigSchema(
-            entities={"node": EntitySchema()},
-            relations=[
-                RelationSchema(name="a", lhs="node", rhs="node"),
-                RelationSchema(name="b", lhs="node", rhs="node"),
-            ],
-        )
-        assert cfg.relation_index("b") == 1
-        with pytest.raises(KeyError):
-            cfg.relation_index("zzz")
-
     def test_relation_lr_default(self):
         assert _minimal(lr=0.3).relation_lr_effective == 0.3
         assert _minimal(lr=0.3, relation_lr=0.01).relation_lr_effective == 0.01
@@ -181,7 +151,7 @@ class TestConfigSchema:
         assert set(cfg.entities) == {"node"}
         assert [r.name for r in cfg.relations] == ["a", "b"]
         assert all(r.operator == "translation" for r in cfg.relations)
-        assert cfg.num_buckets() == 16
+        assert cfg.entities["node"].num_partitions == 4
 
     def test_eval_fraction_bounds(self):
         with pytest.raises(ValueError):

@@ -124,20 +124,6 @@ class TestOperations:
     def test_group_by_relation_empty(self):
         assert EdgeList.empty().group_by_relation() == {}
 
-    def test_degree_counts(self):
-        e = _edges()
-        out_deg, in_deg = e.degree_counts(3, 3)
-        np.testing.assert_array_equal(out_deg, [2, 1, 1])
-        np.testing.assert_array_equal(in_deg, [1, 1, 2])
-
-    def test_unique_entities(self):
-        src_u, dst_u = _edges().unique_entities()
-        np.testing.assert_array_equal(src_u, [0, 1, 2])
-        np.testing.assert_array_equal(dst_u, [0, 1, 2])
-
-    def test_nbytes_positive(self):
-        assert _edges().nbytes() == 4 * 8 * 3
-
     @settings(max_examples=20, deadline=None)
     @given(
         n=st.integers(0, 50),

@@ -5,7 +5,7 @@ import numpy as np
 from repro.config import ConfigSchema, EntitySchema, RelationSchema
 from repro.core.model import EmbeddingModel
 from repro.core.trainer import Trainer
-from repro.eval.learning_curve import CurvePoint, LearningCurve
+from repro.eval.learning_curve import LearningCurve
 from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 
@@ -44,16 +44,6 @@ class TestLearningCurve:
         curve.record(0, 0.5, 0.5)
         curve.restart_clock()
         assert curve.points == []
-
-    def test_as_rows(self):
-        curve = LearningCurve()
-        curve.record(3, 0.25, 0.5)
-        rows = curve.as_rows()
-        assert rows[0][0] == 3 and rows[0][2] == 0.25
-
-    def test_point_str(self):
-        p = CurvePoint(epoch=1, wallclock=2.0, mrr=0.5, hits_at_10=0.7)
-        assert "MRR=0.500" in str(p)
 
     def test_callback_with_trainer(self):
         """The callback plugs into Trainer.after_epoch and records

@@ -69,29 +69,6 @@ class TestMemoryModel:
         ]
         assert peaks[0] > peaks[1] > peaks[2]
 
-    def test_distributed_pipelined_peak_adds_cache_budget(self):
-        mm = _setup(nparts=4, num_machines=2)
-        budget = 4096
-        mm_budget = MemoryModel(
-            mm.config.replace(
-                pipeline=True, partition_cache_budget=budget
-            ),
-            mm.entities,
-        )
-        assert (
-            mm_budget.distributed_pipelined_peak_bytes_per_machine()
-            == mm_budget.distributed_peak_bytes_per_machine() + budget
-        )
-        # Budget 0 reproduces the serial distributed footprint.
-        mm_zero = MemoryModel(
-            mm.config.replace(pipeline=True, partition_cache_budget=0),
-            mm.entities,
-        )
-        assert (
-            mm_zero.distributed_pipelined_peak_bytes_per_machine()
-            == mm_zero.distributed_peak_bytes_per_machine()
-        )
-
     def test_partition_bytes_sum_to_rows(self):
         mm = _setup(nparts=4, num_nodes=1001)
         total = sum(mm.partition_bytes("node", p) for p in range(4))

@@ -202,16 +202,6 @@ class TestPrevalenceSampler:
         assert freq[1] == 0.0
         assert freq[2] > 0.0
 
-    def test_from_edges_degree_weighting(self):
-        src = np.asarray([0, 0, 0, 1])
-        dst = np.asarray([1, 1, 2, 2])
-        sampler = PrevalenceSampler.from_edges(src, dst, 4)
-        rng = np.random.default_rng(1)
-        draws = sampler.sample(10_000, rng)
-        freq = np.bincount(draws, minlength=4)
-        assert freq[0] > freq[3] == 0
-        assert freq[2] > 0
-
     def test_tuple_size(self):
         sampler = PrevalenceSampler(np.ones(5))
         draws = sampler.sample((3, 4), np.random.default_rng(2))

@@ -57,14 +57,14 @@ class TestExactIndex:
     def test_neighbors_within_cluster(self):
         emb, labels = _clustered()
         nn = ExactIndex(emb, "cos")
-        idx, _ = nn.neighbors_of(0, k=10)
+        (idx,), _ = nn.query(emb[:1], k=10, exclude_self=np.asarray([0]))
         assert (labels[idx] == labels[0]).mean() > 0.9
         assert 0 not in idx  # self excluded
 
     def test_l2_comparator(self):
         emb, _ = _clustered()
         nn = ExactIndex(emb, "l2")
-        idx, scores = nn.neighbors_of(5, k=3)
+        (idx,), (scores,) = nn.query(emb[5:6], k=3, exclude_self=np.asarray([5]))
         # Negative squared distances: all <= 0, nearest first.
         assert np.all(scores <= 0)
         dists = np.linalg.norm(emb - emb[5], axis=1)

@@ -28,7 +28,6 @@ from repro.graph.storage import (
     PartitionedEmbeddingStorage,
     StorageError,
 )
-from repro.stats.memory import MemoryModel
 from tests.helpers import counts, record_thread_starts
 
 
@@ -579,34 +578,6 @@ class TestPartitionPipeline:
 
 
 class TestMemoryModel:
-    def _setup(self, budget):
-        config = single_entity_config(
-            num_partitions=4, dimension=8,
-            pipeline=True, partition_cache_budget=budget,
-        )
-        entities = EntityStorage({"node": 400})
-        entities.set_partitioning(
-            "node", partition_entities(400, 4, np.random.default_rng(0))
-        )
-        return MemoryModel(config, entities)
-
-    def test_unlimited_budget_caps_at_all_partitions(self):
-        mm = self._setup(None)
-        all_parts = sum(mm.partition_bytes("node", p) for p in range(4))
-        assert mm.partition_cache_peak_bytes() == all_parts
-        assert mm.pipelined_peak_bytes() == (
-            mm.single_machine_peak_bytes() + all_parts
-        )
-
-    def test_budget_zero_matches_serial_footprint(self):
-        mm = self._setup(0)
-        assert mm.pipelined_peak_bytes() == mm.single_machine_peak_bytes()
-
-    def test_finite_budget_is_respected(self):
-        budget = 100
-        mm = self._setup(budget)
-        assert mm.partition_cache_peak_bytes() == budget
-
     def test_trainer_peak_includes_cache(self, tmp_path):
         _, serial_stats, _ = train_run(
             tmp_path, pipeline=False, num_partitions=4

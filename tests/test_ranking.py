@@ -145,16 +145,6 @@ class TestLinkPredictionEvaluator:
         m = LinkPredictionEvaluator(model).evaluate(edges, num_candidates=5)
         assert isinstance(m, RankingMetrics)
 
-    def test_cache_invalidation(self):
-        model, edges = _planted_model_and_edges()
-        ev = LinkPredictionEvaluator(model)
-        ev.evaluate(edges, num_candidates=5)
-        # Mutate the model; without invalidation the cache is stale.
-        model.get_table("node", 0).weights[:] = 7.0
-        assert not np.allclose(ev._embeddings("node"), 7.0)  # stale
-        ev.invalidate_cache()
-        assert np.allclose(ev._embeddings("node"), 7.0)  # refreshed
-
     def test_multi_relation_grouping(self):
         rng = np.random.default_rng(3)
         emb = rng.standard_normal((20, 4)).astype(np.float32)

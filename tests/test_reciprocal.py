@@ -5,12 +5,9 @@ import pytest
 
 from repro.config import ConfigSchema, EntitySchema, RelationSchema
 from repro.core.model import EmbeddingModel
-from repro.core.reciprocal import (
-    ReciprocalEvaluator,
-    add_reciprocal_edges,
-    add_reciprocal_relations,
-)
+from repro.core.reciprocal import add_reciprocal_edges, add_reciprocal_relations
 from repro.core.trainer import Trainer
+from repro.eval.ranking import LinkPredictionEvaluator
 from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 
@@ -77,52 +74,48 @@ class TestAddReciprocalEdges:
             add_reciprocal_edges(edges, num_relations=2)
 
 
-class TestReciprocalEvaluator:
-    def _trained(self, n=120, seed=0):
-        rng = np.random.default_rng(seed)
-        src = np.arange(n)
-        dst = (src + 1) % n
-        extra_s = rng.integers(0, n, 800)
-        extra_d = (extra_s + rng.integers(1, 3, 800)) % n
-        edges = EdgeList(
-            np.concatenate([src, extra_s]),
-            np.zeros(n + 800, dtype=np.int64),
-            np.concatenate([dst, extra_d]),
-        )
-        base = ConfigSchema(
+class TestReciprocalEvaluation:
+    """The §5.4.1 protocol needs no wrapper: the doubled test set, ranked
+    one-sided, asks each source query of ``(s, r, d)`` as the destination
+    query of its twin ``(d, r', s)``."""
+
+    def test_doubled_one_sided_eval_ranks_through_r_and_its_twin(self):
+        n, rng = 120, np.random.default_rng(0)
+        src = np.concatenate([np.arange(n), rng.integers(0, n, 800)])
+        dst = np.concatenate([(np.arange(n) + 1) % n,
+                              (src[n:] + rng.integers(1, 3, 800)) % n])
+        edges = EdgeList(src, np.zeros(len(src), dtype=np.int64), dst)
+        config = add_reciprocal_relations(ConfigSchema(
             entities={"ent": EntitySchema()},
-            relations=[
-                RelationSchema(name="next", lhs="ent", rhs="ent",
-                               operator="translation")
-            ],
+            relations=[RelationSchema(name="next", lhs="ent", rhs="ent",
+                                      operator="diagonal")],
             dimension=16, num_epochs=6, batch_size=200, chunk_size=50,
             num_batch_negs=10, num_uniform_negs=10, lr=0.1,
-        )
-        config = add_reciprocal_relations(base)
-        train = add_reciprocal_edges(edges, 1)
+        ))
         entities = EntityStorage({"ent": n})
         model = EmbeddingModel(config, entities)
-        Trainer(config, model, entities).train(train)
-        return model, edges
+        Trainer(config, model, entities).train(add_reciprocal_edges(edges, 1))
 
-    def test_evaluates_both_directions(self):
-        model, edges = self._trained()
-        ev = ReciprocalEvaluator(model, num_base_relations=1)
-        m = ev.evaluate(edges[:100], num_candidates=50,
-                        rng=np.random.default_rng(0))
-        assert m.num_queries == 200
-        assert 0 < m.mrr <= 1
+        test = edges[:100]
+        ev = LinkPredictionEvaluator(model)
 
-    def test_learns_better_than_random(self):
-        model, edges = self._trained()
-        ev = ReciprocalEvaluator(model, num_base_relations=1)
-        m = ev.evaluate(edges[:200], num_candidates=100,
-                        rng=np.random.default_rng(0))
-        assert m.mrr > 0.15
+        def one_sided(rel_params_1=None):
+            if rel_params_1 is not None:
+                model.rel_params[1][...] = rel_params_1
+            return (ev.evaluate(add_reciprocal_edges(test, 1), both_sides=False),
+                    ev.evaluate(test, both_sides=False),
+                    ev.evaluate(EdgeList(test.dst, test.rel + 1, test.src),
+                                both_sides=False))
 
-    def test_rejects_reciprocal_ids_in_eval_edges(self):
-        model, edges = self._trained()
-        ev = ReciprocalEvaluator(model, num_base_relations=1)
-        bad = EdgeList(edges.src[:1], edges.rel[:1] + 1, edges.dst[:1])
-        with pytest.raises(ValueError, match="base relation"):
-            ev.evaluate(bad, num_candidates=5)
+        doubled, forward, reverse = one_sided()
+        assert doubled.num_queries == 200
+        assert doubled.mrr == pytest.approx((forward.mrr + reverse.mrr) / 2)
+        assert doubled.mrr > 0.15  # better than random over 120 entities
+        # Only the reverse half goes through r': moving r' leaves the
+        # forward ranks alone and changes the reverse ones.
+        moved, forward_after, reverse_after = one_sided(
+            rng.standard_normal(model.rel_params[1].shape))
+        assert forward_after == forward
+        assert reverse_after.mrr != reverse.mrr
+        assert moved.mrr == pytest.approx(
+            (forward.mrr + reverse_after.mrr) / 2)

@@ -22,8 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ConfigError, ConfigSchema, ServingConfig
-from repro.eval.classification import knn_predict_labels
-from repro.eval.ranking import retrieval_recall
 from repro.serving import (
     ExactIndex,
     IVFPQIndex,
@@ -1090,94 +1088,6 @@ class TestServingConfig:
         assert isinstance(ivf, IVFPQIndex)
         assert ivf.num_lists == 7 and ivf.nprobe == 3
         assert ivf.comparator == "dot"
-
-
-# ----------------------------------------------------------------------
-# Eval helpers built on the KnnIndex protocol
-# ----------------------------------------------------------------------
-
-
-class TestEvalIntegration:
-    def test_retrieval_recall_exact_self(self):
-        emb, _ = _clustered()
-        index = ExactIndex(emb, "cos")
-        # Querying with the table's own rows: self is always rank 1.
-        recall = retrieval_recall(
-            index, emb[:30], np.arange(30), k=1
-        )
-        assert recall == 1.0
-
-    def test_retrieval_recall_accepts_any_index(self):
-        emb, _ = _clustered()
-        queries = emb[:30]
-        exact = retrieval_recall(
-            ExactIndex(emb, "cos"), queries, np.arange(30), k=10
-        )
-        approx = retrieval_recall(
-            IVFPQIndex(num_lists=16, nprobe=4).build(emb),
-            queries, np.arange(30), k=10,
-        )
-        assert exact == 1.0
-        assert approx >= 0.9
-
-    def test_knn_predict_labels_clustered(self):
-        emb, labels = _clustered(n_per=30, c=4, d=8)
-        onehot = np.zeros((len(emb), 4), dtype=bool)
-        onehot[np.arange(len(emb)), labels] = True
-        index = ExactIndex(emb, "cos")
-        pred = knn_predict_labels(
-            index, emb, onehot, np.ones(len(emb)),
-            k=5, exclude_self=np.arange(len(emb)),
-        )
-        assert (pred == onehot).all(axis=1).mean() > 0.95
-
-    def test_knn_predict_labels_ignores_padding(self):
-        # An approximate index that pads with -1 must not let the pad
-        # rows vote.
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((10, 4)) * 0.1 + 100.0
-        b = rng.standard_normal((10, 4)) * 0.1 - 100.0
-        emb = np.vstack([a, b]).astype(np.float32)
-        labels = np.zeros((20, 2), dtype=bool)
-        labels[:10, 0] = True
-        labels[10:, 1] = True
-        nn = IVFPQIndex(
-            comparator="l2", num_lists=2, nprobe=1, kmeans_iters=20
-        ).build(emb)
-        pred = knn_predict_labels(
-            nn, emb[:3], labels, np.ones(3), k=15
-        )
-        np.testing.assert_array_equal(pred[:, 0], [True] * 3)
-        np.testing.assert_array_equal(pred[:, 1], [False] * 3)
-
-    def test_evaluate_candidate_generation(self):
-        from repro.config import EntitySchema, RelationSchema
-        from repro.core.model import EmbeddingModel
-        from repro.eval.ranking import evaluate_candidate_generation
-        from repro.graph.edgelist import EdgeList
-        from repro.graph.entity_storage import EntityStorage
-
-        config = ConfigSchema(
-            entities={"node": EntitySchema()},
-            relations=[RelationSchema(
-                name="link", lhs="node", rhs="node", operator="identity"
-            )],
-            dimension=8,
-        )
-        entities = EntityStorage({"node": 40})
-        model = EmbeddingModel(
-            config, entities, np.random.default_rng(0)
-        )
-        model.init_all_partitions(np.random.default_rng(0))
-        edges = EdgeList.from_tuples(
-            [(i, 0, (i + 1) % 40) for i in range(40)]
-        )
-        out = evaluate_candidate_generation(model, edges, k=10)
-        assert set(out) == {"link"}
-        assert 0.0 <= out["link"] <= 1.0
-        # Full-coverage k: every true destination must be found.
-        out_full = evaluate_candidate_generation(model, edges, k=39)
-        assert out_full["link"] == 1.0
 
 
 # ----------------------------------------------------------------------

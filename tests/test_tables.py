@@ -107,7 +107,6 @@ class TestFeaturizedEmbeddingTable:
         t = self._table()
         assert t.num_rows == 3
         assert t.dim == 5
-        assert t.num_features == 4
 
     def test_empty_gradient_noop(self):
         t = self._table()

@@ -52,3 +52,14 @@ PYTHONPATH=src python -m repro.cli train --config dconfig.json \
   --edges dtrain.npz --mode process --pipeline -v | tee dtrain-pipe.log
 grep -q "^epoch 1: loss " dtrain-pipe.log
 grep -q "reservation accuracy" dtrain-pipe.log
+# The configured bucket order reaches the lock server: each epoch's
+# visit list crosses the manager to the machines' grants.
+PYTHONPATH=src python - <<'EOF'
+import json
+config = json.load(open("dconfig.json"))
+config["bucket_order"] = "chained"
+open("dconfig.json", "w").write(json.dumps(config))
+EOF
+PYTHONPATH=src python -m repro.cli train --config dconfig.json \
+  --edges dtrain.npz --mode process | tee dtrain-chained.log
+grep -q "^epoch 1: loss " dtrain-chained.log

@@ -12,16 +12,19 @@ With one partition this degenerates to plain minibatch training with
 everything resident (no pipeline is built). Peak-memory accounting and
 swap/I/O counters feed the memory columns of Tables 3 and 4.
 
-One loop, two schedules, two pipeline modes
--------------------------------------------
+One loop, one schedule, two pipeline modes
+------------------------------------------
 
-:meth:`BucketExecutor.run_epoch` is the only per-bucket loop. Where its
-buckets come from is its *schedule*: this trainer walks
-``config.bucket_order``; each machine of :mod:`repro.distributed.cluster`
-asks the lock server. Beyond that the two differ only in what a landed
-write-back triggers (nothing / ``commit_partition``), whether the
-epoch-end flush keeps tables resident, and the per-batch
-parameter-server sync. All partition I/O goes through one
+:meth:`BucketExecutor.run_epoch` is the only per-bucket loop and
+:class:`Grants` its only schedule: the visits a
+:class:`~repro.distributed.lock_server.LockServer` grants from the
+epoch's round, :func:`epoch_visits`. This trainer is a lone machine,
+granted the drawn list as is; the machines of
+:mod:`repro.distributed.cluster` share one server. Beyond that the two
+differ only in what a landed write-back triggers (nothing /
+``commit_partition``), deferred release, whether the epoch-end flush
+keeps tables resident, and the per-batch parameter-server sync. All
+partition I/O goes through one
 :class:`~repro.graph.storage.PartitionPipeline`; ``config.pipeline``
 selects its mode:
 
@@ -32,7 +35,7 @@ selects its mode:
 - **Pipelined** (``pipeline=True``): I/O overlaps compute (the
   latency-hiding the paper relies on to keep edges/sec flat as
   partition count grows). A *prefetch* thread loads the partitions of
-  the bucket the schedule names next (here the next visit, so
+  the bucket the lock server reserves next (alone, the next visit, so
   inside-out's locality directly turns into prefetch hits) into the
   pipeline's staging area while workers *train* the current bucket;
   evicted partitions are parked there and persisted by a *writeback*
@@ -79,7 +82,7 @@ from repro.core import checkpointing
 from repro.core.batching import iterate_batches, iterate_chunks  # noqa: F401
 from repro.core.model import ChunkStats, EmbeddingModel
 from repro.core.tables import DenseEmbeddingTable
-from repro.graph.buckets import Bucket, bucket_order
+from repro.graph.buckets import Bucket, Visit, bucket_order
 from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import BucketedEdges, bucket_edges
@@ -88,11 +91,11 @@ from repro.graph.storage import (
     PartitionPipeline,
     PartitionedEmbeddingStorage,
 )
-from repro.telemetry.metrics import view
+from repro.telemetry.metrics import MetricsRegistry, view
 
 __all__ = [
-    "BucketExecutor", "Trainer", "TrainingStats", "EpochStats",
-    "PipelineStats", "run_epochs", "stratum_edges",
+    "BucketExecutor", "Grants", "Trainer", "TrainingStats", "EpochStats",
+    "PipelineStats", "epoch_visits", "run_epochs", "stratum_edges",
 ]
 
 
@@ -528,6 +531,59 @@ class BucketExecutor:
         )
 
 
+@dataclass
+class Grants:
+    """A machine's schedule: the visits ``lock_server`` grants it in the
+    epoch's round, each with its :func:`stratum_edges`, released when
+    the loop asks for the next (deferred if a committer will lift it).
+    Starved, it has the loop evict, then waits for a grant or the
+    round's end; pipelined, it reserves the next visit to prefetch.
+    ``registry`` gets the ``machine.*`` counters and the
+    ``resident_bytes()`` gauge, set after each swap."""
+
+    machine: int
+    executor: BucketExecutor
+    bucketed: BucketedEdges
+    lock_server: object
+    registry: MetricsRegistry
+    epoch: int
+    resident_bytes: Callable[[], int]
+    reserved: "Visit | None" = None
+
+    def __iter__(self):
+        locks, machine, count = self.lock_server, self.machine, self.registry.counter
+        defer = self.executor.committer is not None
+        while True:
+            granted = locks.acquire(machine)
+            if granted is None:
+                if not locks.remaining_count():
+                    return  # the round is granted out
+                yield None  # starved: the loop evicts (run_epoch)
+                t0 = time.perf_counter()
+                with telemetry.span("lock.starved", cat="stall", machine=machine):
+                    granted = locks.acquire(machine, wait=True)
+                count("machine.idle_time").inc(time.perf_counter() - t0)
+                if granted is None:
+                    return
+            if self.reserved == granted:  # swapped() reserved it
+                count("machine.reservation_hits").inc()
+            count("machine.buckets_trained").inc()
+            yield granted.bucket, stratum_edges(
+                self.bucketed, granted.bucket, self.executor.config,
+                self.epoch, granted.stratum,
+            )
+            locks.release(machine, granted, defer=defer)
+
+    def swapped(self) -> "Visit | None":
+        self.registry.gauge("machine.resident_bytes").set(self.resident_bytes())
+        # Two-phase protocol: pull the likely next bucket while this trains.
+        if self.executor.config.pipeline:
+            self.reserved = self.lock_server.reserve(self.machine)
+            if self.reserved is not None:
+                self.registry.counter("machine.reservations").inc()
+        return self.reserved
+
+
 def run_epochs(
     config: ConfigSchema,
     entities: EntityStorage,
@@ -663,6 +719,9 @@ class Trainer:
 
     @contextmanager
     def _session(self, bucketed: BucketedEdges, stats: TrainingStats):
+        # Imported here: repro.distributed imports this module.
+        from repro.distributed.lock_server import LockServer
+
         pipeline = None
         if self._partitioned:
             pipeline = PartitionPipeline(
@@ -674,18 +733,25 @@ class Trainer:
             self.config, self.model, self.entities, self.rng, pipeline
         )
         self._ensure_global_types(executor.global_types)
-        try:
-            yield (
-                # The flushed tables stay resident for after_epoch
-                # callbacks and the checkpoint.
-                lambda epoch: executor.run_epoch(
-                    epoch, _BucketOrder(executor, bucketed, stats, epoch),
-                    keep_resident=True,
-                ),
-                # Only the resident partitions: the evicted ones are in
-                # the partition store, the checkpoint's own embeddings/.
-                lambda: self.model,
+        grid = bucketed.nparts_lhs, bucketed.nparts_rhs
+        locks, registry = LockServer(*grid), MetricsRegistry()  # no peers
+
+        def run_epoch(epoch: int) -> EpochStats:
+            locks.new_epoch(epoch_visits(self.config, *grid, epoch))
+            grants = Grants(0, executor, bucketed, locks, registry, epoch,
+                            executor.resident_nbytes)
+            # The flushed tables stay resident for after_epoch
+            # callbacks and the checkpoint.
+            epoch_stats = executor.run_epoch(epoch, grants, keep_resident=True)
+            stats.peak_resident_bytes = int(
+                registry.gauge("machine.resident_bytes").max
             )
+            return epoch_stats
+
+        try:
+            # Only the resident partitions: the evicted ones are in the
+            # partition store, the checkpoint's own embeddings/.
+            yield run_epoch, lambda: self.model
         finally:
             if pipeline is not None:
                 failing = sys.exc_info()[0] is not None
@@ -716,9 +782,10 @@ def stratum_edges(
 ) -> EdgeList:
     """``bucket``'s edges for pass ``stratum`` of ``epoch``: slice
     ``stratum`` of ``config.stratum_passes`` disjoint slices that cover
-    it, drawn from ``[seed, epoch, lhs, rhs]`` alone, so both schedules
-    train the same slice (paper footnote 3, Gemulla et al.'s "stratum
-    losses": more bucket switches, more swaps). One pass: the whole bucket."""
+    it, drawn from ``[seed, epoch, lhs, rhs]`` alone, so any machine
+    granted the visit trains the same slice (paper footnote 3, Gemulla
+    et al.'s "stratum losses": more bucket switches, more swaps). One
+    pass: the whole bucket."""
     edges = bucketed.edges_for(bucket)
     passes = config.stratum_passes
     if passes > 1 and len(edges):
@@ -729,32 +796,18 @@ def stratum_edges(
     return edges
 
 
-@dataclass
-class _BucketOrder:
-    """The single-machine schedule: ``config.bucket_order``, drawn when
-    the epoch starts, visited once per stratum pass, each visit that
-    pass's :func:`stratum_edges`."""
-
-    executor: BucketExecutor
-    bucketed: BucketedEdges
-    run_stats: TrainingStats
-    epoch: int
-    _next: "Bucket | None" = None
-
-    def __iter__(self):
-        cfg, bucketed = self.executor.config, self.bucketed
-        order = bucket_order(
-            cfg.bucket_order, bucketed.nparts_lhs, bucketed.nparts_rhs,
-            self.executor.rng,
-        )
-        visits = [(stratum, bucket) for stratum in range(cfg.stratum_passes) for bucket in order]
-        for visit, (stratum, bucket) in enumerate(visits):
-            self._next = visits[visit + 1][1] if visit + 1 < len(visits) else None
-            yield bucket, stratum_edges(bucketed, bucket, cfg, self.epoch, stratum)
-
-    def swapped(self) -> "Bucket | None":
-        self.run_stats.peak_resident_bytes = max(
-            self.run_stats.peak_resident_bytes,
-            self.executor.resident_nbytes(),
-        )
-        return self._next
+def epoch_visits(
+    config: ConfigSchema, nparts_lhs: int, nparts_rhs: int, epoch: int
+) -> "list[Visit]":
+    """Epoch ``epoch``'s round: ``config.bucket_order`` drawn once from
+    ``[seed, epoch]`` alone (so both trainers draw the same
+    permutation), repeated for each of ``config.stratum_passes``."""
+    order = bucket_order(
+        config.bucket_order, nparts_lhs, nparts_rhs,
+        np.random.default_rng([config.seed, epoch]),
+    )
+    return [
+        Visit(b.lhs, b.rhs, stratum)
+        for stratum in range(config.stratum_passes)
+        for b in order
+    ]

@@ -24,22 +24,24 @@ Two transports are provided:
 
 In both modes the caller is the coordinator, and it runs the
 single-machine epoch loop (:func:`~repro.core.trainer.run_epochs`). An
-epoch is one grid round per stratum pass: the coordinator gives the
-machines the go-ahead and waits at the drain barrier, before which each
-machine queues a report of its share (loss, edges, swaps, train/io
-seconds, eval sums, pipeline counters); it sums the reports into the
-epoch's ``EpochStats`` and resets the lock server. After the last pass,
-with ``checkpoint_dir`` set, it checkpoints there: the model assembled
-from the servers, saved like the single-machine trainer's.
+epoch is one lock-server round, its stratum passes included: the
+coordinator opens the round with the epoch's visit list
+(:func:`~repro.core.trainer.epoch_visits`, the single-machine trainer's
+list), gives the machines the go-ahead and waits at the drain barrier,
+before which each machine queues a report of its share (loss, edges,
+swaps, train/io seconds, eval sums, pipeline counters); it sums the
+reports into the epoch's ``EpochStats``. Then, with ``checkpoint_dir``
+set, it checkpoints there: the model assembled from the servers, saved
+like the single-machine trainer's.
 
 The bucket source and its protocol
 ----------------------------------
 
-Steps 2–3 and the pass-end flush are the single-machine trainer's:
+Steps 2–3 and the epoch-end flush are the single-machine trainer's:
 each machine runs :meth:`~repro.core.trainer.BucketExecutor.run_epoch`
-per pass (that module's docstring has the loop, its pipeline modes and
+per epoch (that module's docstring has the loop, its pipeline modes and
 the thread-ownership rules) with the lock server's grants
-(:class:`_Grants`) as its schedule, over a :class:`~repro.graph.storage.PartitionPipeline`
+(:class:`~repro.core.trainer.Grants`) as its schedule, over a :class:`~repro.graph.storage.PartitionPipeline`
 backed by a partition-server adapter instead of disk. The protocol
 rules hold in both pipeline modes — a push lands, and commits, before
 the evicting call returns (synchronous) or on the writeback thread:
@@ -61,9 +63,9 @@ the evicting call returns (synchronous) or on the writeback thread:
   its likely next bucket and prefetches it; a reservation lost to
   another machine costs a prefetch miss, and staged copies are
   version-checked, so a stale prefetch is never consumed.
-- **Drain barrier.** The pass-end flush evicts everything and drains,
+- **Drain barrier.** The epoch-end flush evicts everything and drains,
   then the forced parameter sync runs: the servers are complete when
-  the coordinator resets the lock server or checkpoints.
+  the coordinator opens the next round or checkpoints.
 
 Compressed transport
 --------------------
@@ -104,9 +106,10 @@ from repro.core.tables import DenseEmbeddingTable
 from repro.core.trainer import (
     BucketExecutor,
     EpochStats,
+    Grants,
     TrainingStats,
+    epoch_visits,
     run_epochs,
-    stratum_edges,
 )
 from repro.distributed.lock_server import LockServer
 from repro.distributed.parameter_server import (
@@ -117,7 +120,6 @@ from repro.distributed.partition_server import (
     PartitionServer,
     PartitionServerStorage,
 )
-from repro.graph.buckets import Bucket
 from repro.graph.edgelist import EdgeList
 from repro.graph.entity_storage import EntityStorage
 from repro.graph.partitioning import BucketedEdges, bucket_edges
@@ -270,61 +272,6 @@ class _PartitionCommitter:
         self._lock_server.commit_partition(self._machine, part)
 
 
-@dataclass
-class _Grants:
-    """A machine's schedule for :meth:`BucketExecutor.run_epoch` in one
-    pass: the buckets the lock server grants it, each with the pass's
-    :func:`stratum_edges`, released (deferred) when the loop asks for
-    the next. Starved, it has the loop evict, then waits in the lock
-    server for a grant or the round's end; pipelined, it reserves the
-    likely next bucket as the prefetch hint. Feeds the machine's counters in ``registry``
-    (``buckets_trained`` counts grants, empty ones too)."""
-
-    ctx: _WorkerContext
-    executor: BucketExecutor
-    lock_server: object
-    partition_server: object
-    registry: MetricsRegistry
-    epoch: int
-    stratum: int
-    reserved: "Bucket | None" = None
-
-    def __iter__(self):
-        machine, count = self.ctx.machine, self.registry.counter
-        while True:
-            granted = self.lock_server.acquire(machine)
-            if granted is None:
-                yield None  # starved: the loop evicts (module docstring)
-                t0 = time.perf_counter()
-                with telemetry.span("lock.starved", cat="stall", machine=machine):
-                    granted = self.lock_server.acquire(machine, wait=True)
-                count("machine.idle_time").inc(time.perf_counter() - t0)
-                if granted is None:
-                    return  # the round has no bucket left
-            bucket = Bucket(*granted)
-            if self.reserved is not None:
-                if self.reserved == bucket:
-                    count("machine.reservation_hits").inc()
-                self.reserved = None
-            count("machine.buckets_trained").inc()
-            yield bucket, stratum_edges(
-                self.ctx.bucketed, bucket, self.ctx.config, self.epoch, self.stratum
-            )
-            self.lock_server.release(machine, bucket, defer=True)
-
-    def swapped(self) -> "Bucket | None":
-        hosted = self.partition_server.shard_nbytes()[self.ctx.machine]
-        self.registry.gauge("machine.resident_bytes").set(
-            self.executor.resident_nbytes() + hosted
-        )
-        # Two-phase protocol: pull the likely next bucket while this trains.
-        nxt = self.lock_server.reserve(self.ctx.machine) if self.ctx.config.pipeline else None
-        if nxt is not None:
-            self.reserved = Bucket(*nxt)
-            self.registry.counter("machine.reservations").inc()
-        return self.reserved
-
-
 def _machine_main(
     ctx: _WorkerContext,
     lock_server,
@@ -334,11 +281,11 @@ def _machine_main(
     result_queue,
 ) -> None:
     """One machine's full run (works with objects or proxies); every
-    pass ends by queueing an ``("epoch", EpochStats, MachineStats)``
+    epoch ends by queueing an ``("epoch", EpochStats, MachineStats)``
     report, then meeting the drain barrier."""
     cfg = ctx.config
     telemetry.set_lane(f"machine-{ctx.machine}.main")
-    # MachineStats is a view of these counters (fed by _Grants), the
+    # MachineStats is a view of these counters (fed by Grants), the
     # pipeline's and the adapter's, and of the epoch reports.
     registry = MetricsRegistry()
     for name in ("idle_time", "buckets_trained", "reservations", "reservation_hits"):
@@ -380,14 +327,18 @@ def _machine_main(
             sync=client.maybe_sync,
         )
 
+        def resident_bytes() -> int:
+            hosted = partition_server.shard_nbytes()[ctx.machine]
+            return executor.resident_nbytes() + hosted
+
         run = EpochStats(epoch=cfg.num_epochs)  # this machine's sums
-        for epoch, stratum in np.ndindex(cfg.num_epochs, cfg.stratum_passes):
+        for epoch in range(cfg.num_epochs):
             barrier.wait(_BARRIER_TIMEOUT)  # coordinator go-ahead
             report = executor.run_epoch(
                 epoch,
-                _Grants(
-                    ctx, executor, lock_server, partition_server,
-                    registry, epoch, stratum,
+                Grants(
+                    ctx.machine, executor, ctx.bucketed, lock_server,
+                    registry, epoch, resident_bytes,
                 ),
                 keep_resident=False,
             )
@@ -404,7 +355,7 @@ def _machine_main(
                 ),
             )
             result_queue.put(("epoch", report, mstats))
-            barrier.wait(_BARRIER_TIMEOUT)  # pass end
+            barrier.wait(_BARRIER_TIMEOUT)  # epoch end
     except BaseException as exc:
         # Abort first so peers (and the coordinator) fall out of their
         # barrier waits instead of hanging until the timeout; then ship
@@ -512,12 +463,12 @@ class DistributedTrainer:
         with self._launch(bucketed) as cluster:
             run_epochs(
                 self.config, self.entities, stats,
-                self._session(stats, *cluster), after_epoch,
+                self._session(stats, bucketed.nparts_lhs, *cluster), after_epoch,
             )
             return self.assemble_model(), stats
 
     @contextmanager
-    def _session(self, stats: DistributedStats, barrier, results, workers):
+    def _session(self, stats: DistributedStats, nparts: int, barrier, results, workers):
         """Start the machines; once they exit, raise the coordinator's
         own failure, else every machine failure (with tracebacks)."""
         for w in workers:
@@ -525,8 +476,8 @@ class DistributedTrainer:
         failure = None
         try:
             yield (
-                partial(self._run_epoch, stats=stats, barrier=barrier,
-                        results=results),
+                partial(self._run_epoch, stats=stats, nparts=nparts,
+                        barrier=barrier, results=results),
                 self.assemble_model,
             )
         except BaseException as exc:
@@ -558,27 +509,27 @@ class DistributedTrainer:
             )
 
     def _run_epoch(
-        self, epoch: int, stats: DistributedStats, barrier, results
+        self, epoch: int, stats: DistributedStats, nparts: int, barrier, results
     ) -> EpochStats:
-        """Per stratum pass: release the machines, wait at the pass-end
-        barrier, sum the reports queued before it, reset the lock server."""
+        """Open the epoch's round on the lock server, release the
+        machines, wait at the drain barrier, sum the reports queued
+        before it."""
+        self.lock_server.new_epoch(epoch_visits(self.config, nparts, nparts, epoch))
         epoch_stats = EpochStats(epoch=epoch)
-        for _ in range(self.config.stratum_passes):
-            start = time.perf_counter()
-            barrier.wait(_BARRIER_TIMEOUT)  # go-ahead
-            barrier.wait(_BARRIER_TIMEOUT)  # every machine flushed
-            epoch_stats.wall_time += time.perf_counter() - start
-            reports = [
-                results.get(timeout=_BARRIER_TIMEOUT)[1:]
-                for _ in range(self.num_machines)
-            ]
-            for report, _ in reports:
-                epoch_stats.merge(report)
-            stats.machines = sorted((m for _, m in reports), key=lambda m: m.machine)
-            stats.peak_resident_bytes = max(
-                m.peak_resident_bytes for m in stats.machines
-            )
-            self.lock_server.new_epoch()
+        start = time.perf_counter()
+        barrier.wait(_BARRIER_TIMEOUT)  # go-ahead
+        barrier.wait(_BARRIER_TIMEOUT)  # every machine flushed
+        epoch_stats.wall_time = time.perf_counter() - start
+        reports = [
+            results.get(timeout=_BARRIER_TIMEOUT)[1:]
+            for _ in range(self.num_machines)
+        ]
+        for report, _ in reports:
+            epoch_stats.merge(report)
+        stats.machines = sorted((m for _, m in reports), key=lambda m: m.machine)
+        stats.peak_resident_bytes = max(
+            m.peak_resident_bytes for m in stats.machines
+        )
         return epoch_stats
 
     @contextmanager

@@ -1,63 +1,56 @@
-"""The bucket lock server (paper Section 4.2).
+"""The bucket lock server (paper Section 4.2): the one schedule.
 
-One logical instance coordinates all machines: a machine asks for a
-bucket; the server returns one whose two partitions are currently
-unlocked, preferring buckets that share a partition with the machine's
-previous bucket (to minimise partition-server traffic), and enforcing
-the alignment invariant — only the first bucket of a run may operate on
-two uninitialised partitions (Section 4.1).
+Either trainer opens one *round* per epoch with :meth:`LockServer.new_epoch`:
+the epoch's visit list (``config.bucket_order`` drawn once, repeated per
+stratum pass, as :class:`~repro.graph.buckets.Visit` s; grid order at
+stratum 0 if no list is given). Every visit is granted exactly once, to
+a machine whose request finds both its partitions unlocked, preferring:
+
+1. the machine's *successor*, the visit after its last grant of the
+   round (the first visit if it has had none), checked in O(1);
+2. else, scanning the remaining visits, the most partitions shared
+   with the machine's previous bucket, then the most initialised
+   partitions, then the earliest list position.
+
+So one machine is granted exactly the drawn list. The alignment rule
+(Section 4.1) refuses a visit on two uninitialised partitions once
+*another* machine holds a bucket or has released one in this run: on
+one machine it never applies (``random`` stays random); in a cluster
+it corrects an order that would seed a second, unaligned space.
 
 Up to ``P/2`` machines can hold disjoint buckets on a ``P x P`` grid,
 which is why the paper pairs ``M`` machines with ``2M`` partitions.
-A machine that finds no eligible bucket waits inside
+A machine that finds no eligible visit waits inside
 ``acquire(machine, wait=True)`` until a grant, a release, a lifted
 deferral or :meth:`~LockServer.abort` changes the grid — the
 "incomplete occupancy" overhead discussed with Table 3.
 
-Two-phase reservation protocol (pipelined distributed training)
----------------------------------------------------------------
+:meth:`LockServer.reserve` predicts a machine's next grant by the same
+preference order, as if it had released its current bucket; pipelined
+machines prefetch it while training (on one machine it is the next
+visit). Reservations are advisory: they lock nothing and never change
+a grant; one lost to another machine costs a prefetch miss
+(``reservation_misses``).
 
-:meth:`LockServer.reserve` predicts the bucket a machine's *next*
-:meth:`~LockServer.acquire` would be granted — the same affinity /
-alignment preference order, evaluated as if the machine had already
-released its current bucket. Reservations are purely advisory: they
-never lock partitions and never change what ``acquire`` later grants,
-so scheduling is identical with and without them. A machine uses the
-prediction to prefetch the reserved bucket's partitions from the
-partition server while still training the current bucket; a reservation
-that loses to another machine's acquire simply costs a prefetch miss
-(``reservation_misses`` counts them, hits/misses give the reservation
-accuracy).
-
-Deferred release (the network flush-before-reuse invariant)
------------------------------------------------------------
-
-With asynchronous partition push-back, a machine's updated bytes may
-still be in flight when the next machine wants the partition. A
-``release(..., defer=True)`` therefore keeps the bucket's partitions
-*deferred*: unavailable to other machines (who would fetch stale bytes
-from the partition server) but immediately re-acquirable by the owner
-(whose resident copy is the freshest). :meth:`commit_partition` — called
-by the owner once the push lands — lifts the deferral. This is the PR-1 flush-before-reuse rule applied to the
-network path: no consumer may observe a partition whose latest write
-has not landed.
-
-Every machine defers, in both pipeline modes (releasing without
-deferral and pushing lazily at the next swap was the historical
-release/fetch race). With ``pipeline=False`` the push is synchronous
-and the commit follows it on the machine's own thread; with
-``pipeline=True`` the writeback thread commits as pushes land. Either
-way a partition *index* is committed when the machine's last copy of
-it, of any entity type, has landed.
+Deferred release (network flush-before-reuse): a cluster machine
+releases with ``defer=True``, so the bucket's partitions stay
+unavailable to *other* machines — who would fetch stale bytes from the
+partition server — until :meth:`commit_partition` reports that the
+push-back landed; the owner, whose resident copy is freshest, may
+reclaim them at once. An index commits when the machine's last copy of
+it, of any entity type, has landed: synchronously after the push with
+``pipeline=False``, on the writeback thread with ``pipeline=True``.
+The single-machine trainer has no peer and releases without deferral.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro import telemetry
-from repro.graph.buckets import Bucket
+from repro.graph.buckets import Visit
 from repro.telemetry.metrics import MetricsRegistry, view
 
 __all__ = ["LockServer", "LockServerStats"]
@@ -67,12 +60,12 @@ __all__ = ["LockServer", "LockServerStats"]
 class LockServerStats:
     """Counters for diagnosing scheduling behaviour.
 
-    ``epochs`` counts *completed* grid rounds (:meth:`LockServer.new_epoch`
-    calls; a cluster runs one per stratum pass, so a run ends at
-    ``num_epochs * stratum_passes``). ``failed_acquires`` counts
-    starvations: non-waiting acquires that found nothing while the
-    round still had buckets (locked or deferred by peers). An acquire
-    after the round's last grant is no miss.
+    ``epochs`` counts the rounds :meth:`LockServer.new_epoch` opened;
+    either trainer opens one per epoch, so a run ends at
+    ``num_epochs``. ``failed_acquires`` counts starvations: non-waiting
+    acquires that found nothing while the round still had visits
+    (locked or deferred by peers). An acquire after the round's last
+    grant is no miss.
     """
 
     acquires: int = 0
@@ -86,18 +79,23 @@ class LockServerStats:
 
 @dataclass
 class _State:
-    remaining: "set[Bucket]" = field(default_factory=set)
+    """One round: its visit list, and who holds or awaits what."""
+
+    visits: "list[Visit]"
+    #: positions in ``visits`` not granted yet
+    remaining: "set[int]"
+    initialized_partitions: "set[int]"
     locked_partitions: "set[int]" = field(default_factory=set)
-    initialized_partitions: "set[int]" = field(default_factory=set)
-    active: "dict[int, Bucket]" = field(default_factory=dict)
+    active: "dict[int, Visit]" = field(default_factory=dict)
+    #: machine -> position of its last grant of this round
+    last: "dict[int, int]" = field(default_factory=dict)
     #: partition -> machine: released but the machine's async push-back
     #: has not landed yet; unavailable to everyone but that machine.
     deferred: "dict[int, int]" = field(default_factory=dict)
-    done_any: bool = False
 
 
 class LockServer:  # public-guard: _lock
-    """Thread-safe bucket scheduler over a partition grid.
+    """Thread-safe visit scheduler over a partition grid.
 
     Partitions are treated symmetrically (the common case of one
     partitioned entity scheme on both edge sides): locking bucket
@@ -109,11 +107,6 @@ class LockServer:  # public-guard: _lock
             raise ValueError("partition counts must be >= 1")
         self.nparts_lhs = nparts_lhs
         self.nparts_rhs = nparts_rhs
-        self._all_buckets = [
-            Bucket(i, j)
-            for i in range(nparts_lhs)
-            for j in range(nparts_rhs)
-        ]
         self._lock = threading.Condition()  # waiting acquires sleep on it
         # Scheduling counters live in a metrics registry, one per
         # LockServerStats field; ``stats`` is a view of it. Counters
@@ -130,9 +123,11 @@ class LockServer:  # public-guard: _lock
         )
         # Per-machine previous bucket (affinity) and outstanding advisory
         # reservation; both survive epoch resets.
-        self._prev: "dict[int, Bucket]" = {}  # guarded-by: _lock
-        self._reserved: "dict[int, Bucket]" = {}  # guarded-by: _lock
-        self._state = _State(remaining=set(self._all_buckets))  # guarded-by: _lock
+        self._prev: "dict[int, Visit]" = {}  # guarded-by: _lock
+        self._reserved: "dict[int, Visit]" = {}  # guarded-by: _lock
+        #: machines that have released a bucket in this run
+        self._released: "set[int]" = set()  # guarded-by: _lock
+        self._state = self._round(None, set())  # guarded-by: _lock
         self._aborted = False  # guarded-by: _lock
 
     @property
@@ -141,10 +136,17 @@ class LockServer:  # public-guard: _lock
 
     # ------------------------------------------------------------------
 
-    def new_epoch(self) -> None:
-        """Reset the remaining-bucket set for a new pass over the grid.
+    def _round(self, visits, initialized: "set[int]") -> _State:  # lint: no-lock (fresh state)
+        if visits is None:  # grid order
+            visits = [Visit(i, j) for i in range(self.nparts_lhs) for j in range(self.nparts_rhs)]
+        visits = list(visits)
+        return _State(visits, set(range(len(visits))), initialized)
 
-        Initialised partitions carry over between epochs (they are
+    def new_epoch(self, visits: "Iterable[Visit] | None" = None) -> None:
+        """Open a new round that grants each of ``visits`` once,
+        preferring list order (grid order at stratum 0 when not given).
+
+        Initialised partitions carry over between rounds (they are
         trained, hence aligned); active locks must have been released
         and deferred push-backs committed.
         """
@@ -161,10 +163,8 @@ class LockServer:  # public-guard: _lock
                     f"drain their push-back queues before the epoch "
                     f"barrier)"
                 )
-            self._state = _State(
-                remaining=set(self._all_buckets),
-                initialized_partitions=self._state.initialized_partitions,
-                done_any=self._state.done_any,
+            self._state = self._round(
+                visits, self._state.initialized_partitions
             )
             # A reservation made against the drained grid is meaningless
             # for the fresh one; scoring it would skew accuracy stats.
@@ -172,49 +172,53 @@ class LockServer:  # public-guard: _lock
             self._c_epochs.inc()
 
     def _select(
-        self, machine: int, state: _State, releasing: "Bucket | None" = None
-    ) -> "tuple[Bucket | None, tuple | None]":
-        """The shared preference order of ``acquire`` and ``reserve``:
-        (1) buckets sharing a partition with the machine's previous
-        bucket (partition reuse), (2) buckets with the most initialised
-        partitions (alignment), (3) grid order. With ``releasing`` (the
-        machine's current bucket) the order is evaluated as if that
-        bucket had been released."""
-        freed = set() if releasing is None else {releasing.lhs, releasing.rhs}
-        locked = state.locked_partitions - freed
-        initialized = state.initialized_partitions | freed
+        self, machine: int, state: _State, releasing: "Visit | None" = None
+    ) -> "tuple[int | None, tuple | None]":
+        """The preference order of ``acquire`` and ``reserve`` (module
+        docstring): the machine's successor if eligible, else the
+        eligible remaining visit of largest ``(affinity, initialised
+        partitions, -position)``, evaluated as if ``releasing`` (the
+        machine's current visit) were released. Returns ``(position,
+        key)``, or ``(None, None)``."""
+        freed = () if releasing is None else (releasing.lhs, releasing.rhs)
         prev = self._prev.get(machine) if releasing is None else releasing
-        # Alignment invariant: only the very first bucket of a run may
-        # touch two uninitialised partitions — a concurrent fresh-fresh
-        # bucket would seed a second, unaligned embedding space.
-        fresh_ok = not (state.done_any or freed or any(m != machine for m in state.active))
-        best: Bucket | None = None
-        best_key: tuple | None = None
-        for bucket in state.remaining:
-            parts = {bucket.lhs, bucket.rhs}
-            if parts & locked:
-                continue
-            if any(state.deferred.get(p, machine) != machine for p in parts):
-                # Another machine's push-back for this partition has not
-                # landed on the partition server yet; fetching it now
-                # would observe stale bytes.
-                continue
-            n_init = len(parts & initialized)
-            if n_init == 0 and not fresh_ok:
-                continue
-            affinity = 0
-            if prev is not None:
-                affinity = len(parts & {prev.lhs, prev.rhs})
-            key = (affinity, n_init, -bucket.lhs, -bucket.rhs)
-            if best_key is None or key > best_key:
-                best, best_key = bucket, key
-        return best, best_key
+        reuse = set() if prev is None else {prev.lhs, prev.rhs}
+        # Alignment invariant: once another machine trains, a bucket on
+        # two uninitialised partitions would seed a second, unaligned
+        # embedding space.
+        fresh_ok = all(m == machine for m in (*state.active, *self._released))
 
-    def acquire(self, machine: int, wait: bool = False):  # lint: no-lock (locks in _acquire)
-        """Request a bucket for ``machine``; None if nothing is eligible.
+        def key(pos: int) -> "tuple | None":
+            visit = state.visits[pos]
+            parts = {visit.lhs, visit.rhs}
+            for p in parts:
+                if p in state.locked_partitions and p not in freed:
+                    return None
+                if state.deferred.get(p, machine) != machine:
+                    # Another machine's push-back for this partition has
+                    # not landed on the partition server yet; fetching
+                    # it now would observe stale bytes.
+                    return None
+            n_init = sum(
+                p in state.initialized_partitions or p in freed for p in parts
+            )
+            if n_init == 0 and not fresh_ok:
+                return None
+            return len(parts & reuse), n_init, -pos
+
+        successor = state.last.get(machine, -1) + 1
+        if successor in state.remaining:
+            best = key(successor)
+            if best is not None:
+                return successor, best
+        best = max(filter(None, map(key, state.remaining)), default=None)
+        return (None, None) if best is None else (-best[2], best)
+
+    def acquire(self, machine: int, wait: bool = False) -> Visit | None:
+        """Request a visit for ``machine``; None if nothing is eligible.
 
         With ``wait``, block until one is, or return None once the round
-        has no bucket left; after :meth:`abort`, raise ``RuntimeError``.
+        has no visit left; after :meth:`abort`, raise ``RuntimeError``.
         Partitions deferred by this machine (released with
         ``defer=True``, push-back still in flight) are re-acquirable by
         it — its resident copy is the freshest — and reclaiming them
@@ -222,15 +226,7 @@ class LockServer:  # public-guard: _lock
         """
         with telemetry.span(
             "lock.acquire", cat="lock", machine=machine
-        ) as sp:
-            bucket = self._acquire(machine, wait)
-            sp.note(granted=bucket is not None)
-            if bucket is not None:
-                sp.note(bucket=f"{bucket.lhs},{bucket.rhs}")
-            return bucket
-
-    def _acquire(self, machine: int, wait: bool) -> Bucket | None:
-        with self._lock:
+        ) as sp, self._lock:
             while True:
                 if self._aborted:
                     raise RuntimeError("lock server aborted: a machine failed")
@@ -239,35 +235,38 @@ class LockServer:  # public-guard: _lock
                     raise RuntimeError(
                         f"machine {machine} already holds {st.active[machine]}"
                     )
-                best, best_key = self._select(machine, st)
-                if best is not None:
+                pos, key = self._select(machine, st)
+                if pos is not None:
                     break
-                if not wait:
-                    if st.remaining:  # starved, not past the round's end
-                        self._c_failed.inc()
-                    return None
-                if not st.remaining:
-                    return None
-                self._lock.wait()
+                if wait and st.remaining:
+                    self._lock.wait()
+                    continue
+                if st.remaining:  # starved, not past the round's end
+                    self._c_failed.inc()
+                sp.note(granted=False)
+                return None
+            best = st.visits[pos]
             reserved = self._reserved.pop(machine, None)
             if reserved is not None:
                 if reserved == best:
                     self._c_res_hits.inc()
                 else:
                     self._c_res_misses.inc()
-            st.remaining.discard(best)
+            st.remaining.discard(pos)
+            st.last[machine] = pos
             for p in (best.lhs, best.rhs):
                 st.deferred.pop(p, None)
                 st.locked_partitions.add(p)
             st.active[machine] = best
             self._c_acquires.inc()
-            if best_key[0] > 0:
+            if key[0] > 0:
                 self._c_affinity.inc()
             self._lock.notify_all()  # the round's last grant ends waits
+            sp.note(granted=True, bucket=f"{best.lhs},{best.rhs}")
             return best
 
-    def reserve(self, machine: int):  # lint: no-lock (locks in _reserve)
-        """Predict (without locking anything) the bucket this machine's
+    def reserve(self, machine: int) -> Visit | None:
+        """Predict (without locking anything) the visit this machine's
         next :meth:`acquire` would be granted, evaluated as if it had
         already released its current bucket. Purely advisory — used to
         prefetch the next bucket's partitions during training; the
@@ -275,31 +274,26 @@ class LockServer:  # public-guard: _lock
         """
         with telemetry.span(
             "lock.reserve", cat="lock", machine=machine
-        ) as sp:
-            bucket = self._reserve(machine)
-            if bucket is not None:
-                sp.note(bucket=f"{bucket.lhs},{bucket.rhs}")
-            return bucket
-
-    def _reserve(self, machine: int) -> Bucket | None:
-        with self._lock:
-            best, _ = self._select(machine, self._state, self._state.active.get(machine))
-            if best is None:
+        ) as sp, self._lock:
+            st = self._state
+            pos, _ = self._select(machine, st, st.active.get(machine))
+            if pos is None:
                 self._reserved.pop(machine, None)
                 return None
             self._c_reservations.inc()
-            self._reserved[machine] = best
-            return best
+            visit = self._reserved[machine] = st.visits[pos]
+            sp.note(bucket=f"{visit.lhs},{visit.rhs}")
+            return visit
 
     def release(
-        self, machine: int, bucket: Bucket, defer: bool = False
+        self, machine: int, bucket: Visit, defer: bool = False
     ) -> None:
-        """Return a trained bucket; unlocks and marks partitions aligned.
+        """Return a trained visit; unlocks and marks partitions aligned.
 
-        With ``defer=True`` (pipelined distributed mode) the partitions
-        stay unavailable to *other* machines until
-        :meth:`commit_partition` confirms the releasing machine's
-        asynchronous push-back has landed on the partition server.
+        With ``defer=True`` (distributed mode) the partitions stay
+        unavailable to *other* machines until :meth:`commit_partition`
+        confirms the releasing machine's asynchronous push-back has
+        landed on the partition server.
         """
         with telemetry.span(
             "lock.release", cat="lock", machine=machine,
@@ -317,7 +311,7 @@ class LockServer:  # public-guard: _lock
                 for p in (bucket.lhs, bucket.rhs):
                     st.deferred[p] = machine
             st.initialized_partitions.update((bucket.lhs, bucket.rhs))
-            st.done_any = True
+            self._released.add(machine)
             self._prev[machine] = bucket
             self._lock.notify_all()
 

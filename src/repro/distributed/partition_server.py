@@ -103,8 +103,10 @@ _NOT_ROWS = (compression.CODEC_KEY, compression.DELTA_ROWS_KEY)
 
 
 def _raw_nbytes(payload) -> int:
-    """fp32 bytes of the partition a payload encodes (the baseline)."""
-    return compression.wire_nbytes("none", *compression.payload_shape(payload))
+    """fp32 bytes of the rows a payload encodes and their row-Adagrad
+    state: the baseline a codec's savings count against."""
+    num_rows, dim = compression.payload_shape(payload)
+    return num_rows * (4 * dim + 4)
 
 
 class PartitionServer:  # public-guard: lock
@@ -381,14 +383,11 @@ class PartitionServerStorage:  # public-guard: _lock
             self._codec = compression.get_codec(self.server.codec_name())
         return self._codec
 
-    def _moved(self, payload, num_rows: int, dim: int, counter) -> int:
-        """Count ``payload``, standing for ``num_rows`` fp32 rows, on
-        ``counter`` (sent or received)."""
+    def _moved(self, payload, counter) -> int:
+        """Count ``payload`` on ``counter`` (sent or received)."""
         nbytes = compression.payload_nbytes(payload)
         counter.inc(nbytes)
-        self._c_bytes_saved.inc(
-            compression.wire_nbytes("none", num_rows, dim) - nbytes
-        )
+        self._c_bytes_saved.inc(_raw_nbytes(payload) - nbytes)
         return nbytes
 
     def load(self, entity_type, part):  # lint: no-lock (locks in _load)
@@ -436,11 +435,7 @@ class PartitionServerStorage:  # public-guard: _lock
                 f"{optim_state.dtype}/{optim_state.shape} optimizer "
                 f"state; expected float32 ({len(embeddings)},)"
             )
-        sp.note(
-            wire_bytes=self._moved(
-                payload, *embeddings.shape, self._c_bytes_received
-            )
-        )
+        sp.note(wire_bytes=self._moved(payload, self._c_bytes_received))
         return embeddings, optim_state
 
     def save(  # lint: no-lock (locks in _save)
@@ -465,7 +460,7 @@ class PartitionServerStorage:  # public-guard: _lock
         self, sp, entity_type, part, embeddings, optim_state, dirty_rows
     ) -> None:
         key = (entity_type, part)
-        num_rows, dim = embeddings.shape
+        num_rows = len(embeddings)
         codec = self._server_codec()
         with self._lock:
             base = self._versions.get(key) if self.use_delta else None
@@ -490,21 +485,14 @@ class PartitionServerStorage:  # public-guard: _lock
             if version is not None:
                 self._c_delta_pushes.inc()
                 sp.note(
-                    delta=True,
-                    wire_bytes=self._moved(
-                        delta, dirty, dim, self._c_bytes_sent
-                    ),
+                    delta=True, wire_bytes=self._moved(delta, self._c_bytes_sent)
                 )
             else:
                 self._c_delta_fallbacks.inc()
         if version is None:
             payload = codec.encode(embeddings, optim_state)
             version = self.server.put(entity_type, part, payload)
-            sp.note(
-                wire_bytes=self._moved(
-                    payload, num_rows, dim, self._c_bytes_sent
-                )
-            )
+            sp.note(wire_bytes=self._moved(payload, self._c_bytes_sent))
         self._c_saves.inc()
         with self._lock:
             self._versions[key] = version

@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "Bucket",
+    "Visit",
     "inside_out_order",
     "outside_in_order",
     "chained_order",
@@ -33,6 +34,19 @@ class Bucket(NamedTuple):
 
     lhs: int
     rhs: int
+
+
+class Visit(NamedTuple):
+    """One entry of an epoch's round: bucket ``(lhs, rhs)`` in stratum
+    pass ``stratum`` (the unit the lock server grants exactly once)."""
+
+    lhs: int
+    rhs: int
+    stratum: int = 0
+
+    @property
+    def bucket(self) -> Bucket:
+        return Bucket(self.lhs, self.rhs)
 
 
 def inside_out_order(

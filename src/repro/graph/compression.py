@@ -59,7 +59,6 @@ __all__ = [
     "payload_codec_name",
     "payload_shape",
     "encode_delta",
-    "wire_nbytes",
 ]
 
 #: registry keys, in preference order of fidelity
@@ -126,10 +125,6 @@ class PartitionCodec(abc.ABC):
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Codec-specific decode body."""
 
-    @abc.abstractmethod
-    def row_nbytes(self, dim: int) -> int:
-        """Encoded bytes per row (embedding + per-row metadata + state)."""
-
     def _marker(self) -> np.ndarray:
         return np.array(self.name)
 
@@ -152,9 +147,6 @@ class NoneCodec(PartitionCodec):
             _as_f32(payload[_STATE_KEY], copy=True),
         )
 
-    def row_nbytes(self, dim: int) -> int:
-        return 4 * dim + 4
-
 
 class Fp16Codec(PartitionCodec):
     """Embeddings as IEEE half precision; state stays fp32 (~2x)."""
@@ -173,9 +165,6 @@ class Fp16Codec(PartitionCodec):
             payload["embeddings_fp16"].astype(np.float32),
             _as_f32(payload[_STATE_KEY], copy=True),
         )
-
-    def row_nbytes(self, dim: int) -> int:
-        return 2 * dim + 4
 
 
 class Int8Codec(PartitionCodec):
@@ -212,9 +201,6 @@ class Int8Codec(PartitionCodec):
         scales = _as_f32(payload["scales"])
         emb = codes.astype(np.float32) * scales[:, None]
         return emb, _as_f32(payload[_STATE_KEY], copy=True)
-
-    def row_nbytes(self, dim: int) -> int:
-        return dim + 4 + 4  # int8 codes + fp32 scale + fp32 state
 
 
 _CODECS: "dict[str, PartitionCodec]" = {
@@ -283,9 +269,3 @@ def encode_delta(
     payload = get_codec(codec).encode(emb_rows, state_rows)
     payload[DELTA_ROWS_KEY] = rows
     return payload
-
-
-def wire_nbytes(codec: "str | PartitionCodec", num_rows: int, dim: int) -> int:
-    """Encoded bytes of a full ``(num_rows, dim)`` partition transfer
-    (analytic, and exact for the payload layouts above)."""
-    return num_rows * get_codec(codec).row_nbytes(dim)

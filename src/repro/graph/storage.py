@@ -38,6 +38,7 @@ both the disk and the network path.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -420,6 +421,9 @@ class _Staged:
         return self.embeddings.nbytes + self.optim_state.nbytes
 
 
+_PIPELINE_SERIALS = itertools.count()
+
+
 class PartitionPipeline:
     """Prefetch + byte-budgeted LRU staging + background writeback.
 
@@ -529,7 +533,8 @@ class PartitionPipeline:
         tracker = hooks.ownership_tracker()
         self._owner = (
             None if tracker is None
-            else tracker.register_owner(f"pipeline-{id(self):x}")
+            # A serial, not id(self): a dead pipeline's id is reused.
+            else tracker.register_owner(f"pipeline-{next(_PIPELINE_SERIALS)}")
         )
 
     def nbytes(self) -> int:

@@ -127,9 +127,9 @@ class TestThreadMode:
 
     @pytest.mark.parametrize("passes", [2, 3])
     def test_every_edge_trained_once_per_epoch(self, monkeypatch, passes):
-        """Stratum passes on the cluster: each pass is a grid round, and
-        over the passes and machines of an epoch every bucket's edges
-        are trained exactly once."""
+        """Stratum passes on the cluster: an epoch's passes are one
+        lock-server round, and over the passes and machines of an epoch
+        every bucket's edges are trained exactly once."""
         from repro.core.trainer import BucketExecutor
         from repro.graph.partitioning import bucket_edges
 
@@ -159,17 +159,18 @@ class TestThreadMode:
                 trained = EdgeList.concat([e for b, e in visits if b == bucket])
                 assert edge_rows(trained) == edge_rows(bucketed.edges_for(bucket))
 
-    def test_lock_server_counts_one_round_per_pass(self):
-        """``LockServerStats.epochs`` counts grid rounds, and a cluster
-        runs one per stratum pass: 2 epochs of 3 passes read 6."""
+    def test_lock_server_counts_one_round_per_epoch(self):
+        """``LockServerStats.epochs`` counts rounds, and a cluster runs
+        one per epoch, its stratum passes included: 2 epochs of 3
+        passes read 2."""
         config, entities = _setup(2, 4, num_epochs=2, stratum_passes=3)
         trainer = DistributedTrainer(config, entities)
         trainer.train(_graph())
-        assert trainer.lock_server.stats.epochs == 6
+        assert trainer.lock_server.stats.epochs == 2
 
     def test_both_schedules_train_the_same_slices(self, monkeypatch, tmp_path):
-        """``Trainer``'s bucket order and the machines' grants visit the
-        buckets in different orders, yet train the same
+        """``Trainer``'s one machine and two contending machines visit
+        the buckets in different orders, yet train the same
         :func:`stratum_edges` slice of each bucket in each pass."""
         from repro.core.trainer import BucketExecutor, stratum_edges
         from repro.graph.buckets import Bucket
@@ -1381,3 +1382,103 @@ class TestMixedRelationGroups:
                 runs["process"][1], field
             ), field
         self._assert_same(runs["thread"][0], runs["process"][0])
+
+
+def _record_visits(monkeypatch, path):
+    """Append every granted visit, as ``(epoch, stratum, lhs, rhs)``, to
+    the file at ``path`` (a forked machine process appends too); the
+    returned callable reads the visits so far and empties the file."""
+    from repro.core import trainer as trainer_mod
+
+    original = trainer_mod.stratum_edges
+
+    def recording(bucketed, bucket, config, epoch, stratum):
+        with open(path, "a") as f:
+            f.write(f"{epoch} {stratum} {bucket.lhs} {bucket.rhs}\n")
+        return original(bucketed, bucket, config, epoch, stratum)
+
+    monkeypatch.setattr(trainer_mod, "stratum_edges", recording)
+
+    def visits():
+        lines = path.read_text().splitlines() if path.exists() else []
+        path.unlink(missing_ok=True)
+        return [tuple(map(int, line.split())) for line in lines]
+
+    return visits
+
+
+class TestOneSchedule:
+    """Both trainers run the lock server's grants of one drawn list:
+    ``config.bucket_order`` drawn from ``[seed, epoch]``, repeated per
+    stratum pass. One machine is granted exactly that list."""
+
+    @staticmethod
+    def _drawn(config, nparts):
+        from repro.graph.buckets import bucket_order
+
+        return [
+            (epoch, stratum, b.lhs, b.rhs)
+            for epoch in range(config.num_epochs)
+            for stratum in range(config.stratum_passes)
+            for b in bucket_order(
+                config.bucket_order, nparts, nparts,
+                np.random.default_rng([config.seed, epoch]),
+            )
+        ]
+
+    @pytest.mark.parametrize("nparts", [2, 4])
+    @pytest.mark.parametrize("passes", [1, 2])
+    @pytest.mark.parametrize(
+        "order", ["inside_out", "outside_in", "chained", "random"]
+    )
+    def test_one_machine_visits_the_drawn_list(
+        self, monkeypatch, tmp_path, order, passes, nparts
+    ):
+        config, entities = _setup(
+            1, nparts, num_epochs=2, stratum_passes=passes, bucket_order=order
+        )
+        edges = _graph()
+        visits = _record_visits(monkeypatch, tmp_path / "visits")
+        DistributedTrainer(config, entities).train(edges)
+        cluster = visits()
+        _train_single_machine(config, entities, edges, tmp_path / "ckpt")
+        assert cluster == visits() == self._drawn(config, nparts)
+
+    @pytest.mark.slow
+    def test_one_process_mode_machine_visits_the_drawn_list(
+        self, monkeypatch, tmp_path
+    ):
+        config, entities = _setup(
+            1, 4, num_epochs=2, stratum_passes=2, bucket_order="chained",
+            pipeline=True,
+        )
+        visits = _record_visits(monkeypatch, tmp_path / "visits")
+        DistributedTrainer(config, entities, mode="process").train(_graph())
+        assert visits() == self._drawn(config, 4)
+
+    @pytest.mark.parametrize(
+        "order", ["inside_out", "outside_in", "chained", "random"]
+    )
+    def test_one_machine_swaps_in_what_the_order_loads(self, monkeypatch, order):
+        """Epoch 0's swap-ins (partitions taken or initialised) equal
+        ``count_partition_swaps`` of the drawn order: 7 for inside-out
+        at P = 4."""
+        from repro.graph.buckets import Bucket, count_partition_swaps
+        from repro.graph.storage import PartitionPipeline
+
+        takes, per_epoch = [], []
+        original = PartitionPipeline.take
+
+        def counting(self, entity_type, part):
+            takes.append((entity_type, part))
+            return original(self, entity_type, part)
+
+        monkeypatch.setattr(PartitionPipeline, "take", counting)
+        config, entities = _setup(1, 4, num_epochs=2, bucket_order=order)
+        DistributedTrainer(config, entities).train(
+            _graph(), after_epoch=lambda epoch, stats: per_epoch.append(len(takes))
+        )
+        drawn = [Bucket(*v[2:]) for v in self._drawn(config, 4) if v[0] == 0]
+        assert per_epoch[0] == count_partition_swaps(drawn)
+        if order == "inside_out":
+            assert per_epoch[0] == 7

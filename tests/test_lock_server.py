@@ -8,16 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import BUCKET_ORDER_NAMES
 from repro.distributed.lock_server import LockServer
-from repro.graph.buckets import Bucket
+from repro.graph.buckets import Visit, bucket_order
 
 
 def _warmed(p: int) -> LockServer:
-    """Drain one epoch serially so every partition is initialised."""
+    """Drain one epoch serially so every partition is initialised, then
+    open a round that lists the off-diagonal buckets first: a machine's
+    first grant, ``(0, 1)``, locks two partitions."""
     ls = LockServer(p, p)
     while (b := ls.acquire(0)) is not None:
         ls.release(0, b)
-    ls.new_epoch()
+    grid = [Visit(i, j) for i in range(p) for j in range(p)]
+    ls.new_epoch(sorted(grid, key=lambda v: v.lhs == v.rhs))
     return ls
 
 
@@ -304,6 +308,61 @@ class TestGrantOrder:
                 if other != m:
                     reserved.pop(other, None)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_grants_on_a_drawn_list(self, data):
+        """Handed an epoch's drawn list (``config.bucket_order`` × stratum
+        passes), the server grants every visit once, keeps
+        reserve-before-release equal to the next grant, hands a lone
+        machine its successor, and refuses a bucket on two uninitialised
+        partitions once another machine holds or has released one."""
+        machines = data.draw(st.integers(2, 3), label="machines")
+        p = data.draw(st.integers(2, 5), label="partitions")
+        order = bucket_order(
+            data.draw(st.sampled_from(BUCKET_ORDER_NAMES), label="order"),
+            p, p, np.random.default_rng(data.draw(st.integers(0, 9))),
+        )
+        visits = [
+            Visit(b.lhs, b.rhs, s)
+            for s in range(data.draw(st.integers(1, 2), label="passes"))
+            for b in order
+        ]
+        ls = LockServer(p, p)
+        ls.new_epoch(visits)
+        held: dict = {}
+        reserved: dict = {}
+        granted: list = []
+        last: dict = {}
+        released: set = set()
+        trained: set = set()
+        for _ in range(data.draw(st.integers(1, 80), label="steps")):
+            m = data.draw(st.integers(0, machines - 1))
+            if m in held:
+                reserved[m] = ls.reserve(m)
+                bucket = held.pop(m)
+                ls.release(m, bucket)
+                released.add(m)
+                trained.update((bucket.lhs, bucket.rhs))
+            else:
+                got = ls.acquire(m)
+                if m in reserved:
+                    assert got == reserved.pop(m)
+                if got is None:
+                    continue
+                pos = visits.index(got)  # a visit names its stratum
+                if not held and released <= {m}:
+                    # Alone so far: the successor, as drawn.
+                    assert pos == last.get(m, -1) + 1
+                if not {got.lhs, got.rhs} & trained:
+                    assert set(held) | released <= {m}
+                held[m], last[m] = got, pos
+                granted.append(got)
+            for other in range(machines):
+                if other != m:
+                    reserved.pop(other, None)
+        assert len(granted) == len(set(granted)) <= len(visits)
+        assert set(granted) <= set(visits)
+
 
 class TestDeferredRelease:
     def test_deferred_partitions_blocked_for_others(self):
@@ -389,7 +448,7 @@ class TestWaitingAcquire:
             ls.commit_partition(0, b0.lhs)
             ls.commit_partition(0, b0.rhs)
         thread.join(5)
-        assert not thread.is_alive() and isinstance(out[0], Bucket)
+        assert not thread.is_alive() and isinstance(out[0], Visit)
         assert ls.stats.failed_acquires == misses  # waiting is no miss
 
     def test_returns_none_once_the_round_is_granted(self):
@@ -420,7 +479,7 @@ class TestConcurrency:
         buckets must be served exactly once."""
         p = 8
         ls = LockServer(p, p)
-        served: list[Bucket] = []
+        served: list[Visit] = []
         served_lock = threading.Lock()
         live_partitions: set[int] = set()
         live_lock = threading.Lock()

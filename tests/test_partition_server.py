@@ -219,7 +219,7 @@ class TestCompressedServer:
         raw = emb.nbytes + state.nbytes
         ps = PartitionServer(1, codec="int8")
         put_arrays(ps, "node", 0, emb, state)
-        encoded = compression.wire_nbytes("int8", 100, 32)
+        encoded = 100 * (32 + 4 + 4)  # int8 codes, fp32 scale and state
         assert ps.stats.bytes_received == encoded
         assert ps.stats.bytes_saved == raw - encoded
         get_arrays(ps, "node", 0)
@@ -299,7 +299,7 @@ class TestPutDelta:
                 ps, "node", 0, rows, emb[rows], state[rows], v1)
         assert (
             ps.stats.bytes_received - before
-            == compression.wire_nbytes("none", 3, 16) + 8 * 3
+            == 3 * (4 * 16 + 4) + 8 * 3
         )
 
     def test_delta_bit_identical_under_none_codec(self):
@@ -422,8 +422,8 @@ class TestDeltaWriteback:
         server, store = self._pair(codec="int8")
         emb, state = _arrays(n=100, d=16)
         store.save("node", 0, emb, state)
-        full = compression.wire_nbytes("int8", 100, 16)
-        raw = compression.wire_nbytes("none", 100, 16)
+        full = 100 * (16 + 4 + 4)  # int8 codes, fp32 scale and state
+        raw = 100 * (4 * 16 + 4)
         assert counts(store.metrics)["backend.wire_bytes_sent"] == full
         assert counts(store.metrics)["backend.wire_bytes_saved"] == raw - full
         dirty = np.array([1, 2], dtype=np.int64)
@@ -433,7 +433,7 @@ class TestDeltaWriteback:
         assert counts(store.metrics)["backend.delta_pushes"] == 1
         assert (
             counts(store.metrics)["backend.wire_bytes_sent"]
-            == full + compression.wire_nbytes("int8", 2, 16) + 8 * 2
+            == full + 2 * (16 + 4 + 4) + 8 * 2
         )
         store.load("node", 0)
         assert counts(store.metrics)["backend.wire_bytes_received"] == full
@@ -531,9 +531,8 @@ class TestTrustBoundary:
         with pytest.raises(PayloadError, match="row counts"):
             ps.put("node", 0, payload)
         self._unchanged(ps, before, version)
-        assert ps.shard_nbytes() == [
-            compression.wire_nbytes("int8", *emb.shape)
-        ]
+        rows, dim = emb.shape
+        assert ps.shard_nbytes() == [rows * (dim + 4 + 4)]
 
     @pytest.mark.parametrize("bad_row", [-1, 20, 10**6])
     def test_delta_rejects_rows_outside_the_partition(self, bad_row):
@@ -610,7 +609,7 @@ class TestHostedBytes:
             payload, _ = ps.get_versioned(entity_type, part)
             walked[part % 2] += compression.payload_nbytes(payload)
         assert ps.shard_nbytes() == walked
-        assert walked[0] == compression.wire_nbytes("int8", 57, 8)
+        assert walked[0] == 57 * (8 + 4 + 4)
 
     def test_reader_never_sees_a_torn_payload(self):
         """``put_delta`` is copy-on-write: a payload reference handed

@@ -3,7 +3,7 @@
 Six groups price the layers behind the paper's speed claims at the
 shapes of the benchmark of record: ``import`` (entity partitioning and
 edge bucketing, §4.1), ``chunk_step`` (the batched-negatives step of
-§4.3, the layers under it, HOGWILD epochs), ``partition_swap`` (§4.1),
+§4.3, the layers under it, epochs on one and two lanes), ``partition_swap`` (§4.1),
 ``partition_rpc`` (§4.2), ``knn_query`` and ``serving_knn``.
 An entry builds its rows from one ``repro`` package namespace: per row
 the timed call, its call count and the output two versions must agree
@@ -78,9 +78,8 @@ from repro.graph.edgelist import EdgeList
 class Row(NamedTuple):
     call: Callable[[], Any]  # the timed operation
     calls: int  # timed calls per side
-    #: read after the warm-up calls, must be bit-identical between the
-    #: sides (None: not comparable — HOGWILD threads race)
-    output: "Callable[[], Any] | None"
+    #: read after the warm-up calls, must be bit-identical between the sides
+    output: Callable[[], Any]
     info: Callable[[], dict] = dict  # recorded, read after the timing
     #: ``(name, units per call)``: also record units per second
     rate: "tuple[str, int] | None" = None
@@ -96,7 +95,11 @@ class Group(NamedTuple):
 #: row name -> why this tree's output differs from the parent's. Emptied
 #: by the change after: against another tree a declared row that stays
 #: bit-identical fails as stale.
-NUMERIC_CHANGES: "dict[str, str]" = {}
+NUMERIC_CHANGES: "dict[str, str]" = {
+    row: "the bucket's batches train stale by one: each reads the table "
+         "one update behind"
+    for row in ("epoch[lanes=1]", "epoch[lanes=2]")
+}
 
 #: group name -> (history ``benchmark`` name, ``build(pkg, quick)``
 #: context manager yielding the group)
@@ -182,9 +185,7 @@ def measure(name: str, sides: "list[Row]") -> dict:
     for side in sides:
         for _ in range(max(1, row.calls // 20)):
             side.call()
-    if paired and row.output is None:
-        record["bit_identical"] = None
-    elif paired:
+    if paired:
         a, b = (_arrays(side.output()) for side in sides)
         record["bit_identical"] = len(a) == len(b) and all(
             x.shape == y.shape and np.array_equal(x, y) for x, y in zip(a, b)
@@ -526,25 +527,35 @@ def accumulate_alternatives(rows, grads):
                                     reduceat)}
 
 
-def _epoch_row(pkg, calls: int, workers: int, nodes: int) -> Row:
-    """One ``dense_social``-shaped epoch a call with ``workers`` HOGWILD
-    threads in the bucket; info: edges/s and held-out MRR afterwards."""
+def _epoch_row(pkg, calls: int, lanes: int, nodes: int) -> Row:
+    """One ``dense_social``-shaped epoch a call on ``lanes`` threads in
+    the bucket (a tree without lanes trains its default); info: edges/s
+    and held-out MRR afterwards."""
     graph, train, test = livejournal_splits(nodes)
     config = pkg.config.ConfigSchema.from_dict(
-        social_config(num_workers=workers, num_epochs=1).to_dict()
+        social_config(num_epochs=1).to_dict()
     )
     entities = pkg.entities.EntityStorage({"node": graph.num_nodes})
     model = pkg.model.EmbeddingModel(config, entities, np.random.default_rng(0))
     trainer = pkg.trainer.Trainer(config, model, entities, None, np.random.default_rng(0))
     bucketed = pkg.trainer.bucket_edges(train, config, entities)
 
+    def epoch():
+        host_lanes = getattr(pkg.trainer, "host_lanes", None)
+        if host_lanes is None:
+            return trainer.train_bucketed(bucketed)
+        pkg.trainer.host_lanes = lambda: lanes
+        try:
+            return trainer.train_bucketed(bucketed)
+        finally:
+            pkg.trainer.host_lanes = host_lanes
+
     def state():
         table = model.get_table("node", 0)
         return [*model.rel_params, table.weights, table.optimizer.state]
 
     return Row(
-        partial(trainer.train_bucketed, bucketed), calls,
-        state if workers == 1 else None,
+        epoch, calls, state,
         lambda: {"mrr": eval_ranking(model, test, max_eval=2000).mrr},
         ("edges_per_s", len(train)),
     )
@@ -623,8 +634,13 @@ def chunk_step(pkg, quick: bool):
             lambda _, same=same: same
         )
 
-    for workers in (1, 2, 4):
-        rows[f"epoch[num_workers={workers}]"] = _epoch_row(pkg, epoch_calls, workers, nodes)
+    for lanes in (1, 2):
+        rows[f"epoch[lanes={lanes}]"] = _epoch_row(pkg, epoch_calls, lanes, nodes)
+    # Both rows made the same calls: the lanes change no bit.
+    lanes_state = [rows[f"epoch[lanes={lanes}]"].output for lanes in (1, 2)]
+    checks["epoch[lanes=1] equals epoch[lanes=2]"] = lambda _: all(
+        np.array_equal(a, b) for a, b in zip(*(state() for state in lanes_state))
+    )
     yield Group({
         "chunk": CHUNK, "negs_per_source": NEGS, "dim": DIM,
         "num_rows": NUM_ROWS, "batch": BATCH, "disk_batch": DISK_BATCH,

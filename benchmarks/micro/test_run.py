@@ -61,7 +61,8 @@ OLD_ROWS = {
 #: rows added since, per group
 NEW_ROWS = {
     "chunk_step": ["batch[dot,affine,same_table]",
-                   "batch[dot,translation,same_table,logistic]"],
+                   "batch[dot,translation,same_table,logistic]",
+                   "epoch[lanes=1]", "epoch[lanes=2]"],
     "partition_swap": ["train_beside_swaps[disk,pipelined]"],
     "partition_rpc": _rows(
         ["server.get_versioned", "server.put", "server.put_delta",
@@ -88,6 +89,9 @@ RETIRED = {
                                "serving index: slower than the exact scan",
     "ivfpq[b=400,m=8,r=8]": "merged into serving_knn's "
                             "ivfpq[l=64,p=8,m=8,r=8], retired with it",
+    **{f"epoch[num_workers={n}]": "HOGWILD left the trainer; the "
+                                  "epoch[lanes=1|2] rows train its schedule"
+       for n in (1, 2, 4)},
 }
 
 #: one name for two inputs -> a row per stack size
@@ -135,17 +139,17 @@ def test_the_replaced_scripts_are_gone():
     assert not list(HERE.parent.glob("**/bench_*.py"))
 
 
-def test_self_pair_passes_and_only_hogwild_rows_go_uncompared(quick_pair):
+def test_self_pair_passes_and_every_row_is_compared(quick_pair):
     status, records = quick_pair
     assert status == 0
-    identity = {
-        row: r["bit_identical"]
-        for record in records.values() for row, r in record["rows"].items()
-    }
-    assert [row for row, same in identity.items() if same is None] == [
-        "epoch[num_workers=2]", "epoch[num_workers=4]"
+    identity = [
+        r["bit_identical"]
+        for record in records.values() for r in record["rows"].values()
     ]
-    assert False not in identity.values()
+    assert identity and all(same is True for same in identity)
+    assert records["micro_chunk_step"]["checks"][
+        "epoch[lanes=1] equals epoch[lanes=2]"
+    ]
 
 
 def test_records_recompute_their_fingerprints(quick_pair):

@@ -90,8 +90,12 @@ def fingerprint(params: Mapping[str, Any]) -> str:
 #: own defaults, which are the only values they accept. Figure 4's
 #: unbatched baseline (``disable_batch_negs: true``) is the batched step
 #: at ``chunk_size: 1``, ``num_batch_negs: 0``, ``num_uniform_negs: k``.
+#: A bucket's threads (``num_workers``) are now the host's: any count loads.
 _RETIRED = {
-    "ConfigSchema": {"disable_batch_negs": lambda v, data: v is False},
+    "ConfigSchema": {
+        "disable_batch_negs": lambda v, data: v is False,
+        "num_workers": lambda v, data: type(v) is int and v >= 1,
+    },
     "EntitySchema": {"num_features": lambda v, data: type(v) is int and (
         v >= 1 if data.get("featurized") else v == 0)},
     "RelationSchema": {"all_negs": lambda v, data: v is False},
@@ -314,7 +318,6 @@ class ConfigSchema:
     # edges that share a negative pool per side (paper Figure 3).
     batch_size: int = 1000
     chunk_size: int = 50
-    num_workers: int = 1
 
     # Partitioned training.
     bucket_order: str = "inside_out"
@@ -433,8 +436,6 @@ class ConfigSchema:
             raise ConfigError("chunk_size cannot exceed batch_size")
         if self.num_epochs < 0:
             raise ConfigError("num_epochs must be >= 0")
-        if self.num_workers < 1:
-            raise ConfigError("num_workers must be >= 1")
         if self.num_machines < 1:
             raise ConfigError("num_machines must be >= 1")
         if self.num_machines > 1:

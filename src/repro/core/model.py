@@ -283,6 +283,7 @@ class EmbeddingModel:
         edge_weights: np.ndarray | None = None,
         update: bool = True,
         chunk_size: int | None = None,
+        turn=None,
     ) -> ChunkStats:
         """Train on a batch of edges with one update of each table and
         of every relation's parameters.
@@ -295,7 +296,9 @@ class EmbeddingModel:
         within those tables, honouring the paper's same-partition and
         same-entity-type constraints by construction. Figure 4's
         unbatched baseline, every edge with its own uniform negatives, is
-        ``chunk_size=1`` with ``num_batch_negs=0``.
+        ``chunk_size=1`` with ``num_batch_negs=0``. ``turn`` (a trainer's
+        schedule) hears ``read_done()`` once the rows are gathered and
+        takes the update as ``update(apply)``.
         """
         cfg = self.config
         m = len(src_rows)
@@ -311,27 +314,31 @@ class EmbeddingModel:
         stats = ChunkStats()
         step = self._block_step(
             params, chunk_rel, bounds, src_rows, dst_rows, lhs_table,
-            rhs_table, rng, edge_weights, update, stats,
+            rhs_table, rng, edge_weights, update, stats, turn,
         )
         if not update:
             return stats
-        # One Adagrad step per table, so a row repeated across pieces,
-        # chunks (and sides, for one table) accumulates first.
         row_grads, g_params = step
-        tables = [lhs_table] if lhs_table is rhs_table else [lhs_table, rhs_table]
-        for table, (rows, grads) in zip(tables, row_grads):
-            table.apply_gradients(rows, grads, cfg.lr)
-        # ... and one per relation, of its chunks' summed gradients.
-        for relation, i in slot.items():
-            self.rel_optimizers[relation].step(
-                self.rel_params[relation], g_params[which == i].sum(axis=0),
-                cfg.relation_lr_effective,
-            )
+
+        def apply():
+            # One Adagrad step per table, so a row repeated across pieces,
+            # chunks (and sides, for one table) accumulates first.
+            tables = [lhs_table] if lhs_table is rhs_table else [lhs_table, rhs_table]
+            for table, (rows, grads) in zip(tables, row_grads):
+                table.apply_gradients(rows, grads, cfg.lr)
+            # ... and one per relation, of its chunks' summed gradients.
+            for relation, i in slot.items():
+                self.rel_optimizers[relation].step(
+                    self.rel_params[relation], g_params[which == i].sum(axis=0),
+                    cfg.relation_lr_effective,
+                )
+
+        turn.update(apply) if turn is not None else apply()
         return stats
 
     def _block_step(
         self, params, chunk_rel, bounds, src, dst, lhs_table, rhs_table,
-        rng, edge_weights, update, stats,
+        rng, edge_weights, update, stats, turn=None,
     ):
         """Forward and backward of the batch's ``n`` chunks — chunk ``i`` is edges
         ``bounds[i]:bounds[i + 1]``, of relation ``chunk_rel[i]``, under ``params[i]``.
@@ -378,6 +385,8 @@ class EmbeddingModel:
             (lhs_table, slice(0, n_lhs)), (rhs_table, slice(n_lhs, None))
         ]
         raw = _cat([table.gather(rows[at]) for table, at in halves])
+        if turn is not None:
+            turn.read_done()  # params is the caller's copy
 
         # The operator maps the right-hand half by rectangles of chunks: all
         # of it under one relation, else the runs of positives and the pools.

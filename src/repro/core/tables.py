@@ -76,7 +76,7 @@ class DenseEmbeddingTable(EmbeddingTable):
     from the stored baseline, which is what delta writeback pushes.
     All gradient flow goes through :meth:`apply_gradients` (positives
     and sampled negatives alike), and setting a boolean flag is
-    idempotent, so the mask is complete even under HOGWILD updates.
+    idempotent, so the mask is complete whichever lane updates.
     """
 
     def __init__(self, weights: np.ndarray, state: np.ndarray | None = None):

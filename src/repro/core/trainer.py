@@ -4,9 +4,9 @@ Implements the paper's Section 4.1 training loop. Each epoch iterates
 the edge buckets its schedule hands out; for bucket ``(i, j)`` the
 trainer swaps in the source-side partitions ``i`` and destination-side
 partitions ``j`` (initialising them on first touch), trains on the
-bucket's edges with lock-free worker threads (HOGWILD, Recht et al.
-2011 — embeddings are shared arrays, no synchronisation), then swaps
-partitions back to disk before moving on.
+bucket's edges stale by one (where the paper runs HOGWILD threads,
+each batch reads the table one update behind, so two lanes train it
+without changing a bit), then swaps partitions back before moving on.
 
 With one partition this degenerates to plain minibatch training with
 everything resident (no pipeline is built). Peak-memory accounting and
@@ -44,11 +44,12 @@ selects its mode:
 Ownership rules (who may touch which buffers):
 
 1. The **main thread** owns the model's resident tables: only it
-   inserts, drops, or initialises partitions, and only it consumes the
-   executor's ``rng``. First-touch initialisation never happens on the
+   inserts, drops, or initialises partitions; in a bucket, the ``rng``
+   and gathers run only in read turns, updates in update turns
+   (:class:`_Lane`). First-touch initialisation never happens on the
    prefetch thread, and both modes swap in the same sorted order, so
    RNG consumption order — and therefore the trained embeddings — are
-   bit-identical across modes under a fixed seed.
+   bit-identical across modes and lane counts under a fixed seed.
 2. The **prefetch thread** only reads partition files and stages
    *clean* copies in the pipeline; it never sees the model and treats
    a missing file as "not my problem" (the main thread initialises).
@@ -66,9 +67,10 @@ prefetch misses, barrier drains) still lands in ``io_time``;
 
 from __future__ import annotations
 
+import os
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -227,9 +229,8 @@ class BucketExecutor:
     Parameters
     ----------
     rng:
-        Consumed on the calling thread only: first-touch
-        initialisation, batch shuffling, negative sampling, worker
-        seeds.
+        Consumed on the calling thread and in read turns (rule 1):
+        first-touch initialisation, batch shuffling, negative sampling.
     pipeline:
         Carries all partition I/O. ``None`` when no entity type is
         partitioned: every table was materialised up front and nothing
@@ -240,9 +241,10 @@ class BucketExecutor:
         initialised), ``landed`` (possibly on the writeback thread) as
         the write of its evicted copy lands.
     sync:
-        Called on the calling thread after every batch with one worker
-        and after the bucket's workers join otherwise (the distributed
+        Called after every update, in its turn (the distributed
         trainer's throttled parameter-server sync).
+    name:
+        The prefix of its lanes' thread names.
     """
 
     def __init__(
@@ -254,6 +256,7 @@ class BucketExecutor:
         pipeline: "PartitionPipeline | None",
         committer=None,
         sync: Callable[[], object] = lambda: None,
+        name: str = "trainer",
     ) -> None:
         self.config = config
         self.model = model
@@ -262,6 +265,9 @@ class BucketExecutor:
         self.pipeline = pipeline
         self.committer = committer
         self.sync = sync
+        #: threads a bucket trains on; machines sharing a host take one
+        self.lanes = host_lanes() if config.num_machines == 1 else 1
+        self.name = name
         #: entity types always resident (single partition / featurized)
         self.global_types = entities.unpartitioned_types(config.entities)
         #: relation -> its group: same entity types and operator, one call
@@ -467,57 +473,65 @@ class BucketExecutor:
             return PipelineStats()
         return view(PipelineStats, self.pipeline.metrics)
 
-    # -- in-bucket training (HOGWILD) ----------------------------------
+    # -- in-bucket training (stale-by-one lanes) -------------------------
 
     def train(self, bucket: Bucket, edges: EdgeList) -> ChunkStats:
-        """Train one bucket's edges over its resident partitions."""
-        cfg = self.config
+        """Train one bucket's edges over its resident partitions: batch
+        ``b`` on lane ``b % lanes`` (:class:`_Lane`)."""
+        batches = list(iterate_batches(
+            edges, self.config.batch_size, self.rng,
+            chunk_size=self.config.chunk_size, groups=self.rel_groups,
+        ))
+        groups = [self.rel_groups[batch.rel] for batch in batches]
+        first = np.cumsum([0] + [1 + np.count_nonzero(np.diff(g)) for g in groups])
+        done = [threading.Event() for _ in range(2 * first[-1])]  # turns
+        # From three batches: over P = 16 of dense_social's graph (one or two
+        # a bucket) two lanes lost 18 % an epoch to interpreter-lock waits.
+        lanes = self.lanes if len(batches) >= 3 else 1
+        stats: "list[ChunkStats]" = [None] * len(batches)
+        failures: "list[BaseException]" = []  # the first is the cause
+
+        def lane(k: int) -> None:  # runs-on: lane
+            mine = _Lane(done, failures, self.sync)
+            try:
+                for b in range(k, len(batches), lanes):
+                    stats[b] = self._train_batch(bucket, batches[b], self.rng, mine, first[b])
+                mine.flush()
+            except BaseException as exc:
+                failures.append(exc)
+                for event in done:  # the other lanes raise, never hang
+                    event.set()
+
+        helpers = [threading.Thread(target=lane, args=(k,), name=f"{self.name}-lane-{k}")
+                   for k in range(1, lanes)]
+        for helper in helpers:
+            helper.start()
+        lane(0)
+        for helper in helpers:
+            helper.join()
+        if failures:
+            raise failures[0]
         total = ChunkStats()
-        batches = iterate_batches(
-            edges, cfg.batch_size, self.rng,
-            chunk_size=cfg.chunk_size, groups=self.rel_groups,
-        )
-        if cfg.num_workers == 1:
-            for batch in batches:
-                total.merge(self._train_batch(bucket, batch, self.rng))
-                self.sync()
-            return total
-        # Lock-free parallel workers over disjoint batch streams.
-        batches = list(batches)
-        seeds = np.random.SeedSequence(
-            int(self.rng.integers(2**63))
-        ).spawn(cfg.num_workers)
-        worker_rngs = [np.random.default_rng(s) for s in seeds]
-
-        def work(worker_id: int) -> ChunkStats:
-            wstats = ChunkStats()
-            for b in range(worker_id, len(batches), cfg.num_workers):
-                wstats.merge(
-                    self._train_batch(
-                        bucket, batches[b], worker_rngs[worker_id]
-                    )
-                )
-            return wstats
-
-        with ThreadPoolExecutor(cfg.num_workers) as pool:
-            for wstats in pool.map(work, range(cfg.num_workers)):
-                total.merge(wstats)
-        self.sync()
+        for batch_stats in stats:  # in batch order, whatever the lanes
+            total.merge(batch_stats)
         return total
 
     def _train_batch(
-        self, bucket: Bucket, batch: EdgeList, rng: np.random.Generator
+        self, bucket: Bucket, batch: EdgeList, rng: np.random.Generator,
+        lane: "_Lane | None" = None, step: int = 0,
     ) -> ChunkStats:
         stats = ChunkStats()
-        # One model call, one update, per relation group of the batch; the
-        # model cuts it into chunks, which share a relation and a pool.
+        # One model call, one update, per relation group of the batch (on
+        # ``lane``, calls ``step``, ``step + 1``, ...); the model cuts it
+        # into chunks, which share a relation and a pool.
         group = self.rel_groups[batch.rel]
         cuts = np.flatnonzero(group[1:] != group[:-1]) + 1
-        for lo, hi in zip([0, *cuts], [*cuts, len(batch)]):
+        for i, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(batch)])):
             run = batch[lo:hi]
             stats.merge(self.model.forward_backward_chunk(
                 run.rel, run.src, run.dst, *self._tables(run.rel[0], bucket),
                 rng, edge_weights=run.weights, chunk_size=self.config.chunk_size,
+                turn=None if lane is None else lane.wait(step + i),
             ))
         return stats
 
@@ -529,6 +543,55 @@ class BucketExecutor:
             self.model.get_table(rel.lhs, bucket.lhs if parts(rel.lhs) > 1 else 0),
             self.model.get_table(rel.rhs, bucket.rhs if parts(rel.rhs) > 1 else 0),
         )
+
+
+def host_lanes() -> int:
+    """Lanes for a lone machine: 2 with at least two usable CPUs, else 1."""
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else [0]
+    return 2 if len(usable) >= 2 else 1
+
+
+class _Lane:
+    """One thread's model calls, and the ``turn`` the model takes. Call
+    ``s`` reads (negatives, relation parameters, rows) after call ``s -
+    1``'s read and ``s - 2``'s update (and ``sync``), before ``s - 1``'s
+    update: turns ``R0 R1 U0 R2 U1 ...``, turn ``t`` after ``done[t -
+    1]``; this order fixes every bit. A lane runs the update it holds
+    before its next read, or after it if that read makes it due."""
+
+    def __init__(self, done, failures, sync) -> None:
+        self.done, self.failures, self.sync = done, failures, sync
+        self.step, self.held = 0, None
+
+    def _turn(self, t: int) -> int:  # runs-on: lane
+        if t and not self.done[t - 1].is_set():
+            with telemetry.span("train.turn", cat="stall", turn=t):
+                self.done[t - 1].wait()
+        if self.failures:
+            raise RuntimeError("another lane of this bucket failed")
+        return t
+
+    def wait(self, s: int) -> "_Lane":  # runs-on: lane
+        if self.held is not None and self.held[0] != s - 1:
+            self.flush()
+        self._turn(max(2 * s - 1, 0))
+        self.step = s
+        return self
+
+    def read_done(self) -> None:  # runs-on: lane
+        self.done[max(2 * self.step - 1, 0)].set()
+        self.flush()
+
+    def update(self, apply: Callable[[], object]) -> None:  # runs-on: lane
+        self.held = (self.step, apply)
+
+    def flush(self) -> None:  # runs-on: lane
+        if self.held is not None:
+            (s, apply), self.held = self.held, None
+            t = self._turn(min(2 * s + 2, len(self.done) - 1))
+            apply()
+            self.sync()
+            self.done[t].set()
 
 
 @dataclass

@@ -324,7 +324,7 @@ def _machine_main(
         executor = BucketExecutor(
             cfg, model, ctx.entities, rng, pipe,
             committer=_PartitionCommitter(lock_server, ctx.machine),
-            sync=client.maybe_sync,
+            sync=client.maybe_sync, name=f"machine-{ctx.machine}",
         )
 
         def resident_bytes() -> int:

@@ -1042,39 +1042,6 @@ class TestSharedBucketLoop:
     """Every machine drives the single-machine trainer's
     ``BucketExecutor``; these pin what the collapse promised."""
 
-    def test_hogwild_workers_run_per_machine(self, monkeypatch):
-        import threading
-
-        from repro.core.model import EmbeddingModel
-
-        seen: dict = {}
-        seen_lock = threading.Lock()
-        original = EmbeddingModel.forward_backward_chunk
-
-        def recording(self, *args, **kwargs):
-            with seen_lock:
-                seen.setdefault(id(self), set()).add(
-                    threading.current_thread().name
-                )
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(
-            EmbeddingModel, "forward_backward_chunk", recording
-        )
-        edges = _graph()
-        config, entities = _setup(
-            2, 4, num_workers=2, batch_size=40, chunk_size=20
-        )
-        model, stats = DistributedTrainer(config, entities).train(edges)
-        assert stats.total_edges == 3 * len(edges)
-        assert np.isfinite(sum(m.loss for m in stats.machines))
-        assert np.isfinite(model.global_embeddings("node")).all()
-        assert len(seen) == 2  # one model per machine
-        for names in seen.values():
-            # A pool's second worker ran chunks: two threads were
-            # inside one machine's bucket at once.
-            assert any(name.endswith("_1") for name in names), names
-
     @pytest.mark.parametrize("pipelined", [False, True])
     def test_serial_mode_starts_no_pipeline_thread(
         self, monkeypatch, pipelined
@@ -1171,8 +1138,8 @@ class TestSharedBucketLoop:
         self, monkeypatch, tmp_path, cluster
     ):
         """Both trainers run one bucket loop, which swaps an empty
-        bucket in but trains only non-empty ones: no worker pool is
-        started and no seed drawn for a bucket without edges."""
+        bucket in but trains only non-empty ones: no lane is started
+        and nothing drawn for a bucket without edges."""
         from repro.core.trainer import BucketExecutor
         from repro.graph.partitioning import bucket_edges
 
@@ -1184,7 +1151,7 @@ class TestSharedBucketLoop:
             return original(self, bucket, edges)
 
         monkeypatch.setattr(BucketExecutor, "train", counting)
-        config, entities = _setup(2, 4, num_epochs=2, num_workers=2)
+        config, entities = _setup(2, 4, num_epochs=2)
         edges = _two_partition_graph(entities)
         nonempty = bucket_edges(edges, config, entities).nonempty_buckets()
         assert len(nonempty) == 4

@@ -180,7 +180,10 @@ class TestEquivalence:
         )
         assert io_threads
         assert set(io_threads) == {threading.current_thread()}
-        assert started == []
+        # A training lane may start; no partition I/O thread does.
+        assert not [
+            name for name in started if "writeback" in name or "prefetch" in name
+        ]
 
 
 class TestCacheAccounting:

@@ -100,11 +100,6 @@ class TestSingleMachine:
         )
         assert calls == [0, 1, 2]
 
-    def test_multiworker_trains(self):
-        _, _, model, trainer = _setup(num_epochs=3, num_workers=4)
-        stats = trainer.train(_ring_graph())
-        assert stats.epochs[-1].mean_loss < stats.epochs[0].mean_loss
-
 
 class TestPartitionedTraining:
     def test_requires_storage(self):
@@ -361,8 +356,9 @@ class TestStratumPasses:
             _config(stratum_passes=0)
 
 
-def _train_batch_chunk_by_chunk(self, bucket, batch, rng):
-    """The reference the batch step replaced: one update per chunk."""
+def _train_batch_chunk_by_chunk(self, bucket, batch, rng, lane=None, step=0):
+    """The reference the batch step replaced: one update per chunk, at
+    once (on one lane, outside the schedule)."""
     from repro.core.batching import iterate_chunks
     from repro.core.model import ChunkStats
 
@@ -382,6 +378,7 @@ def test_one_update_per_batch_learns_like_one_per_chunk(monkeypatch):
     Adagrad steps must not cost held-out MRR. Seeds are fixed; the two
     runs differ by ~1 %."""
     from repro.config import single_entity_config
+    from repro.core import trainer as trainer_module
     from repro.core.trainer import BucketExecutor
     from repro.datasets.social import livejournal_like
 
@@ -393,6 +390,7 @@ def test_one_update_per_batch_learns_like_one_per_chunk(monkeypatch):
             monkeypatch.setattr(
                 BucketExecutor, "_train_batch", _train_batch_chunk_by_chunk
             )
+            monkeypatch.setattr(trainer_module, "host_lanes", lambda: 1)
         config = single_entity_config(
             comparator="cos", dimension=64, num_epochs=5, batch_size=1000,
             chunk_size=100, num_batch_negs=50, num_uniform_negs=50, seed=1,

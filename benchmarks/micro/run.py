@@ -95,11 +95,7 @@ class Group(NamedTuple):
 #: row name -> why this tree's output differs from the parent's. Emptied
 #: by the change after: against another tree a declared row that stays
 #: bit-identical fails as stale.
-NUMERIC_CHANGES: "dict[str, str]" = {
-    row: "the bucket's batches train stale by one: each reads the table "
-         "one update behind"
-    for row in ("epoch[lanes=1]", "epoch[lanes=2]")
-}
+NUMERIC_CHANGES: "dict[str, str]" = {}
 
 #: group name -> (history ``benchmark`` name, ``build(pkg, quick)``
 #: context manager yielding the group)

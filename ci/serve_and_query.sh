@@ -15,8 +15,7 @@ PYTHONPATH=src python -m repro.cli serve --snapshots snapshots \
   --queries queries.npy --k 5 --index ivfpq \
   --num-lists 8 --nprobe 8 --output ivf.npz
 PYTHONPATH=src python -m repro.cli serve --snapshots snapshots \
-  --queries queries.npy --k 5 --index exact \
-  --metrics-port 0 --slow-batch 0.000001
+  --queries queries.npy --k 5 --index exact --slow-batch 0.000001
 PYTHONPATH=src python -m repro.cli metrics --snapshots snapshots \
   | grep -q "serve_batch_seconds"
 PYTHONPATH=src python -m repro.cli query --snapshots snapshots \

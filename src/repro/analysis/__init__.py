@@ -10,7 +10,7 @@ commit:
 
 - :mod:`repro.analysis.lint` — an AST-based static checker for
   lightweight ``# guarded-by:`` / ``# owned-by:`` / ``# public-guard:``
-  annotations on the five concurrency modules. Run it with
+  annotations on the concurrency modules. Run it with
   ``python -m repro.analysis``.
 - :mod:`repro.analysis.lockdep` — an opt-in runtime harness: an
   instrumented lock wrapper that records the lock-acquisition-order
@@ -22,9 +22,9 @@ commit:
 - :mod:`repro.analysis.hooks` — the ultra-light indirection the
   production modules consult to find an active ownership tracker;
   importing it costs nothing when the harness is off.
-- :mod:`repro.analysis.reach` — the reachability map: which library
-  functions the committed commands (workloads, paper claims, examples,
-  micro rows, CI steps) enter. Run it with
+- :mod:`repro.analysis.reach` — the reachability map: which functions
+  of ``src/repro`` the committed commands (workloads, paper claims,
+  examples, micro rows, CI steps) enter. Run it with
   ``python -m repro.analysis.reach``.
 
 See ``CONCURRENCY.md`` at the repository root for the annotation

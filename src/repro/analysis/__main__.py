@@ -1,9 +1,10 @@
 """CLI for the concurrency lint: ``python -m repro.analysis``.
 
-With no arguments, checks the five annotated concurrency modules and
-exits 0 iff they are clean. Pass explicit paths to check other files
-(directories are searched for ``*.py``). ``--expect-findings`` inverts
-the exit status — used by CI against the known-bad corpus in
+With no arguments, checks the annotated concurrency modules
+(``lint.default_targets``) and exits 0 iff they are clean. Pass
+explicit paths to check other files (directories are searched for
+``*.py``). ``--expect-findings`` inverts the exit status — used by CI
+(``ci/concurrency_lint.sh``) against the known-bad corpus in
 ``tests/lint_corpus/`` to prove the checker still catches what it is
 supposed to catch.
 """
@@ -36,8 +37,8 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to check (default: the five "
-        "annotated concurrency modules)",
+        help="files or directories to check (default: the annotated "
+        "concurrency modules)",
     )
     parser.add_argument(
         "--expect-findings",

@@ -8,14 +8,14 @@ when the harness is not installed, every hook call is a single
 attribute load and a ``None`` check — effectively free, so production
 code paths can call them unconditionally.
 
-Thread-safety: `install`/`uninstall` happen on the test main thread
-before/after worker threads exist; readers only ever see ``None`` or a
-fully constructed tracker.
+Thread-safety: installs happen on the test main thread before/after
+worker threads exist; readers only ever see ``None`` or a fully
+constructed tracker.
 """
 
 from __future__ import annotations
 
-__all__ = ["ownership_tracker", "install_ownership_tracker", "uninstall_ownership_tracker"]
+__all__ = ["ownership_tracker", "install_ownership_tracker"]
 
 #: the active PartitionOwnershipTracker, or None when the harness is off
 _TRACKER = None
@@ -27,12 +27,7 @@ def ownership_tracker():
 
 
 def install_ownership_tracker(tracker) -> None:
-    """Activate ``tracker`` for subsequently created pipelines."""
+    """Activate ``tracker`` for subsequently created pipelines (``None``
+    deactivates)."""
     global _TRACKER
     _TRACKER = tracker
-
-
-def uninstall_ownership_tracker() -> None:
-    """Deactivate the ownership tracker."""
-    global _TRACKER
-    _TRACKER = None

@@ -50,7 +50,7 @@ import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["Finding", "check_file", "check_source", "check_paths", "default_targets"]
+__all__ = ["Finding", "check_file", "check_source", "default_targets"]
 
 #: methods that mutate their receiver in place
 _MUTATING_METHODS = {
@@ -564,13 +564,6 @@ def check_file(path: "str | Path") -> "list[Finding]":
     return check_source(path.read_text(), str(path))
 
 
-def check_paths(paths) -> "list[Finding]":
-    findings: "list[Finding]" = []
-    for path in paths:
-        findings.extend(check_file(path))
-    return findings
-
-
 def default_targets() -> "list[Path]":
     """The annotated concurrency modules, resolved relative to the
     installed package (so the CLI works from any working directory)."""
@@ -585,8 +578,6 @@ def default_targets() -> "list[Path]":
         root / "core" / "trainer.py",
         root / "telemetry" / "tracer.py",
         root / "telemetry" / "metrics.py",
-        root / "telemetry" / "diff.py",
-        root / "telemetry" / "exposition.py",
         root / "serving" / "snapshot.py",
         root / "serving" / "server.py",
         root / "serving" / "shards.py",

@@ -1,10 +1,10 @@
 """Reachability map: ``python -m repro.analysis.reach``, no flags.
 
-Runs each line of ``reach_commands.txt`` traced, prints every library function (``src/repro``
-minus ``cli.py``, ``analysis/``, ``telemetry/``) with the commands entering it, and exits 1 on
-one neither reached nor in ``reach_allowlist.txt`` (``path:qualname  reason``), on an allowlist
-line naming no function, or on over ``MAX_ALLOWED_LINES`` allowlisted body lines. Command exit
-statuses are printed, not judged: a claim can fail a timing check and still reach its code.
+Runs each line of ``reach_commands.txt`` traced, prints every function of ``src/repro`` outside
+``EXEMPT`` with the commands entering it, and exits 1 on one neither reached nor in
+``reach_allowlist.txt`` (``path:qualname  reason``), on an allowlist line naming no function,
+or on over ``MAX_ALLOWED_LINES`` allowlisted body lines. Command exit statuses are printed,
+not judged: a claim can fail a timing check and still reach its code.
 """
 
 import ast
@@ -19,6 +19,10 @@ ROOT = Path(__file__).resolve().parents[3]
 COMMANDS = "src/repro/analysis/reach_commands.txt"
 ALLOWLIST = "src/repro/analysis/reach_allowlist.txt"
 MAX_ALLOWED_LINES = 150
+EXEMPT = {
+    "analysis/lockdep.py",  # a test oracle: CI's analysis job runs the suite under REPRO_LOCKDEP=1
+    "analysis/reach.py",  # the map itself: it does not trace its own run
+}
 # Written as sitecustomize.py: keeps code objects on call events (returning None: no line events),
 # writes them at exit, also from a forked child, which leaves by _exit_function and skips atexit.
 _TRACER = """import atexit, os, sys, threading
@@ -54,7 +58,7 @@ def reach(commands: "list[str]", root: Path) -> "dict[str, tuple[int, list[int]]
     root's; map ``path:qualname`` to (body lines, indices of the commands entering it)."""
     lib, where, reached = (root / "src" / "repro").resolve(), {}, {}
     for path in sorted(lib.rglob("*.py")):
-        if path.relative_to(lib).parts[0] not in ("cli.py", "analysis", "telemetry"):
+        if path.relative_to(lib).as_posix() not in EXEMPT:
             _visit(ast.parse(path.read_text()), path, path.relative_to(lib), "", where, reached)
     with tempfile.TemporaryDirectory() as tmp:
         (out := Path(tmp, "out")).mkdir()

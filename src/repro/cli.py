@@ -108,8 +108,8 @@ def _arm_tracer(config: ConfigSchema):
     """Arm the span tracer when the run asks for a trace file. The
     CLI owns the tracer (trainers only arm one if nobody else has), so
     the digest can be computed from the in-memory spans after export.
-    The config fingerprint is stamped into the trace metadata so the
-    trace differ can refuse apples-to-oranges comparisons."""
+    The config fingerprint is stamped into the trace metadata as
+    provenance: which configuration the trace was taken under."""
     if not config.trace_path:
         return None
     tracer = telemetry.enable()
@@ -342,7 +342,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.trace:
         tracer = telemetry.enable()
         telemetry.set_lane("cli.serve")
-    manager = metrics_server = None
+    manager = None
     try:
         manager, service, serving = _open_service(
             args, auto_refresh=args.poll
@@ -351,19 +351,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             tracer.add_metadata(
                 config_fingerprint=fingerprint(dataclasses.asdict(serving))
             )
-        if args.metrics_port is not None:
-            from repro.telemetry import MetricsServer
-
-            def health():
-                return {
-                    "status": "ok",
-                    "version": manager.current_version(),
-                }
-
-            metrics_server = MetricsServer(
-                manager.metrics, port=args.metrics_port, health=health
-            ).start()
-            print(f"metrics at {metrics_server.url}/metrics")
         queries = np.load(args.queries)
         idx, scores = service.query(queries, k=args.k)
         if args.output:
@@ -381,8 +368,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if metrics_server is not None:
-            metrics_server.close()
         if manager is not None:
             manager.close()
         if tracer is not None:
@@ -443,12 +428,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    """Dump the service registry as Prometheus text, without a server.
-
-    Same text ``/metrics`` serves under ``repro serve
-    --metrics-port`` — mostly zeros here (the service just came up),
-    but it shows every metric name and label a scrape would see.
-    """
+    """Dump the service registry as Prometheus text: mostly zeros (the
+    service just came up), but every metric name and label it keeps."""
     try:
         manager, service, _ = _open_service(args)
     except _SERVING_ERRORS as exc:
@@ -593,11 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--trace", default=None, metavar="PATH",
                          help="write a Chrome trace_event JSON of "
                               "serve.query/serve.swap spans")
-    p_serve.add_argument("--metrics-port", type=int, default=None,
-                         dest="metrics_port", metavar="PORT",
-                         help="serve GET /metrics (Prometheus text) and "
-                              "/healthz on 127.0.0.1:PORT while queries "
-                              "run (0 picks an ephemeral port)")
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_query = sub.add_parser(
@@ -621,9 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="print the serving registry as Prometheus text",
         description="Open the CURRENT snapshot and dump its metrics "
-                    "registry in the Prometheus text exposition format "
-                    "— the same text 'repro serve --metrics-port' "
-                    "serves at /metrics.",
+                    "registry in the Prometheus text exposition format.",
     )
     add_serving_args(p_metrics)
     p_metrics.set_defaults(fn=_cmd_metrics)

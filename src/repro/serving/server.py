@@ -239,9 +239,6 @@ class QueryService:
         )
 
     def stats_text(self) -> str:
-        """Prometheus text exposition of the service's registry.
-
-        The same text the ``/metrics`` endpoint serves — callable
-        without a server for ``repro metrics`` and tests.
-        """
+        """Prometheus text exposition of the service's registry (what
+        ``repro metrics`` prints)."""
         return render_prometheus(self.manager.metrics)

@@ -26,7 +26,7 @@ always wins.
 
 from __future__ import annotations
 
-from repro.telemetry.exposition import MetricsServer, render_prometheus
+from repro.telemetry.exposition import render_prometheus
 from repro.telemetry.metrics import (
     DEFAULT_BUCKET_BOUNDS,
     Counter,
@@ -47,7 +47,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsServer",
     "render_prometheus",
     "metric_key",
     "DEFAULT_BUCKET_BOUNDS",
@@ -58,8 +57,6 @@ __all__ = [
     "active",
     "disable",
     "enable",
-    "enabled",
-    "export",
     "set_lane",
     "span",
 ]
@@ -75,12 +72,6 @@ def enable(capacity: int = DEFAULT_CAPACITY) -> Tracer:
     return tracer
 
 
-def install(tracer: "Tracer | None") -> None:
-    """Arm a pre-built tracer (or None to disarm)."""
-    global _TRACER
-    _TRACER = tracer
-
-
 def disable() -> "Tracer | None":
     """Disarm tracing; returns the tracer that was active, if any."""
     global _TRACER
@@ -91,10 +82,6 @@ def disable() -> "Tracer | None":
 
 def active() -> "Tracer | None":
     return _TRACER
-
-
-def enabled() -> bool:
-    return _TRACER is not None
 
 
 def span(name: str, cat: str = "", **args):
@@ -110,11 +97,3 @@ def set_lane(name: str) -> None:
     tracer = _TRACER
     if tracer is not None:
         tracer.set_lane(name)
-
-
-def export(path: str) -> None:
-    """Export the active tracer as Chrome trace JSON to ``path``."""
-    tracer = _TRACER
-    if tracer is None:
-        raise RuntimeError("telemetry.export() called with no active tracer")
-    tracer.export(path)

@@ -1,13 +1,10 @@
-"""Telemetry CLI: analyze one trace, diff two, or gate on history.
+"""Telemetry CLI: analyze one trace or gate on history.
 
-Three subcommands share this entry point:
+Two subcommands share this entry point:
 
 - ``python -m repro.telemetry TRACE.json`` (or ``analyze TRACE.json``)
   — single-trace analysis: overlap efficiency, per-bucket critical
   path, lock hold/wait, ASCII Gantt; ``--assert-overlap`` for CI.
-- ``python -m repro.telemetry diff A.json B.json`` — attribute the
-  wall-clock delta between two same-fingerprint traces to per-span-name
-  self-time deltas (see :mod:`repro.telemetry.diff`).
 - ``python -m repro.telemetry regress BENCH_history.jsonl`` — compare
   the newest benchmark record per (benchmark, config fingerprint)
   against the median of its prior records; exit non-zero on regression
@@ -27,10 +24,6 @@ def main(argv: "list[str] | None" = None) -> int:
     # Subcommand dispatch kept out of argparse so the original
     # positional form (``python -m repro.telemetry TRACE.json``) keeps
     # working unchanged.
-    if argv and argv[0] == "diff":
-        from repro.telemetry.diff import main as diff_main
-
-        return diff_main(argv[1:])
     if argv and argv[0] == "regress":
         from repro.telemetry.regress import main as regress_main
 
@@ -40,7 +33,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
         description="Analyze a Chrome trace captured with --trace "
-        "(subcommands: analyze [default], diff, regress).",
+        "(subcommands: analyze [default], regress).",
     )
     parser.add_argument("trace", help="path to a trace_event JSON file")
     parser.add_argument(

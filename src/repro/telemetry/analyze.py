@@ -74,19 +74,6 @@ class TraceAnalysis:
     buckets: "list[BucketCost]" = field(default_factory=list)
     lock: LockReport = field(default_factory=LockReport)
 
-    def to_dict(self) -> dict:
-        """Flat summary for benchmark reports / JSON consumers."""
-        return {
-            "duration_seconds": self.duration_s,
-            "num_events": self.num_events,
-            "dropped_events": self.dropped,
-            "compute_busy_seconds": self.compute_busy_s,
-            "transfer_busy_seconds": self.transfer_busy_s,
-            "overlapped_seconds": self.overlapped_s,
-            "overlap_efficiency": self.overlap_efficiency,
-            "stall_seconds": self.stall_s,
-        }
-
 
 # ----------------------------------------------------------------------
 # Interval math

@@ -1,35 +1,22 @@
-"""Live metrics exposition: Prometheus text rendering + /metrics server.
+"""Prometheus text rendering of a :class:`~repro.telemetry.metrics.MetricsRegistry`.
 
-Two pieces turn the always-on :class:`~repro.telemetry.metrics.MetricsRegistry`
-from an end-of-run summary source into something you can watch *while*
-the process runs:
-
-- :func:`render_prometheus` — render every registered instrument in
-  the Prometheus text exposition format (version 0.0.4).  Counters and
-  gauges map directly; histograms render as summaries with
-  ``quantile="0.5|0.95|0.99"`` labels plus ``_sum`` / ``_count`` (and
-  ``_min`` / ``_max`` gauges, which Prometheus summaries lack but the
-  registry tracks exactly).
-- :class:`MetricsServer` — a stdlib ``http.server`` thread serving
-  ``GET /metrics`` (the rendered registry) and ``GET /healthz`` (a
-  JSON health document from a caller-supplied callback).  ``repro
-  serve --metrics-port`` runs one next to the query loop; ``repro
-  metrics`` prints the same text without a server.
+:func:`render_prometheus` renders every registered instrument in the
+Prometheus text exposition format (version 0.0.4).  Counters and gauges
+map directly; histograms render as summaries with
+``quantile="0.5|0.95|0.99"`` labels plus ``_sum`` / ``_count`` (and
+``_min`` / ``_max`` gauges, which Prometheus summaries lack but the
+registry tracks exactly).  ``repro metrics`` prints it for a serving
+registry; ``QueryService.stats_text`` returns it.
 
 Thread-safety: rendering takes no registry-wide snapshot lock — it
 lists the instrument map once, then reads each instrument through its
-own leaf lock (see metrics.py), so a scrape can never block the query
-hot path for more than one instrument update.  The server's own state
-is a single lifecycle slot; the blocking shutdown/join calls happen
-outside the lock (lint-enforced, see CONCURRENCY.md).
+own leaf lock (see metrics.py), so a render never blocks the query hot
+path for more than one instrument update.
 """
 
 from __future__ import annotations
 
-import json
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.telemetry.metrics import (
     Counter,
@@ -38,7 +25,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
 )
 
-__all__ = ["MetricsServer", "render_prometheus"]
+__all__ = ["render_prometheus"]
 
 #: quantiles exported for every histogram
 EXPORT_QUANTILES = (0.5, 0.95, 0.99)
@@ -134,114 +121,3 @@ def render_prometheus(registry: MetricsRegistry) -> str:
             type_line(f"{name}_max", "gauge")
             lines.append(f"{name}_max{_label_str(labels)} {_fmt(s['max'])}")
     return "\n".join(lines) + "\n"
-
-
-class _MetricsHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the registry + health callback."""
-
-    daemon_threads = True
-    # Serving sockets linger in TIME_WAIT between test runs; reuse.
-    allow_reuse_address = True
-
-    def __init__(self, addr, handler, registry, health):
-        self.registry = registry
-        self.health = health
-        super().__init__(addr, handler)
-
-
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-metrics/1"
-
-    def _send(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        path = self.path.split("?", 1)[0]
-        if path == "/metrics":
-            body = render_prometheus(self.server.registry).encode()
-            self._send(200, "text/plain; version=0.0.4", body)
-        elif path == "/healthz":
-            try:
-                doc = self.server.health()
-                status = 200 if doc.get("status", "ok") == "ok" else 503
-            except Exception as exc:  # health must never crash the server
-                doc = {"status": "error", "error": str(exc)}
-                status = 503
-            self._send(
-                status, "application/json",
-                (json.dumps(doc, default=str) + "\n").encode(),
-            )
-        else:
-            self._send(404, "text/plain", b"not found\n")
-
-    def log_message(self, format, *args):  # noqa: A002 (http.server API)
-        pass  # scrapes are high-frequency; stay quiet
-
-
-class MetricsServer:  # public-guard: _lock
-    """Background ``/metrics`` + ``/healthz`` endpoint over a registry.
-
-    ``port=0`` binds an ephemeral port; read :attr:`port` after
-    construction.  The server thread is a daemon, so a crashed owner
-    never hangs process exit, but well-behaved owners call
-    :meth:`close` (idempotent).
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        port: int = 0,
-        host: str = "127.0.0.1",
-        health=None,
-    ) -> None:
-        if health is None:
-            def health():
-                return {"status": "ok"}
-        self._server = _MetricsHTTPServer(
-            (host, port), _Handler, registry, health
-        )
-        self.host, self.port = self._server.server_address[:2]
-        self._lock = threading.Lock()
-        self._thread = None  # guarded-by: _lock
-        self._closed = False  # guarded-by: _lock
-
-    @property
-    def url(self) -> str:  # lint: no-lock (host/port frozen at init)
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "MetricsServer":
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("MetricsServer already closed")
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._server.serve_forever,
-                    name="metrics-server",
-                    daemon=True,
-                )
-                self._thread.start()
-        return self
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            thread = self._thread
-            self._thread = None
-        # Blocking teardown happens outside the lock: shutdown() waits
-        # for serve_forever to notice, join() waits for the thread.
-        if thread is not None:
-            self._server.shutdown()
-            thread.join()
-        self._server.server_close()
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -136,21 +136,6 @@ class Histogram:
             "max": 0.0 if hi is None else float(hi),
         }
 
-    def bucket_counts(self) -> "list[tuple[float, int]]":
-        """Cumulative ``(upper_bound, count)`` pairs, Prometheus-style.
-
-        The last pair's bound is ``inf`` and its count equals
-        ``count`` — the overflow bucket included.
-        """
-        with self._lock:
-            counts = list(self._buckets)
-        out = []
-        cum = 0
-        for bound, c in zip((*self.bounds, float("inf")), counts):
-            cum += c
-            out.append((bound, cum))
-        return out
-
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile (``0 <= q <= 1``) from buckets.
 
@@ -183,16 +168,6 @@ class Histogram:
         self, qs: "tuple[float, ...]" = (0.5, 0.95, 0.99)
     ) -> "dict[float, float]":
         return {q: self.quantile(q) for q in qs}
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def total(self) -> float:
-        with self._lock:
-            return self._total
 
 
 class MetricsRegistry:  # public-guard: _lock

@@ -121,20 +121,6 @@ class MetricCheck:
             return self.delta_frac > self.band
         return self.delta_frac < -self.band
 
-    def to_dict(self) -> dict:
-        return {
-            "benchmark": self.benchmark,
-            "config_fingerprint": self.fingerprint,
-            "metric": self.metric,
-            "direction": self.direction,
-            "baseline_median": self.baseline_median,
-            "newest": self.newest,
-            "delta_frac": self.delta_frac,
-            "band": self.band,
-            "num_prior": self.num_prior,
-            "regressed": self.regressed,
-        }
-
 
 @dataclass
 class RegressReport:
@@ -145,16 +131,6 @@ class RegressReport:
     @property
     def regressions(self) -> "list[MetricCheck]":
         return [c for c in self.checks if c.regressed]
-
-    def to_dict(self) -> dict:
-        return {
-            "checks": [c.to_dict() for c in self.checks],
-            "baseline_only": [
-                {"benchmark": b, "config_fingerprint": f}
-                for b, f in self.baseline_only
-            ],
-            "num_regressions": len(self.regressions),
-        }
 
 
 def _metric_direction(
@@ -285,10 +261,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="prior records required before a group is gated "
         "(default 1)",
     )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the machine-readable report here",
-    )
     args = parser.parse_args(argv)
     try:
         records = load_history(args.history)
@@ -316,11 +288,6 @@ def main(argv: "list[str] | None" = None) -> int:
         min_prior=args.min_prior,
     )
     print(render_report(report))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"report written to {args.json}")
     if report.regressions:
         for c in report.regressions:
             print(

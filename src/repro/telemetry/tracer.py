@@ -150,19 +150,6 @@ class Tracer:  # public-guard: _lock
 
     # -- reading -----------------------------------------------------
 
-    def events(self) -> "list[SpanEvent]":
-        with self._lock:
-            return list(self._events)
-
-    def lanes(self) -> "dict[int, str]":
-        with self._lock:
-            return dict(self._lane_names)
-
-    @property
-    def dropped(self) -> int:
-        with self._lock:
-            return self._dropped
-
     def to_chrome(self) -> dict:
         """Render as a Chrome ``trace_event`` JSON object (complete events)."""
         with self._lock:

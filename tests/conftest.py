@@ -31,7 +31,7 @@ def lockdep_harness():
     try:
         yield (registry, tracker)
     finally:
-        hooks.uninstall_ownership_tracker()
+        hooks.install_ownership_tracker(None)
         registry.uninstall()
     # Outside the finally: report violations only after the patches are
     # rolled back, so one failing test cannot poison the next.

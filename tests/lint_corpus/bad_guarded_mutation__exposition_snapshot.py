@@ -1,12 +1,11 @@
-"""Seeded violation: a metrics-exposition server's lifecycle pattern
-with the guarded thread/closed slots mutated outside the lock.
+"""Seeded violation: a background server's lifecycle pattern with the
+guarded thread/closed slots mutated outside the lock.
 
 The lint must report ``guarded-mutation`` for the unlocked thread-slot
-store and closed-flag flip in ``start``/``close`` — the exact state
-``repro.telemetry.exposition.MetricsServer`` guards with ``_lock``
-(the correct version also moves the blocking shutdown/join calls
-outside the lock; ``close_locked`` shows the compliant shape minus
-that teardown).
+store and closed-flag flip in ``start``/``close``: state that a server
+thread's owner guards with ``_lock`` (a correct version also moves the
+blocking shutdown/join calls outside the lock; ``close_locked`` shows
+the compliant shape minus that teardown).
 """
 
 import threading

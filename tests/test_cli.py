@@ -342,7 +342,7 @@ _OPTIONS = {
              "--trace --verbose --writeback-delta -v",
     "eval": "--candidates --checkpoint --edges --filter --seed",
     "export": "--checkpoint --entity-type --format --output",
-    "serve": _SERVING_FLAGS + " --batch-size --metrics-port --output "
+    "serve": _SERVING_FLAGS + " --batch-size --output "
                               "--poll --queries --slow-batch --trace",
     "query": _SERVING_FLAGS + " --ids --queries",
     "metrics": _SERVING_FLAGS,

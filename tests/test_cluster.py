@@ -1218,12 +1218,12 @@ class TestSharedBucketLoop:
                 run()
             finally:
                 telemetry.disable()
-            spans = [e for e in tracer.events() if e.name in loop]
-            vocabulary[name] = {(e.name, tuple(sorted(e.args))) for e in spans}
-            trained = [e for e in spans if e.name == "train.bucket"]
+            spans = [e for e in tracer.to_chrome()["traceEvents"] if e["name"] in loop]
+            vocabulary[name] = {(e["name"], tuple(sorted(e["args"]))) for e in spans}
+            trained = [e for e in spans if e["name"] == "train.bucket"]
             assert len(trained) == 2 * len(nonempty)
-            assert {e.args["epoch"] for e in trained} == {0, 1}
-            assert [e.args["epoch"] for e in spans if e.name == "epoch.flush"] == [0, 1]
+            assert {e["args"]["epoch"] for e in trained} == {0, 1}
+            assert [e["args"]["epoch"] for e in spans if e["name"] == "epoch.flush"] == [0, 1]
         assert vocabulary["trainer"] == vocabulary["cluster"] == {
             ("swap.bucket", ("bucket", "epoch")),
             ("train.bucket", ("bucket", "epoch")),

@@ -251,7 +251,7 @@ class _Harness:
         return self
 
     def __exit__(self, exc_type, *rest):
-        hooks.uninstall_ownership_tracker()
+        hooks.install_ownership_tracker(None)
         self.registry.uninstall()
         if exc_type is None:
             self.registry.assert_no_cycles()

@@ -384,7 +384,7 @@ class TestWritebackDurability:
         # A double park is what the ownership tracker (armed suite-wide
         # under REPRO_LOCKDEP=1) exists to flag; no trainer does it,
         # and this test is about the bytes.
-        hooks.uninstall_ownership_tracker()
+        hooks.install_ownership_tracker(None)
         store = GatedStorage(tmp_path / "swap")
         pipe = PartitionPipeline(store)
         first, second = _part(seed=1), _part(seed=2)

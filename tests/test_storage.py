@@ -474,7 +474,7 @@ class TestStorageRoundtripFuzz:
         trainer does and the ownership tracker (armed suite-wide under
         REPRO_LOCKDEP=1) rightly flags; they check bytes, not
         ownership."""
-        hooks.uninstall_ownership_tracker()
+        hooks.install_ownership_tracker(None)
 
     @pytest.mark.parametrize("synchronous", [True, False])
     @pytest.mark.parametrize("seed", range(3))

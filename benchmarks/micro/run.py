@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
+import inspect
 import itertools
 import os
 import pickle
@@ -670,8 +671,19 @@ def _dict_backend(absent: type) -> SimpleNamespace:
             raise absent(f"no partition {entity_type}/{part}")
         return parts[entity_type, part]
 
-    return SimpleNamespace(load=load, save=lambda entity_type, part, *arrays:
-                           parts.__setitem__((entity_type, part), arrays))
+    def save(entity_type, part, *arrays, dirty_rows=None):
+        parts[entity_type, part] = arrays
+
+    return SimpleNamespace(load=load, save=save)
+
+
+def _serial_pipeline(pkg, backend):
+    """The serial pipeline of either tree: budget 0, or the
+    ``synchronous=True`` mode of a tree that still has one."""
+    cls = pkg.storage.PartitionPipeline
+    if "synchronous" in inspect.signature(cls).parameters:
+        return cls(backend, synchronous=True)
+    return cls(backend, budget_bytes=0)
 
 
 def _swap_rows(pkg, make_backend, synchronous: bool, calls: int, stack):
@@ -703,7 +715,8 @@ def _swap_rows(pkg, make_backend, synchronous: bool, calls: int, stack):
          ("partitions_per_s", DRAIN_PARTS)),
     ):
         backend = make_backend()
-        pipe = pkg.storage.PartitionPipeline(backend, budget_bytes=budget, synchronous=synchronous)
+        pipe = (_serial_pipeline(pkg, backend) if synchronous else
+                pkg.storage.PartitionPipeline(backend, budget_bytes=budget))
         stack.callback(pipe.close)
 
         def stored(pipe=pipe, backend=backend, parked=parked):

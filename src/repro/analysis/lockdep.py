@@ -30,14 +30,15 @@ Legal transitions are exactly the pipeline's lifecycle::
         ▲                     │ ▲                                  │
         └──────evict/stale────┘ └───────────push landed────────────┘
 
-plus ``on-server → resident`` (synchronous fetch or first-touch
-initialisation) and ``resident → on-server`` (a blocking save outside
-any pipeline). Anything else — a double-resident partition, a prefetch
-stomping a resident table, a park of bytes that were never resident —
-is recorded as a violation. Hooks are wired into
+plus ``on-server → resident`` (a fetch on the calling thread or
+first-touch initialisation) and ``resident → on-server`` (a blocking
+save outside any pipeline). Anything else — a double-resident
+partition, a prefetch stomping a resident table, a park of bytes that
+were never resident — is recorded as a violation. Hooks are wired into
 :class:`~repro.graph.storage.PartitionPipeline` — every trainer's
-partition I/O goes through one, in serial mode too — through
-:mod:`repro.analysis.hooks`.
+partition I/O goes through one, the serial run's zero-budget pipeline
+too, whose park walks ``writeback → staged → on-server`` before it
+returns — through :mod:`repro.analysis.hooks`.
 
 The pytest fixture in ``tests/conftest.py`` activates both under
 ``REPRO_LOCKDEP=1`` and asserts zero cycles / zero illegal transitions
@@ -462,8 +463,8 @@ class OwnerView:
         self.tracker.transition(self.owner, entity_type, part, STAGED)
 
     def resident(self, entity_type: str, part: int, from_cache: bool) -> None:
-        """The main thread took ownership (cache hit, synchronous
-        fetch, or first-touch initialisation)."""
+        """The main thread took ownership (cache hit, a fetch on the
+        calling thread, or first-touch initialisation)."""
         expect = (STAGED,) if from_cache else (ON_SERVER,)
         self.tracker.transition(
             self.owner, entity_type, part, RESIDENT, expect
@@ -498,6 +499,6 @@ class OwnerView:
 
     def saved(self, entity_type: str, part: int) -> None:
         """A blocking save returned the bytes to the backend without
-        passing through a pipeline (no trainer does this any more; the
-        pipeline's synchronous mode reports park/landed/dropped)."""
+        passing through a pipeline (no trainer does this any more; a
+        zero-budget pipeline reports park/landed/dropped)."""
         self.tracker.transition(self.owner, entity_type, part, ON_SERVER)

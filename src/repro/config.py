@@ -325,9 +325,11 @@ class ConfigSchema:
     # Pipelined bucket training (paper Section 4.1's latency hiding):
     # prefetch the next bucket's partitions while training the current
     # one, keep recently evicted partitions in an LRU cache, and flush
-    # dirty partitions on a background writeback thread. Only takes
-    # effect when some entity type is partitioned; embeddings are
-    # bit-identical to the serial path under a fixed seed. With
+    # dirty partitions on a background writeback thread. Every trainer
+    # moves partitions through one pipeline; this flag only gives it
+    # partition_cache_budget (False: budget 0, the serial run). Only
+    # takes effect when some entity type is partitioned; embeddings are
+    # bit-identical to the serial run under a fixed seed. With
     # num_machines > 1 the same machinery runs per machine against the
     # partition server: the lock server's reserve() predicts each
     # machine's next bucket, whose partitions are prefetched over the
@@ -335,10 +337,10 @@ class ConfigSchema:
     # partitions are pushed back asynchronously under a deferred
     # release that other machines cannot observe until the push lands.
     pipeline: bool = False
-    # Byte budget of the partition staging cache, per trainer/machine
-    # (None = unlimited, 0 = no retention: every evicted partition is
-    # flushed synchronously and dropped, and prefetch is disabled —
-    # serial memory footprint, serial I/O behaviour).
+    # Byte budget of the partition staging cache, per trainer/machine,
+    # when pipeline is set (None = unlimited; 0 = the serial run: no
+    # thread, every load and save on the calling thread, nothing
+    # retained or prefetched).
     partition_cache_budget: int | None = None
     # Stratum passes (paper footnote 3): divide each bucket's edges
     # into N parts and sweep the bucket grid N times per epoch,

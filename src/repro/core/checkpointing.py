@@ -40,25 +40,19 @@ def save_model(
     model: EmbeddingModel,
     entities: EntityStorage,
     metadata: dict | None = None,
-    barrier=None,
     codec: str = "none",
 ) -> CheckpointStorage:
     """Persist config, parameters and layouts; returns the storage.
 
-    ``barrier``, when given, is a callable invoked before anything is
-    written. Pipelined trainers pass their writeback drain here so that
-    every asynchronously evicted partition has durably landed in the
-    partition store before the checkpoint claims consistency — a
-    checkpoint taken mid-writeback would otherwise pair fresh resident
-    partitions with stale evicted ones.
+    A trainer checkpoints only after its epoch-end flush has drained
+    every write-back (:meth:`~repro.core.trainer.BucketExecutor.flush`),
+    so the evicted partitions in the store and the resident ones
+    written here belong to the same model.
 
     ``codec`` compresses the checkpoint's embedding partitions on disk
     (shared parameters stay fp32); partition files are self-describing,
     so :func:`load_model` reads any codec without being told.
     """
-    if barrier is not None:
-        with telemetry.span("checkpoint.drain", cat="checkpoint"):
-            barrier()
     with telemetry.span("checkpoint.save", cat="checkpoint"):
         return _save_model_files(
             checkpoint_dir, model, entities, metadata, codec

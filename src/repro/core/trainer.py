@@ -9,11 +9,12 @@ each batch reads the table one update behind, so two lanes train it
 without changing a bit), then swaps partitions back before moving on.
 
 With one partition this degenerates to plain minibatch training with
-everything resident (no pipeline is built). Peak-memory accounting and
-swap/I/O counters feed the memory columns of Tables 3 and 4.
+everything resident (its pipeline has no store and nothing to move).
+Peak-memory accounting and swap/I/O counters feed the memory columns
+of Tables 3 and 4.
 
-One loop, one schedule, two pipeline modes
-------------------------------------------
+One loop, one schedule, one pipeline
+------------------------------------
 
 :meth:`BucketExecutor.run_epoch` is the only per-bucket loop and
 :class:`Grants` its only schedule: the visits a
@@ -25,15 +26,15 @@ differ only in what a landed write-back triggers (nothing /
 ``commit_partition``), deferred release, whether the epoch-end flush
 keeps tables resident, and the per-batch parameter-server sync. All
 partition I/O goes through one
-:class:`~repro.graph.storage.PartitionPipeline`; ``config.pipeline``
-selects its mode:
+:class:`~repro.graph.storage.PartitionPipeline`, whose byte budget
+(:func:`cache_budget`) is the only thing ``config.pipeline`` sets:
 
-- **Synchronous** (``pipeline=False``, the reference the bit-identity
+- **Budget 0** (``pipeline=False``, the reference the bit-identity
   oracles compare against): no thread is started, nothing is retained,
   and every load, save and first-touch initialisation runs inline on
   the calling thread — swap latency is additive with training time.
-- **Pipelined** (``pipeline=True``): I/O overlaps compute (the
-  latency-hiding the paper relies on to keep edges/sec flat as
+- **Budget N or unlimited** (``pipeline=True``): I/O overlaps compute
+  (the latency-hiding the paper relies on to keep edges/sec flat as
   partition count grows). A *prefetch* thread loads the partitions of
   the bucket the lock server reserves next (alone, the next visit, so
   inside-out's locality directly turns into prefetch hits) into the
@@ -47,9 +48,9 @@ Ownership rules (who may touch which buffers):
    inserts, drops, or initialises partitions; in a bucket, the ``rng``
    and gathers run only in read turns, updates in update turns
    (:class:`_Lane`). First-touch initialisation never happens on the
-   prefetch thread, and both modes swap in the same sorted order, so
-   RNG consumption order — and therefore the trained embeddings — are
-   bit-identical across modes and lane counts under a fixed seed.
+   prefetch thread, and every budget swaps in the same sorted order,
+   so RNG consumption order — and therefore the trained embeddings —
+   are bit-identical across budgets and lane counts under a fixed seed.
 2. The **prefetch thread** only reads partition files and stages
    *clean* copies in the pipeline; it never sees the model and treats
    a missing file as "not my problem" (the main thread initialises).
@@ -97,18 +98,21 @@ from repro.telemetry.metrics import MetricsRegistry, view
 
 __all__ = [
     "BucketExecutor", "Grants", "Trainer", "TrainingStats", "EpochStats",
-    "PipelineStats", "epoch_visits", "run_epochs", "stratum_edges",
+    "PipelineStats", "cache_budget", "epoch_visits", "run_epochs",
+    "stratum_edges",
 ]
 
 
 @dataclass
 class PipelineStats:
-    """Pipelined-training counters (all zero in serial mode).
+    """Partition-pipeline counters.
 
     A *hit* is a swap-in served from the partition cache (prefetched or
     retained since its last eviction) — no disk read on the critical
     path. A *miss* is a swap-in that had to read disk synchronously or
-    initialise a first-touch partition.
+    initialise a first-touch partition. The serial run's cache holds
+    zero bytes: every swap-in misses, every eviction counts in
+    ``cache_evictions``, and nothing waits.
     """
 
     prefetch_hits: int = 0
@@ -116,7 +120,7 @@ class PipelineStats:
     #: seconds the main thread waited for in-flight prefetch loads
     prefetch_wait_time: float = 0.0
     #: seconds the main thread was blocked on background writes
-    #: (flush-before-reuse, budget evictions, epoch/checkpoint drains)
+    #: (flush-before-reuse, budget evictions, epoch-end drains)
     writeback_stall_time: float = 0.0
     #: cache entries dropped to stay under ``partition_cache_budget``
     cache_evictions: int = 0
@@ -232,9 +236,9 @@ class BucketExecutor:
         Consumed on the calling thread and in read turns (rule 1):
         first-touch initialisation, batch shuffling, negative sampling.
     pipeline:
-        Carries all partition I/O. ``None`` when no entity type is
-        partitioned: every table was materialised up front and nothing
-        ever moves.
+        Carries all partition I/O. When no entity type is partitioned
+        every table was materialised up front and nothing ever moves:
+        a zero-budget pipeline over no store.
     committer:
         Optional ``held(part)`` / ``landed(part)`` pair: ``held`` runs
         on the calling thread as a partition is swapped in (taken or
@@ -253,7 +257,7 @@ class BucketExecutor:
         model: EmbeddingModel,
         entities: EntityStorage,
         rng: np.random.Generator,
-        pipeline: "PartitionPipeline | None",
+        pipeline: PartitionPipeline,
         committer=None,
         sync: Callable[[], object] = lambda: None,
         name: str = "trainer",
@@ -290,8 +294,6 @@ class BucketExecutor:
         """Make ``bucket``'s partitions the resident ones; returns how
         many partitions moved (evictions plus swap-ins)."""
         pipe = self.pipeline
-        if pipe is None:
-            return 0
         needed = self.required_partitions(bucket)
         # In-flight prefetch loads settle first, so cache state is
         # final and the prefetch thread quiescent while tables move.
@@ -326,7 +328,7 @@ class BucketExecutor:
             for key in self.model.resident_tables()
             if key not in keep and key[0] not in self.global_types
         ]
-        committer, delta = self.committer, self.config.writeback_delta
+        committer = self.committer
         for entity_type, part in keys:
             table = self.model.drop_table(entity_type, part)
             self.pipeline.park(
@@ -335,9 +337,9 @@ class BucketExecutor:
                     None if committer is None
                     else partial(committer.landed, part)
                 ),
-                # Rows touched since the fetch: a delta-capable backend
-                # pushes only those.
-                dirty_rows=table.dirty_row_indices() if delta else None,
+                # Rows touched since the fetch: the backend decides
+                # whether to push only those.
+                dirty_rows=table.dirty_row_indices(),
             )
         return len(keys)
 
@@ -346,24 +348,27 @@ class BucketExecutor:
         overlap with training the current one. Resident partitions need
         no I/O; ones the backend does not have are skipped by the
         prefetch thread and initialised at swap time (rule 2)."""
-        if self.pipeline is not None:
-            self.pipeline.schedule(
-                key
-                for key in sorted(self.required_partitions(bucket))
-                if not self.model.has_table(*key)
-            )
+        self.pipeline.schedule(
+            key
+            for key in sorted(self.required_partitions(bucket))
+            if not self.model.has_table(*key)
+        )
 
     def flush(self, keep_resident: bool) -> None:
-        """Epoch-end barrier: returns once every partitioned resident
-        table has durably landed in the backend, so a model assembled
-        or checkpointed from it is complete. ``keep_resident`` leaves
-        the tables in the model (callbacks and the checkpoint read
-        them); otherwise they are evicted."""
+        """Epoch-end barrier: returns once every write of the epoch has
+        landed, so a model assembled or checkpointed from the backend
+        is complete. ``keep_resident`` leaves the partitioned tables in
+        the model (callbacks and the checkpoint read them) and persists
+        them, unless ``config.checkpoint_dir`` is set: the checkpoint
+        :func:`run_epochs` writes next stores them in this same store,
+        once. Otherwise they are evicted. At budget 0 each write has
+        landed when the call that made it returns: nothing is left to
+        drain."""
         pipe = self.pipeline
-        if pipe is None:
-            return
         pipe.settle()
-        if keep_resident:
+        if not keep_resident:
+            self.evict()
+        elif self.config.checkpoint_dir is None:
             for entity_type, part in self.model.resident_tables():
                 if entity_type not in self.global_types:
                     table = self.model.get_table(entity_type, part)
@@ -371,9 +376,8 @@ class BucketExecutor:
                         entity_type, part,
                         table.weights, table.optimizer.state,
                     )
-        else:
-            self.evict()
-        pipe.drain()
+        if pipe.budget_bytes != 0:
+            pipe.drain()
 
     # -- the bucket loop ------------------------------------------------
 
@@ -462,15 +466,10 @@ class BucketExecutor:
 
     def resident_nbytes(self) -> int:
         """Bytes held by the model plus the pipeline's staged entries."""
-        nbytes = self.model.resident_nbytes()
-        if self.pipeline is not None:
-            nbytes += self.pipeline.nbytes()
-        return nbytes
+        return self.model.resident_nbytes() + self.pipeline.nbytes()
 
     def pipeline_stats(self) -> PipelineStats:
-        """The pipeline's counters now (all zero in synchronous mode)."""
-        if self.pipeline is None:
-            return PipelineStats()
+        """The pipeline's counters now."""
         return view(PipelineStats, self.pipeline.metrics)
 
     # -- in-bucket training (stale-by-one lanes) -------------------------
@@ -600,7 +599,8 @@ class Grants:
     epoch's round, each with its :func:`stratum_edges`, released when
     the loop asks for the next (deferred if a committer will lift it).
     Starved, it has the loop evict, then waits for a grant or the
-    round's end; pipelined, it reserves the next visit to prefetch.
+    round's end; when its pipeline can prefetch (budget other than 0),
+    it reserves the next visit to prefetch.
     ``registry`` gets the ``machine.*`` counters and the
     ``resident_bytes()`` gauge, set after each swap."""
 
@@ -640,11 +640,16 @@ class Grants:
     def swapped(self) -> "Visit | None":
         self.registry.gauge("machine.resident_bytes").set(self.resident_bytes())
         # Two-phase protocol: pull the likely next bucket while this trains.
-        if self.executor.config.pipeline:
+        if self.executor.pipeline.budget_bytes != 0:
             self.reserved = self.lock_server.reserve(self.machine)
             if self.reserved is not None:
                 self.registry.counter("machine.reservations").inc()
         return self.reserved
+
+
+def cache_budget(config: ConfigSchema) -> "int | None":
+    """A trainer's pipeline budget: 0 (serial) unless ``config.pipeline``."""
+    return config.partition_cache_budget if config.pipeline else 0
 
 
 def run_epochs(
@@ -785,13 +790,10 @@ class Trainer:
         # Imported here: repro.distributed imports this module.
         from repro.distributed.lock_server import LockServer
 
-        pipeline = None
-        if self._partitioned:
-            pipeline = PartitionPipeline(
-                self.storage,
-                budget_bytes=self.config.partition_cache_budget,
-                synchronous=not self.config.pipeline,
-            )
+        pipeline = PartitionPipeline(
+            self.storage,
+            budget_bytes=cache_budget(self.config) if self._partitioned else 0,
+        )
         executor = BucketExecutor(
             self.config, self.model, self.entities, self.rng, pipeline
         )
@@ -816,15 +818,14 @@ class Trainer:
             # partition store, the checkpoint's own embeddings/.
             yield run_epoch, lambda: self.model
         finally:
-            if pipeline is not None:
-                failing = sys.exc_info()[0] is not None
-                try:
-                    pipeline.close()
-                except Exception:
-                    # Teardown after a training failure must not mask
-                    # the original exception with a writeback error.
-                    if not failing:
-                        raise
+            failing = sys.exc_info()[0] is not None
+            try:
+                pipeline.close()
+            except Exception:
+                # Teardown after a training failure must not mask the
+                # original exception with a writeback error.
+                if not failing:
+                    raise
 
     def _ensure_global_types(self, global_types: "list[str]") -> None:
         """Materialise single-partition entity types (always resident)."""

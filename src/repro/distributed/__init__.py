@@ -22,18 +22,18 @@ faithfully exercised; partitions cross between them encoded.
 Each machine drives the single-machine trainer's bucket loop
 (:class:`~repro.core.trainer.BucketExecutor`) over the same
 :class:`~repro.graph.storage.PartitionPipeline`, backed by the
-partition server instead of disk; ``config.pipeline`` selects whether
-that pipeline works inline or with prefetch / staging cache /
-asynchronous writeback threads, in which case the lock server's
-two-phase ``reserve``/``acquire`` protocol predicts each machine's next
-bucket so its partitions transfer during compute. In both modes
-deferred releases keep a partition invisible to other machines until
-its push-back lands, and the pipelining invariants govern this network
-path too: *flush-before-reuse* (no machine — local via ``take``, or
-remote via the lock server's deferral — may consume a partition whose
-latest write is still in flight) and the *drain barrier* (every
-push-back lands before the coordinator assembles a model or
-checkpoints).
+partition server instead of disk; ``config.pipeline`` gives that
+pipeline its staging budget. At budget 0 it works inline; at any other
+it runs prefetch / staging cache / asynchronous writeback threads, and
+the lock server's two-phase ``reserve``/``acquire`` protocol predicts
+each machine's next bucket so its partitions transfer during compute.
+At every budget deferred releases keep a partition invisible to other
+machines until its push-back lands, and the pipelining invariants
+govern this network path too: *flush-before-reuse* (no machine —
+local via ``take``, or remote via the lock server's deferral — may
+consume a partition whose latest write is still in flight) and the
+*drain barrier* (every push-back lands before the coordinator
+assembles a model or checkpoints).
 """
 
 from repro.distributed.lock_server import LockServer, LockServerStats

@@ -39,12 +39,12 @@ The bucket source and its protocol
 
 Steps 2–3 and the epoch-end flush are the single-machine trainer's:
 each machine runs :meth:`~repro.core.trainer.BucketExecutor.run_epoch`
-per epoch (that module's docstring has the loop, its pipeline modes and
-the thread-ownership rules) with the lock server's grants
+per epoch (that module's docstring has the loop, the pipeline's budget
+and the thread-ownership rules) with the lock server's grants
 (:class:`~repro.core.trainer.Grants`) as its schedule, over a :class:`~repro.graph.storage.PartitionPipeline`
 backed by a partition-server adapter instead of disk. The protocol
-rules hold in both pipeline modes — a push lands, and commits, before
-the evicting call returns (synchronous) or on the writeback thread:
+rules hold at every budget — a push lands, and commits, before the
+evicting call returns (budget 0) or on the writeback thread:
 
 - **Deferred release (network flush-before-reuse).** A bucket is
   released with ``defer=True``: its partitions stay unavailable to
@@ -58,7 +58,7 @@ the evicting call returns (synchronous) or on the writeback thread:
   wedge the grid; it then waits inside ``acquire(..., wait=True)``
   for a grant or the round's end. A failure calls ``LockServer.abort``
   beside ``barrier.abort``, so a waiting peer raises, never hangs.
-- **Reservation prefetch (pipelined only).** After a swap the machine
+- **Reservation prefetch (budget other than 0).** After a swap the machine
   reserves (:meth:`~repro.distributed.lock_server.LockServer.reserve`)
   its likely next bucket and prefetches it; a reservation lost to
   another machine costs a prefetch miss, and staged copies are
@@ -74,8 +74,9 @@ All partition-server traffic goes through
 :class:`~repro.distributed.partition_server.PartitionServerStorage`,
 which owns the codec (``config.partition_compression``): it encodes
 what a machine pushes — with ``config.writeback_delta`` only the dirty
-rows — and decodes what it fetches, so encoded payloads are what cross
-the thread or process boundary and what the server hosts and patches.
+rows every eviction hands it — and decodes what it fetches, so encoded
+payloads are what cross the thread or process boundary and what the
+server hosts and patches.
 Stale deltas degrade to full pushes. The coordinator assembles models
 through the same adapter; a shared-parameter sync is one
 ``ParameterServer.sync`` call.
@@ -108,6 +109,7 @@ from repro.core.trainer import (
     EpochStats,
     Grants,
     TrainingStats,
+    cache_budget,
     epoch_visits,
     run_epochs,
 )
@@ -135,10 +137,10 @@ _BARRIER_TIMEOUT = 3600.0
 class MachineStats:
     """Per-machine accounting.
 
-    The pipeline block is all zero in serial (non-pipelined) mode. A
-    *prefetch hit* is a bucket partition served from the staging cache
-    (prefetched off the reservation, or retained since this machine
-    last held it); a *miss* paid a synchronous partition-server fetch
+    A *prefetch hit* is a bucket partition served from the staging
+    cache (prefetched off the reservation, or retained since this
+    machine last held it; never with ``pipeline=False``, whose cache
+    holds zero bytes); a *miss* paid a synchronous partition-server fetch
     or a first-touch initialisation; a *stale prefetch* is a staged
     copy discarded because another machine pushed a newer version
     before the bucket was acquired. ``transfer_overlap_time`` is the
@@ -162,7 +164,7 @@ class MachineStats:
     idle_time: float = 0.0
     transfer_time: float = 0.0
     peak_resident_bytes: int = 0
-    # Pipelined distributed mode.
+    # The partition pipeline.
     prefetch_hits: int = 0
     prefetch_misses: int = 0
     stale_prefetches: int = 0
@@ -171,7 +173,7 @@ class MachineStats:
     transfer_overlap_time: float = 0.0
     reservations: int = 0
     reservation_hits: int = 0
-    # Compressed transport (both pipeline modes).
+    # Compressed transport (at every pipeline budget).
     wire_bytes_sent: int = 0
     wire_bytes_received: int = 0
     wire_bytes_saved: int = 0
@@ -246,7 +248,7 @@ class _PartitionCommitter:
     entity type shares, so a deferral may lift only once the machine
     holds no copy of the index the partition server lacks. ``held``
     counts a copy in at swap-in (main thread); ``landed`` (writeback
-    thread, or main thread in synchronous mode) counts it out once its
+    thread, or main thread at budget 0) counts it out once its
     push lands, and commits when the count drains. Over-delivery is
     harmless: ``commit_partition`` is a no-op for non-deferred
     partitions.
@@ -316,10 +318,9 @@ def _machine_main(
         )
         pipe = PartitionPipeline(
             backend,
-            budget_bytes=cfg.partition_cache_budget,
+            budget_bytes=cache_budget(cfg),
             validate=backend.is_current,
             name=f"machine-{ctx.machine}",
-            synchronous=not cfg.pipeline,
         )
         executor = BucketExecutor(
             cfg, model, ctx.entities, rng, pipe,

@@ -26,11 +26,11 @@ deferral or :meth:`~LockServer.abort` changes the grid — the
 "incomplete occupancy" overhead discussed with Table 3.
 
 :meth:`LockServer.reserve` predicts a machine's next grant by the same
-preference order, as if it had released its current bucket; pipelined
-machines prefetch it while training (on one machine it is the next
-visit). Reservations are advisory: they lock nothing and never change
-a grant; one lost to another machine costs a prefetch miss
-(``reservation_misses``).
+preference order, as if it had released its current bucket; machines
+whose pipeline can prefetch (budget other than 0) prefetch it while
+training (on one machine it is the next visit). Reservations are
+advisory: they lock nothing and never change a grant; one lost to
+another machine costs a prefetch miss (``reservation_misses``).
 
 Deferred release (network flush-before-reuse): a cluster machine
 releases with ``defer=True``, so the bucket's partitions stay
@@ -38,8 +38,9 @@ unavailable to *other* machines — who would fetch stale bytes from the
 partition server — until :meth:`commit_partition` reports that the
 push-back landed; the owner, whose resident copy is freshest, may
 reclaim them at once. An index commits when the machine's last copy of
-it, of any entity type, has landed: synchronously after the push with
-``pipeline=False``, on the writeback thread with ``pipeline=True``.
+it, of any entity type, has landed: on the evicting thread, right after
+the push, when the machine's pipeline has budget 0 (``pipeline=False``),
+else on its writeback thread.
 The single-machine trainer has no peer and releases without deferral.
 """
 

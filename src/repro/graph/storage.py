@@ -22,15 +22,15 @@ instead (``mmap=True``) after the same checks. Every damaged file
 
 Every mover of a partition reaches its backend through one
 :class:`PartitionPipeline` (``settle`` / ``park`` / ``persist`` /
-``take`` / ``schedule`` / ``drain``). Pipelined, it hides the swap
-latency of Section 4.1 behind compute: evicted partitions are staged in
-a byte-budgeted LRU while a write thread persists them, a load thread
+``take`` / ``schedule`` / ``drain``). It hides the swap latency of
+Section 4.1 behind compute: evicted partitions are staged in a
+byte-budgeted LRU while a write thread persists them, a load thread
 stages the partitions of the next bucket, and a staged partition is
 handed back out only once its write has landed (flush-before-reuse).
-Serial training is its synchronous mode: the same calls with no thread
-behind them and nothing retained. The single-machine trainer backs it
-with :class:`PartitionedEmbeddingStorage`; the distributed trainer
-backs it with a partition-server adapter
+Serial training is its zero-byte budget: the same code with each job
+run on the calling thread and nothing retained. The single-machine
+trainer backs it with :class:`PartitionedEmbeddingStorage`; the
+distributed trainer backs it with a partition-server adapter
 (:class:`~repro.distributed.partition_server.PartitionServerStorage`),
 so the same flush-before-reuse and drain-barrier invariants govern
 both the disk and the network path.
@@ -385,24 +385,6 @@ class PartitionedEmbeddingStorage:
         return shards, dim
 
 
-def _save_partition(
-    storage,
-    key: "tuple[str, int]",
-    embeddings: np.ndarray,
-    optim_state: np.ndarray,
-    dirty_rows: "np.ndarray | None",
-) -> None:
-    """``storage.save`` with the dirty-row hint forwarded when there is
-    one, letting a delta-capable backend push only those rows; backends
-    without the parameter never see it."""
-    if dirty_rows is None:
-        storage.save(key[0], key[1], embeddings, optim_state)
-    else:
-        storage.save(
-            key[0], key[1], embeddings, optim_state, dirty_rows=dirty_rows
-        )
-
-
 @dataclass
 class _Staged:
     """One partition the pipeline holds between the park or prefetch
@@ -422,6 +404,18 @@ class _Staged:
 
 
 _PIPELINE_SERIALS = itertools.count()
+
+
+class _Inline:
+    """A pool of no threads (budget 0): a job runs as it is submitted."""
+
+    def submit(self, fn, /, *args) -> Future:
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+    def shutdown(self, *args, **kwargs) -> None:
+        pass
 
 
 class PartitionPipeline:
@@ -455,19 +449,19 @@ class PartitionPipeline:
     ``budget_bytes`` bounds the staged bytes (``None``: unlimited). Over
     budget, least-recently-staged entries are dropped, each only after
     its write has landed — the pipeline never loses the only up-to-date
-    copy of a partition. ``0`` retains nothing: every park blocks until
-    its write lands, and :meth:`schedule` is a no-op — a memory-bound
-    fallback with essentially serial I/O behaviour.
-
-    ``synchronous=True`` is the serial mode of the same API: no thread
-    is started and nothing is retained. :meth:`park` saves inline and
-    fires ``on_flushed`` before returning, :meth:`persist` saves
-    inline, :meth:`take` is an inline load, and :meth:`settle` /
-    :meth:`schedule` / :meth:`drain` find nothing to do — every backend
-    call happens on the calling thread, in call order.
+    copy of a partition. ``0`` is the serial pipeline: no thread is
+    started, each write runs on the calling thread as it is submitted,
+    and :meth:`schedule` is a no-op, so every backend call happens on
+    the calling thread, in call order, and has landed before the call
+    that made it returns. The counters follow from a zero-byte cache
+    with no rule of their own: every :meth:`take` misses, every
+    :meth:`park` is evicted, and nothing ever waits.
 
     ``storage`` is any object with the
-    :class:`PartitionedEmbeddingStorage` ``load``/``save`` interface.
+    :class:`PartitionedEmbeddingStorage` ``load``/``save`` interface,
+    ``save``'s ``dirty_rows`` keyword included: every park hands it
+    the rows touched since the fetch, and only the backend decides
+    whether to use them.
     ``validate``, when given, is called as ``validate(entity_type,
     part)`` on every staged hit; returning False means the staged copy
     is stale (another machine updated the backend since it was staged)
@@ -481,21 +475,18 @@ class PartitionPipeline:
         budget_bytes: int | None = None,
         validate: "Callable[[str, int], bool] | None" = None,
         name: str = "partition",
-        synchronous: bool = False,
     ) -> None:
         if budget_bytes is not None and budget_bytes < 0:
             raise ValueError("budget_bytes must be >= 0 or None")
         self.storage = storage
         self.budget_bytes = budget_bytes
         self.validate = validate
-        self.synchronous = synchronous
         #: the registry the pipeline's counters live in, each named after
         #: the ``PipelineStats`` / ``MachineStats`` field it feeds
         self.metrics = MetricsRegistry()
         #: take() calls served from the staged set (and still valid)
         self._m_take_hits = self.metrics.counter("pipeline.prefetch_hits")
-        #: take() calls that fell through to a backend read (pipelined
-        #: mode only: a synchronous pipeline has nothing to miss)
+        #: take() calls that fell through to a backend read
         self._m_take_misses = self.metrics.counter("pipeline.prefetch_misses")
         #: staged hits invalidated because the backend had newer bytes
         self._m_stale = self.metrics.counter("pipeline.stale_prefetches")
@@ -514,10 +505,10 @@ class PartitionPipeline:
             OrderedDict()
         )
         self._error: "BaseException | None" = None  # guarded-by: _lock
-        # One worker each (both None in synchronous mode): loads never
-        # reorder, and writes land in submission order.
-        self._load_pool = self._write_pool = None
-        if not synchronous:
+        # One worker each (none at budget 0): loads never reorder, and
+        # writes land in submission order.
+        self._load_pool = self._write_pool = _Inline()
+        if budget_bytes != 0:
             self._load_pool = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix=f"{name}-prefetch"
             )
@@ -547,7 +538,7 @@ class PartitionPipeline:
     def _raise_if_failed(self) -> None:
         if self._error is not None:
             raise StorageError(
-                f"background partition write failed: {self._error}"
+                f"partition write failed: {self._error}"
             ) from self._error
 
     def _landed(
@@ -566,6 +557,7 @@ class PartitionPipeline:
         self._last_write = self._write_pool.submit(
             self._write, key, embeddings, optim_state, dirty_rows, on_landed
         )
+        self._raise_if_failed()  # at budget 0 the write has run
         return self._last_write
 
     def _write(  # runs-on: writeback
@@ -582,8 +574,9 @@ class PartitionPipeline:
                 "writeback.write", cat="transfer",
                 entity=key[0], part=key[1],
             ):
-                _save_partition(
-                    self.storage, key, embeddings, optim_state, dirty_rows
+                self.storage.save(
+                    key[0], key[1], embeddings, optim_state,
+                    dirty_rows=dirty_rows,
                 )
             if on_landed is not None:
                 on_landed()
@@ -660,14 +653,6 @@ class PartitionPipeline:
         key = (entity_type, part)
         if self._owner is not None:
             self._owner.parked(entity_type, part)
-        if self.synchronous:
-            _save_partition(
-                self.storage, key, embeddings, optim_state, dirty_rows
-            )
-            self._landed(key, on_flushed)
-            if self._owner is not None:
-                self._owner.dropped(entity_type, part)
-            return
         write = self._submit_write(
             key, embeddings, optim_state, dirty_rows,
             partial(self._landed, key, on_flushed),
@@ -684,11 +669,8 @@ class PartitionPipeline:
         """Write a partition the caller keeps resident (the epoch-end
         flush of a single machine). The write is queued like a parked
         one, so the caller must :meth:`drain` before mutating the
-        arrays again; in synchronous mode it lands before returning."""
-        if self.synchronous:
-            self.storage.save(entity_type, part, embeddings, optim_state)
-        else:
-            self._submit_write((entity_type, part), embeddings, optim_state)
+        arrays again (at budget 0 it lands before returning)."""
+        self._submit_write((entity_type, part), embeddings, optim_state)
 
     def take(
         self, entity_type: str, part: int
@@ -727,8 +709,7 @@ class PartitionPipeline:
             # None means the caller initialises the partition; either
             # way it is resident on the main thread from here.
             self._owner.resident(entity_type, part, from_cache=False)
-        if not self.synchronous:
-            self._m_take_misses.inc()
+        self._m_take_misses.inc()
         return got, False
 
     def schedule(self, keys) -> int:
@@ -737,7 +718,7 @@ class PartitionPipeline:
         number scheduled. No-op at budget 0, where a staged entry would
         be dropped before it could be taken — prefetching would only
         double the reads."""
-        if self.synchronous or self.budget_bytes == 0:
+        if self.budget_bytes == 0:
             return 0
         scheduled = 0
         for key in keys:
@@ -775,29 +756,27 @@ class PartitionPipeline:
         checkpoint / epoch-end barrier); returns seconds blocked."""
         t0 = time.perf_counter()
         with telemetry.span("pipeline.drain", cat="stall"):
-            if not self.synchronous:
+            last = self._last_write
+            if last is not None and not last.done():
                 with telemetry.span("writeback.drain", cat="stall"):
-                    if self._last_write is not None:
-                        self._last_write.result()
+                    last.result()
                 self._m_stall.inc(time.perf_counter() - t0)
-                self._raise_if_failed()
+            self._raise_if_failed()
         return time.perf_counter() - t0
 
     def close(self) -> None:
-        """Drain outstanding writes and stop both worker threads
-        (synchronous mode has neither)."""
-        if self.synchronous:
-            return
+        """Let outstanding writes land, stop both worker threads (none
+        at budget 0), then raise if a write failed."""
         for fut in self._loads.values():
             fut.cancel()
         self._loads = {}
         try:
             self._load_pool.shutdown(wait=True, cancel_futures=True)
-            self.drain()
         finally:
             # After a failed write the queued jobs return at once, so
             # this never waits on work that cannot succeed.
             self._write_pool.shutdown(wait=True)
+        self._raise_if_failed()
 
 
 class CheckpointStorage:

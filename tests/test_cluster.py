@@ -379,6 +379,37 @@ class TestPipelinedDistributed:
         assert ls.reservation_misses == 0
         assert ls.reservation_hits == ls.reservations
 
+    def test_zero_budget_machine_reserves_nothing(self, monkeypatch):
+        """A machine whose pipeline cannot prefetch (``pipeline=True``
+        at ``partition_cache_budget=0``) sends the lock server no
+        ``reserve``: the prefetch it would feed is never scheduled.
+        Reservations are advisory, so the run is the serial one."""
+        from repro.distributed.lock_server import LockServer
+
+        calls = []
+        reserve = LockServer.reserve
+
+        def counting(self, machine):
+            calls.append(machine)
+            return reserve(self, machine)
+
+        monkeypatch.setattr(LockServer, "reserve", counting)
+        edges = _graph()
+        models = {}
+        for pipelined in (False, True):
+            config, entities = _setup(
+                1, 4, pipeline=pipelined, partition_cache_budget=0
+            )
+            models[pipelined], stats = DistributedTrainer(
+                config, entities
+            ).train(edges)
+            assert stats.machines[0].reservations == 0
+        assert calls == []
+        np.testing.assert_array_equal(
+            models[False].global_embeddings("node"),
+            models[True].global_embeddings("node"),
+        )
+
     def test_two_machines_train_and_server_complete(self):
         """Under contention reservations may lose (stolen buckets) and
         staged copies may go stale — both must degrade to misses, never
@@ -867,7 +898,7 @@ class TestCompressedTransport:
         )
 
     def test_serial_delta_writeback_pushes_deltas(self):
-        """The synchronous pipeline persists inline; the dirty-row hint
+        """The zero-budget pipeline persists inline; the dirty-row hint
         must survive that path or ``writeback_delta`` silently degrades
         to full pushes on the serial distributed trainer."""
         config, entities = _setup(1, 4, writeback_delta=True)
@@ -1046,8 +1077,8 @@ class TestSharedBucketLoop:
     def test_serial_mode_starts_no_pipeline_thread(
         self, monkeypatch, pipelined
     ):
-        """``pipeline=False`` is the synchronous mode of the shared
-        pipeline: no writeback or prefetch thread exists, and every
+        """``pipeline=False`` is the shared pipeline at budget 0: no
+        writeback or prefetch thread exists, and every
         partition-server transfer of a machine happens on that
         machine's own thread."""
         import threading

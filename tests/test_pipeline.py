@@ -15,7 +15,6 @@ import pytest
 
 from repro.analysis import hooks
 from repro.config import single_entity_config
-from repro.core.checkpointing import save_model
 from repro.core.model import EmbeddingModel
 from repro.core.tables import DenseEmbeddingTable
 from repro.core.trainer import PipelineStats, Trainer
@@ -159,8 +158,8 @@ class TestEquivalence:
 
 
     def test_serial_run_is_inline_and_threadless(self, tmp_path, monkeypatch):
-        """The serial reference run is the pipeline's synchronous mode:
-        every partition load and save happens on the thread that called
+        """The serial reference run is the pipeline at budget 0: every
+        partition load and save happens on the thread that called
         ``train``, and no writeback or prefetch thread is started."""
         started = record_thread_starts(monkeypatch)
         io_threads = []
@@ -170,9 +169,9 @@ class TestEquivalence:
                 io_threads.append(threading.current_thread())
                 return super().load(entity_type, part)
 
-            def save(self, entity_type, part, embeddings, optim_state):
+            def save(self, entity_type, part, *arrays, **kw):
                 io_threads.append(threading.current_thread())
-                super().save(entity_type, part, embeddings, optim_state)
+                super().save(entity_type, part, *arrays, **kw)
 
         train_run(
             tmp_path, pipeline=False, num_partitions=4,
@@ -216,14 +215,23 @@ class TestCacheAccounting:
         assert stats.pipeline.prefetch_misses == total.prefetch_misses
 
     def test_serial_mode_reports_zero_pipeline_stats(self, tmp_path):
+        """The serial run reports zero hits and zero waits. Its cache
+        holds zero bytes, so every swap-in is a miss and every eviction
+        is a cache eviction."""
         _, stats, _ = train_run(
             tmp_path, pipeline=False, num_partitions=4
         )
+        _, piped, _ = train_run(tmp_path, pipeline=True, num_partitions=4)
         p = stats.pipeline
-        assert (p.prefetch_hits, p.prefetch_misses, p.cache_evictions) == (
-            0, 0, 0,
+        assert p.prefetch_hits == 0
+        # Both runs swap the same partitions in.
+        assert p.prefetch_misses == (
+            piped.pipeline.prefetch_hits + piped.pipeline.prefetch_misses
         )
-        assert p.writeback_stall_time == 0.0
+        assert p.prefetch_misses + p.cache_evictions == sum(
+            e.swaps for e in stats.epochs
+        )
+        assert p.writeback_stall_time == p.prefetch_wait_time == 0.0
 
 
 class SlowSaveStorage(PartitionedEmbeddingStorage):
@@ -236,9 +244,9 @@ class SlowSaveStorage(PartitionedEmbeddingStorage):
         self.completed_saves = 0
         self._save_lock = threading.Lock()
 
-    def save(self, entity_type, part, embeddings, optim_state):
+    def save(self, entity_type, part, *arrays, **kw):
         time.sleep(self.delay)
-        super().save(entity_type, part, embeddings, optim_state)
+        super().save(entity_type, part, *arrays, **kw)
         with self._save_lock:
             self.completed_saves += 1
 
@@ -281,33 +289,6 @@ class TestWritebackDurability:
             np.testing.assert_array_equal(disk_w, table.weights)
             np.testing.assert_array_equal(disk_s, table.optimizer.state)
 
-    def test_save_model_barrier_runs_before_write(self, tmp_path):
-        """save_model(barrier=...) must invoke the barrier before
-        persisting anything — simulating the crash-consistency
-        contract: a checkpoint is only declared after the drain."""
-        store = SlowSaveStorage(tmp_path / "swap", delay=0.2)
-        pipe = PartitionPipeline(store)
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal((6, 4)).astype(np.float32)
-        s = rng.random(6).astype(np.float32)
-        pipe.persist("node", 0, w, s)
-        # The write is still in flight: nothing on disk yet.
-        assert not store.exists("node", 0)
-
-        config = single_entity_config(num_partitions=1)
-        entities = EntityStorage({"node": 6})
-        model = EmbeddingModel(config, entities, np.random.default_rng(0))
-        model.init_partition("node", 0, np.random.default_rng(0))
-        events = []
-        save_model(
-            tmp_path / "ckpt", model, entities,
-            barrier=lambda: events.append(pipe.drain()),
-        )
-        assert len(events) == 1  # barrier ran
-        assert store.exists("node", 0)  # ...and drained the queue
-        np.testing.assert_array_equal(store.load("node", 0)[0], w)
-        pipe.close()
-
     def test_failed_write_is_sticky(self, tmp_path):
         """The first failed background write surfaces, typed, on the
         drain and on every later call; the writes queued behind it are
@@ -328,7 +309,7 @@ class TestWritebackDurability:
         pipe.persist("node", 1, w, s)  # queued behind the failing write
         pipe.storage.gate.set()
         failed = pytest.raises(
-            StorageError, match="background partition write"
+            StorageError, match="partition write failed"
         )
         with failed:
             pipe.drain()
@@ -344,6 +325,69 @@ class TestWritebackDurability:
             pipe.close()
         assert attempts == [0]
         assert _live_threads("sticky") == []
+
+    def test_zero_budget_write_fails_in_its_park(self, tmp_path):
+        """At budget 0 the write runs inside the park, so the park that
+        submitted a failing write raises it, typed; the failure stays
+        sticky, and nothing is left staged."""
+        class BrokenStorage(PartitionedEmbeddingStorage):
+            def save(self, *args, **kw):
+                raise OSError("disk on fire")
+
+        pipe = PartitionPipeline(BrokenStorage(tmp_path), budget_bytes=0)
+        w, s = _part()
+        failed = pytest.raises(StorageError, match="disk on fire")
+        with failed:
+            pipe.park("node", 0, w, s)
+        assert pipe.nbytes() == 0
+        with failed:
+            pipe.persist("node", 1, w, s)
+        with failed:
+            pipe.close()
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_checkpointed_epoch_saves_each_partition_once(
+        self, tmp_path, monkeypatch, pipeline
+    ):
+        """From the epoch-end flush to the end of the checkpoint, no
+        partition is written twice: the resident ones go to the store
+        once (the checkpoint's write), and every evicted one only by
+        its own park."""
+        from repro.core.trainer import BucketExecutor
+
+        saves, marks = [], []
+        save, flush = PartitionedEmbeddingStorage.save, BucketExecutor.flush
+
+        def counting_save(self, entity_type, part, *arrays, **kw):
+            saves.append((entity_type, part))
+            return save(self, entity_type, part, *arrays, **kw)
+
+        def marking_flush(self, keep_resident):
+            marks.append(len(saves))
+            return flush(self, keep_resident)
+
+        monkeypatch.setattr(PartitionedEmbeddingStorage, "save", counting_save)
+        monkeypatch.setattr(BucketExecutor, "flush", marking_flush)
+        config = single_entity_config(
+            num_partitions=4, dimension=8, num_epochs=2, batch_size=200,
+            chunk_size=50, pipeline=pipeline,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        entities = EntityStorage({"node": 200})
+        entities.set_partitioning(
+            "node", partition_entities(200, 4, np.random.default_rng(0))
+        )
+        model = EmbeddingModel(config, entities, np.random.default_rng(0))
+        trainer = Trainer(config, model, entities, rng=np.random.default_rng(0))
+        ends = []
+        trainer.train(make_edges(), after_epoch=lambda e, s: ends.append(
+            (len(saves), set(model.resident_tables()))
+        ))
+        assert len(marks) == len(ends) == 2
+        for start, (end, resident) in zip(marks, ends):
+            window = saves[start:end]
+            assert len(window) == len(set(window)), window
+            assert resident <= set(window)
 
     def test_flush_before_reuse_blocks_on_pending_write(self, tmp_path):
         """take() of a parked partition with an in-flight write must
@@ -442,22 +486,25 @@ class TestPartitionPipeline:
     def test_one_thread_per_pool_and_none_when_synchronous(
         self, tmp_path, monkeypatch
     ):
+        """Budget 0 starts no thread, and each of its writes has landed
+        when the park that made it returns; any other budget starts one
+        thread per pool."""
         started = record_thread_starts(monkeypatch)
         storage = PartitionedEmbeddingStorage(tmp_path)
         storage.save("node", 9, *_part())
-        for synchronous in (True, False):
-            pipe = PartitionPipeline(
-                storage, name="counted", synchronous=synchronous
-            )
+        for budget in (0, None):
+            pipe = PartitionPipeline(storage, budget_bytes=budget, name="counted")
             for part in range(3):
                 pipe.park("node", part, *_part())
+                if budget == 0:
+                    assert storage.exists("node", part)
             pipe.drain()
             for part in range(3):
                 pipe.take("node", part)
             pipe.schedule([("node", 9)])
             pipe.settle()
             pipe.close()
-            if synchronous:
+            if budget == 0:
                 assert started == []
         assert sorted(started) == [
             "counted-prefetch_0", "counted-writeback_0",
@@ -517,8 +564,8 @@ class TestPartitionPipeline:
         pipe.close()
 
     def test_synchronous_park_forwards_dirty_rows(self):
-        """The inline save of synchronous mode must hand the backend
-        the dirty-row hint the park carries, or a delta-capable backend
+        """The inline save of budget 0 must hand the backend the
+        dirty-row hint the park carries, or a delta-capable backend
         gets a full push; a hint-less park must not grow one."""
 
         class RecordingBackend:
@@ -530,17 +577,17 @@ class TestPartitionPipeline:
                 self.saves.append((part, kwargs))
 
         backend = RecordingBackend()
-        pipe = PartitionPipeline(backend, synchronous=True)
+        pipe = PartitionPipeline(backend, budget_bytes=0)
         rows = np.array([1, 3])
         pipe.park("node", 0, *_part(), dirty_rows=rows)
         pipe.park("node", 1, *_part())
         assert [part for part, _ in backend.saves] == [0, 1]
         assert backend.saves[0][1]["dirty_rows"] is rows
-        assert backend.saves[1][1] == {}
+        assert backend.saves[1][1] == {"dirty_rows": None}
 
     def test_synchronous_mode_is_inline_and_threadless(self, tmp_path):
-        """``synchronous=True``: park lands (and reports) before it
-        returns, persist writes inline, take reads the backend,
+        """Budget 0: park lands (and reports) before it returns,
+        persist writes inline, take reads the backend,
         schedule/settle/drain find nothing to do — all on the calling
         thread, with no worker thread behind it."""
         calls = []
@@ -550,14 +597,12 @@ class TestPartitionPipeline:
                 calls.append(("load", part, threading.current_thread()))
                 return super().load(entity_type, part)
 
-            def save(self, entity_type, part, embeddings, optim_state):
+            def save(self, entity_type, part, *arrays, **kw):
                 calls.append(("save", part, threading.current_thread()))
-                super().save(entity_type, part, embeddings, optim_state)
+                super().save(entity_type, part, *arrays, **kw)
 
         before = set(threading.enumerate())
-        pipe = PartitionPipeline(
-            Recording(tmp_path), budget_bytes=None, synchronous=True
-        )
+        pipe = PartitionPipeline(Recording(tmp_path), budget_bytes=0)
         events = []
         w, s = _part()
         pipe.park("node", 0, w, s, on_flushed=lambda: events.append(0))
@@ -635,7 +680,9 @@ class TestAbsentIsNotCorrupt:
 
     @pytest.mark.parametrize("synchronous", [True, False])
     def test_take(self, store, synchronous):
-        pipe = PartitionPipeline(store, synchronous=synchronous)
+        pipe = PartitionPipeline(
+            store, budget_bytes=0 if synchronous else None
+        )
         assert pipe.take("node", 2) == (None, False)
         with pytest.raises(StorageError, match="corrupt") as info:
             pipe.take("node", 1)
@@ -660,7 +707,7 @@ class TestAbsentIsNotCorrupt:
         )
 
         pipe = PartitionPipeline(
-            PartitionServerStorage(PartitionServer(1)), synchronous=True
+            PartitionServerStorage(PartitionServer(1)), budget_bytes=0
         )
         with pytest.raises(PartitionAbsent):
             pipe.storage.load("node", 0)

@@ -155,7 +155,7 @@ def _parameter_server():
     return lambda: ps.stats
 
 
-def _executor(tmp_path, synchronous):
+def _executor(tmp_path, budget):
     """A two-partition executor that swaps 0 → 1 → 0: two first-touch
     takes, then one take of the partition parked a swap earlier."""
     config = single_entity_config(num_partitions=2, dimension=4)
@@ -166,7 +166,7 @@ def _executor(tmp_path, synchronous):
     rng = np.random.default_rng(0)
     pipe = PartitionPipeline(
         PartitionedEmbeddingStorage(tmp_path / "swap"),
-        synchronous=synchronous,
+        budget_bytes=budget,
     )
     executor = BucketExecutor(
         config, EmbeddingModel(config, entities, rng), entities, rng, pipe
@@ -203,11 +203,11 @@ COMPONENTS = {
         "paramserver.pushes", "pushes",
     ),
     "pipelined": (
-        lambda tmp: _executor(tmp, synchronous=False), PipelineStats,
+        lambda tmp: _executor(tmp, budget=None), PipelineStats,
         "pipeline.prefetch_hits", "prefetch_hits",
     ),
     "synchronous": (
-        lambda tmp: _executor(tmp, synchronous=True), PipelineStats,
+        lambda tmp: _executor(tmp, budget=0), PipelineStats,
         "pipeline.prefetch_misses", "prefetch_misses",
     ),
     "query_service": (
@@ -281,24 +281,32 @@ class TestOneStatsPath:
         assert _parameter_server()() == ParameterServerStats(
             pulls=1, pushes=1, bytes_transferred=2 * 3 * 8
         )
-        pipelined = _executor(tmp_path / "a", synchronous=False)()
+        pipelined = _executor(tmp_path / "a", budget=None)()
         assert (pipelined.prefetch_hits, pipelined.prefetch_misses) == (1, 2)
         served = _query_service(tmp_path)()
         assert (served.queries, served.batches, served.version) == (6, 2, 1)
         assert served.p50 > 0.0
 
     def test_synchronous_take_counts_nothing(self, tmp_path):
+        """A zero-budget take counts nothing beyond its miss: a
+        zero-byte cache needs no rule of its own, so every take misses,
+        every park is evicted, and nothing ever hits or waits."""
         storage = PartitionedEmbeddingStorage(tmp_path)
         storage.save("node", 0, np.ones((3, 2), np.float32),
                      np.ones(3, np.float32))
-        pipe = PartitionPipeline(storage, synchronous=True)
+        pipe = PartitionPipeline(storage, budget_bytes=0)
         assert pipe.take("node", 0)[0] is not None
         assert pipe.take("node", 1) == (None, False)
         pipe.park("node", 0, np.ones((3, 2), np.float32),
                   np.ones(3, np.float32))
         pipe.drain()
-        assert metrics.view(PipelineStats, pipe.metrics) == PipelineStats()
-        assert _executor(tmp_path / "x", synchronous=True)() == PipelineStats()
+        assert metrics.view(PipelineStats, pipe.metrics) == PipelineStats(
+            prefetch_misses=2, cache_evictions=1
+        )
+        # Swaps 0 -> 1 -> 0, then the flush: three takes, three parks.
+        assert _executor(tmp_path / "x", budget=0)() == PipelineStats(
+            prefetch_misses=3, cache_evictions=3
+        )
 
 
 class TestPipelineStatsArithmetic:

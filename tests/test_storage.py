@@ -315,7 +315,7 @@ class TestArrayFiles:
             with pytest.raises(StorageError, match=r"retired \.npz") as info:
                 call()
             assert not isinstance(info.value, PartitionAbsent)
-        pipe = PartitionPipeline(ckpt.partitions, synchronous=True)
+        pipe = PartitionPipeline(ckpt.partitions, budget_bytes=0)
         with pytest.raises(StorageError, match=r"retired \.npz"):
             pipe.take("node", 0)
         with pytest.raises(PartitionAbsent):
@@ -487,9 +487,11 @@ class TestStorageRoundtripFuzz:
         flight, landed, superseded by a newer park)."""
         store = PartitionedEmbeddingStorage(tmp_path)
         # Unlimited budget: the oracle mirrors the staged set exactly
-        # (entries only leave via take). Budget pressure is exercised
-        # separately below.
-        pipe = PartitionPipeline(store, synchronous=synchronous)
+        # (entries only leave via take); budget 0 stages nothing.
+        # Budget pressure is exercised separately below.
+        pipe = PartitionPipeline(
+            store, budget_bytes=0 if synchronous else None
+        )
         rng = np.random.default_rng(seed)
         keys = [("node", p) for p in range(4)]
         latest: dict = {}    # key -> float32 oracle of the staged copy
